@@ -8,6 +8,8 @@ coordinates.  A simulator with known ground truth, track evaluation and
 detection metrics round out the toolkit.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calibration import (
     AxisMap,
     Calibration,
@@ -113,4 +115,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every public name imported above; the submodules themselves are not API.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

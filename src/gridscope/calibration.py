@@ -22,7 +22,7 @@ round-tripping bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     FormatError,
@@ -493,40 +493,10 @@ def _quad_from(reader: jsonio.DocReader) -> Quad:
     return Quad.from_coords(corners)
 
 
-def _axis_component_doc(c: AxisComponent) -> dict:
-    return {"axis": c.axis, "origin_mm": c.origin_mm, "sign": c.sign}
-
-
 def _axis_component_from(r: jsonio.DocReader) -> AxisComponent:
     return AxisComponent(
         r.key("axis").string(), r.key("origin_mm").real(), r.key("sign").integer()
     )
-
-
-def _axis_map_doc(axis_map: AxisMap) -> dict:
-    sides = []
-    for s in axis_map.sides:
-        sides.append(
-            {
-                "horizontal": _axis_component_doc(s.horizontal),
-                "vertical": {
-                    "origin_mm": s.vertical.origin_mm,
-                    "sign": s.vertical.sign,
-                },
-                "depth": {
-                    "axis": s.depth.axis,
-                    "face_n_mm": s.depth.face_n_mm,
-                    "sign": s.depth.sign,
-                },
-            }
-        )
-    return {
-        "sides": sides,
-        "top": {
-            "a": _axis_component_doc(axis_map.top.a),
-            "b": _axis_component_doc(axis_map.top.b),
-        },
-    }
 
 
 def _axis_map_from(reader: jsonio.DocReader) -> AxisMap:
@@ -583,40 +553,27 @@ def _sub_area_from(r: jsonio.DocReader) -> SubArea:
     )
 
 
-def calibration_doc(cal: Calibration) -> dict:
-    """The document form of a calibration (what save_calibration writes)."""
-    cameras = []
-    for cam in cal.cameras:
-        cameras.append(
-            {
-                "id": cam.camera_id,
-                "role": cam.role.label(),
-                "resolution": [cam.resolution[0], cam.resolution[1]],
-                "mde_h": cam.mde_h,
-                "mde_v": cam.mde_v,
-                "sub_areas": [_sub_area_doc(s) for s in cam.sub_areas],
-            }
-        )
+def _header_doc(rig: RigGeometry, axis_map: AxisMap) -> dict:
+    """The leading keys shared by calibration and marker-picks documents."""
     return {
         "format_version": FORMAT_VERSION,
         "grid_a": {
-            "w_mm": cal.rig.grid_a.w_mm,
-            "d_mm": cal.rig.grid_a.d_mm,
-            "h_mm": cal.rig.grid_a.h_mm,
+            "w_mm": rig.grid_a.w_mm,
+            "d_mm": rig.grid_a.d_mm,
+            "h_mm": rig.grid_a.h_mm,
         },
-        "px_per_mm": cal.rig.px_per_mm,
-        "marker_count": cal.rig.marker_count,
-        "axis_map": _axis_map_doc(cal.axis_map),
-        "cameras": cameras,
+        "px_per_mm": rig.px_per_mm,
+        "marker_count": rig.marker_count,
+        # the axis-map dataclasses' fields are the document's keys, in order
+        "axis_map": asdict(axis_map),
     }
 
 
-def calibration_from_doc(doc: dict) -> Calibration:
-    root = jsonio.DocReader(doc)
+def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMap]:
     version = root.key("format_version").integer()
     if version != FORMAT_VERSION:
         raise VersionMismatch(
-            f"calibration format_version {version} unsupported "
+            f"{kind} format_version {version} unsupported "
             f"(this build reads {FORMAT_VERSION})"
         )
     grid = root.key("grid_a")
@@ -636,14 +593,49 @@ def calibration_from_doc(doc: dict) -> Calibration:
     )
     axis_map_r = root.optional_key("axis_map")
     axis_map = _axis_map_from(axis_map_r) if axis_map_r else default_axis_map(grid_a)
+    return rig, axis_map
+
+
+def _camera_doc(cam: "CameraProfile | CameraPicks") -> dict:
+    """The leading keys of one camera entry in either document."""
+    return {
+        "id": cam.camera_id,
+        "role": cam.role.label(),
+        "resolution": [cam.resolution[0], cam.resolution[1]],
+    }
+
+
+def _camera_from(r: jsonio.DocReader) -> tuple[str, CameraRole, tuple[int, int]]:
+    res = r.key("resolution").fixed_list(2)
+    return (
+        r.key("id").string(),
+        CameraRole.from_label(r.key("role").string()),
+        (res[0].integer(), res[1].integer()),
+    )
+
+
+def calibration_doc(cal: Calibration) -> dict:
+    """The document form of a calibration (what save_calibration writes)."""
+    cameras = [
+        {
+            **_camera_doc(cam),
+            "mde_h": cam.mde_h,
+            "mde_v": cam.mde_v,
+            "sub_areas": [_sub_area_doc(s) for s in cam.sub_areas],
+        }
+        for cam in cal.cameras
+    ]
+    return {**_header_doc(cal.rig, cal.axis_map), "cameras": cameras}
+
+
+def calibration_from_doc(doc: dict) -> Calibration:
+    root = jsonio.DocReader(doc)
+    rig, axis_map = _header_from(root, "calibration")
     cameras = []
     for cam_r in root.key("cameras").items():
-        res = cam_r.key("resolution").fixed_list(2)
         cameras.append(
             CameraProfile(
-                camera_id=cam_r.key("id").string(),
-                role=CameraRole.from_label(cam_r.key("role").string()),
-                resolution=(res[0].integer(), res[1].integer()),
+                *_camera_from(cam_r),
                 sub_areas=tuple(
                     _sub_area_from(s) for s in cam_r.key("sub_areas").items()
                 ),
@@ -696,34 +688,10 @@ class MarkerPicks:
 
 
 def load_marker_picks(path) -> MarkerPicks:
-    doc = jsonio.read_doc(path)
-    root = jsonio.DocReader(doc)
-    version = root.key("format_version").integer()
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"marker picks format_version {version} unsupported "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    grid = root.key("grid_a")
-    grid_a = GridBox(
-        WorldPoint3D(0.0, 0.0, 0.0),
-        grid.key("w_mm").real(),
-        grid.key("d_mm").real(),
-        grid.key("h_mm").real(),
-    )
-    marker_count_r = root.optional_key("marker_count")
-    rig = RigGeometry(
-        grid_a,
-        px_per_mm=root.key("px_per_mm").real(),
-        marker_count=(
-            marker_count_r.integer() if marker_count_r else DEFAULT_MARKER_COUNT
-        ),
-    )
-    axis_map_r = root.optional_key("axis_map")
-    axis_map = _axis_map_from(axis_map_r) if axis_map_r else default_axis_map(grid_a)
+    root = jsonio.DocReader(jsonio.read_doc(path))
+    rig, axis_map = _header_from(root, "marker picks")
     cameras = []
     for cam_r in root.key("cameras").items():
-        res = cam_r.key("resolution").fixed_list(2)
         subs = []
         for s in cam_r.key("sub_areas").items():
             required_r = s.optional_key("required")
@@ -743,9 +711,7 @@ def load_marker_picks(path) -> MarkerPicks:
             face_f = _quad_from(depth_r.key("face_f"))
         cameras.append(
             CameraPicks(
-                camera_id=cam_r.key("id").string(),
-                role=CameraRole.from_label(cam_r.key("role").string()),
-                resolution=(res[0].integer(), res[1].integer()),
+                *_camera_from(cam_r),
                 sub_areas=tuple(subs),
                 face_n_quad=face_n,
                 face_f_quad=face_f,
@@ -757,10 +723,8 @@ def load_marker_picks(path) -> MarkerPicks:
 def marker_picks_doc(picks: MarkerPicks) -> dict:
     cameras = []
     for cam in picks.cameras:
-        entry: dict = {
-            "id": cam.camera_id,
-            "role": cam.role.label(),
-            "resolution": [cam.resolution[0], cam.resolution[1]],
+        entry = {
+            **_camera_doc(cam),
             "sub_areas": [
                 {
                     "index": s.index,
@@ -782,18 +746,7 @@ def marker_picks_doc(picks: MarkerPicks) -> dict:
                 "face_f": _quad_doc(cam.face_f_quad),
             }
         cameras.append(entry)
-    return {
-        "format_version": FORMAT_VERSION,
-        "grid_a": {
-            "w_mm": picks.rig.grid_a.w_mm,
-            "d_mm": picks.rig.grid_a.d_mm,
-            "h_mm": picks.rig.grid_a.h_mm,
-        },
-        "px_per_mm": picks.rig.px_per_mm,
-        "marker_count": picks.rig.marker_count,
-        "axis_map": _axis_map_doc(picks.axis_map),
-        "cameras": cameras,
-    }
+    return {**_header_doc(picks.rig, picks.axis_map), "cameras": cameras}
 
 
 def build_calibration(picks: MarkerPicks, mde_aggregate: str = "max") -> Calibration:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import jsonio
 from .calibration import (
@@ -30,7 +29,14 @@ from .detections import DEFAULT_SYNC_TOLERANCE_MS, parse_detections_file, synchr
 from .errors import ConfigError, GridscopeError
 from .evaluation import evaluate_track, read_segments
 from .export import EXPORT_FORMATS, export_track
-from .fusion import DEFAULT_Z_REJECT_MM, FusionStats, build_track, read_track, write_track
+from .fusion import (
+    DEFAULT_Z_REJECT_MM,
+    PAIR_STRATEGIES,
+    FusionStats,
+    build_track,
+    read_track,
+    write_track,
+)
 from .geometry import GridBox, WorldPoint3D
 from .metrics import evaluate_detections, read_ground_truth, read_predictions
 from .simulate import generate_scenario, load_scenario, write_generated
@@ -50,16 +56,28 @@ class RunConfig:
     vertical_correction: bool = True
 
     def __post_init__(self):
-        if self.sync_tolerance_ms < 0:
+        # "not >= 0" also turns away NaN, which argparse's float() accepts
+        if not self.sync_tolerance_ms >= 0:
             raise ConfigError(
                 f"sync_tolerance_ms must be >= 0, got {self.sync_tolerance_ms}"
             )
-        if self.z_reject_mm < 0:
+        if not self.z_reject_mm >= 0:
             raise ConfigError(f"z_reject_mm must be >= 0, got {self.z_reject_mm}")
-        if self.pair_strategy not in ("best", "average_all"):
+        if self.pair_strategy not in PAIR_STRATEGIES:
             raise ConfigError(
-                f"pair_strategy must be best|average_all, got {self.pair_strategy!r}"
+                f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "
+                f"got {self.pair_strategy!r}"
             )
+
+
+# How a config file value is read for each RunConfig field, by annotation.
+_READ_AS = {
+    "float": jsonio.DocReader.real,
+    "bool": jsonio.DocReader.boolean,
+    "str": jsonio.DocReader.string,
+    "str | None": jsonio.DocReader.string,
+}
+_CONFIG_READERS = {f.name: _READ_AS[f.type] for f in fields(RunConfig)}
 
 
 def load_run_config(path) -> RunConfig:
@@ -69,71 +87,25 @@ def load_run_config(path) -> RunConfig:
     except GridscopeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     kwargs = {}
-    r = root.optional_key("sync_tolerance_ms")
-    if r:
-        kwargs["sync_tolerance_ms"] = r.real()
-    r = root.optional_key("reference_camera")
-    if r:
-        kwargs["reference_camera"] = r.string()
-    r = root.optional_key("z_reject_mm")
-    if r:
-        kwargs["z_reject_mm"] = r.real()
-    r = root.optional_key("pair_strategy")
-    if r:
-        kwargs["pair_strategy"] = r.string()
-    r = root.optional_key("depth_correction")
-    if r:
-        kwargs["depth_correction"] = r.boolean()
-    r = root.optional_key("vertical_correction")
-    if r:
-        kwargs["vertical_correction"] = r.boolean()
-    known = {
-        "sync_tolerance_ms",
-        "reference_camera",
-        "z_reject_mm",
-        "pair_strategy",
-        "depth_correction",
-        "vertical_correction",
-    }
-    stray = set(root.value) - known
+    for name, read in _CONFIG_READERS.items():
+        r = root.optional_key(name)
+        if r is not None:
+            kwargs[name] = read(r)
+    stray = set(root.value) - set(_CONFIG_READERS)
     if stray:
         raise ConfigError(f"{path}: unknown config keys {sorted(stray)}")
     return RunConfig(**kwargs)
 
 
 def _merged_config(args) -> RunConfig:
+    """The config file's settings, overridden by every flag given."""
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    updates = {}
-    for field in (
-        "sync_tolerance_ms",
-        "reference_camera",
-        "z_reject_mm",
-        "pair_strategy",
-        "depth_correction",
-        "vertical_correction",
-    ):
-        value = getattr(args, field)
-        if value is not None:
-            updates[field] = value
+    updates = {
+        name: getattr(args, name)
+        for name in _CONFIG_READERS
+        if getattr(args, name) is not None
+    }
     return replace(cfg, **updates) if updates else cfg
-
-
-def thread_cap() -> int:
-    """Validated GRIDSCOPE_THREADS value (an upper bound on worker count).
-
-    The pipeline currently runs single-pass, so any cap >= 1 behaves the
-    same; the variable is still validated so typos fail loudly.
-    """
-    raw = os.environ.get("GRIDSCOPE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"GRIDSCOPE_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"GRIDSCOPE_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _parse_box(text: str) -> GridBox:
@@ -143,7 +115,7 @@ def _parse_box(text: str) -> GridBox:
             f"expected origin_x,origin_y,origin_z,w,d,h (6 numbers), got {text!r}"
         )
     try:
-        vals = [float(p) for p in parts]
+        vals = [jsonio.real(p, "--grid-b") for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad box {text!r}: {exc}") from exc
     return GridBox(WorldPoint3D(vals[0], vals[1], vals[2]), vals[3], vals[4], vals[5])
@@ -305,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sync-tolerance-ms", type=float, default=None)
     p.add_argument("--reference-camera", default=None)
     p.add_argument("--z-reject-mm", type=float, default=None)
-    p.add_argument("--pair-strategy", choices=("best", "average_all"), default=None)
+    p.add_argument("--pair-strategy", choices=PAIR_STRATEGIES, default=None)
     p.add_argument(
         "--depth-correction",
         action=argparse.BooleanOptionalAction,
@@ -363,8 +335,6 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s: %(message)s")
     try:
-        cap = thread_cap()
-        log.debug("worker cap %d (stages are single-pass today)", cap)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

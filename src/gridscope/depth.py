@@ -99,14 +99,16 @@ def compute_def(mde: float, obs: DepthObservation) -> float:
     """Depth error factor: the MDE prorated by observed depth."""
     if mde < 0:
         raise InvalidObservation(f"mde must be >= 0, got {mde}")
-    return mde * obs.ni_top / obs.nf_top
+    # the ratio is <= 1, so the product cannot round above mde
+    return mde * (obs.ni_top / obs.nf_top)
 
 
 def final_adjustment(def_value: float, obs: DepthObservation) -> float:
     """The DEF prorated by lateral offset from the centre axis."""
     if def_value < 0:
         raise InvalidObservation(f"DEF must be >= 0, got {def_value}")
-    return def_value * obs.ic_ax / obs.sc_ax
+    # the ratio is <= 1, so the product cannot round above def_value
+    return def_value * (obs.ic_ax / obs.sc_ax)
 
 
 def correct_side_point(

@@ -11,12 +11,12 @@ nearest-timestamp grouping around a reference camera.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CsvError
 from .geometry import PixelPoint
+from .jsonio import read_table, real
 
 CSV_HEADER = (
     "camera_id",
@@ -88,7 +88,9 @@ class ParseResult:
         return len(self.errors)
 
 
-_FLOAT_COLUMNS = ("timestamp_ms", "u_min", "v_min", "u_max", "v_max", "confidence")
+def _detection(row: list[str]) -> Detection:
+    reals = [real(text, name) for text, name in zip(row[2:], CSV_HEADER[2:])]
+    return Detection(row[0], row[1], *reals)
 
 
 def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
@@ -98,53 +100,7 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         lines: the file content, header row first.
         strict: raise on the first malformed row instead of skipping it.
     """
-    reader = csv.reader(lines)
-    detections: list[Detection] = []
-    errors: list[CsvError] = []
-
-    def bad(row_no: int, column: str, reason: str):
-        err = CsvError(row_no, column, reason)
-        if strict:
-            raise err
-        errors.append(err)
-
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-        raise CsvError(1, "", f"expected header {','.join(CSV_HEADER)}")
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(CSV_HEADER):
-            bad(row_no, "", f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            continue
-        fields = dict(zip(CSV_HEADER, (f.strip() for f in row)))
-        values: dict[str, float] = {}
-        ok = True
-        for name in _FLOAT_COLUMNS:
-            try:
-                values[name] = float(fields[name])
-            except ValueError:
-                bad(row_no, name, f"not a number: {fields[name]!r}")
-                ok = False
-                break
-        if not ok:
-            continue
-        try:
-            det = Detection(
-                camera_id=fields["camera_id"],
-                frame_index=fields["frame_index"],
-                timestamp_ms=values["timestamp_ms"],
-                u_min=values["u_min"],
-                v_min=values["v_min"],
-                u_max=values["u_max"],
-                v_max=values["v_max"],
-                confidence=values["confidence"],
-            )
-        except ValueError as exc:
-            bad(row_no, "", str(exc))
-            continue
-        detections.append(det)
-    return ParseResult(detections, errors)
+    return ParseResult(*read_table(lines, CSV_HEADER, _detection, strict=strict))
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:

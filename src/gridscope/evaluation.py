@@ -11,14 +11,14 @@ unweighted overall mean so long and short segments count equally.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .errors import CsvError, EmptySegment, FormatError, NoDetections, NoSegments
+from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackPoint
 from .geometry import GridBox, WorldPoint3D
+from .jsonio import read_table, real
 
 FACES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
@@ -167,33 +167,16 @@ def validate_segments(segments: Sequence[Segment]) -> None:
 # --- segments CSV -----------------------------------------------------------
 
 
+def _segment(row: list[str]) -> Segment:
+    segment_id, t_start, t_end, face = row
+    return Segment(
+        segment_id, real(t_start, "t_start_ms"), real(t_end, "t_end_ms"), face
+    )
+
+
 def read_segments(path) -> list[Segment]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != SEGMENTS_HEADER:
-            raise CsvError(1, "", f"expected header {','.join(SEGMENTS_HEADER)}")
-        segments: list[Segment] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(SEGMENTS_HEADER):
-                raise CsvError(
-                    row_no,
-                    "",
-                    f"expected {len(SEGMENTS_HEADER)} fields, got {len(row)}",
-                )
-            try:
-                segments.append(
-                    Segment(
-                        segment_id=row[0].strip(),
-                        t_start_ms=float(row[1]),
-                        t_end_ms=float(row[2]),
-                        face=row[3].strip(),
-                    )
-                )
-            except (ValueError, FormatError) as exc:
-                raise CsvError(row_no, "", str(exc)) from exc
+        segments = read_table(fh, SEGMENTS_HEADER, _segment)[0]
     validate_segments(segments)
     return segments
 
@@ -226,15 +209,7 @@ class EvaluationReport:
 
     def as_doc(self) -> dict:
         doc: dict = {
-            "segments": [
-                {
-                    "segment_id": s.segment_id,
-                    "face": s.face,
-                    "points": s.points,
-                    "mean_error_mm": s.mean_error_mm,
-                }
-                for s in self.segments
-            ],
+            "segments": [asdict(s) for s in self.segments],
             "overall_mm": self.overall_mm,
             "overall_model_px": self.overall_model_px,
         }

@@ -16,8 +16,7 @@ plotted.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .calibration import (
@@ -30,18 +29,17 @@ from .calibration import (
 )
 from .depth import DepthCorrection, DepthObservation, correct_side_point
 from .detections import Detection, FrameBundle, bbox_center
-from .errors import (
-    CsvError,
-    FormatError,
-    OutsideCalibratedArea,
-    ZDisagreementExceeded,
-)
+from .errors import FormatError, OutsideCalibratedArea, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
+from .jsonio import read_table, real
 
 DEFAULT_Z_REJECT_MM = 30.0
 
 # The four admissible side-camera pairs, in tie-break order.
 ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 0))
+
+# How build_track chooses among a bundle's eligible pairs.
+PAIR_STRATEGIES = ("best", "average_all")
 
 TRACK_HEADER = (
     "timestamp_ms",
@@ -85,15 +83,7 @@ class FusionStats:
     outside_area: int = 0
 
     def as_doc(self) -> dict:
-        return {
-            "total": self.total,
-            "with_side_detection": self.with_side_detection,
-            "with_two_side_detections": self.with_two_side_detections,
-            "plotted": self.plotted,
-            "rejected_z": self.rejected_z,
-            "missing_top": self.missing_top,
-            "outside_area": self.outside_area,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FusionStats":
@@ -270,9 +260,10 @@ def build_track(
     z check; the recorded pair and disagreement come from the
     highest-confidence contributor).
     """
-    if pair_strategy not in ("best", "average_all"):
+    if pair_strategy not in PAIR_STRATEGIES:
         raise FormatError(
-            f"pair_strategy must be 'best' or 'average_all', got {pair_strategy!r}"
+            f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "
+            f"got {pair_strategy!r}"
         )
     track: list[TrackPoint] = []
     stats = FusionStats()
@@ -359,35 +350,19 @@ def write_track(path, track: Iterable[TrackPoint]) -> None:
             )
 
 
+def _track_point(row: list[str]) -> TrackPoint:
+    t, x, y, z, cam_a, cam_b, dz, flag = row
+    if flag not in ("true", "false"):
+        raise ValueError(f"depth_corrected must be true/false, got {flag!r}")
+    return TrackPoint(
+        timestamp_ms=real(t, "timestamp_ms"),
+        position=WorldPoint3D(real(x, "x_mm"), real(y, "y_mm"), real(z, "z_mm")),
+        pair=(cam_a, cam_b),
+        z_disagreement_mm=real(dz, "z_disagreement_mm"),
+        depth_corrected=(flag == "true"),
+    )
+
+
 def read_track(path) -> list[TrackPoint]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRACK_HEADER:
-            raise CsvError(1, "", f"expected header {','.join(TRACK_HEADER)}")
-        track: list[TrackPoint] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(TRACK_HEADER):
-                raise CsvError(
-                    row_no, "", f"expected {len(TRACK_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                flag = row[7].strip()
-                if flag not in ("true", "false"):
-                    raise ValueError(f"depth_corrected must be true/false, got {flag!r}")
-                track.append(
-                    TrackPoint(
-                        timestamp_ms=float(row[0]),
-                        position=WorldPoint3D(
-                            float(row[1]), float(row[2]), float(row[3])
-                        ),
-                        pair=(row[4].strip(), row[5].strip()),
-                        z_disagreement_mm=float(row[6]),
-                        depth_corrected=(flag == "true"),
-                    )
-                )
-            except ValueError as exc:
-                raise CsvError(row_no, "", str(exc)) from exc
-        return track
+        return read_table(fh, TRACK_HEADER, _track_point)[0]

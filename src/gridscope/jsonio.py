@@ -1,4 +1,4 @@
-"""Deterministic structured-text documents.
+"""Deterministic structured-text documents and CSV tables.
 
 All on-disk configuration and report documents in this package are JSON with
 two extra guarantees on the writing side:
@@ -11,15 +11,23 @@ two extra guarantees on the writing side:
 Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
+
+The CSV tables (detections, track, segments, ground truth, truth) are read
+through :func:`read_table`, and their real-valued fields through
+:func:`real`, which refuses ``nan`` and ``inf``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from typing import Any, Iterator
+import sys
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import FormatError
+from .errors import CsvError, FormatError
+
+T = TypeVar("T")
 
 _INDENT = "  "
 
@@ -175,6 +183,8 @@ class DocReader:
     def real(self) -> float:
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             self._fail("a real number")
+        if not abs(self.value) <= sys.float_info.max:  # NaN, inf or a huge integer
+            self._fail("a finite real number")
         return float(self.value)
 
     def integer(self) -> int:
@@ -195,3 +205,61 @@ class DocReader:
     def real_pair(self) -> tuple[float, float]:
         a, b = self.fixed_list(2)
         return a.real(), b.real()
+
+
+# --- CSV tables --------------------------------------------------------------
+
+
+class FieldError(ValueError):
+    """A CSV field its column cannot hold; read_table reports the column."""
+
+    def __init__(self, column: str, reason: str):
+        super().__init__(reason)
+        self.column = column
+
+
+def real(text: str, column: str) -> float:
+    """One CSV field as a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise FieldError(column, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise FieldError(column, f"not a finite number: {text!r}")
+    return value
+
+
+def read_table(
+    lines: Iterable[str],
+    header: tuple[str, ...],
+    make: Callable[[list[str]], T],
+    strict: bool = True,
+) -> tuple[list[T], list[CsvError]]:
+    """Build one item per row of a CSV table headed exactly by ``header``.
+
+    Blank rows are skipped.  Each other row needs one field per column; its
+    stripped fields go to ``make``, whose ValueError or FormatError becomes
+    a CsvError naming the 1-based row (the header is row 1) and, for a
+    FieldError, the column.  Strict mode raises the first such error;
+    otherwise bad rows are skipped and their errors returned.
+    """
+    reader = csv.reader(lines)
+    first = next(reader, None)
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise CsvError(1, "", f"expected header {','.join(header)}")
+    width = len(header)
+    items: list[T] = []
+    errors: list[CsvError] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            items.append(make([f.strip() for f in row]))
+        except (ValueError, FormatError) as exc:
+            err = CsvError(row_no, getattr(exc, "column", ""), str(exc))
+            if strict:
+                raise err from exc
+            errors.append(err)
+    return items, errors

@@ -17,12 +17,12 @@ with zero weight on raw precision and recall.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .detections import Detection, parse_detections_file
-from .errors import CsvError, NoGroundTruth, UndefinedMetric
+from .errors import NoGroundTruth, UndefinedMetric
+from .jsonio import read_table, real
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -193,33 +193,14 @@ def fitness(precision: float, recall: float, map50: float, map5095: float) -> fl
 # --- file I/O ---------------------------------------------------------------
 
 
+def _ground_truth_box(row: list[str]) -> GroundTruthBox:
+    reals = [real(text, name) for text, name in zip(row[1:], GT_HEADER[1:])]
+    return GroundTruthBox(row[0], *reals)
+
+
 def read_ground_truth(path) -> list[GroundTruthBox]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != GT_HEADER:
-            raise CsvError(1, "", f"expected header {','.join(GT_HEADER)}")
-        boxes: list[GroundTruthBox] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(GT_HEADER):
-                raise CsvError(
-                    row_no, "", f"expected {len(GT_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                boxes.append(
-                    GroundTruthBox(
-                        frame_id=row[0].strip(),
-                        u_min=float(row[1]),
-                        v_min=float(row[2]),
-                        u_max=float(row[3]),
-                        v_max=float(row[4]),
-                    )
-                )
-            except ValueError as exc:
-                raise CsvError(row_no, "", str(exc)) from exc
-        return boxes
+        return read_table(fh, GT_HEADER, _ground_truth_box)[0]
 
 
 def read_predictions(path, strict: bool = True) -> list[Detection]:

@@ -41,7 +41,7 @@ from .calibration import (
     default_axis_map,
 )
 from .detections import Detection, write_detections
-from .errors import BehindCamera, ConfigError, CsvError
+from .errors import BehindCamera, ConfigError
 from .evaluation import FACES
 from .geometry import GridBox, PixelPoint, Quad, WorldPoint3D
 from . import jsonio
@@ -574,30 +574,14 @@ def write_truth(path, truth: list[TruthSample]) -> None:
             )
 
 
-def read_truth(path) -> list[TruthSample]:
-    import csv as _csv
+def _truth_sample(row: list[str]) -> TruthSample:
+    t, x, y, z = (jsonio.real(text, name) for text, name in zip(row, TRUTH_HEADER))
+    return TruthSample(t, WorldPoint3D(x, y, z))
 
+
+def read_truth(path) -> list[TruthSample]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRUTH_HEADER:
-            raise CsvError(1, "", f"expected header {','.join(TRUTH_HEADER)}")
-        out = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise CsvError(row_no, "", f"expected 4 fields, got {len(row)}")
-            try:
-                out.append(
-                    TruthSample(
-                        float(row[0]),
-                        WorldPoint3D(float(row[1]), float(row[2]), float(row[3])),
-                    )
-                )
-            except ValueError as exc:
-                raise CsvError(row_no, "", str(exc)) from exc
-        return out
+        return jsonio.read_table(fh, TRUTH_HEADER, _truth_sample)[0]
 
 
 # --- scenario files ---------------------------------------------------------

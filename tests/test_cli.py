@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gridscope import jsonio
-from gridscope.cli import RunConfig, load_run_config, main, thread_cap
+from gridscope.cli import RunConfig, load_run_config, main
 from gridscope.detections import Detection, write_detections
 from gridscope.errors import ConfigError
 from gridscope.evaluation import Segment, write_segments
@@ -193,6 +193,19 @@ class TestRunConfig:
         assert cfg.pair_strategy == "average_all"
         assert cfg.sync_tolerance_ms == 25.0
 
+    def test_load_every_key(self, tmp_path):
+        doc = {
+            "sync_tolerance_ms": 10,
+            "reference_camera": "top",
+            "z_reject_mm": 12.5,
+            "pair_strategy": "average_all",
+            "depth_correction": False,
+            "vertical_correction": False,
+        }
+        p = tmp_path / "cfg.json"
+        jsonio.write_doc(p, doc)
+        assert load_run_config(p) == RunConfig(**doc)
+
     def test_stray_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         jsonio.write_doc(p, {"z_tolerance": 5.0})
@@ -229,34 +242,6 @@ class TestRunConfig:
         assert doc["plotted"] == 40
 
 
-class TestThreadCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("GRIDSCOPE_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv("GRIDSCOPE_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_non_integer(self, monkeypatch):
-        monkeypatch.setenv("GRIDSCOPE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_cap()
-
-    def test_below_one(self, monkeypatch):
-        monkeypatch.setenv("GRIDSCOPE_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_cap()
-
-    def test_bad_value_fails_any_command(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("GRIDSCOPE_THREADS", "lots")
-        scenario = tmp_path / "scenario.json"
-        jsonio.write_doc(scenario, SCENARIO_DOC)
-        code = main(["simulate", str(scenario), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "GRIDSCOPE_THREADS" in capsys.readouterr().err
-
-
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
@@ -285,6 +270,35 @@ class TestExitCodes:
             main(["transmogrify"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_non_finite_config_value(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sync_tolerance_ms": NaN}\n')
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+        ]
+        assert main(args + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "sync_tolerance_ms" in err and "finite" in err
+        assert "Traceback" not in err
+        assert main(args + ["--sync-tolerance-ms", "nan"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_grid_b(self, pipeline, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--track", str(pipeline / "track.csv"),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--grid-b", "0,0,0,1,inf,1",
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert "not a finite number" in capsys.readouterr().err
 
     def test_strict_parse_failure(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridscope.calibration import CameraProfile, CameraRole, build_sub_area
@@ -70,13 +70,23 @@ class TestFactors:
         with pytest.raises(InvalidObservation):
             final_adjustment(-0.1, obs())
 
+    # Inputs where evaluating mde*ni/nf or def*ic/sc left to right rounds one
+    # ulp above its bound; the second needs a rig whose depth and half width
+    # differ (nf 300, sc 195).
+    @example(mde=328.38670290438586, depths=(400.0, 400.0), lateral=(0.0, 200.0))
+    @example(
+        mde=247.71754354597047,
+        depths=(134.84731943662143, 300.0),
+        lateral=(195.0, 195.0),
+    )
     @given(
         mde=st.floats(0, 500),
-        ni=st.floats(0, 400),
-        ic=st.floats(0, 200),
+        depths=st.tuples(st.floats(0, 400), st.floats(1, 400)).map(sorted),
+        lateral=st.tuples(st.floats(0, 200), st.floats(1, 200)).map(sorted),
     )
-    def test_adjustment_never_exceeds_def_nor_mde(self, mde, ni, ic):
-        o = obs(ni=ni, ic=ic)
+    def test_adjustment_never_exceeds_def_nor_mde(self, mde, depths, lateral):
+        (ni, nf), (ic, sc) = depths, lateral
+        o = obs(ni=ni, nf=nf, ic=ic, sc=sc)
         d = compute_def(mde, o)
         adj = final_adjustment(d, o)
         assert 0.0 <= adj <= d <= mde

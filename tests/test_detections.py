@@ -97,6 +97,22 @@ class TestParse:
         assert result.errors[0].column == "timestamp_ms"
         assert result.errors[1].column == ""
 
+    def test_lenient_skips_non_finite_reals(self):
+        lines = [
+            HEADER_LINE,
+            "a,0,nan,0,0,1,1,0.5",
+            "a,1,100,0,0,inf,1,0.5",
+            "b,0,100,-inf,0,1,1,0.5",
+            "b,1,101,0,0,1,1,0.5",
+        ]
+        result = parse_detections(lines)
+        assert [d.timestamp_ms for d in result.detections] == [101.0]
+        assert [(e.row, e.column) for e in result.errors] == [
+            (2, "timestamp_ms"),
+            (3, "u_max"),
+            (4, "u_min"),
+        ]
+
     def test_strict_raises_with_location(self):
         lines = [HEADER_LINE, "a,0,100,0,0,1,1,0.5", "a,0,100,0,0,1,1,bad"]
         with pytest.raises(CsvError) as err:

@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridscope import jsonio
-from gridscope.errors import FormatError
+from gridscope.detections import CSV_HEADER, parse_detections_file
+from gridscope.errors import CsvError, FormatError
+from gridscope.evaluation import SEGMENTS_HEADER, read_segments
+from gridscope.fusion import TRACK_HEADER, read_track
+from gridscope.metrics import GT_HEADER, read_ground_truth
+from gridscope.simulate import TRUTH_HEADER, read_truth
 
 
 class TestFormatReal:
@@ -121,6 +126,15 @@ class TestDocReader:
         with pytest.raises(FormatError):
             jsonio.DocReader({"x": True}).key("x").real()
 
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+    )
+    def test_real_rejects_non_finite(self, text):
+        reader = jsonio.DocReader(jsonio.loads_doc('{"x": ' + text + "}"))
+        with pytest.raises(FormatError) as err:
+            reader.key("x").real()
+        assert "finite" in str(err.value)
+
     def test_integer_rejects_bool_and_float(self):
         with pytest.raises(FormatError):
             jsonio.DocReader({"x": True}).key("x").integer()
@@ -156,3 +170,72 @@ class TestDocReader:
     def test_items_on_scalar_fails(self):
         with pytest.raises(FormatError):
             list(self.doc().key("n").items())
+
+
+HEADER = ("name", "value")
+
+
+def pair(row):
+    name, value = row
+    if not name:
+        raise FormatError("empty name")
+    return name, jsonio.real(value, "value")
+
+
+class TestReadTable:
+    def test_rows_built_and_blank_rows_skipped(self):
+        lines = ["name,value", "a, 1.5", "", "  ", " b ,2"]
+        items, errors = jsonio.read_table(lines, HEADER, pair)
+        assert (items, errors) == ([("a", 1.5), ("b", 2.0)], [])
+
+    @pytest.mark.parametrize("lines", [[], ["name"], ["value,name"], ["name,value,x"]])
+    def test_header_must_match_exactly(self, lines):
+        with pytest.raises(CsvError) as err:
+            jsonio.read_table(lines, HEADER, pair)
+        assert (err.value.row, err.value.column) == (1, "")
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [("a", ""), ("a,1,2", ""), ("a,x", "value"), ("a,nan", "value"),
+         ("a,-inf", "value"), (",1", "")],
+    )
+    def test_strict_raises_first_bad_row(self, row, column):
+        with pytest.raises(CsvError) as err:
+            jsonio.read_table(["name,value", "ok,1", row, "z,q"], HEADER, pair)
+        assert (err.value.row, err.value.column) == (3, column)
+
+    def test_lenient_collects_bad_rows(self):
+        lines = ["name,value", "a,inf", "b,1", "c", "d,NaN", "e,2"]
+        items, errors = jsonio.read_table(lines, HEADER, pair, strict=False)
+        assert items == [("b", 1.0), ("e", 2.0)]
+        assert [(e.row, e.column) for e in errors] == [
+            (2, "value"),
+            (4, ""),
+            (5, "value"),
+        ]
+
+
+# One valid row per table format; the field at the index is made non-finite.
+TABLES = [
+    (parse_detections_file, CSV_HEADER, "side0,0,1.0,1,2,3,4,0.5", 2),
+    (parse_detections_file, CSV_HEADER, "side0,0,1.0,1,2,3,4,0.5", 5),
+    (read_track, TRACK_HEADER, "1.0,2.0,3.0,4.0,side0,side1,0.5,true", 3),
+    (read_segments, SEGMENTS_HEADER, "s,0,10,y_max", 2),
+    (read_ground_truth, GT_HEADER, "0,1,2,3,4", 1),
+    (read_truth, TRUTH_HEADER, "0,1,2,3", 0),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("reader, header, row, index", TABLES)
+def test_every_table_reader_rejects_non_finite_reals(
+    tmp_path, reader, header, row, index, bad
+):
+    fields = row.split(",")
+    fields[index] = bad
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(header)}\n{row}\n{','.join(fields)}\n")
+    kwargs = {"strict": True} if reader is parse_detections_file else {}
+    with pytest.raises(CsvError) as err:
+        reader(path, **kwargs)
+    assert (err.value.row, err.value.column) == (3, header[index])
