@@ -23,9 +23,11 @@ round-tripping bit-exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 from .errors import (
     FormatError,
+    GridscopeError,
     NonPositiveLength,
     OutsideCalibratedArea,
     VersionMismatch,
@@ -229,6 +231,18 @@ class CameraProfile:
                 f"({self.mde_h}, {self.mde_v})"
             )
 
+    @cached_property
+    def mg_footprint(self) -> tuple[float, float, float, float]:
+        """(min_a, min_b, max_a, max_b) over every sub-area's model-grid corners.
+
+        Computed on first use and kept on the instance; it is not a field, so
+        equality, hashing and the written document do not see it.
+        """
+        corners = [c for sub in self.sub_areas for c in sub.mg_corners()]
+        a_vals = [c.a for c in corners]
+        b_vals = [c.b for c in corners]
+        return min(a_vals), min(b_vals), max(a_vals), max(b_vals)
+
 
 def to_model_grid(profile: CameraProfile, p: PixelPoint) -> tuple[ModelPoint2D, int]:
     """Map an image pixel into the camera's model grid.
@@ -257,13 +271,7 @@ def to_model_grid(profile: CameraProfile, p: PixelPoint) -> tuple[ModelPoint2D, 
 
 def mg_bounds(profile: CameraProfile) -> tuple[float, float, float, float]:
     """Model-grid footprint (min_a, min_b, max_a, max_b) over all sub-areas."""
-    a_vals: list[float] = []
-    b_vals: list[float] = []
-    for sub in profile.sub_areas:
-        for c in sub.mg_corners():
-            a_vals.append(c.a)
-            b_vals.append(c.b)
-    return min(a_vals), min(b_vals), max(a_vals), max(b_vals)
+    return profile.mg_footprint
 
 
 def measure_mde(
@@ -569,20 +577,35 @@ def _header_doc(rig: RigGeometry, axis_map: AxisMap) -> dict:
     }
 
 
-def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMap]:
+def check_format_version(
+    root: jsonio.DocReader,
+    kind: str,
+    supported: int = FORMAT_VERSION,
+    error: type[GridscopeError] = VersionMismatch,
+) -> None:
+    """Raise ``error`` unless the document's format_version is ``supported``."""
     version = root.key("format_version").integer()
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(
+    if version != supported:
+        raise error(
             f"{kind} format_version {version} unsupported "
-            f"(this build reads {FORMAT_VERSION})"
+            f"(this build reads {supported})"
         )
+
+
+def read_grid_a(root: jsonio.DocReader) -> GridBox:
+    """The main grid from a document's ``grid_a`` key, at the world origin."""
     grid = root.key("grid_a")
-    grid_a = GridBox(
+    return GridBox(
         WorldPoint3D(0.0, 0.0, 0.0),
         grid.key("w_mm").real(),
         grid.key("d_mm").real(),
         grid.key("h_mm").real(),
     )
+
+
+def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMap]:
+    check_format_version(root, kind)
+    grid_a = read_grid_a(root)
     marker_count_r = root.optional_key("marker_count")
     rig = RigGeometry(
         grid_a,

@@ -160,6 +160,20 @@ class FrameBundle:
         return tuple(sorted(self.per_camera))
 
 
+def _free(parent: list[int], j: int) -> int:
+    """Follow ``parent`` from ``j`` until it leaves the list or stops moving.
+
+    Every index on the way is then pointed straight at that end (path
+    compression), so later lookups skip the whole claimed run at once.
+    """
+    root = j
+    while 0 <= root < len(parent) and parent[root] != root:
+        root = parent[root]
+    while j != root:
+        parent[j], j = root, parent[j]
+    return root
+
+
 def synchronize(
     detections: Iterable[Detection],
     tolerance_ms: float = DEFAULT_SYNC_TOLERANCE_MS,
@@ -174,7 +188,8 @@ def synchronize(
     within ``tolerance_ms`` (an exact tie between an earlier and a later
     candidate takes the earlier one).  No detection lands in two bundles,
     and the bundle count never exceeds the reference camera's detection
-    count.
+    count.  Claimed slots are skipped through path-compressed "next free
+    slot" links, so the pass costs O(n log n) per camera.
 
     Args:
         reference_camera: camera id to group around.  When absent from the
@@ -201,44 +216,36 @@ def synchronize(
             by_camera, key=lambda cam: (by_camera[cam][0].timestamp_ms, cam)
         )
 
-    times: dict[str, list[float]] = {
-        cam: [d.timestamp_ms for d in dets] for cam, dets in by_camera.items()
-    }
-    used: dict[str, set[int]] = {cam: set() for cam in by_camera}
+    others = [cam for cam in sorted(by_camera) if cam != reference_camera]
+    times = {cam: [d.timestamp_ms for d in by_camera[cam]] for cam in others}
+    # Per camera, two "next free slot" forests over the detection indices:
+    # _free(left, j) is the largest unclaimed index <= j (or -1) and
+    # _free(right, j) the smallest unclaimed index >= j (or len).
+    left = {cam: list(range(len(ts))) for cam, ts in times.items()}
+    right = {cam: list(range(len(ts))) for cam, ts in times.items()}
 
     def claim_nearest(cam: str, t: float) -> Detection | None:
         ts = times[cam]
-        taken = used[cam]
         i = bisect.bisect_left(ts, t)
-        best_idx = None
-        best_delta = None
-        # scan outward from the insertion point, preferring the earlier
-        # candidate on exact ties
-        for idx in (i - 1, i):
-            j = idx
-            step = -1 if idx == i - 1 else 1
-            while 0 <= j < len(ts) and j in taken:
-                j += step
-            if 0 <= j < len(ts):
-                delta = abs(ts[j] - t)
-                if delta <= tolerance_ms and (
-                    best_delta is None
-                    or delta < best_delta
-                    or (delta == best_delta and ts[j] < ts[best_idx])
-                ):
-                    best_idx, best_delta = j, delta
-        if best_idx is None:
+        # ts[lo] < t <= ts[hi]: the earlier candidate is tried first and
+        # the later one must be strictly nearer to win
+        lo = _free(left[cam], i - 1)
+        hi = _free(right[cam], i)
+        best = lo if lo >= 0 and t - ts[lo] <= tolerance_ms else None
+        if hi < len(ts) and ts[hi] - t <= tolerance_ms and (
+            best is None or ts[hi] - t < t - ts[best]
+        ):
+            best = hi
+        if best is None:
             return None
-        taken.add(best_idx)
-        return by_camera[cam][best_idx]
+        left[cam][best] = best - 1
+        right[cam][best] = best + 1
+        return by_camera[cam][best]
 
     bundles: list[FrameBundle] = []
-    for ref_idx, ref_det in enumerate(by_camera[reference_camera]):
-        used[reference_camera].add(ref_idx)
+    for ref_det in by_camera[reference_camera]:
         members = {reference_camera: ref_det}
-        for cam in sorted(by_camera):
-            if cam == reference_camera:
-                continue
+        for cam in others:
             hit = claim_nearest(cam, ref_det.timestamp_ms)
             if hit is not None:
                 members[cam] = hit

@@ -37,10 +37,11 @@ def format_real(x: float) -> str:
 
     Zero is written as "0" whatever its sign bit: JSON parses "-0" as the
     integer zero, so emitting the sign would make a write/read/write cycle
-    unstable at the byte level.
+    unstable at the byte level.  A NaN or an infinity has no JSON form and
+    raises FormatError.
     """
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite real {x!r}")
+        raise FormatError(f"cannot write non-finite real {x!r}")
     if x == 0:
         return "0"
     return f"{x:.17g}"
@@ -64,10 +65,18 @@ def _emit_scalar(value: Any) -> str:
     raise TypeError(f"unsupported scalar {type(value).__name__}")
 
 
-def _emit(value: Any, depth: int, out: list[str]) -> None:
+def _scalar_at(value: Any, path: str) -> str:
+    """_emit_scalar, naming the document path in a FormatError."""
+    try:
+        return _emit_scalar(value)
+    except FormatError as exc:
+        raise FormatError(f"{path or 'top level'}: {exc}") from None
+
+
+def _emit(value: Any, depth: int, out: list[str], path: str) -> None:
     pad = _INDENT * depth
     if _is_scalar(value):
-        out.append(_emit_scalar(value))
+        out.append(_scalar_at(value, path))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -78,7 +87,7 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {key!r}")
             out.append(f"{pad}{_INDENT}{json.dumps(key)}: ")
-            _emit(item, depth + 1, out)
+            _emit(item, depth + 1, out, f"{path}.{key}" if path else key)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -87,12 +96,12 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
             out.append("[]")
             return
         if all(_is_scalar(v) for v in seq):
-            out.append("[" + ", ".join(_emit_scalar(v) for v in seq) + "]")
+            out.append("[" + ", ".join(_scalar_at(v, path) for v in seq) + "]")
             return
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad + _INDENT)
-            _emit(item, depth + 1, out)
+            _emit(item, depth + 1, out, f"{path}[{i}]")
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -102,14 +111,15 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
 def dumps_doc(doc: dict) -> str:
     """Serialize a nested dict/list/scalar structure to deterministic text."""
     out: list[str] = []
-    _emit(doc, 0, out)
+    _emit(doc, 0, out, "")
     out.append("\n")
     return "".join(out)
 
 
 def write_doc(path, doc: dict) -> None:
+    text = dumps_doc(doc)  # a document that cannot be written leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_doc(doc))
+        fh.write(text)
 
 
 def loads_doc(text: str) -> dict:

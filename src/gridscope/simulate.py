@@ -38,7 +38,9 @@ from .calibration import (
     MarkerPicks,
     RigGeometry,
     SubAreaPick,
+    check_format_version,
     default_axis_map,
+    read_grid_a,
 )
 from .detections import Detection, write_detections
 from .errors import BehindCamera, ConfigError
@@ -589,19 +591,8 @@ def read_truth(path) -> list[TruthSample]:
 
 def scenario_from_doc(doc: dict) -> SimScenario:
     root = jsonio.DocReader(doc)
-    version = root.key("format_version").integer()
-    if version != SCENARIO_FORMAT_VERSION:
-        raise ConfigError(
-            f"scenario format_version {version} unsupported "
-            f"(this build reads {SCENARIO_FORMAT_VERSION})"
-        )
-    grid = root.key("grid_a")
-    grid_a = GridBox(
-        WorldPoint3D(0.0, 0.0, 0.0),
-        grid.key("w_mm").real(),
-        grid.key("d_mm").real(),
-        grid.key("h_mm").real(),
-    )
+    check_format_version(root, "scenario", SCENARIO_FORMAT_VERSION, ConfigError)
+    grid_a = read_grid_a(root)
     px_r = root.optional_key("px_per_mm")
     rig = RigGeometry(grid_a, px_per_mm=px_r.real() if px_r else 1.0)
     cams = root.key("cameras")

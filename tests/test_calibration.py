@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -179,6 +180,28 @@ class TestToModelGrid:
 
     def test_mg_bounds_covers_all_patches(self):
         assert mg_bounds(two_patch_profile()) == (0.0, 0.0, 20.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "calibration", [None, "aligned_calibration", "pinhole_calibration"]
+    )
+    def test_mg_bounds_equals_corner_extremes(self, calibration, request):
+        if calibration is None:
+            profiles = [two_patch_profile()]
+        else:
+            profiles = list(request.getfixturevalue(calibration).cameras)
+        for profile in profiles:
+            corners = [c for sub in profile.sub_areas for c in sub.mg_corners()]
+            expected = (
+                min(c.a for c in corners),
+                min(c.b for c in corners),
+                max(c.a for c in corners),
+                max(c.b for c in corners),
+            )
+            first = mg_bounds(profile)
+            assert first == expected
+            assert mg_bounds(profile) is first
+            # the cached footprint is not a field: equality is unchanged
+            assert profile == replace(profile)
 
 
 class TestMeasureMde:

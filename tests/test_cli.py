@@ -300,6 +300,32 @@ class TestExitCodes:
         assert code == 2
         assert "not a finite number" in capsys.readouterr().err
 
+    def test_report_with_non_finite_error(self, pipeline, tmp_path, capsys):
+        # Finite but huge coordinates make the segment error sum to inf,
+        # which the report document cannot hold.
+        track = tmp_path / "track.csv"
+        track.write_text(
+            "timestamp_ms,x_mm,y_mm,z_mm,cam_a,cam_b,z_disagreement_mm,"
+            "depth_corrected\n"
+            "0,1e308,1e308,1e308,side0,side1,0,true\n"
+            "1,-1e308,-1e308,-1e308,side0,side1,0,true\n"
+        )
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate",
+                "--track", str(track),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--report", str(report),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
     def test_strict_parse_failure(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridscope.detections import (
@@ -250,3 +250,88 @@ def test_synchronize_matches_quadratic_reference(dets, tolerance, reference):
     fast = synchronize(dets, tolerance_ms=tolerance, reference_camera=reference)
     slow = naive_synchronize(dets, tolerance, reference_camera=reference)
     assert _as_comparable(fast) == [(ts, members) for ts, members in slow]
+
+
+FRAME_GAP_MS = 50.0
+
+
+def clock(cam, times, conf=1.0):
+    return [det(cam, t, conf=conf, frame=str(k)) for k, t in enumerate(times)]
+
+
+@st.composite
+def multi_camera_clocks(draw):
+    """2-4 cameras on lockstep or jittered clocks, up to 300 frames each.
+
+    Camera "a" never drops a frame; the others drop at random.  Jitter and
+    clock lag come from a few fractions of the frame gap, so exact
+    earlier/later ties and shared timestamps both occur.
+    """
+    n_frames = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    dets = []
+    for cam in "abcd"[: draw(st.integers(2, 4))]:
+        lag = draw(st.sampled_from([0.0, 0.25, 0.5])) * FRAME_GAP_MS
+        jitter = draw(st.sampled_from([(0.0,), (-0.5, -0.25, 0.0, 0.25, 0.5)]))
+        drop = 0.0 if cam == "a" else draw(st.sampled_from([0.0, 0.1, 0.5]))
+        for f in range(n_frames):
+            if rng.random() < drop:
+                continue
+            t = (f + 1 + rng.choice(jitter)) * FRAME_GAP_MS + lag
+            dets.append(det(cam, t, conf=rng.choice([0.5, 1.0]), frame=str(f)))
+    return dets
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dets=multi_camera_clocks(),
+    tolerance=st.sampled_from(
+        [0.0, 0.5 * FRAME_GAP_MS, FRAME_GAP_MS, 2.5 * FRAME_GAP_MS]
+    ),
+    reference=st.sampled_from(["a", None, "zz"]),
+)
+# a claimed run on both sides of the insertion point (reference 53 ms)
+@example(
+    dets=clock("a", [49.0, 50.0, 51.0, 52.0, 53.0, 54.0])
+    + clock("b", [10.0 * k for k in range(11)]),
+    tolerance=100.0,
+    reference="a",
+)
+# a claim at index 0, with nothing to its left
+@example(
+    dets=clock("a", [0.0]) + clock("b", [0.0, 50.0]), tolerance=0.0, reference="a"
+)
+# a claim at the last index, from past the end of the list
+@example(
+    dets=clock("a", [120.0]) + clock("b", [0.0, 50.0, 100.0]),
+    tolerance=25.0,
+    reference="a",
+)
+# an exact earlier/later tie, both at the inclusive tolerance
+@example(
+    dets=clock("a", [50.0]) + clock("b", [40.0, 60.0]), tolerance=10.0, reference="a"
+)
+def test_synchronize_matches_quadratic_reference_on_long_clocks(
+    dets, tolerance, reference
+):
+    fast = synchronize(dets, tolerance_ms=tolerance, reference_camera=reference)
+    slow = naive_synchronize(dets, tolerance, reference_camera=reference)
+    assert _as_comparable(fast) == [(ts, members) for ts, members in slow]
+
+
+def test_synchronize_lockstep_20k_frames_joins_each_frame_to_its_twin():
+    # Every claim sits right of a run of claimed slots as long as the
+    # recording so far; a scan over that run makes this test take minutes.
+    n_frames = 20_000
+    cams = ("ref", "s0", "s1", "s2", "s3")
+    times = [f * FRAME_GAP_MS for f in range(n_frames)]
+    per_cam = {cam: clock(cam, times) for cam in cams}
+    dets = [d for cam in cams for d in per_cam[cam]]
+    bundles = synchronize(
+        dets, tolerance_ms=FRAME_GAP_MS / 2, reference_camera="ref"
+    )
+    expected = [
+        FrameBundle(t, {cam: per_cam[cam][f] for cam in cams})
+        for f, t in enumerate(times)
+    ]
+    assert bundles == expected

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -35,11 +36,28 @@ class TestFormatReal:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             jsonio.format_real(bad)
 
 
 class TestDumps:
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"a": {"b": [1.0, math.inf]}}, "a.b:"),
+            ({"s": [{"x": 1.0}, {"x": math.nan}]}, "s[1].x:"),
+        ],
+    )
+    def test_non_finite_value_names_its_path(self, doc, where):
+        with pytest.raises(FormatError, match=r"^" + re.escape(where)):
+            jsonio.dumps_doc(doc)
+
+    def test_unwritable_document_leaves_no_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(FormatError):
+            jsonio.write_doc(path, {"x": -math.inf})
+        assert not path.exists()
+
     def test_is_valid_json(self):
         doc = {"a": 1, "b": [1.5, "x", True, None], "c": {"d": []}}
         assert json.loads(jsonio.dumps_doc(doc)) == doc
