@@ -238,6 +238,13 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise FormatError(
+            f"{what} is non-finite ({value}): track coordinates too large to score"
+        )
+
+
 def evaluate_track(
     track: Sequence[TrackPoint],
     segments: Sequence[Segment],
@@ -246,15 +253,26 @@ def evaluate_track(
     stats: FusionStats | None = None,
     bounded: bool = False,
 ) -> EvaluationReport:
-    """Score a track against its segment declarations."""
+    """Score a track against its segment declarations.
+
+    Raises:
+        FormatError: a segment mean or the overall error overflows to a
+            non-finite value, which finite but huge coordinates can cause.
+    """
     validate_segments(segments)
     if not segments:
         raise NoSegments("evaluation needs at least one segment")
     results = []
     for seg in segments:
-        mean_mm, count = segment_error(track, seg, box, bounded=bounded)
+        try:
+            mean_mm, count = segment_error(track, seg, box, bounded=bounded)
+        except OverflowError:  # a bounded excursion squared beyond the double range
+            mean_mm, count = math.inf, 0
+        _check_finite(mean_mm, f"segment {seg.segment_id}: mean error")
         results.append(SegmentResult(seg.segment_id, seg.face, count, mean_mm))
     overall = overall_accuracy([r.mean_error_mm for r in results])
+    _check_finite(overall, "overall mean error")
+    _check_finite(overall * px_per_mm, "overall mean error in model px")
     rate_one = rate_two = None
     if stats is not None:
         rate_one = plot_rate(stats)

@@ -3,12 +3,16 @@
 Single-class evaluation.  Predictions are ranked by descending confidence
 (ties keep input order) and each one greedily claims the unmatched
 ground-truth box in its own frame with the highest IoU at or above the
-threshold (IoU ties go to the earliest ground-truth row).  Average
+threshold (IoU ties go to the earliest ground-truth row).  All thresholds
+are matched in one pass: each prediction's IoUs with its frame's boxes are
+computed once, and every threshold keeps its own claimed boxes.  Average
 precision interpolates the precision/recall staircase at the 101 recall
 points 0.00, 0.01, ..., 1.00, taking at each point the maximum precision
-among ranks whose recall reaches it.  The mean over the ten thresholds
-0.50, 0.55, ..., 0.95 gives the stricter mAP, and the scalar used for
-model selection weights the two as
+among ranks whose recall reaches it.  Recall never decreases with rank, so
+those ranks form a suffix: a suffix maximum of precision plus a binary
+search over recall gives each point in O(log N).  The mean over the ten
+thresholds 0.50, 0.55, ..., 0.95 gives the stricter mAP, and the scalar
+used for model selection weights the two as
 
     fitness = 0.1 * mAP@.5 + 0.9 * mAP@.5:95
 
@@ -17,6 +21,7 @@ with zero weight on raw precision and recall.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,29 +75,73 @@ def _ranked(predictions: Sequence[Detection]) -> list[Detection]:
 def _match_flags(
     predictions: Sequence[Detection],
     ground_truth: Sequence[GroundTruthBox],
-    iou_threshold: float,
-) -> list[bool]:
-    """True-positive flag per ranked prediction."""
-    gt_by_frame: dict[str, list[tuple[int, GroundTruthBox]]] = {}
+    thresholds: Sequence[float],
+) -> list[bytearray]:
+    """True-positive flag per ranked prediction, one list per threshold.
+
+    Each prediction's IoUs with the boxes of its frame are computed once
+    and shared by every threshold; each threshold keeps its own record of
+    claimed boxes.
+    """
+    gt_by_frame: dict[str, list[tuple[int, tuple[float, ...]]]] = {}
     for idx, gt in enumerate(ground_truth):
-        gt_by_frame.setdefault(gt.frame_id, []).append((idx, gt))
-    claimed: set[int] = set()
-    flags: list[bool] = []
+        gt_by_frame.setdefault(gt.frame_id, []).append(
+            (idx, (gt.u_min, gt.v_min, gt.u_max, gt.v_max))
+        )
+    claimed = [bytearray(len(ground_truth)) for _ in thresholds]
+    flags = [bytearray() for _ in thresholds]
     for pred in _ranked(predictions):
-        best_idx = None
-        best_iou = 0.0
-        for idx, gt in gt_by_frame.get(pred.frame_index, ()):
-            if idx in claimed:
-                continue
-            overlap = iou(pred.bbox, (gt.u_min, gt.v_min, gt.u_max, gt.v_max))
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_idx, best_iou = idx, overlap
-        if best_idx is not None:
-            claimed.add(best_idx)
-            flags.append(True)
-        else:
-            flags.append(False)
+        overlaps = [
+            (idx, iou(pred.bbox, box))
+            for idx, box in gt_by_frame.get(pred.frame_index, ())
+        ]
+        for threshold, taken, out in zip(thresholds, claimed, flags):
+            best_idx = None
+            best_iou = 0.0
+            for idx, overlap in overlaps:
+                if overlap >= threshold and overlap > best_iou and not taken[idx]:
+                    best_idx, best_iou = idx, overlap
+            if best_idx is None:
+                out.append(0)
+            else:
+                taken[best_idx] = 1
+                out.append(1)
     return flags
+
+
+def _interpolated_ap(flags: Sequence[int], n_gt: int) -> float:
+    """101-point interpolated AP of one ranked true-positive flag list."""
+    precisions: list[float] = []
+    recalls: list[float] = []
+    tp = 0
+    for rank, flag in enumerate(flags, start=1):
+        tp += flag
+        precisions.append(tp / rank)
+        recalls.append(tp / n_gt)
+    # precisions[k] becomes the best precision at index k or later
+    for k in range(len(precisions) - 2, -1, -1):
+        if precisions[k + 1] > precisions[k]:
+            precisions[k] = precisions[k + 1]
+    total = 0.0
+    for r in RECALL_POINTS:
+        # recalls never decrease, so ranks reaching r form a suffix
+        k = bisect_left(recalls, r)
+        if k == len(recalls):
+            break
+        total += precisions[k]
+    return total / len(RECALL_POINTS)
+
+
+def _average_precisions(
+    flags: Sequence[Sequence[int]], ground_truth: Sequence[GroundTruthBox]
+) -> list[float]:
+    if not ground_truth:
+        raise NoGroundTruth("average precision needs ground-truth boxes")
+    return [_interpolated_ap(f, len(ground_truth)) for f in flags]
+
+
+def _map_summary(aps: Sequence[float]) -> tuple[float, float]:
+    return aps[0], sum(aps) / len(aps)
 
 
 @dataclass(frozen=True)
@@ -108,6 +157,11 @@ class MatchOutcome:
             raise ValueError("match counts cannot be negative")
 
 
+def _outcome(flags: Sequence[int], n_gt: int) -> MatchOutcome:
+    tp = sum(flags)
+    return MatchOutcome(tp=tp, fp=len(flags) - tp, fn=n_gt - tp)
+
+
 def match_greedy(
     predictions: Sequence[Detection],
     ground_truth: Sequence[GroundTruthBox],
@@ -118,9 +172,8 @@ def match_greedy(
     Counts are conserved: tp + fn equals the number of ground-truth boxes
     and tp + fp the number of predictions.
     """
-    flags = _match_flags(predictions, ground_truth, iou_threshold)
-    tp = sum(flags)
-    return MatchOutcome(tp=tp, fp=len(flags) - tp, fn=len(ground_truth) - tp)
+    flags = _match_flags(predictions, ground_truth, (iou_threshold,))[0]
+    return _outcome(flags, len(ground_truth))
 
 
 def precision_recall(outcome: MatchOutcome) -> tuple[float, float]:
@@ -150,28 +203,8 @@ def average_precision(
     Raises:
         NoGroundTruth: there are no ground-truth boxes to recall.
     """
-    if not ground_truth:
-        raise NoGroundTruth("average precision needs ground-truth boxes")
-    if not predictions:
-        return 0.0
-    flags = _match_flags(predictions, ground_truth, iou_threshold)
-    n_gt = len(ground_truth)
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / rank)
-        recalls.append(tp / n_gt)
-    total = 0.0
-    for r in RECALL_POINTS:
-        best = 0.0
-        for p, rec in zip(precisions, recalls):
-            if rec >= r and p > best:
-                best = p
-        total += best
-    return total / len(RECALL_POINTS)
+    flags = _match_flags(predictions, ground_truth, (iou_threshold,))
+    return _average_precisions(flags, ground_truth)[0]
 
 
 def map_range(
@@ -179,10 +212,8 @@ def map_range(
     ground_truth: Sequence[GroundTruthBox],
 ) -> tuple[float, float]:
     """(mAP at 0.50, mean AP over 0.50:0.05:0.95)."""
-    aps = [
-        average_precision(predictions, ground_truth, t) for t in MAP_THRESHOLDS
-    ]
-    return aps[0], sum(aps) / len(aps)
+    flags = _match_flags(predictions, ground_truth, MAP_THRESHOLDS)
+    return _map_summary(_average_precisions(flags, ground_truth))
 
 
 def fitness(precision: float, recall: float, map50: float, map5095: float) -> float:
@@ -246,18 +277,18 @@ def evaluate_detections(
     predictions: Sequence[Detection],
     ground_truth: Sequence[GroundTruthBox],
 ) -> MetricsReport:
-    outcome = match_greedy(predictions, ground_truth, 0.5)
-    precision, recall = precision_recall(outcome)
-    per_threshold = tuple(
-        (t, average_precision(predictions, ground_truth, t)) for t in MAP_THRESHOLDS
-    )
-    map50 = per_threshold[0][1]
-    map5095 = sum(ap for _, ap in per_threshold) / len(per_threshold)
+    """Precision and recall at IoU 0.50 and AP at every MAP_THRESHOLDS
+    value, from one matching pass over the ranked predictions."""
+    flags = _match_flags(predictions, ground_truth, MAP_THRESHOLDS)
+    # MAP_THRESHOLDS[0] is 0.50, the precision/recall threshold
+    precision, recall = precision_recall(_outcome(flags[0], len(ground_truth)))
+    aps = _average_precisions(flags, ground_truth)
+    map50, map5095 = _map_summary(aps)
     return MetricsReport(
         precision=precision,
         recall=recall,
         map50=map50,
         map5095=map5095,
         fitness=fitness(precision, recall, map50, map5095),
-        per_threshold=per_threshold,
+        per_threshold=tuple(zip(MAP_THRESHOLDS, aps)),
     )

@@ -326,6 +326,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--bounded"]])
+    def test_non_finite_error_without_report(self, pipeline, tmp_path, capsys, flags):
+        # The same overflow is refused before any table is printed; the
+        # bounded distance squares the excursion, which overflows on its own.
+        track = tmp_path / "track.csv"
+        track.write_text(
+            "timestamp_ms,x_mm,y_mm,z_mm,cam_a,cam_b,z_disagreement_mm,"
+            "depth_corrected\n"
+            "0,1e308,1e308,1e308,side0,side1,0,true\n"
+            "1,-1e308,-1e308,-1e308,side0,side1,0,true\n"
+        )
+        code = main(
+            [
+                "evaluate",
+                "--track", str(track),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                *flags,
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_strict_parse_failure(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(

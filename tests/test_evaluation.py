@@ -261,3 +261,22 @@ class TestEvaluateTrack:
         text = evaluate_track(track, segments, BOX).human_table()
         assert "w1" in text and "w2" in text
         assert "overall mean error" in text
+
+    @pytest.mark.parametrize(
+        "xs,ends_ms,px_per_mm,what",
+        [
+            # the point x positions at 0 ms and 10 ms; segments end at ends_ms
+            ((1e308, -1e308), (20.0,), 1.0, "segment s0: mean error"),
+            ((1.7e308, 1.7e308), (5.0, 20.0), 1.0, "overall mean error is"),
+            ((1e308, 0.0), (5.0,), 2.0, "overall mean error in model px"),
+        ],
+    )
+    def test_non_finite_error_refused(self, xs, ends_ms, px_per_mm, what):
+        track = [tp(0.0, xs[0], 0.0, 0.0), tp(10.0, xs[1], 0.0, 0.0)]
+        starts_ms = (0.0,) + ends_ms[:-1]
+        segments = [
+            Segment(f"s{i}", start, end, "x_min")
+            for i, (start, end) in enumerate(zip(starts_ms, ends_ms))
+        ]
+        with pytest.raises(FormatError, match=what):
+            evaluate_track(track, segments, BOX, px_per_mm=px_per_mm)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gridscope.metrics
 from gridscope.detections import Detection
 from gridscope.errors import CsvError, NoGroundTruth, UndefinedMetric
 from gridscope.metrics import (
@@ -261,6 +264,135 @@ class TestEvaluateDetections:
         text = report.human_table()
         assert "fitness" in text
         assert "0.50" in text
+
+    def test_no_predictions_leaves_precision_undefined(self):
+        _, boxes = self.fixture()
+        for truth in (boxes, []):
+            with pytest.raises(UndefinedMetric, match="precision"):
+                evaluate_detections([], truth)
+
+    def test_no_ground_truth_leaves_recall_undefined(self):
+        # recall is checked before any average precision is interpolated
+        preds, _ = self.fixture()
+        with pytest.raises(UndefinedMetric, match="recall"):
+            evaluate_detections(preds, [])
+
+    def test_map_range_without_predictions_or_ground_truth(self):
+        preds, boxes = self.fixture()
+        assert map_range([], boxes) == (0.0, 0.0)
+        with pytest.raises(NoGroundTruth):
+            map_range(preds, [])
+
+    def test_iou_computed_once_per_prediction_and_frame_box(self, monkeypatch):
+        # The ten thresholds share each prediction's IoUs: no threshold may
+        # recompute them, and a box already claimed is still measured once.
+        preds, boxes = _generated_detections(frames=80, per_frame=3, seed=11)
+        pairs = sum(
+            1 for p in preds for b in boxes if b.frame_id == p.frame_index
+        )
+        assert len(preds) >= 300 and pairs > len(preds)
+        calls = []
+
+        def counted(box_a, box_b):
+            calls.append(None)
+            return iou(box_a, box_b)
+
+        monkeypatch.setattr(gridscope.metrics, "iou", counted)
+        evaluate_detections(preds, boxes)
+        assert len(calls) == pairs
+
+
+def _generated_detections(frames, per_frame, seed):
+    """Noisy, duplicated and missed detections of per_frame boxes a frame."""
+    rng = random.Random(seed)
+    boxes, preds = [], []
+    for f in range(frames):
+        frame = str(f)
+        for k in range(per_frame):
+            u, v = 40.0 * k + rng.randint(0, 5), float(rng.randint(0, 5))
+            boxes.append(gt(frame, (u, v, u + 30.0, v + 30.0)))
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                du, dv = rng.uniform(-8, 8), rng.uniform(-8, 8)
+                preds.append(
+                    pred(frame, (u + du, v + dv, u + du + 30.0, v + dv + 30.0),
+                         rng.randint(1, 99) / 100.0)
+                )
+        preds.append(pred(frame, (500.0, 500.0, 520.0, 520.0), rng.randint(1, 99) / 100.0))
+    return preds, boxes
+
+
+# Integer corners make IoUs exact ratios, so some land exactly on a threshold.
+int_box = st.tuples(
+    st.integers(0, 12), st.integers(0, 12), st.integers(2, 10), st.integers(2, 10)
+).map(lambda b: (float(b[0]), float(b[1]), float(b[0] + b[2]), float(b[1] + b[3])))
+two_decimals = st.integers(50, 99).map(lambda c: c / 100.0)
+
+
+@st.composite
+def scored_sets(draw):
+    """Predictions near several boxes a frame over three or four frames."""
+    frames = draw(st.sampled_from([("0", "1", "2"), ("0", "1", "2", "3")]))
+    boxes = draw(
+        st.lists(st.builds(gt, frame=st.sampled_from(frames), box=int_box),
+                 min_size=1, max_size=50)
+    )
+    near = st.tuples(
+        st.sampled_from(boxes), st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+    ).map(
+        lambda t: (t[0].frame_id, (t[0].u_min + t[1][0], t[0].v_min + t[1][1],
+                                   t[0].u_max + 3 + t[1][2], t[0].v_max + 3 + t[1][3]))
+    )
+    anywhere = st.tuples(st.sampled_from(frames + ("9",)), int_box)
+    placed = draw(st.lists(st.one_of(near, near, anywhere), min_size=1, max_size=60))
+    preds = [pred(frame, box, draw(two_decimals)) for frame, box in placed]
+    return preds, boxes
+
+
+def _alternating(n_gt):
+    """Ten hits, each followed by a miss in a frame without boxes, against
+    n_gt boxes: every recall 1/n_gt ... 10/n_gt is exactly a recall point."""
+    boxes = [
+        gt(str(i % 4), (12.0 * (i // 4), 0.0, 12.0 * (i // 4) + 10.0, 10.0))
+        for i in range(n_gt)
+    ]
+    preds = []
+    for b in boxes[:10]:
+        preds.append(pred(b.frame_id, (b.u_min, b.v_min, b.u_max, b.v_max), 0.5))
+        preds.append(pred("9", conf=0.5))
+    return preds, boxes
+
+
+# The first prediction claims the box at 0.50 and 0.60 (IoU exactly 0.60);
+# the second, ranked lower, is a duplicate there but claims it at 0.65-0.95.
+_RECLAIMED = (
+    [pred("0", (0.0, 0.0, 10.0, 6.0), 0.9), pred("0", (0.0, 0.0, 10.0, 10.0), 0.8)],
+    [gt("0", (0.0, 0.0, 10.0, 10.0)), gt("1", (0.0, 0.0, 20.0, 15.0))],
+)
+# IoU exactly 0.75 in frame 1, and a prediction in frame 9, which has no boxes.
+_ON_THRESHOLD = (
+    [pred("1", (0.0, 0.0, 20.0, 20.0), 0.7), pred("9", conf=0.7), _RECLAIMED[0][0]],
+    _RECLAIMED[1],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scored_sets())
+@example(case=_alternating(20))
+@example(case=_alternating(25))
+@example(case=_alternating(50))
+@example(case=_alternating(100))
+@example(case=_RECLAIMED)
+@example(case=_ON_THRESHOLD)
+def test_evaluate_detections_equals_oracles(case):
+    preds, boxes = case
+    report = evaluate_detections(preds, boxes)
+    _, (tp, fp, fn) = match_oracle(preds, boxes, 0.5)
+    assert (report.precision, report.recall) == (tp / (tp + fp), tp / (tp + fn))
+    aps = [ap_oracle(preds, boxes, t) for t in MAP_THRESHOLDS]
+    assert report.per_threshold == tuple(zip(MAP_THRESHOLDS, aps))
+    map50, map5095 = aps[0], sum(aps) / len(aps)
+    assert (report.map50, report.map5095) == (map50, map5095)
+    assert report.fitness == fitness(report.precision, report.recall, map50, map5095)
 
 
 class TestGroundTruthCsv:
