@@ -7,7 +7,7 @@ rectangle, attaches per-axis scale ratios, and records where the rectangle
 sits inside the camera's consolidated 2D frame (the model grid).  A pixel
 is mapped into the model grid by locating its sub-area, applying that
 sub-area's homography, scaling about the sub-area origin and offsetting by
-that origin.
+that origin; ``model_grid_columns`` maps a whole column of pixels at once.
 
 Calibration also measures the maximum depth error (MDE) per camera: the
 largest apparent displacement, in model-grid units, between the near-face
@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     FormatError,
     GridscopeError,
@@ -40,10 +42,12 @@ from .geometry import (
     Quad,
     ScaleRatios,
     WorldPoint3D,
-    apply_homography,
+    apply_homography,  # noqa: F401  (perfbench/spans.py wraps this name)
     apply_scale,
     compute_homography,
-    point_in_quad,
+    homography_columns,
+    point_in_quad,  # noqa: F401  (perfbench/spans.py wraps this name)
+    quad_contains,
 )
 from . import jsonio
 
@@ -131,14 +135,21 @@ class SubArea:
             )
         w, h = self.canonical_width, self.canonical_height
         targets = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
-        for corner, (ta, tb) in zip(self.src.corners, targets):
-            got = apply_homography(self.homography, corner)
-            if abs(got.a - ta) > CANONICAL_CORNER_TOLERANCE or (
-                abs(got.b - tb) > CANONICAL_CORNER_TOLERANCE
+        corners = self.src.corners
+        got_a, got_b = homography_columns(
+            self.homography,
+            np.array([c.u for c in corners], dtype=float),
+            np.array([c.v for c in corners], dtype=float),
+        )
+        for corner, (ta, tb), ga, gb in zip(
+            corners, targets, got_a.tolist(), got_b.tolist()
+        ):
+            if abs(ga - ta) > CANONICAL_CORNER_TOLERANCE or (
+                abs(gb - tb) > CANONICAL_CORNER_TOLERANCE
             ):
                 raise FormatError(
                     f"sub-area {self.index}: corner ({corner.u}, {corner.v}) "
-                    f"maps to ({got.a}, {got.b}), expected ({ta}, {tb})"
+                    f"maps to ({ga}, {gb}), expected ({ta}, {tb})"
                 )
 
     def mg_corners(self) -> tuple[ModelPoint2D, ...]:
@@ -244,29 +255,72 @@ class CameraProfile:
         return min(a_vals), min(b_vals), max(a_vals), max(b_vals)
 
 
-def to_model_grid(profile: CameraProfile, p: PixelPoint) -> tuple[ModelPoint2D, int]:
-    """Map an image pixel into the camera's model grid.
+def model_grid_columns(
+    profile: CameraProfile, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map columns of image pixels into the camera's model grid.
 
-    Sub-areas are tried in ascending index order so points on shared edges
-    resolve deterministically to the lowest-indexed patch.
+    Sub-areas are tried in ascending index order and each pixel goes to the
+    first one that contains it, so points on shared edges resolve
+    deterministically to the lowest-indexed patch.
 
     Returns:
-        The model-grid point and the index of the sub-area that claimed it.
+        The model-grid columns a and b (NaN where no sub-area contains the
+        pixel) and the mask of pixels that some sub-area claimed.
+
+    Raises:
+        PointAtInfinity: a claimed pixel maps to infinity.
+    """
+    a = np.full(np.shape(u), np.nan)
+    b = np.full(np.shape(u), np.nan)
+    claimed = np.zeros(np.shape(u), dtype=bool)
+    for sub in profile.sub_areas:
+        hit = ~claimed
+        hit[hit] = quad_contains(sub.src, u[hit], v[hit])
+        if not hit.any():
+            continue
+        ra, rb = homography_columns(sub.homography, u[hit], v[hit])
+        o = sub.mg_origin
+        mg = apply_scale(sub.scale, ModelPoint2D(o.a + ra, o.b + rb), o)
+        a[hit] = mg.a
+        b[hit] = mg.b
+        claimed |= hit
+    return a, b, claimed
+
+
+def _model_grid_points(
+    profile: CameraProfile, points: list[PixelPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map pixels into the model grid as columns, refusing any outside it.
+
+    Raises:
+        OutsideCalibratedArea: no sub-area contains a pixel; the first one
+            is named.
+    """
+    a, b, claimed = model_grid_columns(
+        profile,
+        np.array([p.u for p in points], dtype=float),
+        np.array([p.v for p in points], dtype=float),
+    )
+    if not claimed.all():
+        p = points[int(np.argmin(claimed))]
+        raise OutsideCalibratedArea(
+            f"camera {profile.camera_id}: pixel ({p.u}, {p.v}) is outside "
+            f"every calibrated sub-area"
+        )
+    return a, b
+
+
+def to_model_grid(profile: CameraProfile, p: PixelPoint) -> ModelPoint2D:
+    """Map one image pixel into the camera's model grid.
+
+    A size-1 call of ``model_grid_columns``.
 
     Raises:
         OutsideCalibratedArea: no sub-area contains the pixel.
     """
-    for sub in profile.sub_areas:
-        if point_in_quad(p, sub.src):
-            rectified = apply_homography(sub.homography, p)
-            shifted = ModelPoint2D(
-                sub.mg_origin.a + rectified.a, sub.mg_origin.b + rectified.b
-            )
-            return apply_scale(sub.scale, shifted, sub.mg_origin), sub.index
-    raise OutsideCalibratedArea(
-        f"camera {profile.camera_id}: pixel ({p.u}, {p.v}) is outside "
-        f"every calibrated sub-area"
-    )
+    a, b = _model_grid_points(profile, [p])
+    return ModelPoint2D(float(a[0]), float(b[0]))
 
 
 def mg_bounds(profile: CameraProfile) -> tuple[float, float, float, float]:
@@ -290,13 +344,11 @@ def measure_mde(
     """
     if aggregate not in ("max", "mean"):
         raise FormatError(f"aggregate must be 'max' or 'mean', got {aggregate!r}")
-    da: list[float] = []
-    db: list[float] = []
-    for near, far in zip(face_n_markers.corners, face_f_markers.corners):
-        mg_near, _ = to_model_grid(profile, near)
-        mg_far, _ = to_model_grid(profile, far)
-        da.append(abs(mg_near.a - mg_far.a))
-        db.append(abs(mg_near.b - mg_far.b))
+    # near and far corners alternate: near 0, far 0, near 1, ...
+    pairs = zip(face_n_markers.corners, face_f_markers.corners)
+    a, b = _model_grid_points(profile, [c for pair in pairs for c in pair])
+    da = np.abs(a[0::2] - a[1::2]).tolist()
+    db = np.abs(b[0::2] - b[1::2]).tolist()
     if aggregate == "max":
         return max(da), max(db)
     return sum(da) / 4.0, sum(db) / 4.0

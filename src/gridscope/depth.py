@@ -20,15 +20,37 @@ from the face centre, since the uncorrected position is biased inward.
 Both properties hold per axis; the vertical axis reuses DEF with the
 subject's vertical offset fraction measured in the same side image,
 because the top camera cannot see height.
+
+``correct_columns`` corrects a whole column of one camera's points at
+once; ``correct_side_point`` is its size-1 call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import CameraProfile, mg_bounds
 from .errors import InvalidObservation
 from .geometry import ModelPoint2D
+
+
+def _require(ok, template: str, **values) -> None:
+    """Raise InvalidObservation unless ``ok`` holds for every element.
+
+    ``ok`` and ``values`` are floats or equal-length columns; the message
+    formats the values of the first element that fails.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    first = int(np.argmin(ok.reshape(-1)))
+    got = {
+        name: float(np.broadcast_to(value, ok.shape).reshape(-1)[first])
+        for name, value in values.items()
+    }
+    raise InvalidObservation(template.format(**got))
 
 
 @dataclass(frozen=True)
@@ -39,6 +61,9 @@ class DepthObservation:
     nf_top: near-to-far face depth, > 0.
     ic_ax: subject lateral distance from the centre axis, 0 <= ic_ax <= sc_ax.
     sc_ax: centre-axis-to-side half width, > 0.
+
+    Each field is a float or a numpy column (one entry per subject); the
+    invariants are checked element-wise.
     """
 
     ni_top: float
@@ -47,25 +72,28 @@ class DepthObservation:
     sc_ax: float
 
     def __post_init__(self):
-        if not self.nf_top > 0:
-            raise InvalidObservation(f"nf_top must be > 0, got {self.nf_top}")
-        if not 0 <= self.ni_top <= self.nf_top:
-            raise InvalidObservation(
-                f"need 0 <= ni_top <= nf_top, got ni_top={self.ni_top}, "
-                f"nf_top={self.nf_top}"
-            )
-        if not self.sc_ax > 0:
-            raise InvalidObservation(f"sc_ax must be > 0, got {self.sc_ax}")
-        if not 0 <= self.ic_ax <= self.sc_ax:
-            raise InvalidObservation(
-                f"need 0 <= ic_ax <= sc_ax, got ic_ax={self.ic_ax}, "
-                f"sc_ax={self.sc_ax}"
-            )
+        ni, nf, ic, sc = (
+            np.asarray(v) for v in (self.ni_top, self.nf_top, self.ic_ax, self.sc_ax)
+        )
+        _require(nf > 0, "nf_top must be > 0, got {nf}", nf=nf)
+        _require(
+            (0 <= ni) & (ni <= nf),
+            "need 0 <= ni_top <= nf_top, got ni_top={ni}, nf_top={nf}",
+            ni=ni,
+            nf=nf,
+        )
+        _require(sc > 0, "sc_ax must be > 0, got {sc}", sc=sc)
+        _require(
+            (0 <= ic) & (ic <= sc),
+            "need 0 <= ic_ax <= sc_ax, got ic_ax={ic}, sc_ax={sc}",
+            ic=ic,
+            sc=sc,
+        )
 
 
 @dataclass(frozen=True)
 class DepthCorrection:
-    """What the correction did to one model-grid point.
+    """What the correction did to one model-grid point (or one column).
 
     def_h/def_v are the depth error factors per axis, adj_h/adj_v the
     adjustment magnitudes actually applied (directions are outward from the
@@ -80,15 +108,20 @@ class DepthCorrection:
     applied: bool
 
     def __post_init__(self):
-        if self.def_h < 0 or self.def_v < 0:
-            raise InvalidObservation(
-                f"DEF must be >= 0, got ({self.def_h}, {self.def_v})"
-            )
-        if abs(self.adj_h) > self.def_h or abs(self.adj_v) > self.def_v:
-            raise InvalidObservation(
-                f"adjustment cannot exceed DEF: adj=({self.adj_h}, {self.adj_v}) "
-                f"def=({self.def_h}, {self.def_v})"
-            )
+        dh, dv, ah, av = (
+            np.asarray(v) for v in (self.def_h, self.def_v, self.adj_h, self.adj_v)
+        )
+        _require(
+            ~((dh < 0) | (dv < 0)), "DEF must be >= 0, got ({dh}, {dv})", dh=dh, dv=dv
+        )
+        _require(
+            ~((np.abs(ah) > dh) | (np.abs(av) > dv)),
+            "adjustment cannot exceed DEF: adj=({ah}, {av}) def=({dh}, {dv})",
+            ah=ah,
+            av=av,
+            dh=dh,
+            dv=dv,
+        )
 
     @classmethod
     def skipped(cls) -> "DepthCorrection":
@@ -105,10 +138,54 @@ def compute_def(mde: float, obs: DepthObservation) -> float:
 
 def final_adjustment(def_value: float, obs: DepthObservation) -> float:
     """The DEF prorated by lateral offset from the centre axis."""
-    if def_value < 0:
-        raise InvalidObservation(f"DEF must be >= 0, got {def_value}")
+    _require(~(np.asarray(def_value) < 0), "DEF must be >= 0, got {d}", d=def_value)
     # the ratio is <= 1, so the product cannot round above def_value
     return def_value * (obs.ic_ax / obs.sc_ax)
+
+
+def correct_columns(
+    profile: CameraProfile,
+    a: np.ndarray,
+    b: np.ndarray,
+    obs: DepthObservation,
+    vertical_offset_fraction,
+    vertical_correction: bool = True,
+) -> tuple[np.ndarray, np.ndarray, DepthCorrection]:
+    """Push columns of one side camera's model-grid points outward.
+
+    Horizontally each point moves away from the face's horizontal centre by
+    ``final_adjustment(compute_def(mde_h, obs), obs)``.  Vertically it
+    moves away from mid-height by ``compute_def(mde_v, obs)`` times the
+    vertical offset fraction; pass ``vertical_correction=False`` to leave
+    the vertical axis untouched.  A point exactly at a centre moves in the
+    positive direction.  ``obs`` and the fraction hold one entry per point
+    (or one float for all of them).
+
+    Args:
+        vertical_offset_fraction: |subject height - face mid-height| over
+            the face half height, measured in the same side image, in [0, 1].
+    """
+    frac = vertical_offset_fraction
+    _require(
+        (0.0 <= frac) & (frac <= 1.0),
+        "vertical_offset_fraction must be in [0, 1], got {f}",
+        f=frac,
+    )
+    min_a, min_b, max_a, max_b = mg_bounds(profile)
+    center_a = (min_a + max_a) / 2.0
+    center_b = (min_b + max_b) / 2.0
+
+    with np.errstate(all="ignore"):
+        def_h = compute_def(profile.mde_h, obs)
+        adj_h = final_adjustment(def_h, obs)
+        def_v = compute_def(profile.mde_v, obs)
+        adj_v = def_v * frac if vertical_correction else 0.0
+        a = np.where(a >= center_a, a + adj_h, a - adj_h)
+        b = np.where(b >= center_b, b + adj_v, b - adj_v)
+    correction = DepthCorrection(
+        def_h=def_h, def_v=def_v, adj_h=adj_h, adj_v=adj_v, applied=True
+    )
+    return a, b, correction
 
 
 def correct_side_point(
@@ -118,36 +195,16 @@ def correct_side_point(
     vertical_offset_fraction: float,
     vertical_correction: bool = True,
 ) -> tuple[ModelPoint2D, DepthCorrection]:
-    """Push a side camera's model-grid point outward to its corrected spot.
+    """Push one side camera's model-grid point outward to its corrected spot.
 
-    Horizontally the point moves away from the face's horizontal centre by
-    ``final_adjustment(compute_def(mde_h, obs), obs)``.  Vertically it
-    moves away from mid-height by ``compute_def(mde_v, obs)`` times the
-    vertical offset fraction; pass ``vertical_correction=False`` to leave
-    the vertical axis untouched.  A point exactly at a centre moves in the
-    positive direction.
-
-    Args:
-        vertical_offset_fraction: |subject height - face mid-height| over
-            the face half height, measured in the same side image, in [0, 1].
+    A size-1 call of ``correct_columns``.
     """
-    if not 0.0 <= vertical_offset_fraction <= 1.0:
-        raise InvalidObservation(
-            f"vertical_offset_fraction must be in [0, 1], "
-            f"got {vertical_offset_fraction}"
-        )
-    min_a, min_b, max_a, max_b = mg_bounds(profile)
-    center_a = (min_a + max_a) / 2.0
-    center_b = (min_b + max_b) / 2.0
-
-    def_h = compute_def(profile.mde_h, obs)
-    adj_h = final_adjustment(def_h, obs)
-    def_v = compute_def(profile.mde_v, obs)
-    adj_v = def_v * vertical_offset_fraction if vertical_correction else 0.0
-
-    a = mg.a + adj_h if mg.a >= center_a else mg.a - adj_h
-    b = mg.b + adj_v if mg.b >= center_b else mg.b - adj_v
-    correction = DepthCorrection(
-        def_h=def_h, def_v=def_v, adj_h=adj_h, adj_v=adj_v, applied=True
+    a, b, correction = correct_columns(
+        profile,
+        np.array([mg.a], dtype=float),
+        np.array([mg.b], dtype=float),
+        obs,
+        vertical_offset_fraction,
+        vertical_correction=vertical_correction,
     )
-    return ModelPoint2D(a, b), correction
+    return ModelPoint2D(float(a[0]), float(b[0])), correction

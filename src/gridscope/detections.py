@@ -11,6 +11,7 @@ nearest-timestamp grouping around a reference camera.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -30,6 +31,15 @@ CSV_HEADER = (
 )
 
 DEFAULT_SYNC_TOLERANCE_MS = 25.0
+
+
+def finite_box(u_min: float, v_min: float, u_max: float, v_max: float) -> bool:
+    """Whether a box's centre and area stay finite (finite corners can overflow)."""
+    return (
+        math.isfinite(u_min + u_max)
+        and math.isfinite(v_min + v_max)
+        and math.isfinite((u_max - u_min) * (v_max - v_min))
+    )
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,8 @@ class Detection:
             raise ValueError(f"need u_min < u_max, got {self.u_min} >= {self.u_max}")
         if not self.v_min < self.v_max:
             raise ValueError(f"need v_min < v_max, got {self.v_min} >= {self.v_max}")
+        if not finite_box(self.u_min, self.v_min, self.u_max, self.v_max):
+            raise ValueError(f"box centre or area is not finite: {self.bbox}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 

@@ -12,24 +12,38 @@ each side point for depth error when the top camera saw the subject, and
 emits at most one track point.  Frames whose height estimates disagree
 beyond the configured threshold are rejected and counted rather than
 plotted.
+
+The builder works on numpy columns: each camera's box centres go through
+its model-grid map in one call, each side view that a candidate pair uses
+is depth-corrected once per bundle, and a (bundles x 4 adjacent pairs)
+table of eligibility, confidence sum, world position and z disagreement
+picks the result.  ``reconstruct_point`` runs the same column code on one
+pair of views.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Iterable
 
+import numpy as np
+
 from .calibration import (
-    AxisMap,
     Calibration,
     CameraProfile,
     SideAxes,
     mg_bounds,
-    to_model_grid,
+    model_grid_columns,
+    to_model_grid,  # noqa: F401  (perfbench/spans.py wraps this name)
 )
-from .depth import DepthCorrection, DepthObservation, correct_side_point
-from .detections import Detection, FrameBundle, bbox_center
-from .errors import FormatError, OutsideCalibratedArea, ZDisagreementExceeded
+from .depth import (
+    DepthObservation,
+    correct_columns,
+    correct_side_point,  # noqa: F401  (perfbench/spans.py wraps this name)
+)
+from .detections import Detection, FrameBundle
+from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
 from .jsonio import read_table, real
 
@@ -37,6 +51,12 @@ DEFAULT_Z_REJECT_MM = 30.0
 
 # The four admissible side-camera pairs, in tie-break order.
 ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 0))
+_FIRST = np.array([i for i, _ in ADJACENT_PAIRS])
+_SECOND = np.array([j for _, j in ADJACENT_PAIRS])
+
+# build_track fuses this many bundles at a time, so its arrays stay small
+# however long the recording is.
+_CHUNK_BUNDLES = 1024
 
 # How build_track chooses among a bundle's eligible pairs.
 PAIR_STRATEGIES = ("best", "average_all")
@@ -110,41 +130,45 @@ class SideView:
     mg: ModelPoint2D
 
 
-def _vertical_offset_fraction(profile: CameraProfile, mg: ModelPoint2D) -> float:
+def _vertical_offset_fraction(profile: CameraProfile, b: np.ndarray) -> np.ndarray:
+    """|b - face mid-height| over the face half height, at most 1, per point."""
     min_a, min_b, max_a, max_b = mg_bounds(profile)
     half = (max_b - min_b) / 2.0
     if half <= 0:
-        return 0.0
+        return np.zeros(np.shape(b))
     center = (min_b + max_b) / 2.0
-    frac = abs(mg.b - center) / half
-    return min(frac, 1.0)
+    frac = np.abs(b - center) / half
+    return np.where(1.0 < frac, 1.0, frac)
 
 
 def observation_for_side(
     side: SideAxes,
-    top_x_mm: float,
-    top_y_mm: float,
+    top_x_mm,
+    top_y_mm,
     rig_extents: tuple[float, float],
     px_per_mm: float,
 ) -> DepthObservation:
     """Derive the depth observation for one side camera from the top view.
 
-    The top camera supplies the subject's world (x, y); distances to the
-    side's near face and to the centre axis fall out of the axis mapping.
-    Values land in model-grid units and are clamped into the admissible
-    range so borderline top positions (a subject touching a face) stay
-    valid.
+    The top camera supplies the subject's world (x, y), as floats or as
+    columns with one entry per subject; distances to the side's near face
+    and to the centre axis fall out of the axis mapping.  Values land in
+    model-grid units and are clamped into the admissible range so
+    borderline top positions (a subject touching a face) stay valid.
     """
     extent_x, extent_y = rig_extents
     depth_extent = extent_x if side.depth.axis == "x" else extent_y
     coord_d = top_x_mm if side.depth.axis == "x" else top_y_mm
     ni_mm = side.depth.sign * (coord_d - side.depth.face_n_mm)
-    ni_mm = min(max(ni_mm, 0.0), depth_extent)
+    # min(max(ni_mm, 0.0), depth_extent), with Python's tie and NaN rules
+    ni_mm = np.where(0.0 > ni_mm, 0.0, ni_mm)
+    ni_mm = np.where(depth_extent < ni_mm, depth_extent, ni_mm)
 
     lateral_extent = extent_x if side.horizontal.axis == "x" else extent_y
     coord_l = top_x_mm if side.horizontal.axis == "x" else top_y_mm
     sc_mm = lateral_extent / 2.0
-    ic_mm = min(abs(coord_l - sc_mm), sc_mm)
+    ic_mm = np.abs(coord_l - sc_mm)
+    ic_mm = np.where(sc_mm < ic_mm, sc_mm, ic_mm)
 
     return DepthObservation(
         ni_top=ni_mm * px_per_mm,
@@ -155,7 +179,10 @@ def observation_for_side(
 
 
 def top_world_xy(cal: Calibration, mg: ModelPoint2D) -> tuple[float, float]:
-    """The top camera's model-grid point interpreted as world (x, y) mm."""
+    """The top camera's model-grid point interpreted as world (x, y) mm.
+
+    The point's coordinates may also be equal-length columns.
+    """
     top = cal.axis_map.top
     px = cal.rig.px_per_mm
     va = top.a.world_from_model(mg.a, px)
@@ -163,6 +190,42 @@ def top_world_xy(cal: Calibration, mg: ModelPoint2D) -> tuple[float, float]:
     if top.a.axis == "x":
         return va, vb
     return vb, va
+
+
+def _side_mm(
+    cal: Calibration,
+    index: int,
+    profile: CameraProfile,
+    a: np.ndarray,
+    b: np.ndarray,
+    top: tuple[np.ndarray, np.ndarray] | None,
+    vertical_correction: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """World (horizontal mm, z mm) of side camera ``index``'s model-grid columns.
+
+    ``top`` is None, or the top view's world (x, y) columns for the same
+    points; then every point is depth-corrected first.
+    """
+    side = cal.axis_map.sides[index]
+    px = cal.rig.px_per_mm
+    if top is not None:
+        rig_extents = (cal.rig.grid_a.w_mm, cal.rig.grid_a.d_mm)
+        obs = observation_for_side(side, top[0], top[1], rig_extents, px)
+        voff = _vertical_offset_fraction(profile, b)
+        a, b, _ = correct_columns(
+            profile, a, b, obs, voff, vertical_correction=vertical_correction
+        )
+    return (
+        side.horizontal.world_from_model(a, px),
+        side.vertical.world_from_model(b, px),
+    )
+
+
+def _fuse_pair(cal: Calibration, i: int, h_i, z_i, j: int, h_j, z_j):
+    """World x, y and z and the z disagreement of side views i and j, per row."""
+    world = {cal.axis_map.sides[i].horizontal.axis: h_i}
+    world[cal.axis_map.sides[j].horizontal.axis] = h_j
+    return world["x"], world["y"], (z_i + z_j) / 2.0, np.abs(z_i - z_j)
 
 
 def reconstruct_point(
@@ -180,68 +243,227 @@ def reconstruct_point(
     Each view's horizontal coordinate fixes one world axis via the axis
     map; z is the mean of the two vertical estimates.  With a top-view
     position available, both model-grid points are depth-corrected first.
+    This is the column code of ``build_track`` run on one row.
 
     Raises:
         ZDisagreementExceeded: the two z estimates differ by more than
             ``z_reject_mm``.
     """
-    px = cal.rig.px_per_mm
-    rig_extents = (cal.rig.grid_a.w_mm, cal.rig.grid_a.d_mm)
-    world: dict[str, float] = {}
-    z_values: list[float] = []
-    corrected_any = False
+    top = None
+    if depth_correction and top_xy is not None:
+        top = tuple(np.array([value], dtype=float) for value in top_xy)
+    columns = []
     for view in (view_a, view_b):
-        side = cal.axis_map.sides[view.side_index]
-        mg = view.mg
-        if depth_correction and top_xy is not None:
-            obs = observation_for_side(side, top_xy[0], top_xy[1], rig_extents, px)
-            voff = _vertical_offset_fraction(view.profile, mg)
-            mg, correction = correct_side_point(
-                view.profile, mg, obs, voff, vertical_correction=vertical_correction
-            )
-            corrected_any = corrected_any or correction.applied
-        world[side.horizontal.axis] = side.horizontal.world_from_model(mg.a, px)
-        z_values.append(side.vertical.world_from_model(mg.b, px))
-    z_disagreement = abs(z_values[0] - z_values[1])
-    if z_disagreement > z_reject_mm:
-        raise ZDisagreementExceeded(z_disagreement, z_reject_mm)
-    position = WorldPoint3D(world["x"], world["y"], (z_values[0] + z_values[1]) / 2.0)
+        a = np.array([view.mg.a], dtype=float)
+        b = np.array([view.mg.b], dtype=float)
+        h, z = _side_mm(
+            cal, view.side_index, view.profile, a, b, top, vertical_correction
+        )
+        columns += [view.side_index, h, z]
+    x, y, z, dz = (float(c[0]) for c in _fuse_pair(cal, *columns))
+    if dz > z_reject_mm:
+        raise ZDisagreementExceeded(dz, z_reject_mm)
     return TrackPoint(
         timestamp_ms=timestamp_ms,
-        position=position,
+        position=WorldPoint3D(x, y, z),
         pair=(view_a.detection.camera_id, view_b.detection.camera_id),
-        z_disagreement_mm=z_disagreement,
-        depth_corrected=corrected_any,
+        z_disagreement_mm=dz,
+        depth_corrected=top is not None,
     )
 
 
-def _pair_views(
-    cal: Calibration, bundle: FrameBundle, stats: FusionStats
-) -> tuple[dict[int, SideView], tuple[float, float] | None, int]:
-    """Split a bundle into usable side views and the top position."""
-    views: dict[int, SideView] = {}
-    raw_side_count = 0
-    top_xy: tuple[float, float] | None = None
-    for cam in cal.cameras:
-        det = bundle.per_camera.get(cam.camera_id)
-        if det is None:
+@dataclass
+class _Views:
+    """Every bundle's usable views, one row per bundle.
+
+    Side arrays have one row per side index: ``owner`` is the position in
+    ``cal.cameras`` of the camera whose view it is (-1: none), ``a``/``b``
+    its model-grid point and ``conf`` its detection confidence.  When two
+    cameras share a role, the later one's view wins, as it always has.
+    """
+
+    owner: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    conf: np.ndarray
+    has_top: np.ndarray
+    top_x: np.ndarray
+    top_y: np.ndarray
+
+
+def _map_views(
+    cal: Calibration, bundles: list[FrameBundle], stats: FusionStats
+) -> _Views:
+    """Map every camera's box centres into its model grid, one column each."""
+    n = len(bundles)
+    views = _Views(
+        owner=np.full((4, n), -1),
+        a=np.full((4, n), np.nan),
+        b=np.full((4, n), np.nan),
+        conf=np.zeros((4, n)),
+        has_top=np.zeros(n, dtype=bool),
+        top_x=np.full(n, np.nan),
+        top_y=np.full(n, np.nan),
+    )
+    side_hits = np.zeros(n, dtype=int)
+    for k, cam in enumerate(cal.cameras):
+        found = [bundle.per_camera.get(cam.camera_id) for bundle in bundles]
+        rows = np.flatnonzero([det is not None for det in found])
+        if not rows.size:
             continue
+        dets = [found[row] for row in rows.tolist()]
+
+        def column(name: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), dets), float, len(dets))
+
+        # the centre as bbox_center computes it
+        u = (column("u_min") + column("u_max")) / 2.0
+        v = (column("v_min") + column("v_max")) / 2.0
+        a, b, inside = model_grid_columns(cam, u, v)
+        stats.outside_area += int(np.count_nonzero(~inside))
+        hit = rows[inside]
         if cam.role.is_side:
-            raw_side_count += 1
-            try:
-                mg, _ = to_model_grid(cam, bbox_center(det))
-            except OutsideCalibratedArea:
-                stats.outside_area += 1
-                continue
-            views[cam.role.index] = SideView(cam.role.index, cam, det, mg)
+            side_hits[rows] += 1
+            s = cam.role.index
+            views.owner[s, hit] = k
+            views.a[s, hit] = a[inside]
+            views.b[s, hit] = b[inside]
+            views.conf[s, hit] = column("confidence")[inside]
         else:
-            try:
-                mg, _ = to_model_grid(cam, bbox_center(det))
-            except OutsideCalibratedArea:
-                stats.outside_area += 1
-                continue
-            top_xy = top_world_xy(cal, mg)
-    return views, top_xy, raw_side_count
+            x, y = top_world_xy(cal, ModelPoint2D(a[inside], b[inside]))
+            views.has_top[hit] = True
+            views.top_x[hit] = x
+            views.top_y[hit] = y
+    stats.with_side_detection += int(np.count_nonzero(side_hits >= 1))
+    stats.with_two_side_detections += int(np.count_nonzero(side_hits >= 2))
+    stats.missing_top += n - int(np.count_nonzero(views.has_top))
+    return views
+
+
+def _rank_pairs(views: _Views, pair_strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per bundle, the adjacent pairs in rank order and which ranks to fuse.
+
+    Eligible pairs rank by descending confidence sum; the stable sort keeps
+    the lowest pair index first on a tie.  "best" fuses rank 0 only,
+    "average_all" every eligible pair.
+    """
+    present = views.owner >= 0
+    eligible = (present[_FIRST] & present[_SECOND]).T
+    confidence = (views.conf[_FIRST] + views.conf[_SECOND]).T
+    key = np.where(eligible, -confidence, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    fused = np.count_nonzero(eligible, axis=1)
+    if pair_strategy == "best":
+        fused = np.minimum(fused, 1)
+    return order, np.arange(len(ADJACENT_PAIRS)) < fused[:, None]
+
+
+def _pair_table(
+    cal: Calibration,
+    views: _Views,
+    order: np.ndarray,
+    fused: np.ndarray,
+    depth_correction: bool,
+    vertical_correction: bool,
+) -> np.ndarray:
+    """The (x, y, z, z disagreement) x bundles x adjacent pairs table.
+
+    Only side views that a fused pair uses are turned into world mm, each
+    once per bundle (depth-corrected first where the top view saw the
+    subject); every other entry is NaN.
+    """
+    rows, ranks = np.nonzero(fused)
+    pairs = order[rows, ranks]
+    used = np.zeros(views.owner.shape, dtype=bool)
+    used[_FIRST[pairs], rows] = True
+    used[_SECOND[pairs], rows] = True
+    corrected = views.has_top & depth_correction
+    h = np.full(views.a.shape, np.nan)
+    z = np.full(views.a.shape, np.nan)
+    for k, cam in enumerate(cal.cameras):
+        if not cam.role.is_side:
+            continue
+        s = cam.role.index
+        mine = used[s] & (views.owner[s] == k)
+        for with_top in (True, False):
+            at = np.flatnonzero(mine & (corrected == with_top))
+            top = (views.top_x[at], views.top_y[at]) if with_top else None
+            h[s, at], z[s, at] = _side_mm(
+                cal, s, cam, views.a[s, at], views.b[s, at], top, vertical_correction
+            )
+    table = np.empty((4, *h.shape[1:], len(ADJACENT_PAIRS)))
+    for p, (i, j) in enumerate(ADJACENT_PAIRS):
+        table[:, :, p] = _fuse_pair(cal, i, h[i], z[i], j, h[j], z[j])
+    return table
+
+
+def _combine(
+    table: np.ndarray, order: np.ndarray, fused: np.ndarray, z_reject_mm: float
+):
+    """Fold each bundle's fused pairs in rank order, as the average is defined.
+
+    A pair contributes unless its z disagreement exceeds ``z_reject_mm``.
+    The first contributor names the pair; a lone contributor is taken as
+    is; several are averaged with sums that start from 0, as ``sum()``
+    does; the disagreement is the largest, the first one on a tie, as
+    ``max()`` keeps it.
+
+    Returns:
+        The plotted bundle rows, each one's leading pair, its (x, y, z)
+        and its z disagreement.
+    """
+    n = order.shape[0]
+    row = np.arange(n)
+    count = np.zeros(n, dtype=int)
+    lead = np.zeros(n, dtype=int)
+    total = np.zeros((3, n))
+    dz = np.zeros(n)
+    for rank in range(len(ADJACENT_PAIRS)):
+        pair = order[:, rank]
+        point = table[:, row, pair]
+        ok = fused[:, rank] & ~(point[3] > z_reject_mm)
+        first = ok & (count == 0)
+        np.copyto(lead, pair, where=first)
+        np.copyto(dz, point[3], where=first | (ok & (point[3] > dz)))
+        np.add(total, point[:3], out=total, where=ok)
+        count += ok
+    plotted = np.flatnonzero(count)
+    lead = lead[plotted]
+    alone = table[:3, plotted, lead]
+    mean = total[:, plotted] / count[plotted]
+    xyz = np.where(count[plotted] == 1, alone, mean)
+    return plotted, lead, xyz, dz[plotted]
+
+
+def _fuse(
+    cal: Calibration,
+    bundles: list[FrameBundle],
+    stats: FusionStats,
+    z_reject_mm: float,
+    depth_correction: bool,
+    vertical_correction: bool,
+    pair_strategy: str,
+):
+    """build_track's columns; every intermediate array is dropped on return.
+
+    Returns:
+        The plotted bundle rows, their (x, y, z) and z disagreement, the
+        positions in ``cal.cameras`` of each point's two cameras and its
+        depth-corrected flag.
+    """
+    with np.errstate(all="ignore"):
+        views = _map_views(cal, bundles, stats)
+        order, fused = _rank_pairs(views, pair_strategy)
+        table = _pair_table(
+            cal, views, order, fused, depth_correction, vertical_correction
+        )
+        plotted, lead, xyz, dz = _combine(table, order, fused, z_reject_mm)
+    stats.plotted += len(plotted)
+    stats.rejected_z += int(np.count_nonzero(fused[:, 0])) - len(plotted)
+    cams = np.stack(
+        [views.owner[_FIRST[lead], plotted], views.owner[_SECOND[lead], plotted]]
+    )
+    return plotted, xyz, dz, cams, views.has_top[plotted] & depth_correction
 
 
 def build_track(
@@ -265,72 +487,37 @@ def build_track(
             f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "
             f"got {pair_strategy!r}"
         )
+    bundles = list(bundles)
+    stats = FusionStats(total=len(bundles))
+    names = [cam.camera_id for cam in cal.cameras]
     track: list[TrackPoint] = []
-    stats = FusionStats()
-    for bundle in bundles:
-        stats.total += 1
-        views, top_xy, raw_side_count = _pair_views(cal, bundle, stats)
-        if raw_side_count >= 1:
-            stats.with_side_detection += 1
-        if raw_side_count >= 2:
-            stats.with_two_side_detections += 1
-        if top_xy is None:
-            stats.missing_top += 1
-        pairs = eligible_pairs(views)
-        if not pairs:
-            continue
-
-        def confidence(pair: tuple[int, int]) -> float:
-            return (
-                views[pair[0]].detection.confidence
-                + views[pair[1]].detection.confidence
-            )
-
-        ranked = sorted(
-            pairs, key=lambda p: (-confidence(p), ADJACENT_PAIRS.index(p))
+    for start in range(0, len(bundles), _CHUNK_BUNDLES):
+        part = bundles[start : start + _CHUNK_BUNDLES]
+        plotted, xyz, dz, cams, corrected = _fuse(
+            cal,
+            part,
+            stats,
+            z_reject_mm,
+            depth_correction,
+            vertical_correction,
+            pair_strategy,
         )
-        candidates = ranked[:1] if pair_strategy == "best" else ranked
-        points: list[TrackPoint] = []
-        rejected = 0
-        for pair in candidates:
-            try:
-                points.append(
-                    reconstruct_point(
-                        cal,
-                        bundle.timestamp_ms,
-                        views[pair[0]],
-                        views[pair[1]],
-                        top_xy,
-                        z_reject_mm=z_reject_mm,
-                        depth_correction=depth_correction,
-                        vertical_correction=vertical_correction,
-                    )
-                )
-            except ZDisagreementExceeded:
-                rejected += 1
-        if not points:
-            if rejected:
-                stats.rejected_z += 1
-            continue
-        if len(points) == 1:
-            chosen = points[0]
-        else:
-            n = float(len(points))
-            mean = WorldPoint3D(
-                sum(p.position.x for p in points) / n,
-                sum(p.position.y for p in points) / n,
-                sum(p.position.z for p in points) / n,
+        track.extend(
+            TrackPoint(
+                timestamp_ms=part[i].timestamp_ms,
+                position=WorldPoint3D(x, y, z),
+                pair=(names[a], names[b]),
+                z_disagreement_mm=d,
+                depth_corrected=flag,
             )
-            first = points[0]
-            chosen = TrackPoint(
-                timestamp_ms=first.timestamp_ms,
-                position=mean,
-                pair=first.pair,
-                z_disagreement_mm=max(p.z_disagreement_mm for p in points),
-                depth_corrected=any(p.depth_corrected for p in points),
+            for i, x, y, z, d, a, b, flag in zip(
+                plotted.tolist(),
+                *xyz.tolist(),
+                dz.tolist(),
+                *cams.tolist(),
+                corrected.tolist(),
             )
-        track.append(chosen)
-        stats.plotted += 1
+        )
     return track, stats
 
 

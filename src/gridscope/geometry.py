@@ -26,6 +26,10 @@ are normalized so the bottom-right entry is 1 whenever its magnitude allows
 uses the direct linear transform reduced to an 8x8 system and eliminates
 with partial pivoting; a pivot magnitude below 1e-12 reports a degenerate
 input rather than returning garbage.
+
+The quad test and the homography map work on numpy columns of points
+(``quad_contains``, ``homography_columns``); ``point_in_quad`` and
+``apply_homography`` are their size-1 calls.
 """
 
 from __future__ import annotations
@@ -215,8 +219,29 @@ def compute_homography(src: Quad, dst: Quad) -> Homography:
     return Homography([h[0:3], h[3:6], h[6:8] + [1.0]])
 
 
+def homography_columns(
+    h: Homography, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map equal-length columns of 2D points through a homography.
+
+    Raises:
+        PointAtInfinity: the homogeneous scale of some image vanished; the
+            first such point is named.
+    """
+    f = h._flat
+    with np.errstate(all="ignore"):
+        w = f[6] * x + f[7] * y + f[8]
+        far = np.abs(w) < INFINITY_TOLERANCE
+        if far.any():
+            i = int(np.argmax(far))
+            raise PointAtInfinity(
+                f"point ({float(x[i])}, {float(y[i])}) maps to infinity"
+            )
+        return (f[0] * x + f[1] * y + f[2]) / w, (f[3] * x + f[4] * y + f[5]) / w
+
+
 def apply_homography(h: Homography, p) -> "ModelPoint2D":
-    """Map a 2D point through a homography.
+    """Map a 2D point through a homography (a size-1 homography_columns).
 
     Accepts PixelPoint or ModelPoint2D (any object with the first two
     coordinates exposed as attributes in order); returns a ModelPoint2D.
@@ -224,47 +249,47 @@ def apply_homography(h: Homography, p) -> "ModelPoint2D":
     Raises:
         PointAtInfinity: the homogeneous scale of the image vanished.
     """
-    if isinstance(p, PixelPoint):
-        x, y = p.u, p.v
-    else:
-        x, y = p.a, p.b
-    f = h._flat
-    w = f[6] * x + f[7] * y + f[8]
-    if abs(w) < INFINITY_TOLERANCE:
-        raise PointAtInfinity(f"point ({x}, {y}) maps to infinity")
-    return ModelPoint2D(
-        (f[0] * x + f[1] * y + f[2]) / w,
-        (f[3] * x + f[4] * y + f[5]) / w,
-    )
+    x, y = (p.u, p.v) if isinstance(p, PixelPoint) else (p.a, p.b)
+    a, b = homography_columns(h, np.array([x], dtype=float), np.array([y], dtype=float))
+    return ModelPoint2D(float(a[0]), float(b[0]))
 
 
 def apply_scale(s: ScaleRatios, p: ModelPoint2D, origin: ModelPoint2D) -> ModelPoint2D:
-    """Scale a point about a fixed origin, per axis."""
+    """Scale a point about a fixed origin, per axis.
+
+    The point's coordinates may also be equal-length numpy columns.
+    """
     return ModelPoint2D(
         origin.a + s.rx * (p.a - origin.a),
         origin.b + s.ry * (p.b - origin.b),
     )
 
 
-def point_in_quad(p: PixelPoint, quad: Quad) -> bool:
-    """Half-plane membership test for a convex quad.
+def quad_contains(quad: Quad, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Half-plane membership of pixel columns in a convex quad.
 
     A point counts as inside when it is on the interior side of every edge,
     allowing a perpendicular slack of 1e-9 px so boundary points (shared
     sub-area edges) are inside.  Invariant under cyclic rotation of the
-    corner list.
+    corner list.  Each edge's length is taken once per call.
     """
     pts = quad.corners
-    for i in range(4):
-        a = pts[i]
-        b = pts[(i + 1) % 4]
-        ex, ey = b.u - a.u, b.v - a.v
-        cross = ex * (p.v - a.v) - ey * (p.u - a.u)
-        # Signed distance from the edge line; winding makes inside positive.
-        dist = cross / math.hypot(ex, ey)
-        if dist < -BOUNDARY_TOLERANCE:
-            return False
-    return True
+    inside = np.ones(np.shape(u), dtype=bool)
+    with np.errstate(all="ignore"):
+        for i in range(4):
+            a = pts[i]
+            b = pts[(i + 1) % 4]
+            ex, ey = b.u - a.u, b.v - a.v
+            cross = ex * (v - a.v) - ey * (u - a.u)
+            # Signed distance from the edge line; winding makes inside positive.
+            inside &= ~(cross / math.hypot(ex, ey) < -BOUNDARY_TOLERANCE)
+    return inside
+
+
+def point_in_quad(p: PixelPoint, quad: Quad) -> bool:
+    """Whether one pixel lies in a convex quad (a size-1 quad_contains)."""
+    u, v = np.array([p.u], dtype=float), np.array([p.v], dtype=float)
+    return bool(quad_contains(quad, u, v)[0])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .detections import Detection, parse_detections_file
+from .detections import Detection, finite_box, parse_detections_file
 from .errors import NoGroundTruth, UndefinedMetric
 from .jsonio import read_table, real
 
@@ -52,19 +52,30 @@ class GroundTruthBox:
                 f"degenerate ground-truth box "
                 f"({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
             )
+        if not finite_box(self.u_min, self.v_min, self.u_max, self.v_max):
+            raise ValueError(
+                f"ground-truth box centre or area is not finite: "
+                f"({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
+            )
 
 
 def iou(box_a, box_b) -> float:
-    """Intersection over union of two (u_min, v_min, u_max, v_max) boxes."""
+    """Intersection over union of two (u_min, v_min, u_max, v_max) boxes.
+
+    The union is summed at half scale, so two areas near the float maximum
+    cannot overflow it; halving is exact for normal numbers, so the ratio
+    is the same as at full scale.
+    """
     ax0, ay0, ax1, ay1 = box_a
     bx0, by0, bx1, by1 = box_b
     iw = min(ax1, bx1) - max(ax0, bx0)
     ih = min(ay1, by1) - max(ay0, by0)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union
+    half = 0.5 * (iw * ih)
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    return half / (0.5 * area_a + 0.5 * area_b - half)
 
 
 def _ranked(predictions: Sequence[Detection]) -> list[Detection]:

@@ -5,6 +5,10 @@ different mechanism than the production code: linear algebra goes through
 numpy solvers instead of hand-rolled elimination, synchronization is a
 quadratic scan instead of bisect bookkeeping, detection metrics are a
 brute-force staircase enumeration.  Tests compare the two routes.
+
+``naive_build_track`` is the exception: it is the per-bundle, per-pair
+fusion loop that the columnar ``build_track`` replaced, kept to pin the
+batching (pair ranking, one correction per view, the average) to it.
 """
 
 from __future__ import annotations
@@ -123,6 +127,111 @@ def naive_synchronize(detections, tolerance_ms, reference_camera=None):
                 members[cam] = best[2]
         bundles.append((ref.timestamp_ms, members))
     return bundles
+
+
+# --- per-bundle, per-pair fusion --------------------------------------------
+
+
+def naive_build_track(
+    cal,
+    bundles,
+    z_reject_mm=30.0,
+    depth_correction=True,
+    vertical_correction=True,
+    pair_strategy="best",
+):
+    """build_track one bundle and one pair at a time, through reconstruct_point.
+
+    Each side view is depth-corrected again for every pair that uses it.
+    """
+    from gridscope.detections import bbox_center
+    from gridscope.errors import OutsideCalibratedArea, ZDisagreementExceeded
+    from gridscope.fusion import (
+        ADJACENT_PAIRS,
+        FusionStats,
+        SideView,
+        TrackPoint,
+        eligible_pairs,
+        reconstruct_point,
+        top_world_xy,
+    )
+    from gridscope.calibration import to_model_grid
+    from gridscope.geometry import WorldPoint3D
+
+    track = []
+    stats = FusionStats()
+    for bundle in bundles:
+        stats.total += 1
+        views = {}
+        raw_side_count = 0
+        top_xy = None
+        for cam in cal.cameras:
+            det = bundle.per_camera.get(cam.camera_id)
+            if det is None:
+                continue
+            raw_side_count += cam.role.is_side
+            try:
+                mg = to_model_grid(cam, bbox_center(det))
+            except OutsideCalibratedArea:
+                stats.outside_area += 1
+                continue
+            if cam.role.is_side:
+                views[cam.role.index] = SideView(cam.role.index, cam, det, mg)
+            else:
+                top_xy = top_world_xy(cal, mg)
+        stats.with_side_detection += raw_side_count >= 1
+        stats.with_two_side_detections += raw_side_count >= 2
+        stats.missing_top += top_xy is None
+        pairs = eligible_pairs(views)
+        if not pairs:
+            continue
+
+        def confidence(pair):
+            return (
+                views[pair[0]].detection.confidence
+                + views[pair[1]].detection.confidence
+            )
+
+        ranked = sorted(
+            pairs, key=lambda p: (-confidence(p), ADJACENT_PAIRS.index(p))
+        )
+        points = []
+        for pair in ranked[:1] if pair_strategy == "best" else ranked:
+            try:
+                points.append(
+                    reconstruct_point(
+                        cal,
+                        bundle.timestamp_ms,
+                        views[pair[0]],
+                        views[pair[1]],
+                        top_xy,
+                        z_reject_mm=z_reject_mm,
+                        depth_correction=depth_correction,
+                        vertical_correction=vertical_correction,
+                    )
+                )
+            except ZDisagreementExceeded:
+                pass
+        if not points:
+            stats.rejected_z += 1
+            continue
+        chosen = points[0]
+        if len(points) > 1:
+            n = float(len(points))
+            chosen = TrackPoint(
+                timestamp_ms=chosen.timestamp_ms,
+                position=WorldPoint3D(
+                    sum(p.position.x for p in points) / n,
+                    sum(p.position.y for p in points) / n,
+                    sum(p.position.z for p in points) / n,
+                ),
+                pair=chosen.pair,
+                z_disagreement_mm=max(p.z_disagreement_mm for p in points),
+                depth_corrected=any(p.depth_corrected for p in points),
+            )
+        track.append(chosen)
+        stats.plotted += 1
+    return track, stats
 
 
 # --- detection metrics by brute force ---------------------------------------

@@ -200,7 +200,7 @@ def test_c4_depth_correction_halves_pinhole_error():
                 pix.u - 15.0, pix.v - 15.0, pix.u + 15.0, pix.v + 15.0, 1.0,
             )
             profile = cal.camera(cam_id)
-            mg, _ = to_model_grid(profile, PixelPoint(pix.u, pix.v))
+            mg = to_model_grid(profile, PixelPoint(pix.u, pix.v))
             views.append(SideView(index, profile, det, mg))
         with_fix = reconstruct_point(
             cal, 0.0, views[0], views[1], (195.0, 195.0), z_reject_mm=1e9

@@ -154,16 +154,35 @@ class TestCameraProfile:
             )
 
 
+def gapped_profile():
+    """Two patches sharing the pixel edge u = 10 but 20 model units apart."""
+    return CameraProfile(
+        camera_id="cam",
+        role=CameraRole.side(0),
+        resolution=(100, 100),
+        sub_areas=(
+            square_sub_area(0, origin=(0.0, 0.0), offset=(0.0, 0.0)),
+            square_sub_area(1, origin=(30.0, 0.0), offset=(10.0, 0.0)),
+        ),
+    )
+
+
 class TestToModelGrid:
     def test_interior_point(self):
-        mg, idx = to_model_grid(two_patch_profile(), PixelPoint(14.0, 6.0))
-        assert idx == 1
+        mg = to_model_grid(two_patch_profile(), PixelPoint(14.0, 6.0))
         assert mg.a == pytest.approx(14.0, abs=1e-9)
         assert mg.b == pytest.approx(6.0, abs=1e-9)
 
+    def test_interior_point_uses_its_own_patch(self):
+        mg = to_model_grid(gapped_profile(), PixelPoint(14.0, 6.0))
+        assert mg.a == pytest.approx(34.0, abs=1e-9)
+        assert mg.b == pytest.approx(6.0, abs=1e-9)
+
     def test_shared_edge_goes_to_lowest_index(self):
-        _, idx = to_model_grid(two_patch_profile(), PixelPoint(10.0, 5.0))
-        assert idx == 0
+        # patch 1 would put this pixel at a = 30
+        mg = to_model_grid(gapped_profile(), PixelPoint(10.0, 5.0))
+        assert mg.a == pytest.approx(10.0, abs=1e-9)
+        assert mg.b == pytest.approx(5.0, abs=1e-9)
 
     def test_outside_every_patch(self):
         with pytest.raises(OutsideCalibratedArea):
@@ -173,7 +192,7 @@ class TestToModelGrid:
         quad = Quad.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         sub = build_sub_area(0, quad, (10, 10), (5.0, 0.0), required_dims=(20, 10))
         profile = CameraProfile("cam", CameraRole.top(), (20, 20), (sub,))
-        mg, _ = to_model_grid(profile, PixelPoint(5.0, 5.0))
+        mg = to_model_grid(profile, PixelPoint(5.0, 5.0))
         # Rectified (5,5), shifted to (10,5), doubled in a about a=5.
         assert mg.a == pytest.approx(15.0, abs=1e-9)
         assert mg.b == pytest.approx(5.0, abs=1e-9)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gridscope import jsonio
 from gridscope.cli import RunConfig, load_run_config, main
-from gridscope.detections import Detection, write_detections
+from gridscope.detections import CSV_HEADER, Detection, write_detections
 from gridscope.errors import ConfigError
 from gridscope.evaluation import Segment, write_segments
 from gridscope.fusion import read_track
@@ -368,3 +374,118 @@ class TestExitCodes:
         # Lenient mode skips the row and finishes.
         assert main(args) == 0
         capsys.readouterr()
+
+    def test_overflowing_box_centre(self, pipeline, tmp_path, capsys):
+        # finite corners whose centre overflows used to give a NaN track row
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "camera_id,frame_index,timestamp_ms,u_min,v_min,u_max,v_max,confidence\n"
+            "side0,0,0.0,1.6e308,1.6e308,1.7e308,1.7e308,0.9\n"
+            "side1,0,0.0,1.6e308,1.6e308,1.7e308,1.7e308,0.9\n"
+        )
+        track = tmp_path / "track.csv"
+        args = [
+            "reconstruct", str(bad),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track),
+        ]
+        assert main(args + ["--strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2") and "not finite" in err
+        assert "Traceback" not in err
+        # Lenient mode skips both rows and writes an empty, readable track.
+        assert main(args) == 0
+        capsys.readouterr()
+        assert read_track(track) == []
+
+
+# --- reconstruct on fuzzed detection tables ---------------------------------
+
+_REAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-50, 2000).map(str),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e308", "-1.7e308", "1.6e308", "1.7e308", "", "x"]
+    ),
+)
+_CAMERA = st.sampled_from(["side0", "side1", "side2", "side3", "top", "side9", ""])
+
+
+@st.composite
+def _plausible_row(draw):
+    """A row that parses: a small box somewhere in the 1920 x 1080 image."""
+    u = draw(st.floats(0.0, 1920.0))
+    v = draw(st.floats(0.0, 1080.0))
+    half = draw(st.floats(0.5, 40.0))
+    return [
+        draw(_CAMERA),
+        "0",
+        repr(float(draw(st.sampled_from([0, 50, 100, 150])))),
+        repr(u - half),
+        repr(v - half),
+        repr(u + half),
+        repr(v + half),
+        repr(draw(st.floats(0.0, 1.0))),
+    ]
+
+
+_ROW = st.one_of(
+    _plausible_row(),
+    st.tuples(_CAMERA, st.just("0"), _REAL, _REAL, _REAL, _REAL, _REAL, _REAL).map(
+        list
+    ),
+    st.lists(_REAL, min_size=7, max_size=9),
+)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    files=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=2),
+    duplicate=st.booleans(),
+    strict=st.booleans(),
+    strategy=st.sampled_from(["best", "average_all"]),
+)
+@example(  # box centres overflow to inf; this once wrote a NaN track row
+    files=[
+        [
+            [cam, "0", "0.0", "1.6e308", "1.6e308", "1.7e308", "1.7e308", "0.9"]
+            for cam in ("side0", "side1")
+        ]
+    ],
+    duplicate=False,
+    strict=False,
+    strategy="best",
+)
+def test_reconstruct_on_fuzzed_detections(pipeline, files, duplicate, strict, strategy):
+    """Any detection table ends in exit 0, 1 or 2 without a traceback, and
+    every track written reads back."""
+    if duplicate:  # the same rows again, as a second file
+        files = files + files[:1]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, rows in enumerate(files):
+            path = Path(tmp) / f"detections_{k}.csv"
+            lines = [",".join(CSV_HEADER)] + [",".join(row) for row in rows]
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        track = Path(tmp) / "track.csv"
+        stats = Path(tmp) / "stats.json"
+        argv = [
+            "reconstruct", *paths,
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track),
+            "--stats", str(stats),
+            "--pair-strategy", strategy,
+        ] + (["--strict"] if strict else [])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            points = read_track(track)
+            assert len(points) == jsonio.read_doc(stats)["plotted"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from gridscope.depth import (
     DepthCorrection,
     DepthObservation,
     compute_def,
+    correct_columns,
     correct_side_point,
     final_adjustment,
 )
@@ -49,6 +51,11 @@ class TestDepthObservation:
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidObservation):
             obs(**kwargs)
+
+    def test_columns_checked_element_wise(self):
+        obs(ni=np.array([0.0, 400.0]), ic=np.array([0.0, 200.0]))
+        with pytest.raises(InvalidObservation, match="ni_top=401.0"):
+            obs(ni=np.array([10.0, 401.0, 402.0]), ic=np.zeros(3))
 
 
 class TestFactors:
@@ -106,6 +113,11 @@ class TestDepthCorrection:
         with pytest.raises(InvalidObservation):
             DepthCorrection(def_h=-1.0, def_v=0.0, adj_h=0.0, adj_v=0.0, applied=True)
 
+    def test_columns_checked_element_wise(self):
+        ones = np.ones(3)
+        with pytest.raises(InvalidObservation, match=r"adj=\(2.0, 0.0\)"):
+            DepthCorrection(ones, ones, np.array([1.0, 2.0, 3.0]), 0.0 * ones, True)
+
 
 class TestCorrectSidePoint:
     def test_moves_outward_right_of_centre(self):
@@ -157,6 +169,21 @@ class TestCorrectSidePoint:
     def test_fraction_out_of_range(self):
         with pytest.raises(InvalidObservation):
             correct_side_point(face_profile(), ModelPoint2D(0, 0), obs(), 1.5)
+
+    def test_columns_equal_points(self):
+        profile = face_profile()
+        a = np.array([300.0, 100.0, 200.0, 137.0])
+        b = np.array([400.0, 100.0, 600.0, 512.0])
+        ni = np.array([200.0, 0.0, 400.0, 123.0])
+        ic = np.array([100.0, 200.0, 0.0, 77.0])
+        frac = np.array([0.0, 1.0, 0.5, 0.25])
+        ca, cb, c = correct_columns(profile, a, b, obs(ni=ni, ic=ic), frac)
+        for k in range(len(a)):
+            point, one = correct_side_point(
+                profile, ModelPoint2D(a[k], b[k]), obs(ni=ni[k], ic=ic[k]), frac[k]
+            )
+            assert (ca[k], cb[k]) == (point.a, point.b)
+            assert (c.adj_h[k], c.adj_v[k]) == (one.adj_h, one.adj_v)
 
     def test_zero_mde_is_identity(self):
         profile = face_profile(mde_h=0.0, mde_v=0.0)

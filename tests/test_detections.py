@@ -54,6 +54,23 @@ class TestDetection:
     def test_frame_index_is_opaque(self):
         assert det(frame="whatever").frame_index == "whatever"
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (1.6e308, 0.0, 1.7e308, 10.0),  # u centre overflows
+            (0.0, -1.7e308, 10.0, -1.6e308),  # v centre overflows
+            (-1e308, 0.0, 1e308, 10.0),  # width overflows
+            (0.0, 0.0, 1e200, 1e200),  # area overflows
+        ],
+    )
+    def test_non_finite_centre_or_area_rejected(self, box):
+        with pytest.raises(ValueError, match="not finite"):
+            det(box=box)
+
+    def test_huge_finite_box_accepted(self):
+        d = det(box=(-8e307, 0.0, 8e307, 1.0))
+        assert (bbox_center(d).u, d.area) == (0.0, 1.6e308)
+
 
 class TestParse:
     def test_valid_rows(self):
@@ -112,6 +129,19 @@ class TestParse:
             (3, "u_max"),
             (4, "u_min"),
         ]
+
+    def test_overflowing_box_located(self):
+        lines = [
+            HEADER_LINE,
+            "side0,0,0.0,1.6e308,1.6e308,1.7e308,1.7e308,0.9",
+            "side0,1,50.0,0,0,1,1,0.9",
+        ]
+        result = parse_detections(lines)
+        assert [d.frame_index for d in result.detections] == ["1"]
+        assert [e.row for e in result.errors] == [2]
+        with pytest.raises(CsvError, match="not finite") as err:
+            parse_detections(lines, strict=True)
+        assert err.value.row == 2
 
     def test_strict_raises_with_location(self):
         lines = [HEADER_LINE, "a,0,100,0,0,1,1,0.5", "a,0,100,0,0,1,1,bad"]

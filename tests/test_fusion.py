@@ -1,7 +1,10 @@
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridscope.calibration import (
     AxisComponent,
@@ -10,13 +13,16 @@ from gridscope.calibration import (
     Calibration,
     RigGeometry,
     TopAxes,
+    build_calibration,
     build_sub_area,
     default_axis_map,
 )
 from gridscope.detections import Detection, FrameBundle
 from gridscope.errors import CsvError, FormatError, ZDisagreementExceeded
+from gridscope import fusion
 from gridscope.fusion import (
     ADJACENT_PAIRS,
+    PAIR_STRATEGIES,
     FusionStats,
     SideView,
     TrackPoint,
@@ -28,9 +34,18 @@ from gridscope.fusion import (
     top_world_xy,
     write_track,
 )
-from gridscope.geometry import GridBox, ModelPoint2D, Quad, WorldPoint3D
+from gridscope.geometry import (
+    GridBox,
+    ModelPoint2D,
+    PixelPoint,
+    Quad,
+    WorldPoint3D,
+    point_in_quad,
+)
+from gridscope.simulate import marker_picks_for
 
-from oracles import has_adjacent_pair
+from conftest import make_scenario
+from oracles import has_adjacent_pair, naive_build_track
 
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
@@ -374,3 +389,165 @@ class TestTrackFiles:
             fh.write("1,2,3\n")
         with pytest.raises(CsvError):
             read_track(path)
+
+
+# --- the columnar builder against the per-pair loop -------------------------
+
+
+def strip_profile(camera_id, role, width, height, cuts, mde_h=0.0, mde_v=0.0):
+    """A face cut into vertical pixel strips at ``cuts``.
+
+    Strip k sits 10*k model units right of its pixels and is stretched by
+    1 + k/10, so a pixel on a shared edge maps to a different model point
+    through each of its two strips.
+    """
+    edges = [0.0, *cuts, float(width)]
+    subs = tuple(
+        build_sub_area(
+            k,
+            Quad.from_coords([(lo, 0), (hi, 0), (hi, height), (lo, height)]),
+            (hi - lo, height),
+            (lo + 10.0 * k, 0.0),
+            required_dims=((hi - lo) * (1.0 + k / 10.0), height),
+        )
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    )
+    return CameraProfile(camera_id, role, (width, height), subs, mde_h, mde_v)
+
+
+def strip_cal(px_per_mm=1.0) -> Calibration:
+    """Every side face in three strips and the top in two; side MDE set."""
+    cams = [
+        strip_profile(
+            f"side{i}", CameraRole.side(i), 390, 850, (130.0, 260.0), 60.0, 130.0
+        )
+        for i in range(4)
+    ]
+    cams.append(strip_profile("top", CameraRole.top(), 390, 390, (195.0,)))
+    return Calibration(
+        RigGeometry(GRID, px_per_mm=px_per_mm), tuple(cams), default_axis_map(GRID)
+    )
+
+
+def _without_top(cal: Calibration) -> Calibration:
+    return replace(cal, cameras=tuple(c for c in cal.cameras if c.role.is_side))
+
+
+def _with_second_side0(cal: Calibration) -> Calibration:
+    """A later camera with role side:0 whose view wins where it has one."""
+    extra = replace(
+        cal.side_camera(0),
+        camera_id="side0b",
+        sub_areas=make_cal().side_camera(0).sub_areas,
+    )
+    return replace(cal, cameras=cal.cameras + (extra,))
+
+
+CALIBRATIONS = {
+    "identity": make_cal(mde_h=120.0, mde_v=260.0),
+    "strips": strip_cal(),
+    "strips_2px": strip_cal(px_per_mm=2.0),
+    "strips_no_top": _without_top(strip_cal()),
+    "strips_two_side0": _with_second_side0(strip_cal()),
+    "pinhole": build_calibration(
+        marker_picks_for(make_scenario("pinhole", n_frames=1))
+    ),
+}
+
+
+def _pixel_range(cam: CameraProfile):
+    """The box around every sub-area's corners, widened by 5% each way."""
+    us = [c.u for sub in cam.sub_areas for c in sub.src.corners]
+    vs = [c.v for sub in cam.sub_areas for c in sub.src.corners]
+    du, dv = (max(us) - min(us)) / 20.0, (max(vs) - min(vs)) / 20.0
+    return min(us) - du, max(us) + du, min(vs) - dv, max(vs) + dv
+
+
+def _box(cam_id: str, u: float, v: float, conf: float, ts: float) -> Detection:
+    # half-sizes of 2 keep integer centres exact
+    return Detection(cam_id, "0", ts, u - 2.0, v - 2.0, u + 2.0, v + 2.0, conf)
+
+
+@st.composite
+def fusion_cases(draw):
+    name = draw(st.sampled_from(sorted(CALIBRATIONS)))
+    cal = CALIBRATIONS[name]
+    bundles = []
+    for frame in range(draw(st.integers(0, 12))):
+        dets = []
+        for cam in cal.cameras:
+            if not draw(st.booleans()):
+                continue
+            u0, u1, v0, v1 = _pixel_range(cam)
+            if draw(st.booleans()):  # whole pixels land on shared strip edges
+                u = float(draw(st.integers(int(u0), int(u1))))
+                v = float(draw(st.integers(int(v0), int(v1))))
+            else:
+                u = draw(st.floats(u0, u1))
+                v = draw(st.floats(v0, v1))
+            conf = draw(st.sampled_from((0.25, 0.5, 0.75, 1.0)))
+            dets.append(_box(cam.camera_id, u, v, conf, 50.0 * frame))
+        bundles.append(FrameBundle(50.0 * frame, {d.camera_id: d for d in dets}))
+    options = {
+        "pair_strategy": draw(st.sampled_from(PAIR_STRATEGIES)),
+        "depth_correction": draw(st.booleans()),
+        "vertical_correction": draw(st.booleans()),
+        "z_reject_mm": draw(st.sampled_from((0.0, 30.0, 1e9))),
+    }
+    return cal, bundles, options
+
+
+def _case(name, boxes, **options):
+    """One bundle of (camera id, u, v, confidence) boxes on a named rig."""
+    dets = [_box(cam, u, v, conf, 0.0) for cam, u, v, conf in boxes]
+    options = {"pair_strategy": "best", "z_reject_mm": 1e9, **options}
+    return CALIBRATIONS[name], [FrameBundle(0.0, {d.camera_id: d for d in dets})], options
+
+
+# side0's pixel lies on the edge its strips 0 and 1 share (model a = 130 or 140)
+SHARED_EDGE = _case(
+    "strips",
+    [
+        ("side0", 130.0, 400.0, 1.0),
+        ("side1", 200.0, 300.0, 1.0),
+        ("top", 195.0, 100.0, 1.0),
+    ],
+)
+# pairs (0, 1) and (1, 2) both sum to 1.25: the lower pair index must win
+TIED_PAIRS = _case(
+    "strips",
+    [
+        ("side0", 100.0, 400.0, 0.5),
+        ("side1", 200.0, 300.0, 0.75),
+        ("side2", 300.0, 500.0, 0.5),
+        ("top", 120.0, 220.0, 1.0),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fusion_cases(), chunk=st.sampled_from((1, 5, 1024)))
+@example(case=SHARED_EDGE, chunk=1024)
+@example(case=TIED_PAIRS, chunk=1024)
+@example(
+    case=(*TIED_PAIRS[:2], {**TIED_PAIRS[2], "pair_strategy": "average_all"}),
+    chunk=1024,
+)
+def test_build_track_equals_per_pair_oracle(case, chunk):
+    cal, bundles, options = case
+    with mock.patch.object(fusion, "_CHUNK_BUNDLES", chunk):
+        track, stats = build_track(cal, bundles, **options)
+    want_track, want_stats = naive_build_track(cal, bundles, **options)
+    # repr tells -0.0 from 0.0, as the written track does
+    assert repr(track) == repr(want_track)
+    assert stats == want_stats
+
+
+def test_shared_edge_example_takes_the_lowest_strip():
+    cal, bundles, options = SHARED_EDGE
+    side0 = cal.side_camera(0)
+    pixel = PixelPoint(130.0, 400.0)
+    inside = [point_in_quad(pixel, sub.src) for sub in side0.sub_areas]
+    assert inside == [True, True, False]
+    (point,), _ = build_track(cal, bundles, **options, depth_correction=False)
+    assert point.position.x == 130.0  # strip 1 would give 140

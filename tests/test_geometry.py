@@ -21,7 +21,9 @@ from gridscope.geometry import (
     apply_homography,
     apply_scale,
     compute_homography,
+    homography_columns,
     point_in_quad,
+    quad_contains,
 )
 
 from oracles import apply_matrix, homography_oracle
@@ -153,6 +155,19 @@ class TestHomography:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 5.0
 
+    def test_columns_name_the_first_point_at_infinity(self):
+        h = Homography([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
+        x, y = np.array([0.5, 1.0, 1.0]), np.array([0.0, 2.0, 3.0])
+        with pytest.raises(PointAtInfinity, match=r"\(1\.0, 2\.0\)"):
+            homography_columns(h, x, y)
+
+    def test_columns_equal_points(self):
+        h = compute_homography(UNIT_SQUARE, MODEL_390)
+        x, y = np.array([0.0, 0.25, 0.7, 1.0]), np.array([0.0, 0.5, 0.1, 1.0])
+        a, b = homography_columns(h, x, y)
+        points = [apply_homography(h, PixelPoint(u, v)) for u, v in zip(x, y)]
+        assert (a.tolist(), b.tolist()) == ([p.a for p in points], [p.b for p in points])
+
     def test_point_at_infinity(self):
         # Projective map with a finite vanishing line: w = 1 - x.
         h = Homography([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
@@ -238,6 +253,14 @@ class TestPointInQuad:
         diamond = Quad.from_coords([(5, 0), (10, 5), (5, 10), (0, 5)])
         assert point_in_quad(PixelPoint(5, 5), diamond)
         assert not point_in_quad(PixelPoint(9.0, 1.0), diamond)
+
+    def test_columns_equal_points(self):
+        q = Quad.from_coords([(210, 140), (1700, 160), (1840, 990), (80, 950)])
+        u = np.array([900.0, 100.0, 210.0, 1840.0, 1840.0 + 1e-6, 955.0])
+        v = np.array([500.0, 100.0, 140.0, 990.0, 990.0, 150.0])
+        want = [point_in_quad(PixelPoint(a, b), q) for a, b in zip(u, v)]
+        assert quad_contains(q, u, v).tolist() == want
+        assert want[0] and not want[1] and want[2]
 
 
 class TestGridBox:

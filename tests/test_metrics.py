@@ -52,6 +52,12 @@ class TestIou:
         a, b = (0.0, 0.0, 3.0, 4.0), (1.0, 1.0, 5.0, 2.5)
         assert iou(a, b) == iou(b, a)
 
+    def test_identical_huge_boxes(self):
+        # the two areas (2**1023 each) sum past the float maximum
+        box = (-(2.0**1022), 0.0, 2.0**1022, 1.0)
+        assert iou(box, box) == 1.0
+        assert iou(box, (0.0, 0.0, 2.0**1022, 1.0)) == 0.5
+
     @given(
         shift=st.floats(-12, 12),
         size=st.floats(0.5, 8),
@@ -68,6 +74,15 @@ class TestGroundTruthBox:
             gt(box=(0, 0, 0, 5))
         with pytest.raises(ValueError):
             gt(box=(0, 5, 5, 5))
+
+    def test_overflowing_area_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            gt(box=(-1e308, -1e308, 1e308, 1e308))
+
+    def test_exact_huge_prediction_is_a_hit(self):
+        box = (-(2.0**1022), 0.0, 2.0**1022, 1.0)
+        report = evaluate_detections([pred(box=box)], [gt(box=box)])
+        assert (report.precision, report.recall, report.map5095) == (1.0, 1.0, 1.0)
 
 
 class TestMatchGreedy:
