@@ -511,7 +511,10 @@ class RigGeometry:
 
 @dataclass(frozen=True)
 class Calibration:
-    """A complete rig calibration: geometry, cameras and axis mapping."""
+    """A complete rig calibration: geometry, cameras and axis mapping.
+
+    Each role (``side:0`` to ``side:3``, ``top``) has at most one camera.
+    """
 
     rig: RigGeometry
     cameras: tuple[CameraProfile, ...]
@@ -521,6 +524,13 @@ class Calibration:
         ids = [c.camera_id for c in self.cameras]
         if len(set(ids)) != len(ids):
             raise FormatError(f"duplicate camera ids in calibration: {ids}")
+        for cam in self.cameras:
+            first = self.role_camera(cam.role)
+            if first is not cam:
+                raise FormatError(
+                    f"role {cam.role.label()} is held by both {first.camera_id!r} "
+                    f"and {cam.camera_id!r}; each role takes at most one camera"
+                )
 
     def camera(self, camera_id: str) -> CameraProfile:
         for cam in self.cameras:
@@ -528,17 +538,15 @@ class Calibration:
                 return cam
         raise FormatError(f"no camera {camera_id!r} in calibration")
 
+    def role_camera(self, role: CameraRole) -> CameraProfile | None:
+        """The camera that plays ``role``, or None."""
+        return next((cam for cam in self.cameras if cam.role == role), None)
+
     def side_camera(self, index: int) -> CameraProfile | None:
-        for cam in self.cameras:
-            if cam.role.is_side and cam.role.index == index:
-                return cam
-        return None
+        return self.role_camera(CameraRole.side(index))
 
     def top_camera(self) -> CameraProfile | None:
-        for cam in self.cameras:
-            if not cam.role.is_side:
-                return cam
-        return None
+        return self.role_camera(CameraRole.top())
 
 
 # --- serialization ----------------------------------------------------------
@@ -658,17 +666,14 @@ def read_grid_a(root: jsonio.DocReader) -> GridBox:
 def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMap]:
     check_format_version(root, kind)
     grid_a = read_grid_a(root)
-    marker_count_r = root.optional_key("marker_count")
     rig = RigGeometry(
         grid_a,
         px_per_mm=root.key("px_per_mm").real(),
-        marker_count=(
-            marker_count_r.integer() if marker_count_r else DEFAULT_MARKER_COUNT
+        marker_count=root.get(
+            "marker_count", jsonio.DocReader.integer, DEFAULT_MARKER_COUNT
         ),
     )
-    axis_map_r = root.optional_key("axis_map")
-    axis_map = _axis_map_from(axis_map_r) if axis_map_r else default_axis_map(grid_a)
-    return rig, axis_map
+    return rig, root.get("axis_map", _axis_map_from, default_axis_map(grid_a))
 
 
 def _camera_doc(cam: "CameraProfile | CameraPicks") -> dict:
@@ -769,14 +774,13 @@ def load_marker_picks(path) -> MarkerPicks:
     for cam_r in root.key("cameras").items():
         subs = []
         for s in cam_r.key("sub_areas").items():
-            required_r = s.optional_key("required")
             subs.append(
                 SubAreaPick(
                     index=s.key("index").integer(),
                     src_quad=_quad_from(s.key("src_quad")),
                     canonical=s.key("canonical").real_pair(),
                     mg_origin=s.key("mg_origin").real_pair(),
-                    required=required_r.real_pair() if required_r else None,
+                    required=s.get("required", jsonio.DocReader.real_pair, None),
                 )
             )
         depth_r = cam_r.optional_key("depth_markers")

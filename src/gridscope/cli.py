@@ -86,11 +86,8 @@ def load_run_config(path) -> RunConfig:
         root = jsonio.DocReader(jsonio.read_doc(path))
     except GridscopeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    kwargs = {}
-    for name, read in _CONFIG_READERS.items():
-        r = root.optional_key(name)
-        if r is not None:
-            kwargs[name] = read(r)
+    given = [name for name in _CONFIG_READERS if name in root.value]
+    kwargs = {name: _CONFIG_READERS[name](root.key(name)) for name in given}
     stray = set(root.value) - set(_CONFIG_READERS)
     if stray:
         raise ConfigError(f"{path}: unknown config keys {sorted(stray)}")

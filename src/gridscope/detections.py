@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .errors import CsvError
 from .geometry import PixelPoint
-from .jsonio import read_table, real
+from .jsonio import read_table, read_table_file, real
 
 CSV_HEADER = (
     "camera_id",
@@ -116,8 +116,7 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_detections(fh, strict=strict)
+    return ParseResult(*read_table_file(path, CSV_HEADER, _detection, strict))
 
 
 def _format_real(x: float) -> str:

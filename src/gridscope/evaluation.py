@@ -17,10 +17,8 @@ from typing import Iterable, Sequence
 
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackPoint
-from .geometry import GridBox, WorldPoint3D
-from .jsonio import read_table, real
-
-FACES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
+from .geometry import FACES, GridBox, WorldPoint3D
+from .jsonio import read_table_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -52,18 +50,6 @@ class Segment:
         return self.t_start_ms <= timestamp_ms < self.t_end_ms
 
 
-def _face_plane(box: GridBox, face: str) -> tuple[str, float]:
-    o = box.origin
-    return {
-        "x_min": ("x", o.x),
-        "x_max": ("x", o.x + box.w_mm),
-        "y_min": ("y", o.y),
-        "y_max": ("y", o.y + box.d_mm),
-        "z_min": ("z", o.z),
-        "z_max": ("z", o.z + box.h_mm),
-    }[face]
-
-
 def distance_to_face(
     point: WorldPoint3D, box: GridBox, face: str, bounded: bool = False
 ) -> float:
@@ -73,24 +59,15 @@ def distance_to_face(
     ``bounded=True`` the distance is taken to the face rectangle itself,
     so positions beyond the face edges pick up the in-plane excursion too.
     """
-    if face not in FACES:
-        raise FormatError(f"unknown face {face!r}")
-    axis, value = _face_plane(box, face)
-    coords = {"x": point.x, "y": point.y, "z": point.z}
-    plane_dist = abs(coords[axis] - value)
+    axis, value = box.face_plane(face)
+    plane_dist = abs(getattr(point, axis) - value)
     if not bounded:
         return plane_dist
-    o = box.origin
-    spans = {
-        "x": (o.x, o.x + box.w_mm),
-        "y": (o.y, o.y + box.d_mm),
-        "z": (o.z, o.z + box.h_mm),
-    }
     excess_sq = 0.0
-    for other_axis, (lo, hi) in spans.items():
+    for other_axis, (lo, hi) in box.spans().items():
         if other_axis == axis:
             continue
-        c = coords[other_axis]
+        c = getattr(point, other_axis)
         if c < lo:
             excess_sq += (lo - c) ** 2
         elif c > hi:
@@ -175,8 +152,7 @@ def _segment(row: list[str]) -> Segment:
 
 
 def read_segments(path) -> list[Segment]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        segments = read_table(fh, SEGMENTS_HEADER, _segment)[0]
+    segments = read_table_file(path, SEGMENTS_HEADER, _segment)[0]
     validate_segments(segments)
     return segments
 

@@ -17,8 +17,8 @@ The builder works on numpy columns: each camera's box centres go through
 its model-grid map in one call, each side view that a candidate pair uses
 is depth-corrected once per bundle, and a (bundles x 4 adjacent pairs)
 table of eligibility, confidence sum, world position and z disagreement
-picks the result.  ``reconstruct_point`` runs the same column code on one
-pair of views.
+picks the result.  Views are kept by side slot, which names one camera.
+``reconstruct_point`` runs the same column code on one pair of views.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .depth import (
 from .detections import Detection, FrameBundle
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
-from .jsonio import read_table, real
+from .jsonio import DocReader, read_table_file, real
 
 DEFAULT_Z_REJECT_MM = 30.0
 
@@ -107,7 +107,13 @@ class FusionStats:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FusionStats":
-        return cls(**{k: int(doc[k]) for k in cls().as_doc()})
+        """Read every counter of a stats document; other keys are ignored."""
+        root = DocReader(doc)
+        counts = {k: root.key(k).integer() for k in cls().as_doc()}
+        for k, n in counts.items():
+            if not 0 <= n < 2**63:  # a larger count overflows the plot rates
+                raise FormatError(f"{k}: expected a count in [0, 2**63), found {n}")
+        return cls(**counts)
 
 
 def eligible_pairs(side_indices: Iterable[int]) -> list[tuple[int, int]]:
@@ -274,15 +280,14 @@ def reconstruct_point(
 
 @dataclass
 class _Views:
-    """Every bundle's usable views, one row per bundle.
+    """Every bundle's usable views, one column per bundle.
 
-    Side arrays have one row per side index: ``owner`` is the position in
-    ``cal.cameras`` of the camera whose view it is (-1: none), ``a``/``b``
-    its model-grid point and ``conf`` its detection confidence.  When two
-    cameras share a role, the later one's view wins, as it always has.
+    Side arrays have one row per side slot: ``present`` says whether the
+    slot's camera saw the subject inside its calibrated area, ``a``/``b``
+    give its model-grid point and ``conf`` its detection confidence.
     """
 
-    owner: np.ndarray
+    present: np.ndarray
     a: np.ndarray
     b: np.ndarray
     conf: np.ndarray
@@ -297,7 +302,7 @@ def _map_views(
     """Map every camera's box centres into its model grid, one column each."""
     n = len(bundles)
     views = _Views(
-        owner=np.full((4, n), -1),
+        present=np.zeros((4, n), dtype=bool),
         a=np.full((4, n), np.nan),
         b=np.full((4, n), np.nan),
         conf=np.zeros((4, n)),
@@ -306,7 +311,7 @@ def _map_views(
         top_y=np.full(n, np.nan),
     )
     side_hits = np.zeros(n, dtype=int)
-    for k, cam in enumerate(cal.cameras):
+    for cam in cal.cameras:
         found = [bundle.per_camera.get(cam.camera_id) for bundle in bundles]
         rows = np.flatnonzero([det is not None for det in found])
         if not rows.size:
@@ -325,7 +330,7 @@ def _map_views(
         if cam.role.is_side:
             side_hits[rows] += 1
             s = cam.role.index
-            views.owner[s, hit] = k
+            views.present[s, hit] = True
             views.a[s, hit] = a[inside]
             views.b[s, hit] = b[inside]
             views.conf[s, hit] = column("confidence")[inside]
@@ -347,8 +352,7 @@ def _rank_pairs(views: _Views, pair_strategy: str) -> tuple[np.ndarray, np.ndarr
     the lowest pair index first on a tie.  "best" fuses rank 0 only,
     "average_all" every eligible pair.
     """
-    present = views.owner >= 0
-    eligible = (present[_FIRST] & present[_SECOND]).T
+    eligible = (views.present[_FIRST] & views.present[_SECOND]).T
     confidence = (views.conf[_FIRST] + views.conf[_SECOND]).T
     key = np.where(eligible, -confidence, np.inf)
     order = np.argsort(key, axis=1, kind="stable")
@@ -374,19 +378,18 @@ def _pair_table(
     """
     rows, ranks = np.nonzero(fused)
     pairs = order[rows, ranks]
-    used = np.zeros(views.owner.shape, dtype=bool)
+    used = np.zeros(views.present.shape, dtype=bool)
     used[_FIRST[pairs], rows] = True
     used[_SECOND[pairs], rows] = True
     corrected = views.has_top & depth_correction
     h = np.full(views.a.shape, np.nan)
     z = np.full(views.a.shape, np.nan)
-    for k, cam in enumerate(cal.cameras):
+    for cam in cal.cameras:
         if not cam.role.is_side:
             continue
         s = cam.role.index
-        mine = used[s] & (views.owner[s] == k)
         for with_top in (True, False):
-            at = np.flatnonzero(mine & (corrected == with_top))
+            at = np.flatnonzero(used[s] & (corrected == with_top))
             top = (views.top_x[at], views.top_y[at]) if with_top else None
             h[s, at], z[s, at] = _side_mm(
                 cal, s, cam, views.a[s, at], views.b[s, at], top, vertical_correction
@@ -447,9 +450,8 @@ def _fuse(
     """build_track's columns; every intermediate array is dropped on return.
 
     Returns:
-        The plotted bundle rows, their (x, y, z) and z disagreement, the
-        positions in ``cal.cameras`` of each point's two cameras and its
-        depth-corrected flag.
+        The plotted bundle rows, their (x, y, z) and z disagreement, each
+        point's leading pair index and its depth-corrected flag.
     """
     with np.errstate(all="ignore"):
         views = _map_views(cal, bundles, stats)
@@ -460,10 +462,7 @@ def _fuse(
         plotted, lead, xyz, dz = _combine(table, order, fused, z_reject_mm)
     stats.plotted += len(plotted)
     stats.rejected_z += int(np.count_nonzero(fused[:, 0])) - len(plotted)
-    cams = np.stack(
-        [views.owner[_FIRST[lead], plotted], views.owner[_SECOND[lead], plotted]]
-    )
-    return plotted, xyz, dz, cams, views.has_top[plotted] & depth_correction
+    return plotted, xyz, dz, lead, views.has_top[plotted] & depth_correction
 
 
 def build_track(
@@ -489,11 +488,12 @@ def build_track(
         )
     bundles = list(bundles)
     stats = FusionStats(total=len(bundles))
-    names = [cam.camera_id for cam in cal.cameras]
+    names = [getattr(cal.side_camera(i), "camera_id", None) for i in range(4)]
+    pair_names = [(names[i], names[j]) for i, j in ADJACENT_PAIRS]
     track: list[TrackPoint] = []
     for start in range(0, len(bundles), _CHUNK_BUNDLES):
         part = bundles[start : start + _CHUNK_BUNDLES]
-        plotted, xyz, dz, cams, corrected = _fuse(
+        plotted, xyz, dz, lead, corrected = _fuse(
             cal,
             part,
             stats,
@@ -506,15 +506,15 @@ def build_track(
             TrackPoint(
                 timestamp_ms=part[i].timestamp_ms,
                 position=WorldPoint3D(x, y, z),
-                pair=(names[a], names[b]),
+                pair=pair_names[p],
                 z_disagreement_mm=d,
                 depth_corrected=flag,
             )
-            for i, x, y, z, d, a, b, flag in zip(
+            for i, x, y, z, d, p, flag in zip(
                 plotted.tolist(),
                 *xyz.tolist(),
                 dz.tolist(),
-                *cams.tolist(),
+                lead.tolist(),
                 corrected.tolist(),
             )
         )
@@ -551,5 +551,4 @@ def _track_point(row: list[str]) -> TrackPoint:
 
 
 def read_track(path) -> list[TrackPoint]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_table(fh, TRACK_HEADER, _track_point)[0]
+    return read_table_file(path, TRACK_HEADER, _track_point)[0]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuad, NonPositiveLength, PointAtInfinity
+from .errors import DegenerateQuad, FormatError, NonPositiveLength, PointAtInfinity
 
 # Pivot magnitudes below this abort the four-point solve.
 PIVOT_TOLERANCE = 1e-12
@@ -292,6 +292,10 @@ def point_in_quad(p: PixelPoint, quad: Quad) -> bool:
     return bool(quad_contains(quad, u, v)[0])
 
 
+# The six faces of a box: the low and high end of each world axis.
+FACES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
+
+
 @dataclass(frozen=True)
 class GridBox:
     """An axis-aligned box in world millimetres.
@@ -323,3 +327,20 @@ class GridBox:
             and o.y + other.d_mm <= s.y + self.d_mm
             and o.z + other.h_mm <= s.z + self.h_mm
         )
+
+    def spans(self) -> dict[str, tuple[float, float]]:
+        """The box's (low, high) extent along each world axis."""
+        o = self.origin
+        return {
+            "x": (o.x, o.x + self.w_mm),
+            "y": (o.y, o.y + self.d_mm),
+            "z": (o.z, o.z + self.h_mm),
+        }
+
+    def face_plane(self, face: str) -> tuple[str, float]:
+        """Face ``face`` of the box as the plane ``axis = value``."""
+        if face not in FACES:
+            raise FormatError(f"unknown face {face!r}")
+        axis, end = face.split("_")
+        lo, hi = self.spans()[axis]
+        return axis, lo if end == "min" else hi

@@ -13,8 +13,9 @@ schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
 The CSV tables (detections, track, segments, ground truth, truth) are read
-through :func:`read_table`, and their real-valued fields through
-:func:`real`, which refuses ``nan`` and ``inf``.
+through :func:`read_table_file`, and their real-valued fields through
+:func:`real`, which refuses ``nan`` and ``inf``.  Every file is read as
+UTF-8; a byte that is not is a FormatError or CsvError naming its line.
 """
 
 from __future__ import annotations
@@ -127,14 +128,33 @@ def loads_doc(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError("top level: nested too deeply") from None
+    except ValueError as exc:  # an integer with too many digits
+        raise FormatError(f"top level: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("top level: expected a key/value mapping")
     return doc
 
 
+def _first_bad_line(path) -> int:
+    """The 1-based line of ``path`` holding its first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return data.count(b"\n") + 1
+
+
 def read_doc(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_doc(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"line {_first_bad_line(path)}: not UTF-8 text") from None
+    return loads_doc(text)
 
 
 class DocReader:
@@ -174,6 +194,11 @@ class DocReader:
         if name not in self.value:
             return None
         return DocReader(self.value[name], self._child_path(name))
+
+    def get(self, name: str, read: Callable[["DocReader"], T], default: T) -> T:
+        """``read`` of the value at key ``name``, or ``default`` if it is absent."""
+        r = self.optional_key(name)
+        return default if r is None else read(r)
 
     # -- sequence access -----------------------------------------------------
 
@@ -251,25 +276,44 @@ def read_table(
     stripped fields go to ``make``, whose ValueError or FormatError becomes
     a CsvError naming the 1-based row (the header is row 1) and, for a
     FieldError, the column.  Strict mode raises the first such error;
-    otherwise bad rows are skipped and their errors returned.
+    otherwise bad rows are skipped and their errors returned.  A row the
+    csv module cannot split (a field over its size limit) raises a
+    CsvError naming its line in either mode.
     """
     reader = csv.reader(lines)
-    first = next(reader, None)
-    if first is None or tuple(h.strip() for h in first) != header:
-        raise CsvError(1, "", f"expected header {','.join(header)}")
     width = len(header)
     items: list[T] = []
     errors: list[CsvError] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        try:
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            items.append(make([f.strip() for f in row]))
-        except (ValueError, FormatError) as exc:
-            err = CsvError(row_no, getattr(exc, "column", ""), str(exc))
-            if strict:
-                raise err from exc
-            errors.append(err)
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise CsvError(1, "", f"expected header {','.join(header)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                items.append(make([f.strip() for f in row]))
+            except (ValueError, FormatError) as exc:
+                err = CsvError(row_no, getattr(exc, "column", ""), str(exc))
+                if strict:
+                    raise err from exc
+                errors.append(err)
+    except csv.Error as exc:
+        raise CsvError(reader.line_num, "", str(exc)) from None
     return items, errors
+
+
+def read_table_file(
+    path,
+    header: tuple[str, ...],
+    make: Callable[[list[str]], T],
+    strict: bool = True,
+) -> tuple[list[T], list[CsvError]]:
+    """read_table over a UTF-8 file; a byte that is not raises a CsvError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return read_table(fh, header, make, strict)
+    except UnicodeDecodeError:
+        raise CsvError(_first_bad_line(path), "", "not UTF-8 text") from None

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .detections import Detection, finite_box, parse_detections_file
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import read_table, real
+from .jsonio import read_table_file, real
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -241,8 +241,7 @@ def _ground_truth_box(row: list[str]) -> GroundTruthBox:
 
 
 def read_ground_truth(path) -> list[GroundTruthBox]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_table(fh, GT_HEADER, _ground_truth_box)[0]
+    return read_table_file(path, GT_HEADER, _ground_truth_box)[0]
 
 
 def read_predictions(path, strict: bool = True) -> list[Detection]:

@@ -44,8 +44,7 @@ from .calibration import (
 )
 from .detections import Detection, write_detections
 from .errors import BehindCamera, ConfigError
-from .evaluation import FACES
-from .geometry import GridBox, PixelPoint, Quad, WorldPoint3D
+from .geometry import FACES, GridBox, PixelPoint, Quad, WorldPoint3D
 from . import jsonio
 
 SCENARIO_FORMAT_VERSION = 1
@@ -345,17 +344,12 @@ def _camera_picks(
     face_n = face_f = None
     if camera.role.is_side:
         outer = ((0.0, 0.0), (frame.ext_a, 0.0), (frame.ext_a, frame.ext_b), (0.0, frame.ext_b))
-        face_n = Quad.from_coords(
-            [(p.u, p.v) for p in (project(camera, frame.point(a, b)) for a, b in outer)]
-        )
-        face_f = Quad.from_coords(
-            [
-                (p.u, p.v)
-                for p in (
-                    project(camera, frame.point(a, b, frame.nf_mm)) for a, b in outer
-                )
-            ]
-        )
+
+        def face_quad(depth: float) -> Quad:
+            pixels = (project(camera, frame.point(a, b, depth)) for a, b in outer)
+            return Quad.from_coords([(p.u, p.v) for p in pixels])
+
+        face_n, face_f = face_quad(0.0), face_quad(frame.nf_mm)
     return CameraPicks(
         camera_id=camera.camera_id,
         role=camera.role,
@@ -436,18 +430,10 @@ class SimScenario:
         self._validate_waypoints()
 
     def _validate_waypoints(self):
-        box = self.grid_b
-        o = box.origin
-        spans = {
-            "x": (o.x, o.x + box.w_mm),
-            "y": (o.y, o.y + box.d_mm),
-            "z": (o.z, o.z + box.h_mm),
-        }
-        axis = self.path.face[0]
-        plane = spans[axis][0] if self.path.face.endswith("min") else spans[axis][1]
+        axis, plane = self.grid_b.face_plane(self.path.face)
+        spans = self.grid_b.spans()
         for wp in self.path.waypoints:
-            coords = {"x": wp.x, "y": wp.y, "z": wp.z}
-            if abs(coords[axis] - plane) > 1e-6:
+            if abs(getattr(wp, axis) - plane) > 1e-6:
                 raise ConfigError(
                     f"waypoint ({wp.x}, {wp.y}, {wp.z}) is off the "
                     f"{self.path.face} plane ({axis} = {plane})"
@@ -455,7 +441,7 @@ class SimScenario:
             for other, (lo, hi) in spans.items():
                 if other == axis:
                     continue
-                if not (lo - 1e-6 <= coords[other] <= hi + 1e-6):
+                if not (lo - 1e-6 <= getattr(wp, other) <= hi + 1e-6):
                     raise ConfigError(
                         f"waypoint ({wp.x}, {wp.y}, {wp.z}) leaves the "
                         f"{self.path.face} face rectangle on axis {other}"
@@ -582,8 +568,7 @@ def _truth_sample(row: list[str]) -> TruthSample:
 
 
 def read_truth(path) -> list[TruthSample]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return jsonio.read_table(fh, TRUTH_HEADER, _truth_sample)[0]
+    return jsonio.read_table_file(path, TRUTH_HEADER, _truth_sample)[0]
 
 
 # --- scenario files ---------------------------------------------------------
@@ -591,57 +576,35 @@ def read_truth(path) -> list[TruthSample]:
 
 def scenario_from_doc(doc: dict) -> SimScenario:
     root = jsonio.DocReader(doc)
+    real = jsonio.DocReader.real
     check_format_version(root, "scenario", SCENARIO_FORMAT_VERSION, ConfigError)
     grid_a = read_grid_a(root)
-    px_r = root.optional_key("px_per_mm")
-    rig = RigGeometry(grid_a, px_per_mm=px_r.real() if px_r else 1.0)
+    rig = RigGeometry(grid_a, px_per_mm=root.get("px_per_mm", real, 1.0))
     cams = root.key("cameras")
     mode = cams.key("mode").string()
-    top_mode_r = cams.optional_key("top_mode")
     res_r = cams.key("resolution").fixed_list(2)
     resolution = (res_r[0].integer(), res_r[1].integer())
-    side_distance_r = cams.optional_key("side_distance_mm")
-    if side_distance_r is None:
-        if mode == "pinhole":
-            raise ConfigError(
-                "pinhole scenarios must state cameras.side_distance_mm explicitly"
-            )
-        side_distance = DEFAULT_SIDE_DISTANCE_MM
-    else:
-        side_distance = side_distance_r.real()
-    side_height_r = cams.optional_key("side_height_mm")
-    side_height = side_height_r.real() if side_height_r else grid_a.h_mm / 2.0
-    top_height_r = cams.optional_key("top_height_mm")
-    top_height = top_height_r.real() if top_height_r else grid_a.h_mm + 2500.0
-    focal_r = cams.optional_key("focal_px")
-    focal = focal_r.real() if focal_r else 200.0
-    top_focal_r = cams.optional_key("top_focal_px")
-    top_focal = top_focal_r.real() if top_focal_r else 2000.0
-    ortho_r = cams.optional_key("ortho_px_per_mm")
-    ortho = ortho_r.real() if ortho_r else 1.0
+    if mode == "pinhole" and cams.optional_key("side_distance_mm") is None:
+        raise ConfigError(
+            "pinhole scenarios must state cameras.side_distance_mm explicitly"
+        )
     cameras = standard_cameras(
         grid_a,
         mode,
         resolution,
-        side_distance,
-        side_height,
-        top_height,
-        focal,
-        top_focal,
-        ortho,
-        top_mode=top_mode_r.string() if top_mode_r else None,
+        cams.get("side_distance_mm", real, DEFAULT_SIDE_DISTANCE_MM),
+        cams.get("side_height_mm", real, grid_a.h_mm / 2.0),
+        cams.get("top_height_mm", real, grid_a.h_mm + 2500.0),
+        cams.get("focal_px", real, 200.0),
+        cams.get("top_focal_px", real, 2000.0),
+        cams.get("ortho_px_per_mm", real, 1.0),
+        top_mode=cams.get("top_mode", jsonio.DocReader.string, None),
     )
     gb = root.key("grid_b")
-    origin = gb.key("origin").fixed_list(3)
-    size = gb.key("size").fixed_list(3)
-    grid_b = GridBox(
-        WorldPoint3D(origin[0].real(), origin[1].real(), origin[2].real()),
-        size[0].real(),
-        size[1].real(),
-        size[2].real(),
-    )
+    origin = [r.real() for r in gb.key("origin").fixed_list(3)]
+    size = [r.real() for r in gb.key("size").fixed_list(3)]
+    grid_b = GridBox(WorldPoint3D(*origin), *size)
     path_r = root.key("path")
-    loop_r = path_r.optional_key("loop")
     waypoints = tuple(
         WorldPoint3D(*(w.real() for w in wp.fixed_list(3)))
         for wp in path_r.key("waypoints").items()
@@ -650,7 +613,7 @@ def scenario_from_doc(doc: dict) -> SimScenario:
         face=path_r.key("face").string(),
         waypoints=waypoints,
         speed_mm_s=path_r.key("speed_mm_s").real(),
-        loop=loop_r.boolean() if loop_r else False,
+        loop=path_r.get("loop", jsonio.DocReader.boolean, False),
     )
     dropout_r = root.optional_key("dropout")
     dropout = None
@@ -660,26 +623,21 @@ def scenario_from_doc(doc: dict) -> SimScenario:
             dropout_r._fail("a mapping of camera id to probability")
         for cam_id in dropout_r.value:
             dropout[cam_id] = dropout_r.key(cam_id).real()
-
-    def _opt_real(name: str, default: float) -> float:
-        r = root.optional_key(name)
-        return r.real() if r else default
-
-    layout_r = root.optional_key("sub_area_layout")
-    inner_r = root.optional_key("pinwheel_inner")
     return SimScenario(
         rig=rig,
         cameras=cameras,
         grid_b=grid_b,
         path=path,
         n_frames=root.key("n_frames").integer(),
-        frame_rate_fps=_opt_real("frame_rate_fps", DEFAULT_FRAME_RATE_FPS),
-        noise_sigma_px=_opt_real("noise_sigma_px", 0.0),
+        frame_rate_fps=root.get("frame_rate_fps", real, DEFAULT_FRAME_RATE_FPS),
+        noise_sigma_px=root.get("noise_sigma_px", real, 0.0),
         dropout=dropout,
-        bbox_half_px=_opt_real("bbox_half_px", DEFAULT_BBOX_HALF_PX),
-        confidence_jitter=_opt_real("confidence_jitter", DEFAULT_CONFIDENCE_JITTER),
-        sub_area_layout=layout_r.string() if layout_r else "five",
-        inner=inner_r.real_pair() if inner_r else (0.25, 0.75),
+        bbox_half_px=root.get("bbox_half_px", real, DEFAULT_BBOX_HALF_PX),
+        confidence_jitter=root.get(
+            "confidence_jitter", real, DEFAULT_CONFIDENCE_JITTER
+        ),
+        sub_area_layout=root.get("sub_area_layout", jsonio.DocReader.string, "five"),
+        inner=root.get("pinwheel_inner", jsonio.DocReader.real_pair, (0.25, 0.75)),
         seed=root.key("seed").integer(),
     )
 

@@ -419,3 +419,55 @@ class TestRigGeometry:
     def test_px_per_mm_positive(self):
         with pytest.raises(NonPositiveLength):
             RigGeometry(GridBox(WorldPoint3D(0, 0, 0), 1, 1, 1), px_per_mm=0.0)
+
+
+class TestOneCameraPerRole:
+    """A second camera with a role already taken is refused wherever it comes in."""
+
+    @staticmethod
+    def _second(cameras, camera_id):
+        """A copy of ``camera_id``'s entry under the id ``camera_id + "b"``."""
+        original = next(c for c in cameras if c.camera_id == camera_id)
+        return replace(original, camera_id=camera_id + "b")
+
+    @staticmethod
+    def _assert_names_role(err, camera_id, label):
+        message = str(err.value)
+        assert label in message
+        assert repr(camera_id) in message and repr(camera_id + "b") in message
+
+    @pytest.mark.parametrize("camera_id, label", [("side0", "side:0"), ("top", "top")])
+    def test_constructor(self, aligned_calibration, camera_id, label):
+        cal = aligned_calibration
+        extra = self._second(cal.cameras, camera_id)
+        with pytest.raises(FormatError) as err:
+            Calibration(cal.rig, cal.cameras + (extra,), cal.axis_map)
+        self._assert_names_role(err, camera_id, label)
+
+    @pytest.mark.parametrize("camera_id, label", [("side0", "side:0"), ("top", "top")])
+    def test_load_calibration(self, aligned_calibration, tmp_path, camera_id, label):
+        doc = calibration_doc(aligned_calibration)
+        entry = next(c for c in doc["cameras"] if c["id"] == camera_id)
+        doc["cameras"].append({**entry, "id": camera_id + "b"})
+        path = tmp_path / "rig.calib"
+        jsonio.write_doc(path, doc)
+        with pytest.raises(FormatError) as err:
+            load_calibration(path)
+        self._assert_names_role(err, camera_id, label)
+
+    @pytest.mark.parametrize("camera_id, label", [("side0", "side:0"), ("top", "top")])
+    def test_build_calibration_from_picks(self, camera_id, label):
+        picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
+        extra = self._second(picks.cameras, camera_id)
+        picks = replace(picks, cameras=picks.cameras + (extra,))
+        with pytest.raises(FormatError) as err:
+            build_calibration(picks)
+        self._assert_names_role(err, camera_id, label)
+
+    def test_role_lookups_name_the_one_camera(self, aligned_calibration):
+        cal = aligned_calibration
+        for cam in cal.cameras:
+            assert cal.role_camera(cam.role) is cam
+        no_top = replace(cal, cameras=cal.cameras[:4])
+        assert no_top.top_camera() is None
+        assert no_top.role_camera(CameraRole.side(3)).camera_id == "side3"

@@ -399,6 +399,137 @@ class TestExitCodes:
         assert read_track(track) == []
 
 
+class TestRepeatedRole:
+    """A second camera in a role is refused at calibrate and at reconstruct."""
+
+    @staticmethod
+    def _with_second(doc: dict, camera_id: str) -> dict:
+        entry = next(c for c in doc["cameras"] if c["id"] == camera_id)
+        return {**doc, "cameras": doc["cameras"] + [{**entry, "id": camera_id + "b"}]}
+
+    @pytest.mark.parametrize("camera_id, label", [("side0", "side:0"), ("top", "top")])
+    def test_calibrate(self, pipeline, tmp_path, capsys, camera_id, label):
+        picks = tmp_path / "picks.json"
+        doc = json.loads((pipeline / "sim" / "picks.json").read_text())
+        jsonio.write_doc(picks, self._with_second(doc, camera_id))
+        out = tmp_path / "calibration.json"
+        assert main(["calibrate", str(picks), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: role " + label)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("camera_id, label", [("side0", "side:0"), ("top", "top")])
+    def test_reconstruct(self, pipeline, tmp_path, capsys, camera_id, label):
+        cal = tmp_path / "calibration.json"
+        doc = json.loads((pipeline / "calibration.json").read_text())
+        jsonio.write_doc(cal, self._with_second(doc, camera_id))
+        track = tmp_path / "track.csv"
+        detections = sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv"))
+        code = main(
+            ["reconstruct", *detections, "--calibration", str(cal), "--out", str(track)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: role " + label)
+        assert "Traceback" not in err
+        assert not track.exists()
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, oversized fields and bad stats end in exit 1/2."""
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    @pytest.mark.parametrize(
+        "field", [b"\xff\xfe", b"x" * 200_000], ids=["not_utf8", "oversized"]
+    )
+    def test_reconstruct(self, pipeline, tmp_path, capsys, field, strict):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(
+            ",".join(CSV_HEADER).encode() + b"\nside0," + field
+            + b",0.0,1.0,2.0,3.0,4.0,0.9\n"
+        )
+        args = [
+            "reconstruct", str(bad),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+        ]
+        assert main(args + strict) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2, column <row>: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data", [b'{"z_reject_mm": "\xff"}', b"[" * 100_000], ids=["not_utf8", "deep"]
+    )
+    def test_config_file(self, pipeline, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+            "--config", str(cfg),
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "plotted, message",
+        [
+            (None, "missing required key 'plotted'"),
+            ("abc", "plotted: expected an integer, found str"),
+            (1e400, "plotted: expected an integer, found float"),
+            (True, "plotted: expected an integer, found bool"),
+            (2.9, "plotted: expected an integer, found float"),
+            (-4, "plotted: expected a count in [0, 2**63), found -4"),
+            (2**63, "plotted: expected a count in [0, 2**63), found "),
+        ],
+    )
+    def test_evaluate_stats(self, pipeline, tmp_path, capsys, plotted, message):
+        doc = json.loads((pipeline / "stats.json").read_text())
+        if plotted is None:
+            del doc["plotted"]
+        else:
+            doc["plotted"] = plotted
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate",
+                "--track", str(pipeline / "track.csv"),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--stats", str(stats),
+                "--report", str(report),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert out == "" and not report.exists()
+
+    def test_evaluate_stats_ignores_unknown_keys(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "stats.json").read_text())
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({**doc, "note": "anything", "extra": -1.5}))
+        code = main(
+            [
+                "evaluate",
+                "--track", str(pipeline / "track.csv"),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--stats", str(stats),
+            ]
+        )
+        assert code == 0
+        assert "plot rate (>=1 side): 1.0000" in capsys.readouterr().out
+
+
 # --- reconstruct on fuzzed detection tables ---------------------------------
 
 _REAL = st.one_of(

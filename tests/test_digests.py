@@ -1,0 +1,168 @@
+"""Every command's output on a small fixed scenario, pinned by SHA-256.
+
+One noisy run with dropout per camera model (aligned and pinhole) goes
+through ``calibrate`` (max and mean), ``reconstruct`` (best, average_all,
+no depth correction, no vertical correction), ``evaluate --report`` (plain
+and bounded), ``export`` (csv, ply, svg) and ``detmetrics``.  A change
+that is meant to keep behaviour must leave every digest as it is; one that
+changes an output on purpose updates the table and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from gridscope import jsonio
+from gridscope.cli import main
+from gridscope.detections import parse_detections_file
+from gridscope.evaluation import Segment, write_segments
+from gridscope.metrics import GT_HEADER
+
+
+def _scenario_doc(mode: str, noise: float) -> dict:
+    return {
+        "format_version": 1,
+        "seed": 17,
+        "n_frames": 60,
+        "noise_sigma_px": noise,
+        "confidence_jitter": 0.05 if noise else 0.0,
+        "dropout": {"default": 0.15 if noise else 0.0},
+        "grid_a": {"w_mm": 390.0, "d_mm": 390.0, "h_mm": 850.0},
+        "cameras": {
+            "mode": mode,
+            "resolution": [1920, 1080],
+            "side_distance_mm": 245.0,
+        },
+        "grid_b": {"origin": [120.0, 120.0, 100.0], "size": [150.0, 150.0, 400.0]},
+        "path": {
+            "face": "y_max",
+            "speed_mm_s": 20.0,
+            "loop": True,
+            "waypoints": [[150.0, 270.0, 200.0], [250.0, 270.0, 200.0]],
+        },
+    }
+
+
+RECONSTRUCT_VARIANTS = {
+    "best": [],
+    "average_all": ["--pair-strategy", "average_all"],
+    "no_depth": ["--no-depth-correction"],
+    "no_vertical": ["--no-vertical-correction"],
+}
+
+
+def _simulate(root, name: str, mode: str, noise: float):
+    scenario = root / f"{name}.json"
+    jsonio.write_doc(scenario, _scenario_doc(mode, noise))
+    out = root / name
+    assert main(["simulate", str(scenario), "--out", str(out)]) == 0
+    return out
+
+
+def _run_all(root, mode: str) -> dict[str, str]:
+    """Run every command once; returns each output file's SHA-256."""
+    sim = _simulate(root, "sim", mode, noise=1.5)
+    outputs = {}
+
+    def run(name: str, argv: list[str]):
+        path = root / name
+        flag = "--report" if argv[0] in ("evaluate", "detmetrics") else "--out"
+        assert main([*argv, flag, str(path)]) == 0
+        outputs[name] = path
+
+    for agg in ("max", "mean"):
+        run(f"calibration_{agg}.json",
+            ["calibrate", str(sim / "picks.json"), "--mde-aggregate", agg])
+    cal = str(root / "calibration_max.json")
+    detections = sorted(str(p) for p in sim.glob("detections_*.csv"))
+    for variant, flags in RECONSTRUCT_VARIANTS.items():
+        stats = root / f"stats_{variant}.json"
+        run(f"track_{variant}.csv",
+            ["reconstruct", *detections, "--calibration", cal,
+             "--stats", str(stats), *flags])
+        outputs[stats.name] = stats
+
+    segments = root / "segments.csv"
+    write_segments(
+        segments,
+        [Segment("leg0", 0.0, 1000.0, "y_max"), Segment("leg1", 1000.0, 2500.0, "y_max")],
+    )
+    evaluate = ["evaluate", "--track", str(root / "track_best.csv"),
+                "--segments", str(segments), "--calibration", cal,
+                "--grid-b", "160,120,100,80,150,400",
+                "--stats", str(root / "stats_best.json")]
+    run("report_plain.json", evaluate)
+    run("report_bounded.json", [*evaluate, "--bounded"])
+    for fmt in ("csv", "ply", "svg"):
+        run(f"export.{fmt}",
+            ["export", "--track", str(root / "track_average_all.csv"),
+             "--calibration", cal, "--format", fmt])
+
+    # detmetrics: the noisy side0 boxes against the noise-free ones
+    clean = _simulate(root, "clean", mode, noise=0.0)
+    truth = parse_detections_file(clean / "detections_side0.csv").detections
+    gt = root / "ground_truth.csv"
+    gt.write_text(
+        ",".join(GT_HEADER) + "\n"
+        + "".join(
+            f"{d.frame_index},{d.u_min!r},{d.v_min!r},{d.u_max!r},{d.v_max!r}\n"
+            for d in truth
+        )
+    )
+    run("detmetrics.json",
+        ["detmetrics", "--predictions", str(sim / "detections_side0.csv"),
+         "--ground-truth", str(gt)])
+    return {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in outputs.items()
+    }
+
+
+# Recorded before calibrations refused a repeated camera role.
+DIGESTS = {
+    "aligned": {
+        "calibration_max.json": "315c588bdff8ce6b31a41da84a91aa7e879b9d9a8d9cc2bc4fdc95dd557f77e8",
+        "calibration_mean.json": "315c588bdff8ce6b31a41da84a91aa7e879b9d9a8d9cc2bc4fdc95dd557f77e8",
+        "track_best.csv": "0e5c01fd497fcd963df442efc75c8cf2dfc69c3d72442408c858c7c41f99cf37",
+        "stats_best.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "track_average_all.csv": "6e953f6958d3c9cadd1d3e17519cb154d367c8a847b22ab59176b72db0e54e19",
+        "stats_average_all.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "track_no_depth.csv": "58f7972d212b900c0fd4c4351ade375e34f37956422657b3b9a616c2fddb7959",
+        "stats_no_depth.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "track_no_vertical.csv": "0e5c01fd497fcd963df442efc75c8cf2dfc69c3d72442408c858c7c41f99cf37",
+        "stats_no_vertical.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "report_plain.json": "fe30f1eb6dd0dc26dec4cc91e51e22a293d1bd25661f47d80d25c133baaee668",
+        "report_bounded.json": "ae41261335696c72ba82a8d1a94caf934b8bd9c6298ad9102bf3ff0f47fdacac",
+        "export.csv": "6e953f6958d3c9cadd1d3e17519cb154d367c8a847b22ab59176b72db0e54e19",
+        "export.ply": "878c730657529a4c116cb2fcc30d8ffe21490864dac0aa11cb53e1b792c8276a",
+        "export.svg": "fe521d9d34437135af36ac23f56164ddcce4cb34f670507450f652104f023326",
+        "detmetrics.json": "3c90e1038a5f8f20541dd6914d600c48e6db5e8122fb4fba64ddbcf66c2ac5ac",
+    },
+    "pinhole": {
+        "calibration_max.json": "bb853edbba33b3c59bc1600938ef83e1536d903c01b3a021efa6763d9ca80da3",
+        "calibration_mean.json": "279297cdf26d62c80e4b00fa5c082fada55eda3e9471a76105fa26f2b93f053a",
+        "track_best.csv": "06ede4768e82a9e9efd1c1426374e12e22bd15dc61dd1e9d3fddccc6fee34734",
+        "stats_best.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "track_average_all.csv": "28e28e24ec21797abdc3ab35766f5af52e1678376e60e1cdffdfa7c5cf07450d",
+        "stats_average_all.json": "a1c91934eba4b5984423f169aa50638df7fac7a4fa6d95d44b79d41c36c3c523",
+        "track_no_depth.csv": "1a40225153ac381322204d62336c2d4425bd8b1d7511bddfbaf1cadcefab501a",
+        "stats_no_depth.json": "a14b4c7a244eb2627c5a82ebcc3c5be33b2e6969b923afac54f8f5717756bbfc",
+        "track_no_vertical.csv": "ede05d1edd1a74b3429d4b11675481d5f3dd90857c58f96219d1435492726965",
+        "stats_no_vertical.json": "a14b4c7a244eb2627c5a82ebcc3c5be33b2e6969b923afac54f8f5717756bbfc",
+        "report_plain.json": "4399e39032da1790a5d41029cc7e3f671faedb08b56a846120ad36d1cf15c792",
+        "report_bounded.json": "650218bef374c27566717d81be26ee13e440bd1e37393f3aa81473f9283776f6",
+        "export.csv": "28e28e24ec21797abdc3ab35766f5af52e1678376e60e1cdffdfa7c5cf07450d",
+        "export.ply": "ae9b25965010fd07c90dd440b290be508d5b4fe4defbb3e942950b0dffbccfd2",
+        "export.svg": "24f11f708404a0043fcc6483761d5af08ca8fc0a4c78e6d386a5b6f869b9bd88",
+        "detmetrics.json": "3c90e1038a5f8f20541dd6914d600c48e6db5e8122fb4fba64ddbcf66c2ac5ac",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["aligned", "pinhole"])
+def test_output_digests(mode, tmp_path, capsys):
+    got = _run_all(tmp_path, mode)
+    capsys.readouterr()
+    assert got == DIGESTS[mode]

@@ -433,22 +433,11 @@ def _without_top(cal: Calibration) -> Calibration:
     return replace(cal, cameras=tuple(c for c in cal.cameras if c.role.is_side))
 
 
-def _with_second_side0(cal: Calibration) -> Calibration:
-    """A later camera with role side:0 whose view wins where it has one."""
-    extra = replace(
-        cal.side_camera(0),
-        camera_id="side0b",
-        sub_areas=make_cal().side_camera(0).sub_areas,
-    )
-    return replace(cal, cameras=cal.cameras + (extra,))
-
-
 CALIBRATIONS = {
     "identity": make_cal(mde_h=120.0, mde_v=260.0),
     "strips": strip_cal(),
     "strips_2px": strip_cal(px_per_mm=2.0),
     "strips_no_top": _without_top(strip_cal()),
-    "strips_two_side0": _with_second_side0(strip_cal()),
     "pinhole": build_calibration(
         marker_picks_for(make_scenario("pinhole", n_frames=1))
     ),

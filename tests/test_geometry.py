@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from gridscope.errors import (
     DegenerateQuad,
+    FormatError,
     NonPositiveLength,
     PointAtInfinity,
 )
 from gridscope.geometry import (
+    FACES,
     GridBox,
     Homography,
     ModelPoint2D,
@@ -284,3 +286,15 @@ class TestGridBox:
     def test_dimensions_must_be_positive(self):
         with pytest.raises(NonPositiveLength):
             GridBox(WorldPoint3D(0, 0, 0), 0, 10, 10)
+
+    def test_spans_and_face_planes(self):
+        box = GridBox(WorldPoint3D(100, 50, 20), 200, 150, 300)
+        assert box.spans() == {"x": (100, 300), "y": (50, 200), "z": (20, 320)}
+        planes = [box.face_plane(face) for face in FACES]
+        assert planes == [
+            ("x", 100), ("x", 300), ("y", 50), ("y", 200), ("z", 20), ("z", 320)
+        ]
+
+    def test_unknown_face_rejected(self):
+        with pytest.raises(FormatError, match="unknown face 'top'"):
+            GridBox(WorldPoint3D(0, 0, 0), 1, 1, 1).face_plane("top")

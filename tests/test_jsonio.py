@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridscope import jsonio
+from gridscope.calibration import load_calibration, load_marker_picks
+from gridscope.cli import load_run_config
 from gridscope.detections import CSV_HEADER, parse_detections_file
-from gridscope.errors import CsvError, FormatError
+from gridscope.errors import ConfigError, CsvError, FormatError
 from gridscope.evaluation import SEGMENTS_HEADER, read_segments
 from gridscope.fusion import TRACK_HEADER, read_track
 from gridscope.metrics import GT_HEADER, read_ground_truth
-from gridscope.simulate import TRUTH_HEADER, read_truth
+from gridscope.simulate import TRUTH_HEADER, load_scenario, read_truth
 
 
 class TestFormatReal:
@@ -257,3 +259,66 @@ def test_every_table_reader_rejects_non_finite_reals(
     with pytest.raises(CsvError) as err:
         reader(path, **kwargs)
     assert (err.value.row, err.value.column) == (3, header[index])
+
+
+# A row whose first field is not UTF-8, and one whose field the csv module
+# refuses as too large; either stands on line 3, after one good row.
+UNREADABLE_ROWS = {
+    "not_utf8": lambda row: b"\xff\xfe" + row.encode(),
+    "oversized_field": lambda row: ("x" * 200_000 + row).encode(),
+}
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("kind", UNREADABLE_ROWS)
+@pytest.mark.parametrize("reader, header, row, index", TABLES[1:])
+def test_every_table_reader_names_an_unreadable_row(
+    tmp_path, reader, header, row, index, kind, strict
+):
+    path = tmp_path / "table.csv"
+    path.write_bytes(
+        f"{','.join(header)}\n{row}\n".encode()
+        + UNREADABLE_ROWS[kind](row)
+        + f"\n{row}\n".encode()
+    )
+    kwargs = {"strict": strict} if reader is parse_detections_file else {}
+    with pytest.raises(CsvError) as err:
+        reader(path, **kwargs)
+    assert (err.value.row, err.value.column) == (3, "")
+
+
+def test_bad_byte_deep_in_a_large_file_names_its_line(tmp_path):
+    # the decoder reads in chunks; the reported line is still the bad one
+    row = "side0,0,1.0,1,2,3,4,0.5"
+    lines = [",".join(CSV_HEADER)] + [row] * 5000
+    lines[4321] = "side0,\udcff,1.0,1,2,3,4,0.5"
+    path = tmp_path / "table.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    with pytest.raises(CsvError) as err:
+        parse_detections_file(path)
+    assert err.value.row == 4322
+
+
+DOC_LOADERS = [
+    (jsonio.read_doc, FormatError),
+    (load_calibration, FormatError),
+    (load_marker_picks, FormatError),
+    (load_scenario, FormatError),
+    (load_run_config, ConfigError),
+]
+
+UNREADABLE_DOCS = {
+    "not_utf8": (b'{\n  "a": "\xff"\n}\n', "line 2: not UTF-8 text"),
+    "deep_nesting": (b'{"a": ' + b"[" * 100_000, "nested too deeply"),
+    "huge_integer": (b'{"a": ' + b"9" * 5000 + b"}", "top level: "),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_DOCS)
+@pytest.mark.parametrize("loader, error", DOC_LOADERS)
+def test_every_document_reader_refuses_unreadable_text(tmp_path, loader, error, kind):
+    data, message = UNREADABLE_DOCS[kind]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(error, match=message):
+        loader(path)
