@@ -66,7 +66,6 @@ from .evaluation import (
     plot_rate,
     plot_rate_two_sides,
     read_segments,
-    segment_error,
     write_segments,
 )
 from .export import export_csv, export_ply, export_svg, export_track

@@ -26,7 +26,7 @@ from .calibration import (
     save_calibration,
 )
 from .detections import DEFAULT_SYNC_TOLERANCE_MS, parse_detections_file, synchronize
-from .errors import ConfigError, GridscopeError
+from .errors import ConfigError, GridscopeError, NonPositiveLength
 from .evaluation import evaluate_track, read_segments
 from .export import EXPORT_FORMATS, export_track
 from .fusion import (
@@ -96,7 +96,7 @@ def load_run_config(path) -> RunConfig:
 
 def _merged_config(args) -> RunConfig:
     """The config file's settings, overridden by every flag given."""
-    cfg = load_run_config(args.config) if args.config else RunConfig()
+    cfg = load_run_config(args.config) if args.config is not None else RunConfig()
     updates = {
         name: getattr(args, name)
         for name in _CONFIG_READERS
@@ -113,9 +113,9 @@ def _parse_box(text: str) -> GridBox:
         )
     try:
         vals = [jsonio.real(p, "--grid-b") for p in parts]
-    except ValueError as exc:
+        return GridBox(WorldPoint3D(*vals[:3]), *vals[3:])
+    except (ValueError, NonPositiveLength) as exc:
         raise ConfigError(f"bad box {text!r}: {exc}") from exc
-    return GridBox(WorldPoint3D(vals[0], vals[1], vals[2]), vals[3], vals[4], vals[5])
 
 
 # --- subcommands ------------------------------------------------------------
@@ -175,7 +175,7 @@ def _cmd_reconstruct(args) -> int:
         pair_strategy=cfg.pair_strategy,
     )
     write_track(args.out, track)
-    if args.stats:
+    if args.stats is not None:
         jsonio.write_doc(args.stats, stats.as_doc())
         print(f"wrote {args.stats}")
     print(
@@ -192,9 +192,9 @@ def _cmd_evaluate(args) -> int:
     cal = load_calibration(args.calibration)
     track = read_track(args.track)
     segments = read_segments(args.segments)
-    box = _parse_box(args.grid_b) if args.grid_b else cal.rig.grid_a
+    box = _parse_box(args.grid_b) if args.grid_b is not None else cal.rig.grid_a
     stats = None
-    if args.stats:
+    if args.stats is not None:
         stats = FusionStats.from_doc(jsonio.read_doc(args.stats))
     report = evaluate_track(
         track,
@@ -205,7 +205,7 @@ def _cmd_evaluate(args) -> int:
         bounded=args.bounded,
     )
     sys.stdout.write(report.human_table())
-    if args.report:
+    if args.report is not None:
         jsonio.write_doc(args.report, report.as_doc())
         print(f"wrote {args.report}")
     return 0
@@ -216,7 +216,7 @@ def _cmd_detmetrics(args) -> int:
     ground_truth = read_ground_truth(args.ground_truth)
     report = evaluate_detections(predictions, ground_truth)
     sys.stdout.write(report.human_table())
-    if args.report:
+    if args.report is not None:
         jsonio.write_doc(args.report, report.as_doc())
         print(f"wrote {args.report}")
     return 0

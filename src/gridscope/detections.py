@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .errors import CsvError
 from .geometry import PixelPoint
-from .jsonio import read_table, read_table_file, real
+from .jsonio import csv_field, read_table, read_table_file, real
 
 CSV_HEADER = (
     "camera_id",
@@ -119,26 +119,22 @@ def parse_detections_file(path, strict: bool = False) -> ParseResult:
     return ParseResult(*read_table_file(path, CSV_HEADER, _detection, strict))
 
 
-def _format_real(x: float) -> str:
-    # repr of a float is the shortest string that parses back exactly
-    return repr(x)
-
-
 def write_detections(path, detections: Iterable[Detection]) -> None:
+    """Write a detections CSV; a real's repr parses back to the same float."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for d in detections:
             fh.write(
                 ",".join(
                     (
-                        d.camera_id,
-                        d.frame_index,
-                        _format_real(d.timestamp_ms),
-                        _format_real(d.u_min),
-                        _format_real(d.v_min),
-                        _format_real(d.u_max),
-                        _format_real(d.v_max),
-                        _format_real(d.confidence),
+                        csv_field(d.camera_id),
+                        csv_field(d.frame_index),
+                        repr(d.timestamp_ms),
+                        repr(d.u_min),
+                        repr(d.v_min),
+                        repr(d.u_max),
+                        repr(d.v_max),
+                        repr(d.confidence),
                     )
                 )
                 + "\n"

@@ -12,13 +12,14 @@ unweighted overall mean so long and short segments count equally.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackPoint
 from .geometry import FACES, GridBox, WorldPoint3D
-from .jsonio import read_table_file, real
+from .jsonio import csv_field, read_table_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -46,9 +47,6 @@ class Segment:
                 f"expected one of {', '.join(FACES)}"
             )
 
-    def covers(self, timestamp_ms: float) -> bool:
-        return self.t_start_ms <= timestamp_ms < self.t_end_ms
-
 
 def distance_to_face(
     point: WorldPoint3D, box: GridBox, face: str, bounded: bool = False
@@ -73,33 +71,6 @@ def distance_to_face(
         elif c > hi:
             excess_sq += (c - hi) ** 2
     return math.sqrt(plane_dist * plane_dist + excess_sq)
-
-
-def segment_error(
-    track: Sequence[TrackPoint],
-    segment: Segment,
-    box: GridBox,
-    bounded: bool = False,
-) -> tuple[float, int]:
-    """Mean face distance over the track points inside one segment.
-
-    Returns the mean error in millimetres and the number of points used.
-
-    Raises:
-        EmptySegment: no track point falls in the segment window.
-    """
-    total = 0.0
-    count = 0
-    for p in track:
-        if segment.covers(p.timestamp_ms):
-            total += distance_to_face(p.position, box, segment.face, bounded=bounded)
-            count += 1
-    if count == 0:
-        raise EmptySegment(
-            f"segment {segment.segment_id}: no track points in "
-            f"[{segment.t_start_ms}, {segment.t_end_ms})"
-        )
-    return total / count, count
 
 
 def overall_accuracy(segment_means: Sequence[float]) -> float:
@@ -127,8 +98,8 @@ def plot_rate_two_sides(stats: FusionStats) -> float:
     return stats.plotted / stats.with_two_side_detections
 
 
-def validate_segments(segments: Sequence[Segment]) -> None:
-    """Reject duplicate ids and overlapping windows."""
+def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
+    """Reject duplicate ids and overlapping windows; return them by start."""
     ids = [s.segment_id for s in segments]
     if len(set(ids)) != len(ids):
         raise FormatError(f"duplicate segment ids: {ids}")
@@ -139,6 +110,7 @@ def validate_segments(segments: Sequence[Segment]) -> None:
                 f"segments {prev.segment_id} and {nxt.segment_id} overlap "
                 f"in time"
             )
+    return ordered
 
 
 # --- segments CSV -----------------------------------------------------------
@@ -161,7 +133,8 @@ def write_segments(path, segments: Iterable[Segment]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SEGMENTS_HEADER) + "\n")
         for s in segments:
-            fh.write(f"{s.segment_id},{s.t_start_ms:.6f},{s.t_end_ms:.6f},{s.face}\n")
+            fh.write(f"{csv_field(s.segment_id)},{s.t_start_ms:.6f},"
+                     f"{s.t_end_ms:.6f},{s.face}\n")
 
 
 # --- report -----------------------------------------------------------------
@@ -231,19 +204,42 @@ def evaluate_track(
 ) -> EvaluationReport:
     """Score a track against its segment declarations.
 
+    One pass, O(N log S): windows do not overlap, so a point can only be in
+    the last one starting at or before it.  Sums run in track order.
+
     Raises:
+        EmptySegment: the first segment, in the order given, with no point.
         FormatError: a segment mean or the overall error overflows to a
             non-finite value, which finite but huge coordinates can cause.
     """
-    validate_segments(segments)
+    ordered = validate_segments(segments)
     if not segments:
         raise NoSegments("evaluation needs at least one segment")
+    starts = [s.t_start_ms for s in ordered]
+    totals = [0.0] * len(ordered)
+    counts = [0] * len(ordered)
+    for p in track:
+        i = bisect_right(starts, p.timestamp_ms) - 1
+        if i < 0 or not p.timestamp_ms < ordered[i].t_end_ms:
+            continue
+        try:
+            totals[i] += distance_to_face(
+                p.position, box, ordered[i].face, bounded=bounded
+            )
+        except OverflowError:  # a bounded excursion squared beyond the double range
+            totals[i] = math.inf
+        counts[i] += 1
+    slot = {s.segment_id: i for i, s in enumerate(ordered)}
     results = []
     for seg in segments:
-        try:
-            mean_mm, count = segment_error(track, seg, box, bounded=bounded)
-        except OverflowError:  # a bounded excursion squared beyond the double range
-            mean_mm, count = math.inf, 0
+        i = slot[seg.segment_id]
+        count = counts[i]
+        if count == 0:
+            raise EmptySegment(
+                f"segment {seg.segment_id}: no track points in "
+                f"[{seg.t_start_ms}, {seg.t_end_ms})"
+            )
+        mean_mm = totals[i] / count
         _check_finite(mean_mm, f"segment {seg.segment_id}: mean error")
         results.append(SegmentResult(seg.segment_id, seg.face, count, mean_mm))
     overall = overall_accuracy([r.mean_error_mm for r in results])

@@ -45,7 +45,7 @@ from .depth import (
 from .detections import Detection, FrameBundle
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
-from .jsonio import DocReader, read_table_file, real
+from .jsonio import DocReader, csv_field, read_table_file, real
 
 DEFAULT_Z_REJECT_MM = 30.0
 
@@ -531,7 +531,7 @@ def write_track(path, track: Iterable[TrackPoint]) -> None:
         for p in track:
             fh.write(
                 f"{p.timestamp_ms:.6f},{p.position.x:.6f},{p.position.y:.6f},"
-                f"{p.position.z:.6f},{p.pair[0]},{p.pair[1]},"
+                f"{p.position.z:.6f},{csv_field(p.pair[0])},{csv_field(p.pair[1])},"
                 f"{p.z_disagreement_mm:.6f},"
                 f"{'true' if p.depth_corrected else 'false'}\n"
             )

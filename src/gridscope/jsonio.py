@@ -264,6 +264,13 @@ def real(text: str, column: str) -> float:
     return value
 
 
+def csv_field(text: str) -> str:
+    """Quote ``text`` for a CSV row, doubling its quotes, if it holds , " CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def read_table(
     lines: Iterable[str],
     header: tuple[str, ...],

@@ -353,3 +353,50 @@ def mean_point_error(track_points, truth_by_timestamp) -> float:
             )
         )
     return sum(errs) / len(errs)
+
+
+# --- per-segment scan of a track ----------------------------------------------
+
+
+def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
+    """evaluate_track as a scan of the whole track for every segment.
+
+    O(points x segments); each segment sums its points' face distances in
+    track order, and the first bad segment in the order given raises.
+    """
+    from gridscope.errors import EmptySegment, NoSegments
+    from gridscope.evaluation import (
+        EvaluationReport,
+        SegmentResult,
+        _check_finite,
+        distance_to_face,
+        overall_accuracy,
+        validate_segments,
+    )
+
+    validate_segments(segments)
+    if not segments:
+        raise NoSegments("evaluation needs at least one segment")
+    results = []
+    for seg in segments:
+        total = 0.0
+        count = 0
+        try:
+            for p in track:
+                if seg.t_start_ms <= p.timestamp_ms < seg.t_end_ms:
+                    total += distance_to_face(p.position, box, seg.face, bounded=bounded)
+                    count += 1
+        except OverflowError:
+            total, count = math.inf, 1
+        if count == 0:
+            raise EmptySegment(
+                f"segment {seg.segment_id}: no track points in "
+                f"[{seg.t_start_ms}, {seg.t_end_ms})"
+            )
+        mean_mm = total / count
+        _check_finite(mean_mm, f"segment {seg.segment_id}: mean error")
+        results.append(SegmentResult(seg.segment_id, seg.face, count, mean_mm))
+    overall = overall_accuracy([r.mean_error_mm for r in results])
+    _check_finite(overall, "overall mean error")
+    _check_finite(overall * px_per_mm, "overall mean error in model px")
+    return EvaluationReport(tuple(results), overall, overall * px_per_mm, None, None)

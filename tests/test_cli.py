@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 
 from gridscope import jsonio
 from gridscope.cli import RunConfig, load_run_config, main
-from gridscope.detections import CSV_HEADER, Detection, write_detections
+from gridscope.detections import (
+    CSV_HEADER,
+    Detection,
+    parse_detections_file,
+    write_detections,
+)
 from gridscope.errors import ConfigError
 from gridscope.evaluation import Segment, write_segments
 from gridscope.fusion import read_track
@@ -397,6 +403,99 @@ class TestExitCodes:
         assert main(args) == 0
         capsys.readouterr()
         assert read_track(track) == []
+
+
+class TestFlagValues:
+    """An empty value or a bad box size is refused, never taken as absent."""
+
+    @staticmethod
+    def _evaluate(pipeline, *flags):
+        return [
+            "evaluate",
+            "--track", str(pipeline / "track.csv"),
+            "--segments", str(pipeline / "segments.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            *flags,
+        ]
+
+    @pytest.mark.parametrize(
+        "grid_b", ["", "120,120,100,0,150,400", "120,120,100,150,-150,400"]
+    )
+    def test_grid_b(self, pipeline, capsys, grid_b):
+        assert main(self._evaluate(pipeline, "--grid-b", grid_b)) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--stats", "--report"])
+    def test_evaluate_empty_path(self, pipeline, capsys, flag):
+        assert main(self._evaluate(pipeline, flag, "")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--stats", "--config"])
+    def test_reconstruct_empty_path(self, pipeline, tmp_path, capsys, flag):
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+            flag, "",
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    def test_detmetrics_empty_report(self, tmp_path, capsys):
+        preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
+        write_detections(preds, [Detection("det", "0", 0.0, 0.0, 0.0, 10.0, 10.0, 0.9)])
+        gt.write_text("frame_id,u_min,v_min,u_max,v_max\n0,0,0,10,10\n")
+        args = ["detmetrics", "--predictions", str(preds), "--ground-truth", str(gt)]
+        assert main(args + ["--report", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+
+def test_camera_ids_with_a_comma_survive_the_pipeline(pipeline, tmp_path, capsys):
+    renamed = {"side0": "si,de0", "side1": 'si"de,1', "top": "t,o\np"}
+    doc = json.loads((pipeline / "calibration.json").read_text())
+    for camera in doc["cameras"]:
+        camera["id"] = renamed.get(camera["id"], camera["id"])
+    cal = tmp_path / "calibration.json"
+    jsonio.write_doc(cal, doc)
+    detection_files = []
+    for path in sorted((pipeline / "sim").glob("detections_*.csv")):
+        out = tmp_path / path.name
+        write_detections(
+            out,
+            (
+                replace(d, camera_id=renamed.get(d.camera_id, d.camera_id))
+                for d in parse_detections_file(path, strict=True).detections
+            ),
+        )
+        detection_files.append(str(out))
+    track, exported = tmp_path / "track.csv", tmp_path / "export.csv"
+    assert main(
+        ["reconstruct", *detection_files, "--strict",
+         "--calibration", str(cal), "--out", str(track)]
+    ) == 0
+    assert main(
+        ["export", "--track", str(track), "--calibration", str(cal),
+         "--format", "csv", "--out", str(exported)]
+    ) == 0
+    assert exported.read_bytes() == track.read_bytes()
+    assert read_track(exported)[0].pair == ("si,de0", 'si"de,1')
+    capsys.readouterr()
+
+    def evaluate(track_file, cal_file):
+        assert main(
+            ["evaluate", "--track", str(track_file), "--segments",
+             str(pipeline / "segments.csv"), "--calibration", str(cal_file)]
+        ) == 0
+        return capsys.readouterr().out
+
+    assert evaluate(exported, cal) == evaluate(
+        pipeline / "track.csv", pipeline / "calibration.json"
+    )
 
 
 class TestRepeatedRole:

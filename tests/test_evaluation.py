@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import scan_evaluate_track
 
 from gridscope.errors import (
     CsvError,
     EmptySegment,
     FormatError,
+    GridscopeError,
     NoDetections,
     NoSegments,
 )
@@ -20,12 +24,12 @@ from gridscope.evaluation import (
     plot_rate,
     plot_rate_two_sides,
     read_segments,
-    segment_error,
     validate_segments,
     write_segments,
 )
 from gridscope.fusion import FusionStats, TrackPoint
 from gridscope.geometry import GridBox, WorldPoint3D
+from gridscope.jsonio import dumps_doc
 
 BOX = GridBox(WorldPoint3D(100.0, 100.0, 50.0), 200.0, 150.0, 300.0)
 
@@ -35,13 +39,6 @@ def tp(ts, x, y, z):
 
 
 class TestSegment:
-    def test_covers_half_open(self):
-        s = Segment("s1", 100.0, 200.0, "y_max")
-        assert s.covers(100.0)
-        assert s.covers(199.999)
-        assert not s.covers(200.0)
-        assert not s.covers(99.999)
-
     def test_validation(self):
         with pytest.raises(FormatError):
             Segment("", 0.0, 1.0, "y_max")
@@ -85,23 +82,6 @@ class TestDistanceToFace:
         p = WorldPoint3D(340.0, 250.0, 30.0)  # 40 past x_max, 20 below z_min
         d = distance_to_face(p, BOX, "y_max", bounded=True)
         assert d == pytest.approx(math.sqrt(40.0**2 + 20.0**2), rel=1e-12)
-
-
-class TestSegmentError:
-    def test_mean_over_covered_points(self):
-        track = [
-            tp(0.0, 150.0, 240.0, 80.0),   # 10 off y_max
-            tp(10.0, 150.0, 270.0, 80.0),  # 20 off
-            tp(999.0, 150.0, 999.0, 80.0),  # outside the window
-        ]
-        seg = Segment("s1", 0.0, 100.0, "y_max")
-        mean, count = segment_error(track, seg, BOX)
-        assert (mean, count) == (15.0, 2)
-
-    def test_empty_segment_raises(self):
-        seg = Segment("s1", 0.0, 100.0, "y_max")
-        with pytest.raises(EmptySegment):
-            segment_error([tp(500.0, 0, 0, 0)], seg, BOX)
 
 
 class TestRates:
@@ -231,6 +211,36 @@ class TestEvaluateTrack:
         assert report.plot_rate_one_side == 0.75
         assert report.plot_rate_two_sides is None
 
+    def test_windows_are_half_open(self):
+        track = [
+            tp(0.0, 150.0, 240.0, 80.0),  # a's start: 10 off y_max
+            tp(49.999, 150.0, 230.0, 80.0),  # just inside a: 20 off
+            tp(50.0, 150.0, 220.0, 80.0),  # a's end is b's start: 30 off
+            tp(100.0, 150.0, 0.0, 80.0),  # b's end, in no window
+            tp(-1.0, 150.0, 0.0, 80.0),  # before every window
+        ]
+        segments = [Segment("b", 50.0, 100.0, "y_max"), Segment("a", 0.0, 50.0, "y_max")]
+        report = evaluate_track(track, segments, BOX)
+        assert [(s.segment_id, s.points, s.mean_error_mm) for s in report.segments] == [
+            ("b", 1, 30.0),
+            ("a", 2, 15.0),
+        ]
+
+    def test_point_in_a_gap_is_not_scored(self):
+        track = [tp(5.0, 150.0, 240.0, 80.0), tp(15.0, 150.0, 0.0, 80.0)]
+        segments = [Segment("a", 0.0, 10.0, "y_max"), Segment("b", 20.0, 30.0, "y_max")]
+        with pytest.raises(EmptySegment, match="segment b: no track points in"):
+            evaluate_track(track, segments, BOX)
+
+    def test_first_empty_segment_in_given_order_is_named(self):
+        segments = [
+            Segment("late", 20.0, 30.0, "y_max"),
+            Segment("mid", 10.0, 20.0, "y_max"),
+            Segment("early", 0.0, 10.0, "y_max"),
+        ]
+        with pytest.raises(EmptySegment, match=r"segment late: .* \[20.0, 30.0\)"):
+            evaluate_track([tp(15.0, 150.0, 240.0, 80.0)], segments, BOX)
+
     def test_no_segments(self):
         with pytest.raises(NoSegments):
             evaluate_track([tp(0.0, 0, 0, 0)], [], BOX)
@@ -280,3 +290,64 @@ class TestEvaluateTrack:
         ]
         with pytest.raises(FormatError, match=what):
             evaluate_track(track, segments, BOX, px_per_mm=px_per_mm)
+
+
+# --- one pass against the per-segment scan -------------------------------------
+
+
+@st.composite
+def _scoring_case(draw):
+    """Windows given out of time order, some sharing a boundary, some with a
+    gap between; an unsorted track with timestamps on the boundaries, inside
+    and outside them; in some cases an empty window, in half the cases
+    coordinates near the double maximum."""
+    bounds = sorted(draw(st.sets(st.integers(0, 40), min_size=2, max_size=8)))
+    faces = st.sampled_from(FACES)
+    segments = [
+        Segment(f"s{j}", float(lo), float(hi), draw(faces))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        if draw(st.integers(0, 4))
+    ]
+    coord = st.floats(-500.0, 1000.0)
+    if draw(st.booleans()):
+        coord = coord | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
+    least = 0 if draw(st.integers(0, 3)) == 0 else 1
+    times = [
+        t
+        for s in segments
+        for t in draw(
+            st.lists(
+                st.sampled_from([s.t_start_ms, s.t_end_ms - 1e-9])
+                | st.floats(s.t_start_ms, s.t_end_ms, exclude_max=True),
+                min_size=least,
+                max_size=4,
+            )
+        )
+    ]
+    times += draw(
+        st.lists(
+            st.sampled_from(bounds).map(float)
+            | st.floats(-2.0, 42.0)
+            | st.integers(-2, 42).map(lambda t: t - 1e-9),
+            max_size=8,
+        )
+    )
+    track = [tp(t, draw(coord), draw(coord), draw(coord)) for t in times]
+    return draw(st.permutations(track)), draw(st.permutations(segments))
+
+
+def _outcome(score, track, segments, px_per_mm, bounded):
+    try:
+        report = score(track, segments, BOX, px_per_mm=px_per_mm, bounded=bounded)
+    except GridscopeError as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return dumps_doc(report.as_doc()), report.human_table()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scoring_case(), st.sampled_from([1.0, 2.0]), st.booleans())
+def test_one_pass_equals_per_segment_scan(case, px_per_mm, bounded):
+    track, segments = case
+    assert _outcome(evaluate_track, track, segments, px_per_mm, bounded) == (
+        _outcome(scan_evaluate_track, track, segments, px_per_mm, bounded)
+    )

@@ -1,18 +1,31 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscope import jsonio
 from gridscope.calibration import load_calibration, load_marker_picks
 from gridscope.cli import load_run_config
-from gridscope.detections import CSV_HEADER, parse_detections_file
+from gridscope.detections import (
+    CSV_HEADER,
+    Detection,
+    parse_detections_file,
+    write_detections,
+)
 from gridscope.errors import ConfigError, CsvError, FormatError
-from gridscope.evaluation import SEGMENTS_HEADER, read_segments
-from gridscope.fusion import TRACK_HEADER, read_track
+from gridscope.evaluation import (
+    SEGMENTS_HEADER,
+    Segment,
+    read_segments,
+    write_segments,
+)
+from gridscope.fusion import TRACK_HEADER, TrackPoint, read_track, write_track
+from gridscope.geometry import WorldPoint3D
 from gridscope.metrics import GT_HEADER, read_ground_truth
 from gridscope.simulate import TRUTH_HEADER, load_scenario, read_truth
 
@@ -322,3 +335,81 @@ def test_every_document_reader_refuses_unreadable_text(tmp_path, loader, error, 
     path.write_bytes(data)
     with pytest.raises(error, match=message):
         loader(path)
+
+
+# --- text fields through the CSV writers ---------------------------------------
+
+# Ids with the characters that need quoting; the reader strips the spaces
+# around a field, so an id neither starts nor ends with whitespace.
+_ID = st.text(
+    st.sampled_from(["a", "Z", "7", "_", ",", '"', "\r", "\n", " ", "\u00e9"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    min_size=1,
+    max_size=8,
+).filter(lambda text: text == text.strip())
+
+
+class TestCsvField:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("side0", "side0"),
+            ("si,de0", '"si,de0"'),
+            ('a"b', '"a""b"'),
+            ("a\rb", '"a\rb"'),
+            ("a\nb", '"a\nb"'),
+            ("a b", "a b"),
+        ],
+    )
+    def test_quotes_only_what_needs_it(self, text, field):
+        assert jsonio.csv_field(text) == field
+
+
+def _fixed_point(tmp_path, write, read, items):
+    """Write, read back and write again; return what was read."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write(first, items)
+    back = read(first)
+    write(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    return back
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ID, _ID), min_size=1, max_size=4))
+def test_track_text_fields_are_a_fixed_point(pairs):
+    track = [
+        TrackPoint(float(i), WorldPoint3D(1.5, -2.25, 3.0), pair, 0.5, i % 2 == 0)
+        for i, pair in enumerate(pairs)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        back = _fixed_point(Path(tmp), write_track, read_track, track)
+    assert [p.pair for p in back] == pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ID, _ID), min_size=1, max_size=4))
+def test_detections_text_fields_are_a_fixed_point(ids):
+    detections = [
+        Detection(camera, frame, float(i), 1.0, 2.0, 3.5, 4.0, 0.75)
+        for i, (camera, frame) in enumerate(ids)
+    ]
+
+    def read(path):
+        return parse_detections_file(path, strict=True).detections
+
+    with tempfile.TemporaryDirectory() as tmp:
+        back = _fixed_point(Path(tmp), write_detections, read, detections)
+    assert back == detections
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ID, min_size=1, max_size=4, unique=True))
+def test_segments_text_fields_are_a_fixed_point(ids):
+    segments = [
+        Segment(segment_id, 10.0 * i, 10.0 * i + 5.0, "y_max")
+        for i, segment_id in enumerate(ids)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        back = _fixed_point(Path(tmp), write_segments, read_segments, segments)
+    assert back == segments

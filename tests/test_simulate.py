@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -370,14 +371,14 @@ class TestGenerate:
             "detections_side3", "detections_top",
         }
         for path in files.values():
-            assert len(open(path).read()) > 0
+            assert Path(path).stat().st_size > 0
 
     def test_write_generated_deterministic(self, tmp_path):
         scenario = make_scenario(noise_sigma_px=1.5, seed=11, n_frames=5)
         files_a = write_generated(generate_scenario(scenario), tmp_path / "a")
         files_b = write_generated(generate_scenario(scenario), tmp_path / "b")
         for key in files_a:
-            assert open(files_a[key], "rb").read() == open(files_b[key], "rb").read()
+            assert Path(files_a[key]).read_bytes() == Path(files_b[key]).read_bytes()
 
 
 class TestTruthFile:
