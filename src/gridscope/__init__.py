@@ -33,7 +33,6 @@ from .detections import (
     FrameBundle,
     parse_detections,
     parse_detections_file,
-    select_primary,
     synchronize,
     write_detections,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -174,9 +175,16 @@ def _cmd_reconstruct(args) -> int:
         vertical_correction=cfg.vertical_correction,
         pair_strategy=cfg.pair_strategy,
     )
+    track_is_new = not os.path.lexists(args.out)
     write_track(args.out, track)
     if args.stats is not None:
-        jsonio.write_doc(args.stats, stats.as_doc())
+        try:
+            jsonio.write_doc(args.stats, stats.as_doc())
+        except BaseException:
+            # a failed run leaves no track behind that it made itself
+            if track_is_new:
+                os.remove(args.out)
+            raise
         print(f"wrote {args.stats}")
     print(
         f"{len(detections)} detections -> {stats.total} bundles -> "
@@ -204,9 +212,10 @@ def _cmd_evaluate(args) -> int:
         stats=stats,
         bounded=args.bounded,
     )
-    sys.stdout.write(report.human_table())
     if args.report is not None:
         jsonio.write_doc(args.report, report.as_doc())
+    sys.stdout.write(report.human_table())
+    if args.report is not None:
         print(f"wrote {args.report}")
     return 0
 
@@ -215,9 +224,10 @@ def _cmd_detmetrics(args) -> int:
     predictions = read_predictions(args.predictions)
     ground_truth = read_ground_truth(args.ground_truth)
     report = evaluate_detections(predictions, ground_truth)
-    sys.stdout.write(report.human_table())
     if args.report is not None:
         jsonio.write_doc(args.report, report.as_doc())
+    sys.stdout.write(report.human_table())
+    if args.report is not None:
         print(f"wrote {args.report}")
     return 0
 

@@ -4,8 +4,10 @@ The detector side of the system hands over per-camera CSV files with the
 fixed header ``camera_id,frame_index,timestamp_ms,u_min,v_min,u_max,v_max,
 confidence``.  Parsing runs in strict mode (first bad row aborts with a
 CsvError naming row and column) or lenient mode (bad rows are skipped and
-reported).  Cameras run free, so bundles are assembled by greedy
-nearest-timestamp grouping around a reference camera.
+reported).  Cameras run free, so bundles are assembled in two steps: one
+sort per camera picks the detection that stands for each camera frame,
+then greedy nearest-timestamp grouping joins those frames around a
+reference camera.
 """
 
 from __future__ import annotations
@@ -141,21 +143,6 @@ def write_detections(path, detections: Iterable[Detection]) -> None:
             )
 
 
-def select_primary(detections: Iterable[Detection]) -> Detection | None:
-    """The single detection that represents a camera frame.
-
-    Highest confidence wins; ties fall to the larger box, then to the
-    lexicographically smallest box tuple so the choice is deterministic.
-    """
-    best: Detection | None = None
-    best_key = None
-    for det in detections:
-        key = (-det.confidence, -det.area, det.bbox)
-        if best is None or key < best_key:
-            best, best_key = det, key
-    return best
-
-
 @dataclass(frozen=True)
 class FrameBundle:
     """At most one detection per camera, grouped around one instant."""
@@ -167,20 +154,6 @@ class FrameBundle:
         return tuple(sorted(self.per_camera))
 
 
-def _free(parent: list[int], j: int) -> int:
-    """Follow ``parent`` from ``j`` until it leaves the list or stops moving.
-
-    Every index on the way is then pointed straight at that end (path
-    compression), so later lookups skip the whole claimed run at once.
-    """
-    root = j
-    while 0 <= root < len(parent) and parent[root] != root:
-        root = parent[root]
-    while j != root:
-        parent[j], j = root, parent[j]
-    return root
-
-
 def synchronize(
     detections: Iterable[Detection],
     tolerance_ms: float = DEFAULT_SYNC_TOLERANCE_MS,
@@ -189,72 +162,70 @@ def synchronize(
     """Group per-camera detections into time-aligned bundles.
 
     Within each camera, detections sharing a timestamp are first reduced to
-    one representative via select_primary.  The reference camera's
-    detections then seed one bundle each, in time order; every other camera
-    contributes its nearest-in-time unused detection when the offset is
-    within ``tolerance_ms`` (an exact tie between an earlier and a later
-    candidate takes the earlier one).  No detection lands in two bundles,
-    and the bundle count never exceeds the reference camera's detection
-    count.  Claimed slots are skipped through path-compressed "next free
-    slot" links, so the pass costs O(n log n) per camera.
+    one representative: the highest confidence, then the larger box, then
+    the lexicographically smallest box tuple, then the earliest row.  The
+    reference camera's detections then seed one bundle each, in time order;
+    every other camera contributes its nearest-in-time unused detection
+    when the offset is within ``tolerance_ms`` (an exact tie between an
+    earlier and a later candidate takes the earlier one).  No detection
+    lands in two bundles, and the bundle count never exceeds the reference
+    camera's detection count.  Each camera costs one sort, then one stack
+    and one pointer over its claimed slots: O(n log n) per camera.
 
     Args:
         reference_camera: camera id to group around.  When absent from the
             data (or None), the camera whose first detection is earliest is
             used, ties broken by camera id.
     """
-    if tolerance_ms < 0:
+    if not tolerance_ms >= 0:
         raise ValueError(f"tolerance_ms must be >= 0, got {tolerance_ms}")
-    per_frame: dict[tuple[str, float], list[Detection]] = {}
-    for det in detections:
-        per_frame.setdefault((det.camera_id, det.timestamp_ms), []).append(det)
     by_camera: dict[str, list[Detection]] = {}
-    for (camera_id, _), group in per_frame.items():
-        chosen = select_primary(group)
-        assert chosen is not None
-        by_camera.setdefault(camera_id, []).append(chosen)
-    for dets in by_camera.values():
-        dets.sort(key=lambda d: d.timestamp_ms)
+    for det in detections:
+        by_camera.setdefault(det.camera_id, []).append(det)
     if not by_camera:
         return []
+    for cam, dets in by_camera.items():
+        # stable, so a full tie keeps the earliest row first in its run
+        dets.sort(key=lambda d: (d.timestamp_ms, -d.confidence, -d.area, d.bbox))
+        by_camera[cam] = [
+            d for k, d in enumerate(dets)
+            if k == 0 or d.timestamp_ms != dets[k - 1].timestamp_ms
+        ]
 
     if reference_camera is None or reference_camera not in by_camera:
         reference_camera = min(
             by_camera, key=lambda cam: (by_camera[cam][0].timestamp_ms, cam)
         )
 
-    others = [cam for cam in sorted(by_camera) if cam != reference_camera]
-    times = {cam: [d.timestamp_ms for d in by_camera[cam]] for cam in others}
-    # Per camera, two "next free slot" forests over the detection indices:
-    # _free(left, j) is the largest unclaimed index <= j (or -1) and
-    # _free(right, j) the smallest unclaimed index >= j (or len).
-    left = {cam: list(range(len(ts))) for cam, ts in times.items()}
-    right = {cam: list(range(len(ts))) for cam, ts in times.items()}
-
-    def claim_nearest(cam: str, t: float) -> Detection | None:
-        ts = times[cam]
-        i = bisect.bisect_left(ts, t)
-        # ts[lo] < t <= ts[hi]: the earlier candidate is tried first and
-        # the later one must be strictly nearer to win
-        lo = _free(left[cam], i - 1)
-        hi = _free(right[cam], i)
-        best = lo if lo >= 0 and t - ts[lo] <= tolerance_ms else None
-        if hi < len(ts) and ts[hi] - t <= tolerance_ms and (
-            best is None or ts[hi] - t < t - ts[best]
-        ):
-            best = hi
-        if best is None:
-            return None
-        left[cam][best] = best - 1
-        right[cam][best] = best + 1
-        return by_camera[cam][best]
-
-    bundles: list[FrameBundle] = []
-    for ref_det in by_camera[reference_camera]:
-        members = {reference_camera: ref_det}
-        for cam in others:
-            hit = claim_nearest(cam, ref_det.timestamp_ms)
-            if hit is not None:
-                members[cam] = hit
-        bundles.append(FrameBundle(ref_det.timestamp_ms, members))
-    return bundles
+    refs = by_camera[reference_camera]
+    members = [{reference_camera: ref} for ref in refs]
+    for cam in sorted(by_camera):
+        if cam == reference_camera:
+            continue
+        dets = by_camera[cam]
+        ts = [d.timestamp_ms for d in dets]
+        # The reference times ascend, so the insertion point never moves
+        # left and the slots from it up to ``right`` are all claimed.  The
+        # unclaimed slots below ``right`` sit on ``free``, largest on top;
+        # every slot from ``right`` on is unclaimed.
+        free: list[int] = []
+        right = 0
+        for ref, per_camera in zip(refs, members):
+            t = ref.timestamp_ms
+            i = bisect.bisect_left(ts, t)
+            if i > right:
+                free.extend(range(right, i))
+                right = i
+            # ts[free[-1]] < t <= ts[right]: the earlier candidate is tried
+            # first and the later one must be strictly nearer to win
+            early = free[-1] if free and t - ts[free[-1]] <= tolerance_ms else None
+            if (
+                right < len(ts)
+                and ts[right] - t <= tolerance_ms
+                and (early is None or ts[right] - t < t - ts[early])
+            ):
+                per_camera[cam] = dets[right]
+                right += 1
+            elif early is not None:
+                per_camera[cam] = dets[free.pop()]
+    return [FrameBundle(ref.timestamp_ms, m) for ref, m in zip(refs, members)]

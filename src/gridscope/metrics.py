@@ -151,10 +151,6 @@ def _average_precisions(
     return [_interpolated_ap(f, len(ground_truth)) for f in flags]
 
 
-def _map_summary(aps: Sequence[float]) -> tuple[float, float]:
-    return aps[0], sum(aps) / len(aps)
-
-
 @dataclass(frozen=True)
 class MatchOutcome:
     """Counts from matching one prediction set at one IoU threshold."""
@@ -216,15 +212,6 @@ def average_precision(
     """
     flags = _match_flags(predictions, ground_truth, (iou_threshold,))
     return _average_precisions(flags, ground_truth)[0]
-
-
-def map_range(
-    predictions: Sequence[Detection],
-    ground_truth: Sequence[GroundTruthBox],
-) -> tuple[float, float]:
-    """(mAP at 0.50, mean AP over 0.50:0.05:0.95)."""
-    flags = _match_flags(predictions, ground_truth, MAP_THRESHOLDS)
-    return _map_summary(_average_precisions(flags, ground_truth))
 
 
 def fitness(precision: float, recall: float, map50: float, map5095: float) -> float:
@@ -293,7 +280,7 @@ def evaluate_detections(
     # MAP_THRESHOLDS[0] is 0.50, the precision/recall threshold
     precision, recall = precision_recall(_outcome(flags[0], len(ground_truth)))
     aps = _average_precisions(flags, ground_truth)
-    map50, map5095 = _map_summary(aps)
+    map50, map5095 = aps[0], sum(aps) / len(aps)
     return MetricsReport(
         precision=precision,
         recall=recall,

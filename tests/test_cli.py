@@ -427,23 +427,28 @@ class TestFlagValues:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert out == ""
 
+    # A run that fails prints nothing to stdout and leaves no output file.
     @pytest.mark.parametrize("flag", ["--stats", "--report"])
     def test_evaluate_empty_path(self, pipeline, capsys, flag):
         assert main(self._evaluate(pipeline, flag, "")) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize("flag", ["--stats", "--config"])
     def test_reconstruct_empty_path(self, pipeline, tmp_path, capsys, flag):
+        track = tmp_path / "track.csv"
         args = [
             "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
             "--calibration", str(pipeline / "calibration.json"),
-            "--out", str(tmp_path / "track.csv"),
+            "--out", str(track),
             flag, "",
         ]
         assert main(args) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert out == ""
+        assert not track.exists()
 
     def test_detmetrics_empty_report(self, tmp_path, capsys):
         preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
@@ -451,8 +456,9 @@ class TestFlagValues:
         gt.write_text("frame_id,u_min,v_min,u_max,v_max\n0,0,0,10,10\n")
         args = ["detmetrics", "--predictions", str(preds), "--ground-truth", str(gt)]
         assert main(args + ["--report", ""]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert out == ""
 
 
 def test_camera_ids_with_a_comma_survive_the_pipeline(pipeline, tmp_path, capsys):

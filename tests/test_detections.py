@@ -9,7 +9,6 @@ from gridscope.detections import (
     bbox_center,
     parse_detections,
     parse_detections_file,
-    select_primary,
     synchronize,
     write_detections,
 )
@@ -168,25 +167,6 @@ class TestParse:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestSelectPrimary:
-    def test_empty(self):
-        assert select_primary([]) is None
-
-    def test_highest_confidence_wins(self):
-        a, b = det(conf=0.5), det(conf=0.9)
-        assert select_primary([a, b]) is b
-
-    def test_confidence_tie_larger_area(self):
-        small = det(conf=0.8, box=(0, 0, 5, 5))
-        big = det(conf=0.8, box=(0, 0, 9, 9))
-        assert select_primary([small, big]) is big
-
-    def test_full_tie_lexicographic_bbox(self):
-        left = det(conf=0.8, box=(0.0, 0.0, 2.0, 8.0))
-        right = det(conf=0.8, box=(1.0, 0.0, 3.0, 8.0))
-        assert select_primary([right, left]) is left
-
-
 class TestSynchronize:
     def test_empty(self):
         assert synchronize([]) == []
@@ -194,6 +174,10 @@ class TestSynchronize:
     def test_negative_tolerance(self):
         with pytest.raises(ValueError):
             synchronize([], tolerance_ms=-1.0)
+
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            synchronize([det("a", 100.0)], tolerance_ms=float("nan"))
 
     def test_basic_bundling(self):
         dets = [
@@ -237,6 +221,31 @@ class TestSynchronize:
         ]
         bundles = synchronize(dets, reference_camera="b")
         assert bundles[0].per_camera["a"].confidence == 0.9
+
+    @pytest.mark.parametrize(
+        "rows, winner",
+        [
+            pytest.param([{"conf": 0.5}, {"conf": 0.9}], 1, id="highest-confidence"),
+            pytest.param(
+                [{"conf": 0.8, "box": (0, 0, 5, 5)}, {"conf": 0.8, "box": (0, 0, 9, 9)}],
+                1,
+                id="confidence-tie-larger-area",
+            ),
+            pytest.param(
+                [
+                    {"conf": 0.8, "box": (1.0, 0.0, 3.0, 8.0)},
+                    {"conf": 0.8, "box": (0.0, 0.0, 2.0, 8.0)},
+                ],
+                1,
+                id="area-tie-smallest-bbox",
+            ),
+            pytest.param([{"frame": "0"}, {"frame": "1"}], 0, id="full-tie-earliest-row"),
+        ],
+    )
+    def test_one_detection_per_camera_frame(self, rows, winner):
+        dets = [det("a", 100.0, **row) for row in rows]
+        [bundle] = synchronize(dets)
+        assert bundle.per_camera["a"] is dets[winner]
 
     def test_no_detection_claimed_twice(self):
         dets = [det("a", 100.0), det("a", 110.0), det("b", 105.0)]
@@ -289,13 +298,20 @@ def clock(cam, times, conf=1.0):
     return [det(cam, t, conf=conf, frame=str(k)) for k, t in enumerate(times)]
 
 
+# Two boxes of one area at different positions, and one larger box.
+CLOCK_BOXES = ((0.0, 0.0, 4.0, 4.0), (1.0, 1.0, 5.0, 5.0), (0.0, 0.0, 10.0, 10.0))
+
+
 @st.composite
 def multi_camera_clocks(draw):
     """2-4 cameras on lockstep or jittered clocks, up to 300 frames each.
 
     Camera "a" never drops a frame; the others drop at random.  Jitter and
     clock lag come from a few fractions of the frame gap, so exact
-    earlier/later ties and shared timestamps both occur.
+    earlier/later ties and shared timestamps both occur.  A frame may hold
+    up to three detections, which then differ in confidence, box area or
+    box position, or tie on all three; every row gets its own frame index,
+    so the rows of a full tie stay apart.
     """
     n_frames = draw(st.integers(1, 300))
     rng = draw(st.randoms(use_true_random=False))
@@ -308,7 +324,10 @@ def multi_camera_clocks(draw):
             if rng.random() < drop:
                 continue
             t = (f + 1 + rng.choice(jitter)) * FRAME_GAP_MS + lag
-            dets.append(det(cam, t, conf=rng.choice([0.5, 1.0]), frame=str(f)))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                conf = rng.choice((0.5, 1.0))
+                box = rng.choice(CLOCK_BOXES)
+                dets.append(det(cam, t, conf=conf, box=box, frame=str(len(dets))))
     return dets
 
 
@@ -340,6 +359,12 @@ def multi_camera_clocks(draw):
 # an exact earlier/later tie, both at the inclusive tolerance
 @example(
     dets=clock("a", [50.0]) + clock("b", [40.0, 60.0]), tolerance=10.0, reference="a"
+)
+# -0.0 and 0.0 are one timestamp, so one frame of camera "a"
+@example(
+    dets=[det("a", -0.0, conf=0.5, frame="0"), det("a", 0.0, conf=1.0, frame="1")],
+    tolerance=0.0,
+    reference="a",
 )
 def test_synchronize_matches_quadratic_reference_on_long_clocks(
     dets, tolerance, reference

@@ -15,7 +15,6 @@ from gridscope.metrics import (
     evaluate_detections,
     fitness,
     iou,
-    map_range,
     match_greedy,
     precision_recall,
     read_ground_truth,
@@ -264,12 +263,6 @@ class TestEvaluateDetections:
         aps = [ap for _, ap in report.per_threshold]
         assert aps == sorted(aps, reverse=True)  # monotone for this data
 
-    def test_map_range_consistent(self):
-        preds, boxes = self.fixture()
-        map50, map5095 = map_range(preds, boxes)
-        report = evaluate_detections(preds, boxes)
-        assert (map50, map5095) == (report.map50, report.map5095)
-
     def test_doc_and_table(self):
         preds, boxes = self.fixture()
         report = evaluate_detections(preds, boxes)
@@ -291,12 +284,6 @@ class TestEvaluateDetections:
         preds, _ = self.fixture()
         with pytest.raises(UndefinedMetric, match="recall"):
             evaluate_detections(preds, [])
-
-    def test_map_range_without_predictions_or_ground_truth(self):
-        preds, boxes = self.fixture()
-        assert map_range([], boxes) == (0.0, 0.0)
-        with pytest.raises(NoGroundTruth):
-            map_range(preds, [])
 
     def test_iou_computed_once_per_prediction_and_frame_box(self, monkeypatch):
         # The ten thresholds share each prediction's IoUs: no threshold may
