@@ -450,6 +450,24 @@ class TestFlagValues:
         assert out == ""
         assert not track.exists()
 
+    def test_reconstruct_failed_stats_keeps_a_track_it_did_not_create(
+        self, pipeline, tmp_path, capsys
+    ):
+        # Only a track file the run made itself is removed on failure.
+        track = tmp_path / "track.csv"
+        track.write_text("old\n")
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track),
+            "--stats", "",
+        ]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert out == ""
+        assert track.exists()
+
     def test_detmetrics_empty_report(self, tmp_path, capsys):
         preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
         write_detections(preds, [Detection("det", "0", 0.0, 0.0, 0.0, 10.0, 10.0, 0.9)])
