@@ -26,7 +26,14 @@ from .calibration import (
     load_marker_picks,
     save_calibration,
 )
-from .detections import DEFAULT_SYNC_TOLERANCE_MS, parse_detections_file, synchronize
+from .detections import (
+    DEFAULT_SYNC_TOLERANCE_MS,
+    DetectionTable,
+    parse_detections_file,  # noqa: F401  (perfbench/spans.py wraps this name)
+    read_detection_table,
+    synchronize,  # noqa: F401  (perfbench/spans.py wraps this name)
+    synchronize_table,
+)
 from .errors import ConfigError, GridscopeError, NonPositiveLength
 from .evaluation import evaluate_track, read_segments
 from .export import EXPORT_FORMATS, export_track
@@ -152,17 +159,18 @@ def _cmd_calibrate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cfg = _merged_config(args)
     cal = load_calibration(args.calibration)
-    detections = []
+    tables = []
     skipped = 0
     for path in args.detections:
-        result = parse_detections_file(path, strict=args.strict)
-        detections.extend(result.detections)
-        skipped += result.skipped
-        for err in result.errors:
+        table, errors = read_detection_table(path, strict=args.strict)
+        tables.append(table)
+        skipped += len(errors)
+        for err in errors:
             log.debug("%s: %s", path, err)
     if skipped:
         log.warning("skipped %d malformed detection rows", skipped)
-    bundles = synchronize(
+    detections = DetectionTable.concat(tables)
+    bundles = synchronize_table(
         detections,
         tolerance_ms=cfg.sync_tolerance_ms,
         reference_camera=cfg.reference_camera,

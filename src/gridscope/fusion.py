@@ -24,7 +24,6 @@ picks the result.  Views are kept by side slot, which names one camera.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -42,7 +41,7 @@ from .depth import (
     correct_columns,
     correct_side_point,  # noqa: F401  (perfbench/spans.py wraps this name)
 )
-from .detections import Detection, FrameBundle
+from .detections import BundleTable, Detection, DetectionTable, FrameBundle
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
 from .jsonio import DocReader, csv_field, read_table_file, real
@@ -84,7 +83,7 @@ class TrackPoint:
     depth_corrected: bool
 
     def __post_init__(self):
-        if self.z_disagreement_mm < 0:
+        if not self.z_disagreement_mm >= 0:
             raise FormatError(
                 f"z_disagreement_mm must be >= 0, got {self.z_disagreement_mm}"
             )
@@ -297,10 +296,18 @@ class _Views:
 
 
 def _map_views(
-    cal: Calibration, bundles: list[FrameBundle], stats: FusionStats
+    cal: Calibration,
+    table: DetectionTable,
+    cameras: tuple[str, ...],
+    rows: np.ndarray,
+    stats: FusionStats,
 ) -> _Views:
-    """Map every camera's box centres into its model grid, one column each."""
-    n = len(bundles)
+    """Map every camera's box centres into its model grid, one column each.
+
+    ``rows[k, c]`` is the ``table`` row of camera ``cameras[c]`` in bundle
+    ``k``, or -1.
+    """
+    n = len(rows)
     views = _Views(
         present=np.zeros((4, n), dtype=bool),
         a=np.full((4, n), np.nan),
@@ -312,28 +319,26 @@ def _map_views(
     )
     side_hits = np.zeros(n, dtype=int)
     for cam in cal.cameras:
-        found = [bundle.per_camera.get(cam.camera_id) for bundle in bundles]
-        rows = np.flatnonzero([det is not None for det in found])
-        if not rows.size:
+        if cam.camera_id not in cameras:
             continue
-        dets = [found[row] for row in rows.tolist()]
-
-        def column(name: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(name), dets), float, len(dets))
-
+        found = rows[:, cameras.index(cam.camera_id)]
+        seen = np.flatnonzero(found >= 0)
+        if not seen.size:
+            continue
+        at = found[seen]
         # the centre as bbox_center computes it
-        u = (column("u_min") + column("u_max")) / 2.0
-        v = (column("v_min") + column("v_max")) / 2.0
+        u = (table.u_min[at] + table.u_max[at]) / 2.0
+        v = (table.v_min[at] + table.v_max[at]) / 2.0
         a, b, inside = model_grid_columns(cam, u, v)
         stats.outside_area += int(np.count_nonzero(~inside))
-        hit = rows[inside]
+        hit = seen[inside]
         if cam.role.is_side:
-            side_hits[rows] += 1
+            side_hits[seen] += 1
             s = cam.role.index
             views.present[s, hit] = True
             views.a[s, hit] = a[inside]
             views.b[s, hit] = b[inside]
-            views.conf[s, hit] = column("confidence")[inside]
+            views.conf[s, hit] = table.confidence[at[inside]]
         else:
             x, y = top_world_xy(cal, ModelPoint2D(a[inside], b[inside]))
             views.has_top[hit] = True
@@ -440,21 +445,24 @@ def _combine(
 
 def _fuse(
     cal: Calibration,
-    bundles: list[FrameBundle],
+    bundles: BundleTable,
+    rows: np.ndarray,
     stats: FusionStats,
     z_reject_mm: float,
     depth_correction: bool,
     vertical_correction: bool,
     pair_strategy: str,
 ):
-    """build_track's columns; every intermediate array is dropped on return.
+    """build_track's columns for the bundles ``rows`` of ``bundles.rows``.
+
+    Every intermediate array is dropped on return.
 
     Returns:
         The plotted bundle rows, their (x, y, z) and z disagreement, each
         point's leading pair index and its depth-corrected flag.
     """
     with np.errstate(all="ignore"):
-        views = _map_views(cal, bundles, stats)
+        views = _map_views(cal, bundles.table, bundles.cameras, rows, stats)
         order, fused = _rank_pairs(views, pair_strategy)
         table = _pair_table(
             cal, views, order, fused, depth_correction, vertical_correction
@@ -467,7 +475,7 @@ def _fuse(
 
 def build_track(
     cal: Calibration,
-    bundles: Iterable[FrameBundle],
+    bundles: BundleTable | Iterable[FrameBundle],
     z_reject_mm: float = DEFAULT_Z_REJECT_MM,
     depth_correction: bool = True,
     vertical_correction: bool = True,
@@ -475,10 +483,11 @@ def build_track(
 ) -> tuple[list[TrackPoint], FusionStats]:
     """Reconstruct a track from synchronized bundles.
 
-    ``pair_strategy`` is "best" (use the eligible pair with the highest
-    combined confidence, ties to the lowest pair index) or "average_all"
-    (average the positions from every eligible pair that survives the
-    z check; the recorded pair and disagreement come from the
+    ``bundles`` is a BundleTable, or FrameBundle objects, which are put in
+    one first.  ``pair_strategy`` is "best" (use the eligible pair with the
+    highest combined confidence, ties to the lowest pair index) or
+    "average_all" (average the positions from every eligible pair that
+    survives the z check; the recorded pair and disagreement come from the
     highest-confidence contributor).
     """
     if pair_strategy not in PAIR_STRATEGIES:
@@ -486,32 +495,35 @@ def build_track(
             f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "
             f"got {pair_strategy!r}"
         )
-    bundles = list(bundles)
+    if not isinstance(bundles, BundleTable):
+        bundles = BundleTable.from_frame_bundles(list(bundles))
     stats = FusionStats(total=len(bundles))
     names = [getattr(cal.side_camera(i), "camera_id", None) for i in range(4)]
     pair_names = [(names[i], names[j]) for i, j in ADJACENT_PAIRS]
     track: list[TrackPoint] = []
     for start in range(0, len(bundles), _CHUNK_BUNDLES):
-        part = bundles[start : start + _CHUNK_BUNDLES]
+        stop = start + _CHUNK_BUNDLES
         plotted, xyz, dz, lead, corrected = _fuse(
             cal,
-            part,
+            bundles,
+            bundles.rows[start:stop],
             stats,
             z_reject_mm,
             depth_correction,
             vertical_correction,
             pair_strategy,
         )
+        times = bundles.timestamp_ms[start:stop][plotted]
         track.extend(
             TrackPoint(
-                timestamp_ms=part[i].timestamp_ms,
+                timestamp_ms=t,
                 position=WorldPoint3D(x, y, z),
                 pair=pair_names[p],
                 z_disagreement_mm=d,
                 depth_corrected=flag,
             )
-            for i, x, y, z, d, p, flag in zip(
-                plotted.tolist(),
+            for t, x, y, z, d, p, flag in zip(
+                times.tolist(),
                 *xyz.tolist(),
                 dz.tolist(),
                 lead.tolist(),

@@ -12,10 +12,12 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-The CSV tables (detections, track, segments, ground truth, truth) are read
+The CSV tables (track, segments, ground truth, truth) are read row by row
 through :func:`read_table_file`, and their real-valued fields through
-:func:`real`, which refuses ``nan`` and ``inf``.  Every file is read as
-UTF-8; a byte that is not is a FormatError or CsvError naming its line.
+:func:`real`, which refuses ``nan`` and ``inf``.  Detections are read as
+columns through :func:`read_columns`, which keeps the same row rules.
+Every file is read as UTF-8; a byte that is not is a FormatError or
+CsvError naming its line.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ class DocReader:
 
 
 class FieldError(ValueError):
-    """A CSV field its column cannot hold; read_table reports the column."""
+    """A CSV field its column cannot hold; the table readers report the column."""
 
     def __init__(self, column: str, reason: str):
         super().__init__(reason)
@@ -271,6 +273,36 @@ def csv_field(text: str) -> str:
     return text
 
 
+def _records(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, Any]]:
+    """``(row number, fields)`` for each row of a CSV table headed by ``header``.
+
+    The header must match exactly, else a CsvError names row 1.  Rows count
+    from 1 at the header; blank rows are skipped.  A row without one field
+    per column comes with a ValueError in place of its fields.  A row the
+    csv module cannot split (a field over its size limit) raises a CsvError
+    naming its line.
+    """
+    reader = csv.reader(lines)
+    width = len(header)
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise CsvError(1, "", f"expected header {','.join(header)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) == width:
+                yield row_no, row
+            else:
+                yield row_no, ValueError(f"expected {width} fields, got {len(row)}")
+    except csv.Error as exc:
+        raise CsvError(reader.line_num, "", str(exc)) from None
+
+
+def _row_error(row_no: int, exc: Exception) -> CsvError:
+    return CsvError(row_no, getattr(exc, "column", ""), str(exc))
+
+
 def read_table(
     lines: Iterable[str],
     header: tuple[str, ...],
@@ -279,37 +311,88 @@ def read_table(
 ) -> tuple[list[T], list[CsvError]]:
     """Build one item per row of a CSV table headed exactly by ``header``.
 
-    Blank rows are skipped.  Each other row needs one field per column; its
-    stripped fields go to ``make``, whose ValueError or FormatError becomes
-    a CsvError naming the 1-based row (the header is row 1) and, for a
-    FieldError, the column.  Strict mode raises the first such error;
-    otherwise bad rows are skipped and their errors returned.  A row the
-    csv module cannot split (a field over its size limit) raises a
-    CsvError naming its line in either mode.
+    Each row's stripped fields go to ``make``, whose ValueError or
+    FormatError becomes a CsvError naming the 1-based row (the header is
+    row 1) and, for a FieldError, the column; so does a row of the wrong
+    width.  Strict mode raises the first such error; otherwise bad rows are
+    skipped and their errors returned.  See _records for the other rules.
     """
-    reader = csv.reader(lines)
-    width = len(header)
     items: list[T] = []
     errors: list[CsvError] = []
-    try:
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != header:
-            raise CsvError(1, "", f"expected header {','.join(header)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                items.append(make([f.strip() for f in row]))
-            except (ValueError, FormatError) as exc:
-                err = CsvError(row_no, getattr(exc, "column", ""), str(exc))
-                if strict:
-                    raise err from exc
-                errors.append(err)
-    except csv.Error as exc:
-        raise CsvError(reader.line_num, "", str(exc)) from None
+    for row_no, row in _records(lines, header):
+        try:
+            if isinstance(row, ValueError):
+                raise row
+            items.append(make([f.strip() for f in row]))
+        except (ValueError, FormatError) as exc:
+            if strict:
+                raise _row_error(row_no, exc) from exc
+            errors.append(_row_error(row_no, exc))
     return items, errors
+
+
+# read_columns checks this many rows at a time, so that only their field
+# texts are held at once.
+_BLOCK_ROWS = 2048
+
+
+def read_columns(
+    lines: Iterable[str],
+    header: tuple[str, ...],
+    check: Callable[[list[list[str]]], tuple[T, list[tuple[int, Exception]]]],
+    join: Callable[[list[T]], T],
+    strict: bool = True,
+) -> tuple[T, list[CsvError]]:
+    """read_table for a ``check`` that takes a block of rows as columns.
+
+    Each field is appended to its column as it is read.  Every
+    ``_BLOCK_ROWS`` rows of the right width, and at the end, ``check`` gets
+    the stripped columns and returns what it builds of them together with
+    ``(index, exception)`` for each row it refuses, in index order; ``join``
+    puts the blocks together.  The errors are those read_table would report,
+    in row order.  A row the csv module cannot split, or a byte that is not
+    UTF-8, still ends the read; in strict mode, an error of a row read
+    before it is raised instead.
+    """
+    parts: list[T] = []
+    errors: list[tuple[int, Exception]] = []
+
+    def check_block(columns: list[list[str]], row_nos: list[int]) -> None:
+        part, refused = check([list(map(str.strip, column)) for column in columns])
+        parts.append(part)
+        errors.extend((row_nos[index], exc) for index, exc in refused)
+        errors.sort(key=lambda error: error[0])
+        if strict and errors:
+            raise _row_error(*errors[0]) from errors[0][1]
+
+    columns: list[list[str]] = [[] for _ in header]
+    row_nos: list[int] = []
+    try:
+        for row_no, row in _records(lines, header):
+            if isinstance(row, ValueError):
+                errors.append((row_no, row))
+                continue
+            row_nos.append(row_no)
+            for column, field in zip(columns, row):
+                column.append(field)
+            if len(row_nos) == _BLOCK_ROWS:
+                check_block(columns, row_nos)
+                columns, row_nos = [[] for _ in header], []
+    except (CsvError, UnicodeDecodeError) as exc:
+        if strict:
+            check_block(columns, row_nos)
+        raise
+    check_block(columns, row_nos)
+    return join(parts), [_row_error(*error) for error in errors]
+
+
+def read_file(path, read: Callable[..., T], *args) -> T:
+    """``read(file, *args)`` over a UTF-8 file; a byte that is not is a CsvError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return read(fh, *args)
+    except UnicodeDecodeError:
+        raise CsvError(_first_bad_line(path), "", "not UTF-8 text") from None
 
 
 def read_table_file(
@@ -318,9 +401,5 @@ def read_table_file(
     make: Callable[[list[str]], T],
     strict: bool = True,
 ) -> tuple[list[T], list[CsvError]]:
-    """read_table over a UTF-8 file; a byte that is not raises a CsvError."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return read_table(fh, header, make, strict)
-    except UnicodeDecodeError:
-        raise CsvError(_first_bad_line(path), "", "not UTF-8 text") from None
+    """read_table over a UTF-8 file."""
+    return read_file(path, read_table, header, make, strict)

@@ -38,7 +38,7 @@ MAP_THRESHOLDS = tuple(i / 100.0 for i in range(50, 100, 5))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthBox:
     frame_id: str
     u_min: float

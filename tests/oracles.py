@@ -9,6 +9,8 @@ brute-force staircase enumeration.  Tests compare the two routes.
 ``naive_build_track`` is the exception: it is the per-bundle, per-pair
 fusion loop that the columnar ``build_track`` replaced, kept to pin the
 batching (pair ranking, one correction per view, the average) to it.
+So is ``rowwise_parse_detections``, the per-row detections reader that
+the columnar one replaced, kept to pin its masks and error order to it.
 """
 
 from __future__ import annotations
@@ -400,3 +402,23 @@ def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
     _check_finite(overall, "overall mean error")
     _check_finite(overall * px_per_mm, "overall mean error in model px")
     return EvaluationReport(tuple(results), overall, overall * px_per_mm, None, None)
+
+
+# --- row-at-a-time detection reader -----------------------------------------
+
+
+def rowwise_parse_detections(lines, strict=False):
+    """The detections reader as it was before the table: one Detection per row.
+
+    Each row's reals are read in column order with ``jsonio.real``, so the
+    first failing column names the error, then ``Detection`` checks the
+    row.  Returns (detections, errors) as ``jsonio.read_table`` does.
+    """
+    from gridscope.detections import CSV_HEADER, Detection
+    from gridscope.jsonio import read_table, real
+
+    def detection(row):
+        reals = [real(text, name) for text, name in zip(row[2:], CSV_HEADER[2:])]
+        return Detection(row[0], row[1], *reals)
+
+    return read_table(lines, CSV_HEADER, detection, strict=strict)

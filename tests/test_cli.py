@@ -10,16 +10,20 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridscope import jsonio
+from gridscope.calibration import load_calibration
 from gridscope.cli import RunConfig, load_run_config, main
 from gridscope.detections import (
     CSV_HEADER,
     Detection,
     parse_detections_file,
+    synchronize,
     write_detections,
 )
 from gridscope.errors import ConfigError
 from gridscope.evaluation import Segment, write_segments
-from gridscope.fusion import read_track
+from gridscope.fusion import build_track, read_track, write_track
+
+from strategies import DETECTION_ROW
 
 SCENARIO_DOC = {
     "format_version": 1,
@@ -103,6 +107,20 @@ class TestPipeline:
         assert doc["total"] == 40
         assert doc["plotted"] == 40
         assert doc["rejected_z"] == 0
+
+    def test_object_api_gives_what_reconstruct_wrote(self, pipeline, tmp_path):
+        # reconstruct runs on detection tables; the Detection and FrameBundle
+        # edges must reach the same track and stats
+        cal = load_calibration(pipeline / "calibration.json")
+        detections = [
+            d
+            for path in sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv"))
+            for d in parse_detections_file(path).detections
+        ]
+        track, stats = build_track(cal, synchronize(detections))
+        write_track(tmp_path / "track.csv", track)
+        assert (tmp_path / "track.csv").read_bytes() == (pipeline / "track.csv").read_bytes()
+        assert stats.as_doc() == json.loads((pipeline / "stats.json").read_text())
 
     def test_report_file(self, pipeline):
         doc = json.loads((pipeline / "report.json").read_text())
@@ -655,50 +673,13 @@ class TestUnreadableInput:
 
 # --- reconstruct on fuzzed detection tables ---------------------------------
 
-_REAL = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-50, 2000).map(str),
-    st.sampled_from(
-        ["nan", "inf", "-inf", "1e308", "-1.7e308", "1.6e308", "1.7e308", "", "x"]
-    ),
-)
-_CAMERA = st.sampled_from(["side0", "side1", "side2", "side3", "top", "side9", ""])
-
-
-@st.composite
-def _plausible_row(draw):
-    """A row that parses: a small box somewhere in the 1920 x 1080 image."""
-    u = draw(st.floats(0.0, 1920.0))
-    v = draw(st.floats(0.0, 1080.0))
-    half = draw(st.floats(0.5, 40.0))
-    return [
-        draw(_CAMERA),
-        "0",
-        repr(float(draw(st.sampled_from([0, 50, 100, 150])))),
-        repr(u - half),
-        repr(v - half),
-        repr(u + half),
-        repr(v + half),
-        repr(draw(st.floats(0.0, 1.0))),
-    ]
-
-
-_ROW = st.one_of(
-    _plausible_row(),
-    st.tuples(_CAMERA, st.just("0"), _REAL, _REAL, _REAL, _REAL, _REAL, _REAL).map(
-        list
-    ),
-    st.lists(_REAL, min_size=7, max_size=9),
-)
-
-
 @settings(
     max_examples=120,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    files=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=2),
+    files=st.lists(st.lists(DETECTION_ROW, max_size=12), min_size=1, max_size=2),
     duplicate=st.booleans(),
     strict=st.booleans(),
     strategy=st.sampled_from(["best", "average_all"]),

@@ -14,7 +14,8 @@ from gridscope.detections import (
 )
 from gridscope.errors import CsvError
 
-from oracles import naive_synchronize
+from oracles import naive_synchronize, rowwise_parse_detections
+from strategies import DETECTION_ROW
 
 
 def det(cam="a", ts=0.0, conf=1.0, box=(0.0, 0.0, 10.0, 10.0), frame="0"):
@@ -167,6 +168,63 @@ class TestParse:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# Tokens whose float() reading is easy to get wrong, and fields that only
+# parse when quoted.
+TRICKY_FIELDS = ["1_0", " 1.5 ", "-0.0", "nan", "1e400", "1.7e308", "si,de0", 'a"b']
+
+
+@st.composite
+def detection_line(draw):
+    """One line of a detections CSV: blank, or a row with some fields quoted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    fields = list(draw(DETECTION_ROW))
+    places = st.sets(st.integers(0, len(fields) - 1), max_size=3)
+    for k in draw(places):
+        fields[k] = draw(st.sampled_from(TRICKY_FIELDS))
+    quoted = draw(places)
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if k in quoted else f
+        for k, f in enumerate(fields)
+    )
+
+
+def _parse_outcome(parse, lines, strict):
+    """What a reader made of ``lines``: each row's values, sign of zero
+    included, and each error's row, column and message; or the error raised."""
+    try:
+        detections, errors = parse(lines, strict)
+    except CsvError as exc:
+        return ("raised", exc.row, exc.column, str(exc))
+    rows = [
+        (d.camera_id, d.frame_index, *map(repr, (d.timestamp_ms, *d.bbox, d.confidence)))
+        for d in detections
+    ]
+    return rows, [(e.row, e.column, str(e)) for e in errors]
+
+
+def _table_parse(lines, strict):
+    result = parse_detections(lines, strict=strict)
+    return result.detections, result.errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(detection_line(), max_size=20), strict=st.booleans())
+@example(  # finite corners whose centre and area overflow
+    lines=["side0,0,0.0,1.6e308,1.6e308,1.7e308,1.7e308,0.9"], strict=False
+)
+@example(lines=["side0,0,0.0,1,1,5,5,1.5", "side0,0,0.0,1,1,5,5,-0.0"], strict=False)
+@example(  # two bad columns: the first one in the header names the error
+    lines=["side0,0,nan,1,1,5,5,x", "side0,0,0.0,1,1,5,5,1"], strict=True
+)
+@example(lines=["side0,0,1", "side0,0,-1.0,1,1,5,5,1"], strict=False)
+def test_table_reader_matches_the_rowwise_reader(lines, strict):
+    text = [HEADER_LINE] + lines
+    assert _parse_outcome(_table_parse, text, strict) == _parse_outcome(
+        rowwise_parse_detections, text, strict
+    )
+
+
 class TestSynchronize:
     def test_empty(self):
         assert synchronize([]) == []
@@ -178,6 +236,19 @@ class TestSynchronize:
     def test_nan_tolerance(self):
         with pytest.raises(ValueError):
             synchronize([det("a", 100.0)], tolerance_ms=float("nan"))
+
+    def test_nan_timestamp_refused(self):
+        # once accepted, these gave bundles at nan, 10.0, nan
+        nan = float("nan")
+        with pytest.raises(ValueError, match="timestamp_ms"):
+            synchronize(
+                [
+                    det("a", nan, frame="0"),
+                    det("a", 10.0, frame="1"),
+                    det("b", 10.0, frame="0"),
+                    det("a", nan, frame="2"),
+                ]
+            )
 
     def test_basic_bundling(self):
         dets = [
@@ -372,6 +443,9 @@ def test_synchronize_matches_quadratic_reference_on_long_clocks(
     fast = synchronize(dets, tolerance_ms=tolerance, reference_camera=reference)
     slow = naive_synchronize(dets, tolerance, reference_camera=reference)
     assert _as_comparable(fast) == [(ts, members) for ts, members in slow]
+    # the bundles hold the caller's own objects, not equal copies
+    given_ids = {id(d) for d in dets}
+    assert all(id(d) in given_ids for b in fast for d in b.per_camera.values())
 
 
 def test_synchronize_lockstep_20k_frames_joins_each_frame_to_its_twin():

@@ -345,6 +345,14 @@ class TestBuildTrack:
         assert FusionStats.from_doc(stats.as_doc()) == stats
 
 
+class TestTrackPoint:
+    @pytest.mark.parametrize("dz", [-0.5, float("nan")])
+    def test_z_disagreement_must_be_a_non_negative_number(self, dz):
+        # a NaN would be written as "nan", which read_track then refuses
+        with pytest.raises(FormatError, match="z_disagreement_mm"):
+            TrackPoint(0.0, WorldPoint3D(1.0, 2.0, 3.0), ("side0", "side1"), dz, True)
+
+
 class TestTrackFiles:
     def sample(self):
         return [
