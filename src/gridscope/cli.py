@@ -46,7 +46,12 @@ from .fusion import (
     write_track,
 )
 from .geometry import GridBox, WorldPoint3D
-from .metrics import evaluate_detections, read_ground_truth, read_predictions
+from .metrics import (
+    evaluate_detections,
+    read_ground_truth,  # noqa: F401  (perfbench/spans.py wraps this name)
+    read_ground_truth_table,
+    read_predictions,  # noqa: F401  (perfbench/spans.py wraps this name)
+)
 from .simulate import generate_scenario, load_scenario, write_generated
 
 log = logging.getLogger("gridscope")
@@ -229,8 +234,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_detmetrics(args) -> int:
-    predictions = read_predictions(args.predictions)
-    ground_truth = read_ground_truth(args.ground_truth)
+    predictions, _ = read_detection_table(args.predictions, strict=True)
+    ground_truth = read_ground_truth_table(args.ground_truth)
     report = evaluate_detections(predictions, ground_truth)
     if args.report is not None:
         jsonio.write_doc(args.report, report.as_doc())

@@ -54,11 +54,28 @@ DEFAULT_SYNC_TOLERANCE_MS = 25.0
 
 
 def finite_box(u_min: float, v_min: float, u_max: float, v_max: float) -> bool:
-    """Whether a box's centre and area stay finite (finite corners can overflow)."""
+    """Whether a box's centre and area stay finite and its halved area, as
+    ``metrics.iou`` computes it, is positive: finite corners can overflow,
+    and a tiny box's area can underflow to zero."""
+    area = (u_max - u_min) * (v_max - v_min)
     return (
         math.isfinite(u_min + u_max)
         and math.isfinite(v_min + v_max)
-        and math.isfinite((u_max - u_min) * (v_max - v_min))
+        and math.isfinite(area)
+        and 0.5 * area > 0
+    )
+
+
+def box_mask(
+    u_min: np.ndarray, v_min: np.ndarray, u_max: np.ndarray, v_max: np.ndarray
+) -> np.ndarray:
+    """finite_box of each row of four columns (call under np.errstate)."""
+    area = (u_max - u_min) * (v_max - v_min)
+    return (
+        np.isfinite(u_min + u_max)
+        & np.isfinite(v_min + v_max)
+        & np.isfinite(area)
+        & (0.5 * area > 0)
     )
 
 
@@ -89,7 +106,9 @@ class Detection:
         if not self.v_min < self.v_max:
             raise ValueError(f"need v_min < v_max, got {self.v_min} >= {self.v_max}")
         if not finite_box(self.u_min, self.v_min, self.u_max, self.v_max):
-            raise ValueError(f"box centre or area is not finite: {self.bbox}")
+            raise ValueError(
+                f"box centre or area is not finite or positive: {self.bbox}"
+            )
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
@@ -192,7 +211,7 @@ def _detection(row: list[str]) -> Detection:
     return Detection(row[0], row[1], *reals)
 
 
-def _floats(texts: list[str]) -> np.ndarray:
+def float_column(texts: list[str]) -> np.ndarray:
     """``float`` of each text, NaN where a text is not a number."""
     try:
         return np.fromiter(map(float, texts), float, len(texts))
@@ -216,24 +235,33 @@ def _detection_columns(
     ``_detection``, whose error names the row's first failing column.
     """
     cameras, frames, *texts = columns
-    reals = [_floats(column) for column in texts]
+    reals = [float_column(column) for column in texts]
     t, u_min, v_min, u_max, v_max, confidence = reals
     with np.errstate(all="ignore"):
         ok = np.isfinite(reals).all(axis=0)
         ok &= (t >= 0) & (u_min < u_max) & (v_min < v_max)
-        ok &= np.isfinite(u_min + u_max) & np.isfinite(v_min + v_max)
-        ok &= np.isfinite((u_max - u_min) * (v_max - v_min))
+        ok &= box_mask(u_min, v_min, u_max, v_max)
         ok &= (0.0 <= confidence) & (confidence <= 1.0)
     ok &= np.fromiter(map(bool, cameras), bool, len(cameras))
+    return checked_table(DetectionTable(cameras, frames, *reals), ok, columns, _detection)
+
+
+def checked_table(table, ok: np.ndarray, columns: list[list[str]], make):
+    """``table`` less the rows mask ``ok`` refuses, and ``(index, error)`` of each.
+
+    Only a refused row goes through ``make``, the per-row reader of the
+    ``columns`` the table was read from, whose ValueError names the row's
+    first failing column; a row the mask refuses but ``make`` accepts is
+    kept.
+    """
     refused = []
     for i in np.flatnonzero(~ok).tolist():
         try:
-            _detection([column[i] for column in columns])
+            make([column[i] for column in columns])
         except ValueError as exc:
             refused.append((i, exc))
-        else:  # a row the masks flag but Detection accepts is kept
+        else:
             ok[i] = True
-    table = DetectionTable(cameras, frames, *reals)
     return (table if ok.all() else table.take(np.flatnonzero(ok))), refused
 
 

@@ -12,10 +12,11 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-The CSV tables (track, segments, ground truth, truth) are read row by row
-through :func:`read_table_file`, and their real-valued fields through
-:func:`real`, which refuses ``nan`` and ``inf``.  Detections are read as
-columns through :func:`read_columns`, which keeps the same row rules.
+The CSV tables (track, segments, truth) are read row by row through
+:func:`read_table_file`, and their real-valued fields through
+:func:`real`, which refuses ``nan`` and ``inf``.  Detections and ground
+truth are read as columns through :func:`read_columns`, which keeps the
+same row rules.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line.
 """

@@ -422,3 +422,20 @@ def rowwise_parse_detections(lines, strict=False):
         return Detection(row[0], row[1], *reals)
 
     return read_table(lines, CSV_HEADER, detection, strict=strict)
+
+
+def rowwise_read_ground_truth(lines, strict=True):
+    """The ground-truth reader as it was before the table: one box per row.
+
+    Each row's corners are read in column order with ``jsonio.real``, so
+    the first failing column names the error, then ``GroundTruthBox``
+    checks the row.  Returns (boxes, errors) as ``jsonio.read_table`` does.
+    """
+    from gridscope.jsonio import read_table, real
+    from gridscope.metrics import GT_HEADER, GroundTruthBox
+
+    def ground_truth_box(row):
+        reals = [real(text, name) for text, name in zip(row[1:], GT_HEADER[1:])]
+        return GroundTruthBox(row[0], *reals)
+
+    return read_table(lines, GT_HEADER, ground_truth_box, strict=strict)

@@ -23,7 +23,9 @@ from gridscope.errors import ConfigError
 from gridscope.evaluation import Segment, write_segments
 from gridscope.fusion import build_track, read_track, write_track
 
-from strategies import DETECTION_ROW
+from gridscope.metrics import GT_HEADER
+
+from strategies import DETECTION_ROW, GT_ROW
 
 SCENARIO_DOC = {
     "format_version": 1,
@@ -399,6 +401,32 @@ class TestExitCodes:
         assert main(args) == 0
         capsys.readouterr()
 
+    def test_underflowing_box_area(self, pipeline, tmp_path, capsys, caplog):
+        # a box whose halved area underflows to 0 is refused like one that
+        # overflows
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "camera_id,frame_index,timestamp_ms,u_min,v_min,u_max,v_max,confidence\n"
+            "side0,0,0.0,0,0,1e-200,1e-200,0.9\n"
+            "side1,0,0.0,0,0,1e-200,1e-200,0.9\n"
+        )
+        track = tmp_path / "track.csv"
+        args = [
+            "reconstruct", str(bad),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track),
+        ]
+        assert main(args + ["--strict"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: row 2, column <row>: ")
+        assert "not finite or positive" in err and "Traceback" not in err
+        assert out == "" and not track.exists()
+        # Lenient mode skips both rows and writes an empty, readable track.
+        assert main(args) == 0
+        capsys.readouterr()
+        assert "skipped 2 malformed detection rows" in caplog.text
+        assert read_track(track) == []
+
     def test_overflowing_box_centre(self, pipeline, tmp_path, capsys):
         # finite corners whose centre overflows used to give a NaN track row
         bad = tmp_path / "bad.csv"
@@ -485,6 +513,23 @@ class TestFlagValues:
         assert err.startswith("i/o error: ") and "Traceback" not in err
         assert out == ""
         assert track.exists()
+
+    @pytest.mark.parametrize("tiny", ["predictions", "ground_truth"])
+    def test_detmetrics_underflowing_box_area(self, tmp_path, capsys, tiny):
+        # two such boxes once ended in a ZeroDivisionError traceback
+        box = {"predictions": "0,0,10,10", "ground_truth": "0,0,10,10"}
+        box[tiny] = "0,0,1e-200,1e-200"
+        preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
+        preds.write_text(f"{','.join(CSV_HEADER)}\ndet,0,0.0,{box['predictions']},0.9\n")
+        gt.write_text(f"{','.join(GT_HEADER)}\n0,{box['ground_truth']}\n")
+        report = tmp_path / "report.json"
+        args = ["detmetrics", "--predictions", str(preds), "--ground-truth", str(gt),
+                "--report", str(report)]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: row 2, column <row>: ")
+        assert "not finite or positive" in err and "Traceback" not in err
+        assert out == "" and not report.exists()
 
     def test_detmetrics_empty_report(self, tmp_path, capsys):
         preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
@@ -724,3 +769,55 @@ def test_reconstruct_on_fuzzed_detections(pipeline, files, duplicate, strict, st
         if code == 0:
             points = read_track(track)
             assert len(points) == jsonio.read_doc(stats)["plotted"]
+
+
+# --- detmetrics on fuzzed bytes ----------------------------------------------
+
+
+def _csv_bytes(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _fuzzed_file(header, row):
+    """A file's bytes: a table of fuzzed rows, sometimes followed by raw
+    bytes, or raw bytes or text alone."""
+    table = st.lists(row, max_size=10).map(lambda rows: _csv_bytes(header, rows))
+    return st.one_of(
+        table,
+        table,
+        st.tuples(table, st.binary(max_size=12)).map(b"".join),
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+    )
+
+
+_TINY_PREDICTION = _csv_bytes(
+    CSV_HEADER, [["det", "0", "0.0", "0", "0", "1e-200", "1e-200", "0.9"]]
+)
+_TINY_BOX = _csv_bytes(GT_HEADER, [["0", "0", "0", "1e-200", "1e-200"]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    predictions=_fuzzed_file(CSV_HEADER, DETECTION_ROW),
+    ground_truth=_fuzzed_file(GT_HEADER, GT_ROW),
+)
+@example(predictions=_TINY_PREDICTION, ground_truth=_TINY_BOX)
+def test_detmetrics_on_fuzzed_bytes(predictions, ground_truth):
+    """Any pair of files ends in exit 0, 1 or 2 without a traceback, and an
+    exit 1 leaves no report and prints nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        preds, gt, report = (Path(tmp) / name for name in ("p.csv", "gt.csv", "r.json"))
+        preds.write_bytes(predictions)
+        gt.write_bytes(ground_truth)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["detmetrics", "--predictions", str(preds),
+                         "--ground-truth", str(gt), "--report", str(report)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert out.getvalue() == "" and not report.exists()
+        if code == 0:
+            assert jsonio.read_doc(report)["precision"] >= 0

@@ -143,6 +143,21 @@ class TestParse:
             parse_detections(lines, strict=True)
         assert err.value.row == 2
 
+    def test_underflowing_box_located(self):
+        # the halved area of the first box underflows to 0; the second's is
+        # subnormal but positive
+        lines = [
+            HEADER_LINE,
+            "side0,0,0.0,0,0,1e-200,1e-200,0.9",
+            "side0,1,50.0,0,0,1e-160,1e-160,0.9",
+        ]
+        result = parse_detections(lines)
+        assert [d.frame_index for d in result.detections] == ["1"]
+        assert [(e.row, e.column) for e in result.errors] == [(2, "")]
+        with pytest.raises(CsvError, match="not finite or positive") as err:
+            parse_detections(lines, strict=True)
+        assert err.value.row == 2
+
     def test_strict_raises_with_location(self):
         lines = [HEADER_LINE, "a,0,100,0,0,1,1,0.5", "a,0,100,0,0,1,1,bad"]
         with pytest.raises(CsvError) as err:
@@ -218,6 +233,11 @@ def _table_parse(lines, strict):
     lines=["side0,0,nan,1,1,5,5,x", "side0,0,0.0,1,1,5,5,1"], strict=True
 )
 @example(lines=["side0,0,1", "side0,0,-1.0,1,1,5,5,1"], strict=False)
+@example(  # halved areas that underflow to 0 and that stay subnormal
+    lines=["side0,0,0.0,0,0,1e-200,1e-200,0.9", "side0,0,0.0,0,0,5e-324,1,0.9",
+           "side0,0,0.0,0,0,1e-160,1e-160,0.9"],
+    strict=False,
+)
 def test_table_reader_matches_the_rowwise_reader(lines, strict):
     text = [HEADER_LINE] + lines
     assert _parse_outcome(_table_parse, text, strict) == _parse_outcome(

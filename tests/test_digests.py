@@ -3,14 +3,19 @@
 One noisy run with dropout per camera model (aligned and pinhole) goes
 through ``calibrate`` (max and mean), ``reconstruct`` (best, average_all,
 no depth correction, no vertical correction), ``evaluate --report`` (plain
-and bounded), ``export`` (csv, ply, svg) and ``detmetrics``.  A change
-that is meant to keep behaviour must leave every digest as it is; one that
-changes an output on purpose updates the table and says why.
+and bounded), ``export`` (csv, ply, svg) and ``detmetrics``.  A seeded
+crowded set, many boxes and predictions a frame with tied confidences,
+pins ``detmetrics`` where predictions contest boxes.  A change that is
+meant to keep behaviour must leave every digest as it is; one that changes
+an output on purpose updates the table and says why.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import random
 
 import pytest
 
@@ -166,3 +171,64 @@ def test_output_digests(mode, tmp_path, capsys):
     got = _run_all(tmp_path, mode)
     capsys.readouterr()
     assert got == DIGESTS[mode]
+
+
+def _crowded_detmetrics(root) -> tuple[str, str]:
+    """Five overlapping boxes and eight predictions a frame over 300 frames.
+
+    Confidences come from four values, so ranks tie, and predictions sit
+    near one box, straddle two or land nowhere, so several predictions
+    contest one box at some thresholds and not at others.  Returns the
+    SHA-256 of the report and of stdout, with the report path as its name.
+    """
+    rng = random.Random(29)
+    truth, preds = [], []
+    for f in range(300):
+        frame = str(f)
+        boxes = []
+        for k in range(5):
+            u, v = 18.0 * k + rng.randint(0, 6), float(rng.randint(0, 12))
+            w, h = rng.uniform(20.0, 36.0), rng.uniform(20.0, 36.0)
+            boxes.append((u, v, u + w, v + h))
+            truth.append(f"{frame},{u!r},{v!r},{u + w!r},{v + h!r}\n")
+        for _ in range(8):
+            u0, v0, u1, v1 = rng.choice(boxes)
+            kind = rng.random()
+            if kind < 0.15:  # nowhere near a box
+                u0, v0, u1, v1 = 400.0, 400.0, 420.0, 420.0
+            elif kind < 0.3:  # between two boxes
+                b0, b1 = rng.sample(boxes, 2)
+                u0, v0, u1, v1 = ((a + b) / 2.0 for a, b in zip(b0, b1))
+            du, dv = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            box = (u0 + du, v0 + dv, u1 + du + rng.uniform(-1.5, 1.5),
+                   v1 + dv + rng.uniform(-1.5, 1.5))
+            conf = rng.choice((0.4, 0.6, 0.6, 0.8))
+            preds.append(f"det,{frame},0.0,{','.join(map(repr, box))},{conf!r}\n")
+    predictions, gt = root / "crowded_preds.csv", root / "crowded_gt.csv"
+    predictions.write_text(
+        "camera_id,frame_index,timestamp_ms,u_min,v_min,u_max,v_max,confidence\n"
+        + "".join(preds)
+    )
+    gt.write_text(",".join(GT_HEADER) + "\n" + "".join(truth))
+    report = root / "crowded.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["detmetrics", "--predictions", str(predictions),
+                     "--ground-truth", str(gt), "--report", str(report)])
+    assert code == 0
+    return (
+        hashlib.sha256(report.read_bytes()).hexdigest(),
+        hashlib.sha256(stdout.getvalue().replace(str(report), report.name).encode())
+        .hexdigest(),
+    )
+
+
+# Recorded before detmetrics read and matched its inputs as columns.
+CROWDED_DIGESTS = (
+    "06e1ec8328cc46640815b5116a997839c3a8c9a0dc6ba6986fa374c04be194ad",
+    "8f5a9fff40d06ef5941ff3441b8837234fb52dd024bcd731ac2740041bf8b7af",
+)
+
+
+def test_crowded_detmetrics_digests(tmp_path):
+    assert _crowded_detmetrics(tmp_path) == CROWDED_DIGESTS

@@ -1,14 +1,21 @@
+import math
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridscope.metrics
-from gridscope.detections import Detection
+from gridscope.detections import Detection, finite_box
 from gridscope.errors import CsvError, NoGroundTruth, UndefinedMetric
+from gridscope.jsonio import read_columns
 from gridscope.metrics import (
+    GT_HEADER,
     GroundTruthBox,
+    GroundTruthTable,
     MAP_THRESHOLDS,
     MatchOutcome,
     average_precision,
@@ -16,11 +23,14 @@ from gridscope.metrics import (
     fitness,
     iou,
     match_greedy,
+    pair_iou,
     precision_recall,
     read_ground_truth,
+    read_ground_truth_table,
 )
 
-from oracles import ap_oracle, iou_oracle, match_oracle
+from oracles import ap_oracle, iou_oracle, match_oracle, rowwise_read_ground_truth
+from strategies import gt_rows
 
 
 def pred(frame="0", box=(0.0, 0.0, 10.0, 10.0), conf=0.9):
@@ -29,6 +39,21 @@ def pred(frame="0", box=(0.0, 0.0, 10.0, 10.0), conf=0.9):
 
 def gt(frame="0", box=(0.0, 0.0, 10.0, 10.0)):
     return GroundTruthBox(frame, box[0], box[1], box[2], box[3])
+
+
+corner = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 1e-200, 2e-200, 1e-160, 5e-324, 1e-308, 1.7e308, -1.7e308, 2.0**1022]
+    ),
+)
+side = st.tuples(corner, corner).map(sorted)
+# a box that GroundTruthBox and Detection accept
+accepted_box = (
+    st.tuples(side, side)
+    .map(lambda s: (s[0][0], s[1][0], s[0][1], s[1][1]))
+    .filter(lambda b: b[0] < b[2] and b[1] < b[3] and finite_box(*b))
+)
 
 
 class TestIou:
@@ -56,6 +81,29 @@ class TestIou:
         box = (-(2.0**1022), 0.0, 2.0**1022, 1.0)
         assert iou(box, box) == 1.0
         assert iou(box, (0.0, 0.0, 2.0**1022, 1.0)) == 0.5
+
+    def test_underflowing_box_is_refused(self):
+        # its halved area is 0, so two of them would divide 0 by 0
+        tiny = (0.0, 0.0, 1e-200, 1e-200)
+        with pytest.raises(ZeroDivisionError):
+            iou(tiny, tiny)
+        assert not finite_box(*tiny)
+        with pytest.raises(ValueError, match="not finite or positive"):
+            gt(box=tiny)
+        with pytest.raises(ValueError, match="not finite or positive"):
+            pred(box=tiny)
+
+    @given(a=accepted_box, b=accepted_box)
+    @example(a=(0.0, 0.0, 1e-160, 1e-160), b=(0.0, 0.0, 1e-160, 1e-160))
+    @example(a=(0.0, 0.0, 5e-324, 1.0), b=(0.0, 0.0, 1e-300, 1e-10))
+    @example(a=(-(2.0**1022), 0.0, 2.0**1022, 1.0), b=(0.0, 0.0, 1.7e308, 1.0))
+    def test_accepted_boxes_give_a_ratio_and_pair_iou_the_same_double(self, a, b):
+        # no pair of boxes the readers accept gives NaN or raises
+        value = iou(a, b)
+        assert 0.0 <= value <= 1.0
+        columns = pair_iou([np.array([c]) for c in a], [np.array([c]) for c in b])
+        assert columns.tolist() == [value]
+        assert math.copysign(1.0, columns[0]) == math.copysign(1.0, value)
 
     @given(
         shift=st.floats(-12, 12),
@@ -285,23 +333,29 @@ class TestEvaluateDetections:
         with pytest.raises(UndefinedMetric, match="recall"):
             evaluate_detections(preds, [])
 
-    def test_iou_computed_once_per_prediction_and_frame_box(self, monkeypatch):
-        # The ten thresholds share each prediction's IoUs: no threshold may
-        # recompute them, and a box already claimed is still measured once.
+    @pytest.mark.parametrize("block", [1 << 16, 7])
+    def test_iou_computed_once_per_prediction_and_frame_box(self, monkeypatch, block):
+        # The ten thresholds share one IoU array: every (prediction,
+        # same-frame box) pair is measured once, a claimed box included,
+        # also when the pairs are measured a few ranks at a time.
         preds, boxes = _generated_detections(frames=80, per_frame=3, seed=11)
         pairs = sum(
             1 for p in preds for b in boxes if b.frame_id == p.frame_index
         )
         assert len(preds) >= 300 and pairs > len(preds)
-        calls = []
+        measured = []
 
-        def counted(box_a, box_b):
-            calls.append(None)
-            return iou(box_a, box_b)
+        def counted(boxes_a, boxes_b):
+            measured.append(len(boxes_a[0]))
+            return pair_iou(boxes_a, boxes_b)
 
-        monkeypatch.setattr(gridscope.metrics, "iou", counted)
-        evaluate_detections(preds, boxes)
-        assert len(calls) == pairs
+        expected = evaluate_detections(preds, boxes)
+        monkeypatch.setattr(gridscope.metrics, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(gridscope.metrics, "pair_iou", counted)
+        assert evaluate_detections(preds, boxes) == expected
+        assert sum(measured) == pairs
+        # a block of ranks holds under block + 3 pairs: 3 boxes a frame
+        assert max(measured) <= min(block + 2, pairs)
 
 
 def _generated_detections(frames, per_frame, seed):
@@ -377,8 +431,27 @@ _ON_THRESHOLD = (
 )
 
 
+# At 0.50 both frame-0 predictions reach the box and the one ranked first
+# claims it, through the claim loop, while frame 1's lone pair is a hit by
+# array operations; from 0.75 only the better fit reaches it, alone.
+_CONTESTED_THEN_ALONE = (
+    [pred("0", (0.0, 0.0, 10.0, 10.0), 0.8), pred("0", (0.0, 0.0, 10.0, 7.0), 0.9),
+     pred("1", (0.0, 0.0, 10.0, 10.0), 0.7)],
+    [gt("0", (0.0, 0.0, 10.0, 10.0)), gt("1", (0.0, 0.0, 10.0, 10.0))],
+)
+# The first prediction's IoU with rows 1 and 3 ties at 100/120, so it must
+# take row 1, the earliest; the second then takes row 3 at IoU 1, where it
+# would reach row 1 only at 100/140.
+_EQUAL_IOU = (
+    [pred("0", (0.0, 0.0, 10.0, 10.0), 0.9), pred("0", (0.0, -2.0, 10.0, 10.0), 0.8)],
+    [gt("1"), gt("0", (0.0, 0.0, 10.0, 12.0)), gt("2"), gt("0", (0.0, -2.0, 10.0, 10.0))],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=scored_sets())
+@example(case=_CONTESTED_THEN_ALONE)
+@example(case=_EQUAL_IOU)
 @example(case=_alternating(20))
 @example(case=_alternating(25))
 @example(case=_alternating(50))
@@ -422,3 +495,60 @@ class TestGroundTruthCsv:
         with pytest.raises(CsvError) as err:
             read_ground_truth(p)
         assert err.value.row == 2
+
+
+def _read_outcome(read, lines, strict):
+    """What a reader made of ``lines``: each box's repr and each error's
+    row, column and message; or the error raised."""
+    try:
+        boxes, errors = read(lines, strict)
+    except CsvError as exc:
+        return ("raised", exc.row, exc.column, str(exc))
+    return [repr(b) for b in boxes], [(e.row, e.column, str(e)) for e in errors]
+
+
+def _table_read(lines, strict):
+    table, errors = read_columns(
+        lines, GT_HEADER, gridscope.metrics._ground_truth_columns,
+        GroundTruthTable.concat, strict,
+    )
+    return table.boxes(), errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=gt_rows(), strict=st.booleans())
+@example(
+    rows=[["0", "0", "0", "1e-200", "1e-200"], ["1", "0", "0", "1", "1"]], strict=False
+)
+@example(rows=[["0", "nan", "0", "x", "1"], ["0", "1e400", "0", "1", "1"]], strict=True)
+def test_ground_truth_table_reader_equals_rowwise_oracle(rows, strict):
+    lines = [",".join(GT_HEADER)] + [",".join(row) for row in rows]
+    expected = _read_outcome(rowwise_read_ground_truth, lines, strict)
+    assert _read_outcome(_table_read, lines, strict) == expected
+    if strict:  # the file reader, through read_ground_truth and its table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gt.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for read in (read_ground_truth, lambda p: read_ground_truth_table(p).boxes()):
+                try:
+                    got = [repr(b) for b in read(path)], []
+                except CsvError as exc:
+                    got = ("raised", exc.row, exc.column, str(exc))
+                assert got == expected
+
+
+def test_equal_iou_goes_to_the_earliest_row():
+    preds, boxes = _EQUAL_IOU
+    assert iou(preds[0].bbox, (0.0, 0.0, 10.0, 12.0)) == iou(
+        preds[0].bbox, (0.0, -2.0, 10.0, 10.0)
+    )
+    assert [match_greedy(preds, boxes, t).tp for t in (0.5, 0.75, 0.95)] == [2, 2, 1]
+
+
+def test_contested_box_at_one_threshold_alone_at_another():
+    preds, boxes = _CONTESTED_THEN_ALONE
+    # the higher-ranked worse fit takes the box at 0.50; the better fit at 0.75
+    assert [match_greedy(preds, boxes, t).tp for t in (0.5, 0.75)] == [2, 2]
+    assert average_precision(preds, boxes, 0.5) == ap_oracle(preds, boxes, 0.5)
+    flags = gridscope.metrics._match_flags(preds, boxes, (0.5, 0.75))
+    assert [f.tolist() for f in flags] == [[True, False, True], [False, True, True]]
