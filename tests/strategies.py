@@ -104,3 +104,75 @@ def gt_rows(draw):
     at = draw(st.integers(0, len(rows)))
     filler = [["9", "1", "2", "30.5", "40"]] * run
     return rows[:at] + filler + rows[at:]
+
+
+# Track, segment and truth rows.  Each mixes rows that parse with rows of
+# arbitrary field texts and of the wrong width; TEXT_FIELD adds quoting,
+# padding and non-numbers to the reals.
+TEXT_FIELD = st.sampled_from(
+    ["side0", "side1", "top", "", " ", "si,de0", 'a"b', '"side0"', " side1 ", "x"]
+)
+_ANY_FIELD = st.one_of(GT_REAL_FIELD, TEXT_FIELD)
+
+
+@st.composite
+def plausible_track_row(draw):
+    """A track row that parses: a point near the rig, in the first 200 ms."""
+    coord = st.floats(-100.0, 1000.0)
+    return [
+        repr(draw(st.floats(0.0, 200.0))),
+        repr(draw(coord)),
+        repr(draw(coord)),
+        repr(draw(coord)),
+        draw(st.sampled_from(["side0", "side1", "side2"])),
+        draw(st.sampled_from(["side1", "side2", "side3"])),
+        repr(draw(st.floats(0.0, 30.0))),
+        draw(st.sampled_from(["true", "false"])),
+    ]
+
+
+TRACK_ROW = st.one_of(
+    plausible_track_row(),
+    st.sampled_from(
+        [
+            ["1e308", "1.7e308", "-1.7e308", "1e308", "side0", "side1", "0", "true"],
+            ["0", "0", "0", "0", "side0", "side1", "-0.0", "false"],
+            ["0", "0", "0", "0", "side0", "side1", "-1", "false"],
+            ["0", "0", "0", "0", "side0", "side1", "0", "True"],
+            [""],
+            ["   "],
+        ]
+    ),
+    st.tuples(*[GT_REAL_FIELD] * 4, TEXT_FIELD, TEXT_FIELD, GT_REAL_FIELD,
+              st.sampled_from(["true", "false", "", "yes"])).map(list),
+    st.lists(_ANY_FIELD, min_size=1, max_size=10).filter(lambda row: len(row) != 8),
+)
+
+FACE_FIELD = st.sampled_from(["x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "w", ""])
+
+
+@st.composite
+def plausible_segment_row(draw):
+    """A segment row that parses: a window inside the first 400 ms."""
+    start = draw(st.floats(0.0, 100.0))
+    return [
+        draw(st.sampled_from(["s0", "s1", "s2", "walk"])),
+        repr(start),
+        repr(start + draw(st.floats(1.0, 300.0))),
+        draw(FACE_FIELD.filter(bool).filter(lambda face: face != "w")),
+    ]
+
+
+SEGMENT_ROW = st.one_of(
+    plausible_segment_row(),
+    st.sampled_from([["s", "10", "10", "y_max"], ["s", "5", "1", "x_min"], [""], ["  "]]),
+    st.tuples(TEXT_FIELD, GT_REAL_FIELD, GT_REAL_FIELD, FACE_FIELD).map(list),
+    st.lists(_ANY_FIELD, min_size=1, max_size=6).filter(lambda row: len(row) != 4),
+)
+
+TRUTH_ROW = st.one_of(
+    st.tuples(*[st.floats(-1e3, 1e3).map(repr)] * 4).map(list),
+    st.tuples(*[GT_REAL_FIELD] * 4).map(list),
+    st.sampled_from([[""], ["  "], ["1", "2", "3"]]),
+    st.lists(_ANY_FIELD, min_size=1, max_size=6).filter(lambda row: len(row) != 4),
+)

@@ -20,12 +20,20 @@ from gridscope.detections import (
     write_detections,
 )
 from gridscope.errors import ConfigError
-from gridscope.evaluation import Segment, write_segments
-from gridscope.fusion import build_track, read_track, write_track
+from gridscope.evaluation import SEGMENTS_HEADER, Segment, write_segments
+from gridscope.export import EXPORT_FORMATS
+from gridscope.fusion import TRACK_HEADER, build_track, read_track, write_track
 
 from gridscope.metrics import GT_HEADER
 
-from strategies import DETECTION_ROW, GT_ROW
+from strategies import (
+    DETECTION_ROW,
+    GT_ROW,
+    SEGMENT_ROW,
+    TRACK_ROW,
+    plausible_segment_row,
+    plausible_track_row,
+)
 
 SCENARIO_DOC = {
     "format_version": 1,
@@ -779,13 +787,16 @@ def _csv_bytes(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _fuzzed_file(header, row):
+def _fuzzed_file(header, row, valid=None):
     """A file's bytes: a table of fuzzed rows, sometimes followed by raw
-    bytes, or raw bytes or text alone."""
+    bytes, or raw bytes or text alone; or, given ``valid`` rows, more often
+    a table of those."""
     table = st.lists(row, max_size=10).map(lambda rows: _csv_bytes(header, rows))
+    tables = [table, table] if valid is None else [table] + 3 * [
+        st.lists(valid, min_size=1, max_size=10).map(lambda rows: _csv_bytes(header, rows))
+    ]
     return st.one_of(
-        table,
-        table,
+        *tables,
         st.tuples(table, st.binary(max_size=12)).map(b"".join),
         st.binary(max_size=200),
         st.text(max_size=200).map(str.encode),
@@ -821,3 +832,43 @@ def test_detmetrics_on_fuzzed_bytes(predictions, ground_truth):
             assert out.getvalue() == "" and not report.exists()
         if code == 0:
             assert jsonio.read_doc(report)["precision"] >= 0
+
+
+# --- evaluate and export on fuzzed bytes -------------------------------------
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    track=_fuzzed_file(TRACK_HEADER, TRACK_ROW, plausible_track_row()),
+    segments=_fuzzed_file(SEGMENTS_HEADER, SEGMENT_ROW, plausible_segment_row()),
+    command=st.sampled_from(["evaluate", *EXPORT_FORMATS]),
+)
+def test_evaluate_and_export_on_fuzzed_bytes(pipeline, track, segments, command):
+    """Any track and segments files end in exit 0, 1 or 2 without a
+    traceback, and an exit 1 leaves no report or export and prints nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        track_path, segments_path, out = (
+            Path(tmp) / name for name in ("track.csv", "segments.csv", "out")
+        )
+        track_path.write_bytes(track)
+        segments_path.write_bytes(segments)
+        common = ["--track", str(track_path),
+                  "--calibration", str(pipeline / "calibration.json")]
+        if command == "evaluate":
+            argv = ["evaluate", *common, "--segments", str(segments_path),
+                    "--report", str(out)]
+        else:
+            argv = ["export", *common, "--format", command, "--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            assert stdout.getvalue() == "" and not out.exists()
+        if code == 0:
+            assert out.exists()
