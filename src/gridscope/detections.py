@@ -6,13 +6,13 @@ confidence``.  Parsing runs in strict mode (first bad row aborts with a
 CsvError naming row and column) or lenient mode (bad rows are skipped and
 reported).
 
-A file is read into one ``DetectionTable``: each field is appended to its
-column as it is read, each real column goes through ``float`` in one
-pass, and every ``Detection`` check runs as a column mask.  Only the rows
-a mask refuses are read again one at a time, as a ``Detection`` would be,
-so each error names the same row, column and reason: the first real
-column (in header order) that is not a finite number, else the first
-failed check.  Errors are reported in row order.
+A file is read into one ``DetectionTable``: ``jsonio.read_columns`` hands
+over blocks of rows as columns, each real column goes through ``float``
+in one pass, and every ``Detection`` check runs as a column mask.  Only
+the rows a mask refuses are read again one at a time, as a ``Detection``
+would be, so each error names the same row, column and reason: the first
+real column (in header order) that is not a finite number, else the
+first failed check.  Errors are reported in row order.
 
 Cameras run free, so bundles are assembled in two steps: one stable
 ``np.lexsort`` over the whole table picks the detection that stands for
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CsvError
 from .geometry import PixelPoint
-from .jsonio import csv_field, read_columns, read_file, real
+from .jsonio import checked_table, csv_field, float_column, read_columns, read_file, real
 
 CSV_HEADER = (
     "camera_id",
@@ -206,24 +206,9 @@ class DetectionTable:
         )
 
 
-def _detection(row: list[str]) -> Detection:
-    reals = [real(text, name) for text, name in zip(row[2:], _REAL_COLUMNS)]
-    return Detection(row[0], row[1], *reals)
-
-
-def float_column(texts: list[str]) -> np.ndarray:
-    """``float`` of each text, NaN where a text is not a number."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        pass
-    values = []
-    for text in texts:
-        try:
-            values.append(float(text))
-        except ValueError:
-            values.append(math.nan)
-    return np.array(values, dtype=float)
+def _detection(camera_id: str, frame_index: str, *texts: str) -> Detection:
+    reals = [real(text, name) for text, name in zip(texts, _REAL_COLUMNS)]
+    return Detection(camera_id, frame_index, *reals)
 
 
 def _detection_columns(
@@ -246,35 +231,12 @@ def _detection_columns(
     return checked_table(DetectionTable(cameras, frames, *reals), ok, columns, _detection)
 
 
-def checked_table(table, ok: np.ndarray, columns: list[list[str]], make):
-    """``table`` less the rows mask ``ok`` refuses, and ``(index, error)`` of each.
-
-    Only a refused row goes through ``make``, the per-row reader of the
-    ``columns`` the table was read from, whose ValueError names the row's
-    first failing column; a row the mask refuses but ``make`` accepts is
-    kept.
-    """
-    refused = []
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            make([column[i] for column in columns])
-        except ValueError as exc:
-            refused.append((i, exc))
-        else:
-            ok[i] = True
-    return (table if ok.all() else table.take(np.flatnonzero(ok))), refused
-
-
 def _detection_list(
     columns: list[list[str]],
 ) -> tuple[list[Detection], list[tuple[int, Exception]]]:
     """_detection_columns, with the table's rows as Detection objects."""
     table, refused = _detection_columns(columns)
     return table.detections(), refused
-
-
-def _joined(parts: list[list[Detection]]) -> list[Detection]:
-    return list(chain.from_iterable(parts))
 
 
 def read_detection_table(
@@ -293,15 +255,11 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         lines: the file content, header row first.
         strict: raise on the first malformed row instead of skipping it.
     """
-    return ParseResult(
-        *read_columns(lines, CSV_HEADER, _detection_list, _joined, strict)
-    )
+    return ParseResult(*read_columns(lines, CSV_HEADER, _detection_list, strict=strict))
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:
-    return ParseResult(
-        *read_file(path, read_columns, CSV_HEADER, _detection_list, _joined, strict)
-    )
+    return read_file(path, parse_detections, strict)
 
 
 def write_detections(path, detections: Iterable[Detection]) -> None:

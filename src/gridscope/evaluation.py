@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackPoint
 from .geometry import FACES, GridBox, WorldPoint3D
-from .jsonio import csv_field, read_table_file, real
+from .jsonio import csv_field, per_row, read_columns, read_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -116,15 +116,14 @@ def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
 # --- segments CSV -----------------------------------------------------------
 
 
-def _segment(row: list[str]) -> Segment:
-    segment_id, t_start, t_end, face = row
+def _segment(segment_id: str, t_start: str, t_end: str, face: str) -> Segment:
     return Segment(
         segment_id, real(t_start, "t_start_ms"), real(t_end, "t_end_ms"), face
     )
 
 
 def read_segments(path) -> list[Segment]:
-    segments = read_table_file(path, SEGMENTS_HEADER, _segment)[0]
+    segments = read_file(path, read_columns, SEGMENTS_HEADER, per_row(_segment))[0]
     validate_segments(segments)
     return segments
 

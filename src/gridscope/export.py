@@ -3,14 +3,17 @@
 All writers are byte-deterministic for a given input so exported files can
 be diffed across runs.  The SVG shows three orthographic panels (top,
 front, side) with the main grid outline behind the trajectory; it uses a
-fixed canvas and fits the grid into each panel with an isotropic scale.
+fixed canvas and fits the grid into each panel with an isotropic scale; a
+point that the scale takes past the largest float is refused, and no file is
+written.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .errors import ConfigError, EmptyTrack
+from .errors import ConfigError, EmptyTrack, FormatError
 from .fusion import TrackPoint, write_track
 from .geometry import GridBox
 from .jsonio import format_real
@@ -67,19 +70,23 @@ def _panel(
         # SVG y grows downward; world vertical grows upward.
         return _SVG_MARGIN + (span_v - v) * scale
 
+    points = [(sx(h), sy(v)) for h, v in map(coords, track)]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in points):
+        raise FormatError(
+            f"{label} panel: a point is non-finite: track coordinates too large to draw"
+        )
     out = [
         f'<rect x="{sx(0.0):.6f}" y="{sy(span_v):.6f}" '
         f'width="{span_h * scale:.6f}" height="{span_v * scale:.6f}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>'
     ]
-    pts = " ".join(f"{sx(h):.6f},{sy(v):.6f}" for h, v in (coords(p) for p in track))
+    pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in points)
     out.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )
-    first_h, first_v = coords(track[0])
+    first_x, first_y = points[0]
     out.append(
-        f'<circle cx="{sx(first_h):.6f}" cy="{sy(first_v):.6f}" r="3" '
-        f'fill="#1f6fb2"/>'
+        f'<circle cx="{first_x:.6f}" cy="{first_y:.6f}" r="3" fill="#1f6fb2"/>'
     )
     out.append(
         f'<text x="{offset_x:.6f}" y="{_SVG_MARGIN + _SVG_PANEL_H + 24.0:.6f}" '

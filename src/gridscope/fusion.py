@@ -44,7 +44,7 @@ from .depth import (
 from .detections import BundleTable, Detection, DetectionTable, FrameBundle
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
-from .jsonio import DocReader, csv_field, read_table_file, real
+from .jsonio import DocReader, csv_field, per_row, read_columns, read_file, real
 
 DEFAULT_Z_REJECT_MM = 30.0
 
@@ -549,8 +549,9 @@ def write_track(path, track: Iterable[TrackPoint]) -> None:
             )
 
 
-def _track_point(row: list[str]) -> TrackPoint:
-    t, x, y, z, cam_a, cam_b, dz, flag = row
+def _track_point(
+    t: str, x: str, y: str, z: str, cam_a: str, cam_b: str, dz: str, flag: str
+) -> TrackPoint:
     if flag not in ("true", "false"):
         raise ValueError(f"depth_corrected must be true/false, got {flag!r}")
     return TrackPoint(
@@ -563,4 +564,4 @@ def _track_point(row: list[str]) -> TrackPoint:
 
 
 def read_track(path) -> list[TrackPoint]:
-    return read_table_file(path, TRACK_HEADER, _track_point)[0]
+    return read_file(path, read_columns, TRACK_HEADER, per_row(_track_point))[0]

@@ -12,11 +12,11 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-The CSV tables (track, segments, truth) are read row by row through
-:func:`read_table_file`, and their real-valued fields through
-:func:`real`, which refuses ``nan`` and ``inf``.  Detections and ground
-truth are read as columns through :func:`read_columns`, which keeps the
-same row rules.
+Every CSV table is read by :func:`read_columns`, which hands blocks of
+rows to a check as columns.  Detections and ground truth are checked by
+column masks; the track, segments and truth are built one row at a time
+through :func:`per_row`, their real-valued fields through :func:`real`,
+which refuses ``nan`` and ``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line.
 """
@@ -27,7 +27,11 @@ import csv
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import CsvError, FormatError
 
@@ -274,116 +278,147 @@ def csv_field(text: str) -> str:
     return text
 
 
-def _records(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, Any]]:
-    """``(row number, fields)`` for each row of a CSV table headed by ``header``.
+# A read_columns check: the stripped columns of a block of rows in, what it
+# builds of them and ``(index, exception)`` for each row it refuses out.
+Check = Callable[[list[list[str]]], tuple[T, list[tuple[int, Exception]]]]
 
-    The header must match exactly, else a CsvError names row 1.  Rows count
-    from 1 at the header; blank rows are skipped.  A row without one field
-    per column comes with a ValueError in place of its fields.  A row the
-    csv module cannot split (a field over its size limit) raises a CsvError
-    naming its line.
-    """
-    reader = csv.reader(lines)
-    width = len(header)
+
+def float_column(texts: list[str]) -> np.ndarray:
+    """``float`` of each text, NaN where a text is not a number."""
     try:
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != header:
-            raise CsvError(1, "", f"expected header {','.join(header)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) == width:
-                yield row_no, row
-            else:
-                yield row_no, ValueError(f"expected {width} fields, got {len(row)}")
-    except csv.Error as exc:
-        raise CsvError(reader.line_num, "", str(exc)) from None
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        pass
+    values = []
+    for text in texts:
+        try:
+            values.append(float(text))
+        except ValueError:
+            values.append(math.nan)
+    return np.array(values, dtype=float)
+
+
+def checked_table(table, ok: np.ndarray, columns: list[list[str]], make):
+    """``table`` less the rows mask ``ok`` refuses, and ``(index, error)`` of each.
+
+    Only a refused row goes through ``make(*fields)``, the per-row reader
+    of the ``columns`` the table was read from, whose ValueError names the
+    row's first failing column; a row the mask refuses but ``make`` accepts
+    is kept.
+    """
+    refused = []
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            make(*[column[i] for column in columns])
+        except ValueError as exc:
+            refused.append((i, exc))
+        else:
+            ok[i] = True
+    return (table if ok.all() else table.take(np.flatnonzero(ok))), refused
+
+
+def per_row(make: Callable[..., T]) -> Check[list[T]]:
+    """A read_columns check that builds one item per row as ``make(*fields)``;
+    a ValueError or FormatError of ``make`` refuses the row."""
+
+    def check(columns: list[list[str]]) -> tuple[list[T], list[tuple[int, Exception]]]:
+        items: list[T] = []
+        refused: list[tuple[int, Exception]] = []
+        for i, fields in enumerate(zip(*columns)):
+            try:
+                items.append(make(*fields))
+            except (ValueError, FormatError) as exc:
+                refused.append((i, exc))
+        return items, refused
+
+    return check
+
+
+def _chained(parts: list[list[T]]) -> list[T]:
+    return list(chain.from_iterable(parts))
 
 
 def _row_error(row_no: int, exc: Exception) -> CsvError:
     return CsvError(row_no, getattr(exc, "column", ""), str(exc))
 
 
-def read_table(
-    lines: Iterable[str],
-    header: tuple[str, ...],
-    make: Callable[[list[str]], T],
-    strict: bool = True,
-) -> tuple[list[T], list[CsvError]]:
-    """Build one item per row of a CSV table headed exactly by ``header``.
-
-    Each row's stripped fields go to ``make``, whose ValueError or
-    FormatError becomes a CsvError naming the 1-based row (the header is
-    row 1) and, for a FieldError, the column; so does a row of the wrong
-    width.  Strict mode raises the first such error; otherwise bad rows are
-    skipped and their errors returned.  See _records for the other rules.
-    """
-    items: list[T] = []
-    errors: list[CsvError] = []
-    for row_no, row in _records(lines, header):
-        try:
-            if isinstance(row, ValueError):
-                raise row
-            items.append(make([f.strip() for f in row]))
-        except (ValueError, FormatError) as exc:
-            if strict:
-                raise _row_error(row_no, exc) from exc
-            errors.append(_row_error(row_no, exc))
-    return items, errors
-
-
-# read_columns checks this many rows at a time, so that only their field
-# texts are held at once.
+# read_columns reads and checks this many rows at a time, so that only
+# their field texts are held at once.
 _BLOCK_ROWS = 2048
 
 
 def read_columns(
     lines: Iterable[str],
     header: tuple[str, ...],
-    check: Callable[[list[list[str]]], tuple[T, list[tuple[int, Exception]]]],
-    join: Callable[[list[T]], T],
+    check: Check[T],
+    join: Callable[[list[T]], T] = _chained,
     strict: bool = True,
 ) -> tuple[T, list[CsvError]]:
-    """read_table for a ``check`` that takes a block of rows as columns.
+    """A CSV table headed exactly by ``header``, built block by block by ``check``.
 
-    Each field is appended to its column as it is read.  Every
-    ``_BLOCK_ROWS`` rows of the right width, and at the end, ``check`` gets
-    the stripped columns and returns what it builds of them together with
-    ``(index, exception)`` for each row it refuses, in index order; ``join``
-    puts the blocks together.  The errors are those read_table would report,
-    in row order.  A row the csv module cannot split, or a byte that is not
-    UTF-8, still ends the read; in strict mode, an error of a row read
-    before it is raised instead.
+    The header must match exactly, else a CsvError names row 1.  Rows count
+    from 1 at the header; blank rows are skipped.  Every ``_BLOCK_ROWS``
+    rows, and at the end, ``check`` gets the stripped fields of the rows of
+    the right width as columns, and returns what it builds of them together
+    with ``(index, exception)`` for each row it refuses; ``join`` puts the
+    blocks together.  A refused row, or one of the wrong width, becomes a
+    CsvError naming its row and, for a FieldError, its column.  Strict mode
+    raises the first of them; otherwise bad rows are skipped and their
+    errors returned in row order.
+
+    A row the csv module cannot split (a field over its size limit) raises
+    a CsvError naming its line; a byte that is not UTF-8 raises the
+    UnicodeDecodeError that read_file turns into one.  In strict mode, an
+    error of a row read before either is raised instead.
     """
+    reader = csv.reader(lines)
+    width = len(header)
     parts: list[T] = []
     errors: list[tuple[int, Exception]] = []
 
-    def check_block(columns: list[list[str]], row_nos: list[int]) -> None:
-        part, refused = check([list(map(str.strip, column)) for column in columns])
+    def check_block(rows: list[list[str]], first_no: int) -> None:
+        row_nos: Sequence[int] = range(first_no, first_no + len(rows))
+        block_errors: list[tuple[int, Exception]] = []
+        if width == 1 or set(map(len, rows)) != {width}:
+            kept, kept_nos = [], []
+            for row_no, row in zip(row_nos, rows):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) == width:
+                    kept.append(row)
+                    kept_nos.append(row_no)
+                else:
+                    reason = f"expected {width} fields, got {len(row)}"
+                    block_errors.append((row_no, ValueError(reason)))
+            rows, row_nos = kept, kept_nos
+        columns = [list(map(str.strip, column)) for column in zip(*rows)]
+        part, refused = check(columns or [[] for _ in header])
         parts.append(part)
-        errors.extend((row_nos[index], exc) for index, exc in refused)
-        errors.sort(key=lambda error: error[0])
+        block_errors.extend((row_nos[index], exc) for index, exc in refused)
+        block_errors.sort(key=itemgetter(0))
+        errors.extend(block_errors)
         if strict and errors:
             raise _row_error(*errors[0]) from errors[0][1]
 
-    columns: list[list[str]] = [[] for _ in header]
-    row_nos: list[int] = []
+    rows: list[list[str]] = []
+    row_no = 1  # the header's
     try:
-        for row_no, row in _records(lines, header):
-            if isinstance(row, ValueError):
-                errors.append((row_no, row))
-                continue
-            row_nos.append(row_no)
-            for column, field in zip(columns, row):
-                column.append(field)
-            if len(row_nos) == _BLOCK_ROWS:
-                check_block(columns, row_nos)
-                columns, row_nos = [[] for _ in header], []
-    except (CsvError, UnicodeDecodeError) as exc:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise CsvError(1, "", f"expected header {','.join(header)}")
+        while True:
+            rows = []
+            rows.extend(islice(reader, _BLOCK_ROWS))  # keeps rows read before an error
+            check_block(rows, row_no + 1)
+            row_no += len(rows)
+            if len(rows) < _BLOCK_ROWS:
+                break
+    except (csv.Error, UnicodeDecodeError) as exc:
         if strict:
-            check_block(columns, row_nos)
+            check_block(rows, row_no + 1)
+        if isinstance(exc, csv.Error):
+            raise CsvError(reader.line_num, "", str(exc)) from None
         raise
-    check_block(columns, row_nos)
     return join(parts), [_row_error(*error) for error in errors]
 
 
@@ -395,12 +430,3 @@ def read_file(path, read: Callable[..., T], *args) -> T:
     except UnicodeDecodeError:
         raise CsvError(_first_bad_line(path), "", "not UTF-8 text") from None
 
-
-def read_table_file(
-    path,
-    header: tuple[str, ...],
-    make: Callable[[list[str]], T],
-    strict: bool = True,
-) -> tuple[list[T], list[CsvError]]:
-    """read_table over a UTF-8 file."""
-    return read_file(path, read_table, header, make, strict)

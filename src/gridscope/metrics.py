@@ -48,13 +48,11 @@ from .detections import (
     Detection,
     DetectionTable,
     box_mask,
-    checked_table,
     finite_box,
-    float_column,
     read_detection_table,
 )
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import read_columns, read_file, real
+from .jsonio import checked_table, float_column, read_columns, read_file, real
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -379,9 +377,9 @@ def fitness(precision: float, recall: float, map50: float, map5095: float) -> fl
 # --- file I/O ---------------------------------------------------------------
 
 
-def _ground_truth_box(row: list[str]) -> GroundTruthBox:
-    reals = [real(text, name) for text, name in zip(row[1:], GT_HEADER[1:])]
-    return GroundTruthBox(row[0], *reals)
+def _ground_truth_box(frame_id: str, *texts: str) -> GroundTruthBox:
+    reals = [real(text, name) for text, name in zip(texts, GT_HEADER[1:])]
+    return GroundTruthBox(frame_id, *reals)
 
 
 def _ground_truth_columns(

@@ -562,13 +562,15 @@ def write_truth(path, truth: list[TruthSample]) -> None:
             )
 
 
-def _truth_sample(row: list[str]) -> TruthSample:
-    t, x, y, z = (jsonio.real(text, name) for text, name in zip(row, TRUTH_HEADER))
+def _truth_sample(*fields: str) -> TruthSample:
+    t, x, y, z = (jsonio.real(text, name) for text, name in zip(fields, TRUTH_HEADER))
     return TruthSample(t, WorldPoint3D(x, y, z))
 
 
 def read_truth(path) -> list[TruthSample]:
-    return jsonio.read_table_file(path, TRUTH_HEADER, _truth_sample)[0]
+    return jsonio.read_file(
+        path, jsonio.read_columns, TRUTH_HEADER, jsonio.per_row(_truth_sample)
+    )[0]
 
 
 # --- scenario files ---------------------------------------------------------

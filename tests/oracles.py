@@ -9,8 +9,11 @@ brute-force staircase enumeration.  Tests compare the two routes.
 ``naive_build_track`` is the exception: it is the per-bundle, per-pair
 fusion loop that the columnar ``build_track`` replaced, kept to pin the
 batching (pair ranking, one correction per view, the average) to it.
-So is ``rowwise_parse_detections``, the per-row detections reader that
-the columnar one replaced, kept to pin its masks and error order to it.
+So is ``read_table``, the per-row CSV reader that the block reader
+``jsonio.read_columns`` replaced, kept to pin its row numbers, skipped
+rows and error order to it; ``rowwise_parse_detections`` and
+``rowwise_read_ground_truth`` run it with per-row copies of the detection
+and ground-truth checks, to pin the column masks to them.
 """
 
 from __future__ import annotations
@@ -404,7 +407,44 @@ def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
     return EvaluationReport(tuple(results), overall, overall * px_per_mm, None, None)
 
 
-# --- row-at-a-time detection reader -----------------------------------------
+# --- row-at-a-time CSV readers ----------------------------------------------
+
+
+def read_table(lines, header, make, strict=True):
+    """The CSV table reader as it was before the block reader: one item per row.
+
+    Each row goes through ``csv.reader`` and, unless it is blank, through a
+    width check and ``make`` of its stripped fields, in file order.  A
+    ValueError or FormatError becomes a CsvError naming the row (the header
+    is row 1) and, for a FieldError, the column; strict mode raises the
+    first, lenient mode skips the row and returns its error.  A row the csv
+    module cannot split raises a CsvError naming its line.
+    """
+    import csv
+
+    from gridscope.errors import CsvError, FormatError
+
+    items, errors = [], []
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise CsvError(1, "", f"expected header {','.join(header)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                items.append(make([f.strip() for f in row]))
+            except (ValueError, FormatError) as exc:
+                error = CsvError(row_no, getattr(exc, "column", ""), str(exc))
+                if strict:
+                    raise error from exc
+                errors.append(error)
+    except csv.Error as exc:
+        raise CsvError(reader.line_num, "", str(exc)) from None
+    return items, errors
 
 
 def rowwise_parse_detections(lines, strict=False):
@@ -412,10 +452,10 @@ def rowwise_parse_detections(lines, strict=False):
 
     Each row's reals are read in column order with ``jsonio.real``, so the
     first failing column names the error, then ``Detection`` checks the
-    row.  Returns (detections, errors) as ``jsonio.read_table`` does.
+    row.  Returns (detections, errors) as ``read_table`` does.
     """
     from gridscope.detections import CSV_HEADER, Detection
-    from gridscope.jsonio import read_table, real
+    from gridscope.jsonio import real
 
     def detection(row):
         reals = [real(text, name) for text, name in zip(row[2:], CSV_HEADER[2:])]
@@ -429,9 +469,9 @@ def rowwise_read_ground_truth(lines, strict=True):
 
     Each row's corners are read in column order with ``jsonio.real``, so
     the first failing column names the error, then ``GroundTruthBox``
-    checks the row.  Returns (boxes, errors) as ``jsonio.read_table`` does.
+    checks the row.  Returns (boxes, errors) as ``read_table`` does.
     """
-    from gridscope.jsonio import read_table, real
+    from gridscope.jsonio import real
     from gridscope.metrics import GT_HEADER, GroundTruthBox
 
     def ground_truth_box(row):

@@ -1,6 +1,6 @@
 import pytest
 
-from gridscope.errors import ConfigError, EmptyTrack
+from gridscope.errors import ConfigError, EmptyTrack, FormatError
 from gridscope.export import (
     EXPORT_FORMATS,
     export_csv,
@@ -97,6 +97,16 @@ class TestSvg:
         p = tmp_path / "one.svg"
         export_svg(p, TRACK[:1], GRID)
         assert "<circle" in p.read_text()
+
+    @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
+    def test_point_scaled_past_the_largest_float_refused(self, tmp_path, x):
+        # a 20 mm grid scales each panel by 18, so 1.7e308 mm draws at inf
+        small = GridBox(WorldPoint3D(0, 0, 0), 20.0, 20.0, 20.0)
+        far = TrackPoint(150.0, WorldPoint3D(x, 0.0, 0.0), ("side0", "side1"), 0.0, True)
+        p = tmp_path / "far.svg"
+        with pytest.raises(FormatError, match="top .* panel: a point is non-finite"):
+            export_svg(p, TRACK + [far], small)
+        assert not p.exists()
 
 
 class TestDispatch:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridscope import jsonio
+import oracles
+from gridscope import evaluation, fusion, jsonio, simulate
 from gridscope.calibration import load_calibration, load_marker_picks
 from gridscope.cli import load_run_config
 from gridscope.detections import (
@@ -28,6 +29,7 @@ from gridscope.fusion import TRACK_HEADER, TrackPoint, read_track, write_track
 from gridscope.geometry import WorldPoint3D
 from gridscope.metrics import GT_HEADER, read_ground_truth
 from gridscope.simulate import TRUTH_HEADER, load_scenario, read_truth
+from strategies import SEGMENT_ROW, TRACK_ROW, TRUTH_ROW
 
 
 class TestFormatReal:
@@ -208,23 +210,26 @@ class TestDocReader:
 HEADER = ("name", "value")
 
 
-def pair(row):
-    name, value = row
+def pair(name, value):
     if not name:
         raise FormatError("empty name")
     return name, jsonio.real(value, "value")
 
 
-class TestReadTable:
+def read_pairs(lines, strict=True):
+    return jsonio.read_columns(lines, HEADER, jsonio.per_row(pair), strict=strict)
+
+
+class TestReadColumns:
     def test_rows_built_and_blank_rows_skipped(self):
         lines = ["name,value", "a, 1.5", "", "  ", " b ,2"]
-        items, errors = jsonio.read_table(lines, HEADER, pair)
+        items, errors = read_pairs(lines)
         assert (items, errors) == ([("a", 1.5), ("b", 2.0)], [])
 
     @pytest.mark.parametrize("lines", [[], ["name"], ["value,name"], ["name,value,x"]])
     def test_header_must_match_exactly(self, lines):
         with pytest.raises(CsvError) as err:
-            jsonio.read_table(lines, HEADER, pair)
+            read_pairs(lines)
         assert (err.value.row, err.value.column) == (1, "")
 
     @pytest.mark.parametrize(
@@ -234,18 +239,131 @@ class TestReadTable:
     )
     def test_strict_raises_first_bad_row(self, row, column):
         with pytest.raises(CsvError) as err:
-            jsonio.read_table(["name,value", "ok,1", row, "z,q"], HEADER, pair)
+            read_pairs(["name,value", "ok,1", row, "z,q"])
         assert (err.value.row, err.value.column) == (3, column)
 
     def test_lenient_collects_bad_rows(self):
         lines = ["name,value", "a,inf", "b,1", "c", "d,NaN", "e,2"]
-        items, errors = jsonio.read_table(lines, HEADER, pair, strict=False)
+        items, errors = read_pairs(lines, strict=False)
         assert items == [("b", 1.0), ("e", 2.0)]
         assert [(e.row, e.column) for e in errors] == [
             (2, "value"),
             (4, ""),
             (5, "value"),
         ]
+
+
+# --- track, segments and truth against the row-wise oracle -----------------
+
+# Per table: its header, the per-row builder its reader runs, the reader,
+# the rows to draw, and the i-th row of a valid run.
+ROWWISE_TABLES = {
+    "track": (
+        TRACK_HEADER, fusion._track_point, read_track, TRACK_ROW,
+        lambda i: [f"{i}.5", "1", "2", "3", "side0", "side1", "0.25", "true"],
+    ),
+    "segments": (
+        SEGMENTS_HEADER, evaluation._segment, read_segments, SEGMENT_ROW,
+        lambda i: [f"run{i}", f"{1000 + 2 * i}", f"{1001 + 2 * i}", "z_max"],
+    ),
+    "truth": (
+        TRUTH_HEADER, simulate._truth_sample, read_truth, TRUTH_ROW,
+        lambda i: [str(i), "0.5", "-1", "2e3"],
+    ),
+}
+
+# What follows the drawn rows of a file, if anything: a field the csv module
+# refuses as too large, or a byte that is not UTF-8, then one more row.
+TAILS = {
+    None: b"",
+    "oversized_field": b"x" * 200_000 + b"\n1,2\n",
+    "not_utf8": b"\xff\xfe,1\n1,2\n",
+}
+
+
+@st.composite
+def table_rows(draw, row, valid):
+    """Rows drawn from ``row``, sometimes around a run of 2047 to 2100 valid
+    rows, so that a file spans two blocks."""
+    rows = draw(st.lists(row, max_size=16))
+    run = draw(st.one_of(st.just(0), st.integers(2047, 2100)))
+    at = draw(st.integers(0, len(rows)))
+    return rows[:at] + [valid(i) for i in range(run)] + rows[at:]
+
+
+def _table_outcome(read):
+    """What ``read()`` gave: each item's repr, so the sign of zero counts,
+    and each error's row, column and message; or the error raised."""
+    try:
+        items, errors = read()
+    except CsvError as exc:
+        return ("raised", exc.row, exc.column, str(exc))
+    except FormatError as exc:  # a segments file that validate_segments refuses
+        return ("invalid", str(exc))
+    return [repr(item) for item in items], [(e.row, e.column, str(e)) for e in errors]
+
+
+@pytest.mark.parametrize("table", ROWWISE_TABLES)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), strict=st.booleans(), tail=st.sampled_from(list(TAILS)))
+def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
+    header, make, reader, row, valid = ROWWISE_TABLES[table]
+    rows = data.draw(table_rows(row, valid), label="rows")
+    lines = [",".join(header)] + [",".join(fields) for fields in rows]
+
+    def oracle(lines):
+        return oracles.read_table(lines, header, lambda row: make(*row), strict)
+
+    def columns(lines):
+        return jsonio.read_columns(lines, header, jsonio.per_row(make), strict=strict)
+
+    assert _table_outcome(lambda: columns(lines)) == _table_outcome(lambda: oracle(lines))
+
+    # the public reader, always strict, on the file with its tail
+    if not strict:
+        return
+
+    def expected():
+        items, errors = jsonio.read_file(path, oracle)
+        if reader is read_segments:
+            evaluation.validate_segments(items)
+        return items, errors
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes("\n".join(lines + [""]).encode() + TAILS[tail])
+        assert _table_outcome(lambda: (reader(path), [])) == _table_outcome(expected)
+
+
+@pytest.mark.parametrize(
+    "tail, bad_at, row",
+    [
+        ("oversized_field", 0, 2),
+        ("oversized_field", 5, 7),
+        ("oversized_field", 2050, 2052),  # in the block the csv.Error cuts short
+        ("not_utf8", 0, 2),
+        ("not_utf8", 5, 7),
+        # the decoder reads 8 KiB at a time, so it meets the bad byte on
+        # line 2062 before the csv module sees the bad row 10 lines up
+        ("not_utf8", 2050, 2062),
+    ],
+)
+@pytest.mark.parametrize("table", ROWWISE_TABLES)
+def test_a_bad_row_before_an_unreadable_one_is_raised(tmp_path, table, tail, bad_at, row):
+    """Strict reading raises the error of a bad row read before a csv.Error
+    or a bad byte, as the row-wise reader does."""
+    header, make, reader, _, valid = ROWWISE_TABLES[table]
+    rows = [valid(i) for i in range(2060)]
+    rows[bad_at] = rows[bad_at][:-1]
+    path = tmp_path / "table.csv"
+    text = "\n".join([",".join(header)] + [",".join(fields) for fields in rows] + [""])
+    path.write_bytes(text.encode() + TAILS[tail])
+    with pytest.raises(CsvError) as err:
+        reader(path)
+    assert err.value.row == row
+    with pytest.raises(CsvError) as expected:
+        jsonio.read_file(path, oracles.read_table, header, lambda row: make(*row))
+    assert str(err.value) == str(expected.value)
 
 
 # One valid row per table format; the field at the index is made non-finite.
