@@ -71,6 +71,7 @@ from .export import export_csv, export_ply, export_svg, export_track
 from .fusion import (
     FusionStats,
     TrackPoint,
+    TrackTable,
     build_track,
     eligible_pairs,
     read_track,

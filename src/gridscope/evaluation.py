@@ -7,19 +7,25 @@ its unsigned perpendicular distance to the declared face's infinite plane;
 a bounded variant that also penalizes walking off the face rectangle is
 available behind a flag.  Per-segment means are combined into an
 unweighted overall mean so long and short segments count equally.
+
+``evaluate_track`` scores a ``TrackTable`` in numpy: one ``searchsorted``
+puts every point in its window, the face distances follow
+``distance_to_face``'s operations column-wise, and ``np.bincount`` sums
+each window's distances in track order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
-from .fusion import FusionStats, TrackPoint
+from .fusion import FusionStats, TrackPoint, TrackTable, as_track_table
 from .geometry import FACES, GridBox, WorldPoint3D
-from .jsonio import csv_field, per_row, read_columns, read_file, real
+from .jsonio import FieldError, csv_field, per_row, read_columns, read_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -117,9 +123,15 @@ def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
 
 
 def _segment(segment_id: str, t_start: str, t_end: str, face: str) -> Segment:
-    return Segment(
-        segment_id, real(t_start, "t_start_ms"), real(t_end, "t_end_ms"), face
-    )
+    """One segments row: its reals, then its face, then the Segment checks."""
+    start, end = real(t_start, "t_start_ms"), real(t_end, "t_end_ms")
+    if face not in FACES:
+        raise FieldError(
+            "face",
+            f"segment {segment_id}: unknown face {face!r}, "
+            f"expected one of {', '.join(FACES)}",
+        )
+    return Segment(segment_id, start, end, face)
 
 
 def read_segments(path) -> list[Segment]:
@@ -193,8 +205,55 @@ def _check_finite(value: float, what: str) -> None:
         )
 
 
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as Python computes it, inf where that overflows.
+
+    Python's ``**`` is the C library's ``pow``, which (in glibc) rounds
+    about one square in a thousand to a different last bit than ``v * v``;
+    ``distance_to_face`` squares that way, and so does this.
+    """
+    out = np.zeros(len(values))
+    at = np.flatnonzero(values)  # a point inside the face's span has no excess
+    out[at] = np.fromiter(map(_square, values[at].tolist()), float, len(at))
+    return out
+
+
+def _square(value: float) -> float:
+    try:
+        return value**2
+    except OverflowError:
+        return math.inf
+
+
+def _face_distances(
+    track: TrackTable,
+    inside: np.ndarray,
+    window: np.ndarray,
+    ordered: list[Segment],
+    box: GridBox,
+    bounded: bool,
+) -> np.ndarray:
+    """distance_to_face of each point ``inside`` to its window's face, column-wise."""
+    coords = [column[inside] for column in (track.x, track.y, track.z)]
+    spans = box.spans()
+    axes = list(spans)
+    planes = [box.face_plane(s.face) for s in ordered]
+    axis = np.array([axes.index(a) for a, _ in planes], dtype=np.intp)[window]
+    value = np.array([v for _, v in planes])[window]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plane = np.abs(np.choose(axis, coords) - value)
+        if not bounded:
+            return plane
+        excess = np.zeros(len(plane))
+        for k, (lo, hi) in enumerate(spans.values()):
+            c = coords[k]
+            off = np.where(c < lo, lo - c, np.where(c > hi, c - hi, 0.0))
+            excess += _squares(np.where(axis == k, 0.0, off))
+        return np.sqrt(plane * plane + excess)
+
+
 def evaluate_track(
-    track: Sequence[TrackPoint],
+    track: TrackTable | Iterable[TrackPoint],
     segments: Sequence[Segment],
     box: GridBox,
     px_per_mm: float = 1.0,
@@ -211,23 +270,20 @@ def evaluate_track(
         FormatError: a segment mean or the overall error overflows to a
             non-finite value, which finite but huge coordinates can cause.
     """
+    track = as_track_table(track)
     ordered = validate_segments(segments)
     if not segments:
         raise NoSegments("evaluation needs at least one segment")
-    starts = [s.t_start_ms for s in ordered]
-    totals = [0.0] * len(ordered)
-    counts = [0] * len(ordered)
-    for p in track:
-        i = bisect_right(starts, p.timestamp_ms) - 1
-        if i < 0 or not p.timestamp_ms < ordered[i].t_end_ms:
-            continue
-        try:
-            totals[i] += distance_to_face(
-                p.position, box, ordered[i].face, bounded=bounded
-            )
-        except OverflowError:  # a bounded excursion squared beyond the double range
-            totals[i] = math.inf
-        counts[i] += 1
+    starts = np.array([s.t_start_ms for s in ordered])
+    ends = np.array([s.t_end_ms for s in ordered])
+    t = track.timestamp_ms
+    window = np.searchsorted(starts, t, side="right") - 1
+    inside = (window >= 0) & (t < ends[window])
+    window = window[inside]
+    distances = _face_distances(track, inside, window, ordered, box, bounded)
+    n = len(ordered)
+    totals = np.bincount(window, weights=distances, minlength=n).tolist()
+    counts = np.bincount(window, minlength=n).tolist()
     slot = {s.segment_id: i for i, s in enumerate(ordered)}
     results = []
     for seg in segments:

@@ -6,17 +6,23 @@ front, side) with the main grid outline behind the trajectory; it uses a
 fixed canvas and fits the grid into each panel with an isotropic scale; a
 point that the scale takes past the largest float is refused, and no file is
 written.
+
+Every writer takes the track as a ``TrackTable`` (points are put in one
+first) and formats its columns with one ``str.format`` per row.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, EmptyTrack, FormatError
-from .fusion import TrackPoint, write_track
+from .fusion import TrackPoint, TrackTable, as_track_table, write_track
 from .geometry import GridBox
 from .jsonio import format_real
+
+Track = TrackTable | Iterable[TrackPoint]
 
 _SVG_PANEL_W = 360.0
 _SVG_PANEL_H = 420.0
@@ -24,18 +30,26 @@ _SVG_MARGIN = 40.0
 _SVG_GAP = 50.0
 
 
-def export_csv(path, track: Sequence[TrackPoint]) -> None:
+def _non_empty(track: Track) -> TrackTable:
+    track = as_track_table(track)
+    if not len(track):
+        raise EmptyTrack("refusing to export an empty track")
+    return track
+
+
+def export_csv(path, track: Track) -> None:
     """The track CSV, identical to what the reconstruction step writes."""
-    if not track:
-        raise EmptyTrack("refusing to export an empty track")
-    write_track(path, track)
+    write_track(path, _non_empty(track))
 
 
-def export_ply(path, track: Sequence[TrackPoint]) -> None:
+def export_ply(path, track: Track) -> None:
     """ASCII PLY point cloud of the track positions, in millimetres."""
-    if not track:
-        raise EmptyTrack("refusing to export an empty track")
-    lines = [
+    track = _non_empty(track)
+    xyz = np.stack((track.x, track.y, track.z), axis=1)
+    bad = ~np.isfinite(xyz)
+    if bad.any():
+        format_real(xyz[bad][0].item())  # raises, naming the first one
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {len(track)}",
@@ -44,13 +58,12 @@ def export_ply(path, track: Sequence[TrackPoint]) -> None:
         "property double z",
         "end_header",
     ]
-    for p in track:
-        lines.append(
-            f"{format_real(p.position.x)} {format_real(p.position.y)} "
-            f"{format_real(p.position.z)}"
-        )
+    # format_real of a finite real; adding 0.0 turns -0.0 into 0.0, as
+    # format_real writes it
+    x, y, z = ((column + 0.0).tolist() for column in (track.x, track.y, track.z))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.writelines(map("{:.17g} {:.17g} {:.17g}\n".format, x, y, z))
 
 
 def _panel(
@@ -58,20 +71,21 @@ def _panel(
     offset_x: float,
     span_h: float,
     span_v: float,
-    coords,  # point -> (horizontal_mm, vertical_mm), vertical grows up
-    track: Sequence[TrackPoint],
+    h: np.ndarray,  # horizontal mm from the grid origin, per point
+    v: np.ndarray,  # vertical mm from the grid origin, grows up
 ) -> list[str]:
     scale = min(_SVG_PANEL_W / span_h, _SVG_PANEL_H / span_v)
 
-    def sx(h: float) -> float:
+    def sx(h):
         return offset_x + h * scale
 
-    def sy(v: float) -> float:
+    def sy(v):
         # SVG y grows downward; world vertical grows upward.
         return _SVG_MARGIN + (span_v - v) * scale
 
-    points = [(sx(h), sy(v)) for h, v in map(coords, track)]
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in points):
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = sx(h), sy(v)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise FormatError(
             f"{label} panel: a point is non-finite: track coordinates too large to draw"
         )
@@ -80,13 +94,12 @@ def _panel(
         f'width="{span_h * scale:.6f}" height="{span_v * scale:.6f}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>'
     ]
-    pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in points)
+    pts = " ".join(map("{:.6f},{:.6f}".format, xs.tolist(), ys.tolist()))
     out.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )
-    first_x, first_y = points[0]
     out.append(
-        f'<circle cx="{first_x:.6f}" cy="{first_y:.6f}" r="3" fill="#1f6fb2"/>'
+        f'<circle cx="{xs[0]:.6f}" cy="{ys[0]:.6f}" r="3" fill="#1f6fb2"/>'
     )
     out.append(
         f'<text x="{offset_x:.6f}" y="{_SVG_MARGIN + _SVG_PANEL_H + 24.0:.6f}" '
@@ -95,17 +108,18 @@ def _panel(
     return out
 
 
-def export_svg(path, track: Sequence[TrackPoint], grid_a: GridBox) -> None:
+def export_svg(path, track: Track, grid_a: GridBox) -> None:
     """Three orthographic views of the track inside the main grid outline."""
-    if not track:
-        raise EmptyTrack("refusing to export an empty track")
+    track = _non_empty(track)
     w, d, h = grid_a.w_mm, grid_a.d_mm, grid_a.h_mm
     o = grid_a.origin
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, z = track.x - o.x, track.y - o.y, track.z - o.z
     panels = (
-        # label, horizontal span, vertical span, world -> panel coords
-        ("top (x right, y up)", w, d, lambda p: (p.position.x - o.x, p.position.y - o.y)),
-        ("front (x right, z up)", w, h, lambda p: (p.position.x - o.x, p.position.z - o.z)),
-        ("side (y right, z up)", d, h, lambda p: (p.position.y - o.y, p.position.z - o.z)),
+        # label, horizontal span, vertical span, panel coords
+        ("top (x right, y up)", w, d, x, y),
+        ("front (x right, z up)", w, h, x, z),
+        ("side (y right, z up)", d, h, y, z),
     )
     total_w = 2 * _SVG_MARGIN + 3 * _SVG_PANEL_W + 2 * _SVG_GAP
     total_h = 2 * _SVG_MARGIN + _SVG_PANEL_H + 40.0
@@ -116,9 +130,9 @@ def export_svg(path, track: Sequence[TrackPoint], grid_a: GridBox) -> None:
         f'<rect x="0" y="0" width="{total_w:.0f}" height="{total_h:.0f}" '
         f'fill="#ffffff"/>',
     ]
-    for i, (label, span_h, span_v, coords) in enumerate(panels):
+    for i, (label, span_h, span_v, ph, pv) in enumerate(panels):
         offset = _SVG_MARGIN + i * (_SVG_PANEL_W + _SVG_GAP)
-        body.extend(_panel(label, offset, span_h, span_v, coords, track))
+        body.extend(_panel(label, offset, span_h, span_v, ph, pv))
     body.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(body) + "\n")
@@ -127,7 +141,7 @@ def export_svg(path, track: Sequence[TrackPoint], grid_a: GridBox) -> None:
 EXPORT_FORMATS = ("csv", "ply", "svg")
 
 
-def export_track(path, track: Sequence[TrackPoint], fmt: str, grid_a: GridBox) -> None:
+def export_track(path, track: Track, fmt: str, grid_a: GridBox) -> None:
     """Dispatch on format name; svg needs the grid for its outlines."""
     if fmt == "csv":
         export_csv(path, track)

@@ -19,12 +19,19 @@ is depth-corrected once per bundle, and a (bundles x 4 adjacent pairs)
 table of eligibility, confidence sum, world position and z disagreement
 picks the result.  Views are kept by side slot, which names one camera.
 ``reconstruct_point`` runs the same column code on one pair of views.
+
+The track is a ``TrackTable`` of columns from ``build_track`` through
+``write_track`` and back from ``read_track``, which checks every row by
+column masks and re-reads only a refused row one at a time, as
+``_track_point`` would, so its error names the same row, column and
+reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
+``as_track_table`` puts points into one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,7 +51,16 @@ from .depth import (
 from .detections import BundleTable, Detection, DetectionTable, FrameBundle
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
-from .jsonio import DocReader, csv_field, per_row, read_columns, read_file, real
+from .jsonio import (
+    DocReader,
+    FieldError,
+    checked_table,
+    csv_field,
+    float_column,
+    read_columns,
+    read_file,
+    real,
+)
 
 DEFAULT_Z_REJECT_MM = 30.0
 
@@ -87,6 +103,111 @@ class TrackPoint:
             raise FormatError(
                 f"z_disagreement_mm must be >= 0, got {self.z_disagreement_mm}"
             )
+
+
+# TrackTable's float64 columns, in the order it takes them.
+_REAL_COLUMNS = ("timestamp_ms", "x", "y", "z", "z_disagreement_mm")
+
+
+@dataclass(frozen=True)
+class TrackTable:
+    """The track as columns, one entry per point in track order.
+
+    Every row holds what a ``TrackPoint`` would: float64 columns for the
+    time, position and z disagreement, a bool column for the depth
+    correction, and the row's camera pair as an index into ``pairs``.
+    A table iterates as TrackPoint objects.
+    """
+
+    timestamp_ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    z_disagreement_mm: np.ndarray
+    depth_corrected: np.ndarray
+    pair: np.ndarray
+    pairs: tuple[tuple[str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.timestamp_ms)
+
+    def __eq__(self, other) -> bool:
+        """Whether two tables hold equal points in the same order."""
+        if not isinstance(other, TrackTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _reals(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _REAL_COLUMNS]
+
+    def __iter__(self) -> Iterator[TrackPoint]:
+        t, x, y, z, dz = (column.tolist() for column in self._reals())
+        return map(
+            TrackPoint,
+            t,
+            map(WorldPoint3D, x, y, z),
+            map(self.pairs.__getitem__, self.pair.tolist()),
+            dz,
+            self.depth_corrected.tolist(),
+        )
+
+    def take(self, rows: np.ndarray) -> "TrackTable":
+        """The table of ``rows`` (indices), in that order."""
+        return TrackTable(
+            *(column[rows] for column in self._reals()),
+            self.depth_corrected[rows],
+            self.pair[rows],
+            self.pairs,
+        )
+
+    @classmethod
+    def concat(cls, tables: list["TrackTable"]) -> "TrackTable":
+        """One table holding the rows of ``tables`` in turn."""
+        if len(tables) == 1:
+            return tables[0]
+        pairs: dict[tuple[str, str], int] = {}
+        codes = []
+        for t in tables:
+            code = [pairs.setdefault(p, len(pairs)) for p in t.pairs]
+            codes.append(np.array(code, dtype=np.intp)[t.pair])
+        return cls(
+            *map(np.concatenate, zip(*(t._reals() for t in tables))),
+            np.concatenate([t.depth_corrected for t in tables]),
+            np.concatenate(codes),
+            tuple(pairs),
+        )
+
+    @classmethod
+    def from_points(cls, points: Iterable[TrackPoint]) -> "TrackTable":
+        points = list(points)
+        reals = [
+            (
+                p.timestamp_ms,
+                p.position.x,
+                p.position.y,
+                p.position.z,
+                p.z_disagreement_mm,
+            )
+            for p in points
+        ]
+        flags = np.array([p.depth_corrected for p in points], dtype=bool)
+        return cls(
+            *np.array(reals, dtype=float).reshape(len(points), 5).T,
+            flags,
+            *_pair_codes([p.pair for p in points]),
+        )
+
+
+def _pair_codes(pairs: list[tuple[str, str]]) -> tuple[np.ndarray, tuple]:
+    """Each pair's index into the distinct pairs, and those pairs in order
+    of first appearance."""
+    slot = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
+    return np.fromiter(map(slot.__getitem__, pairs), np.intp, len(pairs)), tuple(slot)
+
+
+def as_track_table(track: TrackTable | Iterable[TrackPoint]) -> TrackTable:
+    """``track`` itself if it is a TrackTable, else its points put in one."""
+    return track if isinstance(track, TrackTable) else TrackTable.from_points(track)
 
 
 @dataclass
@@ -480,7 +601,7 @@ def build_track(
     depth_correction: bool = True,
     vertical_correction: bool = True,
     pair_strategy: str = "best",
-) -> tuple[list[TrackPoint], FusionStats]:
+) -> tuple[TrackTable, FusionStats]:
     """Reconstruct a track from synchronized bundles.
 
     ``bundles`` is a BundleTable, or FrameBundle objects, which are put in
@@ -498,9 +619,9 @@ def build_track(
     if not isinstance(bundles, BundleTable):
         bundles = BundleTable.from_frame_bundles(list(bundles))
     stats = FusionStats(total=len(bundles))
-    names = [getattr(cal.side_camera(i), "camera_id", None) for i in range(4)]
-    pair_names = [(names[i], names[j]) for i, j in ADJACENT_PAIRS]
-    track: list[TrackPoint] = []
+    # a slot without a camera is never in a plotted pair
+    names = [getattr(cal.side_camera(i), "camera_id", "") for i in range(4)]
+    chunks = []
     for start in range(0, len(bundles), _CHUNK_BUNDLES):
         stop = start + _CHUNK_BUNDLES
         plotted, xyz, dz, lead, corrected = _fuse(
@@ -513,47 +634,50 @@ def build_track(
             vertical_correction,
             pair_strategy,
         )
-        times = bundles.timestamp_ms[start:stop][plotted]
-        track.extend(
-            TrackPoint(
-                timestamp_ms=t,
-                position=WorldPoint3D(x, y, z),
-                pair=pair_names[p],
-                z_disagreement_mm=d,
-                depth_corrected=flag,
-            )
-            for t, x, y, z, d, p, flag in zip(
-                times.tolist(),
-                *xyz.tolist(),
-                dz.tolist(),
-                lead.tolist(),
-                corrected.tolist(),
-            )
+        chunks.append(
+            (bundles.timestamp_ms[start:stop][plotted], *xyz, dz, corrected, lead)
         )
-    return track, stats
+    if not chunks:
+        return TrackTable.from_points([]), stats
+    return (
+        TrackTable(
+            *(np.concatenate(column) for column in zip(*chunks)),
+            tuple((names[i], names[j]) for i, j in ADJACENT_PAIRS),
+        ),
+        stats,
+    )
 
 
 # --- track persistence ------------------------------------------------------
 
 
-def write_track(path, track: Iterable[TrackPoint]) -> None:
+def write_track(path, track: TrackTable | Iterable[TrackPoint]) -> None:
     """Write a track CSV; reals carry six decimal places."""
+    track = as_track_table(track)
+    pair_texts = [f"{csv_field(a)},{csv_field(b)}" for a, b in track.pairs]
+    t, x, y, z, dz = (column.tolist() for column in track._reals())
+    rows = map(
+        "{:.6f},{:.6f},{:.6f},{:.6f},{},{:.6f},{}\n".format,
+        t,
+        x,
+        y,
+        z,
+        map(pair_texts.__getitem__, track.pair.tolist()),
+        dz,
+        map(("false", "true").__getitem__, track.depth_corrected.tolist()),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACK_HEADER) + "\n")
-        for p in track:
-            fh.write(
-                f"{p.timestamp_ms:.6f},{p.position.x:.6f},{p.position.y:.6f},"
-                f"{p.position.z:.6f},{csv_field(p.pair[0])},{csv_field(p.pair[1])},"
-                f"{p.z_disagreement_mm:.6f},"
-                f"{'true' if p.depth_corrected else 'false'}\n"
-            )
+        fh.writelines(rows)
 
 
 def _track_point(
     t: str, x: str, y: str, z: str, cam_a: str, cam_b: str, dz: str, flag: str
 ) -> TrackPoint:
     if flag not in ("true", "false"):
-        raise ValueError(f"depth_corrected must be true/false, got {flag!r}")
+        raise FieldError(
+            "depth_corrected", f"depth_corrected must be true/false, got {flag!r}"
+        )
     return TrackPoint(
         timestamp_ms=real(t, "timestamp_ms"),
         position=WorldPoint3D(real(x, "x_mm"), real(y, "y_mm"), real(z, "z_mm")),
@@ -563,5 +687,25 @@ def _track_point(
     )
 
 
-def read_track(path) -> list[TrackPoint]:
-    return read_file(path, read_columns, TRACK_HEADER, per_row(_track_point))[0]
+def _track_columns(
+    columns: list[list[str]],
+) -> tuple[TrackTable, list[tuple[int, Exception]]]:
+    """The table of the rows that pass every track check (a read_columns check).
+
+    The checks run as column masks; only a row that fails one goes through
+    ``_track_point``, whose error names the row's first failing column.
+    """
+    t, x, y, z, cam_a, cam_b, dz, flag = columns
+    reals = [float_column(column) for column in (t, x, y, z, dz)]
+    corrected = np.fromiter(map("true".__eq__, flag), bool, len(flag))
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(reals).all(axis=0) & (reals[4] >= 0)
+    ok &= corrected | np.fromiter(map("false".__eq__, flag), bool, len(flag))
+    table = TrackTable(*reals, corrected, *_pair_codes(list(zip(cam_a, cam_b))))
+    return checked_table(table, ok, columns, _track_point)
+
+
+def read_track(path) -> TrackTable:
+    return read_file(
+        path, read_columns, TRACK_HEADER, _track_columns, TrackTable.concat
+    )[0]

@@ -13,17 +13,18 @@ schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
 Every CSV table is read by :func:`read_columns`, which hands blocks of
-rows to a check as columns.  Detections and ground truth are checked by
-column masks; the track, segments and truth are built one row at a time
+rows to a check as columns.  Detections, ground truth and the track are
+checked by column masks; segments and truth are built one row at a time
 through :func:`per_row`, their real-valued fields through :func:`real`,
 which refuses ``nan`` and ``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
-CsvError naming its line.
+CsvError naming its line, unless a CSV row in front of that line is bad.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -144,15 +145,16 @@ def loads_doc(text: str) -> dict:
     return doc
 
 
-def _first_bad_line(path) -> int:
-    """The 1-based line of ``path`` holding its first byte that is not UTF-8."""
+def _first_bad_line(path) -> tuple[int, str]:
+    """The 1-based line of ``path`` holding its first byte that is not
+    UTF-8, and the text of the whole lines before it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         data = data[: exc.start]
-    return data.count(b"\n") + 1
+    return data.count(b"\n") + 1, data[: data.rfind(b"\n") + 1].decode("utf-8")
 
 
 def read_doc(path) -> dict:
@@ -160,7 +162,7 @@ def read_doc(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
-        raise FormatError(f"line {_first_bad_line(path)}: not UTF-8 text") from None
+        raise FormatError(f"line {_first_bad_line(path)[0]}: not UTF-8 text") from None
     return loads_doc(text)
 
 
@@ -302,15 +304,15 @@ def checked_table(table, ok: np.ndarray, columns: list[list[str]], make):
     """``table`` less the rows mask ``ok`` refuses, and ``(index, error)`` of each.
 
     Only a refused row goes through ``make(*fields)``, the per-row reader
-    of the ``columns`` the table was read from, whose ValueError names the
-    row's first failing column; a row the mask refuses but ``make`` accepts
-    is kept.
+    of the ``columns`` the table was read from, whose ValueError or
+    FormatError names the row's first failing column; a row the mask
+    refuses but ``make`` accepts is kept.
     """
     refused = []
     for i in np.flatnonzero(~ok).tolist():
         try:
             make(*[column[i] for column in columns])
-        except ValueError as exc:
+        except (ValueError, FormatError) as exc:
             refused.append((i, exc))
         else:
             ok[i] = True
@@ -367,9 +369,9 @@ def read_columns(
     errors returned in row order.
 
     A row the csv module cannot split (a field over its size limit) raises
-    a CsvError naming its line; a byte that is not UTF-8 raises the
-    UnicodeDecodeError that read_file turns into one.  In strict mode, an
-    error of a row read before either is raised instead.
+    a CsvError naming its line; in strict mode, an error of a row read
+    before it is raised instead.  A byte that is not UTF-8 raises the
+    UnicodeDecodeError that read_file turns into a CsvError.
     """
     reader = csv.reader(lines)
     width = len(header)
@@ -413,20 +415,27 @@ def read_columns(
             row_no += len(rows)
             if len(rows) < _BLOCK_ROWS:
                 break
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         if strict:
             check_block(rows, row_no + 1)
-        if isinstance(exc, csv.Error):
-            raise CsvError(reader.line_num, "", str(exc)) from None
-        raise
+        raise CsvError(reader.line_num, "", str(exc)) from None
     return join(parts), [_row_error(*error) for error in errors]
 
 
 def read_file(path, read: Callable[..., T], *args) -> T:
-    """``read(file, *args)`` over a UTF-8 file; a byte that is not is a CsvError."""
+    """``read(file, *args)`` over a UTF-8 file; a byte that is not is a CsvError.
+
+    The decoder reads ahead, so it can meet a bad byte before ``read`` has
+    seen the lines in front of it: those lines are read again on their
+    own, and a CsvError that raises there is raised instead.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return read(fh, *args)
     except UnicodeDecodeError:
-        raise CsvError(_first_bad_line(path), "", "not UTF-8 text") from None
+        pass
+    line, head = _first_bad_line(path)
+    if line > 1:
+        read(io.StringIO(head, newline=""), *args)
+    raise CsvError(line, "", "not UTF-8 text")
 

@@ -27,7 +27,7 @@ from gridscope.evaluation import (
     validate_segments,
     write_segments,
 )
-from gridscope.fusion import FusionStats, TrackPoint
+from gridscope.fusion import FusionStats, TrackPoint, TrackTable
 from gridscope.geometry import GridBox, WorldPoint3D
 from gridscope.jsonio import dumps_doc
 
@@ -162,6 +162,17 @@ class TestSegmentsCsv:
         with pytest.raises(CsvError) as err:
             read_segments(p)
         assert err.value.row == 2
+
+    def test_bad_face_names_its_column(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("segment_id,t_start_ms,t_end_ms,face\nw,0,10,y_max\nv,10,20,Top\n")
+        with pytest.raises(CsvError) as err:
+            read_segments(p)
+        assert (err.value.row, err.value.column) == (3, "face")
+        assert str(err.value) == (
+            "row 3, column face: segment v: unknown face 'Top', expected one of "
+            "x_min, x_max, y_min, y_max, z_min, z_max"
+        )
 
     def test_overlapping_file_rejected(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -317,7 +328,7 @@ def _scoring_case(draw):
         for s in segments
         for t in draw(
             st.lists(
-                st.sampled_from([s.t_start_ms, s.t_end_ms - 1e-9])
+                st.sampled_from([s.t_start_ms, s.t_end_ms - 1e-9, s.t_end_ms])
                 | st.floats(s.t_start_ms, s.t_end_ms, exclude_max=True),
                 min_size=least,
                 max_size=4,
@@ -327,6 +338,7 @@ def _scoring_case(draw):
     times += draw(
         st.lists(
             st.sampled_from(bounds).map(float)
+            | st.just(-0.0)
             | st.floats(-2.0, 42.0)
             | st.integers(-2, 42).map(lambda t: t - 1e-9),
             max_size=8,
@@ -348,6 +360,18 @@ def _outcome(score, track, segments, px_per_mm, bounded):
 @given(_scoring_case(), st.sampled_from([1.0, 2.0]), st.booleans())
 def test_one_pass_equals_per_segment_scan(case, px_per_mm, bounded):
     track, segments = case
-    assert _outcome(evaluate_track, track, segments, px_per_mm, bounded) == (
-        _outcome(scan_evaluate_track, track, segments, px_per_mm, bounded)
-    )
+    want = _outcome(scan_evaluate_track, track, segments, px_per_mm, bounded)
+    assert _outcome(evaluate_track, track, segments, px_per_mm, bounded) == want
+    table = TrackTable.from_points(track)
+    assert _outcome(evaluate_track, table, segments, px_per_mm, bounded) == want
+
+
+def test_bounded_excess_is_squared_as_distance_to_face_squares_it():
+    # C's pow rounds this excess's square to a different last bit than
+    # e * e does, and the difference survives the square root
+    p = WorldPoint3D(70.234, 130.0, 80.0)
+    e = BOX.origin.x - p.x
+    assert math.sqrt(30.0 * 30.0 + e**2) != math.sqrt(30.0 * 30.0 + e * e)
+    segments = [Segment("s", 0.0, 10.0, "y_min")]
+    report = evaluate_track([tp(0.0, p.x, p.y, p.z)], segments, BOX, bounded=True)
+    assert report.overall_mm == distance_to_face(p, BOX, "y_min", bounded=True)

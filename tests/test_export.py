@@ -1,4 +1,9 @@
+import math
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscope.errors import ConfigError, EmptyTrack, FormatError
 from gridscope.export import (
@@ -10,6 +15,7 @@ from gridscope.export import (
 )
 from gridscope.fusion import TrackPoint, write_track
 from gridscope.geometry import GridBox, WorldPoint3D
+from gridscope.jsonio import format_real
 
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
@@ -65,6 +71,35 @@ class TestPly:
         assert float(y) == 0.1
         assert float(z) == 2e-7
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)] * 3),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_each_vertex_is_written_by_format_real(self, tmp_path_factory, xyz):
+        track = [
+            TrackPoint(float(i), WorldPoint3D(*p), ("side0", "side1"), 0.0, False)
+            for i, p in enumerate(xyz)
+        ]
+        p = tmp_path_factory.mktemp("ply") / "out.ply"
+        export_ply(p, track)
+        assert p.read_text().splitlines()[7:] == [
+            " ".join(map(format_real, point)) for point in xyz
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_refused(self, tmp_path, bad):
+        track = TRACK + [
+            TrackPoint(150.0, WorldPoint3D(1.0, bad, -bad), ("side0", "side1"), 0.0, False)
+        ]
+        p = tmp_path / "bad.ply"
+        with pytest.raises(FormatError, match=f"non-finite real {bad!r}"):
+            export_ply(p, track)
+        assert not p.exists()
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.ply"
         b = tmp_path / "b.ply"
@@ -85,6 +120,32 @@ class TestSvg:
         assert 'fill="#ffffff"' in text
         for label in ("top (", "front (", "side ("):
             assert label in text
+
+    def test_points_follow_the_per_point_formula(self, tmp_path):
+        # y = 122.55694912500003 draws at 286.870509 on the top panel; the
+        # same sum taken as 40 + 390 * scale - y * scale gives 286.870508
+        track = TRACK + [
+            TrackPoint(150.0, WorldPoint3D(7.25, 122.55694912500003, 1.0), ("side0", "side1"), 0.0, True)
+        ]
+        p = tmp_path / "out.svg"
+        export_svg(p, track, GRID)
+        drawn = re.findall(r'<polyline points="([^"]*)"', p.read_text())
+        o = GRID.origin
+        panels = [
+            (GRID.w_mm, GRID.d_mm, lambda q: (q.x - o.x, q.y - o.y)),
+            (GRID.w_mm, GRID.h_mm, lambda q: (q.x - o.x, q.z - o.z)),
+            (GRID.d_mm, GRID.h_mm, lambda q: (q.y - o.y, q.z - o.z)),
+        ]
+        want = []
+        for i, (span_h, span_v, coords) in enumerate(panels):
+            scale = min(360.0 / span_h, 420.0 / span_v)
+            offset = 40.0 + i * (360.0 + 50.0)
+            want.append(" ".join(
+                f"{offset + h * scale:.6f},{40.0 + (span_v - v) * scale:.6f}"
+                for h, v in (coords(t.position) for t in track)
+            ))
+        assert drawn == want
+        assert "286.870509" in drawn[0]
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.svg"

@@ -246,7 +246,7 @@ class TestBuildTrack:
         dets = [side_det(i, world) for i in range(4)] + [top_det(world)]
         track, stats = build_track(cal, [bundle(0.0, dets)])
         assert len(track) == 1
-        assert track[0].position == world
+        assert list(track)[0].position == world
         assert stats.plotted == 1
         assert stats.with_two_side_detections == 1
 
@@ -254,7 +254,7 @@ class TestBuildTrack:
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         track, stats = build_track(cal, [bundle(0.0, [side_det(0, world)])])
-        assert track == []
+        assert len(track) == 0
         assert stats.total == 1
         assert stats.with_side_detection == 1
         assert stats.with_two_side_detections == 0
@@ -265,7 +265,7 @@ class TestBuildTrack:
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(0, world), side_det(2, world), top_det(world)]
         track, stats = build_track(cal, [bundle(0.0, dets)])
-        assert track == []
+        assert len(track) == 0
         assert stats.with_two_side_detections == 1
 
     def test_best_pair_by_confidence(self):
@@ -277,14 +277,14 @@ class TestBuildTrack:
             side_det(2, world, conf=0.8),
         ]
         track, _ = build_track(cal, [bundle(0.0, dets)])
-        assert track[0].pair == ("side0", "side1")
+        assert list(track)[0].pair == ("side0", "side1")
 
     def test_confidence_tie_takes_lowest_pair_index(self):
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(i, world, conf=0.7) for i in (1, 2, 3)]
         track, _ = build_track(cal, [bundle(0.0, dets)])
-        assert track[0].pair == ("side1", "side2")
+        assert list(track)[0].pair == ("side1", "side2")
 
     def test_average_all_strategy(self):
         cal = make_cal()
@@ -297,9 +297,9 @@ class TestBuildTrack:
             cal, [bundle(0.0, dets)], pair_strategy="average_all"
         )
         # Pair (0,1): (100, 150, 299); pair (1,2): (104, 150, 297).
-        assert track[0].position == WorldPoint3D(102.0, 150.0, 298.0)
-        assert track[0].pair == ("side0", "side1")
-        assert track[0].z_disagreement_mm == 2.0
+        assert list(track)[0].position == WorldPoint3D(102.0, 150.0, 298.0)
+        assert list(track)[0].pair == ("side0", "side1")
+        assert list(track)[0].z_disagreement_mm == 2.0
         assert stats.plotted == 1
 
     def test_rejected_z_counted_once_per_bundle(self):
@@ -309,7 +309,7 @@ class TestBuildTrack:
             side_det(1, WorldPoint3D(100.0, 150.0, 400.0)),
         ]
         track, stats = build_track(cal, [bundle(0.0, dets)], z_reject_mm=30.0)
-        assert track == []
+        assert len(track) == 0
         assert stats.rejected_z == 1
 
     def test_average_all_drops_rejected_pairs(self):
@@ -324,7 +324,7 @@ class TestBuildTrack:
         )
         # (0,1) survives, (1,2) disagrees by 98 and is dropped.
         assert len(track) == 1
-        assert track[0].position.z == 301.0
+        assert list(track)[0].position.z == 301.0
         assert stats.rejected_z == 0
 
     def test_outside_area_detection_counted_and_unused(self):
@@ -332,7 +332,7 @@ class TestBuildTrack:
         world = WorldPoint3D(100.0, 150.0, 300.0)
         stray = Detection("side1", "0", 0.0, 1000.0, 1000.0, 1010.0, 1010.0, 1.0)
         track, stats = build_track(cal, [bundle(0.0, [side_det(0, world), stray])])
-        assert track == []
+        assert len(track) == 0
         assert stats.outside_area == 1
         assert stats.with_two_side_detections == 1  # raw detections counted
 
@@ -364,7 +364,7 @@ class TestTrackFiles:
         path = tmp_path / "track.csv"
         write_track(path, self.sample())
         back = read_track(path)
-        assert back == self.sample()
+        assert list(back) == self.sample()
 
     def test_file_level_fixed_point(self, tmp_path):
         path1 = tmp_path / "a.csv"
@@ -536,7 +536,7 @@ def test_build_track_equals_per_pair_oracle(case, chunk):
         track, stats = build_track(cal, bundles, **options)
     want_track, want_stats = naive_build_track(cal, bundles, **options)
     # repr tells -0.0 from 0.0, as the written track does
-    assert repr(track) == repr(want_track)
+    assert repr(list(track)) == repr(want_track)
     assert stats == want_stats
 
 

@@ -255,20 +255,24 @@ class TestReadColumns:
 
 # --- track, segments and truth against the row-wise oracle -----------------
 
-# Per table: its header, the per-row builder its reader runs, the reader,
-# the rows to draw, and the i-th row of a valid run.
+# Per table: its header, the per-row builder its rows are refused by, the
+# reader, the rows to draw, the i-th row of a valid run, and the
+# read_columns check and join the reader runs.
 ROWWISE_TABLES = {
     "track": (
         TRACK_HEADER, fusion._track_point, read_track, TRACK_ROW,
         lambda i: [f"{i}.5", "1", "2", "3", "side0", "side1", "0.25", "true"],
+        fusion._track_columns, fusion.TrackTable.concat,
     ),
     "segments": (
         SEGMENTS_HEADER, evaluation._segment, read_segments, SEGMENT_ROW,
         lambda i: [f"run{i}", f"{1000 + 2 * i}", f"{1001 + 2 * i}", "z_max"],
+        jsonio.per_row(evaluation._segment), jsonio._chained,
     ),
     "truth": (
         TRUTH_HEADER, simulate._truth_sample, read_truth, TRUTH_ROW,
         lambda i: [str(i), "0.5", "-1", "2e3"],
+        jsonio.per_row(simulate._truth_sample), jsonio._chained,
     ),
 }
 
@@ -307,7 +311,7 @@ def _table_outcome(read):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), strict=st.booleans(), tail=st.sampled_from(list(TAILS)))
 def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
-    header, make, reader, row, valid = ROWWISE_TABLES[table]
+    header, make, reader, row, valid, check, join = ROWWISE_TABLES[table]
     rows = data.draw(table_rows(row, valid), label="rows")
     lines = [",".join(header)] + [",".join(fields) for fields in rows]
 
@@ -315,7 +319,7 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
         return oracles.read_table(lines, header, lambda row: make(*row), strict)
 
     def columns(lines):
-        return jsonio.read_columns(lines, header, jsonio.per_row(make), strict=strict)
+        return jsonio.read_columns(lines, header, check, join, strict=strict)
 
     assert _table_outcome(lambda: columns(lines)) == _table_outcome(lambda: oracle(lines))
 
@@ -343,16 +347,16 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
         ("oversized_field", 2050, 2052),  # in the block the csv.Error cuts short
         ("not_utf8", 0, 2),
         ("not_utf8", 5, 7),
-        # the decoder reads 8 KiB at a time, so it meets the bad byte on
-        # line 2062 before the csv module sees the bad row 10 lines up
-        ("not_utf8", 2050, 2062),
+        # the decoder meets the bad byte on line 2062 before the csv module
+        # sees the bad row 10 lines up; the lines before it are read again
+        ("not_utf8", 2050, 2052),
     ],
 )
 @pytest.mark.parametrize("table", ROWWISE_TABLES)
 def test_a_bad_row_before_an_unreadable_one_is_raised(tmp_path, table, tail, bad_at, row):
     """Strict reading raises the error of a bad row read before a csv.Error
     or a bad byte, as the row-wise reader does."""
-    header, make, reader, _, valid = ROWWISE_TABLES[table]
+    header, make, reader, _, valid, _, _ = ROWWISE_TABLES[table]
     rows = [valid(i) for i in range(2060)]
     rows[bad_at] = rows[bad_at][:-1]
     path = tmp_path / "table.csv"
