@@ -97,10 +97,10 @@ def load_run_config(path) -> RunConfig:
     """Read a reconstruction config file; every key is optional."""
     try:
         root = jsonio.DocReader(jsonio.read_doc(path))
+        given = [name for name in _CONFIG_READERS if name in root.value]
+        kwargs = {name: _CONFIG_READERS[name](root.key(name)) for name in given}
     except GridscopeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    given = [name for name in _CONFIG_READERS if name in root.value]
-    kwargs = {name: _CONFIG_READERS[name](root.key(name)) for name in given}
     stray = set(root.value) - set(_CONFIG_READERS)
     if stray:
         raise ConfigError(f"{path}: unknown config keys {sorted(stray)}")

@@ -20,7 +20,8 @@ each camera frame, then greedy nearest-timestamp grouping joins those
 frames around a reference camera.  The result is a ``BundleTable`` of row
 ids, which fusion reads the table through.  ``Detection`` and
 ``FrameBundle`` objects are the API edge: ``parse_detections`` and
-``synchronize`` build them from the same table code.
+``synchronize`` build them from the same table code, and
+``DetectionTable.of`` puts Detection objects into a table.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CsvError
 from .geometry import PixelPoint
-from .jsonio import checked_table, csv_field, float_column, read_columns, read_file, real
+from .jsonio import (
+    Columns,
+    checked_table,
+    csv_field,
+    float_column,
+    read_columns,
+    read_file,
+    real,
+)
 
 CSV_HEADER = (
     "camera_id",
@@ -140,8 +147,8 @@ class ParseResult:
         return len(self.errors)
 
 
-@dataclass(frozen=True)
-class DetectionTable:
+@dataclass(frozen=True, eq=False)
+class DetectionTable(Columns):
     """Detections as columns, one entry per row in read order.
 
     Every row holds what a ``Detection`` would: the text columns are str
@@ -156,54 +163,6 @@ class DetectionTable:
     u_max: np.ndarray
     v_max: np.ndarray
     confidence: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.camera_id)
-
-    def _reals(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in _REAL_COLUMNS]
-
-    def take(self, rows: np.ndarray) -> "DetectionTable":
-        """The table of ``rows`` (indices), in that order."""
-        picked = rows.tolist()
-        return DetectionTable(
-            [self.camera_id[i] for i in picked],
-            [self.frame_index[i] for i in picked],
-            *(column[rows] for column in self._reals()),
-        )
-
-    @classmethod
-    def concat(cls, tables: list["DetectionTable"]) -> "DetectionTable":
-        """One table holding the rows of ``tables`` in turn."""
-        if len(tables) == 1:
-            return tables[0]
-        return cls(
-            list(chain.from_iterable(t.camera_id for t in tables)),
-            list(chain.from_iterable(t.frame_index for t in tables)),
-            *map(np.concatenate, zip(*(t._reals() for t in tables))),
-        )
-
-    @classmethod
-    def from_detections(cls, detections: list[Detection]) -> "DetectionTable":
-        def column(name: str) -> np.ndarray:
-            values = map(attrgetter(name), detections)
-            return np.fromiter(values, float, len(detections))
-
-        return cls(
-            [d.camera_id for d in detections],
-            [d.frame_index for d in detections],
-            *map(column, _REAL_COLUMNS),
-        )
-
-    def detections(self) -> list[Detection]:
-        return list(
-            map(
-                Detection,
-                self.camera_id,
-                self.frame_index,
-                *(column.tolist() for column in self._reals()),
-            )
-        )
 
 
 def _detection(camera_id: str, frame_index: str, *texts: str) -> Detection:
@@ -236,7 +195,7 @@ def _detection_list(
 ) -> tuple[list[Detection], list[tuple[int, Exception]]]:
     """_detection_columns, with the table's rows as Detection objects."""
     table, refused = _detection_columns(columns)
-    return table.detections(), refused
+    return table.rows(Detection), refused
 
 
 def read_detection_table(
@@ -311,20 +270,6 @@ class BundleTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_frame_bundles(cls, bundles: list[FrameBundle]) -> "BundleTable":
-        """The bundles over a table of their detections, one row per member."""
-        cameras = sorted({cam for bundle in bundles for cam in bundle.per_camera})
-        slot = {cam: c for c, cam in enumerate(cameras)}
-        rows = np.full((len(bundles), len(cameras)), -1, dtype=np.intp)
-        members: list[Detection] = []
-        for k, bundle in enumerate(bundles):
-            for cam, det in bundle.per_camera.items():
-                rows[k, slot[cam]] = len(members)
-                members.append(det)
-        times = np.fromiter((b.timestamp_ms for b in bundles), float, len(bundles))
-        return cls(DetectionTable.from_detections(members), tuple(cameras), rows, times)
 
 
 def synchronize_table(
@@ -428,7 +373,7 @@ def synchronize(
     """synchronize_table over detection objects; bundles hold those objects."""
     detections = list(detections)
     bundles = synchronize_table(
-        DetectionTable.from_detections(detections), tolerance_ms, reference_camera
+        DetectionTable.of(detections), tolerance_ms, reference_camera
     )
     return [
         FrameBundle(t, {cam: detections[r] for cam, r in zip(bundles.cameras, row) if r >= 0})

@@ -20,9 +20,11 @@ table of eligibility, confidence sum, world position and z disagreement
 picks the result.  Views are kept by side slot, which names one camera.
 ``reconstruct_point`` runs the same column code on one pair of views.
 
-The track is a ``TrackTable`` of columns from ``build_track`` through
-``write_track`` and back from ``read_track``, which checks every row by
-column masks and re-reads only a refused row one at a time, as
+``build_track`` takes the ``BundleTable`` that ``synchronize_table``
+returns.  The track is a ``TrackTable`` of columns, in the track file's
+order with the camera pair as two str columns, from ``build_track``
+through ``write_track`` and back from ``read_track``, which checks every
+row by column masks and re-reads only a refused row one at a time, as
 ``_track_point`` would, so its error names the same row, column and
 reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
 ``as_track_table`` puts points into one.
@@ -30,7 +32,8 @@ reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,10 +51,11 @@ from .depth import (
     correct_columns,
     correct_side_point,  # noqa: F401  (perfbench/spans.py wraps this name)
 )
-from .detections import BundleTable, Detection, DetectionTable, FrameBundle
+from .detections import BundleTable, Detection, DetectionTable
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D, WorldPoint3D
 from .jsonio import (
+    Columns,
     DocReader,
     FieldError,
     checked_table,
@@ -105,104 +109,47 @@ class TrackPoint:
             )
 
 
-# TrackTable's float64 columns, in the order it takes them.
-_REAL_COLUMNS = ("timestamp_ms", "x", "y", "z", "z_disagreement_mm")
-
-
-@dataclass(frozen=True)
-class TrackTable:
+@dataclass(frozen=True, eq=False)
+class TrackTable(Columns):
     """The track as columns, one entry per point in track order.
 
-    Every row holds what a ``TrackPoint`` would: float64 columns for the
-    time, position and z disagreement, a bool column for the depth
-    correction, and the row's camera pair as an index into ``pairs``.
-    A table iterates as TrackPoint objects.
+    Every row holds what a ``TrackPoint`` would, in the track file's column
+    order: float64 columns for the time, position and z disagreement, the
+    camera pair as two str columns and a bool column for the depth
+    correction.  A table iterates as TrackPoint objects.
     """
 
     timestamp_ms: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    cam_a: list[str]
+    cam_b: list[str]
     z_disagreement_mm: np.ndarray
-    depth_corrected: np.ndarray
-    pair: np.ndarray
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.timestamp_ms)
-
-    def __eq__(self, other) -> bool:
-        """Whether two tables hold equal points in the same order."""
-        if not isinstance(other, TrackTable):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def _reals(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in _REAL_COLUMNS]
+    depth_corrected: np.ndarray = field(metadata={"dtype": bool})
 
     def __iter__(self) -> Iterator[TrackPoint]:
-        t, x, y, z, dz = (column.tolist() for column in self._reals())
-        return map(
-            TrackPoint,
-            t,
-            map(WorldPoint3D, x, y, z),
-            map(self.pairs.__getitem__, self.pair.tolist()),
-            dz,
-            self.depth_corrected.tolist(),
-        )
-
-    def take(self, rows: np.ndarray) -> "TrackTable":
-        """The table of ``rows`` (indices), in that order."""
-        return TrackTable(
-            *(column[rows] for column in self._reals()),
-            self.depth_corrected[rows],
-            self.pair[rows],
-            self.pairs,
-        )
-
-    @classmethod
-    def concat(cls, tables: list["TrackTable"]) -> "TrackTable":
-        """One table holding the rows of ``tables`` in turn."""
-        if len(tables) == 1:
-            return tables[0]
-        pairs: dict[tuple[str, str], int] = {}
-        codes = []
-        for t in tables:
-            code = [pairs.setdefault(p, len(pairs)) for p in t.pairs]
-            codes.append(np.array(code, dtype=np.intp)[t.pair])
-        return cls(
-            *map(np.concatenate, zip(*(t._reals() for t in tables))),
-            np.concatenate([t.depth_corrected for t in tables]),
-            np.concatenate(codes),
-            tuple(pairs),
-        )
+        return iter(self.rows(_point))
 
     @classmethod
     def from_points(cls, points: Iterable[TrackPoint]) -> "TrackTable":
-        points = list(points)
-        reals = [
-            (
-                p.timestamp_ms,
-                p.position.x,
-                p.position.y,
-                p.position.z,
-                p.z_disagreement_mm,
+        return cls.of(
+            SimpleNamespace(
+                timestamp_ms=p.timestamp_ms,
+                x=p.position.x,
+                y=p.position.y,
+                z=p.position.z,
+                cam_a=p.pair[0],
+                cam_b=p.pair[1],
+                z_disagreement_mm=p.z_disagreement_mm,
+                depth_corrected=p.depth_corrected,
             )
             for p in points
-        ]
-        flags = np.array([p.depth_corrected for p in points], dtype=bool)
-        return cls(
-            *np.array(reals, dtype=float).reshape(len(points), 5).T,
-            flags,
-            *_pair_codes([p.pair for p in points]),
         )
 
 
-def _pair_codes(pairs: list[tuple[str, str]]) -> tuple[np.ndarray, tuple]:
-    """Each pair's index into the distinct pairs, and those pairs in order
-    of first appearance."""
-    slot = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
-    return np.fromiter(map(slot.__getitem__, pairs), np.intp, len(pairs)), tuple(slot)
+def _point(t, x, y, z, cam_a, cam_b, dz, flag) -> TrackPoint:
+    return TrackPoint(t, WorldPoint3D(x, y, z), (cam_a, cam_b), dz, flag)
 
 
 def as_track_table(track: TrackTable | Iterable[TrackPoint]) -> TrackTable:
@@ -596,7 +543,7 @@ def _fuse(
 
 def build_track(
     cal: Calibration,
-    bundles: BundleTable | Iterable[FrameBundle],
+    bundles: BundleTable,
     z_reject_mm: float = DEFAULT_Z_REJECT_MM,
     depth_correction: bool = True,
     vertical_correction: bool = True,
@@ -604,11 +551,10 @@ def build_track(
 ) -> tuple[TrackTable, FusionStats]:
     """Reconstruct a track from synchronized bundles.
 
-    ``bundles`` is a BundleTable, or FrameBundle objects, which are put in
-    one first.  ``pair_strategy`` is "best" (use the eligible pair with the
-    highest combined confidence, ties to the lowest pair index) or
-    "average_all" (average the positions from every eligible pair that
-    survives the z check; the recorded pair and disagreement come from the
+    ``pair_strategy`` is "best" (use the eligible pair with the highest
+    combined confidence, ties to the lowest pair index) or "average_all"
+    (average the positions from every eligible pair that survives the z
+    check; the recorded pair and disagreement come from the
     highest-confidence contributor).
     """
     if pair_strategy not in PAIR_STRATEGIES:
@@ -616,8 +562,6 @@ def build_track(
             f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "
             f"got {pair_strategy!r}"
         )
-    if not isinstance(bundles, BundleTable):
-        bundles = BundleTable.from_frame_bundles(list(bundles))
     stats = FusionStats(total=len(bundles))
     # a slot without a camera is never in a plotted pair
     names = [getattr(cal.side_camera(i), "camera_id", "") for i in range(4)]
@@ -638,14 +582,12 @@ def build_track(
             (bundles.timestamp_ms[start:stop][plotted], *xyz, dz, corrected, lead)
         )
     if not chunks:
-        return TrackTable.from_points([]), stats
-    return (
-        TrackTable(
-            *(np.concatenate(column) for column in zip(*chunks)),
-            tuple((names[i], names[j]) for i, j in ADJACENT_PAIRS),
-        ),
-        stats,
-    )
+        return TrackTable.of([]), stats
+    t, x, y, z, dz, corrected, lead = map(np.concatenate, zip(*chunks))
+    leads = lead.tolist()
+    cam_a = [names[ADJACENT_PAIRS[p][0]] for p in leads]
+    cam_b = [names[ADJACENT_PAIRS[p][1]] for p in leads]
+    return TrackTable(t, x, y, z, cam_a, cam_b, dz, corrected), stats
 
 
 # --- track persistence ------------------------------------------------------
@@ -654,16 +596,16 @@ def build_track(
 def write_track(path, track: TrackTable | Iterable[TrackPoint]) -> None:
     """Write a track CSV; reals carry six decimal places."""
     track = as_track_table(track)
-    pair_texts = [f"{csv_field(a)},{csv_field(b)}" for a, b in track.pairs]
-    t, x, y, z, dz = (column.tolist() for column in track._reals())
+    quoted = {name: csv_field(name) for name in {*track.cam_a, *track.cam_b}}
     rows = map(
-        "{:.6f},{:.6f},{:.6f},{:.6f},{},{:.6f},{}\n".format,
-        t,
-        x,
-        y,
-        z,
-        map(pair_texts.__getitem__, track.pair.tolist()),
-        dz,
+        "{:.6f},{:.6f},{:.6f},{:.6f},{},{},{:.6f},{}\n".format,
+        track.timestamp_ms.tolist(),
+        track.x.tolist(),
+        track.y.tolist(),
+        track.z.tolist(),
+        map(quoted.__getitem__, track.cam_a),
+        map(quoted.__getitem__, track.cam_b),
+        track.z_disagreement_mm.tolist(),
         map(("false", "true").__getitem__, track.depth_corrected.tolist()),
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -701,7 +643,7 @@ def _track_columns(
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(reals).all(axis=0) & (reals[4] >= 0)
     ok &= corrected | np.fromiter(map("false".__eq__, flag), bool, len(flag))
-    table = TrackTable(*reals, corrected, *_pair_codes(list(zip(cam_a, cam_b))))
+    table = TrackTable(*reals[:4], cam_a, cam_b, reals[4], corrected)
     return checked_table(table, ok, columns, _track_point)
 
 

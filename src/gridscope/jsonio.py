@@ -14,9 +14,11 @@ instead of a bare KeyError.
 
 Every CSV table is read by :func:`read_columns`, which hands blocks of
 rows to a check as columns.  Detections, ground truth and the track are
-checked by column masks; segments and truth are built one row at a time
-through :func:`per_row`, their real-valued fields through :func:`real`,
-which refuses ``nan`` and ``inf``.
+checked by column masks into tables that share :class:`Columns`, which
+derives their length, ``==``, ``take``, ``concat`` and the conversion to
+and from objects from their fields.  Segments and truth are built one row
+at a time through :func:`per_row`, their real-valued fields through
+:func:`real`, which refuses ``nan`` and ``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
 """
@@ -28,6 +30,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import Field, fields
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -278,6 +281,71 @@ def csv_field(text: str) -> str:
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+class Columns:
+    """A base for frozen dataclass tables whose fields are equal-length columns.
+
+    A field annotated ``list[str]`` is a str list; any other is a numpy
+    array of float64, or of the ``dtype`` its field metadata names.  A
+    subclass is declared ``@dataclass(frozen=True, eq=False)`` so that it
+    keeps this ``==``, which holds when every column holds equal values, as
+    the rows' tuples compare.
+    """
+
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b if isinstance(a, list) else np.array_equal(a, b)
+            for a, b in zip(self.columns(), other.columns())
+        )
+
+    def take(self, rows: np.ndarray):
+        """The table of ``rows`` (indices), in that order."""
+        picked = rows.tolist()
+        return type(self)(
+            *(
+                [column[i] for i in picked] if isinstance(column, list) else column[rows]
+                for column in self.columns()
+            )
+        )
+
+    @classmethod
+    def concat(cls, tables: list):
+        """One table holding the rows of ``tables`` in turn."""
+        if len(tables) == 1:
+            return tables[0]
+        return cls(
+            *(
+                _chained(parts) if isinstance(parts[0], list) else np.concatenate(parts)
+                for parts in zip(*(t.columns() for t in tables))
+            )
+        )
+
+    @classmethod
+    def of(cls, objects: Iterable):
+        """The table of ``objects``; each column holds their attribute of its name."""
+        objects = list(objects)
+
+        def column(f: Field) -> list | np.ndarray:
+            values = [getattr(o, f.name) for o in objects]
+            if str(f.type).startswith("list"):
+                return values
+            return np.array(values, dtype=f.metadata.get("dtype", float))
+
+        return cls(*map(column, fields(cls)))
+
+    def rows(self, make: Callable[..., T]) -> list[T]:
+        """``make(*values)`` of each row in turn; array values come as Python scalars."""
+        columns = [c if isinstance(c, list) else c.tolist() for c in self.columns()]
+        return list(map(make, *columns))
 
 
 # A read_columns check: the stripped columns of a block of rows in, what it

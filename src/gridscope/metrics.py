@@ -32,13 +32,15 @@ with zero weight on raw precision and recall.
 
 ``Detection`` and ``GroundTruthBox`` lists are the API edge: every
 function that takes predictions and ground truth also takes them as lists
-of objects, and converts them to tables to run the same code.
+of objects, and puts them into tables with ``of`` to run the same code;
+``read_predictions`` and ``read_ground_truth`` give a table's ``rows`` as
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -52,7 +54,7 @@ from .detections import (
     read_detection_table,
 )
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import checked_table, float_column, read_columns, read_file, real
+from .jsonio import Columns, checked_table, float_column, read_columns, read_file, real
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -89,8 +91,8 @@ class GroundTruthBox:
             )
 
 
-@dataclass(frozen=True)
-class GroundTruthTable:
+@dataclass(frozen=True, eq=False)
+class GroundTruthTable(Columns):
     """Ground-truth boxes as columns, one entry per row in read order."""
 
     frame_id: list[str]
@@ -99,40 +101,8 @@ class GroundTruthTable:
     u_max: np.ndarray
     v_max: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.frame_id)
-
     def corners(self) -> list[np.ndarray]:
         return [self.u_min, self.v_min, self.u_max, self.v_max]
-
-    def take(self, rows: np.ndarray) -> "GroundTruthTable":
-        """The table of ``rows`` (indices), in that order."""
-        return GroundTruthTable(
-            [self.frame_id[i] for i in rows.tolist()],
-            *(column[rows] for column in self.corners()),
-        )
-
-    @classmethod
-    def concat(cls, tables: list["GroundTruthTable"]) -> "GroundTruthTable":
-        """One table holding the rows of ``tables`` in turn."""
-        if len(tables) == 1:
-            return tables[0]
-        return cls(
-            list(chain.from_iterable(t.frame_id for t in tables)),
-            *map(np.concatenate, zip(*(t.corners() for t in tables))),
-        )
-
-    @classmethod
-    def from_boxes(cls, boxes: list[GroundTruthBox]) -> "GroundTruthTable":
-        def column(name: str) -> np.ndarray:
-            return np.fromiter((getattr(b, name) for b in boxes), float, len(boxes))
-
-        return cls([b.frame_id for b in boxes], *map(column, GT_HEADER[1:]))
-
-    def boxes(self) -> list[GroundTruthBox]:
-        return list(
-            map(GroundTruthBox, self.frame_id, *(c.tolist() for c in self.corners()))
-        )
 
 
 # Predictions and ground truth as tables, or as lists of objects.
@@ -183,9 +153,9 @@ def _tables(
 ) -> tuple[DetectionTable, GroundTruthTable]:
     """Both inputs as tables; lists of objects are converted."""
     if not isinstance(predictions, DetectionTable):
-        predictions = DetectionTable.from_detections(list(predictions))
+        predictions = DetectionTable.of(predictions)
     if not isinstance(ground_truth, GroundTruthTable):
-        ground_truth = GroundTruthTable.from_boxes(list(ground_truth))
+        ground_truth = GroundTruthTable.of(ground_truth)
     return predictions, ground_truth
 
 
@@ -405,12 +375,12 @@ def read_ground_truth_table(path) -> GroundTruthTable:
 
 def read_ground_truth(path) -> list[GroundTruthBox]:
     """read_ground_truth_table, with its rows as GroundTruthBox objects."""
-    return read_ground_truth_table(path).boxes()
+    return read_ground_truth_table(path).rows(GroundTruthBox)
 
 
 def read_predictions(path, strict: bool = True) -> list[Detection]:
     """Predictions use the detection CSV layout; frame_index keys frames."""
-    return read_detection_table(path, strict)[0].detections()
+    return read_detection_table(path, strict)[0].rows(Detection)
 
 
 @dataclass(frozen=True)

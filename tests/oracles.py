@@ -8,7 +8,9 @@ brute-force staircase enumeration.  Tests compare the two routes.
 
 ``naive_build_track`` is the exception: it is the per-bundle, per-pair
 fusion loop that the columnar ``build_track`` replaced, kept to pin the
-batching (pair ranking, one correction per view, the average) to it.
+batching (pair ranking, one correction per view, the average) to it; it
+takes ``FrameBundle`` objects, which ``bundle_table`` puts into the
+``BundleTable`` that ``build_track`` takes.
 So is ``read_table``, the per-row CSV reader that the block reader
 ``jsonio.read_columns`` replaced, kept to pin its row numbers, skipped
 rows and error order to it; ``rowwise_parse_detections`` and
@@ -135,6 +137,25 @@ def naive_synchronize(detections, tolerance_ms, reference_camera=None):
 
 
 # --- per-bundle, per-pair fusion --------------------------------------------
+
+
+def bundle_table(bundles):
+    """FrameBundle objects as the BundleTable that build_track takes.
+
+    Each bundle's members become rows of one detection table, bundle by
+    bundle; its cameras are every camera that appears, sorted.
+    """
+    from gridscope.detections import BundleTable, DetectionTable
+
+    cameras = sorted({cam for bundle in bundles for cam in bundle.per_camera})
+    rows = np.full((len(bundles), len(cameras)), -1, dtype=np.intp)
+    members = []
+    for k, bundle in enumerate(bundles):
+        for cam, det in bundle.per_camera.items():
+            rows[k, cameras.index(cam)] = len(members)
+            members.append(det)
+    times = np.array([bundle.timestamp_ms for bundle in bundles], dtype=float)
+    return BundleTable(DetectionTable.of(members), tuple(cameras), rows, times)
 
 
 def naive_build_track(

@@ -21,8 +21,9 @@ from gridscope.calibration import (
 )
 from gridscope.detections import (
     Detection,
+    DetectionTable,
     parse_detections_file,
-    synchronize,
+    synchronize_table,
     write_detections,
 )
 from gridscope.evaluation import (
@@ -75,7 +76,9 @@ def run_pipeline(scenario, reference_camera=None, **track_kwargs):
     data = generate_scenario(scenario)
     cal = build_calibration(marker_picks_for(scenario))
     detections = [d for per_cam in data.detections.values() for d in per_cam]
-    bundles = synchronize(detections, reference_camera=reference_camera)
+    bundles = synchronize_table(
+        DetectionTable.of(detections), reference_camera=reference_camera
+    )
     track, stats = build_track(cal, bundles, **track_kwargs)
     return data, cal, track, stats
 
@@ -164,7 +167,7 @@ def test_c4_depth_correction_halves_pinhole_error():
         data = generate_scenario(scenario)
         cal = build_calibration(marker_picks_for(scenario))
         detections = [d for per_cam in data.detections.values() for d in per_cam]
-        bundles = synchronize(detections)
+        bundles = synchronize_table(DetectionTable.of(detections))
         corrected, _ = build_track(cal, bundles, z_reject_mm=1e9)
         plain, _ = build_track(
             cal, bundles, z_reject_mm=1e9, depth_correction=False
@@ -323,7 +326,9 @@ def test_c8_round_trips_and_golden_reruns(tmp_path):
                 detections.extend(
                     parse_detections_file(files[f"detections_{cam_id}"]).detections
                 )
-            track, stats = build_track(cal, synchronize(detections))
+            track, stats = build_track(
+                cal, synchronize_table(DetectionTable.of(detections))
+            )
             track_path = out / "track.csv"
             write_track(track_path, track)
             report = evaluate_track(

@@ -27,6 +27,7 @@ from gridscope.fusion import TRACK_HEADER, build_track, read_track, write_track
 
 from gridscope.metrics import GT_HEADER
 
+from oracles import bundle_table
 from strategies import (
     DETECTION_ROW,
     GT_ROW,
@@ -128,7 +129,7 @@ class TestPipeline:
             for path in sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv"))
             for d in parse_detections_file(path).detections
         ]
-        track, stats = build_track(cal, synchronize(detections))
+        track, stats = build_track(cal, bundle_table(synchronize(detections)))
         write_track(tmp_path / "track.csv", track)
         assert (tmp_path / "track.csv").read_bytes() == (pipeline / "track.csv").read_bytes()
         assert stats.as_doc() == json.loads((pipeline / "stats.json").read_text())
@@ -345,12 +346,41 @@ class TestExitCodes:
             "--calibration", str(pipeline / "calibration.json"),
             "--out", str(tmp_path / "track.csv"),
         ]
-        assert main(args + ["--config", str(cfg)]) == 1
+        assert main(args + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ")
         assert "sync_tolerance_ms" in err and "finite" in err
         assert "Traceback" not in err
         assert main(args + ["--sync-tolerance-ms", "nan"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"z_reject_mm": "abc"}, "z_reject_mm: expected a real number, found str"),
+            ({"z_reject_mm": True}, "z_reject_mm: expected a real number, found bool"),
+            ({"reference_camera": 3}, "reference_camera: expected a string, found int"),
+            ({"z_reject_mm": -1}, "z_reject_mm must be >= 0, got -1"),
+            ({"z_tolerance": 5.0}, "unknown config keys ['z_tolerance']"),
+        ],
+    )
+    def test_bad_config_value(self, pipeline, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        track = tmp_path / "track.csv"
+        code = main(
+            [
+                "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--out", str(track),
+                "--config", str(cfg),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert out == "" and not track.exists()
 
     def test_non_finite_grid_b(self, pipeline, tmp_path, capsys):
         code = main(
@@ -898,3 +928,172 @@ def test_evaluate_and_export_on_fuzzed_bytes(pipeline, track, segments, command)
             assert stdout.getvalue() == "" and not out.exists()
         if code == 0:
             assert out.exists()
+
+
+# --- documents fuzzed at the byte level --------------------------------------
+
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _leaf_paths(doc, path=()):
+    """The key path of every scalar, empty list and empty mapping in ``doc``."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _near(value):
+    """Values of the type that ``value`` has, so that a run can go on."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return st.integers(-3, 60) | st.floats(-1e4, 1e4) | st.just(-value)
+    if isinstance(value, str):
+        return st.text(max_size=6)
+    return _LEAF
+
+
+@st.composite
+def _one_leaf_replaced(draw, doc):
+    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    old = doc
+    for key in path:
+        old = old[key]
+    value = draw(_near(old) | _LEAF)
+    if path[-1] == "n_frames" and type(value) is int:
+        value = min(value, 50)  # no example runs at scale
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+def _fuzzed_doc(doc):
+    """A document's bytes: ``doc`` with one leaf replaced, or raw bytes or text."""
+    return st.one_of(
+        _one_leaf_replaced(doc),
+        _one_leaf_replaced(doc),
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+    )
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(code, out, err, made: Path):
+    """Exit 0, 1 or 2 without a traceback; a failed run prints nothing and
+    leaves nothing at ``made``."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and not made.exists()
+
+
+_FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_calibrate_on_fuzzed_picks(pipeline, data):
+    doc = json.loads((pipeline / "sim" / "picks.json").read_text())
+    picks = data.draw(_fuzzed_doc(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "picks.json", Path(tmp) / "cal.json"
+        path.write_bytes(picks)
+        code, stdout, stderr = _run(["calibrate", str(path), "--out", str(out)])
+        _check_outcome(code, stdout, stderr, out)
+        if code == 0:
+            assert load_calibration(out).cameras
+
+
+@_FUZZ
+@given(scenario=_fuzzed_doc(SCENARIO_DOC))
+def test_simulate_on_fuzzed_scenario(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "sim"
+        path.write_bytes(scenario)
+        code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+        _check_outcome(code, stdout, stderr, out)
+        if code == 0:
+            assert (out / "picks.json").exists()
+
+
+@settings(_FUZZ, max_examples=150)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["reconstruct", "evaluate", *EXPORT_FORMATS]),
+)
+def test_commands_on_fuzzed_calibration(pipeline, data, command):
+    calibration = data.draw(
+        _fuzzed_doc(json.loads((pipeline / "calibration.json").read_text()))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "calibration.json", Path(tmp) / "out"
+        path.write_bytes(calibration)
+        track = ["--track", str(pipeline / "track.csv"), "--calibration", str(path)]
+        argv = {
+            "reconstruct": [
+                "reconstruct", *map(str, (pipeline / "sim").glob("detections_*.csv")),
+                "--calibration", str(path), "--out", str(out),
+            ],
+            "evaluate": [
+                "evaluate", *track, "--segments", str(pipeline / "segments.csv"),
+                "--report", str(out),
+            ],
+        }.get(command, ["export", *track, "--format", command, "--out", str(out)])
+        code, stdout, stderr = _run(argv)
+        _check_outcome(code, stdout, stderr, out)
+        if code == 0:
+            assert out.exists()
+
+
+_CONFIG_DOC = {
+    "sync_tolerance_ms": 25.0,
+    "reference_camera": "top",
+    "z_reject_mm": 30.0,
+    "pair_strategy": "best",
+    "depth_correction": True,
+    "vertical_correction": True,
+}
+
+
+@_FUZZ
+@given(config=_fuzzed_doc(_CONFIG_DOC))
+def test_reconstruct_on_fuzzed_config(pipeline, config):
+    """Every config file that is refused exits 2, as a configuration error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "track.csv"
+        path.write_bytes(config)
+        code, stdout, stderr = _run(
+            [
+                "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+                str(pipeline / "sim" / "detections_side0.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--out", str(out), "--config", str(path),
+            ]
+        )
+        _check_outcome(code, stdout, stderr, out)
+        assert code in (0, 2)
+        if code == 2:
+            assert stderr.startswith("config error: ")

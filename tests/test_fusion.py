@@ -45,7 +45,7 @@ from gridscope.geometry import (
 from gridscope.simulate import marker_picks_for
 
 from conftest import make_scenario
-from oracles import has_adjacent_pair, naive_build_track
+from oracles import bundle_table, has_adjacent_pair, naive_build_track
 
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
@@ -244,7 +244,7 @@ class TestBuildTrack:
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(i, world) for i in range(4)] + [top_det(world)]
-        track, stats = build_track(cal, [bundle(0.0, dets)])
+        track, stats = build_track(cal, bundle_table([bundle(0.0, dets)]))
         assert len(track) == 1
         assert list(track)[0].position == world
         assert stats.plotted == 1
@@ -253,7 +253,8 @@ class TestBuildTrack:
     def test_single_side_cannot_plot(self):
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
-        track, stats = build_track(cal, [bundle(0.0, [side_det(0, world)])])
+        bundles = bundle_table([bundle(0.0, [side_det(0, world)])])
+        track, stats = build_track(cal, bundles)
         assert len(track) == 0
         assert stats.total == 1
         assert stats.with_side_detection == 1
@@ -264,7 +265,7 @@ class TestBuildTrack:
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(0, world), side_det(2, world), top_det(world)]
-        track, stats = build_track(cal, [bundle(0.0, dets)])
+        track, stats = build_track(cal, bundle_table([bundle(0.0, dets)]))
         assert len(track) == 0
         assert stats.with_two_side_detections == 1
 
@@ -276,14 +277,14 @@ class TestBuildTrack:
             side_det(1, world, conf=0.5),
             side_det(2, world, conf=0.8),
         ]
-        track, _ = build_track(cal, [bundle(0.0, dets)])
+        track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
         assert list(track)[0].pair == ("side0", "side1")
 
     def test_confidence_tie_takes_lowest_pair_index(self):
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(i, world, conf=0.7) for i in (1, 2, 3)]
-        track, _ = build_track(cal, [bundle(0.0, dets)])
+        track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
         assert list(track)[0].pair == ("side1", "side2")
 
     def test_average_all_strategy(self):
@@ -294,7 +295,7 @@ class TestBuildTrack:
             side_det(2, WorldPoint3D(104.0, 150.0, 296.0)),
         ]
         track, stats = build_track(
-            cal, [bundle(0.0, dets)], pair_strategy="average_all"
+            cal, bundle_table([bundle(0.0, dets)]), pair_strategy="average_all"
         )
         # Pair (0,1): (100, 150, 299); pair (1,2): (104, 150, 297).
         assert list(track)[0].position == WorldPoint3D(102.0, 150.0, 298.0)
@@ -308,7 +309,9 @@ class TestBuildTrack:
             side_det(0, WorldPoint3D(100.0, 150.0, 300.0)),
             side_det(1, WorldPoint3D(100.0, 150.0, 400.0)),
         ]
-        track, stats = build_track(cal, [bundle(0.0, dets)], z_reject_mm=30.0)
+        track, stats = build_track(
+            cal, bundle_table([bundle(0.0, dets)]), z_reject_mm=30.0
+        )
         assert len(track) == 0
         assert stats.rejected_z == 1
 
@@ -320,7 +323,10 @@ class TestBuildTrack:
             side_det(2, WorldPoint3D(100.0, 150.0, 400.0)),
         ]
         track, stats = build_track(
-            cal, [bundle(0.0, dets)], z_reject_mm=30.0, pair_strategy="average_all"
+            cal,
+            bundle_table([bundle(0.0, dets)]),
+            z_reject_mm=30.0,
+            pair_strategy="average_all",
         )
         # (0,1) survives, (1,2) disagrees by 98 and is dropped.
         assert len(track) == 1
@@ -331,14 +337,15 @@ class TestBuildTrack:
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         stray = Detection("side1", "0", 0.0, 1000.0, 1000.0, 1010.0, 1010.0, 1.0)
-        track, stats = build_track(cal, [bundle(0.0, [side_det(0, world), stray])])
+        bundles = bundle_table([bundle(0.0, [side_det(0, world), stray])])
+        track, stats = build_track(cal, bundles)
         assert len(track) == 0
         assert stats.outside_area == 1
         assert stats.with_two_side_detections == 1  # raw detections counted
 
     def test_unknown_strategy(self):
         with pytest.raises(FormatError):
-            build_track(make_cal(), [], pair_strategy="first")
+            build_track(make_cal(), bundle_table([]), pair_strategy="first")
 
     def test_stats_doc_round_trip(self):
         stats = FusionStats(10, 9, 7, 6, 1, 2, 3)
@@ -533,7 +540,7 @@ TIED_PAIRS = _case(
 def test_build_track_equals_per_pair_oracle(case, chunk):
     cal, bundles, options = case
     with mock.patch.object(fusion, "_CHUNK_BUNDLES", chunk):
-        track, stats = build_track(cal, bundles, **options)
+        track, stats = build_track(cal, bundle_table(bundles), **options)
     want_track, want_stats = naive_build_track(cal, bundles, **options)
     # repr tells -0.0 from 0.0, as the written track does
     assert repr(list(track)) == repr(want_track)
@@ -546,5 +553,7 @@ def test_shared_edge_example_takes_the_lowest_strip():
     pixel = PixelPoint(130.0, 400.0)
     inside = [point_in_quad(pixel, sub.src) for sub in side0.sub_areas]
     assert inside == [True, True, False]
-    (point,), _ = build_track(cal, bundles, **options, depth_correction=False)
+    (point,), _ = build_track(
+        cal, bundle_table(bundles), **options, depth_correction=False
+    )
     assert point.position.x == 130.0  # strip 1 would give 140

@@ -512,7 +512,7 @@ def _table_read(lines, strict):
         lines, GT_HEADER, gridscope.metrics._ground_truth_columns,
         GroundTruthTable.concat, strict,
     )
-    return table.boxes(), errors
+    return table.rows(GroundTruthBox), errors
 
 
 @settings(max_examples=200, deadline=None)
@@ -529,7 +529,10 @@ def test_ground_truth_table_reader_equals_rowwise_oracle(rows, strict):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "gt.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            for read in (read_ground_truth, lambda p: read_ground_truth_table(p).boxes()):
+            for read in (
+                read_ground_truth,
+                lambda p: read_ground_truth_table(p).rows(GroundTruthBox),
+            ):
                 try:
                     got = [repr(b) for b in read(path)], []
                 except CsvError as exc:

@@ -201,5 +201,9 @@ def test_concat_merges_the_pair_names():
     )
     joined = TrackTable.concat([a, b])
     assert list(joined) == list(a) + list(b)
-    assert joined.pairs == (("side0", "side1"), ("side2", "side3"))
-    assert joined.pair.tolist() == [0, 1, 0]
+    assert [p.pair for p in joined] == [
+        ("side0", "side1"), ("side2", "side3"), ("side0", "side1")
+    ]
+    assert (joined.cam_a, joined.cam_b) == (
+        ["side0", "side2", "side0"], ["side1", "side3", "side1"]
+    )
