@@ -88,7 +88,8 @@ _READ_AS = {
     "float": jsonio.DocReader.real,
     "bool": jsonio.DocReader.boolean,
     "str": jsonio.DocReader.string,
-    "str | None": jsonio.DocReader.string,
+    # null states the default, None
+    "str | None": lambda r: None if r.value is None else r.string(),
 }
 _CONFIG_READERS = {f.name: _READ_AS[f.type] for f in fields(RunConfig)}
 
@@ -180,6 +181,13 @@ def _cmd_reconstruct(args) -> int:
         tolerance_ms=cfg.sync_tolerance_ms,
         reference_camera=cfg.reference_camera,
     )
+    used = bundles.reference
+    if cfg.reference_camera is not None and used not in (None, cfg.reference_camera):
+        log.warning(
+            "reference camera %r has no detections; grouping around %r",
+            cfg.reference_camera,
+            used,
+        )
     track, stats = build_track(
         cal,
         bundles,

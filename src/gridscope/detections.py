@@ -14,10 +14,13 @@ would be, so each error names the same row, column and reason: the first
 real column (in header order) that is not a finite number, else the
 first failed check.  Errors are reported in row order.
 
-Cameras run free, so bundles are assembled in two steps: one stable
-``np.lexsort`` over the whole table picks the detection that stands for
-each camera frame, then greedy nearest-timestamp grouping joins those
-frames around a reference camera.  The result is a ``BundleTable`` of row
+Cameras run free, so bundles are assembled in two steps.  One stable
+``np.lexsort`` by camera and timestamp finds each camera frame, and only a
+frame of two or more rows is reduced by the tie rule.  Greedy
+nearest-timestamp grouping then joins those frames around a reference
+camera: one ``np.searchsorted`` per camera gives each reference frame its
+own nearest candidate, and a claim loop runs only for a camera where two
+reference frames want one frame.  The result is a ``BundleTable`` of row
 ids, which fusion reads the table through.  ``Detection`` and
 ``FrameBundle`` objects are the API edge: ``parse_detections`` and
 ``synchronize`` build them from the same table code, and
@@ -260,13 +263,15 @@ class BundleTable:
 
     ``rows[k, c]`` is the row of camera ``cameras[c]`` in bundle ``k``, or
     -1 when that camera has none; ``timestamp_ms[k]`` is the bundle's
-    instant.
+    instant.  ``reference`` is the camera the bundles were grouped around,
+    if one was chosen.
     """
 
     table: DetectionTable
     cameras: tuple[str, ...]
     rows: np.ndarray
     timestamp_ms: np.ndarray
+    reference: str | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -287,9 +292,16 @@ def synchronize_table(
     when the offset is within ``tolerance_ms`` (an exact tie between an
     earlier and a later candidate takes the earlier one).  No detection
     lands in two bundles, and the bundle count never exceeds the reference
-    camera's detection count.  One stable ``np.lexsort`` orders every row
-    by camera and that key; claims then cost one stack and one pointer per
-    camera over its claimed slots: O(n log n) in all.
+    camera's detection count.
+
+    One stable ``np.lexsort`` orders the rows by camera and timestamp, so
+    each (camera, timestamp) run keeps its rows in table order; only runs
+    of two or more rows are sorted again by the tie rule.  For each other
+    camera, one ``np.searchsorted`` then gives every reference time its own
+    nearest candidate, ignoring the other claims (``_own_picks``).  When no
+    two reference times pick the same slot, those picks are the greedy
+    claims; otherwise the stack-and-pointer loop (``_claimed_slots``) runs
+    for that camera alone.  O(n log n) in all.
 
     Args:
         reference_camera: camera id to group around.  When absent from the
@@ -304,31 +316,15 @@ def synchronize_table(
     slot = {cam: c for c, cam in enumerate(cameras)}
     code = np.fromiter(map(slot.__getitem__, table.camera_id), np.intp, len(table))
     t = table.timestamp_ms
-    area = (table.u_max - table.u_min) * (table.v_max - table.v_min)
-    order = np.lexsort(
-        (
-            table.v_max,
-            table.u_max,
-            table.v_min,
-            table.u_min,
-            -area,
-            -table.confidence,
-            t,
-            code,
-        )
-    )
-    # the first row of each (camera, timestamp) run; != keeps -0.0 == 0.0
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (code[order[1:]] != code[order[:-1]]) | (t[order[1:]] != t[order[:-1]])
-    kept = order[first]
-    bounds = np.searchsorted(code[kept], np.arange(len(cameras) + 1)).tolist()
+    kept = _camera_frames(table, code, np.lexsort((t, code)))
+    bounds = np.searchsorted(code[kept], np.arange(len(cameras) + 1))
     ids = [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    times = [t[rows].tolist() for rows in ids]
+    times = [t[rows] for rows in ids]
 
     if reference_camera in slot:
         ref = slot[reference_camera]
-    else:  # cameras are sorted, so an equal first time goes to the smaller id
-        ref = min(range(len(cameras)), key=lambda c: times[c][0])
+    else:  # cameras are sorted, and argmin takes the first of equal first times
+        ref = int(np.argmin(t[kept[bounds[:-1]]]))
 
     refs = times[ref]
     rows = np.full((len(refs), len(cameras)), -1, dtype=np.intp)
@@ -336,33 +332,122 @@ def synchronize_table(
         if c == ref:
             rows[:, c] = ids[c]
             continue
-        own = ids[c].tolist()
-        claimed = [-1] * len(refs)
-        # The reference times ascend, so the insertion point never moves
-        # left and the slots from it up to ``right`` are all claimed.  The
-        # unclaimed slots below ``right`` sit on ``free``, largest on top;
-        # every slot from ``right`` on is unclaimed.
-        free: list[int] = []
-        right = 0
-        for k, tr in enumerate(refs):
-            i = bisect.bisect_left(ts, tr)
-            if i > right:
-                free.extend(range(right, i))
-                right = i
-            # ts[free[-1]] < tr <= ts[right]: the earlier candidate is tried
-            # first and the later one must be strictly nearer to win
-            early = free[-1] if free and tr - ts[free[-1]] <= tolerance_ms else None
-            if (
-                right < len(ts)
-                and ts[right] - tr <= tolerance_ms
-                and (early is None or ts[right] - tr < tr - ts[early])
-            ):
-                claimed[k] = own[right]
-                right += 1
-            elif early is not None:
-                claimed[k] = own[free.pop()]
-        rows[:, c] = claimed
-    return BundleTable(table, tuple(cameras), rows, t[ids[ref]])
+        picks = _own_picks(ts, refs, tolerance_ms)
+        if picks is None:
+            picks = _claimed_slots(ts.tolist(), refs.tolist(), tolerance_ms)
+        # a pick of -1 takes the appended -1: no detection of this camera
+        rows[:, c] = np.append(ids[c], -1)[picks]
+    return BundleTable(table, tuple(cameras), rows, refs, cameras[ref])
+
+
+def _camera_frames(
+    table: DetectionTable, code: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """The row that stands for each camera frame, in ``order``.
+
+    ``order`` sorts the rows by camera and timestamp and keeps table order
+    within a (camera, timestamp) run; a run of one row stands for itself,
+    and a longer one is reduced by the tie rule.
+    """
+    t = table.timestamp_ms
+    # a run starts where the camera or the timestamp changes; != joins -0.0 and 0.0
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (code[order[1:]] != code[order[:-1]]) | (t[order[1:]] != t[order[:-1]])
+    starts = np.flatnonzero(first)
+    kept = order[starts]
+    if len(starts) == len(order):
+        return kept
+    sizes = np.diff(starts, append=len(order))
+    shared = np.flatnonzero(sizes > 1)
+    rows = order[np.repeat(sizes > 1, sizes)]
+    run = np.repeat(shared, sizes[shared])
+    area = (table.u_max[rows] - table.u_min[rows]) * (
+        table.v_max[rows] - table.v_min[rows]
+    )
+    # stable, so a full tie keeps the earliest row first
+    best = np.lexsort(
+        (
+            table.v_max[rows],
+            table.u_max[rows],
+            table.v_min[rows],
+            table.u_min[rows],
+            -area,
+            -table.confidence[rows],
+            run,
+        )
+    )
+    lead = np.ones(len(best), dtype=bool)
+    lead[1:] = run[best[1:]] != run[best[:-1]]
+    kept[shared] = rows[best[lead]]
+    return kept
+
+
+def _own_picks(
+    ts: np.ndarray, refs: np.ndarray, tolerance_ms: float
+) -> np.ndarray | None:
+    """Each reference time's nearest in-tolerance slot of ``ts``, or -1, as
+    if no slot were claimed yet; None when two reference times pick one slot.
+
+    Both arguments ascend strictly.  At insertion point ``i`` the candidates
+    are ``i - 1`` and ``i``, and the later one must be strictly nearer to
+    win.  The picks never decrease: a later reference time has an insertion
+    point no further left, and between the same two slots it is no nearer
+    the earlier one.  So one adjacent-equal test finds a shared slot.
+
+    Without one, the picks are what ``_claimed_slots`` claims.  By induction
+    over the reference times, suppose every earlier time claimed its own
+    pick; the current pick is shared with none of them, so it is unclaimed.
+    The loop keeps every slot from ``i`` up to ``right`` claimed, and
+    ``free[-1]`` is the largest unclaimed slot below ``i``.  An unclaimed
+    pick ``i`` therefore forces ``right == i``, and ``free[-1] <= i - 1``
+    is no nearer, so the loop takes ``i``.  An unclaimed pick ``i - 1`` is
+    ``free[-1]``, and ``right >= i`` is no nearer than ``i``, so the loop
+    takes ``i - 1``.  With no pick, the loop's candidates lie no nearer than
+    ``i - 1`` and ``i``, out of tolerance, so it claims nothing.
+    """
+    i = np.searchsorted(ts, refs, "left")
+    later_gap = ts[np.minimum(i, len(ts) - 1)] - refs
+    early_gap = refs - ts[np.maximum(i - 1, 0)]
+    later = (i < len(ts)) & (later_gap <= tolerance_ms)
+    early = (i > 0) & (early_gap <= tolerance_ms)
+    take_later = later & (~early | (later_gap < early_gap))
+    picks = np.where(take_later, i, np.where(early, i - 1, -1))
+    claimed = picks[picks >= 0]
+    if (claimed[1:] == claimed[:-1]).any():
+        return None
+    return picks
+
+
+def _claimed_slots(
+    ts: list[float], refs: list[float], tolerance_ms: float
+) -> list[int]:
+    """The greedy claims: each reference time in turn takes its nearest
+    unclaimed in-tolerance slot of ``ts``, or -1."""
+    claimed = [-1] * len(refs)
+    # The reference times ascend, so the insertion point never moves
+    # left and the slots from it up to ``right`` are all claimed.  The
+    # unclaimed slots below ``right`` sit on ``free``, largest on top;
+    # every slot from ``right`` on is unclaimed.
+    free: list[int] = []
+    right = 0
+    for k, tr in enumerate(refs):
+        i = bisect.bisect_left(ts, tr)
+        if i > right:
+            free.extend(range(right, i))
+            right = i
+        # ts[free[-1]] < tr <= ts[right]: the earlier candidate is tried
+        # first and the later one must be strictly nearer to win
+        early = free[-1] if free and tr - ts[free[-1]] <= tolerance_ms else None
+        if (
+            right < len(ts)
+            and ts[right] - tr <= tolerance_ms
+            and (early is None or ts[right] - tr < tr - ts[early])
+        ):
+            claimed[k] = right
+            right += 1
+        elif early is not None:
+            claimed[k] = free.pop()
+    return claimed
 
 
 def synchronize(

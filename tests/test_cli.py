@@ -308,6 +308,66 @@ class TestRunConfig:
         doc = json.loads(stats_path.read_text())
         assert doc["plotted"] == 40
 
+    def _reconstruct(self, pipeline, out: Path, caplog, capsys, *extra):
+        """One reconstruct run's exit code, stdout, track and stats bytes,
+        and the warning messages it logged."""
+        detection_files = sorted(
+            str(p) for p in (pipeline / "sim").glob("detections_*.csv")
+        )
+        caplog.clear()
+        code = main(
+            [
+                "reconstruct",
+                *detection_files,
+                "--calibration", str(pipeline / "calibration.json"),
+                "--out", str(out / "track.csv"),
+                "--stats", str(out / "stats.json"),
+                *extra,
+            ]
+        )
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        files = [(out / name).read_bytes() for name in ("track.csv", "stats.json")]
+        return code, stdout, files, warnings
+
+    def test_null_reference_camera_is_the_default(
+        self, pipeline, tmp_path, caplog, capsys
+    ):
+        runs = []
+        for k, doc in enumerate(({}, {"reference_camera": None})):
+            out = tmp_path / str(k)
+            out.mkdir()
+            jsonio.write_doc(out / "cfg.json", doc)
+            runs.append(
+                self._reconstruct(
+                    pipeline, out, caplog, capsys, "--config", str(out / "cfg.json")
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][3] == []
+
+    def test_missing_reference_camera_warns(self, pipeline, tmp_path, caplog, capsys):
+        cfg = tmp_path / "cfg.json"
+        jsonio.write_doc(cfg, {"reference_camera": "zz"})
+        runs = {}
+        for name, extra in (
+            ("default", ()),
+            ("flag", ("--reference-camera", "zz")),
+            ("config", ("--config", str(cfg))),
+        ):
+            (tmp_path / name).mkdir()
+            runs[name] = self._reconstruct(
+                pipeline, tmp_path / name, caplog, capsys, *extra
+            )
+        code, stdout, files, warnings = runs["default"]
+        assert code == 0 and warnings == []
+        # every camera's first frame is at 0 ms, so the smallest id is used
+        for name in ("flag", "config"):
+            assert runs[name][:3] == (code, stdout, files)
+            assert runs[name][3] == [
+                "reference camera 'zz' has no detections; grouping around 'side0'"
+            ]
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):

@@ -1,15 +1,22 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridscope import detections
 from gridscope.detections import (
     CSV_HEADER,
     Detection,
+    DetectionTable,
     FrameBundle,
+    _own_picks,
     bbox_center,
     parse_detections,
     parse_detections_file,
     synchronize,
+    synchronize_table,
     write_detections,
 )
 from gridscope.errors import CsvError
@@ -484,3 +491,170 @@ def test_synchronize_lockstep_20k_frames_joins_each_frame_to_its_twin():
         for f, t in enumerate(times)
     ]
     assert bundles == expected
+
+
+# One duplicated frame's rows, by the tie level that decides between them:
+# (confidence, box) of each row, table order.
+TIE_LEVELS = {
+    "confidence": ((0.5, (0.0, 0.0, 10.0, 10.0)), (1.0, (0.0, 0.0, 4.0, 4.0))),
+    "area": ((1.0, (0.0, 0.0, 4.0, 4.0)), (1.0, (0.0, 0.0, 10.0, 10.0))),
+    # u_min decides; u_max alone would pick the other row
+    "box": ((1.0, (1.0, 0.0, 3.0, 8.0)), (1.0, (0.0, 0.0, 4.0, 4.0))),
+    "row": ((1.0, (0.0, 0.0, 4.0, 4.0)), (1.0, (0.0, 0.0, 4.0, 4.0))),
+}
+STEP_MS = 2.5
+
+
+def frame(cam, t, level=None):
+    """The rows of one camera frame: one row, or the two rows of a tie level."""
+    rows = TIE_LEVELS[level] if level else ((1.0, (0.0, 0.0, 4.0, 4.0)),)
+    return [
+        det(cam, t, conf=conf, box=box, frame=f"{cam}{t}/{k}")
+        for k, (conf, box) in enumerate(rows)
+    ]
+
+
+@st.composite
+def contested_tables(draw):
+    """A reference camera "a" and one to three other cameras on a 2.5 ms grid.
+
+    "a" keeps about every second grid point and each other camera a fifth,
+    a half or nine tenths of them, so at a tolerance of a few grid steps two
+    reference frames often want one frame of a sparse camera (its claim
+    loop runs) while a dense camera of the same table has no such pair.
+    Any frame may be duplicated at one of the tie levels, a frame at 0 ms
+    may be written -0.0, and rows come in a shuffled order.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n_steps = draw(st.integers(1, 40))
+    dets = []
+    for cam in "abcd"[: draw(st.integers(2, 4))]:
+        keep = 0.5 if cam == "a" else rng.choice((0.2, 0.5, 0.9))
+        for step in range(n_steps):
+            if rng.random() >= keep:
+                continue
+            t = step * STEP_MS
+            level = rng.choice((None, None, *TIE_LEVELS))
+            rows = frame(cam, t, level)
+            if t == 0.0:
+                rows = [replace(d, timestamp_ms=rng.choice((0.0, -0.0))) for d in rows]
+            dets.extend(rows)
+    rng.shuffle(dets)
+    return dets
+
+
+def _same_bundles(dets, tolerance, reference):
+    fast = synchronize(dets, tolerance_ms=tolerance, reference_camera=reference)
+    slow = naive_synchronize(dets, tolerance, reference_camera=reference)
+    assert _as_comparable(fast) == [(ts, members) for ts, members in slow]
+    # a representative's -0.0 reaches the bundle instant, as the oracle's does
+    assert np.signbit([b.timestamp_ms for b in fast]).tolist() == np.signbit(
+        [ts for ts, _ in slow]
+    ).tolist()
+    given_ids = {id(d) for d in dets}
+    assert all(id(d) in given_ids for b in fast for d in b.per_camera.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dets=contested_tables(),
+    tolerance=st.sampled_from([0.0, STEP_MS, 2 * STEP_MS, 3 * STEP_MS, 5 * STEP_MS]),
+    reference=st.sampled_from(["a", None]),
+)
+# no duplicates and no collision: every pick is the reference frame's own
+@example(
+    dets=frame("a", 0.0) + frame("a", 50.0) + frame("b", 5.0) + frame("b", 45.0),
+    tolerance=10.0,
+    reference="a",
+)
+# a duplicated frame of a non-reference camera, decided at each tie level
+@example(
+    dets=frame("a", 10.0) + frame("b", 10.0, "confidence"), tolerance=0.0, reference="a"
+)
+@example(dets=frame("a", 10.0) + frame("b", 10.0, "area"), tolerance=0.0, reference="a")
+@example(dets=frame("a", 10.0) + frame("b", 10.0, "box"), tolerance=0.0, reference="a")
+@example(dets=frame("a", 10.0) + frame("b", 10.0, "row"), tolerance=0.0, reference="a")
+# -0.0 and 0.0 in one reference frame; the representative (higher
+# confidence, second row) is the -0.0 one, and its sign is the bundle's
+@example(
+    dets=[det("a", 0.0, conf=0.5, frame="0"), det("a", -0.0, conf=1.0, frame="1")]
+    + frame("b", 0.0),
+    tolerance=0.0,
+    reference="a",
+)
+# "b" has one frame that both reference frames want; "c" has one frame each
+@example(
+    dets=frame("a", 45.0) + frame("a", 55.0) + frame("b", 50.0)
+    + frame("c", 45.0) + frame("c", 55.0),
+    tolerance=10.0,
+    reference="a",
+)
+# an exact earlier/later tie, both at the inclusive tolerance
+@example(
+    dets=frame("a", 50.0) + frame("b", 40.0) + frame("b", 60.0),
+    tolerance=10.0,
+    reference="a",
+)
+def test_synchronize_matches_naive_on_contested_tables(dets, tolerance, reference):
+    _same_bundles(dets, tolerance, reference)
+
+
+@pytest.mark.parametrize(
+    "ts, refs, tolerance, picks",
+    [
+        pytest.param([5.0, 45.0], [0.0, 50.0], 10.0, [0, 1], id="no-collision"),
+        pytest.param([40.0, 60.0], [50.0], 10.0, [0], id="tie-takes-earlier"),
+        pytest.param([40.0, 59.0], [50.0], 10.0, [1], id="later-strictly-nearer"),
+        pytest.param([0.0, 100.0], [50.0], 10.0, [-1], id="none-in-tolerance"),
+        pytest.param([50.0], [45.0, 55.0], 10.0, None, id="two-want-one"),
+        pytest.param([50.0, 70.0], [45.0, 55.0], 10.0, None, id="two-want-one-earlier"),
+    ],
+)
+def test_own_picks(ts, refs, tolerance, picks):
+    got = _own_picks(np.array(ts), np.array(refs), tolerance)
+    assert (got if got is None else got.tolist()) == picks
+
+
+def _clock_table(clocks: dict) -> DetectionTable:
+    """One row per (camera, timestamp), built as columns."""
+    cams = [cam for cam, times in clocks.items() for _ in times]
+    t = np.concatenate(list(clocks.values()))
+    box = np.zeros(len(t)), np.zeros(len(t)), np.full(len(t), 4.0), np.full(len(t), 4.0)
+    return DetectionTable(cams, ["0"] * len(t), t, *box, np.ones(len(t)))
+
+
+def _lagged_clocks(n_frames: int) -> dict:
+    """A reference camera and four side cameras 5-15 ms behind it, each
+    dropping 10% of its frames (the shape of a free-running rig)."""
+    rng = np.random.default_rng(7)
+    times = np.arange(n_frames) * FRAME_GAP_MS
+    clocks = {}
+    for cam, lag in zip(("ref", "s0", "s1", "s2", "s3"), (0.0, 5.0, 8.5, 12.0, 15.0)):
+        kept = times[rng.random(n_frames) >= 0.1]
+        clocks[cam] = np.maximum(kept - lag, 0.0)
+    return clocks
+
+
+@pytest.mark.parametrize("shape", ["lockstep", "lagged"])
+def test_long_clocks_take_the_vectorized_path(shape, monkeypatch):
+    # 20k frames of either shape have no collision: a change that sends them
+    # through the claim loop fails here, not only in a timing
+    n_frames = 20_000
+    if shape == "lockstep":
+        times = np.arange(n_frames) * FRAME_GAP_MS
+        clocks = {cam: times for cam in ("ref", "s0", "s1", "s2", "s3")}
+    else:
+        clocks = _lagged_clocks(n_frames)
+    for cam, ts in clocks.items():
+        assert _own_picks(ts, clocks["ref"], FRAME_GAP_MS / 2) is not None, cam
+
+    def loop(*args):
+        raise AssertionError("the claim loop ran")
+
+    monkeypatch.setattr(detections, "_claimed_slots", loop)
+    bundles = synchronize_table(_clock_table(clocks), FRAME_GAP_MS / 2, "ref")
+    assert len(bundles) == len(clocks["ref"])
+    if shape == "lockstep":
+        # each camera's rows follow the last one's, frame by frame
+        expected = np.arange(n_frames)[:, None] + n_frames * np.arange(5)
+        assert (bundles.rows == expected).all()
