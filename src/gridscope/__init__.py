@@ -73,7 +73,6 @@ from .fusion import (
     TrackPoint,
     TrackTable,
     build_track,
-    eligible_pairs,
     read_track,
     reconstruct_point,
     write_track,

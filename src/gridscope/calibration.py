@@ -731,7 +731,7 @@ def save_calibration(path, cal: Calibration) -> None:
 
 
 def load_calibration(path) -> Calibration:
-    return calibration_from_doc(jsonio.read_doc(path))
+    return jsonio.load_doc(path, calibration_from_doc)
 
 
 # --- building a calibration from marker picks -------------------------------
@@ -768,7 +768,11 @@ class MarkerPicks:
 
 
 def load_marker_picks(path) -> MarkerPicks:
-    root = jsonio.DocReader(jsonio.read_doc(path))
+    return jsonio.load_doc(path, _marker_picks_from_doc)
+
+
+def _marker_picks_from_doc(doc: dict) -> MarkerPicks:
+    root = jsonio.DocReader(doc)
     rig, axis_map = _header_from(root, "marker picks")
     cameras = []
     for cam_r in root.key("cameras").items():

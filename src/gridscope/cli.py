@@ -100,12 +100,12 @@ def load_run_config(path) -> RunConfig:
         root = jsonio.DocReader(jsonio.read_doc(path))
         given = [name for name in _CONFIG_READERS if name in root.value]
         kwargs = {name: _CONFIG_READERS[name](root.key(name)) for name in given}
+        stray = set(root.value) - set(_CONFIG_READERS)
+        if stray:
+            raise ConfigError(f"unknown config keys {sorted(stray)}")
+        return RunConfig(**kwargs)
     except GridscopeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    stray = set(root.value) - set(_CONFIG_READERS)
-    if stray:
-        raise ConfigError(f"{path}: unknown config keys {sorted(stray)}")
-    return RunConfig(**kwargs)
 
 
 def _merged_config(args) -> RunConfig:
@@ -150,7 +150,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     picks = load_marker_picks(args.picks)
-    cal = build_calibration(picks, mde_aggregate=args.mde_aggregate)
+    with jsonio.naming(args.picks):  # a calibration the picks cannot build
+        cal = build_calibration(picks, mde_aggregate=args.mde_aggregate)
     save_calibration(args.out, cal)
     for cam in cal.cameras:
         print(
@@ -224,7 +225,7 @@ def _cmd_evaluate(args) -> int:
     box = _parse_box(args.grid_b) if args.grid_b is not None else cal.rig.grid_a
     stats = None
     if args.stats is not None:
-        stats = FusionStats.from_doc(jsonio.read_doc(args.stats))
+        stats = jsonio.load_doc(args.stats, FusionStats.from_doc)
     report = evaluate_track(
         track,
         segments,

@@ -12,7 +12,8 @@ in one pass, and every ``Detection`` check runs as a column mask.  Only
 the rows a mask refuses are read again one at a time, as a ``Detection``
 would be, so each error names the same row, column and reason: the first
 real column (in header order) that is not a finite number, else the
-first failed check.  Errors are reported in row order.
+first failed check (with its column, for a check of one column).  Errors
+are reported in row order.
 
 Cameras run free, so bundles are assembled in two steps.  One stable
 ``np.lexsort`` by camera and timestamp finds each camera frame, and only a
@@ -22,9 +23,9 @@ camera: one ``np.searchsorted`` per camera gives each reference frame its
 own nearest candidate, and a claim loop runs only for a camera where two
 reference frames want one frame.  The result is a ``BundleTable`` of row
 ids, which fusion reads the table through.  ``Detection`` and
-``FrameBundle`` objects are the API edge: ``parse_detections`` and
-``synchronize`` build them from the same table code, and
-``DetectionTable.of`` puts Detection objects into a table.
+``FrameBundle`` objects are the API edge: ``parse_detections`` converts
+one table with ``table.rows(Detection)``, ``synchronize`` builds its
+bundles from one, and ``DetectionTable.of`` puts Detection objects into one.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CsvError
-from .geometry import PixelPoint
 from .jsonio import (
     Columns,
+    FieldError,
     checked_table,
     csv_field,
     float_column,
@@ -108,9 +109,11 @@ class Detection:
 
     def __post_init__(self):
         if not self.camera_id:
-            raise ValueError("camera_id must be non-empty")
+            raise FieldError("camera_id", "camera_id must be non-empty")
         if not self.timestamp_ms >= 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms}")
+            raise FieldError(
+                "timestamp_ms", f"timestamp_ms must be >= 0, got {self.timestamp_ms}"
+            )
         if not self.u_min < self.u_max:
             raise ValueError(f"need u_min < u_max, got {self.u_min} >= {self.u_max}")
         if not self.v_min < self.v_max:
@@ -120,7 +123,9 @@ class Detection:
                 f"box centre or area is not finite or positive: {self.bbox}"
             )
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+            raise FieldError(
+                "confidence", f"confidence must be in [0, 1], got {self.confidence}"
+            )
 
     @property
     def area(self) -> float:
@@ -129,13 +134,6 @@ class Detection:
     @property
     def bbox(self) -> tuple[float, float, float, float]:
         return (self.u_min, self.v_min, self.u_max, self.v_max)
-
-
-def bbox_center(det: Detection) -> PixelPoint:
-    """Midpoint of the detection box."""
-    return PixelPoint(
-        (det.u_min + det.u_max) / 2.0, (det.v_min + det.v_max) / 2.0
-    )
 
 
 @dataclass
@@ -193,14 +191,6 @@ def _detection_columns(
     return checked_table(DetectionTable(cameras, frames, *reals), ok, columns, _detection)
 
 
-def _detection_list(
-    columns: list[list[str]],
-) -> tuple[list[Detection], list[tuple[int, Exception]]]:
-    """_detection_columns, with the table's rows as Detection objects."""
-    table, refused = _detection_columns(columns)
-    return table.rows(Detection), refused
-
-
 def read_detection_table(
     path, strict: bool = False
 ) -> tuple[DetectionTable, list[CsvError]]:
@@ -217,7 +207,10 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         lines: the file content, header row first.
         strict: raise on the first malformed row instead of skipping it.
     """
-    return ParseResult(*read_columns(lines, CSV_HEADER, _detection_list, strict=strict))
+    table, errors = read_columns(
+        lines, CSV_HEADER, _detection_columns, DetectionTable.concat, strict=strict
+    )
+    return ParseResult(table.rows(Detection), errors)
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:

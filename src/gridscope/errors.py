@@ -8,7 +8,12 @@ from __future__ import annotations
 
 
 class GridscopeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``path`` names its file."""
+
+    path = None
+
+    def __str__(self) -> str:
+        return f"{self.path}: {super().__str__()}" if self.path else super().__str__()
 
 
 # --- geometry ---------------------------------------------------------------

@@ -8,10 +8,10 @@ a bounded variant that also penalizes walking off the face rectangle is
 available behind a flag.  Per-segment means are combined into an
 unweighted overall mean so long and short segments count equally.
 
-``evaluate_track`` scores a ``TrackTable`` in numpy: one ``searchsorted``
-puts every point in its window, the face distances follow
-``distance_to_face``'s operations column-wise, and ``np.bincount`` sums
-each window's distances in track order.
+``evaluate_track`` scores only a ``TrackTable`` (``TrackTable.from_points``
+makes one) in numpy: one ``searchsorted`` puts every point in its window,
+the face distances follow ``distance_to_face``'s operations column-wise,
+and ``np.bincount`` sums each window's distances in track order.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
-from .fusion import FusionStats, TrackPoint, TrackTable, as_track_table
+from .fusion import FusionStats, TrackTable
 from .geometry import FACES, GridBox, WorldPoint3D
-from .jsonio import FieldError, csv_field, per_row, read_columns, read_file, real
+from .jsonio import FieldError, csv_field, naming, per_row, read_columns, read_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -40,17 +40,18 @@ class Segment:
     face: str
 
     def __post_init__(self):
+        if self.face not in FACES:
+            raise FieldError(
+                "face",
+                f"segment {self.segment_id}: unknown face {self.face!r}, "
+                f"expected one of {', '.join(FACES)}",
+            )
         if not self.segment_id:
-            raise FormatError("segment_id must be non-empty")
+            raise FieldError("segment_id", "segment_id must be non-empty")
         if not self.t_start_ms < self.t_end_ms:
             raise FormatError(
                 f"segment {self.segment_id}: need t_start < t_end, got "
                 f"{self.t_start_ms} >= {self.t_end_ms}"
-            )
-        if self.face not in FACES:
-            raise FormatError(
-                f"segment {self.segment_id}: unknown face {self.face!r}, "
-                f"expected one of {', '.join(FACES)}"
             )
 
 
@@ -123,20 +124,15 @@ def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
 
 
 def _segment(segment_id: str, t_start: str, t_end: str, face: str) -> Segment:
-    """One segments row: its reals, then its face, then the Segment checks."""
+    """One segments row: its reals, then the Segment checks."""
     start, end = real(t_start, "t_start_ms"), real(t_end, "t_end_ms")
-    if face not in FACES:
-        raise FieldError(
-            "face",
-            f"segment {segment_id}: unknown face {face!r}, "
-            f"expected one of {', '.join(FACES)}",
-        )
     return Segment(segment_id, start, end, face)
 
 
 def read_segments(path) -> list[Segment]:
     segments = read_file(path, read_columns, SEGMENTS_HEADER, per_row(_segment))[0]
-    validate_segments(segments)
+    with naming(path):
+        validate_segments(segments)
     return segments
 
 
@@ -253,7 +249,7 @@ def _face_distances(
 
 
 def evaluate_track(
-    track: TrackTable | Iterable[TrackPoint],
+    track: TrackTable,
     segments: Sequence[Segment],
     box: GridBox,
     px_per_mm: float = 1.0,
@@ -270,7 +266,6 @@ def evaluate_track(
         FormatError: a segment mean or the overall error overflows to a
             non-finite value, which finite but huge coordinates can cause.
     """
-    track = as_track_table(track)
     ordered = validate_segments(segments)
     if not segments:
         raise NoSegments("evaluation needs at least one segment")

@@ -7,22 +7,18 @@ fixed canvas and fits the grid into each panel with an isotropic scale; a
 point that the scale takes past the largest float is refused, and no file is
 written.
 
-Every writer takes the track as a ``TrackTable`` (points are put in one
-first) and formats its columns with one ``str.format`` per row.
+Every writer takes only a ``TrackTable`` (``TrackTable.from_points`` makes one)
+and formats its columns with one ``str.format`` per row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import ConfigError, EmptyTrack, FormatError
-from .fusion import TrackPoint, TrackTable, as_track_table, write_track
+from .fusion import TrackTable, write_track
 from .geometry import GridBox
 from .jsonio import format_real
-
-Track = TrackTable | Iterable[TrackPoint]
 
 _SVG_PANEL_W = 360.0
 _SVG_PANEL_H = 420.0
@@ -30,19 +26,18 @@ _SVG_MARGIN = 40.0
 _SVG_GAP = 50.0
 
 
-def _non_empty(track: Track) -> TrackTable:
-    track = as_track_table(track)
+def _non_empty(track: TrackTable) -> TrackTable:
     if not len(track):
         raise EmptyTrack("refusing to export an empty track")
     return track
 
 
-def export_csv(path, track: Track) -> None:
+def export_csv(path, track: TrackTable) -> None:
     """The track CSV, identical to what the reconstruction step writes."""
     write_track(path, _non_empty(track))
 
 
-def export_ply(path, track: Track) -> None:
+def export_ply(path, track: TrackTable) -> None:
     """ASCII PLY point cloud of the track positions, in millimetres."""
     track = _non_empty(track)
     xyz = np.stack((track.x, track.y, track.z), axis=1)
@@ -108,7 +103,7 @@ def _panel(
     return out
 
 
-def export_svg(path, track: Track, grid_a: GridBox) -> None:
+def export_svg(path, track: TrackTable, grid_a: GridBox) -> None:
     """Three orthographic views of the track inside the main grid outline."""
     track = _non_empty(track)
     w, d, h = grid_a.w_mm, grid_a.d_mm, grid_a.h_mm
@@ -141,7 +136,7 @@ def export_svg(path, track: Track, grid_a: GridBox) -> None:
 EXPORT_FORMATS = ("csv", "ply", "svg")
 
 
-def export_track(path, track: Track, fmt: str, grid_a: GridBox) -> None:
+def export_track(path, track: TrackTable, fmt: str, grid_a: GridBox) -> None:
     """Dispatch on format name; svg needs the grid for its outlines."""
     if fmt == "csv":
         export_csv(path, track)

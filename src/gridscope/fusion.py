@@ -27,7 +27,7 @@ through ``write_track`` and back from ``read_track``, which checks every
 row by column masks and re-reads only a refused row one at a time, as
 ``_track_point`` would, so its error names the same row, column and
 reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
-``as_track_table`` puts points into one.
+``TrackTable.from_points`` puts points into the table every consumer takes.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ class TrackPoint:
 
     def __post_init__(self):
         if not self.z_disagreement_mm >= 0:
-            raise FormatError(
-                f"z_disagreement_mm must be >= 0, got {self.z_disagreement_mm}"
+            raise FieldError(
+                "z_disagreement_mm",
+                f"z_disagreement_mm must be >= 0, got {self.z_disagreement_mm}",
             )
 
 
@@ -152,11 +153,6 @@ def _point(t, x, y, z, cam_a, cam_b, dz, flag) -> TrackPoint:
     return TrackPoint(t, WorldPoint3D(x, y, z), (cam_a, cam_b), dz, flag)
 
 
-def as_track_table(track: TrackTable | Iterable[TrackPoint]) -> TrackTable:
-    """``track`` itself if it is a TrackTable, else its points put in one."""
-    return track if isinstance(track, TrackTable) else TrackTable.from_points(track)
-
-
 @dataclass
 class FusionStats:
     """Bundle bookkeeping for one reconstruction run."""
@@ -181,16 +177,6 @@ class FusionStats:
             if not 0 <= n < 2**63:  # a larger count overflows the plot rates
                 raise FormatError(f"{k}: expected a count in [0, 2**63), found {n}")
         return cls(**counts)
-
-
-def eligible_pairs(side_indices: Iterable[int]) -> list[tuple[int, int]]:
-    """Adjacent (90-degree) pairs available among the present side cameras.
-
-    Directly opposite cameras are excluded by construction; the result
-    preserves the canonical pair order (0,1), (1,2), (2,3), (3,0).
-    """
-    present = set(side_indices)
-    return [p for p in ADJACENT_PAIRS if p[0] in present and p[1] in present]
 
 
 @dataclass(frozen=True)
@@ -394,7 +380,7 @@ def _map_views(
         if not seen.size:
             continue
         at = found[seen]
-        # the centre as bbox_center computes it
+        # each box's centre
         u = (table.u_min[at] + table.u_max[at]) / 2.0
         v = (table.v_min[at] + table.v_max[at]) / 2.0
         a, b, inside = model_grid_columns(cam, u, v)
@@ -593,9 +579,8 @@ def build_track(
 # --- track persistence ------------------------------------------------------
 
 
-def write_track(path, track: TrackTable | Iterable[TrackPoint]) -> None:
+def write_track(path, track: TrackTable) -> None:
     """Write a track CSV; reals carry six decimal places."""
-    track = as_track_table(track)
     quoted = {name: csv_field(name) for name in {*track.cam_a, *track.cam_b}}
     rows = map(
         "{:.6f},{:.6f},{:.6f},{:.6f},{},{},{:.6f},{}\n".format,

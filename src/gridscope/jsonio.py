@@ -21,6 +21,8 @@ at a time through :func:`per_row`, their real-valued fields through
 :func:`real`, which refuses ``nan`` and ``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
+An error raised while a file is read (:func:`read_file`, :func:`load_doc`)
+leads with the file's path.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import Field, fields
 from itertools import chain, islice
 from operator import itemgetter
@@ -37,7 +40,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CsvError, FormatError
+from .errors import CsvError, FormatError, GridscopeError
 
 T = TypeVar("T")
 
@@ -169,6 +172,22 @@ def read_doc(path) -> dict:
     return loads_doc(text)
 
 
+@contextmanager
+def naming(path):
+    """A package error raised inside is about file ``path``: it leads with it."""
+    try:
+        yield
+    except GridscopeError as exc:
+        exc.path = exc.path or path  # the innermost file named is kept
+        raise
+
+
+def load_doc(path, build: Callable[[dict], T]) -> T:
+    """``build`` of the document in file ``path``; its errors name the file."""
+    with naming(path):
+        return build(read_doc(path))
+
+
 class DocReader:
     """Schema-checking accessor over a parsed document.
 
@@ -257,8 +276,8 @@ class DocReader:
 # --- CSV tables --------------------------------------------------------------
 
 
-class FieldError(ValueError):
-    """A CSV field its column cannot hold; the table readers report the column."""
+class FieldError(FormatError, ValueError):
+    """A field, or a one-column check, that fails; the table readers name the column."""
 
     def __init__(self, column: str, reason: str):
         super().__init__(reason)
@@ -495,15 +514,16 @@ def read_file(path, read: Callable[..., T], *args) -> T:
 
     The decoder reads ahead, so it can meet a bad byte before ``read`` has
     seen the lines in front of it: those lines are read again on their
-    own, and a CsvError that raises there is raised instead.
+    own, and a CsvError that raises there is raised instead.  Errors name the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return read(fh, *args)
-    except UnicodeDecodeError:
-        pass
-    line, head = _first_bad_line(path)
-    if line > 1:
-        read(io.StringIO(head, newline=""), *args)
-    raise CsvError(line, "", "not UTF-8 text")
+    with naming(path):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                return read(fh, *args)
+        except UnicodeDecodeError:
+            pass
+        line, head = _first_bad_line(path)
+        if line > 1:
+            read(io.StringIO(head, newline=""), *args)
+        raise CsvError(line, "", "not UTF-8 text")
 

@@ -645,7 +645,7 @@ def scenario_from_doc(doc: dict) -> SimScenario:
 
 
 def load_scenario(path) -> SimScenario:
-    return scenario_from_doc(jsonio.read_doc(path))
+    return jsonio.load_doc(path, scenario_from_doc)
 
 
 def write_generated(data: GeneratedData, out_dir) -> dict[str, str]:

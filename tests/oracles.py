@@ -6,12 +6,15 @@ numpy solvers instead of hand-rolled elimination, synchronization is a
 quadratic scan instead of bisect bookkeeping, detection metrics are a
 brute-force staircase enumeration.  Tests compare the two routes.
 
-``naive_build_track`` is the exception: it is the per-bundle, per-pair
-fusion loop that the columnar ``build_track`` replaced, kept to pin the
-batching (pair ranking, one correction per view, the average) to it; it
-takes ``FrameBundle`` objects, which ``bundle_table`` puts into the
+``naive_build_track`` fuses one bundle and one pair at a time in plain
+Python floats, written from the definitions and reading only calibration
+data; it calls none of gridscope's mapping, depth or fusion code, so it
+pins the mapping and the depth arithmetic as well as the batching (pair
+ranking, one correction per view, the average).  It takes
+``FrameBundle`` objects, which ``bundle_table`` puts into the
 ``BundleTable`` that ``build_track`` takes.
-So is ``read_table``, the per-row CSV reader that the block reader
+
+The exception is ``read_table``, the per-row CSV reader that the block reader
 ``jsonio.read_columns`` replaced, kept to pin its row numbers, skipped
 rows and error order to it; ``rowwise_parse_detections`` and
 ``rowwise_read_ground_truth`` run it with per-row copies of the detection
@@ -158,6 +161,90 @@ def bundle_table(bundles):
     return BundleTable(DetectionTable.of(members), tuple(cameras), rows, times)
 
 
+def _model_grid(profile, u, v):
+    """The model-grid point of pixel (u, v), or None outside every sub-area.
+
+    Sub-areas are tried in index order and the first whose quad holds the
+    pixel, within 1e-9 px of each edge, maps it: the stored homography,
+    then the scale ratios about the sub-area origin.
+    """
+    from gridscope.errors import PointAtInfinity
+
+    for sub in profile.sub_areas:
+        corners = sub.src.corners
+        inside = True
+        for k in range(4):
+            p, q = corners[k], corners[(k + 1) % 4]
+            ex, ey = q.u - p.u, q.v - p.v
+            cross = ex * (v - p.v) - ey * (u - p.u)
+            inside = inside and not cross / math.hypot(ex, ey) < -1e-9
+        if not inside:
+            continue
+        h = [float(value) for value in sub.homography.matrix.reshape(-1)]
+        w = h[6] * u + h[7] * v + h[8]
+        if abs(w) < 1e-12:
+            raise PointAtInfinity(f"point ({u}, {v}) maps to infinity")
+        a = (h[0] * u + h[1] * v + h[2]) / w
+        b = (h[3] * u + h[4] * v + h[5]) / w
+        o = sub.mg_origin
+        return (
+            o.a + sub.scale.rx * ((o.a + a) - o.a),
+            o.b + sub.scale.ry * ((o.b + b) - o.b),
+        )
+    return None
+
+
+def _footprint(profile):
+    """(min_a, min_b, max_a, max_b) over every sub-area's placed corners."""
+    a_values, b_values = [], []
+    for sub in profile.sub_areas:
+        w, h = sub.canonical_width, sub.canonical_height
+        for ca, cb in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):
+            a_values.append(sub.mg_origin.a + sub.scale.rx * ca)
+            b_values.append(sub.mg_origin.b + sub.scale.ry * cb)
+    return min(a_values), min(b_values), max(a_values), max(b_values)
+
+
+def _world(component, value, px_per_mm):
+    return component.origin_mm + component.sign * (value / px_per_mm)
+
+
+def _corrected(cal, index, profile, a, b, top_xy, vertical_correction):
+    """Side ``index``'s model-grid point pushed outward by the depth error.
+
+    The top view's world (x, y) gives the distance from the side's near
+    face (ni, clamped to [0, nf]) and from the centre axis (ic, clamped to
+    [0, sc]), in model-grid units; DEF = MDE * ni / nf per axis, and the
+    horizontal push is DEF * ic / sc, the vertical one DEF times the
+    point's offset from mid-height over the half height.
+    """
+    side = cal.axis_map.sides[index]
+    px = cal.rig.px_per_mm
+    extent = {"x": cal.rig.grid_a.w_mm, "y": cal.rig.grid_a.d_mm}
+    coord = {"x": top_xy[0], "y": top_xy[1]}
+    nf_mm = extent[side.depth.axis]
+    ni_mm = side.depth.sign * (coord[side.depth.axis] - side.depth.face_n_mm)
+    ni_mm = 0.0 if 0.0 > ni_mm else ni_mm
+    ni_mm = nf_mm if nf_mm < ni_mm else ni_mm
+    sc_mm = extent[side.horizontal.axis] / 2.0
+    ic_mm = abs(coord[side.horizontal.axis] - sc_mm)
+    ic_mm = sc_mm if sc_mm < ic_mm else ic_mm
+    ni, nf, ic, sc = ni_mm * px, nf_mm * px, ic_mm * px, sc_mm * px
+
+    min_a, min_b, max_a, max_b = _footprint(profile)
+    half = (max_b - min_b) / 2.0
+    fraction = 0.0
+    if half > 0:
+        fraction = abs(b - (min_b + max_b) / 2.0) / half
+        fraction = 1.0 if 1.0 < fraction else fraction
+    def_h = profile.mde_h * (ni / nf)
+    adj_h = def_h * (ic / sc)
+    adj_v = profile.mde_v * (ni / nf) * fraction if vertical_correction else 0.0
+    a = a + adj_h if a >= (min_a + max_a) / 2.0 else a - adj_h
+    b = b + adj_v if b >= (min_b + max_b) / 2.0 else b - adj_v
+    return a, b
+
+
 def naive_build_track(
     cal,
     bundles,
@@ -166,96 +253,89 @@ def naive_build_track(
     vertical_correction=True,
     pair_strategy="best",
 ):
-    """build_track one bundle and one pair at a time, through reconstruct_point.
+    """build_track one bundle and one pair at a time, in plain Python floats.
 
-    Each side view is depth-corrected again for every pair that uses it.
+    Written from the definitions, reading only calibration data: each box
+    centre is located in its camera's sub-areas and mapped into the model
+    grid; the top view's model point is read as world (x, y); each side
+    point of a fused pair is depth-corrected, again for every pair that
+    uses it, and turned into world mm; a pair gives world x and y from its
+    two horizontal axes, z as the mean of its two heights and their
+    difference as the disagreement.  Every step keeps build_track's
+    operation order, so the two agree bit for bit.
     """
-    from gridscope.detections import bbox_center
-    from gridscope.errors import OutsideCalibratedArea, ZDisagreementExceeded
-    from gridscope.fusion import (
-        ADJACENT_PAIRS,
-        FusionStats,
-        SideView,
-        TrackPoint,
-        eligible_pairs,
-        reconstruct_point,
-        top_world_xy,
-    )
-    from gridscope.calibration import to_model_grid
+    from gridscope.fusion import FusionStats, TrackPoint
     from gridscope.geometry import WorldPoint3D
 
+    px = cal.rig.px_per_mm
     track = []
     stats = FusionStats()
     for bundle in bundles:
         stats.total += 1
-        views = {}
-        raw_side_count = 0
+        views, confidence, names = {}, {}, {}
+        side_count = 0
         top_xy = None
         for cam in cal.cameras:
             det = bundle.per_camera.get(cam.camera_id)
             if det is None:
                 continue
-            raw_side_count += cam.role.is_side
-            try:
-                mg = to_model_grid(cam, bbox_center(det))
-            except OutsideCalibratedArea:
+            side_count += cam.role.is_side
+            u = (det.u_min + det.u_max) / 2.0
+            v = (det.v_min + det.v_max) / 2.0
+            mg = _model_grid(cam, u, v)
+            if mg is None:
                 stats.outside_area += 1
-                continue
-            if cam.role.is_side:
-                views[cam.role.index] = SideView(cam.role.index, cam, det, mg)
+            elif cam.role.is_side:
+                views[cam.role.index] = (cam, *mg)
+                confidence[cam.role.index] = det.confidence
+                names[cam.role.index] = det.camera_id
             else:
-                top_xy = top_world_xy(cal, mg)
-        stats.with_side_detection += raw_side_count >= 1
-        stats.with_two_side_detections += raw_side_count >= 2
+                top = cal.axis_map.top
+                world = {top.a.axis: _world(top.a, mg[0], px)}
+                world[top.b.axis] = _world(top.b, mg[1], px)
+                top_xy = (world["x"], world["y"])
+        stats.with_side_detection += side_count >= 1
+        stats.with_two_side_detections += side_count >= 2
         stats.missing_top += top_xy is None
-        pairs = eligible_pairs(views)
+        corrected = depth_correction and top_xy is not None
+        # adjacent sides, in tie-break order; opposite sides are never paired
+        pairs = [
+            (i, (i + 1) % 4) for i in range(4) if i in views and (i + 1) % 4 in views
+        ]
         if not pairs:
             continue
+        # highest confidence sum first; the stable sort keeps ties in that order
+        pairs.sort(key=lambda p: -(confidence[p[0]] + confidence[p[1]]))
 
-        def confidence(pair):
-            return (
-                views[pair[0]].detection.confidence
-                + views[pair[1]].detection.confidence
-            )
+        def side_mm(index):
+            cam, a, b = views[index]
+            if corrected:
+                a, b = _corrected(cal, index, cam, a, b, top_xy, vertical_correction)
+            side = cal.axis_map.sides[index]
+            return _world(side.horizontal, a, px), _world(side.vertical, b, px)
 
-        ranked = sorted(
-            pairs, key=lambda p: (-confidence(p), ADJACENT_PAIRS.index(p))
-        )
         points = []
-        for pair in ranked[:1] if pair_strategy == "best" else ranked:
-            try:
-                points.append(
-                    reconstruct_point(
-                        cal,
-                        bundle.timestamp_ms,
-                        views[pair[0]],
-                        views[pair[1]],
-                        top_xy,
-                        z_reject_mm=z_reject_mm,
-                        depth_correction=depth_correction,
-                        vertical_correction=vertical_correction,
-                    )
-                )
-            except ZDisagreementExceeded:
-                pass
+        for i, j in pairs[:1] if pair_strategy == "best" else pairs:
+            (h_i, z_i), (h_j, z_j) = side_mm(i), side_mm(j)
+            world = {cal.axis_map.sides[i].horizontal.axis: h_i}
+            world[cal.axis_map.sides[j].horizontal.axis] = h_j
+            dz = abs(z_i - z_j)
+            if not dz > z_reject_mm:
+                xyz = (world["x"], world["y"], (z_i + z_j) / 2.0)
+                points.append((xyz, (names[i], names[j]), dz))
         if not points:
             stats.rejected_z += 1
             continue
-        chosen = points[0]
+        xyz, pair, dz = points[0]
         if len(points) > 1:
-            n = float(len(points))
-            chosen = TrackPoint(
-                timestamp_ms=chosen.timestamp_ms,
-                position=WorldPoint3D(
-                    sum(p.position.x for p in points) / n,
-                    sum(p.position.y for p in points) / n,
-                    sum(p.position.z for p in points) / n,
-                ),
-                pair=chosen.pair,
-                z_disagreement_mm=max(p.z_disagreement_mm for p in points),
-                depth_corrected=any(p.depth_corrected for p in points),
-            )
-        track.append(chosen)
+            totals = [0.0, 0.0, 0.0]
+            for point, _, other_dz in points:
+                totals = [t + c for t, c in zip(totals, point)]
+                dz = other_dz if other_dz > dz else dz
+            xyz = [t / len(points) for t in totals]
+        track.append(
+            TrackPoint(bundle.timestamp_ms, WorldPoint3D(*xyz), pair, dz, corrected)
+        )
         stats.plotted += 1
     return track, stats
 

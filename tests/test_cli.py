@@ -542,7 +542,7 @@ class TestExitCodes:
         ]
         assert main(args + ["--strict"]) == 1
         out, err = capsys.readouterr()
-        assert err.startswith("error: row 2, column <row>: ")
+        assert err.startswith(f"error: {bad}: row 2, column <row>: ")
         assert "not finite or positive" in err and "Traceback" not in err
         assert out == "" and not track.exists()
         # Lenient mode skips both rows and writes an empty, readable track.
@@ -567,7 +567,7 @@ class TestExitCodes:
         ]
         assert main(args + ["--strict"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: row 2") and "not finite" in err
+        assert err.startswith(f"error: {bad}: row 2") and "not finite" in err
         assert "Traceback" not in err
         # Lenient mode skips both rows and writes an empty, readable track.
         assert main(args) == 0
@@ -651,7 +651,8 @@ class TestFlagValues:
                 "--report", str(report)]
         assert main(args) == 1
         out, err = capsys.readouterr()
-        assert err.startswith("error: row 2, column <row>: ")
+        bad = {"predictions": preds, "ground_truth": gt}[tiny]
+        assert err.startswith(f"error: {bad}: row 2, column <row>: ")
         assert "not finite or positive" in err and "Traceback" not in err
         assert out == "" and not report.exists()
 
@@ -725,7 +726,7 @@ class TestRepeatedRole:
         out = tmp_path / "calibration.json"
         assert main(["calibrate", str(picks), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: role " + label)
+        assert err.startswith(f"error: {picks}: role " + label)
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -741,9 +742,91 @@ class TestRepeatedRole:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: role " + label)
+        assert err.startswith(f"error: {cal}: role " + label)
         assert "Traceback" not in err
         assert not track.exists()
+
+
+class TestErrorsNameTheFile:
+    """An error about an input file leads with that file's path, once."""
+
+    def test_reconstruct_names_the_second_of_two_files(self, pipeline, tmp_path, capsys):
+        good = pipeline / "sim" / "detections_side0.csv"
+        bad = tmp_path / "side1.csv"
+        bad.write_text(
+            f"{','.join(CSV_HEADER)}\n"
+            "side1,0,0.0,1,2,3,4,0.9\n"
+            "side1,1,-5,1,2,3,4,0.9\n"
+        )
+        track = tmp_path / "track.csv"
+        args = [
+            "reconstruct", str(good), str(bad), "--strict",
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track),
+        ]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err == (
+            f"error: {bad}: row 3, column timestamp_ms: "
+            "timestamp_ms must be >= 0, got -5.0\n"
+        )
+        assert out == "" and not track.exists()
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--stats", "with_side_detection"), ("--calibration", "format_version")],
+    )
+    def test_evaluate_names_the_bad_document(self, pipeline, tmp_path, capsys, flag, key):
+        bad = tmp_path / "bad.json"
+        source = pipeline / ("stats.json" if flag == "--stats" else "calibration.json")
+        doc = json.loads(source.read_text())
+        del doc[key]
+        jsonio.write_doc(bad, doc)
+        given = {
+            "--stats": str(pipeline / "stats.json"),
+            "--calibration": str(pipeline / "calibration.json"),
+            flag: str(bad),
+        }
+        args = [
+            "evaluate",
+            "--track", str(pipeline / "track.csv"),
+            "--segments", str(pipeline / "segments.csv"),
+            *(item for pair in given.items() for item in pair),
+        ]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {bad}: top level: missing required key {key!r}\n"
+        assert out == ""
+
+    def test_detmetrics_names_the_ground_truth_file(self, tmp_path, capsys):
+        preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
+        preds.write_text(f"{','.join(CSV_HEADER)}\ndet,0,0.0,0,0,10,10,0.9\n")
+        gt.write_text(f"{','.join(GT_HEADER)}\n0,0,0,10,10\n0,0,x,10,10\n")
+        args = ["detmetrics", "--predictions", str(preds), "--ground-truth", str(gt)]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {gt}: row 3, column v_min: not a number: 'x'\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"z_reject_mm": "abc"}', "z_reject_mm: expected a real number, found str"),
+            ('{"z_reject_mm": -1}', "z_reject_mm must be >= 0, got -1.0"),
+            ('{"z_tolerance": 5.0}', "unknown config keys ['z_tolerance']"),
+        ],
+    )
+    def test_a_config_file_is_named_once(self, pipeline, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+            "--config", str(cfg),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
 
 
 class TestUnreadableInput:
@@ -766,7 +849,7 @@ class TestUnreadableInput:
         ]
         assert main(args + strict) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: row 2, column <row>: ")
+        assert err.startswith(f"error: {bad}: row 2, column <row>: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

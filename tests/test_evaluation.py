@@ -170,7 +170,7 @@ class TestSegmentsCsv:
             read_segments(p)
         assert (err.value.row, err.value.column) == (3, "face")
         assert str(err.value) == (
-            "row 3, column face: segment v: unknown face 'Top', expected one of "
+            f"{p}: row 3, column face: segment v: unknown face 'Top', expected one of "
             "x_min, x_max, y_min, y_max, z_min, z_max"
         )
 
@@ -187,11 +187,13 @@ class TestSegmentsCsv:
 
 class TestEvaluateTrack:
     def track_and_segments(self):
-        track = [
-            tp(0.0, 150.0, 240.0, 80.0),
-            tp(10.0, 150.0, 260.0, 80.0),
-            tp(100.0, 110.0, 150.0, 80.0),
-        ]
+        track = TrackTable.from_points(
+            [
+                tp(0.0, 150.0, 240.0, 80.0),
+                tp(10.0, 150.0, 260.0, 80.0),
+                tp(100.0, 110.0, 150.0, 80.0),
+            ]
+        )
         segments = [
             Segment("w1", 0.0, 50.0, "y_max"),
             Segment("w2", 50.0, 150.0, "x_min"),
@@ -223,13 +225,15 @@ class TestEvaluateTrack:
         assert report.plot_rate_two_sides is None
 
     def test_windows_are_half_open(self):
-        track = [
-            tp(0.0, 150.0, 240.0, 80.0),  # a's start: 10 off y_max
-            tp(49.999, 150.0, 230.0, 80.0),  # just inside a: 20 off
-            tp(50.0, 150.0, 220.0, 80.0),  # a's end is b's start: 30 off
-            tp(100.0, 150.0, 0.0, 80.0),  # b's end, in no window
-            tp(-1.0, 150.0, 0.0, 80.0),  # before every window
-        ]
+        track = TrackTable.from_points(
+            [
+                tp(0.0, 150.0, 240.0, 80.0),  # a's start: 10 off y_max
+                tp(49.999, 150.0, 230.0, 80.0),  # just inside a: 20 off
+                tp(50.0, 150.0, 220.0, 80.0),  # a's end is b's start: 30 off
+                tp(100.0, 150.0, 0.0, 80.0),  # b's end, in no window
+                tp(-1.0, 150.0, 0.0, 80.0),  # before every window
+            ]
+        )
         segments = [Segment("b", 50.0, 100.0, "y_max"), Segment("a", 0.0, 50.0, "y_max")]
         report = evaluate_track(track, segments, BOX)
         assert [(s.segment_id, s.points, s.mean_error_mm) for s in report.segments] == [
@@ -238,7 +242,9 @@ class TestEvaluateTrack:
         ]
 
     def test_point_in_a_gap_is_not_scored(self):
-        track = [tp(5.0, 150.0, 240.0, 80.0), tp(15.0, 150.0, 0.0, 80.0)]
+        track = TrackTable.from_points(
+            [tp(5.0, 150.0, 240.0, 80.0), tp(15.0, 150.0, 0.0, 80.0)]
+        )
         segments = [Segment("a", 0.0, 10.0, "y_max"), Segment("b", 20.0, 30.0, "y_max")]
         with pytest.raises(EmptySegment, match="segment b: no track points in"):
             evaluate_track(track, segments, BOX)
@@ -250,11 +256,11 @@ class TestEvaluateTrack:
             Segment("early", 0.0, 10.0, "y_max"),
         ]
         with pytest.raises(EmptySegment, match=r"segment late: .* \[20.0, 30.0\)"):
-            evaluate_track([tp(15.0, 150.0, 240.0, 80.0)], segments, BOX)
+            evaluate_track(TrackTable.from_points([tp(15.0, 150.0, 240.0, 80.0)]), segments, BOX)
 
     def test_no_segments(self):
         with pytest.raises(NoSegments):
-            evaluate_track([tp(0.0, 0, 0, 0)], [], BOX)
+            evaluate_track(TrackTable.from_points([tp(0.0, 0, 0, 0)]), [], BOX)
 
     def test_doc_keys_follow_availability(self):
         report = EvaluationReport(
@@ -293,7 +299,7 @@ class TestEvaluateTrack:
         ],
     )
     def test_non_finite_error_refused(self, xs, ends_ms, px_per_mm, what):
-        track = [tp(0.0, xs[0], 0.0, 0.0), tp(10.0, xs[1], 0.0, 0.0)]
+        track = TrackTable.from_points([tp(0.0, xs[0], 0.0, 0.0), tp(10.0, xs[1], 0.0, 0.0)])
         starts_ms = (0.0,) + ends_ms[:-1]
         segments = [
             Segment(f"s{i}", start, end, "x_min")
@@ -361,7 +367,6 @@ def _outcome(score, track, segments, px_per_mm, bounded):
 def test_one_pass_equals_per_segment_scan(case, px_per_mm, bounded):
     track, segments = case
     want = _outcome(scan_evaluate_track, track, segments, px_per_mm, bounded)
-    assert _outcome(evaluate_track, track, segments, px_per_mm, bounded) == want
     table = TrackTable.from_points(track)
     assert _outcome(evaluate_track, table, segments, px_per_mm, bounded) == want
 
@@ -373,5 +378,6 @@ def test_bounded_excess_is_squared_as_distance_to_face_squares_it():
     e = BOX.origin.x - p.x
     assert math.sqrt(30.0 * 30.0 + e**2) != math.sqrt(30.0 * 30.0 + e * e)
     segments = [Segment("s", 0.0, 10.0, "y_min")]
-    report = evaluate_track([tp(0.0, p.x, p.y, p.z)], segments, BOX, bounded=True)
+    track = TrackTable.from_points([tp(0.0, p.x, p.y, p.z)])
+    report = evaluate_track(track, segments, BOX, bounded=True)
     assert report.overall_mm == distance_to_face(p, BOX, "y_min", bounded=True)

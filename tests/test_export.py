@@ -13,24 +13,25 @@ from gridscope.export import (
     export_svg,
     export_track,
 )
-from gridscope.fusion import TrackPoint, write_track
+from gridscope.fusion import TrackPoint, TrackTable, write_track
 from gridscope.geometry import GridBox, WorldPoint3D
 from gridscope.jsonio import format_real
 
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
-TRACK = [
+POINTS = [
     TrackPoint(0.0, WorldPoint3D(100.0, 150.0, 300.0), ("side0", "side1"), 0.0, True),
     TrackPoint(50.0, WorldPoint3D(101.5, 150.0, 302.0), ("side0", "side1"), 1.0, True),
     TrackPoint(100.0, WorldPoint3D(103.0, 151.0, 304.5), ("side1", "side2"), 0.5, False),
 ]
+TRACK = TrackTable.from_points(POINTS)
 
 
 class TestEmptyTrack:
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_refused(self, tmp_path, fmt):
         with pytest.raises(EmptyTrack):
-            export_track(tmp_path / f"out.{fmt}", [], fmt, GRID)
+            export_track(tmp_path / f"out.{fmt}", TrackTable.from_points([]), fmt, GRID)
         assert not (tmp_path / f"out.{fmt}").exists()
 
 
@@ -61,9 +62,9 @@ class TestPly:
         assert lines[7] == "100 150 300"
 
     def test_values_lossless(self, tmp_path):
-        track = [
-            TrackPoint(0.0, WorldPoint3D(1.0 / 3.0, 0.1, 2e-7), ("side0", "side1"), 0.0, False)
-        ]
+        track = TrackTable.from_points(
+            [TrackPoint(0.0, WorldPoint3D(1.0 / 3.0, 0.1, 2e-7), ("side0", "side1"), 0.0, False)]
+        )
         p = tmp_path / "tiny.ply"
         export_ply(p, track)
         x, y, z = p.read_text().splitlines()[-1].split(" ")
@@ -80,10 +81,10 @@ class TestPly:
         )
     )
     def test_each_vertex_is_written_by_format_real(self, tmp_path_factory, xyz):
-        track = [
+        track = TrackTable.from_points(
             TrackPoint(float(i), WorldPoint3D(*p), ("side0", "side1"), 0.0, False)
             for i, p in enumerate(xyz)
-        ]
+        )
         p = tmp_path_factory.mktemp("ply") / "out.ply"
         export_ply(p, track)
         assert p.read_text().splitlines()[7:] == [
@@ -92,9 +93,10 @@ class TestPly:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_refused(self, tmp_path, bad):
-        track = TRACK + [
-            TrackPoint(150.0, WorldPoint3D(1.0, bad, -bad), ("side0", "side1"), 0.0, False)
-        ]
+        track = TrackTable.from_points(
+            POINTS
+            + [TrackPoint(150.0, WorldPoint3D(1.0, bad, -bad), ("side0", "side1"), 0.0, False)]
+        )
         p = tmp_path / "bad.ply"
         with pytest.raises(FormatError, match=f"non-finite real {bad!r}"):
             export_ply(p, track)
@@ -124,11 +126,11 @@ class TestSvg:
     def test_points_follow_the_per_point_formula(self, tmp_path):
         # y = 122.55694912500003 draws at 286.870509 on the top panel; the
         # same sum taken as 40 + 390 * scale - y * scale gives 286.870508
-        track = TRACK + [
+        points = POINTS + [
             TrackPoint(150.0, WorldPoint3D(7.25, 122.55694912500003, 1.0), ("side0", "side1"), 0.0, True)
         ]
         p = tmp_path / "out.svg"
-        export_svg(p, track, GRID)
+        export_svg(p, TrackTable.from_points(points), GRID)
         drawn = re.findall(r'<polyline points="([^"]*)"', p.read_text())
         o = GRID.origin
         panels = [
@@ -142,7 +144,7 @@ class TestSvg:
             offset = 40.0 + i * (360.0 + 50.0)
             want.append(" ".join(
                 f"{offset + h * scale:.6f},{40.0 + (span_v - v) * scale:.6f}"
-                for h, v in (coords(t.position) for t in track)
+                for h, v in (coords(t.position) for t in points)
             ))
         assert drawn == want
         assert "286.870509" in drawn[0]
@@ -156,7 +158,7 @@ class TestSvg:
 
     def test_single_point_track(self, tmp_path):
         p = tmp_path / "one.svg"
-        export_svg(p, TRACK[:1], GRID)
+        export_svg(p, TrackTable.from_points(POINTS[:1]), GRID)
         assert "<circle" in p.read_text()
 
     @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
@@ -166,7 +168,7 @@ class TestSvg:
         far = TrackPoint(150.0, WorldPoint3D(x, 0.0, 0.0), ("side0", "side1"), 0.0, True)
         p = tmp_path / "far.svg"
         with pytest.raises(FormatError, match="top .* panel: a point is non-finite"):
-            export_svg(p, TRACK + [far], small)
+            export_svg(p, TrackTable.from_points(POINTS + [far]), small)
         assert not p.exists()
 
 

@@ -21,13 +21,12 @@ from gridscope.detections import Detection, FrameBundle
 from gridscope.errors import CsvError, FormatError, ZDisagreementExceeded
 from gridscope import fusion
 from gridscope.fusion import (
-    ADJACENT_PAIRS,
     PAIR_STRATEGIES,
     FusionStats,
     SideView,
     TrackPoint,
+    TrackTable,
     build_track,
-    eligible_pairs,
     observation_for_side,
     read_track,
     reconstruct_point,
@@ -95,19 +94,31 @@ def view(cal: Calibration, index: int, world: WorldPoint3D, conf=1.0) -> SideVie
 
 
 class TestEligiblePairs:
+    """Which side cameras build_track pairs, by which sides saw the subject."""
+
+    def plotted_pair(self, sides):
+        cal = make_cal()
+        world = WorldPoint3D(100.0, 150.0, 300.0)
+        dets = [side_det(i, world, conf=0.5) for i in sides] + [top_det(world)]
+        track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
+        return list(track)[0].pair if len(track) else None
+
     def test_matches_enumeration(self):
         for size in range(5):
             for subset in combinations(range(4), size):
-                pairs = eligible_pairs(subset)
-                assert bool(pairs) == has_adjacent_pair(subset)
+                assert (self.plotted_pair(subset) is not None) == has_adjacent_pair(
+                    subset
+                )
 
     def test_opposite_only_is_empty(self):
-        assert eligible_pairs({0, 2}) == []
-        assert eligible_pairs({1, 3}) == []
+        assert self.plotted_pair((0, 2)) is None
+        assert self.plotted_pair((1, 3)) is None
 
     def test_canonical_order(self):
-        assert eligible_pairs({0, 1, 2, 3}) == list(ADJACENT_PAIRS)
-        assert eligible_pairs({3, 0}) == [(3, 0)]
+        # equal confidences: the first adjacent pair present wins
+        assert self.plotted_pair((0, 1, 2, 3)) == ("side0", "side1")
+        assert self.plotted_pair((3, 0)) == ("side3", "side0")
+        assert self.plotted_pair((2, 3, 0)) == ("side2", "side3")
 
 
 class TestObservationForSide:
@@ -369,14 +380,14 @@ class TestTrackFiles:
 
     def test_round_trip_to_six_decimals(self, tmp_path):
         path = tmp_path / "track.csv"
-        write_track(path, self.sample())
+        write_track(path, TrackTable.from_points(self.sample()))
         back = read_track(path)
         assert list(back) == self.sample()
 
     def test_file_level_fixed_point(self, tmp_path):
         path1 = tmp_path / "a.csv"
         path2 = tmp_path / "b.csv"
-        write_track(path1, self.sample())
+        write_track(path1, TrackTable.from_points(self.sample()))
         write_track(path2, read_track(path1))
         assert path1.read_bytes() == path2.read_bytes()
 
@@ -389,7 +400,7 @@ class TestTrackFiles:
 
     def test_bad_flag_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_track(path, self.sample())
+        write_track(path, TrackTable.from_points(self.sample()))
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("true", "yes")
         path.write_text("\n".join(lines) + "\n")
@@ -399,7 +410,7 @@ class TestTrackFiles:
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_track(path, self.sample())
+        write_track(path, TrackTable.from_points(self.sample()))
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
         with pytest.raises(CsvError):

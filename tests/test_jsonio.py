@@ -25,7 +25,7 @@ from gridscope.evaluation import (
     read_segments,
     write_segments,
 )
-from gridscope.fusion import TRACK_HEADER, TrackPoint, read_track, write_track
+from gridscope.fusion import TRACK_HEADER, TrackPoint, TrackTable, read_track, write_track
 from gridscope.geometry import WorldPoint3D
 from gridscope.metrics import GT_HEADER, read_ground_truth
 from gridscope.simulate import TRUTH_HEADER, load_scenario, read_truth
@@ -330,7 +330,8 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
     def expected():
         items, errors = jsonio.read_file(path, oracle)
         if reader is read_segments:
-            evaluation.validate_segments(items)
+            with jsonio.naming(path):  # a file's errors lead with its path
+                evaluation.validate_segments(items)
         return items, errors
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -394,6 +395,47 @@ def test_every_table_reader_rejects_non_finite_reals(
     with pytest.raises(CsvError) as err:
         reader(path, **kwargs)
     assert (err.value.row, err.value.column) == (3, header[index])
+    assert str(err.value).startswith(f"{path}: row 3, column {header[index]}: ")
+
+
+# (reader, header, a row failing a check of one column, that column, reason)
+ONE_COLUMN_CHECKS = {
+    "camera_id": (
+        parse_detections_file, CSV_HEADER, ",0,0.0,1,2,3,4,0.9",
+        "camera_id", "camera_id must be non-empty",
+    ),
+    "timestamp_ms": (
+        parse_detections_file, CSV_HEADER, "a,0,-5,1,2,3,4,0.9",
+        "timestamp_ms", "timestamp_ms must be >= 0, got -5.0",
+    ),
+    "confidence_high": (
+        parse_detections_file, CSV_HEADER, "a,0,0.0,1,2,3,4,1.5",
+        "confidence", "confidence must be in [0, 1], got 1.5",
+    ),
+    "confidence_low": (
+        parse_detections_file, CSV_HEADER, "a,0,0.0,1,2,3,4,-0.1",
+        "confidence", "confidence must be in [0, 1], got -0.1",
+    ),
+    "z_disagreement_mm": (
+        read_track, TRACK_HEADER, "0,1,2,3,side0,side1,-0.5,true",
+        "z_disagreement_mm", "z_disagreement_mm must be >= 0, got -0.5",
+    ),
+    "segment_id": (
+        read_segments, SEGMENTS_HEADER, ",0,10,y_max",
+        "segment_id", "segment_id must be non-empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ONE_COLUMN_CHECKS)
+def test_a_check_on_one_column_names_that_column(tmp_path, case):
+    reader, header, row, column, reason = ONE_COLUMN_CHECKS[case]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(header)}\n{row}\n")
+    kwargs = {"strict": True} if reader is parse_detections_file else {}
+    with pytest.raises(CsvError) as err:
+        reader(path, **kwargs)
+    assert (err.value.row, err.value.column, err.value.reason) == (2, column, reason)
 
 
 # A row whose first field is not UTF-8, and one whose field the csv module
@@ -455,8 +497,11 @@ def test_every_document_reader_refuses_unreadable_text(tmp_path, loader, error, 
     data, message = UNREADABLE_DOCS[kind]
     path = tmp_path / "doc.json"
     path.write_bytes(data)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as err:
         loader(path)
+    if loader is not jsonio.read_doc:  # a loader names its file, once
+        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value).count(str(path)) == 1
 
 
 # --- text fields through the CSV writers ---------------------------------------
@@ -500,10 +545,10 @@ def _fixed_point(tmp_path, write, read, items):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_ID, _ID), min_size=1, max_size=4))
 def test_track_text_fields_are_a_fixed_point(pairs):
-    track = [
+    track = TrackTable.from_points(
         TrackPoint(float(i), WorldPoint3D(1.5, -2.25, 3.0), pair, 0.5, i % 2 == 0)
         for i, pair in enumerate(pairs)
-    ]
+    )
     with tempfile.TemporaryDirectory() as tmp:
         back = _fixed_point(Path(tmp), write_track, read_track, track)
     assert [p.pair for p in back] == pairs

@@ -529,6 +529,8 @@ def test_ground_truth_table_reader_equals_rowwise_oracle(rows, strict):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "gt.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if expected[0] == "raised":  # a file's error leads with its path
+                expected = (*expected[:3], f"{path}: {expected[3]}")
             for read in (
                 read_ground_truth,
                 lambda p: read_ground_truth_table(p).rows(GroundTruthBox),
