@@ -6,14 +6,17 @@ confidence``.  Parsing runs in strict mode (first bad row aborts with a
 CsvError naming row and column) or lenient mode (bad rows are skipped and
 reported).
 
-A file is read into one ``DetectionTable``: ``jsonio.read_columns`` hands
-over blocks of rows as columns, each real column goes through ``float``
-in one pass, and every ``Detection`` check runs as a column mask.  Only
-the rows a mask refuses are read again one at a time, as a ``Detection``
-would be, so each error names the same row, column and reason: the first
-real column (in header order) that is not a finite number, else the
-first failed check (with its column, for a check of one column).  Errors
-are reported in row order.
+A file is read into one ``DetectionTable`` through
+``DETECTION_FORMAT``, whose column masks run every ``Detection`` check.
+A plain file (no quote or CR) whose rows all pass is read by
+numpy's C reader (``jsonio.fast_table``).  Any other goes through
+``jsonio.read_columns``, which hands over blocks of rows as columns and
+turns each real column into floats in one pass.  There, only the rows a
+mask refuses are read again one at a time, as a ``Detection`` would be,
+so each error names the same row, column and reason: the first real
+column (in header order) that is not a finite number, else the first
+failed check (with its column, for a check of one column).  Errors are
+reported in row order.
 
 Cameras run free, so bundles are assembled in two steps.  One stable
 ``np.lexsort`` by camera and timestamp finds each camera frame, and only a
@@ -41,9 +44,8 @@ from .errors import CsvError
 from .jsonio import (
     Columns,
     FieldError,
-    checked_table,
+    TableFormat,
     csv_field,
-    float_column,
     read_columns,
     read_file,
     real,
@@ -171,16 +173,9 @@ def _detection(camera_id: str, frame_index: str, *texts: str) -> Detection:
     return Detection(camera_id, frame_index, *reals)
 
 
-def _detection_columns(
-    columns: list[list[str]],
-) -> tuple[DetectionTable, list[tuple[int, Exception]]]:
-    """The table of the rows that pass every Detection check (a read_columns check).
-
-    The checks run as column masks; only a row that fails one goes through
-    ``_detection``, whose error names the row's first failing column.
-    """
-    cameras, frames, *texts = columns
-    reals = [float_column(column) for column in texts]
+def _detection_mask(texts: list[list[str]], reals) -> np.ndarray:
+    """Which rows pass every Detection check, as column masks."""
+    cameras, _ = texts
     t, u_min, v_min, u_max, v_max, confidence = reals
     with np.errstate(all="ignore"):
         ok = np.isfinite(reals).all(axis=0)
@@ -188,16 +183,25 @@ def _detection_columns(
         ok &= box_mask(u_min, v_min, u_max, v_max)
         ok &= (0.0 <= confidence) & (confidence <= 1.0)
     ok &= np.fromiter(map(bool, cameras), bool, len(cameras))
-    return checked_table(DetectionTable(cameras, frames, *reals), ok, columns, _detection)
+    return ok
+
+
+# Only a row the mask refuses goes through _detection, whose error names
+# the row's first failing column.
+DETECTION_FORMAT = TableFormat(
+    CSV_HEADER,
+    tuple(range(2, len(CSV_HEADER))),
+    _detection_mask,
+    lambda texts, reals: DetectionTable(*texts, *reals),
+    _detection,
+)
 
 
 def read_detection_table(
     path, strict: bool = False
 ) -> tuple[DetectionTable, list[CsvError]]:
     """A detections CSV file as one table, plus the errors of skipped rows."""
-    return read_file(
-        path, read_columns, CSV_HEADER, _detection_columns, DetectionTable.concat, strict
-    )
+    return DETECTION_FORMAT.read(path, strict)
 
 
 def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
@@ -208,7 +212,7 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         strict: raise on the first malformed row instead of skipping it.
     """
     table, errors = read_columns(
-        lines, CSV_HEADER, _detection_columns, DetectionTable.concat, strict=strict
+        lines, CSV_HEADER, DETECTION_FORMAT.check, DetectionTable.concat, strict=strict
     )
     return ParseResult(table.rows(Detection), errors)
 

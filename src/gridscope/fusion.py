@@ -24,9 +24,10 @@ picks the result.  Views are kept by side slot, which names one camera.
 returns.  The track is a ``TrackTable`` of columns, in the track file's
 order with the camera pair as two str columns, from ``build_track``
 through ``write_track`` and back from ``read_track``, which checks every
-row by column masks and re-reads only a refused row one at a time, as
-``_track_point`` would, so its error names the same row, column and
-reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
+row by the column masks of ``TRACK_FORMAT`` (numpy's C reader takes a
+plain file whose rows all pass) and re-reads only a refused row one at a
+time, as ``_track_point`` would, so its error names the same row, column
+and reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
 ``TrackTable.from_points`` puts points into the table every consumer takes.
 """
 
@@ -58,11 +59,8 @@ from .jsonio import (
     Columns,
     DocReader,
     FieldError,
-    checked_table,
+    TableFormat,
     csv_field,
-    float_column,
-    read_columns,
-    read_file,
     real,
 )
 
@@ -614,25 +612,28 @@ def _track_point(
     )
 
 
-def _track_columns(
-    columns: list[list[str]],
-) -> tuple[TrackTable, list[tuple[int, Exception]]]:
-    """The table of the rows that pass every track check (a read_columns check).
-
-    The checks run as column masks; only a row that fails one goes through
-    ``_track_point``, whose error names the row's first failing column.
-    """
-    t, x, y, z, cam_a, cam_b, dz, flag = columns
-    reals = [float_column(column) for column in (t, x, y, z, dz)]
-    corrected = np.fromiter(map("true".__eq__, flag), bool, len(flag))
+def _track_mask(texts: list[list[str]], reals) -> np.ndarray:
+    """Which rows pass every track check, as column masks."""
+    flag = texts[2]
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(reals).all(axis=0) & (reals[4] >= 0)
-    ok &= corrected | np.fromiter(map("false".__eq__, flag), bool, len(flag))
-    table = TrackTable(*reals[:4], cam_a, cam_b, reals[4], corrected)
-    return checked_table(table, ok, columns, _track_point)
+    return ok & np.fromiter(map(("true", "false").__contains__, flag), bool, len(flag))
+
+
+def _track_table(texts: list[list[str]], reals) -> TrackTable:
+    cam_a, cam_b, flag = texts
+    corrected = np.fromiter(map("true".__eq__, flag), bool, len(flag))
+    return TrackTable(*reals[:4], cam_a, cam_b, reals[4], corrected)
+
+
+# Only a row the mask refuses goes through _track_point, whose error names
+# the row's first failing column.
+TRACK_FORMAT = TableFormat(
+    TRACK_HEADER, (0, 1, 2, 3, 6), _track_mask, _track_table, _track_point
+)
+# the read_columns check of a track table
+_track_columns = TRACK_FORMAT.check
 
 
 def read_track(path) -> TrackTable:
-    return read_file(
-        path, read_columns, TRACK_HEADER, _track_columns, TrackTable.concat
-    )[0]
+    return TRACK_FORMAT.read(path)[0]

@@ -12,13 +12,19 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-Every CSV table is read by :func:`read_columns`, which hands blocks of
-rows to a check as columns.  Detections, ground truth and the track are
-checked by column masks into tables that share :class:`Columns`, which
-derives their length, ``==``, ``take``, ``concat`` and the conversion to
-and from objects from their fields.  Segments and truth are built one row
-at a time through :func:`per_row`, their real-valued fields through
-:func:`real`, which refuses ``nan`` and ``inf``.
+Every CSV table can be read by :func:`read_columns`, which hands blocks
+of rows to a check as columns.  Detections, ground truth and the track are
+each a :class:`TableFormat`: its column masks check the rows into a table,
+and the tables share :class:`Columns`, which derives their length, ``==``,
+``take``, ``concat`` and the conversion to and from objects from their
+fields.  A format's file is first offered to :func:`fast_table`, which
+reads the real columns with numpy's C reader (``np.loadtxt``) and keeps its
+table only when that is exactly the table read_columns returns with no
+error; it declines any other file (a quote, a CR, a bad row), and
+read_columns reads that one, so every error comes from one place.
+Segments and truth are built one row at a time through :func:`per_row`,
+their real-valued fields through :func:`real`, which refuses ``nan`` and
+``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
 An error raised while a file is read (:func:`read_file`, :func:`load_doc`)
@@ -33,7 +39,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import Field, fields
+from dataclasses import Field, dataclass, fields
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -527,3 +534,131 @@ def read_file(path, read: Callable[..., T], *args) -> T:
             read(io.StringIO(head, newline=""), *args)
         raise CsvError(line, "", "not UTF-8 text")
 
+
+# --- column tables -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TableFormat:
+    """A CSV layout read into one ``Columns`` table through column masks.
+
+    ``reals`` are the positions in ``header`` of the real-valued columns;
+    the others are text.  ``mask(texts, reals)`` says which rows pass every
+    check, from the stripped text columns and the float64 real columns in
+    header order, and ``build(texts, reals)`` makes the table of them.
+    ``make(*fields)`` reads one refused row again, so that its error names
+    the row's first failing column.
+    """
+
+    header: tuple[str, ...]
+    reals: tuple[int, ...]
+    mask: Callable[[list[list[str]], Sequence[np.ndarray]], np.ndarray]
+    build: Callable[[list[list[str]], Sequence[np.ndarray]], Any]
+    make: Callable[..., Any]
+
+    @property
+    def texts(self) -> tuple[int, ...]:
+        return tuple(i for i in range(len(self.header)) if i not in self.reals)
+
+    def check(
+        self, columns: list[list[str]]
+    ) -> tuple[Any, list[tuple[int, Exception]]]:
+        """The read_columns check: the table of the rows that pass every
+        mask, and ``(index, error)`` of each row refused by ``make``."""
+        texts = [columns[i] for i in self.texts]
+        reals = [float_column(columns[i]) for i in self.reals]
+        ok = self.mask(texts, reals)
+        return checked_table(self.build(texts, reals), ok, columns, self.make)
+
+    def read(self, path, strict: bool = True) -> tuple[Any, list[CsvError]]:
+        """File ``path`` as one table, plus the errors of skipped rows.
+
+        ``fast_table`` reads it if it can; otherwise ``read_columns`` does,
+        and every error comes from there.
+        """
+        table = fast_table(path, self)
+        if table is not None:
+            return table, []
+        return read_file(path, read_columns, self.header, self.check, _joined, strict)
+
+
+def _joined(tables: list):
+    return type(tables[0]).concat(tables)
+
+
+# Bytes that the csv module reads otherwise than a split on commas and
+# newlines: a quote, a carriage return, a NUL.
+_NOT_PLAIN = (b'"', b"\r", b"\0")
+_SCAN_BYTES = 1 << 18
+
+
+def _plain_commas(path, header: tuple[str, ...]) -> int | None:
+    """The number of commas below the header of file ``path``, if the csv
+    module reads the file as a plain split on commas and newlines; else None.
+
+    That holds when the file starts with ``header`` as read_columns checks
+    it, and holds no byte of ``_NOT_PLAIN`` and no line longer than the csv
+    field size limit.  A file with no comma below the header is declined
+    too: it has no row, and np.loadtxt warns on a body with no row.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        head = fh.readline(limit + 1)
+        if not head.endswith(b"\n") or any(b in head for b in _NOT_PLAIN):
+            return None
+        if tuple(h.strip() for h in head[:-1].decode("utf-8").split(",")) != header:
+            return None
+        commas = 0
+        run = 0  # the length of the line the last chunk ended inside
+        for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
+            if any(b in chunk for b in _NOT_PLAIN):
+                return None
+            commas += chunk.count(b",")
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            if len(ends):
+                spans = np.diff(ends, prepend=-1 - run)  # each line, newline included
+                if spans.max() > limit + 1:
+                    return None
+                run = len(chunk) - 1 - int(ends[-1])
+            else:
+                run += len(chunk)
+            if run > limit:
+                return None
+    return commas or None
+
+
+def fast_table(path, fmt: TableFormat):
+    """``fmt``'s table of file ``path``, read by numpy's C reader, if that
+    is exactly the table read_columns reads with no error; else None.
+
+    It declines a file that the csv module would not read as a plain split
+    on commas (``_plain_commas``), one that np.loadtxt cannot read, one with
+    a row of another width, and one with a row that a mask refuses.  With
+    ``usecols``, np.loadtxt reads a row with too many fields without a word,
+    so the width is checked by the commas: there is no quote, so every
+    comma parts two fields.  Text is read as Python str objects.
+    """
+    options = dict(
+        delimiter=",",
+        comments=None,
+        quotechar=None,
+        skiprows=1,
+        ndmin=2,
+        encoding="utf-8",
+    )
+    try:
+        commas = _plain_commas(path, fmt.header)
+        if commas is None:
+            return None
+        reals = np.loadtxt(path, usecols=fmt.reals, **options)
+        texts = np.loadtxt(path, dtype=object, usecols=fmt.texts, **options)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    rows = len(reals)
+    if len(texts) != rows or commas != (len(fmt.header) - 1) * rows:
+        return None
+    reals = np.ascontiguousarray(reals.T)
+    texts = [list(map(str.strip, column)) for column in texts.T.tolist()]
+    if not fmt.mask(texts, reals).all():
+        return None
+    return fmt.build(texts, reals)

@@ -54,7 +54,7 @@ from .detections import (
     read_detection_table,
 )
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import Columns, checked_table, float_column, read_columns, read_file, real
+from .jsonio import Columns, TableFormat, real
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -352,25 +352,29 @@ def _ground_truth_box(frame_id: str, *texts: str) -> GroundTruthBox:
     return GroundTruthBox(frame_id, *reals)
 
 
-def _ground_truth_columns(
-    columns: list[list[str]],
-) -> tuple[GroundTruthTable, list[tuple[int, Exception]]]:
-    """The table of the rows that pass every GroundTruthBox check (a read_columns check)."""
-    frames, *texts = columns
-    corners = [float_column(column) for column in texts]
+def _ground_truth_mask(texts: list[list[str]], corners) -> np.ndarray:
+    """Which rows pass every GroundTruthBox check, as column masks."""
     u_min, v_min, u_max, v_max = corners
     with np.errstate(all="ignore"):
         ok = np.isfinite(corners).all(axis=0)
         ok &= (u_min < u_max) & (v_min < v_max) & box_mask(*corners)
-    table = GroundTruthTable(frames, *corners)
-    return checked_table(table, ok, columns, _ground_truth_box)
+    return ok
+
+
+GROUND_TRUTH_FORMAT = TableFormat(
+    GT_HEADER,
+    tuple(range(1, len(GT_HEADER))),
+    _ground_truth_mask,
+    lambda texts, corners: GroundTruthTable(*texts, *corners),
+    _ground_truth_box,
+)
+# the read_columns check of a ground-truth table
+_ground_truth_columns = GROUND_TRUTH_FORMAT.check
 
 
 def read_ground_truth_table(path) -> GroundTruthTable:
     """A ground-truth CSV file as one table; a bad row raises its CsvError."""
-    return read_file(
-        path, read_columns, GT_HEADER, _ground_truth_columns, GroundTruthTable.concat
-    )[0]
+    return GROUND_TRUTH_FORMAT.read(path)[0]
 
 
 def read_ground_truth(path) -> list[GroundTruthBox]:

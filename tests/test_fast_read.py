@@ -1,0 +1,325 @@
+"""The fast table read against read_columns.
+
+``jsonio.fast_table`` reads a detections, ground-truth or track file with
+numpy's C reader.  It must either decline (None) or return exactly the
+table that ``read_columns`` returns for the file, with no error; every
+error then still comes from ``read_columns``.  Tables are compared on
+their float bits, so the sign of a zero counts.
+"""
+
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridscope import jsonio
+from gridscope.detections import (
+    DETECTION_FORMAT,
+    Detection,
+    DetectionTable,
+    read_detection_table,
+    write_detections,
+)
+from gridscope.errors import CsvError
+from gridscope.fusion import TRACK_FORMAT, TrackTable, read_track, write_track
+from gridscope.metrics import GT_HEADER, GROUND_TRUTH_FORMAT
+from gridscope.metrics import read_ground_truth_table
+from strategies import (
+    DETECTION_ROW,
+    GT_ROW,
+    TRACK_ROW,
+    plausible_box_row,
+    plausible_row,
+    plausible_track_row,
+)
+
+# Per format: the rows to draw, rows that parse, and the i-th row of a run
+# of valid rows.
+FORMATS = {
+    "detections": (
+        DETECTION_FORMAT, DETECTION_ROW, plausible_row(),
+        lambda i: ["side0", str(i), f"{i}.5", "1", "2", "3", "4", "0.5"],
+    ),
+    "ground_truth": (
+        GROUND_TRUTH_FORMAT, GT_ROW, plausible_box_row(),
+        lambda i: [str(i), "1", "2", "30.5", "40"],
+    ),
+    "track": (
+        TRACK_FORMAT, TRACK_ROW, plausible_track_row(),
+        lambda i: [f"{i}.5", "1", "2", "3", "side0", "side1", "0.25", "true"],
+    ),
+}
+
+# Field texts that float() and np.loadtxt may read differently, or that the
+# csv module and a split on commas may part differently.
+ODD_FIELDS = [
+    "1_0", "\uff11", "\u0663", " 1.5 ", "\x0c2", "2\x0b", "\xa03", "2.5\u3000", "0x10",
+    "+1.5", ".5", "5.", "1E5", "-0.0", "0.0", "Infinity", "-nan", "1e400",
+    "1e-400", "#1", "#side0", "", " ", "\ufeff1", "si\x0cde0", "a b",
+    "1\x1c", "a\x85b", "a\x00b", '"1"', 'a"b', "side0\r",
+]
+
+# Lines put between the rows: blank, whitespace only, a lone form feed or
+# comma, and a row with a trailing comma.
+ODD_LINES = ["", "   ", "\t", "\x0c", ",", "side0,0,1,1,2,3,4,0.5,"]
+
+
+@st.composite
+def csv_text(draw, name):
+    """A file's text: the header, then rows that parse and now and then one
+    from the format's strategy, an odd field or an odd line; sometimes a
+    run of 2047 to 2100 valid rows, and either line end."""
+    fmt, row, plausible, valid = FORMATS[name]
+    rows = [
+        list(draw(row if draw(st.integers(0, 7)) == 0 else plausible))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    if rows and draw(st.integers(0, 2)) == 0:
+        r = rows[draw(st.integers(0, len(rows) - 1))]
+        r[draw(st.integers(0, len(r) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    run = draw(st.sampled_from([0, 0, 0, 2047, 2100]))
+    at = draw(st.integers(0, len(lines)))
+    lines[at:at] = [",".join(valid(i)) for i in range(run)]
+    ending = draw(st.sampled_from(["\n", "\n", "\n", ""]))
+    return "\n".join([",".join(fmt.header)] + lines) + ending
+
+
+def _read_columns(path, fmt):
+    """read_columns' table and errors of file ``path`` in lenient mode, or
+    None where it raises."""
+    try:
+        return jsonio.read_file(
+            path, jsonio.read_columns, fmt.header, fmt.check, jsonio._joined, False
+        )
+    except CsvError:
+        return None
+
+
+def assert_same_table(fast, table):
+    assert type(fast) is type(table)
+    for a, b in zip(fast.columns(), table.columns()):
+        if isinstance(b, list):
+            assert isinstance(a, list) and a == b
+            assert all(type(text) is str for text in a)
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()  # the bits, so -0.0 counts
+
+
+def check_fast_read(path, fmt):
+    """The fast read of ``path`` declines or equals read_columns' table,
+    which must then have no error; returns the fast table."""
+    fast = jsonio.fast_table(path, fmt)
+    if fast is not None:
+        expected = _read_columns(path, fmt)
+        assert expected is not None
+        table, errors = expected
+        assert errors == []
+        assert_same_table(fast, table)
+    return fast
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_read_declines_or_equals_read_columns(name, data):
+    text = data.draw(csv_text(name), label="text")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode())
+        check_fast_read(path, FORMATS[name][0])
+
+
+LIMIT = csv.field_size_limit()
+DETECTIONS_HEADER = ",".join(DETECTION_FORMAT.header)
+ROW = "side0,7,1.5,1,2,3,4,0.5"
+
+# name: (body below the detections header, whether the fast read takes it)
+EXAMPLES = {
+    "hash_in_a_text_field": ("#side0,7,1.5,1,2,3,4,0.5\n", True),
+    "hash_in_a_real_field": ("side0,7,#1.5,1,2,3,4,0.5\n", False),
+    "blank_line": (f"{ROW}\n\n{ROW}\n", True),
+    "blank_line_after_the_header": (f"\n{ROW}\n", True),
+    "blank_last_lines": (f"{ROW}\n\n\n", True),
+    "whitespace_only_line": (f"{ROW}\n   \n{ROW}\n", False),
+    "padded_fields": (" side0 , 7 , 1.5 ,\t1, 2 ,3 ,4, 0.5 \n", True),
+    "nan": ("side0,7,nan,1,2,3,4,0.5\n", False),
+    "inf": ("side0,7,1.5,1,2,inf,4,0.5\n", False),
+    "1e400": ("side0,7,1.5,1,2,1e400,4,0.5\n", False),
+    "negative_zero": ("side0,7,-0.0,-0.0,2,3,4,0.5\n", True),
+    "underscore_digits": ("side0,7,1_0,1,2,3,4,0.5\n", False),
+    "full_width_digits": ("side0,7,\uff11,1,2,3,4,0.5\n", False),
+    "bom_in_a_text_field": ("\ufeff" + ROW + "\n", True),
+    "bom_in_a_real_field": ("side0,7,\ufeff1.5,1,2,3,4,0.5\n", False),
+    "form_feed_in_a_field": ("si\x0cde0,7,1.5,\x0c1,2,3,4,0.5\n", True),
+    "oversized_padded_real": ("side0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5\n", False),
+    "oversized_last_line": (
+        f"{ROW}\nside0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5", False
+    ),
+    # 8000 rows put the padded row across the first 256 KiB the scan reads
+    "oversized_line_across_reads": (
+        f"{ROW}\n" * 8000 + "side0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5\n", False
+    ),
+    "no_final_newline": (f"{ROW}\n{ROW}", True),
+    "one_data_row": (f"{ROW}\n", True),
+    "header_only": ("", False),
+    "trailing_comma": (f"{ROW}\n{ROW},\n", False),
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_fast_read_examples(tmp_path, name):
+    body, taken = EXAMPLES[name]
+    path = tmp_path / "detections.csv"
+    path.write_bytes(f"{DETECTIONS_HEADER}\n{body}".encode())
+    assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
+
+
+def test_a_bom_before_the_header_declines(tmp_path):
+    path = tmp_path / "detections.csv"
+    path.write_bytes(f"\ufeff{DETECTIONS_HEADER}\n{ROW}\n".encode())
+    assert jsonio.fast_table(path, DETECTION_FORMAT) is None
+    with pytest.raises(CsvError) as err:
+        read_detection_table(path)
+    assert err.value.row == 1
+
+
+# The public readers, each with one valid row of its format.
+READERS = {
+    "detections": (read_detection_table, DETECTION_FORMAT, ROW),
+    "ground_truth": (read_ground_truth_table, GROUND_TRUTH_FORMAT, "0,1,2,30.5,40"),
+    "track": (read_track, TRACK_FORMAT, "0.5,1,2,3,side0,side1,0.25,true"),
+}
+
+
+def _strictly(reader):
+    if reader is read_detection_table:
+        return lambda path: reader(path, strict=True)
+    return reader
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_row_with_a_trailing_comma_is_refused(tmp_path, name):
+    """np.loadtxt with usecols reads a row with too many fields; the comma
+    count declines it, so read_columns refuses it."""
+    reader, fmt, row = READERS[name]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(fmt.header)}\n{row}\n{row},\n{row}\n")
+    assert jsonio.fast_table(path, fmt) is None
+    width = len(fmt.header)
+    with pytest.raises(CsvError) as err:
+        _strictly(reader)(path)
+    reason = f"expected {width} fields, got {width + 1}"
+    assert (err.value.row, err.value.reason) == (3, reason)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+@pytest.mark.parametrize("name", READERS)
+def test_a_file_with_no_row_reads_empty_without_a_warning(tmp_path, name, body):
+    """np.loadtxt warns on a body with no row, and any warning fails the
+    suite; the fast read declines before it calls np.loadtxt."""
+    reader, fmt, _ = READERS[name]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(fmt.header)}\n{body}")
+    assert jsonio.fast_table(path, fmt) is None
+    table = reader(path)
+    assert len(table[0] if isinstance(table, tuple) else table) == 0
+
+
+# --- files the package writes are read by the fast path --------------------
+
+_REAL = st.floats(0.0, 1e6, allow_subnormal=False)
+
+
+@st.composite
+def detections(draw):
+    u, v = draw(_REAL), draw(_REAL)
+    return Detection(
+        draw(st.sampled_from(["side0", "side1", "top", "cam-7"])),
+        str(draw(st.integers(0, 10**6))),
+        draw(_REAL),
+        u, v, u + draw(st.floats(0.5, 80.0)), v + draw(st.floats(0.5, 80.0)),
+        draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def tracks(draw):
+    n = draw(st.integers(1, 30))
+    reals = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    return TrackTable(
+        np.array(draw(reals)), np.array(draw(reals)), np.array(draw(reals)),
+        np.array(draw(reals)),
+        draw(st.lists(st.sampled_from(["side0", "side1"]), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(["side2", "side3"]), min_size=n, max_size=n)),
+        np.abs(draw(reals)),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+
+
+@pytest.fixture
+def no_slow_read(monkeypatch):
+    """A read that falls back to read_columns fails the test."""
+
+    def refuse(*args):
+        raise AssertionError("the fast read declined a file the package writes")
+
+    monkeypatch.setattr(jsonio, "read_file", refuse)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dets=st.lists(detections(), min_size=1, max_size=40))
+def test_written_detections_take_the_fast_path(dets):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "detections.csv"
+        write_detections(path, dets)
+        fast = check_fast_read(path, DETECTION_FORMAT)
+    assert fast is not None
+    assert_same_table(fast, DetectionTable.of(dets))
+
+
+@settings(max_examples=50, deadline=None)
+@given(track=tracks())
+def test_written_tracks_take_the_fast_path(track):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "track.csv"
+        write_track(path, track)
+        assert check_fast_read(path, TRACK_FORMAT) is not None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    boxes=st.lists(
+        st.tuples(_REAL, _REAL, st.floats(1.0, 80.0), st.floats(1.0, 80.0)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_written_ground_truth_takes_the_fast_path(boxes):
+    # the layout of tests/test_metrics.py: repr of each corner
+    rows = [
+        f"{i},{u!r},{v!r},{u + w!r},{v + h!r}" for i, (u, v, w, h) in enumerate(boxes)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gt.csv"
+        path.write_text("\n".join([",".join(GT_HEADER), *rows, ""]))
+        assert check_fast_read(path, GROUND_TRUTH_FORMAT) is not None
+
+
+def test_the_public_readers_take_the_fast_path(tmp_path, no_slow_read):
+    dets = [Detection("side0", str(i), 10.0 * i, 1, 2, 30.25, 40, 0.5) for i in range(3)]
+    write_detections(tmp_path / "d.csv", dets)
+    assert read_detection_table(tmp_path / "d.csv") == (DetectionTable.of(dets), [])
+    flags = np.array([True, False])
+    track = TrackTable(*np.ones((4, 2)), ["side0"] * 2, ["side1"] * 2, np.zeros(2), flags)
+    write_track(tmp_path / "t.csv", track)
+    assert read_track(tmp_path / "t.csv") == track
+    (tmp_path / "gt.csv").write_text(f"{','.join(GT_HEADER)}\n0,1.5,2,30.25,40\n")
+    assert len(read_ground_truth_table(tmp_path / "gt.csv")) == 1
