@@ -23,6 +23,7 @@ from .calibration import (
     default_axis_map,
     load_calibration,
     load_marker_picks,
+    load_rig,
     measure_mde,
     save_calibration,
     to_model_grid,

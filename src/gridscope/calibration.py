@@ -557,8 +557,7 @@ def _quad_doc(quad: Quad) -> list:
 
 
 def _quad_from(reader: jsonio.DocReader) -> Quad:
-    corners = [r.real_pair() for r in reader.fixed_list(4)]
-    return Quad.from_coords(corners)
+    return Quad.from_coords(reader.reals(4, 2))
 
 
 def _axis_component_from(r: jsonio.DocReader) -> AxisComponent:
@@ -605,8 +604,7 @@ def _sub_area_doc(sub: SubArea) -> dict:
 
 
 def _sub_area_from(r: jsonio.DocReader) -> SubArea:
-    rows = [row.fixed_list(3) for row in r.key("homography").fixed_list(3)]
-    matrix = [[cell.real() for cell in row] for row in rows]
+    matrix = r.key("homography").reals(3, 3)
     canon = r.key("canonical").real_pair()
     origin = r.key("mg_origin").real_pair()
     scale = r.key("scale").real_pair()
@@ -732,6 +730,19 @@ def save_calibration(path, cal: Calibration) -> None:
 
 def load_calibration(path) -> Calibration:
     return jsonio.load_doc(path, calibration_from_doc)
+
+
+def _rig_from_doc(doc: dict) -> RigGeometry:
+    return _header_from(jsonio.DocReader(doc), "calibration")[0]
+
+
+def load_rig(path) -> RigGeometry:
+    """The rig of the calibration in file ``path``, its camera entries unread.
+
+    The header is checked as ``load_calibration`` checks it, with the same
+    errors; the sub-areas are neither rebuilt nor checked.
+    """
+    return jsonio.load_doc(path, _rig_from_doc)
 
 
 # --- building a calibration from marker picks -------------------------------

@@ -24,6 +24,7 @@ from .calibration import (
     build_calibration,
     load_calibration,
     load_marker_picks,
+    load_rig,
     save_calibration,
 )
 from .detections import (
@@ -219,10 +220,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cal = load_calibration(args.calibration)
+    rig = load_rig(args.calibration)
     track = read_track(args.track)
     segments = read_segments(args.segments)
-    box = _parse_box(args.grid_b) if args.grid_b is not None else cal.rig.grid_a
+    box = _parse_box(args.grid_b) if args.grid_b is not None else rig.grid_a
     stats = None
     if args.stats is not None:
         stats = jsonio.load_doc(args.stats, FusionStats.from_doc)
@@ -230,7 +231,7 @@ def _cmd_evaluate(args) -> int:
         track,
         segments,
         box,
-        px_per_mm=cal.rig.px_per_mm,
+        px_per_mm=rig.px_per_mm,
         stats=stats,
         bounded=args.bounded,
     )
@@ -255,9 +256,9 @@ def _cmd_detmetrics(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cal = load_calibration(args.calibration)
+    rig = load_rig(args.calibration)
     track = read_track(args.track)
-    export_track(args.out, track, args.format, cal.rig.grid_a)
+    export_track(args.out, track, args.format, rig.grid_a)
     print(f"wrote {args.out}")
     return 0
 
@@ -324,7 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a track against segments")
     p.add_argument("--track", required=True, help="track CSV")
     p.add_argument("--segments", required=True, help="segments CSV")
-    p.add_argument("--calibration", required=True, help="calibration file")
+    p.add_argument(
+        "--calibration",
+        required=True,
+        help="calibration file; only its header is read, for grid_a and px_per_mm",
+    )
     p.add_argument(
         "--grid-b",
         default=None,
@@ -347,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="render a track as csv, ply or svg")
     p.add_argument("--track", required=True, help="track CSV")
-    p.add_argument("--calibration", required=True, help="calibration file")
+    p.add_argument(
+        "--calibration",
+        required=True,
+        help="calibration file; only its header is read, for grid_a",
+    )
     p.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_export)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,26 @@ class Quad:
         """Build from an iterable of four (u, v) pairs."""
         pts = tuple(PixelPoint(float(u), float(v)) for u, v in coords)
         return cls(pts)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        """(u, v, eu, ev, length): each edge's start corner, its vector to the
+        next corner and its length, as (4, 1) arrays in corner order, so that
+        they broadcast against a column of pixels.
+
+        Computed on first use and kept on the instance; it is not a field, so
+        equality, hashing and the written document do not see it.
+        """
+        pts = self.corners
+        rows = []
+        for i in range(4):
+            a, b = pts[i], pts[(i + 1) % 4]
+            eu, ev = b.u - a.u, b.v - a.v
+            rows.append((a.u, a.v, eu, ev, math.hypot(eu, ev)))
+        columns = tuple(np.array(c, dtype=float).reshape(4, 1) for c in zip(*rows))
+        for c in columns:
+            c.flags.writeable = False
+        return columns
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
@@ -266,24 +287,19 @@ def apply_scale(s: ScaleRatios, p: ModelPoint2D, origin: ModelPoint2D) -> ModelP
 
 
 def quad_contains(quad: Quad, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Half-plane membership of pixel columns in a convex quad.
+    """Half-plane membership of 1-D pixel columns in a convex quad.
 
     A point counts as inside when it is on the interior side of every edge,
     allowing a perpendicular slack of 1e-9 px so boundary points (shared
     sub-area edges) are inside.  Invariant under cyclic rotation of the
-    corner list.  Each edge's length is taken once per call.
+    corner list.  The four edges are tested in one (4, n) broadcast over the
+    quad's cached ``_edges``.
     """
-    pts = quad.corners
-    inside = np.ones(np.shape(u), dtype=bool)
+    au, av, eu, ev, length = quad._edges
     with np.errstate(all="ignore"):
-        for i in range(4):
-            a = pts[i]
-            b = pts[(i + 1) % 4]
-            ex, ey = b.u - a.u, b.v - a.v
-            cross = ex * (v - a.v) - ey * (u - a.u)
-            # Signed distance from the edge line; winding makes inside positive.
-            inside &= ~(cross / math.hypot(ex, ey) < -BOUNDARY_TOLERANCE)
-    return inside
+        cross = eu * (v - av) - ev * (u - au)
+        # Signed distance from each edge line; winding makes inside positive.
+        return ~(cross / length < -BOUNDARY_TOLERANCE).any(axis=0)
 
 
 def point_in_quad(p: PixelPoint, quad: Quad) -> bool:

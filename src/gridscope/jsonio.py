@@ -254,11 +254,11 @@ class DocReader:
     # -- scalar access -------------------------------------------------------
 
     def real(self) -> float:
+        if _finite_real(self.value):
+            return float(self.value)
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             self._fail("a real number")
-        if not abs(self.value) <= sys.float_info.max:  # NaN, inf or a huge integer
-            self._fail("a finite real number")
-        return float(self.value)
+        self._fail("a finite real number")  # NaN, inf or a huge integer
 
     def integer(self) -> int:
         if isinstance(self.value, bool) or not isinstance(self.value, int):
@@ -276,8 +276,37 @@ class DocReader:
         return self.value
 
     def real_pair(self) -> tuple[float, float]:
-        a, b = self.fixed_list(2)
-        return a.real(), b.real()
+        a, b = self.reals(2)
+        return a, b
+
+    def reals(self, *shape: int) -> list:
+        """Nested lists of finite reals of ``shape``: ``reals(3, 3)`` is a 3x3 matrix.
+
+        One walk in document order, with a reader made per row but per number
+        only at a fault, so each error names the path and reason that the
+        ``fixed_list``/``real`` walk gives.
+        """
+        n, *inner = shape
+        if not isinstance(self.value, list) or len(self.value) != n:
+            self._fail(f"an array of {n} elements")
+        if inner:
+            return [
+                DocReader(row, self._child_path(i)).reals(*inner)
+                for i, row in enumerate(self.value)
+            ]
+        return [
+            float(v) if _finite_real(v) else DocReader(v, self._child_path(i)).real()
+            for i, v in enumerate(self.value)
+        ]
+
+
+def _finite_real(value: Any) -> bool:
+    """A JSON number that is a finite real: not a bool, NaN, inf or huge integer."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max
+    )
 
 
 # --- CSV tables --------------------------------------------------------------

@@ -532,8 +532,8 @@ def generate_scenario(scenario: SimScenario) -> GeneratedData:
                 u += sigma * r * math.cos(2.0 * math.pi * u2)
                 v += sigma * r * math.sin(2.0 * math.pi * u2)
             confidence = 1.0 - jitter * rng.random() if jitter > 0.0 else 1.0
-            detections[cam.camera_id].append(
-                Detection(
+            try:
+                detection = Detection(
                     camera_id=cam.camera_id,
                     frame_index=str(k),
                     timestamp_ms=t,
@@ -543,7 +543,12 @@ def generate_scenario(scenario: SimScenario) -> GeneratedData:
                     v_max=v + half,
                     confidence=confidence,
                 )
-            )
+            except ValueError as exc:
+                # a pixel so far out (a huge resolution) that +-half rounds away
+                raise ConfigError(
+                    f"camera {cam.camera_id}, frame {k}: no valid box: {exc}"
+                ) from exc
+            detections[cam.camera_id].append(detection)
     return GeneratedData(picks, detections, truth)
 
 

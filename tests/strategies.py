@@ -1,5 +1,7 @@
-"""Hypothesis strategies for detection and ground-truth CSV rows, shared by
+"""Hypothesis strategies for CSV rows and fuzzed JSON documents, shared by
 several tests."""
+
+import json
 
 from hypothesis import strategies as st
 
@@ -176,3 +178,63 @@ TRUTH_ROW = st.one_of(
     st.sampled_from([[""], ["  "], ["1", "2", "3"]]),
     st.lists(_ANY_FIELD, min_size=1, max_size=6).filter(lambda row: len(row) != 4),
 )
+
+
+# --- documents fuzzed at the byte level --------------------------------------
+
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _leaf_paths(doc, path=()):
+    """The key path of every scalar, empty list and empty mapping in ``doc``."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _near(value):
+    """Values of the type that ``value`` has, so that a run can go on."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return st.integers(-3, 60) | st.floats(-1e4, 1e4) | st.just(-value)
+    if isinstance(value, str):
+        return st.text(max_size=6)
+    return _LEAF
+
+
+@st.composite
+def _one_leaf_replaced(draw, doc):
+    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    old = doc
+    for key in path:
+        old = old[key]
+    value = draw(_near(old) | _LEAF)
+    if path[-1] == "n_frames" and type(value) is int:
+        value = min(value, 50)  # no example runs at scale
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+def fuzzed_doc(doc):
+    """A document's bytes: ``doc`` with one leaf replaced, or raw bytes or text."""
+    return st.one_of(
+        _one_leaf_replaced(doc),
+        _one_leaf_replaced(doc),
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+    )

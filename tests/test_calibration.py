@@ -1,7 +1,13 @@
+import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscope.calibration import (
     AxisComponent,
@@ -22,14 +28,17 @@ from gridscope.calibration import (
     default_axis_map,
     load_calibration,
     load_marker_picks,
+    load_rig,
     marker_picks_doc,
     measure_mde,
     mg_bounds,
+    model_grid_columns,
     save_calibration,
     to_model_grid,
 )
 from gridscope.errors import (
     FormatError,
+    GridscopeError,
     NonPositiveLength,
     OutsideCalibratedArea,
     VersionMismatch,
@@ -50,7 +59,8 @@ from gridscope import jsonio
 from gridscope.simulate import marker_picks_for
 
 from conftest import SIDE_DISTANCE_MM, make_scenario
-from oracles import pinhole_mde_oracle
+from oracles import _model_grid, pinhole_mde_oracle
+from strategies import fuzzed_doc
 
 
 def square_sub_area(index=0, origin=(0.0, 0.0), offset=(0.0, 0.0), size=10.0):
@@ -471,3 +481,167 @@ class TestOneCameraPerRole:
         no_top = replace(cal, cameras=cal.cameras[:4])
         assert no_top.top_camera() is None
         assert no_top.role_camera(CameraRole.side(3)).camera_id == "side3"
+
+
+# --- the rig-only load ---------------------------------------------------------
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except (GridscopeError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _both_loads(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calibration.json"
+        path.write_bytes(raw)
+        return _outcome(load_rig, path), _outcome(load_calibration, path)
+
+
+def _check_rig_load(rig, full):
+    """A header fault is the full load's fault too, with the same text; a
+    calibration that loads has the rig that load_rig returns."""
+    if rig[0] != "ok":
+        assert full == rig
+    elif full[0] == "ok":
+        assert rig[1] == full[1].rig
+
+
+def _calibration_json(cal) -> dict:
+    return json.loads(jsonio.dumps_doc(calibration_doc(cal)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cameras=st.booleans())
+def test_load_rig_agrees_with_load_calibration(pinhole_calibration, data, cameras):
+    doc = _calibration_json(pinhole_calibration)
+    if not cameras:  # fuzz the header keys only
+        doc["cameras"] = []
+    _check_rig_load(*_both_loads(data.draw(fuzzed_doc(doc))))
+
+
+def _axis_map_with(path, value):
+    def change(doc):
+        node = doc["axis_map"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(format_version=2),
+        lambda doc: doc.update(format_version="1"),
+        lambda doc: doc.pop("format_version"),
+        lambda doc: doc.update(grid_a=[390.0, 390.0, 850.0]),
+        lambda doc: doc["grid_a"].update(d_mm=0.0),
+        lambda doc: doc["grid_a"].pop("h_mm"),
+        lambda doc: doc["grid_a"].update(w_mm=10**400),
+        lambda doc: doc.update(px_per_mm=0.0),
+        lambda doc: doc.update(px_per_mm=True),
+        lambda doc: doc.pop("px_per_mm"),
+        lambda doc: doc.update(marker_count=-1),
+        lambda doc: doc.update(marker_count=2.5),
+        lambda doc: doc.update(axis_map=[]),
+        _axis_map_with(["sides"], []),
+        _axis_map_with(["sides", 1, "horizontal", "axis"], "x"),
+        _axis_map_with(["sides", 2, "depth", "sign"], 0),
+        _axis_map_with(["sides", 0, "vertical"], {"origin_mm": 850.0}),
+        _axis_map_with(["top", "b", "axis"], "x"),
+        _axis_map_with(["top", "a", "origin_mm"], None),
+    ],
+)
+def test_load_rig_refuses_each_header_fault_as_load_calibration_does(
+    aligned_calibration, change
+):
+    doc = _calibration_json(aligned_calibration)
+    change(doc)
+    rig, full = _both_loads(json.dumps(doc).encode())
+    assert rig[0] != "ok"
+    assert rig == full
+
+
+def test_load_rig_reads_no_camera_entry(aligned_calibration, tmp_path):
+    doc = _calibration_json(aligned_calibration)
+    doc["cameras"][0]["sub_areas"][0]["homography"][1] = "not a row"
+    doc["cameras"][1]["role"] = "side:0"  # a repeated role
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_calibration(path)
+    assert load_rig(path) == aligned_calibration.rig
+
+
+def test_load_rig_reads_a_marker_picks_header(tmp_path):
+    picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
+    path = tmp_path / "picks.json"
+    jsonio.write_doc(path, marker_picks_doc(picks))
+    assert load_rig(path) == picks.rig
+
+
+# --- quad edges: boundaries and the cached state -------------------------------
+
+
+def _edge_pixels(profile):
+    """Each sub-area's corners and points along its edges, on them, 1e-9 px off
+    them in u and in v, and NaN pixels."""
+    on = []
+    for sub in profile.sub_areas:
+        corners = sub.src.corners
+        for k in range(4):
+            p, q = corners[k], corners[(k + 1) % 4]
+            for t in (0.0, 0.25, 0.5, 0.75):
+                on.append((p.u + t * (q.u - p.u), p.v + t * (q.v - p.v)))
+    steps = ((0.0, 0.0), (1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-9), (0.0, -1e-9))
+    pixels = [(u + du, v + dv) for u, v in on for du, dv in steps]
+    return pixels + [(math.nan, 500.0), (500.0, math.nan), (math.nan, math.nan)]
+
+
+def _assert_matches_oracle(profile, pixels):
+    u = np.array([p[0] for p in pixels])
+    v = np.array([p[1] for p in pixels])
+    a, b, claimed = model_grid_columns(profile, u, v)
+    for i, (pu, pv) in enumerate(pixels):
+        expected = _model_grid(profile, pu, pv)
+        if expected is None:
+            assert not claimed[i] and math.isnan(a[i]) and math.isnan(b[i])
+        else:
+            assert claimed[i]
+            assert repr((float(a[i]), float(b[i]))) == repr(expected)
+
+
+@pytest.mark.parametrize("calibration", ["aligned_calibration", "pinhole_calibration"])
+def test_model_grid_columns_on_sub_area_edges_equals_the_oracle(calibration, request):
+    for profile in request.getfixturevalue(calibration).cameras:
+        pixels = _edge_pixels(profile)
+        _assert_matches_oracle(profile, pixels)
+        # each quad on its own, so a later sub-area's test is seen too
+        for sub in profile.sub_areas:
+            _assert_matches_oracle(replace(profile, sub_areas=(sub,)), pixels)
+
+
+def test_cached_edges_are_not_quad_state(pinhole_calibration, tmp_path):
+    quad = Quad.from_coords([(0.0, 0.0), (10.0, 0.5), (11.0, 9.0), (-1.0, 10.0)])
+    twin = Quad.from_coords([(0.0, 0.0), (10.0, 0.5), (11.0, 9.0), (-1.0, 10.0)])
+    before = hash(quad), repr(quad)
+    edges = quad._edges
+    assert quad._edges is edges
+    assert (hash(quad), repr(quad)) == before and quad == twin and twin == quad
+    with pytest.raises(ValueError):
+        edges[2][0, 0] = 1.0
+
+    cal = calibration_from_doc(_calibration_json(pinhole_calibration))
+    path = tmp_path / "calibration.json"
+    save_calibration(path, cal)
+    uncached = path.read_bytes()
+    for cam in cal.cameras:
+        model_grid_columns(cam, np.array([500.0, 900.0]), np.array([300.0, 600.0]))
+        assert all("_edges" in vars(sub.src) for sub in cam.sub_areas)
+    assert cal == pinhole_calibration and hash(cal) == hash(pinhole_calibration)
+    save_calibration(path, cal)
+    assert path.read_bytes() == uncached

@@ -33,6 +33,7 @@ from strategies import (
     GT_ROW,
     SEGMENT_ROW,
     TRACK_ROW,
+    fuzzed_doc,
     plausible_segment_row,
     plausible_track_row,
 )
@@ -1075,63 +1076,6 @@ def test_evaluate_and_export_on_fuzzed_bytes(pipeline, track, segments, command)
 
 # --- documents fuzzed at the byte level --------------------------------------
 
-_LEAF = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    st.floats(),
-    st.text(max_size=6),
-    st.just([]),
-    st.just({}),
-)
-
-
-def _leaf_paths(doc, path=()):
-    """The key path of every scalar, empty list and empty mapping in ``doc``."""
-    if isinstance(doc, (dict, list)) and doc:
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            yield from _leaf_paths(value, path + (key,))
-    else:
-        yield path
-
-
-def _near(value):
-    """Values of the type that ``value`` has, so that a run can go on."""
-    if isinstance(value, bool):
-        return st.booleans()
-    if isinstance(value, (int, float)):
-        return st.integers(-3, 60) | st.floats(-1e4, 1e4) | st.just(-value)
-    if isinstance(value, str):
-        return st.text(max_size=6)
-    return _LEAF
-
-
-@st.composite
-def _one_leaf_replaced(draw, doc):
-    path = draw(st.sampled_from(list(_leaf_paths(doc))))
-    old = doc
-    for key in path:
-        old = old[key]
-    value = draw(_near(old) | _LEAF)
-    if path[-1] == "n_frames" and type(value) is int:
-        value = min(value, 50)  # no example runs at scale
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return json.dumps(doc).encode()
-
-
-def _fuzzed_doc(doc):
-    """A document's bytes: ``doc`` with one leaf replaced, or raw bytes or text."""
-    return st.one_of(
-        _one_leaf_replaced(doc),
-        _one_leaf_replaced(doc),
-        st.binary(max_size=200),
-        st.text(max_size=200).map(str.encode),
-    )
-
 
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -1160,7 +1104,7 @@ _FUZZ = settings(
 @given(data=st.data())
 def test_calibrate_on_fuzzed_picks(pipeline, data):
     doc = json.loads((pipeline / "sim" / "picks.json").read_text())
-    picks = data.draw(_fuzzed_doc(doc))
+    picks = data.draw(fuzzed_doc(doc))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "picks.json", Path(tmp) / "cal.json"
         path.write_bytes(picks)
@@ -1171,7 +1115,7 @@ def test_calibrate_on_fuzzed_picks(pipeline, data):
 
 
 @_FUZZ
-@given(scenario=_fuzzed_doc(SCENARIO_DOC))
+@given(scenario=fuzzed_doc(SCENARIO_DOC))
 def test_simulate_on_fuzzed_scenario(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "sim"
@@ -1182,6 +1126,20 @@ def test_simulate_on_fuzzed_scenario(scenario):
             assert (out / "picks.json").exists()
 
 
+def test_simulate_refuses_a_resolution_that_rounds_boxes_away(tmp_path):
+    """Pixels near 1.4e17 lose bbox_half_px to rounding, so no box has a
+    width: a config error, never a traceback."""
+    doc = json.loads(json.dumps(SCENARIO_DOC))
+    doc["cameras"]["resolution"] = [288230376151711633, 1080]
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    assert code == 2
+    assert stderr.startswith("config error: camera ")
+    assert ": no valid box: need u_min < u_max" in stderr
+    assert stdout == "" and not out.exists()
+
+
 @settings(_FUZZ, max_examples=150)
 @given(
     data=st.data(),
@@ -1189,7 +1147,7 @@ def test_simulate_on_fuzzed_scenario(scenario):
 )
 def test_commands_on_fuzzed_calibration(pipeline, data, command):
     calibration = data.draw(
-        _fuzzed_doc(json.loads((pipeline / "calibration.json").read_text()))
+        fuzzed_doc(json.loads((pipeline / "calibration.json").read_text()))
     )
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "calibration.json", Path(tmp) / "out"
@@ -1211,6 +1169,42 @@ def test_commands_on_fuzzed_calibration(pipeline, data, command):
             assert out.exists()
 
 
+def _rig_only_runs(pipeline, out: Path) -> dict:
+    """Each evaluate and export run's exit code, stdout, stderr and output bytes."""
+    common = ["--track", str(pipeline / "track.csv"),
+              "--calibration", str(pipeline / "calibration.json")]
+    evaluate = ["evaluate", *common, "--segments", str(pipeline / "segments.csv"),
+                "--stats", str(pipeline / "stats.json")]
+    runs = {
+        "evaluate": [*evaluate, "--report", str(out / "plain.json")],
+        "evaluate --grid-b": [*evaluate, "--grid-b", "120,120,100,150,150,400",
+                              "--report", str(out / "grid_b.json")],
+        **{
+            fmt: ["export", *common, "--format", fmt, "--out", str(out / f"track.{fmt}")]
+            for fmt in EXPORT_FORMATS
+        },
+    }
+    results = {}
+    for name, argv in runs.items():
+        written = Path(argv[-1])
+        results[name] = (*_run(argv), written.read_bytes())
+        written.unlink()
+    return results
+
+
+def test_evaluate_and_export_never_build_the_calibration(pipeline, tmp_path, monkeypatch):
+    """evaluate and export read only the rig header: with the full calibration
+    build made to fail, every run exits 0 with the same output as before."""
+    expected = _rig_only_runs(pipeline, tmp_path)
+    assert all(code == 0 for code, *_ in expected.values())
+
+    def refuse(doc):
+        raise AssertionError("evaluate and export must not build the calibration")
+
+    monkeypatch.setattr("gridscope.calibration.calibration_from_doc", refuse)
+    assert _rig_only_runs(pipeline, tmp_path) == expected
+
+
 _CONFIG_DOC = {
     "sync_tolerance_ms": 25.0,
     "reference_camera": "top",
@@ -1222,7 +1216,7 @@ _CONFIG_DOC = {
 
 
 @_FUZZ
-@given(config=_fuzzed_doc(_CONFIG_DOC))
+@given(config=fuzzed_doc(_CONFIG_DOC))
 def test_reconstruct_on_fuzzed_config(pipeline, config):
     """Every config file that is refused exits 2, as a configuration error."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -207,6 +207,106 @@ class TestDocReader:
             list(self.doc().key("n").items())
 
 
+# --- DocReader.reals against the element-wise walk ----------------------------
+
+_GOOD_REAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 2**1023]),
+)
+_BAD_LEAF = st.sampled_from(
+    [True, False, "1.0", "", None, {}, 10**400, -(10**400), math.nan, math.inf, -math.inf]
+)
+
+
+def _walk(reader, shape):
+    """The nested reals of ``shape`` read one ``fixed_list``/``real`` at a time,
+    each row finished before the next is looked at."""
+    if len(shape) == 1:
+        return [cell.real() for cell in reader.fixed_list(shape[0])]
+    return [_walk(row, shape[1:]) for row in reader.fixed_list(shape[0])]
+
+
+def _outcome(read):
+    try:
+        return "ok", repr(read())
+    except FormatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _nested(draw, shape):
+    """Nested lists of reals of ``shape``, with up to three cells, rows or the
+    whole value replaced: a bad leaf, a wrong length, or one level too deep."""
+
+    def fill(dims):
+        if not dims:
+            return draw(_GOOD_REAL)
+        return [fill(dims[1:]) for _ in range(dims[0])]
+
+    value = fill(shape)
+    for _ in range(draw(st.integers(0, 3))):
+        depth = draw(st.integers(0, len(shape)))
+        bad = draw(
+            st.one_of(
+                _BAD_LEAF,
+                st.lists(_GOOD_REAL, max_size=4),
+                st.lists(st.lists(_GOOD_REAL, max_size=2), max_size=4),
+            )
+        )
+        if depth == 0:
+            value = bad
+            continue
+        parent = value
+        for _ in range(depth - 1):
+            if not isinstance(parent, list) or not parent:
+                break
+            parent = parent[draw(st.integers(0, len(parent) - 1))]
+        else:
+            if isinstance(parent, list) and parent:
+                parent[draw(st.integers(0, len(parent) - 1))] = bad
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(2,), (3, 3), (4, 2)]))
+def test_reals_equals_the_element_wise_walk(data, shape):
+    value = data.draw(_nested(shape))
+    path = data.draw(st.sampled_from(["", "cameras[0].sub_areas[1].homography"]))
+    fast = _outcome(lambda: jsonio.DocReader(value, path).reals(*shape))
+    assert fast == _outcome(lambda: _walk(jsonio.DocReader(value, path), shape))
+    if shape == (2,):
+        pair = _outcome(lambda: list(jsonio.DocReader(value, path).real_pair()))
+        assert pair == fast
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([[1, 2], [3, 4], [5, 6]], "m: expected an array of 4 elements, found list"),
+        ([[1, 2], [3, 4], [5, 6], [7]], "m[3]: expected an array of 2 elements, found list"),
+        ([[1, 2], [3, True], [5, 6], [7, 8]], "m[1][1]: expected a real number, found bool"),
+        ([[1, 2], ["3", 4], [5, 6], [7, 8]], "m[1][0]: expected a real number, found str"),
+        ([[1, 2], [3, 4], [None, 6], [7, 8]], "m[2][0]: expected a real number, found null"),
+        ([[1, 2], [3, 4], [5, 10**400], [7, 8]], "m[2][1]: expected a finite real number, found int"),
+        ([[1, 2], [3, 4], [5, 6], [7, [8]]], "m[3][1]: expected a real number, found list"),
+        ([[1, 2], [3, 4], [5, 6], [7, 8, 9]], "m[3]: expected an array of 2 elements, found list"),
+        # the first fault in document order is the one named
+        ([[1, "x"], [3, 4], [5, 6], [7]], "m[0][1]: expected a real number, found str"),
+    ],
+)
+def test_reals_names_the_first_fault(value, message):
+    with pytest.raises(FormatError) as err:
+        jsonio.DocReader(value, "m").reals(4, 2)
+    assert str(err.value) == message
+
+
+def test_reals_returns_floats():
+    got = jsonio.DocReader([[1, -0.0], [2**60, 0.5]]).reals(2, 2)
+    assert repr(got) == repr([[1.0, -0.0], [float(2**60), 0.5]])
+    assert all(type(v) is float for row in got for v in row)
+
+
 HEADER = ("name", "value")
 
 
