@@ -28,7 +28,7 @@ from .calibration import (
     save_calibration,
     to_model_grid,
 )
-from .depth import DepthCorrection, DepthObservation, correct_side_point
+from .depth import DepthObservation, correct_side_point
 from .detections import (
     Detection,
     FrameBundle,

@@ -545,9 +545,6 @@ class Calibration:
     def side_camera(self, index: int) -> CameraProfile | None:
         return self.role_camera(CameraRole.side(index))
 
-    def top_camera(self) -> CameraProfile | None:
-        return self.role_camera(CameraRole.top())
-
 
 # --- serialization ----------------------------------------------------------
 

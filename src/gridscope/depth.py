@@ -91,43 +91,6 @@ class DepthObservation:
         )
 
 
-@dataclass(frozen=True)
-class DepthCorrection:
-    """What the correction did to one model-grid point (or one column).
-
-    def_h/def_v are the depth error factors per axis, adj_h/adj_v the
-    adjustment magnitudes actually applied (directions are outward from the
-    face centre).  ``applied`` is False when no top-view observation was
-    available and the point passed through untouched.
-    """
-
-    def_h: float
-    def_v: float
-    adj_h: float
-    adj_v: float
-    applied: bool
-
-    def __post_init__(self):
-        dh, dv, ah, av = (
-            np.asarray(v) for v in (self.def_h, self.def_v, self.adj_h, self.adj_v)
-        )
-        _require(
-            ~((dh < 0) | (dv < 0)), "DEF must be >= 0, got ({dh}, {dv})", dh=dh, dv=dv
-        )
-        _require(
-            ~((np.abs(ah) > dh) | (np.abs(av) > dv)),
-            "adjustment cannot exceed DEF: adj=({ah}, {av}) def=({dh}, {dv})",
-            ah=ah,
-            av=av,
-            dh=dh,
-            dv=dv,
-        )
-
-    @classmethod
-    def skipped(cls) -> "DepthCorrection":
-        return cls(0.0, 0.0, 0.0, 0.0, applied=False)
-
-
 def compute_def(mde: float, obs: DepthObservation) -> float:
     """Depth error factor: the MDE prorated by observed depth."""
     if mde < 0:
@@ -150,7 +113,7 @@ def correct_columns(
     obs: DepthObservation,
     vertical_offset_fraction,
     vertical_correction: bool = True,
-) -> tuple[np.ndarray, np.ndarray, DepthCorrection]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Push columns of one side camera's model-grid points outward.
 
     Horizontally each point moves away from the face's horizontal centre by
@@ -182,10 +145,7 @@ def correct_columns(
         adj_v = def_v * frac if vertical_correction else 0.0
         a = np.where(a >= center_a, a + adj_h, a - adj_h)
         b = np.where(b >= center_b, b + adj_v, b - adj_v)
-    correction = DepthCorrection(
-        def_h=def_h, def_v=def_v, adj_h=adj_h, adj_v=adj_v, applied=True
-    )
-    return a, b, correction
+    return a, b
 
 
 def correct_side_point(
@@ -194,12 +154,12 @@ def correct_side_point(
     obs: DepthObservation,
     vertical_offset_fraction: float,
     vertical_correction: bool = True,
-) -> tuple[ModelPoint2D, DepthCorrection]:
+) -> ModelPoint2D:
     """Push one side camera's model-grid point outward to its corrected spot.
 
     A size-1 call of ``correct_columns``.
     """
-    a, b, correction = correct_columns(
+    a, b = correct_columns(
         profile,
         np.array([mg.a], dtype=float),
         np.array([mg.b], dtype=float),
@@ -207,4 +167,4 @@ def correct_side_point(
         vertical_offset_fraction,
         vertical_correction=vertical_correction,
     )
-    return ModelPoint2D(float(a[0]), float(b[0])), correction
+    return ModelPoint2D(float(a[0]), float(b[0]))

@@ -8,8 +8,8 @@ reported).
 
 A file is read into one ``DetectionTable`` through
 ``DETECTION_FORMAT``, whose column masks run every ``Detection`` check.
-A plain file (no quote or CR) whose rows all pass is read by
-numpy's C reader (``jsonio.fast_table``).  Any other goes through
+A plain file (no quote or CR) whose rows all pass is read in one
+``np.loadtxt`` pass (``jsonio.fast_table``).  Any other goes through
 ``jsonio.read_columns``, which hands over blocks of rows as columns and
 turns each real column into floats in one pass.  There, only the rows a
 mask refuses are read again one at a time, as a ``Detection`` would be,
@@ -249,9 +249,6 @@ class FrameBundle:
 
     timestamp_ms: float
     per_camera: Mapping[str, Detection]
-
-    def cameras(self) -> tuple[str, ...]:
-        return tuple(sorted(self.per_camera))
 
 
 @dataclass(frozen=True)

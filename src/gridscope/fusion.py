@@ -24,11 +24,12 @@ picks the result.  Views are kept by side slot, which names one camera.
 returns.  The track is a ``TrackTable`` of columns, in the track file's
 order with the camera pair as two str columns, from ``build_track``
 through ``write_track`` and back from ``read_track``, which checks every
-row by the column masks of ``TRACK_FORMAT`` (numpy's C reader takes a
-plain file whose rows all pass) and re-reads only a refused row one at a
-time, as ``_track_point`` would, so its error names the same row, column
-and reason.  ``TrackPoint`` is the API edge: a table iterates as points, and
-``TrackTable.from_points`` puts points into the table every consumer takes.
+row by the column masks of ``TRACK_FORMAT`` (one ``np.loadtxt`` pass
+reads a plain file whose rows all pass) and re-reads only a refused row
+one at a time, as ``_track_point`` would, so its error names the same
+row, column and reason.  ``TrackPoint`` is the API edge: a table iterates
+as points, and ``TrackTable.from_points`` puts points into the table every
+consumer takes.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def _side_mm(
         rig_extents = (cal.rig.grid_a.w_mm, cal.rig.grid_a.d_mm)
         obs = observation_for_side(side, top[0], top[1], rig_extents, px)
         voff = _vertical_offset_fraction(profile, b)
-        a, b, _ = correct_columns(
+        a, b = correct_columns(
             profile, a, b, obs, voff, vertical_correction=vertical_correction
         )
     return (

@@ -164,7 +164,9 @@ class Homography:
         if not np.all(np.isfinite(m)):
             raise DegenerateQuad("homography has non-finite entries")
         m = _normalized(m)
-        if abs(float(np.linalg.det(m))) < PIVOT_TOLERANCE:
+        with np.errstate(over="ignore"):  # a determinant past float range is not 0
+            det = float(np.linalg.det(m))
+        if abs(det) < PIVOT_TOLERANCE:
             raise DegenerateQuad("homography matrix is singular")
         self._flat = tuple(float(v) for v in m.reshape(-1))
 
@@ -291,15 +293,15 @@ def quad_contains(quad: Quad, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     A point counts as inside when it is on the interior side of every edge,
     allowing a perpendicular slack of 1e-9 px so boundary points (shared
-    sub-area edges) are inside.  Invariant under cyclic rotation of the
-    corner list.  The four edges are tested in one (4, n) broadcast over the
-    quad's cached ``_edges``.
+    sub-area edges) are inside; a NaN coordinate is inside no quad.
+    Invariant under cyclic rotation of the corner list.  The four edges are
+    tested in one (4, n) broadcast over the quad's cached ``_edges``.
     """
     au, av, eu, ev, length = quad._edges
     with np.errstate(all="ignore"):
         cross = eu * (v - av) - ev * (u - au)
         # Signed distance from each edge line; winding makes inside positive.
-        return ~(cross / length < -BOUNDARY_TOLERANCE).any(axis=0)
+        return (cross / length >= -BOUNDARY_TOLERANCE).all(axis=0)
 
 
 def point_in_quad(p: PixelPoint, quad: Quad) -> bool:

@@ -18,10 +18,11 @@ each a :class:`TableFormat`: its column masks check the rows into a table,
 and the tables share :class:`Columns`, which derives their length, ``==``,
 ``take``, ``concat`` and the conversion to and from objects from their
 fields.  A format's file is first offered to :func:`fast_table`, which
-reads the real columns with numpy's C reader (``np.loadtxt``) and keeps its
-table only when that is exactly the table read_columns returns with no
-error; it declines any other file (a quote, a CR, a bad row), and
-read_columns reads that one, so every error comes from one place.
+reads every column in one pass of numpy's C reader (``np.loadtxt``) and
+keeps its table only when that is exactly the table read_columns returns
+with no error; it declines any other file (a quote, a CR, a row of another
+width, a bad row), and read_columns reads that one, so every error comes
+from one place.
 Segments and truth are built one row at a time through :func:`per_row`,
 their real-valued fields through :func:`real`, which refuses ``nan`` and
 ``inf``.
@@ -621,39 +622,40 @@ _NOT_PLAIN = (b'"', b"\r", b"\0")
 _SCAN_BYTES = 1 << 18
 
 
-def _plain_commas(path, header: tuple[str, ...]) -> int | None:
-    """The number of commas below the header of file ``path``, if the csv
-    module reads the file as a plain split on commas and newlines; else None.
+def _plain(path, header: tuple[str, ...]) -> bool:
+    """Whether the csv module reads file ``path`` as a plain split on commas
+    and newlines, below a first line that is ``header`` as read_columns
+    checks it.
 
-    That holds when the file starts with ``header`` as read_columns checks
-    it, and holds no byte of ``_NOT_PLAIN`` and no line longer than the csv
-    field size limit.  A file with no comma below the header is declined
-    too: it has no row, and np.loadtxt warns on a body with no row.
+    That holds when the file holds no byte of ``_NOT_PLAIN`` and no line
+    longer than the csv field size limit.  A file with no comma below the
+    header is declined too: it has no row, and np.loadtxt warns on a body
+    with no row.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         head = fh.readline(limit + 1)
         if not head.endswith(b"\n") or any(b in head for b in _NOT_PLAIN):
-            return None
+            return False
         if tuple(h.strip() for h in head[:-1].decode("utf-8").split(",")) != header:
-            return None
-        commas = 0
+            return False
+        comma = False
         run = 0  # the length of the line the last chunk ended inside
         for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
             if any(b in chunk for b in _NOT_PLAIN):
-                return None
-            commas += chunk.count(b",")
+                return False
+            comma = comma or b"," in chunk
             ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
             if len(ends):
                 spans = np.diff(ends, prepend=-1 - run)  # each line, newline included
                 if spans.max() > limit + 1:
-                    return None
+                    return False
                 run = len(chunk) - 1 - int(ends[-1])
             else:
                 run += len(chunk)
             if run > limit:
-                return None
-    return commas or None
+                return False
+    return comma
 
 
 def fast_table(path, fmt: TableFormat):
@@ -661,33 +663,32 @@ def fast_table(path, fmt: TableFormat):
     is exactly the table read_columns reads with no error; else None.
 
     It declines a file that the csv module would not read as a plain split
-    on commas (``_plain_commas``), one that np.loadtxt cannot read, one with
-    a row of another width, and one with a row that a mask refuses.  With
-    ``usecols``, np.loadtxt reads a row with too many fields without a word,
-    so the width is checked by the commas: there is no quote, so every
-    comma parts two fields.  Text is read as Python str objects.
+    on commas (``_plain``), one that np.loadtxt cannot read, and one with a
+    row that a mask refuses.  One np.loadtxt pass reads every column into a
+    structured array, a float64 field per real column and a Python str per
+    text column; with no ``usecols`` it refuses a row of another width than
+    the header's.
     """
-    options = dict(
-        delimiter=",",
-        comments=None,
-        quotechar=None,
-        skiprows=1,
-        ndmin=2,
-        encoding="utf-8",
+    dtype = np.dtype(
+        [(h, float if i in fmt.reals else object) for i, h in enumerate(fmt.header)]
     )
     try:
-        commas = _plain_commas(path, fmt.header)
-        if commas is None:
+        if not _plain(path, fmt.header):
             return None
-        reals = np.loadtxt(path, usecols=fmt.reals, **options)
-        texts = np.loadtxt(path, dtype=object, usecols=fmt.texts, **options)
+        rows = np.loadtxt(
+            path,
+            dtype=dtype,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            skiprows=1,
+            ndmin=1,
+            encoding="utf-8",
+        )
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    rows = len(reals)
-    if len(texts) != rows or commas != (len(fmt.header) - 1) * rows:
-        return None
-    reals = np.ascontiguousarray(reals.T)
-    texts = [list(map(str.strip, column)) for column in texts.T.tolist()]
+    reals = np.array([rows[fmt.header[i]] for i in fmt.reals])
+    texts = [list(map(str.strip, rows[fmt.header[i]].tolist())) for i in fmt.texts]
     if not fmt.mask(texts, reals).all():
         return None
     return fmt.build(texts, reals)

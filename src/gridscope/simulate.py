@@ -608,13 +608,10 @@ def scenario_from_doc(doc: dict) -> SimScenario:
         top_mode=cams.get("top_mode", jsonio.DocReader.string, None),
     )
     gb = root.key("grid_b")
-    origin = [r.real() for r in gb.key("origin").fixed_list(3)]
-    size = [r.real() for r in gb.key("size").fixed_list(3)]
-    grid_b = GridBox(WorldPoint3D(*origin), *size)
+    grid_b = GridBox(WorldPoint3D(*gb.key("origin").reals(3)), *gb.key("size").reals(3))
     path_r = root.key("path")
     waypoints = tuple(
-        WorldPoint3D(*(w.real() for w in wp.fixed_list(3)))
-        for wp in path_r.key("waypoints").items()
+        WorldPoint3D(*wp.reals(3)) for wp in path_r.key("waypoints").items()
     )
     path = PathSpec(
         face=path_r.key("face").string(),

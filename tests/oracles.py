@@ -165,8 +165,8 @@ def _model_grid(profile, u, v):
     """The model-grid point of pixel (u, v), or None outside every sub-area.
 
     Sub-areas are tried in index order and the first whose quad holds the
-    pixel, within 1e-9 px of each edge, maps it: the stored homography,
-    then the scale ratios about the sub-area origin.
+    pixel, within 1e-9 px of each edge (a NaN pixel is in none), maps it:
+    the stored homography, then the scale ratios about the sub-area origin.
     """
     from gridscope.errors import PointAtInfinity
 
@@ -177,7 +177,7 @@ def _model_grid(profile, u, v):
             p, q = corners[k], corners[(k + 1) % 4]
             ex, ey = q.u - p.u, q.v - p.v
             cross = ex * (v - p.v) - ey * (u - p.u)
-            inside = inside and not cross / math.hypot(ex, ey) < -1e-9
+            inside = inside and cross / math.hypot(ex, ey) >= -1e-9
         if not inside:
             continue
         h = [float(value) for value in sub.homography.matrix.reshape(-1)]

@@ -198,6 +198,13 @@ class TestToModelGrid:
         with pytest.raises(OutsideCalibratedArea):
             to_model_grid(two_patch_profile(), PixelPoint(50.0, 50.0))
 
+    @pytest.mark.parametrize(
+        "u, v", [(math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_a_nan_pixel_is_outside_every_patch(self, u, v):
+        with pytest.raises(OutsideCalibratedArea):
+            to_model_grid(two_patch_profile(), PixelPoint(u, v))
+
     def test_scaled_patch_mapping(self):
         quad = Quad.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         sub = build_sub_area(0, quad, (10, 10), (5.0, 0.0), required_dims=(20, 10))
@@ -336,7 +343,7 @@ class TestSerialization:
     def test_camera_lookup(self, aligned_calibration):
         assert aligned_calibration.camera("top").role == CameraRole.top()
         assert aligned_calibration.side_camera(2).camera_id == "side2"
-        assert aligned_calibration.top_camera().camera_id == "top"
+        assert aligned_calibration.role_camera(CameraRole.top()).camera_id == "top"
         with pytest.raises(FormatError):
             aligned_calibration.camera("side9")
 
@@ -371,7 +378,7 @@ class TestBuildCalibration:
             assert cam.mde_v == 0.0
 
     def test_top_camera_gets_no_mde(self, pinhole_calibration):
-        top = pinhole_calibration.top_camera()
+        top = pinhole_calibration.role_camera(CameraRole.top())
         assert (top.mde_h, top.mde_v) == (0.0, 0.0)
 
     def test_pinhole_mde_matches_similar_triangles(self, pinhole_calibration):
@@ -479,7 +486,7 @@ class TestOneCameraPerRole:
         for cam in cal.cameras:
             assert cal.role_camera(cam.role) is cam
         no_top = replace(cal, cameras=cal.cameras[:4])
-        assert no_top.top_camera() is None
+        assert no_top.role_camera(CameraRole.top()) is None
         assert no_top.role_camera(CameraRole.side(3)).camera_id == "side3"
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gridscope.calibration import CameraProfile, CameraRole, build_sub_area
 from gridscope.depth import (
-    DepthCorrection,
     DepthObservation,
     compute_def,
     correct_columns,
@@ -99,70 +98,67 @@ class TestFactors:
         assert 0.0 <= adj <= d <= mde
 
 
-class TestDepthCorrection:
-    def test_skipped(self):
-        c = DepthCorrection.skipped()
-        assert not c.applied
-        assert c.adj_h == 0.0
-
-    def test_adjustment_bounded_by_def(self):
-        with pytest.raises(InvalidObservation):
-            DepthCorrection(def_h=1.0, def_v=1.0, adj_h=2.0, adj_v=0.0, applied=True)
-
-    def test_negative_def_rejected(self):
-        with pytest.raises(InvalidObservation):
-            DepthCorrection(def_h=-1.0, def_v=0.0, adj_h=0.0, adj_v=0.0, applied=True)
-
-    def test_columns_checked_element_wise(self):
-        ones = np.ones(3)
-        with pytest.raises(InvalidObservation, match=r"adj=\(2.0, 0.0\)"):
-            DepthCorrection(ones, ones, np.array([1.0, 2.0, 3.0]), 0.0 * ones, True)
+class TestCorrectColumns:
+    @given(
+        mde=st.tuples(st.floats(0, 500), st.floats(0, 500)),
+        extents=st.tuples(st.floats(1, 400), st.floats(1, 200)),
+        points=st.lists(
+            st.tuples(*(st.floats(0, s) for s in (400, 800, 1, 1, 1))),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_moves_each_point_by_at_most_def(self, mde, extents, points):
+        """Each axis moves by no more than its DEF: the bounds are rounded
+        as the moves are, so the comparison is exact."""
+        (nf, sc), (mde_h, mde_v) = extents, mde
+        a, b, depth, lateral, frac = map(np.array, zip(*points))
+        o = obs(ni=nf * depth, nf=nf, ic=sc * lateral, sc=sc)
+        ca, cb = correct_columns(face_profile(mde_h, mde_v), a, b, o, frac)
+        def_h, def_v = compute_def(mde_h, o), compute_def(mde_v, o)
+        assert np.all((a - def_h <= ca) & (ca <= a + def_h))
+        assert np.all((b - def_v <= cb) & (cb <= b + def_v))
 
 
 class TestCorrectSidePoint:
     def test_moves_outward_right_of_centre(self):
         profile = face_profile()
         o = obs(ni=200.0, ic=100.0)  # def_h 60, adj_h 30
-        corrected, c = correct_side_point(profile, ModelPoint2D(300.0, 400.0), o, 0.0)
+        corrected = correct_side_point(profile, ModelPoint2D(300.0, 400.0), o, 0.0)
         assert corrected.a == 330.0
-        assert c.adj_h == 30.0
-        assert c.applied
 
     def test_moves_outward_left_of_centre(self):
         profile = face_profile()
         o = obs(ni=200.0, ic=100.0)
-        corrected, _ = correct_side_point(profile, ModelPoint2D(100.0, 400.0), o, 0.0)
+        corrected = correct_side_point(profile, ModelPoint2D(100.0, 400.0), o, 0.0)
         assert corrected.a == 70.0
 
     def test_at_centre_moves_positive(self):
         profile = face_profile()
         o = obs(ni=200.0, ic=100.0)
-        corrected, _ = correct_side_point(profile, ModelPoint2D(200.0, 400.0), o, 0.0)
+        corrected = correct_side_point(profile, ModelPoint2D(200.0, 400.0), o, 0.0)
         assert corrected.a == 230.0
 
     def test_zero_lateral_offset_means_no_horizontal_move(self):
         profile = face_profile()
         o = obs(ni=200.0, ic=0.0)
-        corrected, c = correct_side_point(profile, ModelPoint2D(300.0, 100.0), o, 1.0)
+        corrected = correct_side_point(profile, ModelPoint2D(300.0, 100.0), o, 1.0)
         assert corrected.a == 300.0
-        assert c.adj_h == 0.0
         # vertical still corrects: def_v 130, above centre is b < 400
         assert corrected.b == 100.0 - 130.0
 
     def test_vertical_fraction_scales(self):
         profile = face_profile()
         o = obs(ni=400.0, ic=0.0)  # def_v = 260
-        corrected, c = correct_side_point(profile, ModelPoint2D(200.0, 600.0), o, 0.5)
-        assert c.adj_v == 130.0
-        assert corrected.b == 730.0
+        corrected = correct_side_point(profile, ModelPoint2D(200.0, 600.0), o, 0.5)
+        assert corrected.b == 730.0  # adj_v 130
 
     def test_vertical_correction_disabled(self):
         profile = face_profile()
         o = obs(ni=400.0, ic=200.0)
-        corrected, c = correct_side_point(
+        corrected = correct_side_point(
             profile, ModelPoint2D(300.0, 600.0), o, 1.0, vertical_correction=False
         )
-        assert c.adj_v == 0.0
         assert corrected.b == 600.0
         assert corrected.a == 420.0  # horizontal still applies
 
@@ -177,18 +173,15 @@ class TestCorrectSidePoint:
         ni = np.array([200.0, 0.0, 400.0, 123.0])
         ic = np.array([100.0, 200.0, 0.0, 77.0])
         frac = np.array([0.0, 1.0, 0.5, 0.25])
-        ca, cb, c = correct_columns(profile, a, b, obs(ni=ni, ic=ic), frac)
+        ca, cb = correct_columns(profile, a, b, obs(ni=ni, ic=ic), frac)
         for k in range(len(a)):
-            point, one = correct_side_point(
+            point = correct_side_point(
                 profile, ModelPoint2D(a[k], b[k]), obs(ni=ni[k], ic=ic[k]), frac[k]
             )
             assert (ca[k], cb[k]) == (point.a, point.b)
-            assert (c.adj_h[k], c.adj_v[k]) == (one.adj_h, one.adj_v)
 
     def test_zero_mde_is_identity(self):
         profile = face_profile(mde_h=0.0, mde_v=0.0)
         p = ModelPoint2D(137.0, 512.0)
-        corrected, c = correct_side_point(profile, p, obs(ni=400.0, ic=200.0), 1.0)
+        corrected = correct_side_point(profile, p, obs(ni=400.0, ic=200.0), 1.0)
         assert corrected == p
-        assert (c.adj_h, c.adj_v) == (0.0, 0.0)
-        assert c.applied

@@ -205,22 +205,53 @@ def _strictly(reader):
     return reader
 
 
+# A row's text edited to another width, and the width it then has over
+# the header's.
+WIDTH_EDITS = {
+    "trailing_comma": (lambda row: row + ",", 1),
+    "one_field_more": (lambda row: row + ",1", 1),
+    "one_field_fewer": (lambda row: row.rsplit(",", 1)[0], -1),
+}
+
+
+@pytest.mark.parametrize("edit", WIDTH_EDITS)
 @pytest.mark.parametrize("name", READERS)
-def test_a_row_with_a_trailing_comma_is_refused(tmp_path, name):
-    """np.loadtxt with usecols reads a row with too many fields; the comma
-    count declines it, so read_columns refuses it."""
+def test_a_row_of_another_width_is_refused(tmp_path, name, edit):
+    """np.loadtxt refuses a row of another width than its dtype's, so the
+    fast read declines the file and read_columns refuses the row."""
     reader, fmt, row = READERS[name]
+    rewrite, extra = WIDTH_EDITS[edit]
     path = tmp_path / "table.csv"
-    path.write_text(f"{','.join(fmt.header)}\n{row}\n{row},\n{row}\n")
+    path.write_text(f"{','.join(fmt.header)}\n{row}\n{rewrite(row)}\n{row}\n")
     assert jsonio.fast_table(path, fmt) is None
     width = len(fmt.header)
     with pytest.raises(CsvError) as err:
         _strictly(reader)(path)
-    reason = f"expected {width} fields, got {width + 1}"
+    reason = f"expected {width} fields, got {width + extra}"
     assert (err.value.row, err.value.reason) == (3, reason)
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+@pytest.mark.parametrize("name", READERS)
+def test_a_plain_file_is_read_in_one_loadtxt_pass(
+    tmp_path, monkeypatch, no_slow_read, name
+):
+    reader, fmt, row = READERS[name]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(fmt.header)}\n{row}\n{row}\n")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    table = reader(path)
+    assert len(table[0] if isinstance(table, tuple) else table) == 2
+    assert len(calls) == 1 and "usecols" not in calls[0]
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n", "   \n"])
 @pytest.mark.parametrize("name", READERS)
 def test_a_file_with_no_row_reads_empty_without_a_warning(tmp_path, name, body):
     """np.loadtxt warns on a body with no row, and any warning fails the

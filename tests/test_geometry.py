@@ -132,6 +132,11 @@ class TestHomography:
         with pytest.raises(DegenerateQuad):
             Homography([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
 
+    def test_a_determinant_past_float_range_is_not_singular(self):
+        # det = 1 + 1e309 overflows; numpy's warning fails the suite
+        m = [[1.0, 0.0, -1e4], [0.0, 1.0, 0.0], [1e305, 0.0, 1.0]]
+        assert Homography(m).matrix[2, 0] == 1e305
+
     def test_rejects_non_finite(self):
         with pytest.raises(DegenerateQuad):
             Homography([[1, 0, math.nan], [0, 1, 0], [0, 0, 1]])
@@ -241,6 +246,11 @@ class TestPointInQuad:
         assert point_in_quad(PixelPoint(0.0, 0.0), q)
         # Just past the 1e-9 slack is out.
         assert not point_in_quad(PixelPoint(10.0 + 1e-6, 5.0), q)
+
+    def test_a_nan_coordinate_is_outside(self):
+        q = Quad.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+        for p in (PixelPoint(math.nan, 5.0), PixelPoint(5.0, math.nan)):
+            assert not point_in_quad(p, q)
 
     def test_rotation_of_corner_list_is_irrelevant(self):
         coords = [(210, 140), (1700, 160), (1840, 990), (80, 950)]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gridscope.calibration import CameraRole
-from gridscope.errors import BehindCamera, ConfigError, CsvError
+from gridscope.errors import BehindCamera, ConfigError, CsvError, FormatError
 from gridscope.geometry import GridBox, WorldPoint3D
 from gridscope.simulate import (
     PathSpec,
@@ -450,6 +450,30 @@ class TestScenarioDocs:
         assert s.dropout_for("side3") == 0.25
         assert s.noise_sigma_px == 1.5
         assert s.sub_area_layout == "four"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (("grid_b", "origin"), [1.0, 2.0],
+             "grid_b.origin: expected an array of 3 elements, found list"),
+            (("grid_b", "origin"), [1.0, True, 2.0],
+             "grid_b.origin[1]: expected a real number, found bool"),
+            (("grid_b", "size"), "abc",
+             "grid_b.size: expected an array of 3 elements, found str"),
+            (("grid_b", "size"), [1.0, 2.0, 10**400],
+             "grid_b.size[2]: expected a finite real number, found int"),
+            (("path", "waypoints"), [[150.0, 270.0, 200.0], [250.0, 270.0]],
+             "path.waypoints[1]: expected an array of 3 elements, found list"),
+            (("path", "waypoints"), [[150.0, 270.0, 200.0], [250.0, None, [1]]],
+             "path.waypoints[1][1]: expected a real number, found null"),
+        ],
+    )
+    def test_a_bad_point_names_its_path(self, key, value, message):
+        doc = self.minimal_doc()
+        doc[key[0]][key[1]] = value
+        with pytest.raises(FormatError) as err:
+            scenario_from_doc(doc)
+        assert str(err.value) == message
 
     def test_load_scenario_file(self, tmp_path):
         from gridscope import jsonio
