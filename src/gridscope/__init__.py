@@ -8,115 +8,130 @@ coordinates.  A simulator with known ground truth, track evaluation and
 detection metrics round out the toolkit.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .calibration import (
-    AxisMap,
-    Calibration,
-    CameraProfile,
-    CameraRole,
-    MarkerPicks,
-    RigGeometry,
-    SubArea,
-    build_calibration,
-    build_sub_area,
-    default_axis_map,
-    load_calibration,
-    load_marker_picks,
-    load_rig,
-    measure_mde,
-    save_calibration,
-    to_model_grid,
-)
-from .depth import DepthObservation, correct_side_point
-from .detections import (
-    Detection,
-    FrameBundle,
-    parse_detections,
-    parse_detections_file,
-    synchronize,
-    write_detections,
-)
-from .errors import (
-    BehindCamera,
-    ConfigError,
-    CsvError,
-    DegenerateQuad,
-    EmptySegment,
-    EmptyTrack,
-    FormatError,
-    GridscopeError,
-    InvalidObservation,
-    NoDetections,
-    NoGroundTruth,
-    NoSegments,
-    NonPositiveLength,
-    OutsideCalibratedArea,
-    PointAtInfinity,
-    UndefinedMetric,
-    VersionMismatch,
-    ZDisagreementExceeded,
-)
-from .evaluation import (
-    EvaluationReport,
-    Segment,
-    distance_to_face,
-    evaluate_track,
-    overall_accuracy,
-    plot_rate,
-    plot_rate_two_sides,
-    read_segments,
-    write_segments,
-)
-from .export import export_csv, export_ply, export_svg, export_track
-from .fusion import (
-    FusionStats,
-    TrackPoint,
-    TrackTable,
-    build_track,
-    read_track,
-    reconstruct_point,
-    write_track,
-)
-from .geometry import (
-    GridBox,
-    Homography,
-    ModelPoint2D,
-    PixelPoint,
-    Quad,
-    ScaleRatios,
-    WorldPoint3D,
-    apply_homography,
-    apply_scale,
-    compute_homography,
-    point_in_quad,
-)
-from .metrics import (
-    GroundTruthBox,
-    MetricsReport,
-    average_precision,
-    evaluate_detections,
-    fitness,
-    iou,
-    match_greedy,
-    precision_recall,
-)
-from .simulate import (
-    GeneratedData,
-    SimCamera,
-    SimScenario,
-    generate_scenario,
-    load_scenario,
-    project,
-    standard_cameras,
-    write_generated,
-)
+# Where each public name is defined.  The map is written out rather than
+# read from the modules, since reading it would import them; a name's
+# module is imported the first time the name is looked up (PEP 562).
+_EXPORTS = {
+    "calibration": (
+        "AxisMap",
+        "Calibration",
+        "CameraProfile",
+        "CameraRole",
+        "MarkerPicks",
+        "RigGeometry",
+        "SubArea",
+        "build_calibration",
+        "build_sub_area",
+        "default_axis_map",
+        "load_calibration",
+        "load_marker_picks",
+        "load_rig",
+        "measure_mde",
+        "save_calibration",
+        "to_model_grid",
+    ),
+    "depth": ("DepthObservation", "correct_side_point"),
+    "detections": (
+        "Detection",
+        "FrameBundle",
+        "parse_detections",
+        "parse_detections_file",
+        "synchronize",
+        "write_detections",
+    ),
+    "errors": (
+        "BehindCamera",
+        "ConfigError",
+        "CsvError",
+        "DegenerateQuad",
+        "EmptySegment",
+        "EmptyTrack",
+        "FormatError",
+        "GridscopeError",
+        "InvalidObservation",
+        "NoDetections",
+        "NoGroundTruth",
+        "NoSegments",
+        "NonPositiveLength",
+        "OutsideCalibratedArea",
+        "PointAtInfinity",
+        "UndefinedMetric",
+        "VersionMismatch",
+        "ZDisagreementExceeded",
+    ),
+    "evaluation": (
+        "EvaluationReport",
+        "Segment",
+        "distance_to_face",
+        "evaluate_track",
+        "overall_accuracy",
+        "plot_rate",
+        "plot_rate_two_sides",
+        "read_segments",
+        "write_segments",
+    ),
+    "export": ("export_csv", "export_ply", "export_svg", "export_track"),
+    "fusion": (
+        "FusionStats",
+        "TrackPoint",
+        "TrackTable",
+        "build_track",
+        "read_track",
+        "reconstruct_point",
+        "write_track",
+    ),
+    "geometry": (
+        "GridBox",
+        "Homography",
+        "ModelPoint2D",
+        "PixelPoint",
+        "Quad",
+        "ScaleRatios",
+        "WorldPoint3D",
+        "apply_homography",
+        "apply_scale",
+        "compute_homography",
+        "point_in_quad",
+    ),
+    "metrics": (
+        "GroundTruthBox",
+        "MetricsReport",
+        "average_precision",
+        "evaluate_detections",
+        "fitness",
+        "iou",
+        "match_greedy",
+        "precision_recall",
+    ),
+    "simulate": (
+        "GeneratedData",
+        "SimCamera",
+        "SimScenario",
+        "generate_scenario",
+        "load_scenario",
+        "project",
+        "standard_cameras",
+        "write_generated",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules themselves are not API.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# Every public name; the submodules themselves are not API.
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

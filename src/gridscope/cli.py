@@ -7,6 +7,22 @@ a track against segment declarations, ``detmetrics`` scores 2D detections
 against ground-truth boxes, and ``export`` renders a track as CSV, PLY or
 SVG.
 
+Each command imports only the modules it runs.  Loading this module
+imports ``errors``, ``jsonio`` and ``options``; a command then binds the
+names it calls from its own modules (``_bind``):
+
+- ``simulate``: ``simulate``;
+- ``calibrate``: ``calibration``;
+- ``reconstruct``: ``calibration``, ``detections`` and ``fusion``;
+- ``evaluate``: ``calibration``, ``evaluation``, ``fusion`` and, for
+  ``--grid-b``, ``geometry``;
+- ``detmetrics``: ``detections`` and ``metrics``;
+- ``export``: ``calibration``, ``fusion`` and ``export``.
+
+Those modules import what they need in turn (``calibration`` loads
+``geometry``, ``fusion`` loads ``calibration``, ``depth`` and
+``detections``).
+
 Exit codes: 0 on success, 1 for data errors (bad files, impossible
 geometry), 2 for usage and configuration errors.
 """
@@ -18,42 +34,71 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from importlib import import_module
 
 from . import jsonio
-from .calibration import (
-    build_calibration,
-    load_calibration,
-    load_marker_picks,
-    load_rig,
-    save_calibration,
-)
-from .detections import (
-    DEFAULT_SYNC_TOLERANCE_MS,
-    DetectionTable,
-    parse_detections_file,  # noqa: F401  (perfbench/spans.py wraps this name)
-    read_detection_table,
-    synchronize,  # noqa: F401  (perfbench/spans.py wraps this name)
-    synchronize_table,
-)
 from .errors import ConfigError, GridscopeError, NonPositiveLength
-from .evaluation import evaluate_track, read_segments
-from .export import EXPORT_FORMATS, export_track
-from .fusion import (
+from .options import (
+    DEFAULT_SYNC_TOLERANCE_MS,
     DEFAULT_Z_REJECT_MM,
+    EXPORT_FORMATS,
     PAIR_STRATEGIES,
-    FusionStats,
-    build_track,
-    read_track,
-    write_track,
 )
-from .geometry import GridBox, WorldPoint3D
-from .metrics import (
-    evaluate_detections,
-    read_ground_truth,  # noqa: F401  (perfbench/spans.py wraps this name)
-    read_ground_truth_table,
-    read_predictions,  # noqa: F401  (perfbench/spans.py wraps this name)
-)
-from .simulate import generate_scenario, load_scenario, write_generated
+
+# The names the commands call, by the module that defines them.  Each is
+# bound as a global of this module the first time a command (or a lookup
+# of the name on this module) needs it, so a replacement set on this
+# module is what the command calls.
+_COMMAND_NAMES = {
+    "calibration": (
+        "build_calibration",
+        "load_calibration",
+        "load_marker_picks",
+        "load_rig",
+        "save_calibration",
+    ),
+    # parse_detections_file, synchronize, read_ground_truth and
+    # read_predictions are called by no command; perfbench/spans.py looks
+    # them up here to wrap them.
+    "detections": (
+        "DetectionTable",
+        "parse_detections_file",
+        "read_detection_table",
+        "synchronize",
+        "synchronize_table",
+    ),
+    "evaluation": ("evaluate_track", "read_segments"),
+    "export": ("export_track",),
+    "fusion": ("FusionStats", "build_track", "read_track", "write_track"),
+    "geometry": ("GridBox", "WorldPoint3D"),
+    "metrics": (
+        "evaluate_detections",
+        "read_ground_truth",
+        "read_ground_truth_table",
+        "read_predictions",
+    ),
+    "simulate": ("generate_scenario", "load_scenario", "write_generated"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind its ``_COMMAND_NAMES`` here; a name that
+    is already bound, or was replaced, keeps its value."""
+    space = globals()
+    for module in modules:
+        loaded = import_module(f"{__package__}.{module}")
+        for name in _COMMAND_NAMES[module]:
+            if name not in space:
+                space[name] = getattr(loaded, name)
+
+
+def __getattr__(name):
+    for module, names in _COMMAND_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 log = logging.getLogger("gridscope")
 
@@ -121,6 +166,7 @@ def _merged_config(args) -> RunConfig:
 
 
 def _parse_box(text: str) -> GridBox:
+    _bind("geometry")
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError(
@@ -137,6 +183,7 @@ def _parse_box(text: str) -> GridBox:
 
 
 def _cmd_simulate(args) -> int:
+    _bind("simulate")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
@@ -150,6 +197,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _bind("calibration")
     picks = load_marker_picks(args.picks)
     with jsonio.naming(args.picks):  # a calibration the picks cannot build
         cal = build_calibration(picks, mde_aggregate=args.mde_aggregate)
@@ -165,6 +213,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    _bind("calibration", "detections", "fusion")
     cfg = _merged_config(args)
     cal = load_calibration(args.calibration)
     tables = []
@@ -220,6 +269,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _bind("calibration", "evaluation", "fusion")
     rig = load_rig(args.calibration)
     track = read_track(args.track)
     segments = read_segments(args.segments)
@@ -244,6 +294,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_detmetrics(args) -> int:
+    _bind("detections", "metrics")
     predictions, _ = read_detection_table(args.predictions, strict=True)
     ground_truth = read_ground_truth_table(args.ground_truth)
     report = evaluate_detections(predictions, ground_truth)
@@ -256,6 +307,7 @@ def _cmd_detmetrics(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _bind("calibration", "fusion", "export")
     rig = load_rig(args.calibration)
     track = read_track(args.track)
     export_track(args.out, track, args.format, rig.grid_a)

@@ -50,6 +50,7 @@ from .jsonio import (
     read_file,
     real,
 )
+from .options import DEFAULT_SYNC_TOLERANCE_MS
 
 CSV_HEADER = (
     "camera_id",
@@ -62,8 +63,6 @@ CSV_HEADER = (
     "confidence",
 )
 _REAL_COLUMNS = CSV_HEADER[2:]
-
-DEFAULT_SYNC_TOLERANCE_MS = 25.0
 
 
 def finite_box(u_min: float, v_min: float, u_max: float, v_max: float) -> bool:

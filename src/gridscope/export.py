@@ -19,6 +19,7 @@ from .errors import ConfigError, EmptyTrack, FormatError
 from .fusion import TrackTable, write_track
 from .geometry import GridBox
 from .jsonio import format_real
+from .options import EXPORT_FORMATS
 
 _SVG_PANEL_W = 360.0
 _SVG_PANEL_H = 420.0
@@ -131,9 +132,6 @@ def export_svg(path, track: TrackTable, grid_a: GridBox) -> None:
     body.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(body) + "\n")
-
-
-EXPORT_FORMATS = ("csv", "ply", "svg")
 
 
 def export_track(path, track: TrackTable, fmt: str, grid_a: GridBox) -> None:

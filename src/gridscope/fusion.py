@@ -64,8 +64,7 @@ from .jsonio import (
     csv_field,
     real,
 )
-
-DEFAULT_Z_REJECT_MM = 30.0
+from .options import DEFAULT_Z_REJECT_MM, PAIR_STRATEGIES
 
 # The four admissible side-camera pairs, in tie-break order.
 ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 0))
@@ -75,9 +74,6 @@ _SECOND = np.array([j for _, j in ADJACENT_PAIRS])
 # build_track fuses this many bundles at a time, so its arrays stay small
 # however long the recording is.
 _CHUNK_BUNDLES = 1024
-
-# How build_track chooses among a bundle's eligible pairs.
-PAIR_STRATEGIES = ("best", "average_all")
 
 TRACK_HEADER = (
     "timestamp_ms",

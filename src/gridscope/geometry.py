@@ -144,12 +144,14 @@ class Quad:
 
 def _normalized(m: np.ndarray) -> np.ndarray:
     h33 = m[2, 2]
-    if abs(h33) > H33_TOLERANCE:
-        return m / h33
-    norm = float(np.linalg.norm(m))
-    if norm == 0.0:
-        raise DegenerateQuad("homography matrix is zero")
-    return m / norm
+    with np.errstate(over="ignore"):  # a result past float range is refused below
+        scale = h33 if abs(h33) > H33_TOLERANCE else float(np.linalg.norm(m))
+        if scale == 0.0:
+            raise DegenerateQuad("homography matrix is zero")
+        m = m / scale
+    if not (math.isfinite(scale) and np.isfinite(m).all()):
+        raise DegenerateQuad("homography overflows when normalized")
+    return m
 
 
 class Homography:
@@ -164,7 +166,9 @@ class Homography:
         if not np.all(np.isfinite(m)):
             raise DegenerateQuad("homography has non-finite entries")
         m = _normalized(m)
-        with np.errstate(over="ignore"):  # a determinant past float range is not 0
+        # a determinant past float range is not 0; a subnormal pivot makes
+        # LAPACK divide by zero, and the determinant is checked either way
+        with np.errstate(over="ignore", divide="ignore"):
             det = float(np.linalg.det(m))
         if abs(det) < PIVOT_TOLERANCE:
             raise DegenerateQuad("homography matrix is singular")

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gridscope import fusion, jsonio
+from gridscope import cli, fusion, jsonio
 from gridscope.calibration import load_calibration
 from gridscope.cli import RunConfig, load_run_config, main
 from gridscope.detections import (
@@ -1234,3 +1236,90 @@ def test_reconstruct_on_fuzzed_config(pipeline, config):
         assert code in (0, 2)
         if code == 2:
             assert stderr.startswith("config error: ")
+
+
+def test_reconstruct_names_a_calibration_whose_homography_overflows(
+    pipeline, tmp_path, capsys
+):
+    # h33 = 1e-6 scales 1e305 past float range; the load refuses it
+    doc = json.loads((pipeline / "calibration.json").read_text())
+    doc["cameras"][0]["sub_areas"][0]["homography"] = [
+        [1e305, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-6]
+    ]
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))
+    out = tmp_path / "track.csv"
+    args = ["reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(cal), "--out", str(out)]
+    assert main(args) == 1
+    stdout, err = capsys.readouterr()
+    assert err == f"error: {cal}: homography overflows when normalized\n"
+    assert stdout == "" and not out.exists()
+
+
+def _spans_cli_names() -> set[str]:
+    """The names perfbench/spans.py wraps as attributes of gridscope.cli."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    names = set()
+    for node in ast.walk(ast.parse(spans.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            module, attr = node.elts[:2]
+            if ast.unparse(module) == "gridscope.cli" and isinstance(attr, ast.Constant):
+                names.add(attr.value)
+    return names
+
+
+def test_every_name_perfbench_wraps_is_on_the_cli():
+    names = _spans_cli_names()
+    assert {"build_track", "read_track", "evaluate_detections"} <= names
+    for name in names:
+        assert callable(getattr(cli, name)), name
+
+
+def test_a_replacement_set_on_the_cli_is_what_each_command_calls(
+    pipeline, tmp_path, monkeypatch
+):
+    """A wrapper set on gridscope.cli, as perfbench/spans.py sets one, is
+    called by the commands that use the name."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _spans_cli_names():
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    sim, cal = pipeline / "sim", str(pipeline / "calibration.json")
+    track, segments = tmp_path / "track.csv", tmp_path / "segments.csv"
+    write_segments(segments, [Segment("walk", 0.0, 2000.0, "y_max")])
+    preds, gt = tmp_path / "preds.csv", tmp_path / "gt.csv"
+    preds.write_text(f"{','.join(CSV_HEADER)}\ndet,0,0.0,0,0,10,10,0.9\n")
+    gt.write_text(f"{','.join(GT_HEADER)}\n0,0,0,10,10\n")
+    runs = {
+        "reconstruct": (
+            ["reconstruct", *sorted(str(p) for p in sim.glob("detections_*.csv")),
+             "--calibration", cal, "--out", str(track)],
+            {"build_track", "write_track"},
+        ),
+        "evaluate": (
+            ["evaluate", "--track", str(track), "--segments", str(segments),
+             "--calibration", cal],
+            {"read_track", "evaluate_track"},
+        ),
+        "export": (
+            ["export", "--track", str(track), "--calibration", cal,
+             "--format", "ply", "--out", str(tmp_path / "track.ply")],
+            {"read_track", "export_track"},
+        ),
+        "detmetrics": (
+            ["detmetrics", "--predictions", str(preds), "--ground-truth", str(gt)],
+            {"evaluate_detections"},
+        ),
+    }
+    for command, (argv, called) in runs.items():
+        calls.clear()
+        assert _run(argv)[0] == 0, command
+        assert set(calls) == called, command

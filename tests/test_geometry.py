@@ -137,6 +137,18 @@ class TestHomography:
         m = [[1.0, 0.0, -1e4], [0.0, 1.0, 0.0], [1e305, 0.0, 1.0]]
         assert Homography(m).matrix[2, 0] == 1e305
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e305, 0, 0], [0, 1, 0], [0, 0, 1e-6]],  # the divide by h33
+            [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e-12]],  # the norm
+        ],
+    )
+    def test_a_normalization_past_float_range_is_refused(self, m):
+        # numpy's overflow warning would fail the suite
+        with pytest.raises(DegenerateQuad, match="overflows when normalized"):
+            Homography(m)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DegenerateQuad):
             Homography([[1, 0, math.nan], [0, 1, 0], [0, 0, 1]])
@@ -180,6 +192,24 @@ class TestHomography:
         h = Homography([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
         with pytest.raises(PointAtInfinity):
             apply_homography(h, ModelPoint2D(1.0, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9))
+def test_a_homography_is_its_matrix_over_h33_or_the_norm(entries):
+    """An accepted matrix is stored as the plain divide, bit for bit; a
+    divide that leaves float range is refused."""
+    m = np.array(entries).reshape(3, 3)
+    with np.errstate(all="ignore"):
+        scale = m[2, 2] if abs(m[2, 2]) > 1e-9 else np.linalg.norm(m)
+        expected = m / scale
+    try:
+        stored = Homography(m).matrix
+    except DegenerateQuad as exc:
+        overflows = scale != 0 and (np.isinf(scale) or np.isinf(expected).any())
+        assert ("overflows" in str(exc)) == overflows
+    else:
+        assert stored.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
