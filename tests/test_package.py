@@ -50,10 +50,9 @@ print(" ".join(m for m in sorted(sys.modules) if m.startswith("gridscope")))
 def _modules_after(run: str) -> set[str]:
     """The gridscope modules a fresh interpreter holds after running ``run``."""
     src = str(Path(gridscope.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", _LOADED.format(run=run)],
-        env=env, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     return set(done.stdout.splitlines()[-1].split())  # after what ``run`` prints
 
