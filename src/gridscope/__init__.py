@@ -64,7 +64,6 @@ _EXPORTS = {
     "evaluation": (
         "EvaluationReport",
         "Segment",
-        "distance_to_face",
         "evaluate_track",
         "overall_accuracy",
         "plot_rate",

@@ -7,16 +7,14 @@ CsvError naming row and column) or lenient mode (bad rows are skipped and
 reported).
 
 A file is read into one ``DetectionTable`` through
-``DETECTION_FORMAT``, whose column masks run every ``Detection`` check.
-A plain file (no quote or CR) whose rows all pass is read in one
-``np.loadtxt`` pass (``jsonio.fast_table``).  Any other goes through
-``jsonio.read_columns``, which hands over blocks of rows as columns and
-turns each real column into floats in one pass.  There, only the rows a
-mask refuses are read again one at a time, as a ``Detection`` would be,
-so each error names the same row, column and reason: the first real
-column (in header order) that is not a finite number, else the first
-failed check (with its column, for a check of one column).  Errors are
-reported in row order.
+``DETECTION_FORMAT``.  A plain file (no quote, NUL or bare CR) whose rows
+all pass its column masks, which run every ``Detection`` check, is read in
+one ``np.loadtxt`` pass (``jsonio.fast_table``).  Any other goes through
+``jsonio.read_columns``, which reads each row into a ``Detection``
+(``_detection``); ``DetectionTable.of`` puts them into the table.  Each
+error names its row and reason, and the column of the first real (in
+header order) that is not a finite number, else of the first failed check
+of one column.  Errors are reported in row order.
 
 Cameras run free, so bundles are assembled in two steps.  One stable
 ``np.lexsort`` by camera and timestamp finds each camera frame, and only a
@@ -26,9 +24,10 @@ camera: one ``np.searchsorted`` per camera gives each reference frame its
 own nearest candidate, and a claim loop runs only for a camera where two
 reference frames want one frame.  The result is a ``BundleTable`` of row
 ids, which fusion reads the table through.  ``Detection`` and
-``FrameBundle`` objects are the API edge: ``parse_detections`` converts
-one table with ``table.rows(Detection)``, ``synchronize`` builds its
-bundles from one, and ``DetectionTable.of`` puts Detection objects into one.
+``FrameBundle`` objects are the API edge: ``parse_detections`` returns
+the ``Detection`` objects ``read_columns`` reads, ``synchronize`` builds
+its bundles from a table, and ``DetectionTable.of`` puts Detection objects
+into one.
 """
 
 from __future__ import annotations
@@ -185,14 +184,13 @@ def _detection_mask(texts: list[list[str]], reals) -> np.ndarray:
     return ok
 
 
-# Only a row the mask refuses goes through _detection, whose error names
-# the row's first failing column.
 DETECTION_FORMAT = TableFormat(
     CSV_HEADER,
     tuple(range(2, len(CSV_HEADER))),
     _detection_mask,
     lambda texts, reals: DetectionTable(*texts, *reals),
     _detection,
+    DetectionTable.of,
 )
 
 
@@ -210,10 +208,7 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         lines: the file content, header row first.
         strict: raise on the first malformed row instead of skipping it.
     """
-    table, errors = read_columns(
-        lines, CSV_HEADER, DETECTION_FORMAT.check, DetectionTable.concat, strict=strict
-    )
-    return ParseResult(table.rows(Detection), errors)
+    return ParseResult(*read_columns(lines, CSV_HEADER, _detection, strict))
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:

@@ -10,8 +10,9 @@ unweighted overall mean so long and short segments count equally.
 
 ``evaluate_track`` scores only a ``TrackTable`` (``TrackTable.from_points``
 makes one) in numpy: one ``searchsorted`` puts every point in its window,
-the face distances follow ``distance_to_face``'s operations column-wise,
-and ``np.bincount`` sums each window's distances in track order.
+the face distances follow the operations of the scalar reference
+``tests/oracles.distance_to_face`` column-wise, and ``np.bincount`` sums
+each window's distances in track order.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackTable
-from .geometry import FACES, GridBox, WorldPoint3D
-from .jsonio import FieldError, csv_field, naming, per_row, read_columns, read_file, real
+from .geometry import FACES, GridBox
+from .jsonio import FieldError, csv_field, naming, read_columns, read_file, real
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -53,31 +54,6 @@ class Segment:
                 f"segment {self.segment_id}: need t_start < t_end, got "
                 f"{self.t_start_ms} >= {self.t_end_ms}"
             )
-
-
-def distance_to_face(
-    point: WorldPoint3D, box: GridBox, face: str, bounded: bool = False
-) -> float:
-    """Unsigned distance from a point to one face of a box.
-
-    The default measures distance to the face's infinite plane.  With
-    ``bounded=True`` the distance is taken to the face rectangle itself,
-    so positions beyond the face edges pick up the in-plane excursion too.
-    """
-    axis, value = box.face_plane(face)
-    plane_dist = abs(getattr(point, axis) - value)
-    if not bounded:
-        return plane_dist
-    excess_sq = 0.0
-    for other_axis, (lo, hi) in box.spans().items():
-        if other_axis == axis:
-            continue
-        c = getattr(point, other_axis)
-        if c < lo:
-            excess_sq += (lo - c) ** 2
-        elif c > hi:
-            excess_sq += (c - hi) ** 2
-    return math.sqrt(plane_dist * plane_dist + excess_sq)
 
 
 def overall_accuracy(segment_means: Sequence[float]) -> float:
@@ -130,7 +106,7 @@ def _segment(segment_id: str, t_start: str, t_end: str, face: str) -> Segment:
 
 
 def read_segments(path) -> list[Segment]:
-    segments = read_file(path, read_columns, SEGMENTS_HEADER, per_row(_segment))[0]
+    segments = read_file(path, read_columns, SEGMENTS_HEADER, _segment)[0]
     with naming(path):
         validate_segments(segments)
     return segments
@@ -206,7 +182,7 @@ def _squares(values: np.ndarray) -> np.ndarray:
 
     Python's ``**`` is the C library's ``pow``, which (in glibc) rounds
     about one square in a thousand to a different last bit than ``v * v``;
-    ``distance_to_face`` squares that way, and so does this.
+    the scalar reference ``distance_to_face`` squares that way, and so does this.
     """
     out = np.zeros(len(values))
     at = np.flatnonzero(values)  # a point inside the face's span has no excess

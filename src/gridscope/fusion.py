@@ -23,12 +23,12 @@ picks the result.  Views are kept by side slot, which names one camera.
 ``build_track`` takes the ``BundleTable`` that ``synchronize_table``
 returns.  The track is a ``TrackTable`` of columns, in the track file's
 order with the camera pair as two str columns, from ``build_track``
-through ``write_track`` and back from ``read_track``, which checks every
-row by the column masks of ``TRACK_FORMAT`` (one ``np.loadtxt`` pass
-reads a plain file whose rows all pass) and re-reads only a refused row
-one at a time, as ``_track_point`` would, so its error names the same
-row, column and reason.  ``TrackPoint`` is the API edge: a table iterates
-as points, and ``TrackTable.from_points`` puts points into the table every
+through ``write_track`` and back from ``read_track``.  There one
+``np.loadtxt`` pass reads a plain file whose rows all pass the column
+masks of ``TRACK_FORMAT``; any other file is read one row at a time into
+``TrackPoint`` objects (``_track_point``), so each error names its row,
+column and reason.  ``TrackPoint`` is the API edge: a table iterates as
+points, and ``TrackTable.from_points`` puts points into the table every
 consumer takes.
 """
 
@@ -623,13 +623,14 @@ def _track_table(texts: list[list[str]], reals) -> TrackTable:
     return TrackTable(*reals[:4], cam_a, cam_b, reals[4], corrected)
 
 
-# Only a row the mask refuses goes through _track_point, whose error names
-# the row's first failing column.
 TRACK_FORMAT = TableFormat(
-    TRACK_HEADER, (0, 1, 2, 3, 6), _track_mask, _track_table, _track_point
+    TRACK_HEADER,
+    (0, 1, 2, 3, 6),
+    _track_mask,
+    _track_table,
+    _track_point,
+    TrackTable.from_points,
 )
-# the read_columns check of a track table
-_track_columns = TRACK_FORMAT.check
 
 
 def read_track(path) -> TrackTable:

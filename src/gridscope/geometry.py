@@ -146,8 +146,12 @@ def _normalized(m: np.ndarray) -> np.ndarray:
     h33 = m[2, 2]
     with np.errstate(over="ignore"):  # a result past float range is refused below
         scale = h33 if abs(h33) > H33_TOLERANCE else float(np.linalg.norm(m))
-        if scale == 0.0:
-            raise DegenerateQuad("homography matrix is zero")
+        if scale == 0.0 or math.isinf(scale):  # the norm left float range
+            big = float(np.abs(m).max())
+            if big == 0.0:
+                raise DegenerateQuad("homography matrix is zero")
+            m = m / big
+            scale = float(np.linalg.norm(m))
         m = m / scale
     if not (math.isfinite(scale) and np.isfinite(m).all()):
         raise DegenerateQuad("homography overflows when normalized")

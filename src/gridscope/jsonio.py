@@ -12,20 +12,19 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-Every CSV table can be read by :func:`read_columns`, which hands blocks
-of rows to a check as columns.  Detections, ground truth and the track are
-each a :class:`TableFormat`: its column masks check the rows into a table,
+Detections, ground truth and the track are each a :class:`TableFormat`,
 and the tables share :class:`Columns`, which derives their length, ``==``,
 ``take``, ``concat`` and the conversion to and from objects from their
 fields.  A format's file is first offered to :func:`fast_table`, which
 reads every column in one pass of numpy's C reader (``np.loadtxt``) and
-keeps its table only when that is exactly the table read_columns returns
-with no error; it declines any other file (a quote, a CR, a row of another
-width, a bad row), and read_columns reads that one, so every error comes
-from one place.
-Segments and truth are built one row at a time through :func:`per_row`,
-their real-valued fields through :func:`real`, which refuses ``nan`` and
-``inf``.
+keeps its table only when the format's column masks pass every row.  It
+declines any other file (a quote, a NUL, a CR that does not end a line, a
+row of another width, a row a mask refuses), and :func:`read_columns`
+reads that one a row at a time through the format's row reader, whose
+items ``of`` puts into the table; so a row is accepted or refused by one
+rule, and every error comes from one place.  Segments and truth are read
+by read_columns alone, as lists of items.  Real-valued fields are read
+through :func:`real`, which refuses ``nan`` and ``inf``.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
 An error raised while a file is read (:func:`read_file`, :func:`load_doc`)
@@ -42,8 +41,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields
 from functools import partial
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -380,7 +378,9 @@ class Columns:
             return tables[0]
         return cls(
             *(
-                _chained(parts) if isinstance(parts[0], list) else np.concatenate(parts)
+                list(chain.from_iterable(parts))
+                if isinstance(parts[0], list)
+                else np.concatenate(parts)
                 for parts in zip(*(t.columns() for t in tables))
             )
         )
@@ -404,146 +404,49 @@ class Columns:
         return list(map(make, *columns))
 
 
-# A read_columns check: the stripped columns of a block of rows in, what it
-# builds of them and ``(index, exception)`` for each row it refuses out.
-Check = Callable[[list[list[str]]], tuple[T, list[tuple[int, Exception]]]]
-
-
-def float_column(texts: list[str]) -> np.ndarray:
-    """``float`` of each text, NaN where a text is not a number."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        pass
-    values = []
-    for text in texts:
-        try:
-            values.append(float(text))
-        except ValueError:
-            values.append(math.nan)
-    return np.array(values, dtype=float)
-
-
-def checked_table(table, ok: np.ndarray, columns: list[list[str]], make):
-    """``table`` less the rows mask ``ok`` refuses, and ``(index, error)`` of each.
-
-    Only a refused row goes through ``make(*fields)``, the per-row reader
-    of the ``columns`` the table was read from, whose ValueError or
-    FormatError names the row's first failing column; a row the mask
-    refuses but ``make`` accepts is kept.
-    """
-    refused = []
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            make(*[column[i] for column in columns])
-        except (ValueError, FormatError) as exc:
-            refused.append((i, exc))
-        else:
-            ok[i] = True
-    return (table if ok.all() else table.take(np.flatnonzero(ok))), refused
-
-
-def per_row(make: Callable[..., T]) -> Check[list[T]]:
-    """A read_columns check that builds one item per row as ``make(*fields)``;
-    a ValueError or FormatError of ``make`` refuses the row."""
-
-    def check(columns: list[list[str]]) -> tuple[list[T], list[tuple[int, Exception]]]:
-        items: list[T] = []
-        refused: list[tuple[int, Exception]] = []
-        for i, fields in enumerate(zip(*columns)):
-            try:
-                items.append(make(*fields))
-            except (ValueError, FormatError) as exc:
-                refused.append((i, exc))
-        return items, refused
-
-    return check
-
-
-def _chained(parts: list[list[T]]) -> list[T]:
-    return list(chain.from_iterable(parts))
-
-
-def _row_error(row_no: int, exc: Exception) -> CsvError:
-    return CsvError(row_no, getattr(exc, "column", ""), str(exc))
-
-
-# read_columns reads and checks this many rows at a time, so that only
-# their field texts are held at once.
-_BLOCK_ROWS = 2048
-
-
 def read_columns(
     lines: Iterable[str],
     header: tuple[str, ...],
-    check: Check[T],
-    join: Callable[[list[T]], T] = _chained,
+    make: Callable[..., T],
     strict: bool = True,
-) -> tuple[T, list[CsvError]]:
-    """A CSV table headed exactly by ``header``, built block by block by ``check``.
+) -> tuple[list[T], list[CsvError]]:
+    """The rows of a CSV table headed exactly by ``header``, each built by ``make``.
 
     The header must match exactly, else a CsvError names row 1.  Rows count
-    from 1 at the header; blank rows are skipped.  Every ``_BLOCK_ROWS``
-    rows, and at the end, ``check`` gets the stripped fields of the rows of
-    the right width as columns, and returns what it builds of them together
-    with ``(index, exception)`` for each row it refuses; ``join`` puts the
-    blocks together.  A refused row, or one of the wrong width, becomes a
-    CsvError naming its row and, for a FieldError, its column.  Strict mode
-    raises the first of them; otherwise bad rows are skipped and their
-    errors returned in row order.
+    from 1 at the header; blank rows are skipped.  Each other row of the
+    header's width becomes ``make(*fields)`` of its stripped fields.  A row
+    of another width, or one whose ``make`` raises a ValueError or
+    FormatError, becomes a CsvError naming its row and, for a FieldError,
+    its column.  Strict mode raises the first of them; otherwise bad rows
+    are skipped and their errors returned in row order.
 
     A row the csv module cannot split (a field over its size limit) raises
-    a CsvError naming its line; in strict mode, an error of a row read
-    before it is raised instead.  A byte that is not UTF-8 raises the
+    a CsvError naming its line.  A byte that is not UTF-8 raises the
     UnicodeDecodeError that read_file turns into a CsvError.
     """
     reader = csv.reader(lines)
     width = len(header)
-    parts: list[T] = []
-    errors: list[tuple[int, Exception]] = []
-
-    def check_block(rows: list[list[str]], first_no: int) -> None:
-        row_nos: Sequence[int] = range(first_no, first_no + len(rows))
-        block_errors: list[tuple[int, Exception]] = []
-        if width == 1 or set(map(len, rows)) != {width}:
-            kept, kept_nos = [], []
-            for row_no, row in zip(row_nos, rows):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) == width:
-                    kept.append(row)
-                    kept_nos.append(row_no)
-                else:
-                    reason = f"expected {width} fields, got {len(row)}"
-                    block_errors.append((row_no, ValueError(reason)))
-            rows, row_nos = kept, kept_nos
-        columns = [list(map(str.strip, column)) for column in zip(*rows)]
-        part, refused = check(columns or [[] for _ in header])
-        parts.append(part)
-        block_errors.extend((row_nos[index], exc) for index, exc in refused)
-        block_errors.sort(key=itemgetter(0))
-        errors.extend(block_errors)
-        if strict and errors:
-            raise _row_error(*errors[0]) from errors[0][1]
-
-    rows: list[list[str]] = []
-    row_no = 1  # the header's
+    items: list[T] = []
+    errors: list[CsvError] = []
     try:
         first = next(reader, None)
         if first is None or tuple(h.strip() for h in first) != header:
             raise CsvError(1, "", f"expected header {','.join(header)}")
-        while True:
-            rows = []
-            rows.extend(islice(reader, _BLOCK_ROWS))  # keeps rows read before an error
-            check_block(rows, row_no + 1)
-            row_no += len(rows)
-            if len(rows) < _BLOCK_ROWS:
-                break
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                items.append(make(*map(str.strip, row)))
+            except (ValueError, FormatError) as exc:
+                error = CsvError(row_no, getattr(exc, "column", ""), str(exc))
+                if strict:
+                    raise error from exc
+                errors.append(error)
     except csv.Error as exc:
-        if strict:
-            check_block(rows, row_no + 1)
         raise CsvError(reader.line_num, "", str(exc)) from None
-    return join(parts), [_row_error(*error) for error in errors]
+    return items, errors
 
 
 def read_file(path, read: Callable[..., T], *args) -> T:
@@ -570,14 +473,14 @@ def read_file(path, read: Callable[..., T], *args) -> T:
 
 @dataclass(frozen=True)
 class TableFormat:
-    """A CSV layout read into one ``Columns`` table through column masks.
+    """A CSV layout read into one ``Columns`` table.
 
     ``reals`` are the positions in ``header`` of the real-valued columns;
-    the others are text.  ``mask(texts, reals)`` says which rows pass every
-    check, from the stripped text columns and the float64 real columns in
-    header order, and ``build(texts, reals)`` makes the table of them.
-    ``make(*fields)`` reads one refused row again, so that its error names
-    the row's first failing column.
+    the others are text.  ``make(*fields)`` reads one row, and ``of`` puts
+    the items it makes into the table.  ``mask(texts, reals)`` says which
+    rows ``make`` accepts, from the stripped text columns and the float64
+    real columns in header order, and ``build(texts, reals)`` makes the
+    table of them; the fast read keeps a file only when every row passes.
     """
 
     header: tuple[str, ...]
@@ -585,41 +488,37 @@ class TableFormat:
     mask: Callable[[list[list[str]], Sequence[np.ndarray]], np.ndarray]
     build: Callable[[list[list[str]], Sequence[np.ndarray]], Any]
     make: Callable[..., Any]
+    of: Callable[[list], Any]
 
     @property
     def texts(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.header)) if i not in self.reals)
 
-    def check(
-        self, columns: list[list[str]]
-    ) -> tuple[Any, list[tuple[int, Exception]]]:
-        """The read_columns check: the table of the rows that pass every
-        mask, and ``(index, error)`` of each row refused by ``make``."""
-        texts = [columns[i] for i in self.texts]
-        reals = [float_column(columns[i]) for i in self.reals]
-        ok = self.mask(texts, reals)
-        return checked_table(self.build(texts, reals), ok, columns, self.make)
-
     def read(self, path, strict: bool = True) -> tuple[Any, list[CsvError]]:
         """File ``path`` as one table, plus the errors of skipped rows.
 
-        ``fast_table`` reads it if it can; otherwise ``read_columns`` does,
-        and every error comes from there.
+        ``fast_table`` reads it if it can; otherwise ``read_columns`` reads
+        it one row at a time through ``make``, and every error comes from
+        there.
         """
         table = fast_table(path, self)
         if table is not None:
             return table, []
-        return read_file(path, read_columns, self.header, self.check, _joined, strict)
-
-
-def _joined(tables: list):
-    return type(tables[0]).concat(tables)
+        items, errors = read_file(path, read_columns, self.header, self.make, strict)
+        return self.of(items), errors
 
 
 # Bytes that the csv module reads otherwise than a split on commas and
-# newlines: a quote, a carriage return, a NUL.
-_NOT_PLAIN = (b'"', b"\r", b"\0")
+# newlines: a quote and a NUL.  A CR is plain only right before an LF, where
+# the csv module and np.loadtxt's universal newlines both end the line.
+_NOT_PLAIN = (b'"', b"\0")
 _SCAN_BYTES = 1 << 18
+
+
+def _odd(data: bytes) -> bool:
+    """Whether ``data`` holds a byte of ``_NOT_PLAIN`` or a CR before no LF."""
+    bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    return bare_cr or any(b in data for b in _NOT_PLAIN)
 
 
 def _plain(path, header: tuple[str, ...]) -> bool:
@@ -627,22 +526,24 @@ def _plain(path, header: tuple[str, ...]) -> bool:
     and newlines, below a first line that is ``header`` as read_columns
     checks it.
 
-    That holds when the file holds no byte of ``_NOT_PLAIN`` and no line
-    longer than the csv field size limit.  A file with no comma below the
-    header is declined too: it has no row, and np.loadtxt warns on a body
-    with no row.
+    That holds when the file holds no byte of ``_NOT_PLAIN``, no CR but in
+    a CRLF line end and no line longer than the csv field size limit.  A
+    file with no comma below the header is declined too: it has no row,
+    and np.loadtxt warns on a body with no row.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         head = fh.readline(limit + 1)
-        if not head.endswith(b"\n") or any(b in head for b in _NOT_PLAIN):
+        if not head.endswith(b"\n") or _odd(head):
             return False
-        if tuple(h.strip() for h in head[:-1].decode("utf-8").split(",")) != header:
+        if tuple(h.strip() for h in head.decode("utf-8").split(",")) != header:
             return False
         comma = False
         run = 0  # the length of the line the last chunk ended inside
         for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
-            if any(b in chunk for b in _NOT_PLAIN):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # the LF that makes it a line end, if any
+            if _odd(chunk):
                 return False
             comma = comma or b"," in chunk
             ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
@@ -660,7 +561,8 @@ def _plain(path, header: tuple[str, ...]) -> bool:
 
 def fast_table(path, fmt: TableFormat):
     """``fmt``'s table of file ``path``, read by numpy's C reader, if that
-    is exactly the table read_columns reads with no error; else None.
+    is exactly the table ``fmt.read`` gets from read_columns with no error;
+    else None.
 
     It declines a file that the csv module would not read as a plain split
     on commas (``_plain``), one that np.loadtxt cannot read, and one with a

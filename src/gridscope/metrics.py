@@ -7,12 +7,13 @@ threshold (IoU ties go to the earliest ground-truth row).
 
 Both inputs are tables: predictions a ``DetectionTable``, ground truth a
 ``GroundTruthTable`` (frame ids as a str list, corners as float64
-columns), each checked by column masks, with only the rows a mask refuses
-read again one at a time for their errors.  All thresholds share one
-array of candidate pairs: every (prediction, same-frame box) pair,
-predictions in rank order and boxes in row order, whose IoUs ``pair_iou``
-computes once in numpy with ``iou``'s operations, so the doubles are the
-same.  At each threshold, a candidate at or above it that is the only one
+columns).  A plain ground-truth file whose rows all pass the column masks
+is read in one ``np.loadtxt`` pass; any other is read one row at a time
+into ``GroundTruthBox`` objects, which ``GroundTruthTable.of`` puts into
+the table.  All thresholds share one array of candidate pairs: every
+(prediction, same-frame box) pair, predictions in rank order and boxes in
+row order, whose IoUs ``pair_iou`` computes once in numpy with ``iou``'s
+operations, so the doubles are the same.  At each threshold, a candidate at or above it that is the only one
 of both its prediction and its box is a hit by array operations; only the
 rest, where predictions contest a box or a prediction has a choice, go
 through the greedy claim loop, and each threshold keeps its own claimed
@@ -367,9 +368,8 @@ GROUND_TRUTH_FORMAT = TableFormat(
     _ground_truth_mask,
     lambda texts, corners: GroundTruthTable(*texts, *corners),
     _ground_truth_box,
+    GroundTruthTable.of,
 )
-# the read_columns check of a ground-truth table
-_ground_truth_columns = GROUND_TRUTH_FORMAT.check
 
 
 def read_ground_truth_table(path) -> GroundTruthTable:

@@ -573,9 +573,7 @@ def _truth_sample(*fields: str) -> TruthSample:
 
 
 def read_truth(path) -> list[TruthSample]:
-    return jsonio.read_file(
-        path, jsonio.read_columns, TRUTH_HEADER, jsonio.per_row(_truth_sample)
-    )[0]
+    return jsonio.read_file(path, jsonio.read_columns, TRUTH_HEADER, _truth_sample)[0]
 
 
 # --- scenario files ---------------------------------------------------------

@@ -14,11 +14,11 @@ ranking, one correction per view, the average).  It takes
 ``FrameBundle`` objects, which ``bundle_table`` puts into the
 ``BundleTable`` that ``build_track`` takes.
 
-The exception is ``read_table``, the per-row CSV reader that the block reader
-``jsonio.read_columns`` replaced, kept to pin its row numbers, skipped
+The exception is ``read_table``, a per-row CSV reader written apart from
+``jsonio.read_columns``, kept to pin that reader's row numbers, skipped
 rows and error order to it; ``rowwise_parse_detections`` and
 ``rowwise_read_ground_truth`` run it with per-row copies of the detection
-and ground-truth checks, to pin the column masks to them.
+and ground-truth checks, to pin the column masks and row readers to them.
 """
 
 from __future__ import annotations
@@ -464,6 +464,31 @@ def mean_point_error(track_points, truth_by_timestamp) -> float:
 # --- per-segment scan of a track ----------------------------------------------
 
 
+def distance_to_face(point, box, face: str, bounded: bool = False) -> float:
+    """Unsigned distance from a point to one face of a box, one point at a time.
+
+    ``evaluation._face_distances`` follows these operations column-wise.
+
+    The default measures distance to the face's infinite plane.  With
+    ``bounded=True`` the distance is taken to the face rectangle itself,
+    so positions beyond the face edges pick up the in-plane excursion too.
+    """
+    axis, value = box.face_plane(face)
+    plane_dist = abs(getattr(point, axis) - value)
+    if not bounded:
+        return plane_dist
+    excess_sq = 0.0
+    for other_axis, (lo, hi) in box.spans().items():
+        if other_axis == axis:
+            continue
+        c = getattr(point, other_axis)
+        if c < lo:
+            excess_sq += (lo - c) ** 2
+        elif c > hi:
+            excess_sq += (c - hi) ** 2
+    return math.sqrt(plane_dist * plane_dist + excess_sq)
+
+
 def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
     """evaluate_track as a scan of the whole track for every segment.
 
@@ -475,7 +500,6 @@ def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
         EvaluationReport,
         SegmentResult,
         _check_finite,
-        distance_to_face,
         overall_accuracy,
         validate_segments,
     )
@@ -512,7 +536,7 @@ def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
 
 
 def read_table(lines, header, make, strict=True):
-    """The CSV table reader as it was before the block reader: one item per row.
+    """A CSV table reader that builds one item per row, in file order.
 
     Each row goes through ``csv.reader`` and, unless it is blank, through a
     width check and ``make`` of its stripped fields, in file order.  A

@@ -99,8 +99,8 @@ GT_ROW = st.one_of(
 
 @st.composite
 def gt_rows(draw):
-    """Rows from GT_ROW, sometimes around a run of valid rows long enough
-    that the table spans more than one 2048-row block."""
+    """Rows from GT_ROW, sometimes around a run of over two thousand valid
+    rows, so that a bad row can sit far into a long table."""
     rows = draw(st.lists(GT_ROW, max_size=24))
     run = draw(st.sampled_from([0, 0, 0, 2047, 2048, 2100]))
     at = draw(st.integers(0, len(rows)))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scan_evaluate_track
+from oracles import distance_to_face, scan_evaluate_track
 
 from gridscope.errors import (
     CsvError,
@@ -18,7 +18,6 @@ from gridscope.evaluation import (
     EvaluationReport,
     Segment,
     SegmentResult,
-    distance_to_face,
     evaluate_track,
     overall_accuracy,
     plot_rate,

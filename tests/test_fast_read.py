@@ -2,9 +2,10 @@
 
 ``jsonio.fast_table`` reads a detections, ground-truth or track file with
 numpy's C reader.  It must either decline (None) or return exactly the
-table that ``read_columns`` returns for the file, with no error; every
-error then still comes from ``read_columns``.  Tables are compared on
-their float bits, so the sign of a zero counts.
+table that ``read_columns`` reads for the file through the format's row
+reader, with no error; every error then still comes from
+``read_columns``.  Tables are compared on their float bits, so the sign of
+a zero counts.
 """
 
 import csv
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridscope import jsonio
@@ -24,7 +25,7 @@ from gridscope.detections import (
     read_detection_table,
     write_detections,
 )
-from gridscope.errors import CsvError
+from gridscope.errors import CsvError, FormatError
 from gridscope.fusion import TRACK_FORMAT, TrackTable, read_track, write_track
 from gridscope.metrics import GT_HEADER, GROUND_TRUTH_FORMAT
 from gridscope.metrics import read_ground_truth_table
@@ -72,7 +73,8 @@ ODD_LINES = ["", "   ", "\t", "\x0c", ",", "side0,0,1,1,2,3,4,0.5,"]
 def csv_text(draw, name):
     """A file's text: the header, then rows that parse and now and then one
     from the format's strategy, an odd field or an odd line; sometimes a
-    run of 2047 to 2100 valid rows, and either line end."""
+    run of 2047 to 2100 valid rows.  Lines end in LF or CRLF, the last one
+    sometimes in nothing."""
     fmt, row, plausible, valid = FORMATS[name]
     rows = [
         list(draw(row if draw(st.integers(0, 7)) == 0 else plausible))
@@ -87,19 +89,21 @@ def csv_text(draw, name):
     run = draw(st.sampled_from([0, 0, 0, 2047, 2100]))
     at = draw(st.integers(0, len(lines)))
     lines[at:at] = [",".join(valid(i)) for i in range(run)]
-    ending = draw(st.sampled_from(["\n", "\n", "\n", ""]))
-    return "\n".join([",".join(fmt.header)] + lines) + ending
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    ending = draw(st.sampled_from([newline, newline, newline, ""]))
+    return newline.join([",".join(fmt.header)] + lines) + ending
 
 
 def _read_columns(path, fmt):
-    """read_columns' table and errors of file ``path`` in lenient mode, or
-    None where it raises."""
+    """The table and errors read_columns reads of file ``path`` in lenient
+    mode through the format's row reader, or None where it raises."""
     try:
-        return jsonio.read_file(
-            path, jsonio.read_columns, fmt.header, fmt.check, jsonio._joined, False
+        items, errors = jsonio.read_file(
+            path, jsonio.read_columns, fmt.header, fmt.make, False
         )
     except CsvError:
         return None
+    return fmt.of(items), errors
 
 
 def assert_same_table(fast, table):
@@ -171,6 +175,11 @@ EXAMPLES = {
     "one_data_row": (f"{ROW}\n", True),
     "header_only": ("", False),
     "trailing_comma": (f"{ROW}\n{ROW},\n", False),
+    "crlf_line_ends": (f"{ROW}\r\n\r\n{ROW}\r\n", True),
+    "crlf_with_no_final_line_end": (f"{ROW}\r\n{ROW}", True),
+    "bare_cr_between_rows": (f"{ROW}\r{ROW}\n", False),
+    "bare_cr_at_the_end": (f"{ROW}\n{ROW}\r", False),
+    "cr_in_a_field": ("side0\r,7,1.5,1,2,3,4,0.5\n", False),
 }
 
 
@@ -179,6 +188,21 @@ def test_fast_read_examples(tmp_path, name):
     body, taken = EXAMPLES[name]
     path = tmp_path / "detections.csv"
     path.write_bytes(f"{DETECTIONS_HEADER}\n{body}".encode())
+    assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
+
+
+@pytest.mark.parametrize("after_cr, taken", [(b"\n", True), (b"s", False)])
+def test_a_cr_at_the_end_of_a_scanned_chunk(tmp_path, after_cr, taken):
+    """The scan reads the byte after a CR that ends its chunk: a CRLF split
+    over two chunks is a line end, a CR before anything else is not."""
+    row = f"{ROW}\r\n".encode()
+    last = f"{ROW}\r".encode()
+    rows = row * ((jsonio._SCAN_BYTES - len(last)) // len(row))
+    pad = b" " * (jsonio._SCAN_BYTES - len(rows) - len(last))  # a padded field
+    chunk = rows + pad + last
+    assert len(chunk) == jsonio._SCAN_BYTES
+    path = tmp_path / "detections.csv"
+    path.write_bytes(f"{DETECTIONS_HEADER}\r\n".encode() + chunk + after_cr + row)
     assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
 
 
@@ -354,3 +378,46 @@ def test_the_public_readers_take_the_fast_path(tmp_path, no_slow_read):
     assert read_track(tmp_path / "t.csv") == track
     (tmp_path / "gt.csv").write_text(f"{','.join(GT_HEADER)}\n0,1.5,2,30.25,40\n")
     assert len(read_ground_truth_table(tmp_path / "gt.csv")) == 1
+
+
+# Per format: rows whose every real parses as a float but that a mask, and
+# so the row reader, refuses.
+REFUSED_ROWS = {
+    "detections": [
+        "side0,7,1.5,3,2,1,4,0.5", "side0,7,-1,1,2,3,4,0.5", ",7,1.5,1,2,3,4,0.5",
+        "side0,7,nan,1,2,3,4,0.5", "side0,7,1.5,1,2,3,4,1e400", "side0,7,1.5,1,2,3,4,1.5",
+    ],
+    "ground_truth": ["0,5,0,5,10", "0,0,0,1e-200,1e-200", "0,-inf,0,1,1"],
+    "track": [
+        "0,0,0,0,side0,side1,-1,false", "0,0,0,0,side0,side1,0,True",
+        "0,nan,0,0,side0,side1,0,true",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_refused_row_costs_only_itself(name, data):
+    """A plain file with one refused row inserted: its lenient read is the
+    fast read of the file without that row, plus that row's one error."""
+    fmt, _, plausible, _ = FORMATS[name]
+    plain_row = plausible.filter(lambda row: row[0] and '"' not in row[0])
+    rows = [",".join(row) for row in data.draw(st.lists(plain_row, min_size=1, max_size=12))]
+    bad = data.draw(st.sampled_from(REFUSED_ROWS[name]))
+    at = data.draw(st.integers(0, len(rows)))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(newline.join([",".join(fmt.header), *rows, ""]).encode())
+        fast = jsonio.fast_table(path, fmt)
+        assume(fast is not None)
+        rows.insert(at, bad)
+        path.write_bytes(newline.join([",".join(fmt.header), *rows, ""]).encode())
+        assert jsonio.fast_table(path, fmt) is None
+        table, errors = fmt.read(path, strict=False)
+    assert_same_table(table, fast)
+    with pytest.raises((ValueError, FormatError)) as refused:
+        fmt.make(*bad.split(","))
+    expected = (at + 2, getattr(refused.value, "column", ""), str(refused.value))
+    assert [(e.row, e.column, e.reason) for e in errors] == [expected]

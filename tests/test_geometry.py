@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridscope.errors import (
@@ -137,17 +137,20 @@ class TestHomography:
         m = [[1.0, 0.0, -1e4], [0.0, 1.0, 0.0], [1e305, 0.0, 1.0]]
         assert Homography(m).matrix[2, 0] == 1e305
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            [[1e305, 0, 0], [0, 1, 0], [0, 0, 1e-6]],  # the divide by h33
-            [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e-12]],  # the norm
-        ],
-    )
-    def test_a_normalization_past_float_range_is_refused(self, m):
-        # numpy's overflow warning would fail the suite
+    def test_a_normalization_past_float_range_is_refused(self):
+        # the divide by h33; numpy's overflow warning would fail the suite
         with pytest.raises(DegenerateQuad, match="overflows when normalized"):
-            Homography(m)
+            Homography([[1e305, 0, 0], [0, 1, 0], [0, 0, 1e-6]])
+
+    def test_a_norm_that_underflows_is_not_zero(self):
+        stored = Homography(1e-200 * np.eye(3)).matrix
+        assert stored.tobytes() == (np.eye(3) / math.sqrt(3)).tobytes()
+
+    def test_a_norm_that_overflows_meets_the_determinant_check(self):
+        # divided by its largest entry, then by that one's norm, the matrix
+        # is diag(1, 1, 1e-212) / sqrt(2), whose determinant is below tolerance
+        with pytest.raises(DegenerateQuad, match="singular"):
+            Homography([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e-12]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DegenerateQuad):
@@ -196,18 +199,25 @@ class TestHomography:
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9))
+@example([1e-200, 0, 0, 0, 1e-200, 0, 0, 0, 1e-200])  # the norm underflows
+@example([1.7e308, 0, 0, 0, -1.7e308, 0, 0, 0, 1e-10])  # the norm overflows
 def test_a_homography_is_its_matrix_over_h33_or_the_norm(entries):
-    """An accepted matrix is stored as the plain divide, bit for bit; a
-    divide that leaves float range is refused."""
-    m = np.array(entries).reshape(3, 3)
+    """An accepted matrix is stored as the plain divide, bit for bit, where
+    the norm is in float range, and divided by its largest entry first
+    where it is not; a divide by h33 that leaves float range is refused,
+    and only the zero matrix is refused as zero."""
+    matrix = m = np.array(entries).reshape(3, 3)
     with np.errstate(all="ignore"):
         scale = m[2, 2] if abs(m[2, 2]) > 1e-9 else np.linalg.norm(m)
+        if (scale == 0 or np.isinf(scale)) and m.any():
+            m = m / np.abs(m).max()
+            scale = np.linalg.norm(m)
         expected = m / scale
     try:
-        stored = Homography(m).matrix
+        stored = Homography(matrix).matrix
     except DegenerateQuad as exc:
-        overflows = scale != 0 and (np.isinf(scale) or np.isinf(expected).any())
-        assert ("overflows" in str(exc)) == overflows
+        assert ("zero" in str(exc)) == (not m.any())
+        assert ("overflows" in str(exc)) == bool(np.isinf(expected).any())
     else:
         assert stored.tobytes() == expected.tobytes()
 

@@ -317,7 +317,7 @@ def pair(name, value):
 
 
 def read_pairs(lines, strict=True):
-    return jsonio.read_columns(lines, HEADER, jsonio.per_row(pair), strict=strict)
+    return jsonio.read_columns(lines, HEADER, pair, strict=strict)
 
 
 class TestReadColumns:
@@ -355,24 +355,24 @@ class TestReadColumns:
 
 # --- track, segments and truth against the row-wise oracle -----------------
 
-# Per table: its header, the per-row builder its rows are refused by, the
-# reader, the rows to draw, the i-th row of a valid run, and the
-# read_columns check and join the reader runs.
+# Per table: its header, the per-row builder its rows are read by, the
+# reader, the rows to draw, the i-th row of a valid run, and what the
+# reader makes of the items read_columns returns.
 ROWWISE_TABLES = {
     "track": (
         TRACK_HEADER, fusion._track_point, read_track, TRACK_ROW,
         lambda i: [f"{i}.5", "1", "2", "3", "side0", "side1", "0.25", "true"],
-        fusion._track_columns, fusion.TrackTable.concat,
+        fusion.TrackTable.from_points,
     ),
     "segments": (
         SEGMENTS_HEADER, evaluation._segment, read_segments, SEGMENT_ROW,
         lambda i: [f"run{i}", f"{1000 + 2 * i}", f"{1001 + 2 * i}", "z_max"],
-        jsonio.per_row(evaluation._segment), jsonio._chained,
+        list,
     ),
     "truth": (
         TRUTH_HEADER, simulate._truth_sample, read_truth, TRUTH_ROW,
         lambda i: [str(i), "0.5", "-1", "2e3"],
-        jsonio.per_row(simulate._truth_sample), jsonio._chained,
+        list,
     ),
 }
 
@@ -388,7 +388,7 @@ TAILS = {
 @st.composite
 def table_rows(draw, row, valid):
     """Rows drawn from ``row``, sometimes around a run of 2047 to 2100 valid
-    rows, so that a file spans two blocks."""
+    rows, so that a bad row can sit far into a long file."""
     rows = draw(st.lists(row, max_size=16))
     run = draw(st.one_of(st.just(0), st.integers(2047, 2100)))
     at = draw(st.integers(0, len(rows)))
@@ -411,7 +411,7 @@ def _table_outcome(read):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), strict=st.booleans(), tail=st.sampled_from(list(TAILS)))
 def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
-    header, make, reader, row, valid, check, join = ROWWISE_TABLES[table]
+    header, make, reader, row, valid, of = ROWWISE_TABLES[table]
     rows = data.draw(table_rows(row, valid), label="rows")
     lines = [",".join(header)] + [",".join(fields) for fields in rows]
 
@@ -419,7 +419,8 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
         return oracles.read_table(lines, header, lambda row: make(*row), strict)
 
     def columns(lines):
-        return jsonio.read_columns(lines, header, check, join, strict=strict)
+        items, errors = jsonio.read_columns(lines, header, make, strict=strict)
+        return of(items), errors
 
     assert _table_outcome(lambda: columns(lines)) == _table_outcome(lambda: oracle(lines))
 
@@ -445,7 +446,7 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
     [
         ("oversized_field", 0, 2),
         ("oversized_field", 5, 7),
-        ("oversized_field", 2050, 2052),  # in the block the csv.Error cuts short
+        ("oversized_field", 2050, 2052),  # a few rows before the csv.Error
         ("not_utf8", 0, 2),
         ("not_utf8", 5, 7),
         # the decoder meets the bad byte on line 2062 before the csv module
@@ -457,7 +458,7 @@ def test_table_readers_equal_the_rowwise_oracle(table, data, strict, tail):
 def test_a_bad_row_before_an_unreadable_one_is_raised(tmp_path, table, tail, bad_at, row):
     """Strict reading raises the error of a bad row read before a csv.Error
     or a bad byte, as the row-wise reader does."""
-    header, make, reader, _, valid, _, _ = ROWWISE_TABLES[table]
+    header, make, reader, _, valid, _ = ROWWISE_TABLES[table]
     rows = [valid(i) for i in range(2060)]
     rows[bad_at] = rows[bad_at][:-1]
     path = tmp_path / "table.csv"

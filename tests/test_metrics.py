@@ -508,11 +508,10 @@ def _read_outcome(read, lines, strict):
 
 
 def _table_read(lines, strict):
-    table, errors = read_columns(
-        lines, GT_HEADER, gridscope.metrics._ground_truth_columns,
-        GroundTruthTable.concat, strict,
+    boxes, errors = read_columns(
+        lines, GT_HEADER, gridscope.metrics._ground_truth_box, strict
     )
-    return table.rows(GroundTruthBox), errors
+    return GroundTruthTable.of(boxes).rows(GroundTruthBox), errors
 
 
 @settings(max_examples=200, deadline=None)

@@ -28,7 +28,7 @@ def test_all_lists_the_public_api_but_no_submodules():
 
 
 def test_each_export_is_the_attribute_of_the_module_that_defines_it():
-    assert len(gridscope.__all__) == 89
+    assert len(gridscope.__all__) == 88
     for name in gridscope.__all__:
         module = importlib.import_module(f"gridscope.{gridscope._MODULE_OF[name]}")
         value = getattr(gridscope, name)

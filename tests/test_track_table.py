@@ -1,9 +1,10 @@
 """The track as a TrackTable: its reader, writer and API edges.
 
-``read_track`` checks rows by column masks and re-reads only refused rows
-through ``fusion._track_point``; these tests pin it to the row-wise oracle
-reader, and ``TrackTable.from_points`` and table iteration, the conversions
-to and from TrackPoint objects, to each other.
+``read_track`` reads a plain file whose rows all pass the column masks
+with numpy's C reader, and any other one row at a time through
+``fusion._track_point``; these tests pin it to the row-wise oracle reader,
+and ``TrackTable.from_points`` and table iteration, the conversions to and
+from TrackPoint objects, to each other.
 """
 
 import pytest
@@ -67,10 +68,10 @@ def test_read_track_equals_the_rowwise_oracle(tmp_path, failure, n_rows, bad_at)
         return jsonio.read_file(path, oracles.read_table, TRACK_HEADER, make, strict)
 
     def columns(strict):
-        return jsonio.read_file(
-            path, jsonio.read_columns, TRACK_HEADER, fusion._track_columns,
-            TrackTable.concat, strict,
+        points, errors = jsonio.read_file(
+            path, jsonio.read_columns, TRACK_HEADER, fusion._track_point, strict
         )
+        return TrackTable.from_points(points), errors
 
     assert outcome(lambda: (read_track(path), [])) == outcome(lambda: oracle(True))
     assert outcome(lambda: columns(False)) == outcome(lambda: oracle(False))
