@@ -8,8 +8,6 @@ coordinates.  A simulator with known ground truth, track evaluation and
 detection metrics round out the toolkit.
 """
 
-from importlib import import_module as _import_module
-
 # Where each public name is defined.  The map is written out rather than
 # read from the modules, since reading it would import them; a name's
 # module is imported the first time the name is looked up (PEP 562).
@@ -127,7 +125,7 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value  # later lookups skip this hook
     return value
 

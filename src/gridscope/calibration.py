@@ -56,10 +56,6 @@ FORMAT_VERSION = 1
 # Marker corners must land on their canonical rectangle corners this tightly.
 CANONICAL_CORNER_TOLERANCE = 1e-9
 
-# Default rig dimensions (mm): 390 wide, 390 deep, 850 tall.
-DEFAULT_GRID_W_MM = 390.0
-DEFAULT_GRID_D_MM = 390.0
-DEFAULT_GRID_H_MM = 850.0
 DEFAULT_MARKER_COUNT = 20
 
 
@@ -497,16 +493,6 @@ class RigGeometry:
             raise NonPositiveLength(f"px_per_mm must be > 0, got {self.px_per_mm}")
         if self.marker_count < 0:
             raise FormatError(f"marker_count must be >= 0, got {self.marker_count}")
-
-    @classmethod
-    def default(cls) -> "RigGeometry":
-        box = GridBox(
-            WorldPoint3D(0.0, 0.0, 0.0),
-            DEFAULT_GRID_W_MM,
-            DEFAULT_GRID_D_MM,
-            DEFAULT_GRID_H_MM,
-        )
-        return cls(box)
 
 
 @dataclass(frozen=True)

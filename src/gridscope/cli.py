@@ -8,8 +8,10 @@ against ground-truth boxes, and ``export`` renders a track as CSV, PLY or
 SVG.
 
 Each command imports only the modules it runs.  Loading this module
-imports ``errors``, ``jsonio`` and ``options``; a command then binds the
-names it calls from its own modules (``_bind``):
+imports ``errors``, ``jsonio`` and ``options``; a command then imports its
+own modules and binds here every public class and function they define
+(``_bind``), so a replacement set on this module is what the command
+calls:
 
 - ``simulate``: ``simulate``;
 - ``calibrate``: ``calibration``;
@@ -21,7 +23,8 @@ names it calls from its own modules (``_bind``):
 
 Those modules import what they need in turn (``calibration`` loads
 ``geometry``, ``fusion`` loads ``calibration``, ``depth`` and
-``detections``).
+``detections``).  Looking up a public name on this module binds all of
+them first; a ``_``-prefixed name is never looked up in them.
 
 Exit codes: 0 on success, 1 for data errors (bad files, impossible
 geometry), 2 for usage and configuration errors.
@@ -34,7 +37,6 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from importlib import import_module
 
 from . import jsonio
 from .errors import ConfigError, GridscopeError, NonPositiveLength
@@ -45,57 +47,39 @@ from .options import (
     PAIR_STRATEGIES,
 )
 
-# The names the commands call, by the module that defines them.  Each is
-# bound as a global of this module the first time a command (or a lookup
-# of the name on this module) needs it, so a replacement set on this
-# module is what the command calls.
-_COMMAND_NAMES = {
-    "calibration": (
-        "build_calibration",
-        "load_calibration",
-        "load_marker_picks",
-        "load_rig",
-        "save_calibration",
-    ),
-    # parse_detections_file, synchronize, read_ground_truth and
-    # read_predictions are called by no command; perfbench/spans.py looks
-    # them up here to wrap them.
-    "detections": (
-        "DetectionTable",
-        "parse_detections_file",
-        "read_detection_table",
-        "synchronize",
-        "synchronize_table",
-    ),
-    "evaluation": ("evaluate_track", "read_segments"),
-    "export": ("export_track",),
-    "fusion": ("FusionStats", "build_track", "read_track", "write_track"),
-    "geometry": ("GridBox", "WorldPoint3D"),
-    "metrics": (
-        "evaluate_detections",
-        "read_ground_truth",
-        "read_ground_truth_table",
-        "read_predictions",
-    ),
-    "simulate": ("generate_scenario", "load_scenario", "write_generated"),
-}
+# The modules whose names the commands call.
+_COMMAND_MODULES = (
+    "calibration",
+    "detections",
+    "evaluation",
+    "export",
+    "fusion",
+    "geometry",
+    "metrics",
+    "simulate",
+)
 
 
 def _bind(*modules: str) -> None:
-    """Import each module and bind its ``_COMMAND_NAMES`` here; a name that
-    is already bound, or was replaced, keeps its value."""
+    """Import each module and bind here every public class and function it
+    defines (its ``__module__`` is that module); a name that is already
+    bound, or was replaced, keeps its value."""
     space = globals()
     for module in modules:
-        loaded = import_module(f"{__package__}.{module}")
-        for name in _COMMAND_NAMES[module]:
-            if name not in space:
-                space[name] = getattr(loaded, name)
+        loaded = __import__(f"{__package__}.{module}", fromlist=["*"])
+        for name, value in vars(loaded).items():
+            defined_here = getattr(value, "__module__", None) == loaded.__name__
+            if defined_here and not name.startswith("_"):
+                space.setdefault(name, value)
 
 
 def __getattr__(name):
-    for module, names in _COMMAND_NAMES.items():
-        if name in names:
-            _bind(module)
+    """A public class or function of a command module, bound here by the
+    lookup; any other name is an AttributeError, and a ``_``-prefixed one
+    imports nothing."""
+    if not name.startswith("_"):
+        _bind(*_COMMAND_MODULES)
+        if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

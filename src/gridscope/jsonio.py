@@ -14,11 +14,11 @@ instead of a bare KeyError.
 
 Detections, ground truth and the track are each a :class:`TableFormat`,
 and the tables share :class:`Columns`, which derives their length, ``==``,
-``take``, ``concat`` and the conversion to and from objects from their
-fields.  A format's file is first offered to :func:`fast_table`, which
-reads every column in one pass of numpy's C reader (``np.loadtxt``) and
-keeps its table only when the format's column masks pass every row.  It
-declines any other file (a quote, a NUL, a CR that does not end a line, a
+``concat`` and the conversion to and from objects from their fields.
+A format's file is first offered to :func:`fast_table`, which reads every
+column in one pass of numpy's C reader (``np.loadtxt``) and keeps its
+table only when the format's column masks pass every row.  It declines
+any other file (a quote, a NUL, a CR that does not end a line, a
 row of another width, a row a mask refuses), and :func:`read_columns`
 reads that one a row at a time through the format's row reader, whose
 items ``of`` puts into the table; so a row is accepted or refused by one
@@ -359,16 +359,6 @@ class Columns:
         return len(self) == len(other) and all(
             a == b if isinstance(a, list) else np.array_equal(a, b)
             for a, b in zip(self.columns(), other.columns())
-        )
-
-    def take(self, rows: np.ndarray):
-        """The table of ``rows`` (indices), in that order."""
-        picked = rows.tolist()
-        return type(self)(
-            *(
-                [column[i] for i in picked] if isinstance(column, list) else column[rows]
-                for column in self.columns()
-            )
         )
 
     @classmethod

@@ -429,9 +429,9 @@ class TestBuildCalibration:
 
 class TestRigGeometry:
     def test_default_dimensions(self):
-        rig = RigGeometry.default()
+        rig = RigGeometry(GridBox(WorldPoint3D(0.0, 0.0, 0.0), 390.0, 390.0, 850.0))
         assert (rig.grid_a.w_mm, rig.grid_a.d_mm, rig.grid_a.h_mm) == (390, 390, 850)
-        assert rig.px_per_mm == 1.0
+        assert (rig.px_per_mm, rig.marker_count) == (1.0, 20)
 
     def test_px_per_mm_positive(self):
         with pytest.raises(NonPositiveLength):

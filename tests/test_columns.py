@@ -2,9 +2,9 @@
 
 Each table is built from row tuples here, column by column, and every
 operation of the base is checked against what the rows say it must give:
-``take`` and ``concat`` the picked and joined rows, ``of`` and ``rows`` the
-rows themselves, and ``==`` what the rows' tuples give.  Values are
-compared by ``repr``, so the sign of -0.0 counts.
+``concat`` the joined rows, ``of`` and ``rows`` the rows themselves, and
+``==`` what the rows' tuples give.  Values are compared by ``repr``, so
+the sign of -0.0 counts.
 """
 
 from collections import namedtuple
@@ -75,18 +75,6 @@ def rows_of(cls, max_size: int = 6):
 def table_rows(draw, max_size: int = 6):
     cls = draw(st.sampled_from(list(KINDS)))
     return cls, draw(rows_of(cls, max_size))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=table_rows(), data=st.data())
-def test_take_picks_the_rows(case, data):
-    cls, rows = case
-    index = st.integers(0, len(rows) - 1)
-    picked = data.draw(st.lists(index, max_size=8) if rows else st.just([]))
-    taken = build(cls, rows).take(np.array(picked, dtype=np.intp))
-    assert type(taken) is cls and kinds(taken) == KINDS[cls]
-    assert len(taken) == len(picked)
-    assert repr(taken.rows(row)) == repr([rows[i] for i in picked])
 
 
 @settings(max_examples=150, deadline=None)
