@@ -26,6 +26,13 @@ Those modules import what they need in turn (``calibration`` loads
 ``detections``).  Looking up a public name on this module binds all of
 them first; a ``_``-prefixed name is never looked up in them.
 
+``main`` builds the parser anew on each call.  Every subcommand is
+registered with its name and help line, but only the command that runs
+(the first argument not starting with ``-``) gets its arguments; so
+``--help``, usage and error text are those of the full parser,
+``build_parser()``.  Each call also sets the log level that its ``-v``
+flags ask for.
+
 Exit codes: 0 on success, 1 for data errors (bad files, impossible
 geometry), 2 for usage and configuration errors.
 """
@@ -196,21 +203,28 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    _bind("calibration", "detections", "fusion")
-    cfg = _merged_config(args)
-    cal = load_calibration(args.calibration)
+def _read_detections(paths: list[str], strict: bool) -> DetectionTable:
+    """The rows of the files ``paths``, in turn, as one table.  The
+    per-file tables, whose columns concat copies, are freed on return,
+    before fusion runs."""
     tables = []
     skipped = 0
-    for path in args.detections:
-        table, errors = read_detection_table(path, strict=args.strict)
+    for path in paths:
+        table, errors = read_detection_table(path, strict=strict)
         tables.append(table)
         skipped += len(errors)
         for err in errors:
             log.debug("%s: %s", path, err)
     if skipped:
         log.warning("skipped %d malformed detection rows", skipped)
-    detections = DetectionTable.concat(tables)
+    return DetectionTable.concat(tables)
+
+
+def _cmd_reconstruct(args) -> int:
+    _bind("calibration", "detections", "fusion")
+    cfg = _merged_config(args)
+    cal = load_calibration(args.calibration)
+    detections = _read_detections(args.detections, args.strict)
     bundles = synchronize_table(
         detections,
         tolerance_ms=cfg.sync_tolerance_ms,
@@ -302,27 +316,13 @@ def _cmd_export(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridscope",
-        description="3D trajectory reconstruction for a calibrated grid rig.",
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="increase log detail (-v info, -vv debug)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic data set")
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="scenario file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="fit a calibration from marker picks")
+
+def _calibrate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("picks", help="marker picks file")
     p.add_argument("--out", required=True, help="calibration file to write")
     p.add_argument(
@@ -331,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="max",
         help="how corner displacements combine into the depth-error figure",
     )
-    p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("reconstruct", help="fuse detections into a 3D track")
+
+def _reconstruct_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("detections", nargs="+", help="detection CSV files")
     p.add_argument("--calibration", required=True, help="calibration file")
     p.add_argument("--out", required=True, help="track CSV to write")
@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="apply the vertical component of depth correction (default: on)",
     )
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("evaluate", help="score a track against segments")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--track", required=True, help="track CSV")
     p.add_argument("--segments", required=True, help="segments CSV")
     p.add_argument(
@@ -378,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="penalize points outside the face rectangle, not just off-plane",
     )
     p.add_argument("--report", default=None, help="also write the report as JSON")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("detmetrics", help="score 2D detections against boxes")
+
+def _detmetrics_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictions", required=True, help="detection CSV")
     p.add_argument("--ground-truth", required=True, help="ground-truth box CSV")
     p.add_argument("--report", default=None, help="also write the report as JSON")
-    p.set_defaults(func=_cmd_detmetrics)
 
-    p = sub.add_parser("export", help="render a track as csv, ply or svg")
+
+def _export_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--track", required=True, help="track CSV")
     p.add_argument(
         "--calibration",
@@ -395,19 +395,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     p.add_argument("--out", required=True, help="output file")
-    p.set_defaults(func=_cmd_export)
 
+
+# name: (help line, what adds its arguments, what runs it)
+_COMMANDS = {
+    "simulate": ("generate a synthetic data set", _simulate_arguments, _cmd_simulate),
+    "calibrate": (
+        "fit a calibration from marker picks", _calibrate_arguments, _cmd_calibrate
+    ),
+    "reconstruct": (
+        "fuse detections into a 3D track", _reconstruct_arguments, _cmd_reconstruct
+    ),
+    "evaluate": ("score a track against segments", _evaluate_arguments, _cmd_evaluate),
+    "detmetrics": (
+        "score 2D detections against boxes", _detmetrics_arguments, _cmd_detmetrics
+    ),
+    "export": ("render a track as csv, ply or svg", _export_arguments, _cmd_export),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is there with its help
+    line; only ``command``'s gets its arguments, or every one's when
+    ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="gridscope",
+        description="3D trajectory reconstruction for a calibrated grid rig.",
+    )
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="count",
+        default=0,
+        help="increase log detail (-v info, -vv debug)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
+def _command_in(argv: list[str]) -> str | None:
+    """The command that argparse runs for ``argv``, or None where the first
+    token not starting with ``-`` names no command.  ``-v``, the only
+    top-level option, takes no value, so that token is the command."""
+    token = next((arg for arg in argv if not arg.startswith("-")), None)
+    return token if token in _COMMANDS else None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_command_in(argv)).parse_args(argv)
     level = logging.WARNING
     if args.verbose == 1:
         level = logging.INFO
     elif args.verbose >= 2:
         level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler
+    log.setLevel(level)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -502,6 +502,8 @@ class TableFormat:
 # newlines: a quote and a NUL.  A CR is plain only right before an LF, where
 # the csv module and np.loadtxt's universal newlines both end the line.
 _NOT_PLAIN = (b'"', b"\0")
+# The ASCII bytes that str.strip removes, but for the LF and CR of a line end.
+_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 _SCAN_BYTES = 1 << 18
 
 
@@ -511,42 +513,52 @@ def _odd(data: bytes) -> bool:
     return bare_cr or any(b in data for b in _NOT_PLAIN)
 
 
-def _plain(path, header: tuple[str, ...]) -> bool:
-    """Whether the csv module reads file ``path`` as a plain split on commas
-    and newlines, below a first line that is ``header`` as read_columns
-    checks it.
+def _plain(path, header: tuple[str, ...]) -> bool | None:
+    """Whether a field of file ``path`` may hold padding, if the csv module
+    reads the file as a plain split on commas and newlines below a first
+    line that is ``header`` as read_columns checks it; else None.
 
-    That holds when the file holds no byte of ``_NOT_PLAIN``, no CR but in
-    a CRLF line end and no line longer than the csv field size limit.  A
-    file with no comma below the header is declined too: it has no row,
-    and np.loadtxt warns on a body with no row.
+    The split is plain when the file holds no byte of ``_NOT_PLAIN``, no CR
+    but in a CRLF line end and no line longer than the csv field size
+    limit.  The length is checked in windows of half the limit: each window
+    between a chunk's first and last LF must hold an LF, so a line longer
+    than the limit is never taken, and one longer than half of it may be
+    declined.  A file with no comma below the header is declined too: it
+    has no row, and np.loadtxt warns on a body with no row.  Padding is a
+    byte that is not ASCII, or one of ``_PADDING``; a body with neither
+    holds no field that str.strip changes.
     """
     limit = csv.field_size_limit()
+    half = max(limit // 2, 1)
     with open(path, "rb") as fh:
         head = fh.readline(limit + 1)
         if not head.endswith(b"\n") or _odd(head):
-            return False
+            return None
         if tuple(h.strip() for h in head.decode("utf-8").split(",")) != header:
-            return False
-        comma = False
+            return None
+        comma = padded = False
         run = 0  # the length of the line the last chunk ended inside
         for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
             if chunk.endswith(b"\r"):
                 chunk += fh.read(1)  # the LF that makes it a line end, if any
             if _odd(chunk):
-                return False
+                return None
             comma = comma or b"," in chunk
-            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            if len(ends):
-                spans = np.diff(ends, prepend=-1 - run)  # each line, newline included
-                if spans.max() > limit + 1:
-                    return False
-                run = len(chunk) - 1 - int(ends[-1])
-            else:
+            padded = padded or not chunk.isascii() or any(b in chunk for b in _PADDING)
+            first = chunk.find(b"\n")
+            if first < 0:
                 run += len(chunk)
+            else:
+                last = chunk.rfind(b"\n")
+                if run + first > limit:
+                    return None
+                for start in range(first + 1, last, half):
+                    if chunk.find(b"\n", start, start + half) < 0:
+                        return None
+                run = len(chunk) - 1 - last
             if run > limit:
-                return False
-    return comma
+                return None
+    return padded if comma else None
 
 
 def fast_table(path, fmt: TableFormat):
@@ -559,13 +571,16 @@ def fast_table(path, fmt: TableFormat):
     row that a mask refuses.  One np.loadtxt pass reads every column into a
     structured array, a float64 field per real column and a Python str per
     text column; with no ``usecols`` it refuses a row of another width than
-    the header's.
+    the header's.  The text columns are stripped as read_columns strips
+    them, unless ``_plain`` found no padding in the file, where stripping
+    changes no field.
     """
     dtype = np.dtype(
         [(h, float if i in fmt.reals else object) for i, h in enumerate(fmt.header)]
     )
     try:
-        if not _plain(path, fmt.header):
+        padded = _plain(path, fmt.header)
+        if padded is None:
             return None
         rows = np.loadtxt(
             path,
@@ -580,7 +595,9 @@ def fast_table(path, fmt: TableFormat):
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     reals = np.array([rows[fmt.header[i]] for i in fmt.reals])
-    texts = [list(map(str.strip, rows[fmt.header[i]].tolist())) for i in fmt.texts]
+    texts = [rows[fmt.header[i]].tolist() for i in fmt.texts]
+    if padded:
+        texts = [list(map(str.strip, text)) for text in texts]
     if not fmt.mask(texts, reals).all():
         return None
     return fmt.build(texts, reals)

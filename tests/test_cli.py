@@ -2,6 +2,9 @@ import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -1323,3 +1326,85 @@ def test_a_replacement_set_on_the_cli_is_what_each_command_calls(
         calls.clear()
         assert _run(argv)[0] == 0, command
         assert set(calls) == called, command
+
+
+# --- the parser main builds ---------------------------------------------------
+
+COMMANDS = ("simulate", "calibrate", "reconstruct", "evaluate", "detmetrics", "export")
+
+
+def _exits(parse, argv) -> tuple[str, str, int]:
+    """The stdout, stderr and exit code of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["transmogrify"],
+        ["-v", "transmogrify"],
+        ["-", "reconstruct"],
+        ["--", "-v", "reconstruct"],
+        *([command, "--help"] for command in COMMANDS),
+        *([command] for command in COMMANDS),
+        *(["-v", command, "--help"] for command in COMMANDS),
+        *(["-vv", "--", command] for command in COMMANDS),
+        ["reconstruct", "a.csv", "--calibration", "c", "--out", "o", "--z-reject-mm", "x"],
+        ["export", "--track", "t", "--calibration", "c", "--format", "gif", "--out", "o"],
+    ],
+)
+def test_main_prints_what_the_full_parser_prints(argv):
+    """main builds only the arguments of the command it runs; its help,
+    usage and error text, and exit codes, are the full parser's."""
+    want = _exits(cli.build_parser().parse_args, argv)
+    assert _exits(main, argv) == want
+    assert want[2] == (0 if "--help" in argv else 2)
+    assert want[0 if want[2] == 0 else 1].startswith("usage: gridscope")
+
+
+def test_main_reads_sys_argv_when_given_no_argv(pipeline, tmp_path, monkeypatch):
+    """The console script calls main() with no argv."""
+    monkeypatch.setattr("sys.argv", ["gridscope", "reconstruct", "--help"])
+    want = _exits(cli.build_parser().parse_args, ["reconstruct", "--help"])
+    assert _exits(main, None) == want
+    out = tmp_path / "track.svg"
+    argv = ["export", "--track", str(pipeline / "track.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--format", "svg", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", ["gridscope", *argv])
+    code, stdout, _ = _run(None)
+    assert (code, stdout) == (0, f"wrote {out}\n")
+    assert out.read_bytes()
+
+
+def test_verbosity_is_set_on_every_call(pipeline, tmp_path):
+    """logging.basicConfig configures the root logger only on the first
+    call in a process; a later -vv call still logs its DEBUG lines, and the
+    call after it none."""
+    sim = pipeline / "sim"
+    bad = tmp_path / "detections_side0.csv"
+    good = (sim / "detections_side0.csv").read_text(encoding="utf-8")
+    bad.write_text(good + "side0,9,-1.0,0,0,10,10,0.5\n", encoding="utf-8")
+    others = sorted(str(p) for p in sim.glob("detections_*.csv") if p.name != bad.name)
+    argv = ["reconstruct", str(bad), *others,
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv")]
+    script = (
+        "from gridscope.cli import main\n"
+        f"for verbose in ([], ['-vv'], []):\n"
+        f"    assert main(verbose + {argv!r}) == 0\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    levels = [line.split(":")[0] for line in done.stderr.splitlines()]
+    assert levels == ["WARNING", "DEBUG", "WARNING", "WARNING"], done.stderr
+    assert f"DEBUG: {bad}: row " in done.stderr

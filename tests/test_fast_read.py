@@ -145,6 +145,13 @@ LIMIT = csv.field_size_limit()
 DETECTIONS_HEADER = ",".join(DETECTION_FORMAT.header)
 ROW = "side0,7,1.5,1,2,3,4,0.5"
 
+
+def _long_row(length: int) -> str:
+    """A valid detections row of ``length`` bytes: its timestamp is 1.5
+    behind leading zeros, so no field nears the csv field size limit."""
+    head, tail = "side0,7,", "1.5,1,2,3,4,0.5"
+    return head + "0" * (length - len(head) - len(tail)) + tail
+
 # name: (body below the detections header, whether the fast read takes it)
 EXAMPLES = {
     "hash_in_a_text_field": ("#side0,7,1.5,1,2,3,4,0.5\n", True),
@@ -171,6 +178,13 @@ EXAMPLES = {
     "oversized_line_across_reads": (
         f"{ROW}\n" * 8000 + "side0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5\n", False
     ),
+    # The scan takes a line of up to the csv field size limit, though it
+    # may decline a later one longer than half the limit, and never takes a
+    # longer one; the row reader takes both, its fields being shorter.
+    "line_at_the_limit": (f"{_long_row(LIMIT)}\n{ROW}\n", True),
+    "line_over_half_the_limit": (f"{_long_row(3 * LIMIT // 4)}\n{ROW}\n", True),
+    "line_a_byte_over_the_limit": (f"{_long_row(LIMIT + 1)}\n{ROW}\n", False),
+    "later_line_a_byte_over_the_limit": (f"{ROW}\n{_long_row(LIMIT + 1)}\n", False),
     "no_final_newline": (f"{ROW}\n{ROW}", True),
     "one_data_row": (f"{ROW}\n", True),
     "header_only": ("", False),
@@ -189,6 +203,23 @@ def test_fast_read_examples(tmp_path, name):
     path = tmp_path / "detections.csv"
     path.write_bytes(f"{DETECTIONS_HEADER}\n{body}".encode())
     assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
+
+
+# What str.strip removes from a field: every ASCII byte that str.isspace
+# holds but the LF and CR of a line end, and two non-ASCII spaces.
+PADDING = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u3000"]
+
+
+@pytest.mark.parametrize("pad", PADDING)
+def test_padding_at_the_edge_of_a_text_field_is_stripped(tmp_path, pad):
+    """The fast read keeps its text columns unstripped only when the file
+    holds no padding; here it strips them as the row reader does."""
+    path = tmp_path / "detections.csv"
+    body = f"{ROW}\n{pad}side0,7{pad},1.5,1,2,3,4,0.5\n"
+    path.write_bytes(f"{DETECTIONS_HEADER}\n{body}".encode())
+    fast = check_fast_read(path, DETECTION_FORMAT)
+    assert fast is not None and fast.camera_id == ["side0", "side0"]
+    assert fast.frame_index == ["7", "7"]
 
 
 @pytest.mark.parametrize("after_cr, taken", [(b"\n", True), (b"s", False)])

@@ -541,7 +541,8 @@ TIED_PAIRS = _case(
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=fusion_cases(), chunk=st.sampled_from((1, 5, 1024)))
+# 4096 is build_track's block; a block of 10**6 is larger than any input
+@given(case=fusion_cases(), chunk=st.sampled_from((1, 5, 1024, 4096, 10**6)))
 @example(case=SHARED_EDGE, chunk=1024)
 @example(case=TIED_PAIRS, chunk=1024)
 @example(
