@@ -5,7 +5,8 @@ through ``calibrate`` (max and mean), ``reconstruct`` (best, average_all,
 no depth correction, no vertical correction), ``evaluate --report`` (plain
 and bounded), ``export`` (csv, ply, svg) and ``detmetrics``.  A seeded
 crowded set, many boxes and predictions a frame with tied confidences,
-pins ``detmetrics`` where predictions contest boxes.  A change that is
+pins ``detmetrics`` where predictions contest boxes, and the files
+``simulate`` writes for each noisy run are pinned too.  A change that is
 meant to keep behaviour must leave every digest as it is; one that changes
 an output on purpose updates the table and says why.
 """
@@ -171,6 +172,43 @@ def test_output_digests(mode, tmp_path, capsys):
     got = _run_all(tmp_path, mode)
     capsys.readouterr()
     assert got == DIGESTS[mode]
+
+
+# What ``simulate`` writes for the noisy run of each camera model.  The
+# detections' pixel noise goes through math.log, math.cos and math.sin, so
+# these entries assume this platform's libm: a libm that rounds one of them
+# otherwise may change a detections digest without a change in gridscope.
+SIMULATE_DIGESTS = {
+    "aligned": {
+        "detections_side0.csv": "5d288336d9a29fbc7f814759586fff5e5295a0709419aab70a730c92a44683d4",
+        "detections_side1.csv": "3aa1d70c366af33d101778c2a2bc7d2a940ef134f75472d2ebaa6e52ee64fa13",
+        "detections_side2.csv": "39747a8bf67dfcb28b09bb00d49337cb3cf4ff8fd7b7a23561b55e40b7e49e6a",
+        "detections_side3.csv": "949d98d65f57bb7efe2bae9d1f45e10bbf0fe10340eb0183ef33ed7a4d1a52a3",
+        "detections_top.csv": "27de4b0356a3885af002ef1cbdc53dbe10dfd8a2b9d149fbd4addc820b552566",
+        "picks.json": "8bbe06fe6705dc9971e7e7673f819e803abe25567af9b99ffd65fa5763c97f51",
+        "truth.csv": "4461bc4b9113e6e524442c56d682cf65071388ee16a4964fd557a19da1b7f84d",
+    },
+    "pinhole": {
+        "detections_side0.csv": "fa4ad35a3409c0b323a20bca9fc53b58a715cd09b4599b5719d47f347058c321",
+        "detections_side1.csv": "213a8c99add89f285504f14d3007319d6247d6c8e9981e3efd79336d43d29a46",
+        "detections_side2.csv": "562d5672cb2f50ab4aae5148f3d0166f2b166d51c323250c7021fae28f7a407b",
+        "detections_side3.csv": "c878a21b0ec59d531c99c1c18bb2aacec99a680e2c305f6ac52c707436ea3dd5",
+        "detections_top.csv": "db8ceee956970a564194be519c303dd3e6a4bc04f29765749f6f6ad6309f2510",
+        "picks.json": "2844a06cf92828c770f70a68fe69f32c91f9254c85ac98f1493637c1f2a1ebdd",
+        "truth.csv": "4461bc4b9113e6e524442c56d682cf65071388ee16a4964fd557a19da1b7f84d",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["aligned", "pinhole"])
+def test_simulate_digests(mode, tmp_path, capsys):
+    """Every file ``simulate`` writes, by name and SHA-256; the detections'
+    entries hold only where libm rounds as it did when they were recorded
+    (see SIMULATE_DIGESTS)."""
+    out = _simulate(tmp_path, "sim", mode, noise=1.5)
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == SIMULATE_DIGESTS[mode]
 
 
 def _crowded_detmetrics(root) -> tuple[str, str]:
