@@ -654,7 +654,9 @@ def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMa
             "marker_count", jsonio.DocReader.integer, DEFAULT_MARKER_COUNT
         ),
     )
-    return rig, root.get("axis_map", _axis_map_from, default_axis_map(grid_a))
+    axis_r = root.optional_key("axis_map")  # the default is built only if absent
+    axis_map = default_axis_map(grid_a) if axis_r is None else _axis_map_from(axis_r)
+    return rig, axis_map
 
 
 def _camera_doc(cam: "CameraProfile | CameraPicks") -> dict:

@@ -172,12 +172,11 @@ def _detection(camera_id: str, frame_index: str, *texts: str) -> Detection:
 
 
 def _detection_mask(texts: list[list[str]], reals) -> np.ndarray:
-    """Which rows pass every Detection check, as column masks."""
+    """Which rows of finite reals pass every Detection check, as column masks."""
     cameras, _ = texts
     t, u_min, v_min, u_max, v_max, confidence = reals
     with np.errstate(all="ignore"):
-        ok = np.isfinite(reals).all(axis=0)
-        ok &= (t >= 0) & (u_min < u_max) & (v_min < v_max)
+        ok = (t >= 0) & (u_min < u_max) & (v_min < v_max)
         ok &= box_mask(u_min, v_min, u_max, v_max)
         ok &= (0.0 <= confidence) & (confidence <= 1.0)
     ok &= np.fromiter(map(bool, cameras), bool, len(cameras))

@@ -612,11 +612,10 @@ def _track_point(
 
 
 def _track_mask(texts: list[list[str]], reals) -> np.ndarray:
-    """Which rows pass every track check, as column masks."""
+    """Which rows of finite reals pass every track check, as column masks."""
     flag = texts[2]
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(reals).all(axis=0) & (reals[4] >= 0)
-    return ok & np.fromiter(map(("true", "false").__contains__, flag), bool, len(flag))
+    known = np.fromiter(map(("true", "false").__contains__, flag), bool, len(flag))
+    return (reals[4] >= 0) & known
 
 
 def _track_table(texts: list[list[str]], reals) -> TrackTable:

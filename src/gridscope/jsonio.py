@@ -18,13 +18,14 @@ and the tables share :class:`Columns`, which derives their length, ``==``,
 A format's file is first offered to :func:`fast_table`, which reads every
 column in one pass of numpy's C reader (``np.loadtxt``) and keeps its
 table only when the format's column masks pass every row.  It declines
-any other file (a quote, a NUL, a CR that does not end a line, a
-row of another width, a row a mask refuses), and :func:`read_columns`
-reads that one a row at a time through the format's row reader, whose
-items ``of`` puts into the table; so a row is accepted or refused by one
-rule, and every error comes from one place.  Segments and truth are read
-by read_columns alone, as lists of items.  Real-valued fields are read
-through :func:`real`, which refuses ``nan`` and ``inf``.
+any other file (a quote, a NUL, a CR that does not end a line, a row of
+another width, a real that is not finite, a row a mask refuses), and
+:func:`read_columns` reads that one a row at a time through the format's
+row reader, whose items ``of`` puts into the table; so a row is accepted
+or refused by one rule, and every error comes from one place.  Segments
+and truth are read by read_columns alone, as lists of items.  Real-valued
+fields are read through :func:`real`, which owns the rule that refuses
+``nan`` and ``inf``; fast_table checks it once for every format.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
 An error raised while a file is read (:func:`read_file`, :func:`load_doc`)
@@ -40,7 +41,6 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields
-from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -471,6 +471,7 @@ class TableFormat:
     rows ``make`` accepts, from the stripped text columns and the float64
     real columns in header order, and ``build(texts, reals)`` makes the
     table of them; the fast read keeps a file only when every row passes.
+    A mask holds only the format's own checks, given finite reals.
     """
 
     header: tuple[str, ...]
@@ -504,13 +505,6 @@ class TableFormat:
 _NOT_PLAIN = (b'"', b"\0")
 # The ASCII bytes that str.strip removes, but for the LF and CR of a line end.
 _PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
-_SCAN_BYTES = 1 << 18
-
-
-def _odd(data: bytes) -> bool:
-    """Whether ``data`` holds a byte of ``_NOT_PLAIN`` or a CR before no LF."""
-    bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    return bare_cr or any(b in data for b in _NOT_PLAIN)
 
 
 def _plain(path, header: tuple[str, ...]) -> bool | None:
@@ -518,47 +512,37 @@ def _plain(path, header: tuple[str, ...]) -> bool | None:
     reads the file as a plain split on commas and newlines below a first
     line that is ``header`` as read_columns checks it; else None.
 
-    The split is plain when the file holds no byte of ``_NOT_PLAIN``, no CR
-    but in a CRLF line end and no line longer than the csv field size
-    limit.  The length is checked in windows of half the limit: each window
-    between a chunk's first and last LF must hold an LF, so a line longer
-    than the limit is never taken, and one longer than half of it may be
-    declined.  A file with no comma below the header is declined too: it
-    has no row, and np.loadtxt warns on a body with no row.  Padding is a
-    byte that is not ASCII, or one of ``_PADDING``; a body with neither
-    holds no field that str.strip changes.
+    The file is read as one buffer, which ``bytes`` searches check at
+    offsets.  The split is plain when it holds no byte of ``_NOT_PLAIN``,
+    no CR but in a CRLF line end and no line longer than the csv field size
+    limit: the header and the body's first and last lines are measured, and
+    each window of half the limit between the body's first and last LF must
+    hold an LF, so a line longer than the limit is never taken, and one
+    longer than half of it may be declined.  A file with no comma below the
+    header is declined too: it has no row, and np.loadtxt warns on a body
+    with no row.  Padding is a byte that is not ASCII, or one of
+    ``_PADDING``; a file with neither holds no field that str.strip changes.
     """
     limit = csv.field_size_limit()
-    half = max(limit // 2, 1)
     with open(path, "rb") as fh:
-        head = fh.readline(limit + 1)
-        if not head.endswith(b"\n") or _odd(head):
+        data = fh.read()
+    body = data.find(b"\n", 0, limit + 1) + 1  # 0 if the header has no LF
+    if not body or data.find(b",", body) < 0:
+        return None
+    bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if bare_cr or any(b in data for b in _NOT_PLAIN):
+        return None
+    if tuple(h.strip() for h in data[:body].decode("utf-8").split(",")) != header:
+        return None
+    last = data.rfind(b"\n")  # the header's LF if the body has none
+    first = data.find(b"\n", body) if last >= body else last
+    if first - body > limit or len(data) - 1 - last > limit:
+        return None
+    half = max(limit // 2, 1)
+    for start in range(first + 1, last, half):
+        if data.find(b"\n", start, start + half) < 0:
             return None
-        if tuple(h.strip() for h in head.decode("utf-8").split(",")) != header:
-            return None
-        comma = padded = False
-        run = 0  # the length of the line the last chunk ended inside
-        for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)  # the LF that makes it a line end, if any
-            if _odd(chunk):
-                return None
-            comma = comma or b"," in chunk
-            padded = padded or not chunk.isascii() or any(b in chunk for b in _PADDING)
-            first = chunk.find(b"\n")
-            if first < 0:
-                run += len(chunk)
-            else:
-                last = chunk.rfind(b"\n")
-                if run + first > limit:
-                    return None
-                for start in range(first + 1, last, half):
-                    if chunk.find(b"\n", start, start + half) < 0:
-                        return None
-                run = len(chunk) - 1 - last
-            if run > limit:
-                return None
-    return padded if comma else None
+    return not data.isascii() or any(b in data for b in _PADDING)
 
 
 def fast_table(path, fmt: TableFormat):
@@ -567,13 +551,15 @@ def fast_table(path, fmt: TableFormat):
     else None.
 
     It declines a file that the csv module would not read as a plain split
-    on commas (``_plain``), one that np.loadtxt cannot read, and one with a
-    row that a mask refuses.  One np.loadtxt pass reads every column into a
-    structured array, a float64 field per real column and a Python str per
-    text column; with no ``usecols`` it refuses a row of another width than
-    the header's.  The text columns are stripped as read_columns strips
-    them, unless ``_plain`` found no padding in the file, where stripping
-    changes no field.
+    on commas (``_plain``), one that np.loadtxt cannot read, one with a
+    real that is not finite (the rule of ``real``, checked here for every
+    format, before the text columns are built) and one with a row that a
+    mask refuses.  One np.loadtxt pass reads every column into a structured
+    array, a float64 field per real column and a Python str per text
+    column; with no ``usecols`` it refuses a row of another width than the
+    header's.  The text columns are stripped as read_columns strips them,
+    unless ``_plain`` found no padding in the file, where stripping changes
+    no field.
     """
     dtype = np.dtype(
         [(h, float if i in fmt.reals else object) for i, h in enumerate(fmt.header)]
@@ -595,6 +581,8 @@ def fast_table(path, fmt: TableFormat):
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     reals = np.array([rows[fmt.header[i]] for i in fmt.reals])
+    if not np.isfinite(reals).all():
+        return None
     texts = [rows[fmt.header[i]].tolist() for i in fmt.texts]
     if padded:
         texts = [list(map(str.strip, text)) for text in texts]

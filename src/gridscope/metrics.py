@@ -354,12 +354,10 @@ def _ground_truth_box(frame_id: str, *texts: str) -> GroundTruthBox:
 
 
 def _ground_truth_mask(texts: list[list[str]], corners) -> np.ndarray:
-    """Which rows pass every GroundTruthBox check, as column masks."""
+    """Which rows of finite corners pass every GroundTruthBox check, as masks."""
     u_min, v_min, u_max, v_max = corners
     with np.errstate(all="ignore"):
-        ok = np.isfinite(corners).all(axis=0)
-        ok &= (u_min < u_max) & (v_min < v_max) & box_mask(*corners)
-    return ok
+        return (u_min < u_max) & (v_min < v_max) & box_mask(*corners)
 
 
 GROUND_TRUTH_FORMAT = TableFormat(

@@ -40,6 +40,7 @@ from .calibration import (
     SubAreaPick,
     check_format_version,
     default_axis_map,
+    marker_picks_doc,
     read_grid_a,
 )
 from .detections import Detection, write_detections
@@ -650,8 +651,6 @@ def load_scenario(path) -> SimScenario:
 
 def write_generated(data: GeneratedData, out_dir) -> dict[str, str]:
     """Write picks, per-camera detections and truth; returns the file map."""
-    from .calibration import marker_picks_doc
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {}

@@ -164,6 +164,8 @@ EXAMPLES = {
     "nan": ("side0,7,nan,1,2,3,4,0.5\n", False),
     "inf": ("side0,7,1.5,1,2,inf,4,0.5\n", False),
     "1e400": ("side0,7,1.5,1,2,1e400,4,0.5\n", False),
+    # no mask but the finite check refuses an infinite timestamp
+    "infinite_timestamp": ("side0,7,inf,1,2,3,4,0.5\n", False),
     "negative_zero": ("side0,7,-0.0,-0.0,2,3,4,0.5\n", True),
     "underscore_digits": ("side0,7,1_0,1,2,3,4,0.5\n", False),
     "full_width_digits": ("side0,7,\uff11,1,2,3,4,0.5\n", False),
@@ -174,7 +176,7 @@ EXAMPLES = {
     "oversized_last_line": (
         f"{ROW}\nside0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5", False
     ),
-    # 8000 rows put the padded row across the first 256 KiB the scan reads
+    # 8000 rows put the padded row far between the body's first and last LF
     "oversized_line_across_reads": (
         f"{ROW}\n" * 8000 + "side0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5\n", False
     ),
@@ -194,6 +196,22 @@ EXAMPLES = {
     "bare_cr_between_rows": (f"{ROW}\r{ROW}\n", False),
     "bare_cr_at_the_end": (f"{ROW}\n{ROW}\r", False),
     "cr_in_a_field": ("side0\r,7,1.5,1,2,3,4,0.5\n", False),
+    # The edges of the buffer the scan checks: the file's last bytes, a body
+    # with one LF or none, and a header over a body unlike it.
+    "bare_cr_as_the_last_byte": (f"{ROW}\n\r", False),
+    "crlf_ending_the_last_row": (f"{ROW}\n{ROW}\r\n", True),
+    "one_row_with_no_line_end": (ROW, True),
+    "no_lf_in_a_body_over_the_limit": (
+        "side0,7," + " " * LIMIT + "1.5,1,2,3,4,0.5", False
+    ),
+    "header_over_blank_crlf_lines": ("\r\n\r\n", False),
+    "padded_header_over_a_plain_body": (f"{ROW}\n{ROW}\n", True),
+}
+
+# name: an example's header line, where it is not DETECTIONS_HEADER
+HEADERS = {
+    "padded_header_over_a_plain_body": " camera_id\t,frame_index ,"
+    + ",".join(DETECTION_FORMAT.header[2:]),
 }
 
 
@@ -201,7 +219,7 @@ EXAMPLES = {
 def test_fast_read_examples(tmp_path, name):
     body, taken = EXAMPLES[name]
     path = tmp_path / "detections.csv"
-    path.write_bytes(f"{DETECTIONS_HEADER}\n{body}".encode())
+    path.write_bytes(f"{HEADERS.get(name, DETECTIONS_HEADER)}\n{body}".encode())
     assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
 
 
@@ -220,21 +238,6 @@ def test_padding_at_the_edge_of_a_text_field_is_stripped(tmp_path, pad):
     fast = check_fast_read(path, DETECTION_FORMAT)
     assert fast is not None and fast.camera_id == ["side0", "side0"]
     assert fast.frame_index == ["7", "7"]
-
-
-@pytest.mark.parametrize("after_cr, taken", [(b"\n", True), (b"s", False)])
-def test_a_cr_at_the_end_of_a_scanned_chunk(tmp_path, after_cr, taken):
-    """The scan reads the byte after a CR that ends its chunk: a CRLF split
-    over two chunks is a line end, a CR before anything else is not."""
-    row = f"{ROW}\r\n".encode()
-    last = f"{ROW}\r".encode()
-    rows = row * ((jsonio._SCAN_BYTES - len(last)) // len(row))
-    pad = b" " * (jsonio._SCAN_BYTES - len(rows) - len(last))  # a padded field
-    chunk = rows + pad + last
-    assert len(chunk) == jsonio._SCAN_BYTES
-    path = tmp_path / "detections.csv"
-    path.write_bytes(f"{DETECTIONS_HEADER}\r\n".encode() + chunk + after_cr + row)
-    assert (check_fast_read(path, DETECTION_FORMAT) is not None) == taken
 
 
 def test_a_bom_before_the_header_declines(tmp_path):
