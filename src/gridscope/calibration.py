@@ -93,14 +93,16 @@ class CameraRole:
 
     @classmethod
     def from_label(cls, label: str) -> "CameraRole":
-        if label == "top":
-            return cls.top()
-        if label.startswith("side:"):
-            try:
-                return cls.side(int(label.split(":", 1)[1]))
-            except ValueError:
-                pass
-        raise FormatError(f"unknown camera role {label!r}")
+        """The role whose ``label()`` is ``label``, exactly."""
+        try:
+            return _ROLES[label]
+        except KeyError:
+            raise FormatError(f"unknown camera role {label!r}") from None
+
+
+_ROLES = {
+    role.label(): role for role in (*map(CameraRole.side, range(4)), CameraRole.top())
+}
 
 
 @dataclass(frozen=True)

@@ -8,30 +8,21 @@ against ground-truth boxes, and ``export`` renders a track as CSV, PLY or
 SVG.
 
 Each command imports only the modules it runs.  Loading this module
-imports ``errors``, ``jsonio`` and ``options``; a command then imports its
-own modules and binds here every public class and function they define
-(``_bind``), so a replacement set on this module is what the command
-calls:
+imports ``errors``, ``jsonio`` and ``options``.  ``_COMMANDS`` is the one
+description of each command: its help line, what adds its arguments, the
+modules whose names it calls, and its handler.  Before it runs a command,
+``main`` imports that command's modules and binds here every public class
+and function they define (``_bind``), so a replacement set on this module
+is what the command calls.  Those modules import what they need in turn
+(``calibration`` loads ``geometry``, ``fusion`` loads ``calibration``,
+``depth`` and ``detections``).  Looking up a public name on this module
+binds every command's modules first; a ``_``-prefixed name is never looked
+up in them.
 
-- ``simulate``: ``simulate``;
-- ``calibrate``: ``calibration``;
-- ``reconstruct``: ``calibration``, ``detections`` and ``fusion``;
-- ``evaluate``: ``calibration``, ``evaluation``, ``fusion`` and, for
-  ``--grid-b``, ``geometry``;
-- ``detmetrics``: ``detections`` and ``metrics``;
-- ``export``: ``calibration``, ``fusion`` and ``export``.
-
-Those modules import what they need in turn (``calibration`` loads
-``geometry``, ``fusion`` loads ``calibration``, ``depth`` and
-``detections``).  Looking up a public name on this module binds all of
-them first; a ``_``-prefixed name is never looked up in them.
-
-``main`` builds the parser anew on each call.  Every subcommand is
-registered with its name and help line, but only the command that runs
-(the first argument not starting with ``-``) gets its arguments; so
-``--help``, usage and error text are those of the full parser,
-``build_parser()``.  Each call also sets the log level that its ``-v``
-flags ask for.
+On each call ``main`` parses its arguments, sets the log level that its
+``-v`` flags ask for, binds the command's modules and runs the command.
+The parser, ``build_parser()``, is built on the first call and kept for
+the process, since parsing writes nothing in it.
 
 Exit codes: 0 on success, 1 for data errors (bad files, impossible
 geometry), 2 for usage and configuration errors.
@@ -40,6 +31,7 @@ geometry), 2 for usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -52,18 +44,6 @@ from .options import (
     DEFAULT_Z_REJECT_MM,
     EXPORT_FORMATS,
     PAIR_STRATEGIES,
-)
-
-# The modules whose names the commands call.
-_COMMAND_MODULES = (
-    "calibration",
-    "detections",
-    "evaluation",
-    "export",
-    "fusion",
-    "geometry",
-    "metrics",
-    "simulate",
 )
 
 
@@ -157,7 +137,6 @@ def _merged_config(args) -> RunConfig:
 
 
 def _parse_box(text: str) -> GridBox:
-    _bind("geometry")
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError(
@@ -174,7 +153,6 @@ def _parse_box(text: str) -> GridBox:
 
 
 def _cmd_simulate(args) -> int:
-    _bind("simulate")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
@@ -188,7 +166,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _bind("calibration")
     picks = load_marker_picks(args.picks)
     with jsonio.naming(args.picks):  # a calibration the picks cannot build
         cal = build_calibration(picks, mde_aggregate=args.mde_aggregate)
@@ -221,7 +198,6 @@ def _read_detections(paths: list[str], strict: bool) -> DetectionTable:
 
 
 def _cmd_reconstruct(args) -> int:
-    _bind("calibration", "detections", "fusion")
     cfg = _merged_config(args)
     cal = load_calibration(args.calibration)
     detections = _read_detections(args.detections, args.strict)
@@ -267,7 +243,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _bind("calibration", "evaluation", "fusion")
     rig = load_rig(args.calibration)
     track = read_track(args.track)
     segments = read_segments(args.segments)
@@ -292,7 +267,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_detmetrics(args) -> int:
-    _bind("detections", "metrics")
     predictions, _ = read_detection_table(args.predictions, strict=True)
     ground_truth = read_ground_truth_table(args.ground_truth)
     report = evaluate_detections(predictions, ground_truth)
@@ -305,7 +279,6 @@ def _cmd_detmetrics(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _bind("calibration", "fusion", "export")
     rig = load_rig(args.calibration)
     track = read_track(args.track)
     export_track(args.out, track, args.format, rig.grid_a)
@@ -397,27 +370,28 @@ def _export_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output file")
 
 
-# name: (help line, what adds its arguments, what runs it)
+# name: (help line, what adds its arguments, the modules whose names it
+# calls, what runs it)
 _COMMANDS = {
-    "simulate": ("generate a synthetic data set", _simulate_arguments, _cmd_simulate),
-    "calibrate": (
-        "fit a calibration from marker picks", _calibrate_arguments, _cmd_calibrate
-    ),
-    "reconstruct": (
-        "fuse detections into a 3D track", _reconstruct_arguments, _cmd_reconstruct
-    ),
-    "evaluate": ("score a track against segments", _evaluate_arguments, _cmd_evaluate),
-    "detmetrics": (
-        "score 2D detections against boxes", _detmetrics_arguments, _cmd_detmetrics
-    ),
-    "export": ("render a track as csv, ply or svg", _export_arguments, _cmd_export),
+    "simulate": ("generate a synthetic data set", _simulate_arguments,
+                 ("simulate",), _cmd_simulate),
+    "calibrate": ("fit a calibration from marker picks", _calibrate_arguments,
+                  ("calibration",), _cmd_calibrate),
+    "reconstruct": ("fuse detections into a 3D track", _reconstruct_arguments,
+                    ("calibration", "detections", "fusion"), _cmd_reconstruct),
+    "evaluate": ("score a track against segments", _evaluate_arguments,
+                 ("calibration", "evaluation", "fusion", "geometry"), _cmd_evaluate),
+    "detmetrics": ("score 2D detections against boxes", _detmetrics_arguments,
+                   ("detections", "metrics"), _cmd_detmetrics),
+    "export": ("render a track as csv, ply or svg", _export_arguments,
+               ("calibration", "fusion", "export"), _cmd_export),
 }
+# Every module some command binds.
+_COMMAND_MODULES = tuple(sorted({m for _, _, ms, _ in _COMMANDS.values() for m in ms}))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is there with its help
-    line; only ``command``'s gets its arguments, or every one's when
-    ``command`` is None."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand and its arguments."""
     parser = argparse.ArgumentParser(
         prog="gridscope",
         description="3D trajectory reconstruction for a calibrated grid rig.",
@@ -430,25 +404,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help="increase log detail (-v info, -vv debug)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
-        p.set_defaults(func=run)
+    for name, (help_line, add_arguments, _, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-def _command_in(argv: list[str]) -> str | None:
-    """The command that argparse runs for ``argv``, or None where the first
-    token not starting with ``-`` names no command.  ``-v``, the only
-    top-level option, takes no value, so that token is the command."""
-    token = next((arg for arg in argv if not arg.startswith("-")), None)
-    return token if token in _COMMANDS else None
+# Parsing writes nothing in the parser, so one serves every call.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(_command_in(argv)).parse_args(argv)
+    args = _parser().parse_args(argv)
     level = logging.WARNING
     if args.verbose == 1:
         level = logging.INFO
@@ -457,8 +423,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     # basicConfig does nothing once the root logger has a handler
     log.setLevel(level)
+    _, _, modules, run = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        _bind(*modules)
+        return run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

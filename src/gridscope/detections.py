@@ -114,6 +114,8 @@ class Detection:
             raise FieldError(
                 "timestamp_ms", f"timestamp_ms must be >= 0, got {self.timestamp_ms}"
             )
+        if self.timestamp_ms == math.inf:
+            raise FieldError("timestamp_ms", "timestamp_ms must be finite, got inf")
         if not self.u_min < self.u_max:
             raise ValueError(f"need u_min < u_max, got {self.u_min} >= {self.u_max}")
         if not self.v_min < self.v_max:

@@ -62,6 +62,7 @@ from .jsonio import (
     FieldError,
     TableFormat,
     csv_field,
+    naming,
     real,
 )
 from .options import DEFAULT_Z_REJECT_MM, PAIR_STRATEGIES
@@ -577,7 +578,19 @@ def build_track(
 
 
 def write_track(path, track: TrackTable) -> None:
-    """Write a track CSV; reals carry six decimal places."""
+    """Write a track CSV; reals carry six decimal places.  A NaN or an
+    infinity, which no reader accepts, raises FormatError before the file
+    is opened."""
+    reals = (track.timestamp_ms, track.x, track.y, track.z, track.z_disagreement_mm)
+    for position, column in zip(TRACK_FORMAT.reals, reals):
+        finite = np.isfinite(column)
+        if not finite.all():
+            row = int(finite.argmin())
+            with naming(path):
+                raise FormatError(
+                    f"row {row + 2}, column {TRACK_HEADER[position]}: "
+                    f"cannot write non-finite real {float(column[row])!r}"
+                )
     quoted = {name: csv_field(name) for name in {*track.cam_a, *track.cam_b}}
     rows = map(
         "{:.6f},{:.6f},{:.6f},{:.6f},{},{},{:.6f},{}\n".format,

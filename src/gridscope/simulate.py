@@ -415,6 +415,16 @@ class SimScenario:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.frame_rate_fps <= 0:
             raise ConfigError(f"frame_rate_fps must be > 0, got {self.frame_rate_fps}")
+        # a frame interval of inf makes the last time inf, or 0 * inf = nan
+        try:
+            last_ms = (self.n_frames - 1) * (1000.0 / self.frame_rate_fps)
+        except OverflowError:  # n_frames - 1 is past float range
+            last_ms = math.inf
+        if not math.isfinite(last_ms):
+            raise ConfigError(
+                f"frame_rate_fps {self.frame_rate_fps} puts frame {self.n_frames - 1} "
+                f"at a time that is not finite ({last_ms} ms)"
+            )
         if self.noise_sigma_px < 0:
             raise ConfigError(f"noise_sigma_px must be >= 0, got {self.noise_sigma_px}")
         if self.bbox_half_px <= 0:

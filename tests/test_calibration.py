@@ -81,9 +81,15 @@ class TestCameraRole:
         assert CameraRole.side(2).is_side
         assert not CameraRole.top().is_side
 
-    @pytest.mark.parametrize("bad", ["side:4", "side:", "ceiling", "side"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["side:4", "side:", "ceiling", "side",
+         # int() reads these as an index; only the canonical label is one
+         "side:01", "side: 1", "side:+1", "side:-0", "side:1 ", "side:\uff11",
+         "side:\u0661", "side:1_0"],
+    )
     def test_bad_labels_rejected(self, bad):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="unknown camera role"):
             CameraRole.from_label(bad)
 
     def test_bad_construction(self):

@@ -3,9 +3,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -1145,6 +1147,24 @@ def test_simulate_refuses_a_resolution_that_rounds_boxes_away(tmp_path):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n_frames, fps",
+    # 1000 / 1e-305 is 1e308, so frame 2 is at inf; 1000 / 1e-306 is inf;
+    # 10**400 - 1 frames is past float range
+    [(3, 1e-305), (3, 1e-306), (10**400, 20.0)],
+)
+def test_simulate_refuses_a_frame_rate_whose_times_are_not_finite(tmp_path, n_frames, fps):
+    doc = {**SCENARIO_DOC, "n_frames": n_frames, "frame_rate_fps": fps}
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    assert code == 2
+    assert stderr.startswith(
+        f"config error: {path}: frame_rate_fps {fps} puts frame {n_frames - 1} "
+    )
+    assert stdout == "" and not out.exists()
+
+
 @settings(_FUZZ, max_examples=150)
 @given(
     data=st.data(),
@@ -1260,6 +1280,24 @@ def test_reconstruct_names_a_calibration_whose_homography_overflows(
     assert stdout == "" and not out.exists()
 
 
+def test_reconstruct_refuses_a_track_its_readers_would_refuse(pipeline, tmp_path, capsys):
+    # mm = model units / px_per_mm overflows, so positions come out infinite
+    doc = json.loads((pipeline / "calibration.json").read_text())
+    doc["px_per_mm"] = 1e-306
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))
+    out, stats = tmp_path / "track.csv", tmp_path / "stats.json"
+    args = ["reconstruct", *sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv")),
+            "--calibration", str(cal), "--out", str(out), "--stats", str(stats)]
+    assert main(args) == 1
+    stdout, err = capsys.readouterr()
+    assert re.fullmatch(
+        rf"error: {re.escape(str(out))}: row \d+, column [xyz]_mm: "
+        r"cannot write non-finite real -?inf\n", err
+    ), err
+    assert stdout == "" and not out.exists() and not stats.exists()
+
+
 def _spans_cli_names() -> set[str]:
     """The names perfbench/spans.py wraps as attributes of gridscope.cli."""
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -1360,8 +1398,8 @@ def _exits(parse, argv) -> tuple[str, str, int]:
     ],
 )
 def test_main_prints_what_the_full_parser_prints(argv):
-    """main builds only the arguments of the command it runs; its help,
-    usage and error text, and exit codes, are the full parser's."""
+    """main's help, usage and error text, and exit codes, are the full
+    parser's."""
     want = _exits(cli.build_parser().parse_args, argv)
     assert _exits(main, argv) == want
     assert want[2] == (0 if "--help" in argv else 2)
@@ -1408,3 +1446,40 @@ def test_verbosity_is_set_on_every_call(pipeline, tmp_path):
     levels = [line.split(":")[0] for line in done.stderr.splitlines()]
     assert levels == ["WARNING", "DEBUG", "WARNING", "WARNING"], done.stderr
     assert f"DEBUG: {bad}: row " in done.stderr
+
+
+def test_main_builds_one_parser_per_process():
+    """Seven parsers (the top one and one per command) are built on the
+    first call and serve every later one, which prints what a fresh
+    ``build_parser()`` prints."""
+    argvs = [["--help"], *([command, "--help"] for command in COMMANDS),
+             ["export", "--track", "t", "--calibration", "c", "--format", "gif"]]
+    script = textwrap.dedent(f"""\
+        import argparse, contextlib, io
+        built = 0
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            global built
+            built += 1
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        from gridscope import cli
+        def exits(parse, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    parse(argv)
+                except SystemExit as exc:
+                    return out.getvalue(), err.getvalue(), exc.code
+        argvs = 2 * {argvs!r}
+        seen = [exits(cli.main, argv) for argv in argvs]
+        print(built)
+        for argv, got in zip(argvs, seen):
+            assert got == exits(cli.build_parser().parse_args, argv), argv
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "7\n"

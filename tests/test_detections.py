@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gridscope.detections import (
     write_detections,
 )
 from gridscope.errors import CsvError
+from gridscope.jsonio import FieldError
 
 from oracles import naive_synchronize, rowwise_parse_detections
 from strategies import DETECTION_ROW
@@ -52,6 +54,12 @@ class TestDetection:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             det(**kwargs)
+
+    def test_an_infinite_time_is_refused(self):
+        # simulate's frame times are all the object sees; the reader refuses inf
+        with pytest.raises(FieldError, match="timestamp_ms must be finite") as err:
+            det(ts=math.inf)
+        assert err.value.column == "timestamp_ms"
 
     def test_frame_index_is_opaque(self):
         assert det(frame="whatever").frame_index == "whatever"

@@ -391,6 +391,27 @@ class TestTrackFiles:
         write_track(path2, read_track(path1))
         assert path1.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "column, name",
+        [("x", "x_mm"), ("timestamp_ms", "timestamp_ms"),
+         ("z_disagreement_mm", "z_disagreement_mm")],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_real_is_refused_before_the_file_opens(
+        self, tmp_path, column, name, value
+    ):
+        # read_track refuses it, so a track holding one is not written
+        table = TrackTable.from_points(self.sample())
+        values = getattr(table, column).copy()
+        values[1] = value
+        path = tmp_path / "track.csv"
+        with pytest.raises(FormatError) as err:
+            write_track(path, replace(table, **{column: values}))
+        assert str(err.value) == (
+            f"{path}: row 3, column {name}: cannot write non-finite real {value!r}"
+        )
+        assert not path.exists()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,x\n")

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from gridscope.simulate import marker_picks_for
 
 import test_digests
 from conftest import make_scenario
+from quickstart import write_quick_start
 
 
 def test_all_lists_the_public_api_but_no_submodules():
@@ -367,6 +369,7 @@ def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
         return call
 
     # every command on the digest scenarios, as those tests run them
+    gridscope.cli._parser.cache_clear()  # so the traced runs build the parser
     monkeypatch.setattr(test_digests, "main", traced(main))
     for mode in ("aligned", "pinhole"):
         (tmp_path / mode).mkdir()
@@ -390,3 +393,17 @@ def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
     assert sorted(set(listed) - defined) == []  # a deleted name leaves the dict
     assert sorted(defined - reached - set(listed)) == []  # a new name runs or is listed
     assert sorted(set(listed) & reached) == []  # a listed name that runs leaves it
+
+
+def test_the_readme_quick_start_runs_as_written(tmp_path):
+    named = write_quick_start(tmp_path)
+    assert {"sim/", "calibration.json", "track.csv", "report.json", "track.svg"} <= set(named)
+    src = str(Path(gridscope.__file__).resolve().parents[1])
+    define = f'gridscope() {{ {shlex.quote(sys.executable)} -m gridscope.cli "$@"; }}\n'
+    script = define + (tmp_path / "quickstart.sh").read_text(encoding="utf-8")
+    done = subprocess.run(
+        ["bash", "-e", "-c", script], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [name for name in named if not (tmp_path / name).exists()] == []
