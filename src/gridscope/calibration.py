@@ -14,15 +14,21 @@ largest apparent displacement, in model-grid units, between the near-face
 and far-face marker corners.  Downstream depth correction scales this
 value by the observed depth and lateral offset of the subject.
 
+Each camera plays one of the rig's five roles, the members of the
+``CameraRole`` enum (four sides and the top).  The axis map ties each
+camera's model-grid axes to world axes with one link type,
+``AxisComponent``: a side's horizontal, vertical and depth links and the
+top's two links are all origin, axis and sign.
+
 The whole calibration (rig dimensions, per-camera sub-areas, MDE values
-and the axis mapping that ties each camera's frame to world axes) persists
-as a single structured-text document, written deterministically and
-round-tripping bit-exactly.
+and the axis map) persists as a single structured-text document, written
+deterministically and round-tripping bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import enum
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,50 +65,49 @@ CANONICAL_CORNER_TOLERANCE = 1e-9
 DEFAULT_MARKER_COUNT = 20
 
 
-@dataclass(frozen=True)
-class CameraRole:
-    """Which face a camera watches: one of four sides, or the top."""
+class CameraRole(enum.Enum):
+    """Which face a camera watches: one of four sides, or the top.
 
-    kind: str  # "side" or "top"
-    index: int | None = None
+    The rig has exactly these five roles; a role's value is its label, the
+    form that documents hold.
+    """
 
-    def __post_init__(self):
-        if self.kind == "side":
-            if self.index not in (0, 1, 2, 3):
-                raise FormatError(f"side camera index must be 0..3, got {self.index}")
-        elif self.kind == "top":
-            if self.index is not None:
-                raise FormatError("top camera takes no index")
-        else:
-            raise FormatError(f"unknown camera role kind {self.kind!r}")
+    SIDE0 = "side:0"
+    SIDE1 = "side:1"
+    SIDE2 = "side:2"
+    SIDE3 = "side:3"
+    TOP = "top"
 
     @classmethod
     def side(cls, index: int) -> "CameraRole":
-        return cls("side", index)
+        # a bool or a float is no index, though it may equal one
+        if type(index) is not int or not 0 <= index <= 3:
+            raise FormatError(f"side camera index must be 0..3, got {index}")
+        return cls(f"side:{index}")
 
     @classmethod
     def top(cls) -> "CameraRole":
-        return cls("top")
+        return cls.TOP
 
     @property
     def is_side(self) -> bool:
-        return self.kind == "side"
+        return self is not CameraRole.TOP
+
+    @property
+    def index(self) -> int | None:
+        """The side index 0..3, or None for the top."""
+        return int(self.value[5:]) if self.is_side else None
 
     def label(self) -> str:
-        return f"side:{self.index}" if self.is_side else "top"
+        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "CameraRole":
         """The role whose ``label()`` is ``label``, exactly."""
         try:
-            return _ROLES[label]
-        except KeyError:
+            return cls(label)
+        except ValueError:
             raise FormatError(f"unknown camera role {label!r}") from None
-
-
-_ROLES = {
-    role.label(): role for role in (*map(CameraRole.side, range(4)), CameraRole.top())
-}
 
 
 @dataclass(frozen=True)
@@ -360,26 +365,15 @@ class AxisComponent:
     """Affine link between one model-grid axis and one world axis.
 
     world = origin_mm + sign * (model_value / px_per_mm)
+
+    It is the axis map's one link type.  A side camera's horizontal link is
+    on world x or y and its vertical link on z.  Its depth link is on x or y
+    with the near face as its origin, so depth_mm = sign * (world -
+    origin_mm) is zero on that face.  A top camera's links are on x or y.
+    ``SideAxes`` and ``TopAxes`` check each link's axis against its place.
     """
 
-    axis: str  # "x" or "y"
-    origin_mm: float
-    sign: int
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise FormatError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        if self.sign not in (-1, 1):
-            raise FormatError(f"sign must be -1 or 1, got {self.sign}")
-
-    def world_from_model(self, value: float, px_per_mm: float) -> float:
-        return self.origin_mm + self.sign * (value / px_per_mm)
-
-
-@dataclass(frozen=True)
-class VerticalComponent:
-    """Affine link between a side camera's vertical model axis and world z."""
-
+    axis: str  # "x", "y" or "z"
     origin_mm: float
     sign: int
 
@@ -391,31 +385,26 @@ class VerticalComponent:
         return self.origin_mm + self.sign * (value / px_per_mm)
 
 
-@dataclass(frozen=True)
-class DepthComponent:
-    """How far into the grid a world position sits, seen from one side.
+def _check_axis(link: AxisComponent, axes: tuple[str, ...]) -> None:
+    if link.axis not in axes:
+        raise FormatError(
+            f"axis must be {' or '.join(map(repr, axes))}, got {link.axis!r}"
+        )
 
-    depth_mm = sign * (world_coord - face_n_mm), zero on the near face.
-    """
 
-    axis: str
-    face_n_mm: float
-    sign: int
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise FormatError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        if self.sign not in (-1, 1):
-            raise FormatError(f"sign must be -1 or 1, got {self.sign}")
+_PLANAR = ("x", "y")
 
 
 @dataclass(frozen=True)
 class SideAxes:
     horizontal: AxisComponent
-    vertical: VerticalComponent
-    depth: DepthComponent
+    vertical: AxisComponent
+    depth: AxisComponent
 
     def __post_init__(self):
+        _check_axis(self.horizontal, _PLANAR)
+        _check_axis(self.vertical, ("z",))
+        _check_axis(self.depth, _PLANAR)
         if self.horizontal.axis == self.depth.axis:
             raise FormatError(
                 "a side camera's horizontal axis must differ from its depth axis"
@@ -428,6 +417,8 @@ class TopAxes:
     b: AxisComponent
 
     def __post_init__(self):
+        _check_axis(self.a, _PLANAR)
+        _check_axis(self.b, _PLANAR)
         if self.a.axis == self.b.axis:
             raise FormatError("top camera model axes must map distinct world axes")
 
@@ -468,12 +459,12 @@ def default_axis_map(grid_a: GridBox) -> AxisMap:
     (y reversed).
     """
     w, d, h = grid_a.w_mm, grid_a.d_mm, grid_a.h_mm
-    vertical = VerticalComponent(origin_mm=h, sign=-1)
+    vertical = AxisComponent("z", h, -1)
     sides = (
-        SideAxes(AxisComponent("x", 0.0, 1), vertical, DepthComponent("y", 0.0, 1)),
-        SideAxes(AxisComponent("y", 0.0, 1), vertical, DepthComponent("x", w, -1)),
-        SideAxes(AxisComponent("x", w, -1), vertical, DepthComponent("y", d, -1)),
-        SideAxes(AxisComponent("y", d, -1), vertical, DepthComponent("x", 0.0, 1)),
+        SideAxes(AxisComponent("x", 0.0, 1), vertical, AxisComponent("y", 0.0, 1)),
+        SideAxes(AxisComponent("y", 0.0, 1), vertical, AxisComponent("x", w, -1)),
+        SideAxes(AxisComponent("x", w, -1), vertical, AxisComponent("y", d, -1)),
+        SideAxes(AxisComponent("y", d, -1), vertical, AxisComponent("x", 0.0, 1)),
     )
     top = TopAxes(AxisComponent("x", 0.0, 1), AxisComponent("y", d, -1))
     return AxisMap(sides, top)
@@ -545,35 +536,42 @@ def _quad_from(reader: jsonio.DocReader) -> Quad:
     return Quad.from_coords(reader.reals(4, 2))
 
 
-def _axis_component_from(r: jsonio.DocReader) -> AxisComponent:
+# A side's links: (field and document key, the axis its entry leaves out,
+# the key of its origin).  A top link is written as a horizontal one.
+_SIDE_LINKS = (
+    ("horizontal", "", "origin_mm"), ("vertical", "z", "origin_mm"),
+    ("depth", "", "face_n_mm"),
+)
+
+
+def _link_doc(link: AxisComponent, axis="", origin="origin_mm") -> dict:
+    head = {} if axis else {"axis": link.axis}
+    return {**head, origin: link.origin_mm, "sign": link.sign}
+
+
+def _link_from(r: jsonio.DocReader, axis="", origin="origin_mm") -> AxisComponent:
     return AxisComponent(
-        r.key("axis").string(), r.key("origin_mm").real(), r.key("sign").integer()
+        axis or r.key("axis").string(), r.key(origin).real(), r.key("sign").integer()
     )
+
+
+def _axis_map_doc(axis_map: AxisMap) -> dict:
+    return {
+        "sides": [
+            {key: _link_doc(getattr(side, key), *how) for key, *how in _SIDE_LINKS}
+            for side in axis_map.sides
+        ],
+        "top": {"a": _link_doc(axis_map.top.a), "b": _link_doc(axis_map.top.b)},
+    }
 
 
 def _axis_map_from(reader: jsonio.DocReader) -> AxisMap:
-    sides = []
-    for s in reader.key("sides").fixed_list(4):
-        vert = s.key("vertical")
-        depth = s.key("depth")
-        sides.append(
-            SideAxes(
-                _axis_component_from(s.key("horizontal")),
-                VerticalComponent(
-                    vert.key("origin_mm").real(), vert.key("sign").integer()
-                ),
-                DepthComponent(
-                    depth.key("axis").string(),
-                    depth.key("face_n_mm").real(),
-                    depth.key("sign").integer(),
-                ),
-            )
-        )
-    top = reader.key("top")
-    return AxisMap(
-        tuple(sides),
-        TopAxes(_axis_component_from(top.key("a")), _axis_component_from(top.key("b"))),
+    sides = tuple(
+        SideAxes(*(_link_from(s.key(key), *how) for key, *how in _SIDE_LINKS))
+        for s in reader.key("sides").fixed_list(4)
     )
+    top = reader.key("top")
+    return AxisMap(sides, TopAxes(_link_from(top.key("a")), _link_from(top.key("b"))))
 
 
 def _sub_area_doc(sub: SubArea) -> dict:
@@ -615,8 +613,7 @@ def _header_doc(rig: RigGeometry, axis_map: AxisMap) -> dict:
         },
         "px_per_mm": rig.px_per_mm,
         "marker_count": rig.marker_count,
-        # the axis-map dataclasses' fields are the document's keys, in order
-        "axis_map": asdict(axis_map),
+        "axis_map": _axis_map_doc(axis_map),
     }
 
 

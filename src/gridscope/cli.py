@@ -395,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridscope",
         description="3D trajectory reconstruction for a calibrated grid rig.",
+        allow_abbrev=False,  # a flag is given in full, never as a prefix
     )
     parser.add_argument(
         "-v",
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+        add_arguments(sub.add_parser(name, help=help_line, allow_abbrev=False))
     return parser
 
 

@@ -168,13 +168,29 @@ class FusionStats:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FusionStats":
-        """Read every counter of a stats document; other keys are ignored."""
+        """Read every counter of a stats document and check that they agree
+        (``_COUNT_BOUNDS``); other keys are ignored."""
         root = DocReader(doc)
         counts = {k: root.key(k).integer() for k in cls().as_doc()}
         for k, n in counts.items():
             if not 0 <= n < 2**63:  # a larger count overflows the plot rates
                 raise FormatError(f"{k}: expected a count in [0, 2**63), found {n}")
+        for parts, whole in _COUNT_BOUNDS:
+            if sum(counts[k] for k in parts) > counts[whole]:
+                named = " + ".join(f"{k} ({counts[k]})" for k in parts)
+                raise FormatError(f"{named} exceeds {whole} ({counts[whole]})")
         return cls(**counts)
+
+
+# Each as (counts, the count their sum is at most); every run's stats obey
+# them.  A plotted or z-rejected bundle has an adjacent pair of in-area side
+# views, so it has two side detections, and so at least one.
+_COUNT_BOUNDS = (
+    (("plotted", "rejected_z"), "with_two_side_detections"),
+    (("with_two_side_detections",), "with_side_detection"),
+    (("with_side_detection",), "total"),
+    (("missing_top",), "total"),
+)
 
 
 @dataclass(frozen=True)
@@ -216,7 +232,7 @@ def observation_for_side(
     extent_x, extent_y = rig_extents
     depth_extent = extent_x if side.depth.axis == "x" else extent_y
     coord_d = top_x_mm if side.depth.axis == "x" else top_y_mm
-    ni_mm = side.depth.sign * (coord_d - side.depth.face_n_mm)
+    ni_mm = side.depth.sign * (coord_d - side.depth.origin_mm)
     # min(max(ni_mm, 0.0), depth_extent), with Python's tie and NaN rules
     ni_mm = np.where(0.0 > ni_mm, 0.0, ni_mm)
     ni_mm = np.where(depth_extent < ni_mm, depth_extent, ni_mm)

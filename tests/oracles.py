@@ -223,7 +223,7 @@ def _corrected(cal, index, profile, a, b, top_xy, vertical_correction):
     extent = {"x": cal.rig.grid_a.w_mm, "y": cal.rig.grid_a.d_mm}
     coord = {"x": top_xy[0], "y": top_xy[1]}
     nf_mm = extent[side.depth.axis]
-    ni_mm = side.depth.sign * (coord[side.depth.axis] - side.depth.face_n_mm)
+    ni_mm = side.depth.sign * (coord[side.depth.axis] - side.depth.origin_mm)
     ni_mm = 0.0 if 0.0 > ni_mm else ni_mm
     ni_mm = nf_mm if nf_mm < ni_mm else ni_mm
     sc_mm = extent[side.horizontal.axis] / 2.0

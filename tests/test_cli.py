@@ -887,6 +887,7 @@ class TestUnreadableInput:
             (2.9, "plotted: expected an integer, found float"),
             (-4, "plotted: expected a count in [0, 2**63), found -4"),
             (2**63, "plotted: expected a count in [0, 2**63), found "),
+            (10**6, "plotted (1000000) + rejected_z (0) exceeds with_two_side_detections ("),
         ],
     )
     def test_evaluate_stats(self, pipeline, tmp_path, capsys, plotted, message):
@@ -914,6 +915,54 @@ class TestUnreadableInput:
         assert "Traceback" not in err
         assert out == "" and not report.exists()
 
+    # A run's counts: 10 bundles, 9 with a side detection, 7 with two,
+    # 6 plotted, 1 z-rejected, 2 missing the top view, 3 detections outside.
+    COUNTS = dict(zip(fusion.FusionStats().as_doc(), (10, 9, 7, 6, 1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"plotted": 7}, "plotted (7) + rejected_z (1) exceeds with_two_side_detections (7)"),
+            ({"rejected_z": 2}, "plotted (6) + rejected_z (2) exceeds with_two_side_detections (7)"),
+            ({"with_two_side_detections": 10},
+             "with_two_side_detections (10) exceeds with_side_detection (9)"),
+            ({"with_side_detection": 11}, "with_side_detection (11) exceeds total (10)"),
+            ({"total": 8}, "with_side_detection (9) exceeds total (8)"),
+            ({"missing_top": 11}, "missing_top (11) exceeds total (10)"),
+            # every other bound met with equality
+            ({"total": 7, "with_side_detection": 7, "plotted": 7, "rejected_z": 0,
+              "missing_top": 8}, "missing_top (8) exceeds total (7)"),
+        ],
+    )
+    def test_evaluate_refuses_counts_that_contradict(
+        self, pipeline, tmp_path, change, message
+    ):
+        """A plot rate above 1 is never printed: each bound that every run's
+        counts obey is checked, and the error names both sides."""
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({**self.COUNTS, **change}))
+        code, out, err = _evaluate_with_stats(pipeline, stats)
+        assert code == 1
+        assert err == f"error: {stats}: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},
+            # every bound met with equality
+            {"total": 7, "with_side_detection": 7, "missing_top": 7},
+            # outside_area counts detections, not bundles: it is not bounded
+            {"outside_area": 50},
+        ],
+    )
+    def test_evaluate_reads_counts_that_agree(self, pipeline, tmp_path, change):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({**self.COUNTS, **change}))
+        code, out, err = _evaluate_with_stats(pipeline, stats)
+        assert (code, err) == (0, "")
+        assert "plot rate (>=1 side): " in out
+
     def test_evaluate_stats_ignores_unknown_keys(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "stats.json").read_text())
         stats = tmp_path / "stats.json"
@@ -929,6 +978,23 @@ class TestUnreadableInput:
         )
         assert code == 0
         assert "plot rate (>=1 side): 1.0000" in capsys.readouterr().out
+
+
+def _evaluate_with_stats(pipeline, stats) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of evaluate on the pipeline's track
+    with the stats file ``stats``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            [
+                "evaluate",
+                "--track", str(pipeline / "track.csv"),
+                "--segments", str(pipeline / "segments.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--stats", str(stats),
+            ]
+        )
+    return code, out.getvalue(), err.getvalue()
 
 
 # --- reconstruct on fuzzed detection tables ---------------------------------
@@ -983,7 +1049,9 @@ def test_reconstruct_on_fuzzed_detections(pipeline, files, duplicate, strict, st
         assert "Traceback" not in err.getvalue()
         if code == 0:
             points = read_track(track)
-            assert len(points) == jsonio.read_doc(stats)["plotted"]
+            # the written counts agree with each other and with the track
+            counts = fusion.FusionStats.from_doc(jsonio.read_doc(stats))
+            assert len(points) == counts.plotted
 
 
 # --- detmetrics on fuzzed bytes ----------------------------------------------
@@ -1446,6 +1514,34 @@ def test_verbosity_is_set_on_every_call(pipeline, tmp_path):
     levels = [line.split(":")[0] for line in done.stderr.splitlines()]
     assert levels == ["WARNING", "DEBUG", "WARNING", "WARNING"], done.stderr
     assert f"DEBUG: {bad}: row " in done.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, full",
+    [
+        ("--calib", "--calibration"),
+        ("--stat", "--stats"),
+        ("--pair-strat", "--pair-strategy"),
+        ("--verb", "--verbose"),
+    ],
+)
+def test_a_flag_is_given_in_full(pipeline, tmp_path, flag, full):
+    """A unique prefix of a flag is a usage error, not the flag it starts,
+    and nothing is written."""
+    track, stats = tmp_path / "track.csv", tmp_path / "stats.json"
+    argv = ["--verbose", "reconstruct",
+            *sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv")),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(track), "--stats", str(stats), "--pair-strategy", "best"]
+    argv[argv.index(full)] = flag
+    out, err, code = _exits(main, argv)
+    assert (out, code) == ("", 2)
+    assert err.startswith("usage: gridscope")
+    assert re.match(r"gridscope( reconstruct)?: error: ", err.splitlines()[-1])
+    assert not track.exists() and not stats.exists()
+    with contextlib.redirect_stderr(io.StringIO()):  # the full flags run
+        assert main([full if a == flag else a for a in argv]) == 0
+    assert track.exists() and stats.exists()
 
 
 def test_main_builds_one_parser_per_process():

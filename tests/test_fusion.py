@@ -578,6 +578,8 @@ def test_build_track_equals_per_pair_oracle(case, chunk):
     # repr tells -0.0 from 0.0, as the written track does
     assert repr(list(track)) == repr(want_track)
     assert stats == want_stats
+    # the counts obey every bound a stats document is checked against
+    assert FusionStats.from_doc(stats.as_doc()) == stats
 
 
 def test_shared_edge_example_takes_the_lowest_strip():
