@@ -550,6 +550,8 @@ def _link_doc(link: AxisComponent, axis="", origin="origin_mm") -> dict:
 
 
 def _link_from(r: jsonio.DocReader, axis="", origin="origin_mm") -> AxisComponent:
+    if axis:  # an entry whose place fixes its axis may state one, unread
+        r.optional_key("axis")
     return AxisComponent(
         axis or r.key("axis").string(), r.key(origin).real(), r.key("sign").integer()
     )
@@ -655,6 +657,8 @@ def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMa
     )
     axis_r = root.optional_key("axis_map")  # the default is built only if absent
     axis_map = default_axis_map(grid_a) if axis_r is None else _axis_map_from(axis_r)
+    root.optional_key("cameras")  # the caller's to read, or to leave unread
+    root.refuse_unread_keys()
     return rig, axis_map
 
 
@@ -705,6 +709,7 @@ def calibration_from_doc(doc: dict) -> Calibration:
                 mde_v=cam_r.key("mde_v").real(),
             )
         )
+    root.refuse_unread_keys()
     return Calibration(rig, tuple(cameras), axis_map)
 
 
@@ -724,7 +729,8 @@ def load_rig(path) -> RigGeometry:
     """The rig of the calibration in file ``path``, its camera entries unread.
 
     The header is checked as ``load_calibration`` checks it, with the same
-    errors; the sub-areas are neither rebuilt nor checked.
+    errors; the camera entries are neither rebuilt nor checked, so a
+    marker-picks file gives its rig too.
     """
     return jsonio.load_doc(path, _rig_from_doc)
 
@@ -795,6 +801,7 @@ def _marker_picks_from_doc(doc: dict) -> MarkerPicks:
                 face_f_quad=face_f,
             )
         )
+    root.refuse_unread_keys()
     return MarkerPicks(rig, axis_map, tuple(cameras))
 
 

@@ -86,13 +86,13 @@ class RunConfig:
     vertical_correction: bool = True
 
     def __post_init__(self):
-        # "not >= 0" also turns away NaN, which argparse's float() accepts
-        if not self.sync_tolerance_ms >= 0:
-            raise ConfigError(
-                f"sync_tolerance_ms must be >= 0, got {self.sync_tolerance_ms}"
-            )
-        if not self.z_reject_mm >= 0:
-            raise ConfigError(f"z_reject_mm must be >= 0, got {self.z_reject_mm}")
+        # "not >= 0" also turns away NaN; argparse's float() takes it and inf
+        for name in ("sync_tolerance_ms", "z_reject_mm"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if value == float("inf"):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.pair_strategy not in PAIR_STRATEGIES:
             raise ConfigError(
                 f"pair_strategy must be {'|'.join(PAIR_STRATEGIES)}, "

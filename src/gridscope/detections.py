@@ -9,7 +9,8 @@ reported).
 A file is read into one ``DetectionTable`` through
 ``DETECTION_FORMAT``.  A plain file (no quote, NUL or bare CR) whose rows
 all pass its column masks, which run every ``Detection`` check, is read in
-one ``np.loadtxt`` pass (``jsonio.fast_table``).  Any other goes through
+one ``np.loadtxt`` pass (``jsonio.fast_table``).  ``finite_box`` is the one
+box rule: ``Detection`` runs it on floats and the mask on columns.  Any other goes through
 ``jsonio.read_columns``, which reads each row into a ``Detection``
 (``_detection``); ``DetectionTable.of`` puts them into the table.  Each
 error names its row and reason, and the column of the first real (in
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -64,28 +66,17 @@ CSV_HEADER = (
 _REAL_COLUMNS = CSV_HEADER[2:]
 
 
-def finite_box(u_min: float, v_min: float, u_max: float, v_max: float) -> bool:
+def finite_box(u_min, v_min, u_max, v_max):
     """Whether a box's centre and area stay finite and its halved area, as
     ``metrics.iou`` computes it, is positive: finite corners can overflow,
-    and a tiny box's area can underflow to zero."""
+    and a tiny box's area can underflow to zero.  Takes floats, or equal-length
+    columns for a mask (under np.errstate); NaN and +-inf fail both ways."""
     area = (u_max - u_min) * (v_max - v_min)
+    big = sys.float_info.max
     return (
-        math.isfinite(u_min + u_max)
-        and math.isfinite(v_min + v_max)
-        and math.isfinite(area)
-        and 0.5 * area > 0
-    )
-
-
-def box_mask(
-    u_min: np.ndarray, v_min: np.ndarray, u_max: np.ndarray, v_max: np.ndarray
-) -> np.ndarray:
-    """finite_box of each row of four columns (call under np.errstate)."""
-    area = (u_max - u_min) * (v_max - v_min)
-    return (
-        np.isfinite(u_min + u_max)
-        & np.isfinite(v_min + v_max)
-        & np.isfinite(area)
+        (abs(u_min + u_max) <= big)
+        & (abs(v_min + v_max) <= big)
+        & (abs(area) <= big)
         & (0.5 * area > 0)
     )
 
@@ -179,7 +170,7 @@ def _detection_mask(texts: list[list[str]], reals) -> np.ndarray:
     t, u_min, v_min, u_max, v_max, confidence = reals
     with np.errstate(all="ignore"):
         ok = (t >= 0) & (u_min < u_max) & (v_min < v_max)
-        ok &= box_mask(u_min, v_min, u_max, v_max)
+        ok &= finite_box(u_min, v_min, u_max, v_max)
         ok &= (0.0 <= confidence) & (confidence <= 1.0)
     ok &= np.fromiter(map(bool, cameras), bool, len(cameras))
     return ok

@@ -198,12 +198,16 @@ class DocReader:
     """Schema-checking accessor over a parsed document.
 
     Each accessor narrows a value at ``path`` to the requested shape and
-    raises FormatError naming the full path on any mismatch.
+    raises FormatError naming the full path on any mismatch.  The readers of
+    one document note each key asked of each mapping, so
+    ``refuse_unread_keys`` can turn away a key that nothing reads.
     """
 
-    def __init__(self, value: Any, path: str = ""):
+    def __init__(self, value: Any, path: str = "", _asked: dict | None = None):
         self.value = value
         self.path = path
+        # id of each mapping asked for a key: (its path, the mapping, keys asked)
+        self._asked = {} if _asked is None else _asked
 
     def _fail(self, expected: str):
         where = self.path or "top level"
@@ -215,22 +219,32 @@ class DocReader:
             return f"{self.path}[{key}]"
         return f"{self.path}.{key}" if self.path else key
 
+    def _child(self, key) -> "DocReader":
+        return DocReader(self.value[key], self._child_path(key), self._asked)
+
     # -- mapping access ------------------------------------------------------
 
     def key(self, name: str) -> "DocReader":
-        if not isinstance(self.value, dict):
-            self._fail("a mapping")
-        if name not in self.value:
+        child = self.optional_key(name)
+        if child is None:
             where = self.path or "top level"
             raise FormatError(f"{where}: missing required key {name!r}")
-        return DocReader(self.value[name], self._child_path(name))
+        return child
 
     def optional_key(self, name: str) -> "DocReader | None":
         if not isinstance(self.value, dict):
             self._fail("a mapping")
-        if name not in self.value:
-            return None
-        return DocReader(self.value[name], self._child_path(name))
+        entry = self._asked.setdefault(id(self.value), (self.path, self.value, set()))
+        entry[2].add(name)
+        return self._child(name) if name in self.value else None
+
+    def refuse_unread_keys(self) -> None:
+        """Raise FormatError naming the first key, of any mapping of this
+        document asked for a key so far, that none of its readers asked for."""
+        for path, mapping, asked in self._asked.values():
+            for name in mapping:
+                if name not in asked:
+                    raise FormatError(f"{path or 'top level'}: unknown key {name!r}")
 
     def get(self, name: str, read: Callable[["DocReader"], T], default: T) -> T:
         """``read`` of the value at key ``name``, or ``default`` if it is absent."""
@@ -242,8 +256,8 @@ class DocReader:
     def items(self) -> Iterator["DocReader"]:
         if not isinstance(self.value, list):
             self._fail("an array")
-        for i, item in enumerate(self.value):
-            yield DocReader(item, self._child_path(i))
+        for i in range(len(self.value)):
+            yield self._child(i)
 
     def fixed_list(self, n: int) -> list["DocReader"]:
         if not isinstance(self.value, list) or len(self.value) != n:
@@ -289,12 +303,9 @@ class DocReader:
         if not isinstance(self.value, list) or len(self.value) != n:
             self._fail(f"an array of {n} elements")
         if inner:
-            return [
-                DocReader(row, self._child_path(i)).reals(*inner)
-                for i, row in enumerate(self.value)
-            ]
+            return [self._child(i).reals(*inner) for i in range(n)]
         return [
-            float(v) if _finite_real(v) else DocReader(v, self._child_path(i)).real()
+            float(v) if _finite_real(v) else self._child(i).real()
             for i, v in enumerate(self.value)
         ]
 

@@ -50,7 +50,6 @@ import numpy as np
 from .detections import (
     Detection,
     DetectionTable,
-    box_mask,
     finite_box,
     read_detection_table,
 )
@@ -357,7 +356,7 @@ def _ground_truth_mask(texts: list[list[str]], corners) -> np.ndarray:
     """Which rows of finite corners pass every GroundTruthBox check, as masks."""
     u_min, v_min, u_max, v_max = corners
     with np.errstate(all="ignore"):
-        return (u_min < u_max) & (v_min < v_max) & box_mask(*corners)
+        return (u_min < u_max) & (v_min < v_max) & finite_box(*corners)
 
 
 GROUND_TRUTH_FORMAT = TableFormat(

@@ -16,6 +16,12 @@ Two camera models are available per camera:
   image centre.  Deeper points are pulled toward the centre of the frame,
   which is exactly the bias the depth correction targets.
 
+Every face is placed through the links of ``default_axis_map``, the map
+that ``marker_picks_for`` writes into the picks, with a z link down from
+the grid top for the top face: on each link's axis, face point (a, b) at
+``depth`` mm inward lies at that link's ``world_from_model`` of a, b or
+depth.  So the simulated rig is the calibrated one by construction.
+
 Determinism: one ``random.Random(seed)`` stream drives generation.  Per
 frame (ascending) and per camera (sides 0..3 then top) the draws are:
 one uniform for dropout; if the detection survives and the noise sigma is
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import (
+    AxisComponent,
     AxisMap,
     CameraPicks,
     CameraRole,
@@ -180,50 +187,33 @@ def project(camera: SimCamera, point: WorldPoint3D) -> PixelPoint:
     return PixelPoint(cx + f * xc / zc, cy + f * yc / zc)
 
 
-# --- face frames ------------------------------------------------------------
+# --- faces ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceFrame:
-    """Parameterization of the face a camera watches.
+def _face_links(
+    axis_map: AxisMap, role: CameraRole, grid_a: GridBox
+) -> tuple[AxisComponent, AxisComponent, AxisComponent]:
+    """The (a, b, depth) links of the face a camera watches.
 
-    ``origin + a * a_vec + b * b_vec`` spans the face, with (a, b) matching
-    the camera's model-grid axes under the default axis map.  ``depth_vec``
-    points into the grid and ``nf_mm`` is the distance to the far face.
+    A side's are its axis-map links; the top's are its a and b links and a
+    z link from the grid top, since the top camera looks down.
     """
-
-    origin: _Vec
-    a_vec: _Vec
-    b_vec: _Vec
-    ext_a: float
-    ext_b: float
-    depth_vec: _Vec
-    nf_mm: float
-
-    def point(self, a: float, b: float, depth: float = 0.0) -> WorldPoint3D:
-        p = _add(
-            _add(self.origin, _scaled(self.a_vec, a)), _scaled(self.b_vec, b)
-        )
-        if depth:
-            p = _add(p, _scaled(self.depth_vec, depth))
-        return WorldPoint3D(*p)
-
-
-def face_frame(role: CameraRole, grid_a: GridBox) -> FaceFrame:
-    """Face parameterization matching the default axis map conventions."""
-    w, d, h = grid_a.w_mm, grid_a.d_mm, grid_a.h_mm
-    down = (0.0, 0.0, -1.0)
     if role.is_side:
-        frames = {
-            0: FaceFrame((0.0, 0.0, h), (1.0, 0.0, 0.0), down, w, h, (0.0, 1.0, 0.0), d),
-            1: FaceFrame((w, 0.0, h), (0.0, 1.0, 0.0), down, d, h, (-1.0, 0.0, 0.0), w),
-            2: FaceFrame((w, d, h), (-1.0, 0.0, 0.0), down, w, h, (0.0, -1.0, 0.0), d),
-            3: FaceFrame((0.0, d, h), (0.0, -1.0, 0.0), down, d, h, (1.0, 0.0, 0.0), w),
-        }
-        return frames[role.index]
-    return FaceFrame(
-        (0.0, d, h), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), w, d, (0.0, 0.0, -1.0), h
-    )
+        side = axis_map.sides[role.index]
+        return side.horizontal, side.vertical, side.depth
+    return axis_map.top.a, axis_map.top.b, AxisComponent("z", grid_a.h_mm, -1)
+
+
+def _face_point(links, a: float, b: float, depth: float = 0.0) -> WorldPoint3D:
+    """Face point (a, b) mm, ``depth`` mm inward; each link places its axis."""
+    values = zip(links, (a, b, depth))  # a scale of 1.0 keeps every bit
+    return WorldPoint3D(**{k.axis: k.world_from_model(v, 1.0) for k, v in values})
+
+
+def _extents(grid_a: GridBox, links) -> list[float]:
+    """The grid's span along each link's axis."""
+    spans = grid_a.spans()
+    return [spans[link.axis][1] - spans[link.axis][0] for link in links]
 
 
 def standard_cameras(
@@ -238,20 +228,21 @@ def standard_cameras(
     ortho_px_per_mm: float = 1.0,
     top_mode: str | None = None,
 ) -> tuple[SimCamera, ...]:
-    """The symmetric five-camera arrangement around the grid."""
+    """The symmetric five-camera arrangement around the grid; each side
+    camera faces its face's centre along the face's depth link."""
+    axis_map = default_axis_map(grid_a)
     cams = []
     for i in range(4):
-        frame = face_frame(CameraRole.side(i), grid_a)
-        centre = frame.point(frame.ext_a / 2.0, grid_a.h_mm - side_height_mm)
-        pos = _sub(
-            (centre.x, centre.y, centre.z), _scaled(frame.depth_vec, side_distance_mm)
-        )
+        links = _face_links(axis_map, CameraRole.side(i), grid_a)
+        depth = links[2]
+        centre_a = _extents(grid_a, links)[0] / 2.0
+        pos = _face_point(links, centre_a, grid_a.h_mm - side_height_mm, -side_distance_mm)
         cams.append(
             make_camera(
                 f"side{i}",
                 CameraRole.side(i),
-                pos,
-                frame.depth_vec,
+                (pos.x, pos.y, pos.z),
+                tuple(float(depth.sign) if c == depth.axis else 0.0 for c in "xyz"),
                 focal_px,
                 resolution,
                 mode,
@@ -315,19 +306,21 @@ def sub_area_rects(
 def _camera_picks(
     camera: SimCamera,
     rig: RigGeometry,
+    axis_map: AxisMap,
     layout: str,
     inner: tuple[float, float],
 ) -> CameraPicks:
-    frame = face_frame(camera.role, rig.grid_a)
+    links = _face_links(axis_map, camera.role, rig.grid_a)
+    ext_a, ext_b, far = _extents(rig.grid_a, links)
     px = rig.px_per_mm
     res_w, res_h = camera.resolution
     sub_areas = []
     for index, (a0, b0, a1, b1) in enumerate(
-        sub_area_rects(layout, frame.ext_a, frame.ext_b, inner)
+        sub_area_rects(layout, ext_a, ext_b, inner)
     ):
         corners = []
         for a, b in ((a0, b0), (a1, b0), (a1, b1), (a0, b1)):
-            pix = project(camera, frame.point(a, b))
+            pix = project(camera, _face_point(links, a, b))
             if not (0 <= pix.u <= res_w and 0 <= pix.v <= res_h):
                 raise ConfigError(
                     f"camera {camera.camera_id}: marker at face ({a}, {b}) "
@@ -344,13 +337,13 @@ def _camera_picks(
         )
     face_n = face_f = None
     if camera.role.is_side:
-        outer = ((0.0, 0.0), (frame.ext_a, 0.0), (frame.ext_a, frame.ext_b), (0.0, frame.ext_b))
+        outer = ((0.0, 0.0), (ext_a, 0.0), (ext_a, ext_b), (0.0, ext_b))
 
         def face_quad(depth: float) -> Quad:
-            pixels = (project(camera, frame.point(a, b, depth)) for a, b in outer)
+            pixels = (project(camera, _face_point(links, a, b, depth)) for a, b in outer)
             return Quad.from_coords([(p.u, p.v) for p in pixels])
 
-        face_n, face_f = face_quad(0.0), face_quad(frame.nf_mm)
+        face_n, face_f = face_quad(0.0), face_quad(far)
     return CameraPicks(
         camera_id=camera.camera_id,
         role=camera.role,
@@ -363,11 +356,12 @@ def _camera_picks(
 
 def marker_picks_for(scenario: "SimScenario") -> MarkerPicks:
     """Project every marker of the scenario into its cameras' pixels."""
+    rig, axis_map = scenario.rig, scenario.axis_map
     return MarkerPicks(
-        rig=scenario.rig,
-        axis_map=scenario.axis_map,
+        rig=rig,
+        axis_map=axis_map,
         cameras=tuple(
-            _camera_picks(cam, scenario.rig, scenario.sub_area_layout, scenario.inner)
+            _camera_picks(cam, rig, axis_map, scenario.sub_area_layout, scenario.inner)
             for cam in scenario.cameras
         ),
     )
@@ -636,7 +630,7 @@ def scenario_from_doc(doc: dict) -> SimScenario:
             dropout_r._fail("a mapping of camera id to probability")
         for cam_id in dropout_r.value:
             dropout[cam_id] = dropout_r.key(cam_id).real()
-    return SimScenario(
+    scenario = SimScenario(
         rig=rig,
         cameras=cameras,
         grid_b=grid_b,
@@ -653,6 +647,8 @@ def scenario_from_doc(doc: dict) -> SimScenario:
         inner=root.get("pinwheel_inner", jsonio.DocReader.real_pair, (0.25, 0.75)),
         seed=root.key("seed").integer(),
     )
+    root.refuse_unread_keys()
+    return scenario
 
 
 def load_scenario(path) -> SimScenario:

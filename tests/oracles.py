@@ -343,6 +343,17 @@ def naive_build_track(
 # --- detection metrics by brute force ---------------------------------------
 
 
+def finite_box_oracle(u_min, v_min, u_max, v_max) -> bool:
+    """The box rule as four ``math.isfinite``/``>`` tests joined by ``and``."""
+    area = (u_max - u_min) * (v_max - v_min)
+    return (
+        math.isfinite(u_min + u_max)
+        and math.isfinite(v_min + v_max)
+        and math.isfinite(area)
+        and 0.5 * area > 0
+    )
+
+
 def iou_oracle(a, b) -> float:
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b

@@ -605,6 +605,91 @@ def test_load_rig_reads_no_camera_entry(aligned_calibration, tmp_path):
     assert load_rig(path) == aligned_calibration.rig
 
 
+def _add_key(doc: dict, where: tuple, key: str) -> str:
+    """Put ``key`` into the mapping at ``where`` in ``doc``; that mapping's path."""
+    node = doc
+    for name in where:
+        node = node[name]
+    node[key] = 1.0
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
+    return path.lstrip(".") or "top level"
+
+
+_HEADER_LEVELS = [
+    ((), "grid"),
+    (("grid_a",), "w"),
+    (("axis_map",), "side"),
+    (("axis_map", "sides", 1), "vertcal"),
+    (("axis_map", "sides", 1, "horizontal"), "origin"),
+    (("axis_map", "sides", 2, "depth"), "face_f_mm"),
+    (("axis_map", "sides", 3, "vertical"), "signs"),
+    (("axis_map", "top"), "c"),
+    (("axis_map", "top", "b"), "face_n_mm"),
+]
+
+
+def _picks_json() -> dict:
+    picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
+    return json.loads(jsonio.dumps_doc(marker_picks_doc(picks)))
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    _HEADER_LEVELS
+    + [
+        (("cameras", 1), "mde_h"),
+        (("cameras", 1, "sub_areas", 2), "scale"),
+        (("cameras", 1, "depth_markers"), "face_m"),
+    ],
+)
+def test_marker_picks_refuse_an_unknown_key_at_each_level(tmp_path, where, key):
+    doc = _picks_json()
+    path = tmp_path / "picks.json"
+    jsonio.write_doc(path, doc)
+    load_marker_picks(path)
+    place = _add_key(doc, where, key)
+    jsonio.write_doc(path, doc)
+    with pytest.raises(FormatError) as err:
+        load_marker_picks(path)
+    assert str(err.value) == f"{path}: {place}: unknown key {key!r}"
+
+
+def test_a_misspelled_depth_markers_key_is_refused(tmp_path):
+    """Read unrefused, it would leave every side's MDE at 0."""
+    doc = _picks_json()
+    doc["cameras"][0]["depth_marker"] = doc["cameras"][0].pop("depth_markers")
+    path = tmp_path / "picks.json"
+    jsonio.write_doc(path, doc)
+    with pytest.raises(FormatError, match=r"cameras\[0\]: unknown key 'depth_marker'$"):
+        load_marker_picks(path)
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    _HEADER_LEVELS
+    + [
+        (("cameras", 4), "depth_markers"),
+        (("cameras", 0, "sub_areas", 3), "required"),
+    ],
+)
+def test_calibration_refuses_an_unknown_key_at_each_level(
+    aligned_calibration, tmp_path, where, key
+):
+    doc = _calibration_json(aligned_calibration)
+    place = _add_key(doc, where, key)
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_calibration(path)
+    assert str(err.value) == f"{path}: {place}: unknown key {key!r}"
+    if where[:1] != ("cameras",):  # a header key; load_rig reads no camera entry
+        with pytest.raises(FormatError) as rig_err:
+            load_rig(path)
+        assert str(rig_err.value) == str(err.value)
+    else:
+        assert load_rig(path) == aligned_calibration.rig
+
+
 def test_load_rig_reads_a_marker_picks_header(tmp_path):
     picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
     path = tmp_path / "picks.json"

@@ -423,6 +423,66 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sync-tolerance-ms", "inf", "sync_tolerance_ms must be finite, got inf"),
+            ("--sync-tolerance-ms", "1e999", "sync_tolerance_ms must be finite, got inf"),
+            ("--z-reject-mm", "inf", "z_reject_mm must be finite, got inf"),
+            ("--z-reject-mm", "-inf", "z_reject_mm must be >= 0, got -inf"),
+            ("--z-reject-mm", "-1", "z_reject_mm must be >= 0, got -1.0"),
+            ("--sync-tolerance-ms", "nan", "sync_tolerance_ms must be >= 0, got nan"),
+        ],
+    )
+    def test_a_flag_obeys_the_config_file_rule(
+        self, pipeline, tmp_path, capsys, flag, value, message
+    ):
+        track = tmp_path / "track.csv"
+        code = main(
+            [
+                "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--out", str(track),
+                f"{flag}={value}",  # so "-inf" is no option
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+        assert not track.exists()
+
+    @pytest.mark.parametrize(
+        "command, document, edit, message",
+        [
+            (
+                "simulate", "scenario.json",
+                lambda doc: doc.update(noise_sigma=doc.pop("noise_sigma_px")),
+                "top level: unknown key 'noise_sigma'",
+            ),
+            (
+                "calibrate", "picks.json",
+                lambda doc: doc["cameras"][2].update(
+                    depth_marker=doc["cameras"][2].pop("depth_markers")
+                ),
+                "cameras[2]: unknown key 'depth_marker'",
+            ),
+        ],
+    )
+    def test_a_misspelled_key_exits_1(
+        self, pipeline, tmp_path, capsys, command, document, edit, message
+    ):
+        if command == "simulate":
+            doc = {**SCENARIO_DOC, "noise_sigma_px": 1.5}
+        else:
+            doc = json.loads((pipeline / "sim" / "picks.json").read_text())
+        edit(doc)
+        path = tmp_path / document
+        jsonio.write_doc(path, doc)
+        out = tmp_path / "out"
+        code = main([command, str(path), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout, err) == (1, "", f"error: {path}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             ({"z_reject_mm": "abc"}, "z_reject_mm: expected a real number, found str"),

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from gridscope.detections import (
     DetectionTable,
     FrameBundle,
     _own_picks,
+    finite_box,
     parse_detections,
     parse_detections_file,
     synchronize,
@@ -22,7 +24,7 @@ from gridscope.detections import (
 from gridscope.errors import CsvError
 from gridscope.jsonio import FieldError
 
-from oracles import naive_synchronize, rowwise_parse_detections
+from oracles import finite_box_oracle, naive_synchronize, rowwise_parse_detections
 from strategies import DETECTION_ROW
 
 
@@ -80,6 +82,31 @@ class TestDetection:
     def test_huge_finite_box_accepted(self):
         d = det(box=(-8e307, 0.0, 8e307, 1.0))
         assert ((d.u_min + d.u_max) / 2.0, d.area) == (0.0, 1.6e308)
+
+
+# floats at and past every edge of the rule: signed zeros, subnormals, the
+# float maximum, infinities and NaN
+EDGE_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1.0, -1.0,
+         sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+@given(box=st.tuples(EDGE_FLOAT, EDGE_FLOAT, EDGE_FLOAT, EDGE_FLOAT))
+@example(box=(0.0, 0.0, 1e-200, 1e-200))  # the area underflows
+@example(box=(1.6e308, 0.0, 1.7e308, 10.0))  # the centre overflows
+@example(box=(math.nan, 0.0, 1.0, 1.0))
+@example(box=(-math.inf, 0.0, math.inf, 1.0))
+def test_finite_box_gives_one_answer_on_floats_and_on_columns(box):
+    on_floats = finite_box(*box)
+    with np.errstate(all="ignore"):
+        on_columns = finite_box(*(np.array([x]) for x in box))
+    assert type(on_floats) is bool
+    assert on_columns.shape == (1,)
+    assert on_floats == bool(on_columns[0]) == finite_box_oracle(*box)
 
 
 class TestParse:

@@ -3,15 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from gridscope.calibration import CameraRole
+from gridscope.calibration import CameraRole, default_axis_map
 from gridscope.errors import BehindCamera, ConfigError, CsvError, FormatError
 from gridscope.geometry import GridBox, WorldPoint3D
 from gridscope.simulate import (
     PathSpec,
     SimScenario,
     TruthSample,
+    _extents,
+    _face_links,
+    _face_point,
     _sample_path,
-    face_frame,
     generate_scenario,
     load_scenario,
     make_camera,
@@ -38,31 +40,74 @@ def cameras(mode="aligned", distance=245.0, height=425.0, top_mode=None):
     )
 
 
-class TestFaceFrame:
+def face(role, grid=GRID):
+    """A face's (a, b, depth) links and the grid's extent along each."""
+    links = _face_links(default_axis_map(grid), role, grid)
+    return links, _extents(grid, links)
+
+
+class TestFaces:
     def test_side0_spans_its_face(self):
-        ff = face_frame(CameraRole.side(0), GRID)
-        assert ff.point(0.0, 0.0) == WorldPoint3D(0.0, 0.0, 850.0)
-        assert ff.point(390.0, 850.0) == WorldPoint3D(390.0, 0.0, 0.0)
-        assert ff.point(0.0, 0.0, depth=390.0) == WorldPoint3D(0.0, 390.0, 850.0)
-        assert ff.nf_mm == 390.0
+        links, (ext_a, ext_b, far) = face(CameraRole.side(0))
+        assert _face_point(links, 0.0, 0.0) == WorldPoint3D(0.0, 0.0, 850.0)
+        assert _face_point(links, 390.0, 850.0) == WorldPoint3D(390.0, 0.0, 0.0)
+        assert _face_point(links, 0.0, 0.0, depth=390.0) == (
+            WorldPoint3D(0.0, 390.0, 850.0)
+        )
+        assert (ext_a, ext_b, far) == (390.0, 850.0, 390.0)
 
-    def test_side_frames_wind_counter_clockwise(self):
-        # Each side's a axis matches the default axis-map horizontal.
-        assert face_frame(CameraRole.side(1), GRID).point(10.0, 0.0) == (
-            WorldPoint3D(390.0, 10.0, 850.0)
-        )
-        assert face_frame(CameraRole.side(2), GRID).point(10.0, 0.0) == (
-            WorldPoint3D(380.0, 390.0, 850.0)
-        )
-        assert face_frame(CameraRole.side(3), GRID).point(10.0, 0.0) == (
-            WorldPoint3D(0.0, 380.0, 850.0)
-        )
+    def test_side_faces_wind_counter_clockwise(self):
+        # Each side's a axis is its axis-map horizontal link.
+        points = [
+            _face_point(face(CameraRole.side(i))[0], 10.0, 0.0) for i in (1, 2, 3)
+        ]
+        assert points == [
+            WorldPoint3D(390.0, 10.0, 850.0),
+            WorldPoint3D(380.0, 390.0, 850.0),
+            WorldPoint3D(0.0, 380.0, 850.0),
+        ]
 
-    def test_top_frame(self):
-        ff = face_frame(CameraRole.top(), GRID)
-        assert ff.point(0.0, 0.0) == WorldPoint3D(0.0, 390.0, 850.0)
-        assert ff.point(30.0, 90.0) == WorldPoint3D(30.0, 300.0, 850.0)
-        assert ff.nf_mm == 850.0
+    def test_top_face(self):
+        links, (_, _, far) = face(CameraRole.top())
+        assert _face_point(links, 0.0, 0.0) == WorldPoint3D(0.0, 390.0, 850.0)
+        assert _face_point(links, 30.0, 90.0) == WorldPoint3D(30.0, 300.0, 850.0)
+        assert far == 850.0
+
+    # Recorded from the literal face table these faces replaced, on a grid
+    # whose width and depth differ: (0, 0), (ext_a, ext_b), the far face.
+    FACES_390_410_850 = {
+        "side:0": ((0.0, 0.0, 850.0), (390.0, 0.0, 0.0), (0.0, 410.0, 850.0)),
+        "side:1": ((390.0, 0.0, 850.0), (390.0, 410.0, 0.0), (0.0, 0.0, 850.0)),
+        "side:2": ((390.0, 410.0, 850.0), (0.0, 410.0, 0.0), (390.0, 0.0, 850.0)),
+        "side:3": ((0.0, 410.0, 850.0), (0.0, 0.0, 0.0), (390.0, 410.0, 850.0)),
+        "top": ((0.0, 410.0, 850.0), (390.0, 0.0, 850.0), (0.0, 410.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("role", list(CameraRole))
+    def test_faces_keep_the_recorded_points(self, role):
+        grid = GridBox(WorldPoint3D(0.0, 0.0, 0.0), 390.0, 410.0, 850.0)
+        links, (ext_a, ext_b, far) = face(role, grid)
+        points = (
+            _face_point(links, 0.0, 0.0),
+            _face_point(links, ext_a, ext_b),
+            _face_point(links, 0.0, 0.0, far),
+        )
+        expected = self.FACES_390_410_850[role.label()]
+        assert [repr(p) for p in points] == [repr(WorldPoint3D(*p)) for p in expected]
+
+    @pytest.mark.parametrize("mode", ["aligned", "pinhole"])
+    def test_side_cameras_keep_the_recorded_placement(self, mode):
+        grid = GridBox(WorldPoint3D(0.0, 0.0, 0.0), 390.0, 410.0, 850.0)
+        cams = standard_cameras(
+            grid, mode, (1920, 1080), 245.0, 300.0, 3350.0, 200.0, 2000.0
+        )
+        placed = [(repr(c.position), repr(c.axis)) for c in cams[:4]]
+        assert placed == [
+            ("(195.0, -245.0, 300.0)", "(0.0, 1.0, 0.0)"),
+            ("(635.0, 205.0, 300.0)", "(-1.0, 0.0, 0.0)"),
+            ("(195.0, 655.0, 300.0)", "(0.0, -1.0, 0.0)"),
+            ("(-245.0, 205.0, 300.0)", "(1.0, 0.0, 0.0)"),
+        ]
 
 
 class TestStandardCameras:
@@ -474,6 +519,32 @@ class TestScenarioDocs:
         with pytest.raises(FormatError) as err:
             scenario_from_doc(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ((), "noise_sigma"),  # noise_sigma_px misspelled: noise-free boxes
+            (("grid_a",), "height_mm"),
+            (("cameras",), "side_distance"),
+            (("grid_b",), "sizes"),
+            (("path",), "loops"),
+        ],
+    )
+    def test_an_unknown_key_is_refused_at_each_level(self, where, key):
+        doc = self.minimal_doc()
+        node = doc
+        for name in where:
+            node = node[name]
+        node[key] = 1.5
+        with pytest.raises(FormatError) as err:
+            scenario_from_doc(doc)
+        assert str(err.value) == f"{'.'.join(where) or 'top level'}: unknown key {key!r}"
+
+    def test_dropout_is_an_open_map_of_camera_ids(self):
+        doc = self.minimal_doc()
+        doc["dropout"] = {"default": 0.25, "side9": 0.5}
+        s = scenario_from_doc(doc)
+        assert (s.dropout_for("side9"), s.dropout_for("top")) == (0.5, 0.25)
 
     def test_load_scenario_file(self, tmp_path):
         from gridscope import jsonio
