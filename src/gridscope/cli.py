@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import jsonio
-from .errors import ConfigError, GridscopeError, NonPositiveLength
+from .errors import ConfigError, FormatError, GridscopeError, NonPositiveLength
 from .options import (
     DEFAULT_SYNC_TOLERANCE_MS,
     DEFAULT_Z_REJECT_MM,
@@ -156,7 +156,8 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    data = generate_scenario(scenario)
+    with jsonio.naming(args.scenario):  # a scenario the rig cannot run
+        data = generate_scenario(scenario)
     files = write_generated(data, args.out)
     total = sum(len(d) for d in data.detections.values())
     log.info("generated %d detections over %d frames", total, scenario.n_frames)
@@ -180,14 +181,24 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _read_detections(paths: list[str], strict: bool) -> DetectionTable:
-    """The rows of the files ``paths``, in turn, as one table.  The
-    per-file tables, whose columns concat copies, are freed on return,
-    before fusion runs."""
+def _read_detections(
+    paths: list[str], strict: bool, cal: Calibration
+) -> DetectionTable:
+    """The rows of the files ``paths``, in turn, as one table.  Every row's
+    camera must be one of ``cal``'s.  The per-file tables, whose columns
+    concat copies, are freed on return, before fusion runs."""
+    camera_ids = [cam.camera_id for cam in cal.cameras]
     tables = []
     skipped = 0
     for path in paths:
-        table, errors = read_detection_table(path, strict=strict)
+        with jsonio.naming(path):
+            table, errors = read_detection_table(path, strict=strict)
+            unknown = set(table.camera_id).difference(camera_ids)
+            if unknown:
+                raise FormatError(
+                    f"no camera {min(unknown)!r} in the calibration, whose "
+                    f"cameras are {', '.join(camera_ids)}"
+                )
         tables.append(table)
         skipped += len(errors)
         for err in errors:
@@ -200,7 +211,7 @@ def _read_detections(paths: list[str], strict: bool) -> DetectionTable:
 def _cmd_reconstruct(args) -> int:
     cfg = _merged_config(args)
     cal = load_calibration(args.calibration)
-    detections = _read_detections(args.detections, args.strict)
+    detections = _read_detections(args.detections, args.strict, cal)
     bundles = synchronize_table(
         detections,
         tolerance_ms=cfg.sync_tolerance_ms,

@@ -20,7 +20,11 @@ Every face is placed through the links of ``default_axis_map``, the map
 that ``marker_picks_for`` writes into the picks, with a z link down from
 the grid top for the top face: on each link's axis, face point (a, b) at
 ``depth`` mm inward lies at that link's ``world_from_model`` of a, b or
-depth.  So the simulated rig is the calibrated one by construction.
+depth.  So the simulated rig is the calibrated one by construction.  Each
+camera looks along the same links: image u grows along a, v along b, and
+the camera looks along depth, so ``project`` reads each camera coordinate
+as ``sign * (point - position)`` on its link's axis.  A side camera is
+horizontal, and the top camera looks straight down, because the links are.
 
 Determinism: one ``random.Random(seed)`` stream drives generation.  Per
 frame (ascending) and per camera (sides 0..3 then top) the draws are:
@@ -62,54 +66,21 @@ DEFAULT_SIDE_DISTANCE_MM = 245.0
 DEFAULT_BBOX_HALF_PX = 15.0
 DEFAULT_CONFIDENCE_JITTER = 0.05
 
-_Vec = tuple[float, float, float]
-
-
-def _dot(a: _Vec, b: _Vec) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _sub(a: _Vec, b: _Vec) -> _Vec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _add(a: _Vec, b: _Vec) -> _Vec:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _scaled(a: _Vec, s: float) -> _Vec:
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def _cross(a: _Vec, b: _Vec) -> _Vec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _norm(a: _Vec) -> float:
-    return math.sqrt(_dot(a, a))
-
-
-def _unit(a: _Vec) -> _Vec:
-    n = _norm(a)
-    if n == 0:
-        raise ConfigError("zero-length direction vector")
-    return _scaled(a, 1.0 / n)
-
 
 @dataclass(frozen=True)
 class SimCamera:
-    """One synthetic camera with a fully specified viewing frame."""
+    """One synthetic camera, looking along the links of the face it watches.
+
+    ``links`` are the face's (a, b, depth) links from ``_face_links``:
+    image u grows along a, v along b, and the camera looks along depth.
+    Only each link's axis and sign place a pixel; the origins are the
+    face's, not the camera's.
+    """
 
     camera_id: str
     role: CameraRole
-    position: _Vec
-    axis: _Vec  # unit vector toward the grid
-    right: _Vec
-    down: _Vec
+    position: tuple[float, float, float]
+    links: tuple[AxisComponent, AxisComponent, AxisComponent]
     focal_px: float
     resolution: tuple[int, int]
     mode: str  # "aligned" or "pinhole"
@@ -122,62 +93,34 @@ class SimCamera:
             raise ConfigError(f"focal_px must be > 0, got {self.focal_px}")
         if self.ortho_px_per_mm <= 0:
             raise ConfigError(f"ortho_px_per_mm must be > 0, got {self.ortho_px_per_mm}")
-        if self.role.is_side and abs(self.axis[2]) > 1e-9:
+        if min(self.resolution) <= 0:
             raise ConfigError(
-                f"camera {self.camera_id}: side cameras must be horizontal, "
-                f"axis {self.axis}"
+                f"camera {self.camera_id}: resolution must be positive, "
+                f"got {self.resolution}"
             )
-
-
-def make_camera(
-    camera_id: str,
-    role: CameraRole,
-    position: _Vec,
-    axis: _Vec,
-    focal_px: float,
-    resolution: tuple[int, int],
-    mode: str,
-    ortho_px_per_mm: float = 1.0,
-) -> SimCamera:
-    """Build a camera, deriving its right/down frame from role and axis."""
-    axis = _unit(axis)
-    if role.is_side:
-        right = _unit(_cross(axis, (0.0, 0.0, 1.0)))
-    else:
-        if axis != (0.0, 0.0, -1.0):
-            raise ConfigError(f"top camera must look along -z, got axis {axis}")
-        right = (1.0, 0.0, 0.0)
-    down = _unit(_cross(axis, right))
-    return SimCamera(
-        camera_id=camera_id,
-        role=role,
-        position=position,
-        axis=axis,
-        right=right,
-        down=down,
-        focal_px=focal_px,
-        resolution=resolution,
-        mode=mode,
-        ortho_px_per_mm=ortho_px_per_mm,
-    )
 
 
 def project(camera: SimCamera, point: WorldPoint3D) -> PixelPoint:
     """Project a world point onto a camera's sensor.
 
+    Each camera coordinate is ``sign * (point - position)`` on its link's
+    axis: xc along a, yc along b, zc along depth.
+
     Raises:
         BehindCamera: perspective projection of a point at or behind the
             image plane.
     """
-    d = _sub((point.x, point.y, point.z), camera.position)
-    xc = _dot(camera.right, d)
-    yc = _dot(camera.down, d)
+    pos = camera.position
+    offset = {"x": point.x - pos[0], "y": point.y - pos[1], "z": point.z - pos[2]}
+    a, b, depth = camera.links
+    xc = a.sign * offset[a.axis]
+    yc = b.sign * offset[b.axis]
     cx = camera.resolution[0] / 2.0
     cy = camera.resolution[1] / 2.0
     if camera.mode == "aligned":
         s = camera.ortho_px_per_mm
         return PixelPoint(cx + s * xc, cy + s * yc)
-    zc = _dot(camera.axis, d)
+    zc = depth.sign * offset[depth.axis]
     if zc <= 1e-9:
         raise BehindCamera(
             f"camera {camera.camera_id}: point ({point.x}, {point.y}, {point.z}) "
@@ -228,38 +171,27 @@ def standard_cameras(
     ortho_px_per_mm: float = 1.0,
     top_mode: str | None = None,
 ) -> tuple[SimCamera, ...]:
-    """The symmetric five-camera arrangement around the grid; each side
-    camera faces its face's centre along the face's depth link."""
+    """The symmetric five-camera arrangement around the grid; each camera
+    looks along its face's depth link, a side camera at its face's centre."""
     axis_map = default_axis_map(grid_a)
     cams = []
     for i in range(4):
-        links = _face_links(axis_map, CameraRole.side(i), grid_a)
-        depth = links[2]
+        role = CameraRole.side(i)
+        links = _face_links(axis_map, role, grid_a)
         centre_a = _extents(grid_a, links)[0] / 2.0
         pos = _face_point(links, centre_a, grid_a.h_mm - side_height_mm, -side_distance_mm)
         cams.append(
-            make_camera(
-                f"side{i}",
-                CameraRole.side(i),
-                (pos.x, pos.y, pos.z),
-                tuple(float(depth.sign) if c == depth.axis else 0.0 for c in "xyz"),
-                focal_px,
-                resolution,
-                mode,
-                ortho_px_per_mm,
+            SimCamera(
+                f"side{i}", role, (pos.x, pos.y, pos.z), links, focal_px,
+                resolution, mode, ortho_px_per_mm,
             )
         )
-    top_pos = (grid_a.w_mm / 2.0, grid_a.d_mm / 2.0, top_height_mm)
+    top = CameraRole.top()
     cams.append(
-        make_camera(
-            "top",
-            CameraRole.top(),
-            top_pos,
-            (0.0, 0.0, -1.0),
-            top_focal_px,
-            resolution,
-            top_mode or mode,
-            ortho_px_per_mm,
+        SimCamera(
+            "top", top, (grid_a.w_mm / 2.0, grid_a.d_mm / 2.0, top_height_mm),
+            _face_links(axis_map, top, grid_a), top_focal_px, resolution,
+            top_mode or mode, ortho_px_per_mm,
         )
     )
     return tuple(cams)
@@ -427,7 +359,13 @@ class SimScenario:
             raise ConfigError(
                 f"confidence_jitter must be in [0, 1), got {self.confidence_jitter}"
             )
+        camera_ids = [cam.camera_id for cam in self.cameras]
         for cam_id, p in (self.dropout or {}).items():
+            if cam_id != "default" and cam_id not in camera_ids:
+                raise ConfigError(
+                    f"dropout names camera {cam_id!r}, which is not one of "
+                    f"{', '.join(camera_ids)} (or default)"
+                )
             if not 0 <= p <= 1:
                 raise ConfigError(f"dropout for {cam_id} must be in [0, 1], got {p}")
         if not self.rig.grid_a.contains(self.grid_b):
@@ -477,7 +415,8 @@ class GeneratedData:
 def _sample_path(path: PathSpec, n_frames: int, fps: float) -> list[WorldPoint3D]:
     pts = [(w.x, w.y, w.z) for w in path.waypoints]
     seg_lengths = [
-        _norm(_sub(b, a)) for a, b in zip(pts, pts[1:])
+        math.sqrt(sum((q - p) * (q - p) for p, q in zip(a, b)))
+        for a, b in zip(pts, pts[1:])
     ]
     total = sum(seg_lengths)
     positions = []
@@ -499,7 +438,7 @@ def _sample_path(path: PathSpec, n_frames: int, fps: float) -> list[WorldPoint3D
                 continue
             if dist <= acc + length:
                 frac = (dist - acc) / length
-                chosen = _add(a, _scaled(_sub(b, a), frac))
+                chosen = tuple(p + (q - p) * frac for p, q in zip(a, b))
                 break
             acc += length
         positions.append(WorldPoint3D(*chosen))

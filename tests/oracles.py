@@ -91,6 +91,68 @@ def pinhole_projection_oracle(
     )
 
 
+# --- cameras framed by cross products ---------------------------------------
+
+# The way each camera of the standard rig looks: side 0 to 3 face the y=0,
+# x=W, y=D and x=0 faces in turn, and the top camera looks down.
+RIG_VIEW_AXES = {
+    "side:0": (0.0, 1.0, 0.0),
+    "side:1": (-1.0, 0.0, 0.0),
+    "side:2": (0.0, -1.0, 0.0),
+    "side:3": (1.0, 0.0, 0.0),
+    "top": (0.0, 0.0, -1.0),
+}
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _unit(a):
+    scale = 1.0 / math.sqrt(_dot(a, a))
+    return (a[0] * scale, a[1] * scale, a[2] * scale)
+
+
+def frame_vector_projection(
+    axis, position, point, resolution, mode, focal_px, ortho_px_per_mm
+) -> tuple[float, float] | None:
+    """u, v of world point ``point`` for a camera at ``position`` looking
+    along ``axis``, or None for a pinhole camera when the point is not in
+    front of its image plane.
+
+    The camera's frame is built from its axis alone: right = unit(axis x
+    z-hat), or x-hat for a camera looking straight down, and down =
+    unit(axis x right); each camera coordinate is a dot product with the
+    point's offset.
+    """
+    axis = _unit(axis)
+    if axis == (0.0, 0.0, -1.0):
+        right = (1.0, 0.0, 0.0)
+    else:
+        right = _unit(_cross(axis, (0.0, 0.0, 1.0)))
+    down = _unit(_cross(axis, right))
+    d = (point[0] - position[0], point[1] - position[1], point[2] - position[2])
+    cx, cy = resolution[0] / 2.0, resolution[1] / 2.0
+    if mode == "aligned":
+        s = ortho_px_per_mm
+        return cx + s * _dot(right, d), cy + s * _dot(down, d)
+    zc = _dot(axis, d)
+    if zc <= 1e-9:
+        return None
+    return (
+        cx + focal_px * _dot(right, d) / zc,
+        cy + focal_px * _dot(down, d) / zc,
+    )
+
+
 # --- quadratic synchronization ----------------------------------------------
 
 

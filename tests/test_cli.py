@@ -1270,7 +1270,7 @@ def test_simulate_refuses_a_resolution_that_rounds_boxes_away(tmp_path):
     path.write_text(json.dumps(doc))
     code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
     assert code == 2
-    assert stderr.startswith("config error: camera ")
+    assert stderr.startswith(f"config error: {path}: camera ")
     assert ": no valid box: need u_min < u_max" in stderr
     assert stdout == "" and not out.exists()
 
@@ -1291,6 +1291,66 @@ def test_simulate_refuses_a_frame_rate_whose_times_are_not_finite(tmp_path, n_fr
         f"config error: {path}: frame_rate_fps {fps} puts frame {n_frames - 1} "
     )
     assert stdout == "" and not out.exists()
+
+
+def test_simulate_names_the_scenario_whose_cameras_face_away(tmp_path):
+    """Side cameras 100 mm inside the grid see the markers behind them."""
+    cameras = {"mode": "pinhole", "resolution": [1920, 1080], "side_distance_mm": -100.0}
+    doc = {**SCENARIO_DOC, "cameras": cameras}
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    assert code == 1
+    assert stderr.startswith(f"error: {path}: camera side0: point (")
+    assert stderr.endswith(") is not in front of the image plane\n")
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"cameras": {"mode": "aligned", "resolution": [0, 0]}},
+         "camera side0: resolution must be positive, got (0, 0)"),
+        ({"dropout": {"default": 0.1, "side5": 0.9}},
+         "dropout names camera 'side5', which is not one of "
+         "side0, side1, side2, side3, top (or default)"),
+    ],
+)
+def test_simulate_refuses_a_scenario_its_cameras_cannot_run(tmp_path, change, message):
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps({**SCENARIO_DOC, **change}))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    assert (code, stdout, stderr) == (2, "", f"config error: {path}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_reconstruct_refuses_a_camera_the_calibration_lacks(pipeline, tmp_path, strict):
+    """Side0 would sort first as the reference camera, and fusion would drop
+    its rows unseen."""
+    renamed = tmp_path / "detections_side0.csv"
+    write_detections(
+        renamed,
+        (
+            replace(d, camera_id="Side0")
+            for d in parse_detections_file(
+                pipeline / "sim" / "detections_side0.csv", strict=True
+            ).detections
+        ),
+    )
+    others = sorted(str(p) for p in (pipeline / "sim").glob("detections_side[1-3].csv"))
+    track = tmp_path / "track.csv"
+    argv = [
+        "reconstruct", str(renamed), *others, str(pipeline / "sim" / "detections_top.csv"),
+        "--calibration", str(pipeline / "calibration.json"), "--out", str(track),
+    ] + (["--strict"] if strict else [])
+    code, stdout, stderr = _run(argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"error: {renamed}: no camera 'Side0' in the calibration, whose cameras "
+        "are side0, side1, side2, side3, top\n"
+    )
+    assert not track.exists()
 
 
 @settings(_FUZZ, max_examples=150)

@@ -2,6 +2,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscope.calibration import CameraRole, default_axis_map
 from gridscope.errors import BehindCamera, ConfigError, CsvError, FormatError
@@ -16,7 +18,6 @@ from gridscope.simulate import (
     _sample_path,
     generate_scenario,
     load_scenario,
-    make_camera,
     marker_picks_for,
     project,
     read_truth,
@@ -28,7 +29,11 @@ from gridscope.simulate import (
 )
 
 from conftest import make_rig, make_scenario
-from oracles import pinhole_projection_oracle
+from oracles import (
+    RIG_VIEW_AXES,
+    frame_vector_projection,
+    pinhole_projection_oracle,
+)
 
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
@@ -38,6 +43,12 @@ def cameras(mode="aligned", distance=245.0, height=425.0, top_mode=None):
         GRID, mode, (1920, 1080), distance, height, 3350.0, 200.0, 2000.0,
         top_mode=top_mode,
     )
+
+
+def looking(cam):
+    """The unit vector a camera looks along: its depth link's axis and sign."""
+    depth = cam.links[2]
+    return tuple(float(depth.sign) if a == depth.axis else 0.0 for a in "xyz")
 
 
 def face(role, grid=GRID):
@@ -101,7 +112,7 @@ class TestFaces:
         cams = standard_cameras(
             grid, mode, (1920, 1080), 245.0, 300.0, 3350.0, 200.0, 2000.0
         )
-        placed = [(repr(c.position), repr(c.axis)) for c in cams[:4]]
+        placed = [(repr(c.position), repr(looking(c))) for c in cams[:4]]
         assert placed == [
             ("(195.0, -245.0, 300.0)", "(0.0, 1.0, 0.0)"),
             ("(635.0, 205.0, 300.0)", "(-1.0, 0.0, 0.0)"),
@@ -118,10 +129,10 @@ class TestStandardCameras:
         ]
         side0 = cams[0]
         assert side0.position == (195.0, -245.0, 425.0)
-        assert side0.axis == (0.0, 1.0, 0.0)
+        assert looking(side0) == (0.0, 1.0, 0.0)
         top = cams[4]
         assert top.position == (195.0, 195.0, 3350.0)
-        assert top.axis == (0.0, 0.0, -1.0)
+        assert looking(top) == (0.0, 0.0, -1.0)
 
     def test_side_height_measured_from_floor(self):
         cams = cameras(height=245.0)
@@ -132,19 +143,15 @@ class TestStandardCameras:
         assert cams[0].mode == "pinhole"
         assert cams[4].mode == "aligned"
 
-    def test_side_cameras_must_stay_horizontal(self):
-        with pytest.raises(ConfigError):
-            make_camera(
-                "bad", CameraRole.side(0), (0.0, -245.0, 0.0), (0.0, 1.0, 0.5),
-                200.0, (1920, 1080), "aligned",
+    @pytest.mark.parametrize("resolution", [(0, 0), (1920, 0), (-1920, 1080)])
+    def test_a_resolution_that_is_not_positive_is_refused(self, resolution):
+        with pytest.raises(ConfigError) as err:
+            standard_cameras(
+                GRID, "aligned", resolution, 245.0, 425.0, 3350.0, 200.0, 2000.0
             )
-
-    def test_top_camera_must_look_down(self):
-        with pytest.raises(ConfigError):
-            make_camera(
-                "bad", CameraRole.top(), (195.0, 195.0, 3350.0), (0.0, 0.0, 1.0),
-                200.0, (1920, 1080), "aligned",
-            )
+        assert str(err.value) == (
+            f"camera side0: resolution must be positive, got {resolution}"
+        )
 
 
 class TestProject:
@@ -191,6 +198,80 @@ class TestProject:
             project(cam, WorldPoint3D(195.0, -245.0, 425.0))
         with pytest.raises(BehindCamera):
             project(cam, WorldPoint3D(195.0, -300.0, 425.0))
+
+
+# A world point relative to a camera and the grid: "inside" the grid,
+# "near" it with each coordinate the camera's own where asked (its offset is
+# then 0), "behind" the camera, up to two grid spans back along its axis, or
+# "grazing" its image plane, up to 2e-9 mm in front of it.
+POINT_RECIPE = st.tuples(
+    st.sampled_from(["inside", "near", "behind", "grazing"]),
+    st.tuples(*3 * [st.floats(0.0, 1.0)]),
+    st.tuples(*3 * [st.booleans()]),
+)
+
+
+def recipe_point(recipe, cam, grid):
+    kind, fractions, own = recipe
+    span = max(grid.w_mm, grid.d_mm, grid.h_mm)
+    if kind == "inside":
+        return tuple(f * e for f, e in zip(fractions, (grid.w_mm, grid.d_mm, grid.h_mm)))
+    if kind == "near":
+        return tuple(
+            p if keep else (6.0 * f - 3.0) * span
+            for p, f, keep in zip(cam.position, fractions, own)
+        )
+    t, *sideways = fractions
+    back = 2.0 * span * t if kind == "behind" else -2e-9 * t
+    axis = RIG_VIEW_AXES[cam.role.label()]
+    across = iter(sideways)
+    return tuple(
+        p - a * back if a else p + (2.0 * next(across) - 1.0) * span
+        for p, a in zip(cam.position, axis)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.tuples(*3 * [st.floats(1.0, 5000.0)]),
+    resolution=st.tuples(st.integers(1, 4096), st.integers(1, 4096)),
+    side_distance=st.floats(-1000.0, 5000.0),
+    heights=st.tuples(st.floats(-1000.0, 6000.0), st.floats(-1000.0, 12000.0)),
+    focals=st.tuples(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0)),
+    ortho_px_per_mm=st.floats(0.01, 10.0),
+    modes=st.tuples(
+        st.sampled_from(["aligned", "pinhole"]),
+        st.sampled_from([None, "aligned", "pinhole"]),
+    ),
+    recipes=st.lists(POINT_RECIPE, min_size=1, max_size=8),
+)
+def test_project_matches_the_frame_vector_oracle(
+    size, resolution, side_distance, heights, focals, ortho_px_per_mm, modes, recipes
+):
+    """Reading a camera's links gives the bits of the frame that cross
+    products build from its viewing axis, and the same refusals."""
+    grid = GridBox(WorldPoint3D(0.0, 0.0, 0.0), *size)
+    cams = standard_cameras(
+        grid, modes[0], resolution, side_distance, *heights, *focals,
+        ortho_px_per_mm, top_mode=modes[1],
+    )
+    for cam in cams:
+        for point in (recipe_point(r, cam, grid) for r in recipes):
+            expected = frame_vector_projection(
+                RIG_VIEW_AXES[cam.role.label()], cam.position, point,
+                cam.resolution, cam.mode, cam.focal_px, cam.ortho_px_per_mm,
+            )
+            if expected is None:
+                with pytest.raises(BehindCamera) as err:
+                    project(cam, WorldPoint3D(*point))
+                x, y, z = point
+                assert str(err.value) == (
+                    f"camera {cam.camera_id}: point ({x}, {y}, {z}) "
+                    "is not in front of the image plane"
+                )
+            else:
+                pix = project(cam, WorldPoint3D(*point))
+                assert repr((pix.u, pix.v)) == repr(expected), (cam.camera_id, point)
 
 
 class TestSubAreaRects:
@@ -540,11 +621,22 @@ class TestScenarioDocs:
             scenario_from_doc(doc)
         assert str(err.value) == f"{'.'.join(where) or 'top level'}: unknown key {key!r}"
 
-    def test_dropout_is_an_open_map_of_camera_ids(self):
+    def test_dropout_keys_are_default_or_camera_ids(self):
         doc = self.minimal_doc()
-        doc["dropout"] = {"default": 0.25, "side9": 0.5}
+        doc["dropout"] = {"default": 0.25, "side3": 0.5}
         s = scenario_from_doc(doc)
-        assert (s.dropout_for("side9"), s.dropout_for("top")) == (0.5, 0.25)
+        assert (s.dropout_for("side3"), s.dropout_for("top")) == (0.5, 0.25)
+
+    @pytest.mark.parametrize("key", ["side9", "side5", "Side0", "top0", ""])
+    def test_a_dropout_key_that_names_no_camera_is_refused(self, key):
+        doc = self.minimal_doc()
+        doc["dropout"] = {"default": 0.25, key: 0.5}
+        with pytest.raises(ConfigError) as err:
+            scenario_from_doc(doc)
+        assert str(err.value) == (
+            f"dropout names camera {key!r}, which is not one of "
+            "side0, side1, side2, side3, top (or default)"
+        )
 
     def test_load_scenario_file(self, tmp_path):
         from gridscope import jsonio
