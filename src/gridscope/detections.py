@@ -6,16 +6,16 @@ confidence``.  Parsing runs in strict mode (first bad row aborts with a
 CsvError naming row and column) or lenient mode (bad rows are skipped and
 reported).
 
-A file is read into one ``DetectionTable`` through
+A file is read into one ``DetectionTable`` of ``Detection`` rows through
 ``DETECTION_FORMAT``.  A plain file (no quote, NUL or bare CR) whose rows
 all pass its column masks, which run every ``Detection`` check, is read in
 one ``np.loadtxt`` pass (``jsonio.fast_table``).  ``finite_box`` is the one
-box rule: ``Detection`` runs it on floats and the mask on columns.  Any other goes through
-``jsonio.read_columns``, which reads each row into a ``Detection``
-(``_detection``); ``DetectionTable.of`` puts them into the table.  Each
-error names its row and reason, and the column of the first real (in
-header order) that is not a finite number, else of the first failed check
-of one column.  Errors are reported in row order.
+box rule: ``Detection`` runs it on floats and the mask on columns.  Any
+other goes through ``jsonio.read_columns``, which reads each row into a
+``Detection``; ``DetectionTable.of`` puts them into the table.  Each error
+names its row and reason, and the column of the first field (in header
+order) that does not read, else of the first failed check of one column.
+Errors are reported in row order.
 
 Cameras run free, so bundles are assembled in two steps.  One stable
 ``np.lexsort`` by camera and timestamp finds each camera frame, and only a
@@ -42,15 +42,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CsvError
-from .jsonio import (
-    Columns,
-    FieldError,
-    TableFormat,
-    csv_field,
-    read_columns,
-    read_file,
-    real,
-)
+from .jsonio import Columns, FieldError, TableFormat, csv_field, read_columns, read_file
 from .options import DEFAULT_SYNC_TOLERANCE_MS
 
 CSV_HEADER = (
@@ -63,7 +55,6 @@ CSV_HEADER = (
     "v_max",
     "confidence",
 )
-_REAL_COLUMNS = CSV_HEADER[2:]
 
 
 def finite_box(u_min, v_min, u_max, v_max):
@@ -121,10 +112,6 @@ class Detection:
             )
 
     @property
-    def area(self) -> float:
-        return (self.u_max - self.u_min) * (self.v_max - self.v_min)
-
-    @property
     def bbox(self) -> tuple[float, float, float, float]:
         return (self.u_min, self.v_min, self.u_max, self.v_max)
 
@@ -159,31 +146,16 @@ class DetectionTable(Columns):
     confidence: np.ndarray
 
 
-def _detection(camera_id: str, frame_index: str, *texts: str) -> Detection:
-    reals = [real(text, name) for text, name in zip(texts, _REAL_COLUMNS)]
-    return Detection(camera_id, frame_index, *reals)
-
-
-def _detection_mask(texts: list[list[str]], reals) -> np.ndarray:
+def _detection_mask(t: DetectionTable) -> np.ndarray:
     """Which rows of finite reals pass every Detection check, as column masks."""
-    cameras, _ = texts
-    t, u_min, v_min, u_max, v_max, confidence = reals
-    with np.errstate(all="ignore"):
-        ok = (t >= 0) & (u_min < u_max) & (v_min < v_max)
-        ok &= finite_box(u_min, v_min, u_max, v_max)
-        ok &= (0.0 <= confidence) & (confidence <= 1.0)
-    ok &= np.fromiter(map(bool, cameras), bool, len(cameras))
+    ok = (t.timestamp_ms >= 0) & (t.u_min < t.u_max) & (t.v_min < t.v_max)
+    ok &= finite_box(t.u_min, t.v_min, t.u_max, t.v_max)
+    ok &= (0.0 <= t.confidence) & (t.confidence <= 1.0)
+    ok &= np.fromiter(map(bool, t.camera_id), bool, len(t))
     return ok
 
 
-DETECTION_FORMAT = TableFormat(
-    CSV_HEADER,
-    tuple(range(2, len(CSV_HEADER))),
-    _detection_mask,
-    lambda texts, reals: DetectionTable(*texts, *reals),
-    _detection,
-    DetectionTable.of,
-)
+DETECTION_FORMAT = TableFormat(CSV_HEADER, DetectionTable, Detection, _detection_mask)
 
 
 def read_detection_table(
@@ -200,7 +172,7 @@ def parse_detections(lines: Iterable[str], strict: bool = False) -> ParseResult:
         lines: the file content, header row first.
         strict: raise on the first malformed row instead of skipping it.
     """
-    return ParseResult(*read_columns(lines, CSV_HEADER, _detection, strict))
+    return ParseResult(*read_columns(lines, CSV_HEADER, DETECTION_FORMAT.make, strict))
 
 
 def parse_detections_file(path, strict: bool = False) -> ParseResult:

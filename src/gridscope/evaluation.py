@@ -8,8 +8,8 @@ a bounded variant that also penalizes walking off the face rectangle is
 available behind a flag.  Per-segment means are combined into an
 unweighted overall mean so long and short segments count equally.
 
-``evaluate_track`` scores only a ``TrackTable`` (``TrackTable.from_points``
-makes one) in numpy: one ``searchsorted`` puts every point in its window,
+``evaluate_track`` scores only a ``TrackTable`` (``TrackTable.of`` makes
+one of points) in numpy: one ``searchsorted`` puts every point in its window,
 the face distances follow the operations of the scalar reference
 ``tests/oracles.distance_to_face`` column-wise, and ``np.bincount`` sums
 each window's distances in track order.
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackTable
 from .geometry import FACES, GridBox
-from .jsonio import FieldError, csv_field, naming, read_columns, read_file, real
+from .jsonio import FieldError, csv_field, naming, read_columns, read_file, row_reader
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -99,14 +99,9 @@ def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
 # --- segments CSV -----------------------------------------------------------
 
 
-def _segment(segment_id: str, t_start: str, t_end: str, face: str) -> Segment:
-    """One segments row: its reals, then the Segment checks."""
-    start, end = real(t_start, "t_start_ms"), real(t_end, "t_end_ms")
-    return Segment(segment_id, start, end, face)
-
-
 def read_segments(path) -> list[Segment]:
-    segments = read_file(path, read_columns, SEGMENTS_HEADER, _segment)[0]
+    make = row_reader(SEGMENTS_HEADER, Segment)
+    segments = read_file(path, read_columns, SEGMENTS_HEADER, make)[0]
     with naming(path):
         validate_segments(segments)
     return segments

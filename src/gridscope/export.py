@@ -7,8 +7,8 @@ fixed canvas and fits the grid into each panel with an isotropic scale; a
 point that the scale takes past the largest float is refused, and no file is
 written.
 
-Every writer takes only a ``TrackTable`` (``TrackTable.from_points`` makes one)
-and formats its columns with one ``str.format`` per row.
+Every writer takes only a ``TrackTable`` (``TrackTable.of`` makes one of
+points) and formats its columns with one ``str.format`` per row.
 """
 
 from __future__ import annotations

@@ -26,17 +26,16 @@ order with the camera pair as two str columns, from ``build_track``
 through ``write_track`` and back from ``read_track``.  There one
 ``np.loadtxt`` pass reads a plain file whose rows all pass the column
 masks of ``TRACK_FORMAT``; any other file is read one row at a time into
-``TrackPoint`` objects (``_track_point``), so each error names its row,
-column and reason.  ``TrackPoint`` is the API edge: a table iterates as
-points, and ``TrackTable.from_points`` puts points into the table every
-consumer takes.
+``TrackPoint`` objects, so each error names its row, column and reason.
+``TrackPoint``, the table's row, is the API edge: a table iterates as
+points, and ``TrackTable.of`` puts points into the table every consumer
+takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -55,16 +54,8 @@ from .depth import (
 )
 from .detections import BundleTable, Detection, DetectionTable
 from .errors import FormatError, ZDisagreementExceeded
-from .geometry import ModelPoint2D, WorldPoint3D
-from .jsonio import (
-    Columns,
-    DocReader,
-    FieldError,
-    TableFormat,
-    csv_field,
-    naming,
-    real,
-)
+from .geometry import ModelPoint2D
+from .jsonio import Columns, DocReader, FieldError, TableFormat, csv_field, naming
 from .options import DEFAULT_Z_REJECT_MM, PAIR_STRATEGIES
 
 # The four admissible side-camera pairs, in tie-break order.
@@ -92,11 +83,15 @@ TRACK_HEADER = (
 
 @dataclass(frozen=True)
 class TrackPoint:
-    """One reconstructed 3D position."""
+    """One reconstructed 3D position, from side cameras ``cam_a`` and
+    ``cam_b``: a row of the track, in file order."""
 
     timestamp_ms: float
-    position: WorldPoint3D
-    pair: tuple[str, str]
+    x: float
+    y: float
+    z: float
+    cam_a: str
+    cam_b: str
     z_disagreement_mm: float
     depth_corrected: bool
 
@@ -112,10 +107,11 @@ class TrackPoint:
 class TrackTable(Columns):
     """The track as columns, one entry per point in track order.
 
-    Every row holds what a ``TrackPoint`` would, in the track file's column
+    Every row holds what a ``TrackPoint`` does, in the track file's column
     order: float64 columns for the time, position and z disagreement, the
     camera pair as two str columns and a bool column for the depth
-    correction.  A table iterates as TrackPoint objects.
+    correction.  A table iterates as TrackPoint objects, and ``of`` puts
+    points into one.
     """
 
     timestamp_ms: np.ndarray
@@ -128,27 +124,7 @@ class TrackTable(Columns):
     depth_corrected: np.ndarray = field(metadata={"dtype": bool})
 
     def __iter__(self) -> Iterator[TrackPoint]:
-        return iter(self.rows(_point))
-
-    @classmethod
-    def from_points(cls, points: Iterable[TrackPoint]) -> "TrackTable":
-        return cls.of(
-            SimpleNamespace(
-                timestamp_ms=p.timestamp_ms,
-                x=p.position.x,
-                y=p.position.y,
-                z=p.position.z,
-                cam_a=p.pair[0],
-                cam_b=p.pair[1],
-                z_disagreement_mm=p.z_disagreement_mm,
-                depth_corrected=p.depth_corrected,
-            )
-            for p in points
-        )
-
-
-def _point(t, x, y, z, cam_a, cam_b, dz, flag) -> TrackPoint:
-    return TrackPoint(t, WorldPoint3D(x, y, z), (cam_a, cam_b), dz, flag)
+        return iter(self.rows(TrackPoint))
 
 
 @dataclass
@@ -336,13 +312,8 @@ def reconstruct_point(
     x, y, z, dz = (float(c[0]) for c in _fuse_pair(cal, *columns))
     if dz > z_reject_mm:
         raise ZDisagreementExceeded(dz, z_reject_mm)
-    return TrackPoint(
-        timestamp_ms=timestamp_ms,
-        position=WorldPoint3D(x, y, z),
-        pair=(view_a.detection.camera_id, view_b.detection.camera_id),
-        z_disagreement_mm=dz,
-        depth_corrected=top is not None,
-    )
+    cams = (view_a.detection.camera_id, view_b.detection.camera_id)
+    return TrackPoint(timestamp_ms, x, y, z, *cams, dz, top is not None)
 
 
 @dataclass
@@ -624,43 +595,12 @@ def write_track(path, track: TrackTable) -> None:
         fh.writelines(rows)
 
 
-def _track_point(
-    t: str, x: str, y: str, z: str, cam_a: str, cam_b: str, dz: str, flag: str
-) -> TrackPoint:
-    if flag not in ("true", "false"):
-        raise FieldError(
-            "depth_corrected", f"depth_corrected must be true/false, got {flag!r}"
-        )
-    return TrackPoint(
-        timestamp_ms=real(t, "timestamp_ms"),
-        position=WorldPoint3D(real(x, "x_mm"), real(y, "y_mm"), real(z, "z_mm")),
-        pair=(cam_a, cam_b),
-        z_disagreement_mm=real(dz, "z_disagreement_mm"),
-        depth_corrected=(flag == "true"),
-    )
+def _track_mask(t: TrackTable) -> np.ndarray:
+    """Which rows of finite reals pass the TrackPoint check, as a column mask."""
+    return t.z_disagreement_mm >= 0
 
 
-def _track_mask(texts: list[list[str]], reals) -> np.ndarray:
-    """Which rows of finite reals pass every track check, as column masks."""
-    flag = texts[2]
-    known = np.fromiter(map(("true", "false").__contains__, flag), bool, len(flag))
-    return (reals[4] >= 0) & known
-
-
-def _track_table(texts: list[list[str]], reals) -> TrackTable:
-    cam_a, cam_b, flag = texts
-    corrected = np.fromiter(map("true".__eq__, flag), bool, len(flag))
-    return TrackTable(*reals[:4], cam_a, cam_b, reals[4], corrected)
-
-
-TRACK_FORMAT = TableFormat(
-    TRACK_HEADER,
-    (0, 1, 2, 3, 6),
-    _track_mask,
-    _track_table,
-    _track_point,
-    TrackTable.from_points,
-)
+TRACK_FORMAT = TableFormat(TRACK_HEADER, TrackTable, TrackPoint, _track_mask)
 
 
 def read_track(path) -> TrackTable:

@@ -12,20 +12,20 @@ Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
-Detections, ground truth and the track are each a :class:`TableFormat`,
-and the tables share :class:`Columns`, which derives their length, ``==``,
-``concat`` and the conversion to and from objects from their fields.
-A format's file is first offered to :func:`fast_table`, which reads every
-column in one pass of numpy's C reader (``np.loadtxt``) and keeps its
-table only when the format's column masks pass every row.  It declines
-any other file (a quote, a NUL, a CR that does not end a line, a row of
-another width, a real that is not finite, a row a mask refuses), and
-:func:`read_columns` reads that one a row at a time through the format's
-row reader, whose items ``of`` puts into the table; so a row is accepted
-or refused by one rule, and every error comes from one place.  Segments
-and truth are read by read_columns alone, as lists of items.  Real-valued
-fields are read through :func:`real`, which owns the rule that refuses
-``nan`` and ``inf``; fast_table checks it once for every format.
+Detections, ground truth and the track are each a :class:`TableFormat`
+of a :class:`Columns` table and a row class, and Columns derives each
+table's length, ``==``, ``concat`` and the conversion to and from rows
+from its fields.  A format's file is first offered to :func:`fast_table`,
+which reads every column in one pass of numpy's C reader (``np.loadtxt``)
+and keeps its table only when the format's column masks pass every row.
+It declines any other file (a quote, a NUL, a CR that does not end a
+line, a row of another width, a real that is not finite, a bad flag, a
+row a mask refuses), and :func:`read_columns` reads that one a row at a
+time through the format's :func:`row_reader`; so a row is accepted or
+refused by one rule, and every error comes from one place.  Segments go
+through the same row reader, and truth through its own, as lists of rows.
+Real-valued fields are read through :func:`real`, which owns the rule
+that refuses ``nan`` and ``inf``; fast_table checks it once for every format.
 Every file is read as UTF-8; a byte that is not is a FormatError or
 CsvError naming its line, unless a CSV row in front of that line is bad.
 An error raised while a file is read (:func:`read_file`, :func:`load_doc`)
@@ -42,7 +42,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -341,6 +341,42 @@ def real(text: str, column: str) -> float:
     return value
 
 
+_FLAGS = {"true": True, "false": False}
+
+
+def flag(text: str, column: str) -> bool:
+    """One CSV field as a ``true``/``false`` flag."""
+    try:
+        return _FLAGS[text]
+    except KeyError:
+        raise FieldError(column, f"{column} must be true/false, got {text!r}") from None
+
+
+def _text(text: str, column: str) -> str:
+    return text
+
+
+# The reader of a column, by its row class's field type as annotated (the
+# package's modules postpone annotations, so the type is its name).
+_FIELD_READERS = {"str": _text, "float": real, "bool": flag}
+
+
+def _field_readers(row: type) -> tuple[Callable[[str, str], Any], ...]:
+    """Each field's reader of dataclass ``row``: real, flag or the text."""
+    return tuple(_FIELD_READERS[f.type] for f in fields(row))
+
+
+def row_reader(header: tuple[str, ...], row: Callable[..., T]) -> Callable[..., T]:
+    """``make(*texts)``: ``row`` of a CSV row's fields, each read in header
+    order by its reader, so the first that does not read names its column."""
+    readers = tuple(zip(_field_readers(row), header))
+
+    def make(*texts: str) -> T:
+        return row(*[read(text, column) for (read, column), text in zip(readers, texts)])
+
+    return make
+
+
 def csv_field(text: str) -> str:
     """Quote ``text`` for a CSV row, doubling its quotes, if it holds , " CR or LF."""
     if "," in text or '"' in text or "\r" in text or "\n" in text:
@@ -474,40 +510,45 @@ def read_file(path, read: Callable[..., T], *args) -> T:
 
 @dataclass(frozen=True)
 class TableFormat:
-    """A CSV layout read into one ``Columns`` table.
+    """A CSV table, declared once.
 
-    ``reals`` are the positions in ``header`` of the real-valued columns;
-    the others are text.  ``make(*fields)`` reads one row, and ``of`` puts
-    the items it makes into the table.  ``mask(texts, reals)`` says which
-    rows ``make`` accepts, from the stripped text columns and the float64
-    real columns in header order, and ``build(texts, reals)`` makes the
-    table of them; the fast read keeps a file only when every row passes.
-    A mask holds only the format's own checks, given finite reals.
+    The i-th ``header`` column is the i-th field of the ``Columns`` class
+    ``table`` and of the row class ``row``, and the type of that ``row``
+    field is the column's kind: ``str`` is text, ``bool`` a ``true`` or
+    ``false`` flag and ``float`` a finite real.  ``row`` runs a row's own
+    checks, and ``mask(table)`` is their column form: which rows of a
+    table of finite reals ``row`` accepts.  The fast read keeps a file
+    only when every row passes.
     """
 
     header: tuple[str, ...]
-    reals: tuple[int, ...]
-    mask: Callable[[list[list[str]], Sequence[np.ndarray]], np.ndarray]
-    build: Callable[[list[list[str]], Sequence[np.ndarray]], Any]
-    make: Callable[..., Any]
-    of: Callable[[list], Any]
+    table: type
+    row: type
+    mask: Callable[[Any], np.ndarray]
 
     @property
-    def texts(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.header)) if i not in self.reals)
+    def reals(self) -> tuple[int, ...]:
+        """The positions in ``header`` of the real columns."""
+        readers = _field_readers(self.row)
+        return tuple(i for i, read in enumerate(readers) if read is real)
+
+    @property
+    def make(self) -> Callable[..., Any]:
+        """The row reader, ``row_reader(header, row)``."""
+        return row_reader(self.header, self.row)
 
     def read(self, path, strict: bool = True) -> tuple[Any, list[CsvError]]:
         """File ``path`` as one table, plus the errors of skipped rows.
 
         ``fast_table`` reads it if it can; otherwise ``read_columns`` reads
-        it one row at a time through ``make``, and every error comes from
-        there.
+        it one row at a time through ``make``, every error comes from
+        there, and ``table.of`` puts the rows into the table.
         """
         table = fast_table(path, self)
         if table is not None:
             return table, []
         items, errors = read_file(path, read_columns, self.header, self.make, strict)
-        return self.of(items), errors
+        return self.table.of(items), errors
 
 
 # Bytes that the csv module reads otherwise than a split on commas and
@@ -564,16 +605,16 @@ def fast_table(path, fmt: TableFormat):
     It declines a file that the csv module would not read as a plain split
     on commas (``_plain``), one that np.loadtxt cannot read, one with a
     real that is not finite (the rule of ``real``, checked here for every
-    format, before the text columns are built) and one with a row that a
-    mask refuses.  One np.loadtxt pass reads every column into a structured
-    array, a float64 field per real column and a Python str per text
-    column; with no ``usecols`` it refuses a row of another width than the
-    header's.  The text columns are stripped as read_columns strips them,
-    unless ``_plain`` found no padding in the file, where stripping changes
-    no field.
+    format, before the other columns are built), a flag ``flag`` refuses,
+    or a row that a mask refuses.  One np.loadtxt pass reads every column
+    into a structured array, a float64 field per real column and a Python
+    str per other; with no ``usecols`` it refuses a row of another width
+    than the header's.  The str columns are stripped as read_columns strips
+    them, unless ``_plain`` found no padding in the file.
     """
+    readers = _field_readers(fmt.row)
     dtype = np.dtype(
-        [(h, float if i in fmt.reals else object) for i, h in enumerate(fmt.header)]
+        [(h, float if read is real else object) for h, read in zip(fmt.header, readers)]
     )
     try:
         padded = _plain(path, fmt.header)
@@ -591,12 +632,27 @@ def fast_table(path, fmt: TableFormat):
         )
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    reals = np.array([rows[fmt.header[i]] for i in fmt.reals])
+    # one contiguous float64 copy, so no column keeps the object fields alive
+    reals = np.array([rows[h] for h, read in zip(fmt.header, readers) if read is real])
     if not np.isfinite(reals).all():
         return None
-    texts = [rows[fmt.header[i]].tolist() for i in fmt.texts]
-    if padded:
-        texts = [list(map(str.strip, text)) for text in texts]
-    if not fmt.mask(texts, reals).all():
-        return None
-    return fmt.build(texts, reals)
+    stacked = iter(reals)
+    columns = []
+    for h, read in zip(fmt.header, readers):
+        if read is real:
+            columns.append(next(stacked))
+            continue
+        column = rows[h].tolist()
+        if padded:
+            column = list(map(str.strip, column))
+        if read is flag:
+            try:
+                column = np.fromiter(map(_FLAGS.__getitem__, column), bool, len(column))
+            except KeyError:
+                return None
+        columns.append(column)
+    table = fmt.table(*columns)
+    with np.errstate(all="ignore"):
+        if not fmt.mask(table).all():
+            return None
+    return table

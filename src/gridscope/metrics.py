@@ -54,7 +54,7 @@ from .detections import (
     read_detection_table,
 )
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import Columns, TableFormat, real
+from .jsonio import Columns, TableFormat
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -347,25 +347,13 @@ def fitness(precision: float, recall: float, map50: float, map5095: float) -> fl
 # --- file I/O ---------------------------------------------------------------
 
 
-def _ground_truth_box(frame_id: str, *texts: str) -> GroundTruthBox:
-    reals = [real(text, name) for text, name in zip(texts, GT_HEADER[1:])]
-    return GroundTruthBox(frame_id, *reals)
-
-
-def _ground_truth_mask(texts: list[list[str]], corners) -> np.ndarray:
+def _ground_truth_mask(t: GroundTruthTable) -> np.ndarray:
     """Which rows of finite corners pass every GroundTruthBox check, as masks."""
-    u_min, v_min, u_max, v_max = corners
-    with np.errstate(all="ignore"):
-        return (u_min < u_max) & (v_min < v_max) & finite_box(*corners)
+    return (t.u_min < t.u_max) & (t.v_min < t.v_max) & finite_box(*t.corners())
 
 
 GROUND_TRUTH_FORMAT = TableFormat(
-    GT_HEADER,
-    tuple(range(1, len(GT_HEADER))),
-    _ground_truth_mask,
-    lambda texts, corners: GroundTruthTable(*texts, *corners),
-    _ground_truth_box,
-    GroundTruthTable.of,
+    GT_HEADER, GroundTruthTable, GroundTruthBox, _ground_truth_mask
 )
 
 

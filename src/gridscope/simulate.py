@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,6 +99,8 @@ class SimCamera:
                 f"camera {self.camera_id}: resolution must be positive, "
                 f"got {self.resolution}"
             )
+        if max(self.resolution) > sys.float_info.max:  # project halves it as a float
+            raise ConfigError(f"camera {self.camera_id}: resolution is past float range")
 
 
 def project(camera: SimCamera, point: WorldPoint3D) -> PixelPoint:
@@ -350,6 +353,13 @@ class SimScenario:
             raise ConfigError(
                 f"frame_rate_fps {self.frame_rate_fps} puts frame {self.n_frames - 1} "
                 f"at a time that is not finite ({last_ms} ms)"
+            )
+        # _sample_path's distance at the last frame, which math.fmod must take
+        last_mm = self.path.speed_mm_s * (last_ms / 1000.0)
+        if self.path.loop and not math.isfinite(last_mm):
+            raise ConfigError(
+                f"speed_mm_s {self.path.speed_mm_s} puts frame {self.n_frames - 1} "
+                f"of the looped path at a distance that is not finite ({last_mm} mm)"
             )
         if self.noise_sigma_px < 0:
             raise ConfigError(f"noise_sigma_px must be >= 0, got {self.noise_sigma_px}")

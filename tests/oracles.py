@@ -156,6 +156,11 @@ def frame_vector_projection(
 # --- quadratic synchronization ----------------------------------------------
 
 
+def box_area(d) -> float:
+    """A detection's box area, with the operations of synchronize_table's tie rule."""
+    return (d.u_max - d.u_min) * (d.v_max - d.v_min)
+
+
 def naive_synchronize(detections, tolerance_ms, reference_camera=None):
     """Reference grouping: same rules as the library, quadratic scans.
 
@@ -166,7 +171,7 @@ def naive_synchronize(detections, tolerance_ms, reference_camera=None):
         per_frame.setdefault((det.camera_id, det.timestamp_ms), []).append(det)
     by_camera = {}
     for (cam, _), group in per_frame.items():
-        chosen = min(group, key=lambda d: (-d.confidence, -d.area, d.bbox))
+        chosen = min(group, key=lambda d: (-d.confidence, -box_area(d), d.bbox))
         by_camera.setdefault(cam, []).append(chosen)
     for dets in by_camera.values():
         dets.sort(key=lambda d: d.timestamp_ms)
@@ -327,7 +332,6 @@ def naive_build_track(
     operation order, so the two agree bit for bit.
     """
     from gridscope.fusion import FusionStats, TrackPoint
-    from gridscope.geometry import WorldPoint3D
 
     px = cal.rig.px_per_mm
     track = []
@@ -395,9 +399,7 @@ def naive_build_track(
                 totals = [t + c for t, c in zip(totals, point)]
                 dz = other_dz if other_dz > dz else dz
             xyz = [t / len(points) for t in totals]
-        track.append(
-            TrackPoint(bundle.timestamp_ms, WorldPoint3D(*xyz), pair, dz, corrected)
-        )
+        track.append(TrackPoint(bundle.timestamp_ms, *xyz, *pair, dz, corrected))
         stats.plotted += 1
     return track, stats
 
@@ -526,9 +528,9 @@ def mean_point_error(track_points, truth_by_timestamp) -> float:
         g = truth_by_timestamp[p.timestamp_ms]
         errs.append(
             math.sqrt(
-                (p.position.x - g.x) ** 2
-                + (p.position.y - g.y) ** 2
-                + (p.position.z - g.z) ** 2
+                (p.x - g.x) ** 2
+                + (p.y - g.y) ** 2
+                + (p.z - g.z) ** 2
             )
         )
     return sum(errs) / len(errs)
@@ -587,7 +589,7 @@ def scan_evaluate_track(track, segments, box, px_per_mm=1.0, bounded=False):
         try:
             for p in track:
                 if seg.t_start_ms <= p.timestamp_ms < seg.t_end_ms:
-                    total += distance_to_face(p.position, box, seg.face, bounded=bounded)
+                    total += distance_to_face(p, box, seg.face, bounded=bounded)
                     count += 1
         except OverflowError:
             total, count = math.inf, 1

@@ -83,10 +83,8 @@ def run_pipeline(scenario, reference_camera=None, **track_kwargs):
     return data, cal, track, stats
 
 
-def point_error(position: WorldPoint3D, truth: WorldPoint3D) -> float:
-    return math.dist(
-        (position.x, position.y, position.z), (truth.x, truth.y, truth.z)
-    )
+def point_error(point, truth: WorldPoint3D) -> float:
+    return math.dist((point.x, point.y, point.z), (truth.x, truth.y, truth.z))
 
 
 def test_c1_homography_round_trip():
@@ -182,10 +180,8 @@ def test_c4_depth_correction_halves_pinhole_error():
         plain_by_ts = {p.timestamp_ms: p for p in plain}
         worse = 0
         for p in corrected:
-            err_c = point_error(p.position, truth[p.timestamp_ms])
-            err_p = point_error(
-                plain_by_ts[p.timestamp_ms].position, truth[p.timestamp_ms]
-            )
+            err_c = point_error(p, truth[p.timestamp_ms])
+            err_p = point_error(plain_by_ts[p.timestamp_ms], truth[p.timestamp_ms])
             if err_c > err_p + 1e-9:
                 worse += 1
         assert worse <= 0.05 * len(corrected)
@@ -212,9 +208,9 @@ def test_c4_depth_correction_halves_pinhole_error():
             cal, 0.0, views[0], views[1], (195.0, 195.0),
             z_reject_mm=1e9, depth_correction=False,
         )
-        assert with_fix.position.x == without.position.x
-        assert with_fix.position.y == without.position.y
-        assert with_fix.position.z != without.position.z
+        assert with_fix.x == without.x
+        assert with_fix.y == without.y
+        assert with_fix.z != without.z
         assert with_fix.depth_corrected
 
         assert time.monotonic() - start < 10.0

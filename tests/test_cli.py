@@ -450,6 +450,28 @@ class TestExitCodes:
         assert not track.exists()
 
     @pytest.mark.parametrize(
+        "value, message", [("-1e3", "got -1000.0"), ("-inf", "got -inf")]
+    )
+    def test_a_negative_value_argparse_takes_for_an_option_needs_an_equals_sign(
+        self, pipeline, tmp_path, capsys, value, message
+    ):
+        """argparse reads "-1" as a number but "-1e3" and "-inf" as options."""
+        args = [
+            "reconstruct", str(pipeline / "sim" / "detections_top.csv"),
+            "--calibration", str(pipeline / "calibration.json"),
+            "--out", str(tmp_path / "track.csv"),
+        ]
+        assert main([*args, f"--z-reject-mm={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: z_reject_mm must be >= 0, {message}\n"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--z-reject-mm", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --z-reject-mm: expected one argument\n")
+        assert not (tmp_path / "track.csv").exists()
+
+    @pytest.mark.parametrize(
         "command, document, edit, message",
         [
             (
@@ -763,7 +785,8 @@ def test_camera_ids_with_a_comma_survive_the_pipeline(pipeline, tmp_path, capsys
          "--format", "csv", "--out", str(exported)]
     ) == 0
     assert exported.read_bytes() == track.read_bytes()
-    assert list(read_track(exported))[0].pair == ("si,de0", 'si"de,1')
+    point = list(read_track(exported))[0]
+    assert (point.cam_a, point.cam_b) == ("si,de0", 'si"de,1')
     capsys.readouterr()
 
     def evaluate(track_file, cal_file):
@@ -1291,6 +1314,36 @@ def test_simulate_refuses_a_frame_rate_whose_times_are_not_finite(tmp_path, n_fr
         f"config error: {path}: frame_rate_fps {fps} puts frame {n_frames - 1} "
     )
     assert stdout == "" and not out.exists()
+
+
+def test_simulate_refuses_a_resolution_past_float_range(tmp_path):
+    """project halves the resolution as a float, which would overflow."""
+    cameras = {"mode": "aligned", "resolution": [2 * 10**308, 1080]}
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps({**SCENARIO_DOC, "cameras": cameras}))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    message = "camera side0: resolution is past float range"
+    assert (code, stdout, stderr) == (2, "", f"config error: {path}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loop", [True, False])
+def test_simulate_refuses_a_looped_path_whose_distance_is_not_finite(tmp_path, loop):
+    """math.fmod cannot wrap an infinite distance; a path that does not loop
+    stops at its end, as ever."""
+    walk = {**SCENARIO_DOC["path"], "speed_mm_s": 1e308, "loop": loop}
+    path, out = tmp_path / "scenario.json", tmp_path / "sim"
+    path.write_text(json.dumps({**SCENARIO_DOC, "n_frames": 100, "path": walk}))
+    code, stdout, stderr = _run(["simulate", str(path), "--out", str(out)])
+    if not loop:
+        assert (code, stderr) == (0, "")
+        return
+    message = (
+        "speed_mm_s 1e+308 puts frame 99 of the looped path at a distance "
+        "that is not finite (inf mm)"
+    )
+    assert (code, stdout, stderr) == (2, "", f"config error: {path}: {message}\n")
+    assert not out.exists()
 
 
 def test_simulate_names_the_scenario_whose_cameras_face_away(tmp_path):

@@ -11,20 +11,21 @@ from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridscope.detections import Detection, DetectionTable
+from gridscope.detections import DETECTION_FORMAT, Detection, DetectionTable
 from gridscope.fusion import (
+    TRACK_FORMAT,
     TRACK_HEADER,
     TrackPoint,
     TrackTable,
     read_track,
     write_track,
 )
-from gridscope.geometry import WorldPoint3D
 from gridscope.jsonio import csv_field
-from gridscope.metrics import GroundTruthBox, GroundTruthTable
+from gridscope.metrics import GROUND_TRUTH_FORMAT, GroundTruthBox, GroundTruthTable
 
 # each table's column kinds in field order: a str list, float64 or bool
 KINDS = {
@@ -162,8 +163,11 @@ _FINITE = st.floats(-1e6, 1e6) | st.just(-0.0)
 _POINT = st.builds(
     TrackPoint,
     _FINITE,
-    st.builds(WorldPoint3D, _FINITE, _FINITE, _FINITE),
-    st.tuples(_NAME, _NAME),
+    _FINITE,
+    _FINITE,
+    _FINITE,
+    _NAME,
+    _NAME,
     st.floats(0.0, 1e6),
     st.booleans(),
 )
@@ -171,12 +175,10 @@ _POINT = st.builds(
 
 def _track_line(p: TrackPoint) -> str:
     """One track file row, written from the point's own fields."""
-    a, b = p.pair
-    x, y, z = p.position.x, p.position.y, p.position.z
     flag = "true" if p.depth_corrected else "false"
     return (
-        f"{p.timestamp_ms:.6f},{x:.6f},{y:.6f},{z:.6f},"
-        f"{csv_field(a)},{csv_field(b)},{p.z_disagreement_mm:.6f},{flag}\n"
+        f"{p.timestamp_ms:.6f},{p.x:.6f},{p.y:.6f},{p.z:.6f},"
+        f"{csv_field(p.cam_a)},{csv_field(p.cam_b)},{p.z_disagreement_mm:.6f},{flag}\n"
     )
 
 
@@ -184,10 +186,24 @@ def _track_line(p: TrackPoint) -> str:
 @given(blocks=st.lists(st.lists(_POINT, max_size=5), min_size=1, max_size=3))
 def test_track_blocks_with_different_quoted_pairs(tmp_path_factory, blocks):
     points = [p for block in blocks for p in block]
-    table = TrackTable.concat([TrackTable.from_points(block) for block in blocks])
+    table = TrackTable.concat([TrackTable.of(block) for block in blocks])
     assert repr(list(table)) == repr(points)
     path = tmp_path_factory.mktemp("track") / "track.csv"
     write_track(path, table)
     expected = ",".join(TRACK_HEADER) + "\n" + "".join(map(_track_line, points))
     assert path.read_bytes() == expected.encode()
-    assert [p.pair for p in read_track(path)] == [p.pair for p in points]
+    assert [(p.cam_a, p.cam_b) for p in read_track(path)] == [
+        (p.cam_a, p.cam_b) for p in points
+    ]
+
+
+@pytest.mark.parametrize("fmt", [DETECTION_FORMAT, GROUND_TRUTH_FORMAT, TRACK_FORMAT])
+def test_a_format_declares_each_column_once(fmt):
+    """The i-th header column is the i-th field of the table and of the row
+    class, and the row field's type is the table column's kind."""
+    table, row = fields(fmt.table), fields(fmt.row)
+    assert [f.name for f in table] == [f.name for f in row]
+    assert len(fmt.header) == len(row)
+    assert "".join({"str": "s", "float": "f", "bool": "b"}[f.type] for f in row) == (
+        KINDS[fmt.table]
+    )

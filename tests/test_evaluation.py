@@ -34,7 +34,7 @@ BOX = GridBox(WorldPoint3D(100.0, 100.0, 50.0), 200.0, 150.0, 300.0)
 
 
 def tp(ts, x, y, z):
-    return TrackPoint(ts, WorldPoint3D(x, y, z), ("side0", "side1"), 0.0, False)
+    return TrackPoint(ts, x, y, z, "side0", "side1", 0.0, False)
 
 
 class TestSegment:
@@ -186,7 +186,7 @@ class TestSegmentsCsv:
 
 class TestEvaluateTrack:
     def track_and_segments(self):
-        track = TrackTable.from_points(
+        track = TrackTable.of(
             [
                 tp(0.0, 150.0, 240.0, 80.0),
                 tp(10.0, 150.0, 260.0, 80.0),
@@ -224,7 +224,7 @@ class TestEvaluateTrack:
         assert report.plot_rate_two_sides is None
 
     def test_windows_are_half_open(self):
-        track = TrackTable.from_points(
+        track = TrackTable.of(
             [
                 tp(0.0, 150.0, 240.0, 80.0),  # a's start: 10 off y_max
                 tp(49.999, 150.0, 230.0, 80.0),  # just inside a: 20 off
@@ -241,7 +241,7 @@ class TestEvaluateTrack:
         ]
 
     def test_point_in_a_gap_is_not_scored(self):
-        track = TrackTable.from_points(
+        track = TrackTable.of(
             [tp(5.0, 150.0, 240.0, 80.0), tp(15.0, 150.0, 0.0, 80.0)]
         )
         segments = [Segment("a", 0.0, 10.0, "y_max"), Segment("b", 20.0, 30.0, "y_max")]
@@ -255,11 +255,11 @@ class TestEvaluateTrack:
             Segment("early", 0.0, 10.0, "y_max"),
         ]
         with pytest.raises(EmptySegment, match=r"segment late: .* \[20.0, 30.0\)"):
-            evaluate_track(TrackTable.from_points([tp(15.0, 150.0, 240.0, 80.0)]), segments, BOX)
+            evaluate_track(TrackTable.of([tp(15.0, 150.0, 240.0, 80.0)]), segments, BOX)
 
     def test_no_segments(self):
         with pytest.raises(NoSegments):
-            evaluate_track(TrackTable.from_points([tp(0.0, 0, 0, 0)]), [], BOX)
+            evaluate_track(TrackTable.of([tp(0.0, 0, 0, 0)]), [], BOX)
 
     def test_doc_keys_follow_availability(self):
         report = EvaluationReport(
@@ -298,7 +298,7 @@ class TestEvaluateTrack:
         ],
     )
     def test_non_finite_error_refused(self, xs, ends_ms, px_per_mm, what):
-        track = TrackTable.from_points([tp(0.0, xs[0], 0.0, 0.0), tp(10.0, xs[1], 0.0, 0.0)])
+        track = TrackTable.of([tp(0.0, xs[0], 0.0, 0.0), tp(10.0, xs[1], 0.0, 0.0)])
         starts_ms = (0.0,) + ends_ms[:-1]
         segments = [
             Segment(f"s{i}", start, end, "x_min")
@@ -366,7 +366,7 @@ def _outcome(score, track, segments, px_per_mm, bounded):
 def test_one_pass_equals_per_segment_scan(case, px_per_mm, bounded):
     track, segments = case
     want = _outcome(scan_evaluate_track, track, segments, px_per_mm, bounded)
-    table = TrackTable.from_points(track)
+    table = TrackTable.of(track)
     assert _outcome(evaluate_track, table, segments, px_per_mm, bounded) == want
 
 
@@ -377,6 +377,6 @@ def test_bounded_excess_is_squared_as_distance_to_face_squares_it():
     e = BOX.origin.x - p.x
     assert math.sqrt(30.0 * 30.0 + e**2) != math.sqrt(30.0 * 30.0 + e * e)
     segments = [Segment("s", 0.0, 10.0, "y_min")]
-    track = TrackTable.from_points([tp(0.0, p.x, p.y, p.z)])
+    track = TrackTable.of([tp(0.0, p.x, p.y, p.z)])
     report = evaluate_track(track, segments, BOX, bounded=True)
     assert report.overall_mm == distance_to_face(p, BOX, "y_min", bounded=True)

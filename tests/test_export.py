@@ -20,18 +20,18 @@ from gridscope.jsonio import format_real
 GRID = GridBox(WorldPoint3D(0, 0, 0), 390.0, 390.0, 850.0)
 
 POINTS = [
-    TrackPoint(0.0, WorldPoint3D(100.0, 150.0, 300.0), ("side0", "side1"), 0.0, True),
-    TrackPoint(50.0, WorldPoint3D(101.5, 150.0, 302.0), ("side0", "side1"), 1.0, True),
-    TrackPoint(100.0, WorldPoint3D(103.0, 151.0, 304.5), ("side1", "side2"), 0.5, False),
+    TrackPoint(0.0, 100.0, 150.0, 300.0, "side0", "side1", 0.0, True),
+    TrackPoint(50.0, 101.5, 150.0, 302.0, "side0", "side1", 1.0, True),
+    TrackPoint(100.0, 103.0, 151.0, 304.5, "side1", "side2", 0.5, False),
 ]
-TRACK = TrackTable.from_points(POINTS)
+TRACK = TrackTable.of(POINTS)
 
 
 class TestEmptyTrack:
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_refused(self, tmp_path, fmt):
         with pytest.raises(EmptyTrack):
-            export_track(tmp_path / f"out.{fmt}", TrackTable.from_points([]), fmt, GRID)
+            export_track(tmp_path / f"out.{fmt}", TrackTable.of([]), fmt, GRID)
         assert not (tmp_path / f"out.{fmt}").exists()
 
 
@@ -62,8 +62,8 @@ class TestPly:
         assert lines[7] == "100 150 300"
 
     def test_values_lossless(self, tmp_path):
-        track = TrackTable.from_points(
-            [TrackPoint(0.0, WorldPoint3D(1.0 / 3.0, 0.1, 2e-7), ("side0", "side1"), 0.0, False)]
+        track = TrackTable.of(
+            [TrackPoint(0.0, 1.0 / 3.0, 0.1, 2e-7, "side0", "side1", 0.0, False)]
         )
         p = tmp_path / "tiny.ply"
         export_ply(p, track)
@@ -81,8 +81,8 @@ class TestPly:
         )
     )
     def test_each_vertex_is_written_by_format_real(self, tmp_path_factory, xyz):
-        track = TrackTable.from_points(
-            TrackPoint(float(i), WorldPoint3D(*p), ("side0", "side1"), 0.0, False)
+        track = TrackTable.of(
+            TrackPoint(float(i), *p, "side0", "side1", 0.0, False)
             for i, p in enumerate(xyz)
         )
         p = tmp_path_factory.mktemp("ply") / "out.ply"
@@ -93,9 +93,9 @@ class TestPly:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_refused(self, tmp_path, bad):
-        track = TrackTable.from_points(
+        track = TrackTable.of(
             POINTS
-            + [TrackPoint(150.0, WorldPoint3D(1.0, bad, -bad), ("side0", "side1"), 0.0, False)]
+            + [TrackPoint(150.0, 1.0, bad, -bad, "side0", "side1", 0.0, False)]
         )
         p = tmp_path / "bad.ply"
         with pytest.raises(FormatError, match=f"non-finite real {bad!r}"):
@@ -127,10 +127,10 @@ class TestSvg:
         # y = 122.55694912500003 draws at 286.870509 on the top panel; the
         # same sum taken as 40 + 390 * scale - y * scale gives 286.870508
         points = POINTS + [
-            TrackPoint(150.0, WorldPoint3D(7.25, 122.55694912500003, 1.0), ("side0", "side1"), 0.0, True)
+            TrackPoint(150.0, 7.25, 122.55694912500003, 1.0, "side0", "side1", 0.0, True)
         ]
         p = tmp_path / "out.svg"
-        export_svg(p, TrackTable.from_points(points), GRID)
+        export_svg(p, TrackTable.of(points), GRID)
         drawn = re.findall(r'<polyline points="([^"]*)"', p.read_text())
         o = GRID.origin
         panels = [
@@ -144,7 +144,7 @@ class TestSvg:
             offset = 40.0 + i * (360.0 + 50.0)
             want.append(" ".join(
                 f"{offset + h * scale:.6f},{40.0 + (span_v - v) * scale:.6f}"
-                for h, v in (coords(t.position) for t in points)
+                for h, v in map(coords, points)
             ))
         assert drawn == want
         assert "286.870509" in drawn[0]
@@ -158,17 +158,17 @@ class TestSvg:
 
     def test_single_point_track(self, tmp_path):
         p = tmp_path / "one.svg"
-        export_svg(p, TrackTable.from_points(POINTS[:1]), GRID)
+        export_svg(p, TrackTable.of(POINTS[:1]), GRID)
         assert "<circle" in p.read_text()
 
     @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
     def test_point_scaled_past_the_largest_float_refused(self, tmp_path, x):
         # a 20 mm grid scales each panel by 18, so 1.7e308 mm draws at inf
         small = GridBox(WorldPoint3D(0, 0, 0), 20.0, 20.0, 20.0)
-        far = TrackPoint(150.0, WorldPoint3D(x, 0.0, 0.0), ("side0", "side1"), 0.0, True)
+        far = TrackPoint(150.0, x, 0.0, 0.0, "side0", "side1", 0.0, True)
         p = tmp_path / "far.svg"
         with pytest.raises(FormatError, match="top .* panel: a point is non-finite"):
-            export_svg(p, TrackTable.from_points(POINTS + [far]), small)
+            export_svg(p, TrackTable.of(POINTS + [far]), small)
         assert not p.exists()
 
 

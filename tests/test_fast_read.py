@@ -103,7 +103,7 @@ def _read_columns(path, fmt):
         )
     except CsvError:
         return None
-    return fmt.of(items), errors
+    return fmt.table.of(items), errors
 
 
 def assert_same_table(fast, table):

@@ -86,6 +86,14 @@ def bundle(ts: float, dets: list[Detection]) -> FrameBundle:
     return FrameBundle(ts, {d.camera_id: d for d in dets})
 
 
+def position(p: TrackPoint) -> WorldPoint3D:
+    return WorldPoint3D(p.x, p.y, p.z)
+
+
+def pair(p: TrackPoint) -> tuple[str, str]:
+    return p.cam_a, p.cam_b
+
+
 def view(cal: Calibration, index: int, world: WorldPoint3D, conf=1.0) -> SideView:
     profile = cal.side_camera(index)
     det = side_det(index, world, conf=conf)
@@ -101,7 +109,7 @@ class TestEligiblePairs:
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(i, world, conf=0.5) for i in sides] + [top_det(world)]
         track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
-        return list(track)[0].pair if len(track) else None
+        return pair(list(track)[0]) if len(track) else None
 
     def test_matches_enumeration(self):
         for size in range(5):
@@ -178,9 +186,9 @@ class TestReconstructPoint:
         p = reconstruct_point(
             cal, 40.0, view(cal, 0, world), view(cal, 1, world), (100.0, 150.0)
         )
-        assert p.position == world
+        assert position(p) == world
         assert p.z_disagreement_mm == 0.0
-        assert p.pair == ("side0", "side1")
+        assert pair(p) == ("side0", "side1")
         assert p.depth_corrected
 
     def test_depth_correction_hand_values(self):
@@ -197,9 +205,9 @@ class TestReconstructPoint:
         # side0: DEF_H 60, ADJ_H 30 outward (left of centre); DEF_V 130,
         # offset fraction 0.5, so z goes 637.5 -> 702.5.  side1 sits on its
         # centre axis (ADJ_H 0) at depth 292.5 (DEF_V 195, z -> 735).
-        assert p.position.x == 67.5
-        assert p.position.y == 195.0
-        assert p.position.z == 718.75
+        assert p.x == 67.5
+        assert p.y == 195.0
+        assert p.z == 718.75
         assert p.z_disagreement_mm == 32.5
         assert p.depth_corrected
 
@@ -207,7 +215,7 @@ class TestReconstructPoint:
         cal = make_cal(mde_h=120.0, mde_v=260.0)
         world = WorldPoint3D(97.5, 195.0, 637.5)
         p = reconstruct_point(cal, 0.0, view(cal, 0, world), view(cal, 1, world), None)
-        assert p.position == world
+        assert position(p) == world
         assert not p.depth_corrected
 
     def test_depth_correction_disabled(self):
@@ -217,7 +225,7 @@ class TestReconstructPoint:
             cal, 0.0, view(cal, 0, world), view(cal, 1, world), (97.5, 195.0),
             depth_correction=False,
         )
-        assert p.position == world
+        assert position(p) == world
         assert not p.depth_corrected
 
     def test_vertical_correction_disabled(self):
@@ -227,8 +235,8 @@ class TestReconstructPoint:
             cal, 0.0, view(cal, 0, world), view(cal, 1, world), (97.5, 195.0),
             vertical_correction=False,
         )
-        assert p.position.x == 67.5
-        assert p.position.z == 637.5
+        assert p.x == 67.5
+        assert p.z == 637.5
         assert p.z_disagreement_mm == 0.0
 
     def test_z_reject_strictly_greater(self):
@@ -236,7 +244,7 @@ class TestReconstructPoint:
         a = view(cal, 0, WorldPoint3D(100.0, 150.0, 300.0))
         b = view(cal, 1, WorldPoint3D(100.0, 150.0, 330.0))
         p = reconstruct_point(cal, 0.0, a, b, None, z_reject_mm=30.0)
-        assert p.position.z == 315.0
+        assert p.z == 315.0
         assert p.z_disagreement_mm == 30.0
         with pytest.raises(ZDisagreementExceeded) as err:
             reconstruct_point(cal, 0.0, a, b, None, z_reject_mm=29.9)
@@ -246,8 +254,8 @@ class TestReconstructPoint:
         cal = make_cal()
         world = WorldPoint3D(50.0, 50.0, 100.0)
         p = reconstruct_point(cal, 0.0, view(cal, 2, world), view(cal, 3, world), None)
-        assert p.pair == ("side2", "side3")
-        assert p.position == world
+        assert pair(p) == ("side2", "side3")
+        assert position(p) == world
 
 
 class TestBuildTrack:
@@ -257,7 +265,7 @@ class TestBuildTrack:
         dets = [side_det(i, world) for i in range(4)] + [top_det(world)]
         track, stats = build_track(cal, bundle_table([bundle(0.0, dets)]))
         assert len(track) == 1
-        assert list(track)[0].position == world
+        assert position(list(track)[0]) == world
         assert stats.plotted == 1
         assert stats.with_two_side_detections == 1
 
@@ -289,14 +297,14 @@ class TestBuildTrack:
             side_det(2, world, conf=0.8),
         ]
         track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
-        assert list(track)[0].pair == ("side0", "side1")
+        assert pair(list(track)[0]) == ("side0", "side1")
 
     def test_confidence_tie_takes_lowest_pair_index(self):
         cal = make_cal()
         world = WorldPoint3D(100.0, 150.0, 300.0)
         dets = [side_det(i, world, conf=0.7) for i in (1, 2, 3)]
         track, _ = build_track(cal, bundle_table([bundle(0.0, dets)]))
-        assert list(track)[0].pair == ("side1", "side2")
+        assert pair(list(track)[0]) == ("side1", "side2")
 
     def test_average_all_strategy(self):
         cal = make_cal()
@@ -309,8 +317,8 @@ class TestBuildTrack:
             cal, bundle_table([bundle(0.0, dets)]), pair_strategy="average_all"
         )
         # Pair (0,1): (100, 150, 299); pair (1,2): (104, 150, 297).
-        assert list(track)[0].position == WorldPoint3D(102.0, 150.0, 298.0)
-        assert list(track)[0].pair == ("side0", "side1")
+        assert position(list(track)[0]) == WorldPoint3D(102.0, 150.0, 298.0)
+        assert pair(list(track)[0]) == ("side0", "side1")
         assert list(track)[0].z_disagreement_mm == 2.0
         assert stats.plotted == 1
 
@@ -341,7 +349,7 @@ class TestBuildTrack:
         )
         # (0,1) survives, (1,2) disagrees by 98 and is dropped.
         assert len(track) == 1
-        assert list(track)[0].position.z == 301.0
+        assert list(track)[0].z == 301.0
         assert stats.rejected_z == 0
 
     def test_outside_area_detection_counted_and_unused(self):
@@ -368,26 +376,26 @@ class TestTrackPoint:
     def test_z_disagreement_must_be_a_non_negative_number(self, dz):
         # a NaN would be written as "nan", which read_track then refuses
         with pytest.raises(FormatError, match="z_disagreement_mm"):
-            TrackPoint(0.0, WorldPoint3D(1.0, 2.0, 3.0), ("side0", "side1"), dz, True)
+            TrackPoint(0.0, 1.0, 2.0, 3.0, "side0", "side1", dz, True)
 
 
 class TestTrackFiles:
     def sample(self):
         return [
-            TrackPoint(0.0, WorldPoint3D(1.25, 2.5, 3.75), ("side0", "side1"), 0.5, True),
-            TrackPoint(50.0, WorldPoint3D(4.0, 5.0, 6.0), ("side2", "side3"), 0.0, False),
+            TrackPoint(0.0, 1.25, 2.5, 3.75, "side0", "side1", 0.5, True),
+            TrackPoint(50.0, 4.0, 5.0, 6.0, "side2", "side3", 0.0, False),
         ]
 
     def test_round_trip_to_six_decimals(self, tmp_path):
         path = tmp_path / "track.csv"
-        write_track(path, TrackTable.from_points(self.sample()))
+        write_track(path, TrackTable.of(self.sample()))
         back = read_track(path)
         assert list(back) == self.sample()
 
     def test_file_level_fixed_point(self, tmp_path):
         path1 = tmp_path / "a.csv"
         path2 = tmp_path / "b.csv"
-        write_track(path1, TrackTable.from_points(self.sample()))
+        write_track(path1, TrackTable.of(self.sample()))
         write_track(path2, read_track(path1))
         assert path1.read_bytes() == path2.read_bytes()
 
@@ -401,7 +409,7 @@ class TestTrackFiles:
         self, tmp_path, column, name, value
     ):
         # read_track refuses it, so a track holding one is not written
-        table = TrackTable.from_points(self.sample())
+        table = TrackTable.of(self.sample())
         values = getattr(table, column).copy()
         values[1] = value
         path = tmp_path / "track.csv"
@@ -421,7 +429,7 @@ class TestTrackFiles:
 
     def test_bad_flag_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_track(path, TrackTable.from_points(self.sample()))
+        write_track(path, TrackTable.of(self.sample()))
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("true", "yes")
         path.write_text("\n".join(lines) + "\n")
@@ -431,7 +439,7 @@ class TestTrackFiles:
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_track(path, TrackTable.from_points(self.sample()))
+        write_track(path, TrackTable.of(self.sample()))
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
         with pytest.raises(CsvError):
@@ -591,4 +599,4 @@ def test_shared_edge_example_takes_the_lowest_strip():
     (point,), _ = build_track(
         cal, bundle_table(bundles), **options, depth_correction=False
     )
-    assert point.position.x == 130.0  # strip 1 would give 140
+    assert point.x == 130.0  # strip 1 would give 140

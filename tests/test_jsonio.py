@@ -360,12 +360,13 @@ class TestReadColumns:
 # reader makes of the items read_columns returns.
 ROWWISE_TABLES = {
     "track": (
-        TRACK_HEADER, fusion._track_point, read_track, TRACK_ROW,
+        TRACK_HEADER, fusion.TRACK_FORMAT.make, read_track, TRACK_ROW,
         lambda i: [f"{i}.5", "1", "2", "3", "side0", "side1", "0.25", "true"],
-        fusion.TrackTable.from_points,
+        fusion.TrackTable.of,
     ),
     "segments": (
-        SEGMENTS_HEADER, evaluation._segment, read_segments, SEGMENT_ROW,
+        SEGMENTS_HEADER, jsonio.row_reader(SEGMENTS_HEADER, evaluation.Segment),
+        read_segments, SEGMENT_ROW,
         lambda i: [f"run{i}", f"{1000 + 2 * i}", f"{1001 + 2 * i}", "z_max"],
         list,
     ),
@@ -646,13 +647,13 @@ def _fixed_point(tmp_path, write, read, items):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_ID, _ID), min_size=1, max_size=4))
 def test_track_text_fields_are_a_fixed_point(pairs):
-    track = TrackTable.from_points(
-        TrackPoint(float(i), WorldPoint3D(1.5, -2.25, 3.0), pair, 0.5, i % 2 == 0)
+    track = TrackTable.of(
+        TrackPoint(float(i), 1.5, -2.25, 3.0, *pair, 0.5, i % 2 == 0)
         for i, pair in enumerate(pairs)
     )
     with tempfile.TemporaryDirectory() as tmp:
         back = _fixed_point(Path(tmp), write_track, read_track, track)
-    assert [p.pair for p in back] == pairs
+    assert [(p.cam_a, p.cam_b) for p in back] == pairs
 
 
 @settings(max_examples=60, deadline=None)

@@ -509,7 +509,7 @@ def _read_outcome(read, lines, strict):
 
 def _table_read(lines, strict):
     boxes, errors = read_columns(
-        lines, GT_HEADER, gridscope.metrics._ground_truth_box, strict
+        lines, GT_HEADER, gridscope.metrics.GROUND_TRUTH_FORMAT.make, strict
     )
     return GroundTruthTable.of(boxes).rows(GroundTruthBox), errors
 

@@ -14,11 +14,16 @@ import gridscope
 from gridscope import jsonio
 from gridscope.calibration import marker_picks_doc
 from gridscope.cli import main
-from gridscope.simulate import marker_picks_for
+from gridscope.simulate import (
+    generate_scenario,
+    load_scenario,
+    marker_picks_for,
+    write_generated,
+)
 
 import test_digests
 from conftest import make_scenario
-from quickstart import write_quick_start
+from quickstart import README, write_quick_start
 
 
 def test_all_lists_the_public_api_but_no_submodules():
@@ -231,7 +236,6 @@ NOT_REACHED = {
         "errors.ZDisagreementExceeded.__init__",
         "fusion.TrackPoint.__post_init__",
         "fusion.TrackTable.__iter__",
-        "fusion._point",
         "fusion.reconstruct_point",
         "geometry.Homography.__eq__",
         "geometry.Homography.inverse",
@@ -244,15 +248,11 @@ NOT_REACHED = {
     ),
     # what reads a track or ground-truth file that the fast read declines
     "row-wise fallback": (
-        "fusion.TrackTable.from_points",
-        "fusion._track_point",
         "jsonio.Columns.of",
-        "metrics._ground_truth_box",
+        "jsonio.flag",
     ),
-    # perfbench's gate, spans and workloads (Detection.area through the
-    # synchronize oracle its gate runs)
+    # perfbench's gate, spans and workloads
     "perfbench only": (
-        "detections.Detection.area",
         "detections.ParseResult.skipped",
         "evaluation.write_segments",
         "metrics.average_precision",
@@ -407,3 +407,21 @@ def test_the_readme_quick_start_runs_as_written(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert [name for name in named if not (tmp_path / name).exists()] == []
+
+
+def test_the_readme_library_use_runs_as_written(tmp_path, monkeypatch):
+    """Each Python block of the README's "Library use", in turn, in one
+    namespace that holds the quick start's ``scenario`` and ``paths``, its
+    simulated detection files."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    assert len(blocks) == 2
+    write_quick_start(tmp_path)
+    scenario = load_scenario(tmp_path / "scenario.json")
+    files = write_generated(generate_scenario(scenario), tmp_path / "sim")
+    paths = [files[name] for name in sorted(files) if name.startswith("detections_")]
+    monkeypatch.chdir(tmp_path)
+    namespace = {"scenario": scenario, "paths": paths}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["track"]) and (tmp_path / "track.csv").exists()

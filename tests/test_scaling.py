@@ -11,8 +11,8 @@ A loop over rows adds at least one call per row, thousands at 4N; an array
 of rows x segments grows 16-fold.  Either goes past the allowances below,
 which hold about 2x headroom over the measured figures.  ``sys.setprofile``
 reports each resumption of a generator as a call, so a writer that moves to
-a generator per row fails here too.  ``read_track`` building its table
-through ``TrackTable.from_points`` again adds about 26,000 calls.
+a generator per row fails here too, and so would ``read_track`` building
+a ``TrackPoint`` per row of a file the fast read takes.
 """
 
 from __future__ import annotations

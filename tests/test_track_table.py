@@ -2,9 +2,9 @@
 
 ``read_track`` reads a plain file whose rows all pass the column masks
 with numpy's C reader, and any other one row at a time through
-``fusion._track_point``; these tests pin it to the row-wise oracle reader,
-and ``TrackTable.from_points`` and table iteration, the conversions to and
-from TrackPoint objects, to each other.
+``TRACK_FORMAT.make``; these tests pin it to the row-wise oracle reader,
+and ``TrackTable.of`` and table iteration, the conversions to and from
+TrackPoint objects, to each other.
 """
 
 import pytest
@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gridscope import fusion, jsonio
+from gridscope import jsonio
 from gridscope.errors import CsvError
 from gridscope.fusion import (
+    TRACK_FORMAT,
     TRACK_HEADER,
     TrackPoint,
     TrackTable,
@@ -64,14 +65,14 @@ def test_read_track_equals_the_rowwise_oracle(tmp_path, failure, n_rows, bad_at)
     path.write_text(track_text(rows))
 
     def oracle(strict):
-        make = lambda row: fusion._track_point(*row)  # noqa: E731
+        make = lambda row: TRACK_FORMAT.make(*row)  # noqa: E731
         return jsonio.read_file(path, oracles.read_table, TRACK_HEADER, make, strict)
 
     def columns(strict):
         points, errors = jsonio.read_file(
-            path, jsonio.read_columns, TRACK_HEADER, fusion._track_point, strict
+            path, jsonio.read_columns, TRACK_HEADER, TRACK_FORMAT.make, strict
         )
-        return TrackTable.from_points(points), errors
+        return TrackTable.of(points), errors
 
     assert outcome(lambda: (read_track(path), [])) == outcome(lambda: oracle(True))
     assert outcome(lambda: columns(False)) == outcome(lambda: oracle(False))
@@ -91,15 +92,36 @@ def test_a_bad_flag_names_its_column(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "row, column, reason",
+    [
+        # the first field in header order that does not read
+        ("nan,1,2,3,a,b,0.5,maybe", "timestamp_ms", "not a finite number: 'nan'"),
+        # a field that does not read, before the TrackPoint check
+        ("0,1,2,3,a,b,-1,maybe", "depth_corrected",
+         "depth_corrected must be true/false, got 'maybe'"),
+        ("0,1,2,3,a,b,-1,true", "z_disagreement_mm",
+         "z_disagreement_mm must be >= 0, got -1.0"),
+    ],
+)
+def test_a_row_with_two_faults_names_the_first_in_header_order(tmp_path, row, column, reason):
+    path = tmp_path / "track.csv"
+    path.write_text(f"{','.join(TRACK_HEADER)}\n{row}\n")
+    with pytest.raises(CsvError) as err:
+        read_track(path)
+    assert (err.value.row, err.value.column, err.value.reason) == (2, column, reason)
+
+
 _REAL = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.just(-0.0)
-_POINT = st.builds(
-    TrackPoint,
+_POINT = st.tuples(
     _REAL,
-    st.builds(WorldPoint3D, _REAL, _REAL, _REAL),
+    _REAL,
+    _REAL,
+    _REAL,
     st.sampled_from([("side0", "side1"), ("side1", "side2"), ("si,de3", 'si"de0')]),
     st.floats(0.0, 1e9) | st.just(-0.0),
     st.booleans(),
-)
+).map(lambda f: TrackPoint(*f[:4], *f[4], *f[5:]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,7 +129,7 @@ _POINT = st.builds(
 def test_write_read_write_is_byte_identical(tmp_path_factory, points):
     tmp = tmp_path_factory.mktemp("track")
     first, second = tmp / "first.csv", tmp / "second.csv"
-    write_track(first, TrackTable.from_points(points))
+    write_track(first, TrackTable.of(points))
     back = read_track(first)
     assert len(back) == len(points)
     write_track(second, back)
@@ -116,38 +138,36 @@ def test_write_read_write_is_byte_identical(tmp_path_factory, points):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_POINT, max_size=30))
-def test_from_points_and_iteration_are_inverse(points):
+def test_of_and_iteration_are_inverse(points):
     # repr tells -0.0 from 0.0
-    assert repr(list(TrackTable.from_points(points))) == repr(points)
+    assert repr(list(TrackTable.of(points))) == repr(points)
 
 
 def test_read_track_gives_what_the_benchmark_gate_uses(tmp_path):
     points = [
-        TrackPoint(50.0 * i, WorldPoint3D(1.0 + i, 2.0, 3.0), ("side0", "side1"), 0.5, True)
+        TrackPoint(50.0 * i, 1.0 + i, 2.0, 3.0, "side0", "side1", 0.5, True)
         for i in range(5)
     ]
     path = tmp_path / "track.csv"
-    write_track(path, TrackTable.from_points(points))
+    write_track(path, TrackTable.of(points))
     track = read_track(path)
     assert len(track) == 5
     assert all(isinstance(p, TrackPoint) for p in track)
-    truth = {p.timestamp_ms: WorldPoint3D(p.position.x, 2.0, 7.0) for p in points}
+    truth = {p.timestamp_ms: WorldPoint3D(p.x, 2.0, 7.0) for p in points}
     assert oracles.mean_point_error(track, truth) == 4.0
 
 
 def test_concat_merges_the_pair_names():
-    a = TrackTable.from_points(
-        [TrackPoint(0.0, WorldPoint3D(0, 0, 0), ("side0", "side1"), 0.0, False)]
-    )
-    b = TrackTable.from_points(
+    a = TrackTable.of([TrackPoint(0.0, 0, 0, 0, "side0", "side1", 0.0, False)])
+    b = TrackTable.of(
         [
-            TrackPoint(1.0, WorldPoint3D(1, 1, 1), ("side2", "side3"), 1.0, True),
-            TrackPoint(2.0, WorldPoint3D(2, 2, 2), ("side0", "side1"), 2.0, False),
+            TrackPoint(1.0, 1, 1, 1, "side2", "side3", 1.0, True),
+            TrackPoint(2.0, 2, 2, 2, "side0", "side1", 2.0, False),
         ]
     )
     joined = TrackTable.concat([a, b])
     assert list(joined) == list(a) + list(b)
-    assert [p.pair for p in joined] == [
+    assert [(p.cam_a, p.cam_b) for p in joined] == [
         ("side0", "side1"), ("side2", "side3"), ("side0", "side1")
     ]
     assert (joined.cam_a, joined.cam_b) == (
