@@ -8,14 +8,13 @@ reported).
 
 A file is read into one ``DetectionTable`` of ``Detection`` rows through
 ``DETECTION_FORMAT``.  A plain file (no quote, NUL or bare CR) whose rows
-all pass its column masks, which run every ``Detection`` check, is read in
-one ``np.loadtxt`` pass (``jsonio.fast_table``).  ``finite_box`` is the one
-box rule: ``Detection`` runs it on floats and the mask on columns.  Any
-other goes through ``jsonio.read_columns``, which reads each row into a
-``Detection``; ``DetectionTable.of`` puts them into the table.  Each error
-names its row and reason, and the column of the first field (in header
-order) that does not read, else of the first failed check of one column.
-Errors are reported in row order.
+all pass the ``Detection`` rules, run on its columns, is read in one
+``np.loadtxt`` pass (``jsonio.fast_table``); ``finite_box`` is the one box
+rule.  Any other goes through ``jsonio.read_columns``, which reads each
+row into a ``Detection``; ``DetectionTable.of`` puts them into the table.
+Each error names its row and reason, and the column of the first field
+(in header order) that does not read, else of the first rule the row
+fails.  Errors are reported in row order.
 
 Cameras run free, so bundles are assembled in two steps.  One stable
 ``np.lexsort`` by camera and timestamp finds each camera frame, and only a
@@ -34,7 +33,6 @@ into one.
 from __future__ import annotations
 
 import bisect
-import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,7 +40,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CsvError
-from .jsonio import Columns, FieldError, TableFormat, csv_field, read_columns, read_file
+from .jsonio import Columns, TableFormat, compile_rules, csv_field
+from .jsonio import read_columns, read_file
 from .options import DEFAULT_SYNC_TOLERANCE_MS
 
 CSV_HEADER = (
@@ -89,27 +88,20 @@ class Detection:
     v_max: float
     confidence: float
 
-    def __post_init__(self):
-        if not self.camera_id:
-            raise FieldError("camera_id", "camera_id must be non-empty")
-        if not self.timestamp_ms >= 0:
-            raise FieldError(
-                "timestamp_ms", f"timestamp_ms must be >= 0, got {self.timestamp_ms}"
-            )
-        if self.timestamp_ms == math.inf:
-            raise FieldError("timestamp_ms", "timestamp_ms must be finite, got inf")
-        if not self.u_min < self.u_max:
-            raise ValueError(f"need u_min < u_max, got {self.u_min} >= {self.u_max}")
-        if not self.v_min < self.v_max:
-            raise ValueError(f"need v_min < v_max, got {self.v_min} >= {self.v_max}")
-        if not finite_box(self.u_min, self.v_min, self.u_max, self.v_max):
-            raise ValueError(
-                f"box centre or area is not finite or positive: {self.bbox}"
-            )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise FieldError(
-                "confidence", f"confidence must be in [0, 1], got {self.confidence}"
-            )
+    rules = (
+        ("camera_id", "nonempty(r.camera_id)", "camera_id must be non-empty"),
+        ("timestamp_ms", "r.timestamp_ms >= 0",
+         "timestamp_ms must be >= 0, got {r.timestamp_ms}"),
+        ("timestamp_ms", "r.timestamp_ms != inf",
+         "timestamp_ms must be finite, got inf"),
+        ("", "r.u_min < r.u_max", "need u_min < u_max, got {r.u_min} >= {r.u_max}"),
+        ("", "r.v_min < r.v_max", "need v_min < v_max, got {r.v_min} >= {r.v_max}"),
+        ("", "finite_box(r.u_min, r.v_min, r.u_max, r.v_max)",
+         "box centre or area is not finite or positive: {r.bbox}"),
+        ("confidence", "(0.0 <= r.confidence) & (r.confidence <= 1.0)",
+         "confidence must be in [0, 1], got {r.confidence}"),
+    )
+    __post_init__, passes = compile_rules(rules, finite_box=finite_box)
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -145,17 +137,10 @@ class DetectionTable(Columns):
     v_max: np.ndarray
     confidence: np.ndarray
 
-
-def _detection_mask(t: DetectionTable) -> np.ndarray:
-    """Which rows of finite reals pass every Detection check, as column masks."""
-    ok = (t.timestamp_ms >= 0) & (t.u_min < t.u_max) & (t.v_min < t.v_max)
-    ok &= finite_box(t.u_min, t.v_min, t.u_max, t.v_max)
-    ok &= (0.0 <= t.confidence) & (t.confidence <= 1.0)
-    ok &= np.fromiter(map(bool, t.camera_id), bool, len(t))
-    return ok
+    row = Detection
 
 
-DETECTION_FORMAT = TableFormat(CSV_HEADER, DetectionTable, Detection, _detection_mask)
+DETECTION_FORMAT = TableFormat(CSV_HEADER, DetectionTable)
 
 
 def read_detection_table(

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EmptySegment, FormatError, NoDetections, NoSegments
 from .fusion import FusionStats, TrackTable
 from .geometry import FACES, GridBox
-from .jsonio import FieldError, csv_field, naming, read_columns, read_file, row_reader
+from .jsonio import compile_rules, csv_field, naming, read_columns, read_file, row_reader
 
 SEGMENTS_HEADER = ("segment_id", "t_start_ms", "t_end_ms", "face")
 
@@ -40,20 +40,16 @@ class Segment:
     t_end_ms: float
     face: str
 
-    def __post_init__(self):
-        if self.face not in FACES:
-            raise FieldError(
-                "face",
-                f"segment {self.segment_id}: unknown face {self.face!r}, "
-                f"expected one of {', '.join(FACES)}",
-            )
-        if not self.segment_id:
-            raise FieldError("segment_id", "segment_id must be non-empty")
-        if not self.t_start_ms < self.t_end_ms:
-            raise FormatError(
-                f"segment {self.segment_id}: need t_start < t_end, got "
-                f"{self.t_start_ms} >= {self.t_end_ms}"
-            )
+    rules = (
+        ("face", "r.face in FACES",
+         "segment {r.segment_id}: unknown face {r.face!r}, expected one of "
+         + ", ".join(FACES)),
+        ("segment_id", "nonempty(r.segment_id)", "segment_id must be non-empty"),
+        ("", "r.t_start_ms < r.t_end_ms",
+         "segment {r.segment_id}: need t_start < t_end, "
+         "got {r.t_start_ms} >= {r.t_end_ms}"),
+    )
+    __post_init__ = compile_rules(rules, FACES=FACES)[0]
 
 
 def overall_accuracy(segment_means: Sequence[float]) -> float:
@@ -83,9 +79,11 @@ def plot_rate_two_sides(stats: FusionStats) -> float:
 
 def validate_segments(segments: Sequence[Segment]) -> list[Segment]:
     """Reject duplicate ids and overlapping windows; return them by start."""
-    ids = [s.segment_id for s in segments]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"duplicate segment ids: {ids}")
+    seen = set()
+    for s in segments:
+        if s.segment_id in seen:
+            raise FormatError(f"duplicate segment id {s.segment_id!r}")
+        seen.add(s.segment_id)
     ordered = sorted(segments, key=lambda s: s.t_start_ms)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.t_start_ms < prev.t_end_ms:

@@ -24,9 +24,10 @@ picks the result.  Views are kept by side slot, which names one camera.
 returns.  The track is a ``TrackTable`` of columns, in the track file's
 order with the camera pair as two str columns, from ``build_track``
 through ``write_track`` and back from ``read_track``.  There one
-``np.loadtxt`` pass reads a plain file whose rows all pass the column
-masks of ``TRACK_FORMAT``; any other file is read one row at a time into
-``TrackPoint`` objects, so each error names its row, column and reason.
+``np.loadtxt`` pass reads a plain file whose rows all pass the
+``TrackPoint`` rules, run on its columns; any other file is read one row
+at a time into ``TrackPoint`` objects, so each error names its row,
+column and reason.
 ``TrackPoint``, the table's row, is the API edge: a table iterates as
 points, and ``TrackTable.of`` puts points into the table every consumer
 takes.
@@ -34,7 +35,7 @@ takes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -55,7 +56,7 @@ from .depth import (
 from .detections import BundleTable, Detection, DetectionTable
 from .errors import FormatError, ZDisagreementExceeded
 from .geometry import ModelPoint2D
-from .jsonio import Columns, DocReader, FieldError, TableFormat, csv_field, naming
+from .jsonio import Columns, DocReader, TableFormat, compile_rules, csv_field, naming
 from .options import DEFAULT_Z_REJECT_MM, PAIR_STRATEGIES
 
 # The four admissible side-camera pairs, in tie-break order.
@@ -95,12 +96,11 @@ class TrackPoint:
     z_disagreement_mm: float
     depth_corrected: bool
 
-    def __post_init__(self):
-        if not self.z_disagreement_mm >= 0:
-            raise FieldError(
-                "z_disagreement_mm",
-                f"z_disagreement_mm must be >= 0, got {self.z_disagreement_mm}",
-            )
+    rules = (
+        ("z_disagreement_mm", "r.z_disagreement_mm >= 0",
+         "z_disagreement_mm must be >= 0, got {r.z_disagreement_mm}"),
+    )
+    __post_init__, passes = compile_rules(rules)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +121,9 @@ class TrackTable(Columns):
     cam_a: list[str]
     cam_b: list[str]
     z_disagreement_mm: np.ndarray
-    depth_corrected: np.ndarray = field(metadata={"dtype": bool})
+    depth_corrected: np.ndarray
+
+    row = TrackPoint
 
     def __iter__(self) -> Iterator[TrackPoint]:
         return iter(self.rows(TrackPoint))
@@ -595,12 +597,7 @@ def write_track(path, track: TrackTable) -> None:
         fh.writelines(rows)
 
 
-def _track_mask(t: TrackTable) -> np.ndarray:
-    """Which rows of finite reals pass the TrackPoint check, as a column mask."""
-    return t.z_disagreement_mm >= 0
-
-
-TRACK_FORMAT = TableFormat(TRACK_HEADER, TrackTable, TrackPoint, _track_mask)
+TRACK_FORMAT = TableFormat(TRACK_HEADER, TrackTable)
 
 
 def read_track(path) -> TrackTable:

@@ -13,17 +13,18 @@ schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError.
 
 Detections, ground truth and the track are each a :class:`TableFormat`
-of a :class:`Columns` table and a row class, and Columns derives each
-table's length, ``==``, ``concat`` and the conversion to and from rows
-from its fields.  A format's file is first offered to :func:`fast_table`,
+of a :class:`Columns` table, which names its row class; Columns derives
+each table's length, ``==``, ``concat`` and the conversion to and from
+rows from their fields.  A row class declares each of its checks once, in
+its ``rules``, which :func:`compile_rules` makes its row check and its
+column check.  A format's file is first offered to :func:`fast_table`,
 which reads every column in one pass of numpy's C reader (``np.loadtxt``)
-and keeps its table only when the format's column masks pass every row.
-It declines any other file (a quote, a NUL, a CR that does not end a
-line, a row of another width, a real that is not finite, a bad flag, a
-row a mask refuses), and :func:`read_columns` reads that one a row at a
-time through the format's :func:`row_reader`; so a row is accepted or
-refused by one rule, and every error comes from one place.  Segments go
-through the same row reader, and truth through its own, as lists of rows.
+and keeps its table only when every row passes the column check.  It
+declines any other file (a quote, a NUL, a CR that does not end a line, a
+row of another width, a real that is not finite, a bad flag, a row a rule
+refuses), and :func:`read_columns` reads that one a row at a time through
+the format's :func:`row_reader`, so every error comes from one place.
+Segments go through the same row reader, and truth through its own.
 Real-valued fields are read through :func:`real`, which owns the rule
 that refuses ``nan`` and ``inf``; fast_table checks it once for every format.
 Every file is read as UTF-8; a byte that is not is a FormatError or
@@ -323,7 +324,7 @@ def _finite_real(value: Any) -> bool:
 
 
 class FieldError(FormatError, ValueError):
-    """A field, or a one-column check, that fails; the table readers name the column."""
+    """A field or a row rule that fails; ``column`` names its column, "" the row."""
 
     def __init__(self, column: str, reason: str):
         super().__init__(reason)
@@ -361,15 +362,40 @@ def _text(text: str, column: str) -> str:
 _FIELD_READERS = {"str": _text, "float": real, "bool": flag}
 
 
-def _field_readers(row: type) -> tuple[Callable[[str, str], Any], ...]:
-    """Each field's reader of dataclass ``row``: real, flag or the text."""
-    return tuple(_FIELD_READERS[f.type] for f in fields(row))
+def nonempty(text):
+    """Whether ``text`` is not empty; of a str column, a mask of its rows."""
+    if isinstance(text, list):
+        return np.fromiter(map(bool, text), bool, len(text))
+    return bool(text)
+
+
+def compile_rules(rules: tuple, **names) -> tuple[Callable, staticmethod]:
+    """A row class's ``(check, passes)``, compiled from its ``rules``.
+
+    A rule is (column, test, reason), column "" for the row as a whole;
+    ``test`` is an expression in the row ``r``, :func:`nonempty`, ``inf``
+    and ``names`` that works on floats and on columns alike.
+    ``check(row)``, the ``__post_init__``, raises FieldError(column,
+    reason.format(r=row)) for the first rule the row fails;
+    static ``passes(table)`` is whether every row passes every rule.  One
+    function each, compiled as dataclasses compiles ``__init__``: a call per
+    rule cost about 0.9 us a row, 15% of ``generate_scenario`` (2-core VM).
+    """
+    checks = "".join(
+        f"    if not ({test}):\n"
+        f"        raise FieldError({column!r}, {reason!r}.format(r=r))\n"
+        for column, test, reason in rules
+    )
+    tests = " and ".join(f"bool(({test}).all())" for _, test, _ in rules)
+    scope = dict(names, nonempty=nonempty, inf=math.inf, FieldError=FieldError)
+    exec(f"def check(r):\n{checks}\ndef passes(r):\n    return {tests}\n", scope)
+    return scope["check"], staticmethod(scope["passes"])
 
 
 def row_reader(header: tuple[str, ...], row: Callable[..., T]) -> Callable[..., T]:
     """``make(*texts)``: ``row`` of a CSV row's fields, each read in header
     order by its reader, so the first that does not read names its column."""
-    readers = tuple(zip(_field_readers(row), header))
+    readers = tuple(zip((_FIELD_READERS[f.type] for f in fields(row)), header))
 
     def make(*texts: str) -> T:
         return row(*[read(text, column) for (read, column), text in zip(readers, texts)])
@@ -387,8 +413,9 @@ def csv_field(text: str) -> str:
 class Columns:
     """A base for frozen dataclass tables whose fields are equal-length columns.
 
-    A field annotated ``list[str]`` is a str list; any other is a numpy
-    array of float64, or of the ``dtype`` its field metadata names.  A
+    A subclass names its row class ``row``, a dataclass with the same
+    fields, whose type is each column's kind: a ``str`` column is a str
+    list, a ``float`` or ``bool`` one a numpy array of that dtype.  A
     subclass is declared ``@dataclass(frozen=True, eq=False)`` so that it
     keeps this ``==``, which holds when every column holds equal values, as
     the rows' tuples compare.
@@ -429,11 +456,9 @@ class Columns:
 
         def column(f: Field) -> list | np.ndarray:
             values = [getattr(o, f.name) for o in objects]
-            if str(f.type).startswith("list"):
-                return values
-            return np.array(values, dtype=f.metadata.get("dtype", float))
+            return values if f.type == "str" else np.array(values, dtype=f.type)
 
-        return cls(*map(column, fields(cls)))
+        return cls(*map(column, fields(cls.row)))
 
     def rows(self, make: Callable[..., T]) -> list[T]:
         """``make(*values)`` of each row in turn; array values come as Python scalars."""
@@ -513,29 +538,23 @@ class TableFormat:
     """A CSV table, declared once.
 
     The i-th ``header`` column is the i-th field of the ``Columns`` class
-    ``table`` and of the row class ``row``, and the type of that ``row``
-    field is the column's kind: ``str`` is text, ``bool`` a ``true`` or
-    ``false`` flag and ``float`` a finite real.  ``row`` runs a row's own
-    checks, and ``mask(table)`` is their column form: which rows of a
-    table of finite reals ``row`` accepts.  The fast read keeps a file
-    only when every row passes.
+    ``table`` and of its row class.  The row class's ``rules`` are each
+    row's checks; the fast read runs them on the table's columns, and
+    keeps a file only when every row passes.
     """
 
     header: tuple[str, ...]
     table: type
-    row: type
-    mask: Callable[[Any], np.ndarray]
 
     @property
     def reals(self) -> tuple[int, ...]:
         """The positions in ``header`` of the real columns."""
-        readers = _field_readers(self.row)
-        return tuple(i for i, read in enumerate(readers) if read is real)
+        return tuple(i for i, f in enumerate(fields(self.table.row)) if f.type == "float")
 
     @property
     def make(self) -> Callable[..., Any]:
-        """The row reader, ``row_reader(header, row)``."""
-        return row_reader(self.header, self.row)
+        """The row reader, ``row_reader(header, table.row)``."""
+        return row_reader(self.header, self.table.row)
 
     def read(self, path, strict: bool = True) -> tuple[Any, list[CsvError]]:
         """File ``path`` as one table, plus the errors of skipped rows.
@@ -606,15 +625,16 @@ def fast_table(path, fmt: TableFormat):
     on commas (``_plain``), one that np.loadtxt cannot read, one with a
     real that is not finite (the rule of ``real``, checked here for every
     format, before the other columns are built), a flag ``flag`` refuses,
-    or a row that a mask refuses.  One np.loadtxt pass reads every column
-    into a structured array, a float64 field per real column and a Python
-    str per other; with no ``usecols`` it refuses a row of another width
-    than the header's.  The str columns are stripped as read_columns strips
-    them, unless ``_plain`` found no padding in the file.
+    or a row a rule refuses (the row class's ``passes``).  One np.loadtxt
+    pass reads every column into a structured array, a float64 field per
+    real column and a Python str per other; with no ``usecols`` it refuses
+    a row of another width than the header's.  The str columns are
+    stripped as read_columns strips them, unless ``_plain`` found no
+    padding in the file.
     """
-    readers = _field_readers(fmt.row)
+    kinds = [f.type for f in fields(fmt.table.row)]
     dtype = np.dtype(
-        [(h, float if read is real else object) for h, read in zip(fmt.header, readers)]
+        [(h, float if kind == "float" else object) for h, kind in zip(fmt.header, kinds)]
     )
     try:
         padded = _plain(path, fmt.header)
@@ -633,19 +653,19 @@ def fast_table(path, fmt: TableFormat):
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     # one contiguous float64 copy, so no column keeps the object fields alive
-    reals = np.array([rows[h] for h, read in zip(fmt.header, readers) if read is real])
+    reals = np.array([rows[h] for h, kind in zip(fmt.header, kinds) if kind == "float"])
     if not np.isfinite(reals).all():
         return None
     stacked = iter(reals)
     columns = []
-    for h, read in zip(fmt.header, readers):
-        if read is real:
+    for h, kind in zip(fmt.header, kinds):
+        if kind == "float":
             columns.append(next(stacked))
             continue
         column = rows[h].tolist()
         if padded:
             column = list(map(str.strip, column))
-        if read is flag:
+        if kind == "bool":
             try:
                 column = np.fromiter(map(_FLAGS.__getitem__, column), bool, len(column))
             except KeyError:
@@ -653,6 +673,4 @@ def fast_table(path, fmt: TableFormat):
         columns.append(column)
     table = fmt.table(*columns)
     with np.errstate(all="ignore"):
-        if not fmt.mask(table).all():
-            return None
-    return table
+        return table if fmt.table.row.passes(table) else None

@@ -7,17 +7,18 @@ threshold (IoU ties go to the earliest ground-truth row).
 
 Both inputs are tables: predictions a ``DetectionTable``, ground truth a
 ``GroundTruthTable`` (frame ids as a str list, corners as float64
-columns).  A plain ground-truth file whose rows all pass the column masks
-is read in one ``np.loadtxt`` pass; any other is read one row at a time
-into ``GroundTruthBox`` objects, which ``GroundTruthTable.of`` puts into
-the table.  All thresholds share one array of candidate pairs: every
+columns).  A plain ground-truth file whose rows all pass the
+``GroundTruthBox`` rules, run on its columns, is read in one
+``np.loadtxt`` pass; any other is read one row at a time into
+``GroundTruthBox`` objects, which ``GroundTruthTable.of`` puts into the
+table.  All thresholds share one array of candidate pairs: every
 (prediction, same-frame box) pair, predictions in rank order and boxes in
 row order, whose IoUs ``pair_iou`` computes once in numpy with ``iou``'s
-operations, so the doubles are the same.  At each threshold, a candidate at or above it that is the only one
-of both its prediction and its box is a hit by array operations; only the
-rest, where predictions contest a box or a prediction has a choice, go
-through the greedy claim loop, and each threshold keeps its own claimed
-boxes.
+operations, so the doubles are the same.  At each threshold, a candidate
+at or above it that is the only one of both its prediction and its box
+is a hit by array operations; only the rest, where predictions contest a
+box or a prediction has a choice, go through the greedy claim loop, and
+each threshold keeps its own claimed boxes.
 
 Average precision interpolates the precision/recall staircase at the 101
 recall points 0.00, 0.01, ..., 1.00, taking at each point the maximum
@@ -54,7 +55,7 @@ from .detections import (
     read_detection_table,
 )
 from .errors import NoGroundTruth, UndefinedMetric
-from .jsonio import Columns, TableFormat
+from .jsonio import Columns, TableFormat, compile_rules
 
 GT_HEADER = ("frame_id", "u_min", "v_min", "u_max", "v_max")
 
@@ -78,17 +79,14 @@ class GroundTruthBox:
     u_max: float
     v_max: float
 
-    def __post_init__(self):
-        if not self.u_min < self.u_max or not self.v_min < self.v_max:
-            raise ValueError(
-                f"degenerate ground-truth box "
-                f"({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
-            )
-        if not finite_box(self.u_min, self.v_min, self.u_max, self.v_max):
-            raise ValueError(
-                f"ground-truth box centre or area is not finite or positive: "
-                f"({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
-            )
+    rules = (
+        ("", "(r.u_min < r.u_max) & (r.v_min < r.v_max)",
+         "degenerate ground-truth box ({r.u_min}, {r.v_min}, {r.u_max}, {r.v_max})"),
+        ("", "finite_box(r.u_min, r.v_min, r.u_max, r.v_max)",
+         "ground-truth box centre or area is not finite or positive: "
+         "({r.u_min}, {r.v_min}, {r.u_max}, {r.v_max})"),
+    )
+    __post_init__, passes = compile_rules(rules, finite_box=finite_box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +98,8 @@ class GroundTruthTable(Columns):
     v_min: np.ndarray
     u_max: np.ndarray
     v_max: np.ndarray
+
+    row = GroundTruthBox
 
     def corners(self) -> list[np.ndarray]:
         return [self.u_min, self.v_min, self.u_max, self.v_max]
@@ -347,14 +347,7 @@ def fitness(precision: float, recall: float, map50: float, map5095: float) -> fl
 # --- file I/O ---------------------------------------------------------------
 
 
-def _ground_truth_mask(t: GroundTruthTable) -> np.ndarray:
-    """Which rows of finite corners pass every GroundTruthBox check, as masks."""
-    return (t.u_min < t.u_max) & (t.v_min < t.v_max) & finite_box(*t.corners())
-
-
-GROUND_TRUTH_FORMAT = TableFormat(
-    GT_HEADER, GroundTruthTable, GroundTruthBox, _ground_truth_mask
-)
+GROUND_TRUTH_FORMAT = TableFormat(GT_HEADER, GroundTruthTable)
 
 
 def read_ground_truth_table(path) -> GroundTruthTable:

@@ -18,7 +18,7 @@ The exception is ``read_table``, a per-row CSV reader written apart from
 ``jsonio.read_columns``, kept to pin that reader's row numbers, skipped
 rows and error order to it; ``rowwise_parse_detections`` and
 ``rowwise_read_ground_truth`` run it with per-row copies of the detection
-and ground-truth checks, to pin the column masks and row readers to them.
+and ground-truth checks, to pin the row rules and row readers to them.
 """
 
 from __future__ import annotations

@@ -197,13 +197,20 @@ def test_track_blocks_with_different_quoted_pairs(tmp_path_factory, blocks):
     ]
 
 
-@pytest.mark.parametrize("fmt", [DETECTION_FORMAT, GROUND_TRUTH_FORMAT, TRACK_FORMAT])
+FORMATS = [DETECTION_FORMAT, GROUND_TRUTH_FORMAT, TRACK_FORMAT]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_a_format_declares_each_column_once(fmt):
-    """The i-th header column is the i-th field of the table and of the row
-    class, and the row field's type is the table column's kind."""
-    table, row = fields(fmt.table), fields(fmt.row)
+    """The i-th header column is the i-th field of the table and of its row
+    class, and each rule of the row class names one of them, or the row."""
+    table, row = fields(fmt.table), fields(fmt.table.row)
     assert [f.name for f in table] == [f.name for f in row]
     assert len(fmt.header) == len(row)
-    assert "".join({"str": "s", "float": "f", "bool": "b"}[f.type] for f in row) == (
-        KINDS[fmt.table]
-    )
+    assert {column for column, _, _ in fmt.table.row.rules} <= {"", *(f.name for f in row)}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_of_takes_each_column_kind_from_the_row_class(fmt):
+    kind = {"str": "s", "float": "f", "bool": "b"}
+    assert kinds(fmt.table.of([])) == "".join(kind[f.type] for f in fields(fmt.table.row))

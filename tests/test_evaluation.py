@@ -120,6 +120,15 @@ class TestValidateSegments:
                 [Segment("a", 0.0, 10.0, "y_max"), Segment("a", 10.0, 20.0, "y_max")]
             )
 
+    def test_duplicate_ids_name_the_first_repeated(self):
+        segments = [
+            Segment("s0", 0.0, 5.0, "y_max"),
+            Segment("s1", 10.0, 15.0, "y_max"),
+            Segment("s0", 20.0, 25.0, "y_max"),
+        ]
+        with pytest.raises(FormatError, match=r"^duplicate segment id 's0'$"):
+            validate_segments(segments)
+
     def test_overlap(self):
         with pytest.raises(FormatError):
             validate_segments(

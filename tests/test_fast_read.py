@@ -9,7 +9,9 @@ a zero counts.
 """
 
 import csv
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -455,3 +457,96 @@ def test_a_refused_row_costs_only_itself(name, data):
         fmt.make(*bad.split(","))
     expected = (at + 2, getattr(refused.value, "column", ""), str(refused.value))
     assert [(e.row, e.column, e.reason) for e in errors] == [expected]
+
+
+# Reals at the edges of the row rules: a zero of either sign, the ends of
+# [0, 1] and a step past them, the smallest subnormals, corners whose sum
+# or area overflows, and the values that are not finite.
+EDGE_REALS = [
+    0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), 5e-324, -5e-324,
+    1e-200, 1e308, -1e308, 1.7e308, math.inf, -math.inf, math.nan,
+]
+_ANY_REAL = st.sampled_from(EDGE_REALS) | st.floats()
+# u_min, v_min, u_max, v_max: any four reals, an empty box, and boxes that
+# finite_box refuses by underflow (the area) and by overflow (the area, a centre)
+_CORNERS = st.one_of(
+    st.tuples(_ANY_REAL, _ANY_REAL, _ANY_REAL, _ANY_REAL),
+    st.tuples(_ANY_REAL, _ANY_REAL).map(lambda uv: (uv[0], uv[1], uv[0], uv[1] + 1.0)),
+    st.sampled_from(
+        [
+            (0.0, 0.0, 1e-200, 1e-200),
+            (-1e308, 0.0, 1e308, 1.0),
+            (1e308, 0.0, 1.7e308, 1.0),
+            (0.0, 1e308, 1.0, 1.7e308),
+        ]
+    ),
+)
+_ID = st.sampled_from(["", "side0", "top"])
+# Per format: a row's field values, in field order.
+RULE_ROWS = {
+    "detections": st.tuples(_ID, _ID, _ANY_REAL, _CORNERS, _ANY_REAL).map(
+        lambda r: (*r[:3], *r[3], r[4])
+    ),
+    "ground_truth": st.tuples(_ID, _CORNERS).map(lambda r: (r[0], *r[1])),
+    "track": st.tuples(*[_ANY_REAL] * 4, _ID, _ID, _ANY_REAL, st.booleans()),
+}
+
+
+def _unchecked(row_class, values):
+    """An instance of ``row_class`` holding ``values``, its rules not run."""
+    row = object.__new__(row_class)
+    for f, value in zip(fields(row_class), values):
+        object.__setattr__(row, f.name, value)
+    return row
+
+
+def _field_text(kind: str, value) -> str:
+    if kind == "bool":
+        return "true" if value else "false"
+    return value if kind == "str" else repr(value)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_rules_read_a_row_and_a_column_alike(name, data):
+    """Each rule's test of a table's columns is its test of each row: a row
+    passes every column test exactly when it is built without an error, and
+    a refused row's error is the first rule's that it fails.  ``passes`` of
+    the table, and the fast read of a file of its finite rows, hold exactly
+    when every row is built."""
+    fmt = FORMATS[name][0]
+    Row = fmt.table.row
+    names = Row.passes.__globals__  # what the rules' tests are compiled with
+    rows = data.draw(st.lists(RULE_ROWS[name], min_size=1, max_size=8))
+    kinds = [f.type for f in fields(Row)]
+    table = fmt.table(
+        *(
+            list(column) if kind == "str" else np.array(column, dtype=kind)
+            for kind, column in zip(kinds, zip(*rows))
+        )
+    )
+    with np.errstate(all="ignore"):
+        masks = np.array([eval(test, names, {"r": table}) for _, test, _ in Row.rules]).T
+        assert Row.passes(table) == masks.all()
+    lines, built = [], True
+    for values, mask in zip(rows, masks):
+        row = _unchecked(Row, values)
+        with np.errstate(all="ignore"):
+            tests = [bool(eval(test, names, {"r": row})) for _, test, _ in Row.rules]
+        assert tests == mask.tolist()
+        try:
+            Row(*values)
+        except jsonio.FieldError as exc:
+            column, _, reason = Row.rules[tests.index(False)]
+            assert (exc.column, str(exc)) == (column, reason.format(r=row))
+        else:
+            assert all(tests)
+        if all(math.isfinite(v) for v, kind in zip(values, kinds) if kind == "float"):
+            lines.append(",".join(map(_field_text, kinds, values)))
+            built &= all(tests)
+    if lines:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text("\n".join([",".join(fmt.header), *lines, ""]), encoding="utf-8")
+            assert (jsonio.fast_table(path, fmt) is not None) == built

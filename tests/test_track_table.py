@@ -1,6 +1,6 @@
 """The track as a TrackTable: its reader, writer and API edges.
 
-``read_track`` reads a plain file whose rows all pass the column masks
+``read_track`` reads a plain file whose rows all pass the TrackPoint rules
 with numpy's C reader, and any other one row at a time through
 ``TRACK_FORMAT.make``; these tests pin it to the row-wise oracle reader,
 and ``TrackTable.of`` and table iteration, the conversions to and from
@@ -46,7 +46,7 @@ def outcome(read):
     return [repr(p) for p in items], [(e.row, e.column, str(e)) for e in errors]
 
 
-# (column index, text) of each mask a row can fail
+# (column index, text) of each check of the fast read a row can fail
 MASK_FAILURES = {
     "nan": (1, "nan"),
     "inf": (3, "inf"),
