@@ -31,6 +31,7 @@ geometry), 2 for usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -149,6 +150,20 @@ def _parse_box(text: str) -> GridBox:
         raise ConfigError(f"bad box {text!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _removed_on_failure(path):
+    """A failure inside removes the file ``path`` if it did not exist
+    before: a failed run leaves no output behind that it made itself, such
+    as a track cut short, which would read as a shorter one."""
+    is_new = not os.path.lexists(path)
+    try:
+        yield
+    except BaseException:
+        if is_new and os.path.lexists(path):
+            os.remove(path)
+        raise
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -232,16 +247,11 @@ def _cmd_reconstruct(args) -> int:
         vertical_correction=cfg.vertical_correction,
         pair_strategy=cfg.pair_strategy,
     )
-    track_is_new = not os.path.lexists(args.out)
-    write_track(args.out, track)
-    if args.stats is not None:
-        try:
+    with _removed_on_failure(args.out):
+        write_track(args.out, track)
+        if args.stats is not None:
             jsonio.write_doc(args.stats, stats.as_doc())
-        except BaseException:
-            # a failed run leaves no track behind that it made itself
-            if track_is_new:
-                os.remove(args.out)
-            raise
+    if args.stats is not None:
         print(f"wrote {args.stats}")
     print(
         f"{len(detections)} detections -> {stats.total} bundles -> "
@@ -292,7 +302,8 @@ def _cmd_detmetrics(args) -> int:
 def _cmd_export(args) -> int:
     rig = load_rig(args.calibration)
     track = read_track(args.track)
-    export_track(args.out, track, args.format, rig.grid_a)
+    with _removed_on_failure(args.out):
+        export_track(args.out, track, args.format, rig.grid_a)
     print(f"wrote {args.out}")
     return 0
 

@@ -8,7 +8,10 @@ point that the scale takes past the largest float is refused, and no file is
 written.
 
 Every writer takes only a ``TrackTable`` (``TrackTable.of`` makes one of
-points) and formats its columns with one ``str.format`` per row.
+points).  The CSV writer and the SVG polylines format their columns with
+``fusion.format_rows``, whose fixed-point kernel writes the bytes of
+``"{:.6f}".format`` for every value at once; the PLY writer formats one
+row at a time with ``"{:.17g}"``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, EmptyTrack, FormatError
-from .fusion import TrackTable, write_track
+from .fusion import TrackTable, format_rows, write_track
 from .geometry import GridBox
 from .jsonio import format_real
 from .options import EXPORT_FORMATS
@@ -62,6 +65,11 @@ def export_ply(path, track: TrackTable) -> None:
         fh.writelines(map("{:.17g} {:.17g} {:.17g}\n".format, x, y, z))
 
 
+def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:
+    """An SVG polyline's points: "x,y" with six decimals each, space-separated."""
+    return format_rows([xs, b",", ys, b" "])[:-1].decode()
+
+
 def _panel(
     label: str,
     offset_x: float,
@@ -90,7 +98,7 @@ def _panel(
         f'width="{span_h * scale:.6f}" height="{span_v * scale:.6f}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>'
     ]
-    pts = " ".join(map("{:.6f},{:.6f}".format, xs.tolist(), ys.tolist()))
+    pts = _polyline(xs, ys)
     out.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )

@@ -23,7 +23,9 @@ picks the result.  Views are kept by side slot, which names one camera.
 ``build_track`` takes the ``BundleTable`` that ``synchronize_table``
 returns.  The track is a ``TrackTable`` of columns, in the track file's
 order with the camera pair as two str columns, from ``build_track``
-through ``write_track`` and back from ``read_track``.  There one
+through ``write_track``, which formats the columns with ``format_rows``,
+an exact fixed-point kernel with the bytes of ``"{:.6f}".format``, and
+back from ``read_track``.  There one
 ``np.loadtxt`` pass reads a plain file whose rows all pass the
 ``TrackPoint`` rules, run on its columns; any other file is read one row
 at a time into ``TrackPoint`` objects, so each error names its row,
@@ -68,6 +70,7 @@ _SECOND = np.array([j for _, j in ADJACENT_PAIRS])
 # a fixed bound (about 1.9 MiB for a block of 4096, by tracemalloc) however
 # long the recording is.  Each block also pays a fixed cost of about 0.8 ms,
 # whatever its size; at 1024 bundles that cost was near the per-bundle work.
+# write_track formats as many rows at a time.
 _CHUNK_BUNDLES = 4096
 
 TRACK_HEADER = (
@@ -566,10 +569,108 @@ def build_track(
 # --- track persistence ------------------------------------------------------
 
 
+# What pads a field to its column's width; format_rows drops it.  No UTF-8
+# text holds this byte, so a camera id keeps every character it has, NUL too.
+_PAD = 0xFF
+# The two bytes of each number 0 to 99, as one uint16 in memory order, in
+# three runs: as digits; as the leading pair of a whole part, whose leading
+# zeros are _PAD; and as that pair when it also holds the ones digit.
+_DIGIT_PAIRS = np.frombuffer(
+    "".join(
+        [f"{i:02d}" for i in range(100)]
+        + [f"{i:2d}" if i else "  " for i in range(100)]
+        + [f"{i:2d}" for i in range(100)]
+    ).replace(" ", chr(_PAD)).encode("latin-1"),
+    dtype=np.uint16,
+)
+_FLAGS = np.array([list(b"false"), [*b"true", _PAD]], dtype=np.uint8)
+
+
+def _fixed6(column: np.ndarray) -> np.ndarray:
+    """What "{:.6f}".format writes for each value of a finite real column:
+    one row of bytes each, padded with _PAD.
+
+    |x| * 10**6 is p + err exactly, by Dekker's product: 10**6 has 14
+    significant bits, so it splits into itself and 0, and each half of
+    Veltkamp's split of |x| times it is exact.  Python rounds the exact
+    product half to even; that is rint(p), moved one step the way err
+    points where p lies exactly halfway, since elsewhere |err| <= ulp(p) / 2
+    cannot cross a half.  The digits come two at a time by integer division,
+    and the sign from the sign bit, so -0.0 writes "-0.000000".  A column
+    with a p of 2**52 or more, where a half need not be a multiple of
+    ulp(p), is formatted by str.format.
+    """
+    column = np.asarray(column, dtype=float)
+    n = len(column)
+    magnitude = np.abs(column)
+    with np.errstate(over="ignore"):
+        p = magnitude * 1e6
+    if not (p < 2.0**52).all():
+        return _str_formatted(column)
+    high = magnitude * 134217729.0  # 2**27 + 1
+    high -= high - magnitude
+    err = (high * 1e6 - p) + (magnitude - high) * 1e6
+    rounded = np.rint(p)
+    half = p - rounded
+    rounded += (half == 0.5) & (err > 0)
+    rounded -= (half == -0.5) & (err < 0)
+    rest = rounded.astype(np.int64)
+    # the whole part's digits, at least one, to an even count
+    whole = 2 * ((len(str(int(rest.max(initial=0)) // 10**6)) + 1) // 2)
+    runs = [100] * (whole // 2 - 1) + [200, 0, 0, 0]  # each pair's table
+    pairs = np.empty((n, len(runs)), np.intp)
+    for k in range(len(runs) - 1, -1, -1):
+        above = rest // 100
+        pairs[:, k] = rest - 100 * above + runs[k] * (above == 0)
+        rest = above
+    digits = _DIGIT_PAIRS[pairs].view(np.uint8)
+    fields = np.empty((n, whole + 8), np.uint8)
+    fields[:, 0] = np.where(np.signbit(column), ord("-"), _PAD)
+    fields[:, 1:whole + 1] = digits[:, :whole]
+    fields[:, whole + 1] = ord(".")
+    fields[:, whole + 2:] = digits[:, whole:]
+    return fields
+
+
+def _str_formatted(column: np.ndarray) -> np.ndarray:
+    """``_fixed6`` of a column past its kernel's range, by str.format."""
+    text = np.array(list(map("{:.6f}".format, column.tolist())), dtype="S")
+    fields = text.view(np.uint8).reshape(len(column), text.itemsize)
+    return np.where(fields == 0, _PAD, fields)
+
+
+def format_rows(fields: list) -> bytes:
+    """Rows of text, each made of its entry of every field in turn.
+
+    A field is a column of reals, each written as "{:.6f}".format writes
+    it; a 2-D uint8 array, one row of bytes per row, padded with _PAD; or
+    bytes, written in every row.
+    """
+    parts = [
+        np.frombuffer(f, np.uint8)[None] if isinstance(f, bytes)
+        else _fixed6(f) if f.ndim == 1
+        else f
+        for f in fields
+    ]
+    n = len(next(f for f in fields if not isinstance(f, bytes)))
+    rows = np.empty((n, sum(part.shape[1] for part in parts)), np.uint8)
+    at = 0
+    for part in parts:
+        rows[:, at:at + part.shape[1]] = part
+        at += part.shape[1]
+    return rows.tobytes().translate(None, bytes([_PAD]))
+
+
 def write_track(path, track: TrackTable) -> None:
     """Write a track CSV; reals carry six decimal places.  A NaN or an
     infinity, which no reader accepts, raises FormatError before the file
-    is opened."""
+    is opened.
+
+    The bytes are those of one ``str.format`` per row.  ``format_rows``
+    writes each block of _CHUNK_BUNDLES rows from the columns: the reals by
+    its fixed-point kernel, and the quoted camera names and the flags
+    gathered by code from small tables of their UTF-8 bytes.
+    """
     reals = (track.timestamp_ms, track.x, track.y, track.z, track.z_disagreement_mm)
     for position, column in zip(TRACK_FORMAT.reals, reals):
         finite = np.isfinite(column)
@@ -580,21 +681,26 @@ def write_track(path, track: TrackTable) -> None:
                     f"row {row + 2}, column {TRACK_HEADER[position]}: "
                     f"cannot write non-finite real {float(column[row])!r}"
                 )
-    quoted = {name: csv_field(name) for name in {*track.cam_a, *track.cam_b}}
-    rows = map(
-        "{:.6f},{:.6f},{:.6f},{:.6f},{},{},{:.6f},{}\n".format,
-        track.timestamp_ms.tolist(),
-        track.x.tolist(),
-        track.y.tolist(),
-        track.z.tolist(),
-        map(quoted.__getitem__, track.cam_a),
-        map(quoted.__getitem__, track.cam_b),
-        track.z_disagreement_mm.tolist(),
-        map(("false", "true").__getitem__, track.depth_corrected.tolist()),
+    code = {name: i for i, name in enumerate({*track.cam_a, *track.cam_b})}
+    quoted = [csv_field(name).encode() for name in code]
+    names = np.full((len(quoted), max(map(len, quoted), default=0)), _PAD, np.uint8)
+    for i, text in enumerate(quoted):
+        names[i, :len(text)] = list(text)
+    cam_a, cam_b = (
+        np.fromiter(map(code.__getitem__, cams), np.intp, len(track))
+        for cams in (track.cam_a, track.cam_b)
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACK_HEADER) + "\n")
-        fh.writelines(rows)
+    flags = np.asarray(track.depth_corrected, dtype=np.intp)
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACK_HEADER) + "\n").encode())
+        for start in range(0, len(track), _CHUNK_BUNDLES):
+            rows = slice(start, start + _CHUNK_BUNDLES)
+            fh.write(format_rows([
+                track.timestamp_ms[rows], b",", track.x[rows], b",",
+                track.y[rows], b",", track.z[rows], b",",
+                names[cam_a[rows]], b",", names[cam_b[rows]], b",",
+                track.z_disagreement_mm[rows], b",", _FLAGS[flags[rows]], b"\n",
+            ]))
 
 
 TRACK_FORMAT = TableFormat(TRACK_HEADER, TrackTable)

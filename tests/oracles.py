@@ -19,6 +19,12 @@ The exception is ``read_table``, a per-row CSV reader written apart from
 rows and error order to it; ``rowwise_parse_detections`` and
 ``rowwise_read_ground_truth`` run it with per-row copies of the detection
 and ground-truth checks, to pin the row rules and row readers to them.
+
+``write_track_oracle`` and ``polyline_points`` write six-decimal reals one
+``str.format`` per row, the reference for the fixed-point kernel behind
+``write_track`` and the SVG polylines.  ``python tests/oracles.py TRACK
+CALIBRATION CSV_OUT SVG_OUT`` writes a track file again by them, as a
+track CSV and as the export's SVG figure.
 """
 
 from __future__ import annotations
@@ -679,3 +685,62 @@ def rowwise_read_ground_truth(lines, strict=True):
         return GroundTruthBox(row[0], *reals)
 
     return read_table(lines, GT_HEADER, ground_truth_box, strict=strict)
+
+
+# --- str.format writers -----------------------------------------------------
+
+
+def write_track_oracle(path, track) -> None:
+    """The track CSV written one ``str.format`` per row, with the excel
+    quoting written out here; ``fusion.write_track`` must write its bytes."""
+
+    def quoted(name):
+        if any(c in name for c in ',"\r\n'):
+            return '"' + name.replace('"', '""') + '"'
+        return name
+
+    rows = map(
+        "{:.6f},{:.6f},{:.6f},{:.6f},{},{},{:.6f},{}\n".format,
+        track.timestamp_ms.tolist(),
+        track.x.tolist(),
+        track.y.tolist(),
+        track.z.tolist(),
+        map(quoted, track.cam_a),
+        map(quoted, track.cam_b),
+        track.z_disagreement_mm.tolist(),
+        map(("false", "true").__getitem__, track.depth_corrected.tolist()),
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp_ms,x_mm,y_mm,z_mm,cam_a,cam_b,z_disagreement_mm,"
+                 "depth_corrected\n")
+        fh.writelines(rows)
+
+
+def polyline_points(xs, ys) -> str:
+    """An SVG polyline's points joined one ``str.format`` per point;
+    ``export._polyline`` must write this text."""
+    return " ".join(map("{:.6f},{:.6f}".format, xs.tolist(), ys.tolist()))
+
+
+def rewrite_with_oracles(track_csv, calibration, csv_out, svg_out) -> None:
+    """Read the track file ``track_csv`` and write it again by the
+    ``str.format`` writers: as a track CSV to ``csv_out``, and as
+    ``export --format svg`` draws it, with the rig of ``calibration``, to
+    ``svg_out``."""
+    from unittest import mock
+
+    from gridscope import export
+    from gridscope.calibration import load_rig
+    from gridscope.fusion import read_track
+
+    track = read_track(track_csv)
+    write_track_oracle(csv_out, track)
+    with mock.patch.object(export, "_polyline", polyline_points):
+        export.export_svg(svg_out, track, load_rig(calibration).grid_a)
+
+
+if __name__ == "__main__":
+    # python tests/oracles.py TRACK CALIBRATION CSV_OUT SVG_OUT
+    import sys
+
+    rewrite_with_oracles(*sys.argv[1:])

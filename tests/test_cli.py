@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gridscope import cli, fusion, jsonio
+from gridscope import cli, export, fusion, jsonio
 from gridscope.calibration import load_calibration
 from gridscope.cli import RunConfig, load_run_config, main
 from gridscope.detections import (
@@ -755,6 +756,63 @@ class TestFlagValues:
         out, err = capsys.readouterr()
         assert err.startswith("i/o error: ") and "Traceback" not in err
         assert out == ""
+
+
+class _FullDisk:
+    """A file on a disk with room for ``room`` bytes: a write past that puts
+    down what fits, then raises ENOSPC."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:self.room])
+        self.room -= len(data[:self.room])
+        if not self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "csv", "ply", "svg"])
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_write_that_fails_part_way_leaves_no_file_it_made(
+    pipeline, tmp_path, capsys, monkeypatch, command, existed
+):
+    out = tmp_path / f"out.{command}"
+    if existed:
+        out.write_text("old\n")
+    cal = str(pipeline / "calibration.json")
+    if command == "reconstruct":
+        detections = sorted(str(p) for p in (pipeline / "sim").glob("detections_*.csv"))
+        args = ["reconstruct", *detections, "--calibration", cal]
+    else:
+        args = ["export", "--track", str(pipeline / "track.csv"),
+                "--calibration", cal, "--format", command]
+    opened = []
+
+    def full_disk_open(*open_args, **kwargs):
+        opened.append(_FullDisk(open(*open_args, **kwargs), room=100))
+        return opened[-1]
+
+    # the module whose open() writes the file
+    module = fusion if command in ("reconstruct", "csv") else export
+    monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+    assert main([*args, "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert opened and not opened[0].room  # the write was cut part-way
+    assert err.startswith("i/o error: ") and "No space left" in err
+    assert out_text == ""
+    # a file that was there is kept, cut short; one the run made is gone
+    assert out.exists() == existed
 
 
 def test_camera_ids_with_a_comma_survive_the_pipeline(pipeline, tmp_path, capsys):

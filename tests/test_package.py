@@ -351,6 +351,23 @@ def _failing_runs(root: Path, capsys):
             namespace.no_such_name
 
 
+def _far_track_runs(root: Path):
+    """export, as csv and as svg, of a track with a coordinate past the
+    fixed-point kernel's range, which str.format writes instead."""
+    cal, track = str(root / "calibration_max.json"), root / "far.csv"
+    text = (root / "track_best.csv").read_text(encoding="utf-8").splitlines()
+    head, first = text[0], text[1].split(",")
+    first[1] = "5000000000.0"  # mm; times 10**6 it is past 2**52
+    track.write_text(f"{head}\n{','.join(first)}\n", encoding="utf-8")
+    for fmt in ("csv", "svg"):
+        out = root / f"far.{fmt}"
+        assert main(["export", "--track", str(track), "--calibration", cal,
+                     "--format", fmt, "--out", str(out)]) == 0
+    assert (root / "far.csv").read_bytes() == track.read_bytes().replace(
+        b",5000000000.0,", b",5000000000.000000,"
+    )
+
+
 def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
     ran = set()
 
@@ -375,6 +392,7 @@ def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
         (tmp_path / mode).mkdir()
         test_digests._run_all(tmp_path / mode, mode)
     traced(_failing_runs)(tmp_path / "aligned", capsys)
+    traced(_far_track_runs)(tmp_path / "aligned")
 
     package = Path(gridscope.__file__).parent
     starts = {
