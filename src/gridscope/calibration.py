@@ -52,6 +52,7 @@ from .geometry import (
     apply_scale,
     compute_homography,
     homography_columns,
+    homography_points,
     point_in_quad,  # noqa: F401  (perfbench/spans.py wraps this name)
     quad_contains,
 )
@@ -139,14 +140,10 @@ class SubArea:
         w, h = self.canonical_width, self.canonical_height
         targets = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
         corners = self.src.corners
-        got_a, got_b = homography_columns(
-            self.homography,
-            np.array([c.u for c in corners], dtype=float),
-            np.array([c.v for c in corners], dtype=float),
+        got = homography_points(
+            self.homography, [(float(c.u), float(c.v)) for c in corners]
         )
-        for corner, (ta, tb), ga, gb in zip(
-            corners, targets, got_a.tolist(), got_b.tolist()
-        ):
+        for corner, (ta, tb), (ga, gb) in zip(corners, targets, got):
             if abs(ga - ta) > CANONICAL_CORNER_TOLERANCE or (
                 abs(gb - tb) > CANONICAL_CORNER_TOLERANCE
             ):

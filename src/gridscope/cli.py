@@ -200,15 +200,16 @@ def _read_detections(
     paths: list[str], strict: bool, cal: Calibration
 ) -> DetectionTable:
     """The rows of the files ``paths``, in turn, as one table.  Every row's
-    camera must be one of ``cal``'s.  The per-file tables, whose columns
-    concat copies, are freed on return, before fusion runs."""
+    camera must be one of ``cal``'s: each file's coded camera column is
+    checked by its names.  The per-file tables, whose columns concat
+    copies, are freed on return, before fusion runs."""
     camera_ids = [cam.camera_id for cam in cal.cameras]
     tables = []
     skipped = 0
     for path in paths:
         with jsonio.naming(path):
             table, errors = read_detection_table(path, strict=strict)
-            unknown = set(table.camera_id).difference(camera_ids)
+            unknown = set(table.camera_id.names).difference(camera_ids)
             if unknown:
                 raise FormatError(
                     f"no camera {min(unknown)!r} in the calibration, whose "

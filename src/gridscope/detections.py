@@ -12,6 +12,12 @@ all pass the ``Detection`` rules, run on its columns, is read in one
 ``np.loadtxt`` pass (``jsonio.fast_table``); ``finite_box`` is the one box
 rule.  Any other goes through ``jsonio.read_columns``, which reads each
 row into a ``Detection``; ``DetectionTable.of`` puts them into the table.
+The camera ids become a ``jsonio.Coded`` column as the file is read: codes
+into the file's few camera names, found by one comparison when the file
+holds one camera and through a dict when it mixes them.  Joining files
+maps the codes onto the union of the names, the non-empty rule and the
+calibration check test each name once, and synchronization takes each
+row's camera slot from its code.
 Each error names its row and reason, and the column of the first field
 (in header order) that does not read, else of the first rule the row
 fails.  Errors are reported in row order.
@@ -40,7 +46,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CsvError
-from .jsonio import Columns, TableFormat, compile_rules, csv_field
+from .jsonio import Coded, Columns, TableFormat, compile_rules, csv_field
 from .jsonio import read_columns, read_file
 from .options import DEFAULT_SYNC_TOLERANCE_MS
 
@@ -124,11 +130,13 @@ class ParseResult:
 class DetectionTable(Columns):
     """Detections as columns, one entry per row in read order.
 
-    Every row holds what a ``Detection`` would: the text columns are str
-    lists and the real columns float64 arrays.
+    Every row holds what a ``Detection`` would.  The camera ids are a
+    ``Coded`` column, codes into a tuple of the few camera names, so that
+    synchronization and the calibration check look at each name once; the
+    frame indices are a str list and the real columns float64 arrays.
     """
 
-    camera_id: list[str]
+    camera_id: Coded
     frame_index: list[str]
     timestamp_ms: np.ndarray
     u_min: np.ndarray
@@ -247,11 +255,15 @@ def synchronize_table(
     """
     if not tolerance_ms >= 0:
         raise ValueError(f"tolerance_ms must be >= 0, got {tolerance_ms}")
-    cameras = sorted(set(table.camera_id))
+    names = table.camera_id.names
+    cameras = sorted(names)
     if not cameras:
         return BundleTable(table, (), np.empty((0, 0), dtype=np.intp), np.empty(0))
     slot = {cam: c for c, cam in enumerate(cameras)}
-    code = np.fromiter(map(slot.__getitem__, table.camera_id), np.intp, len(table))
+    # each row's slot, from its camera's code; every name is some row's
+    code = np.fromiter(map(slot.__getitem__, names), np.intp, len(names))[
+        table.camera_id.codes
+    ]
     t = table.timestamp_ms
     kept = _camera_frames(table, code, np.lexsort((t, code)))
     bounds = np.searchsorted(code[kept], np.arange(len(cameras) + 1))

@@ -33,6 +33,12 @@ column and reason.
 ``TrackPoint``, the table's row, is the API edge: a table iterates as
 points, and ``TrackTable.of`` puts points into the table every consumer
 takes.
+
+The camera pair stays two str columns, not ``jsonio.Coded`` ones as the
+detections' camera ids are.  Coding them would cost each ``read_track``
+about 0.46 ms at 2,258 rows, and a pipeline reads the track twice
+(``evaluate``, ``export``), while it would save ``build_track`` and
+``write_track`` about 0.44 ms between them.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ input rather than returning garbage.
 
 The quad test and the homography map work on numpy columns of points
 (``quad_contains``, ``homography_columns``); ``point_in_quad`` and
-``apply_homography`` are their size-1 calls.
+``apply_homography`` are their size-1 calls.  ``homography_points`` maps a
+few points with the column map's operations in Python floats, for a
+sub-area's four-corner check at load.
 """
 
 from __future__ import annotations
@@ -142,20 +144,25 @@ class Quad:
         return columns
 
 
-def _normalized(m: np.ndarray) -> np.ndarray:
-    h33 = m[2, 2]
-    with np.errstate(over="ignore"):  # a result past float range is refused below
-        scale = h33 if abs(h33) > H33_TOLERANCE else float(np.linalg.norm(m))
-        if scale == 0.0 or math.isinf(scale):  # the norm left float range
-            big = float(np.abs(m).max())
-            if big == 0.0:
-                raise DegenerateQuad("homography matrix is zero")
-            m = m / big
+def _normalized(m: np.ndarray) -> list[float]:
+    """The entries of ``m`` over its scale, in row order: ``h33`` unless it
+    is near zero, else the norm.  Each entry is divided in Python floats,
+    which is numpy's division, without its overflow warning."""
+    h33 = float(m[2, 2])
+    scale = h33
+    if not abs(h33) > H33_TOLERANCE:
+        with np.errstate(over="ignore"):  # a result past float range is refused below
             scale = float(np.linalg.norm(m))
-        m = m / scale
-    if not (math.isfinite(scale) and np.isfinite(m).all()):
+            if scale == 0.0 or math.isinf(scale):  # the norm left float range
+                big = float(np.abs(m).max())
+                if big == 0.0:
+                    raise DegenerateQuad("homography matrix is zero")
+                m = m / big
+                scale = float(np.linalg.norm(m))
+    flat = [v / scale for v in m.reshape(-1).tolist()]
+    if not (math.isfinite(scale) and all(map(math.isfinite, flat))):
         raise DegenerateQuad("homography overflows when normalized")
-    return m
+    return flat
 
 
 class Homography:
@@ -167,16 +174,16 @@ class Homography:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (3, 3):
             raise DegenerateQuad(f"homography must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DegenerateQuad("homography has non-finite entries")
-        m = _normalized(m)
+        flat = _normalized(m)
         # a determinant past float range is not 0; a subnormal pivot makes
         # LAPACK divide by zero, and the determinant is checked either way
         with np.errstate(over="ignore", divide="ignore"):
-            det = float(np.linalg.det(m))
+            det = float(np.linalg.det(np.array(flat).reshape(3, 3)))
         if abs(det) < PIVOT_TOLERANCE:
             raise DegenerateQuad("homography matrix is singular")
-        self._flat = tuple(float(v) for v in m.reshape(-1))
+        self._flat = tuple(flat)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -269,6 +276,26 @@ def homography_columns(
                 f"point ({float(x[i])}, {float(y[i])}) maps to infinity"
             )
         return (f[0] * x + f[1] * y + f[2]) / w, (f[3] * x + f[4] * y + f[5]) / w
+
+
+def homography_points(
+    h: Homography, points: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """``homography_columns`` of a few points, in Python floats.
+
+    Each point takes the operations of ``homography_columns`` in the same
+    order, so the doubles are the same, and every scale is tested before
+    any point is mapped, so the same point raises PointAtInfinity.
+    """
+    f = h._flat
+    scales = [f[6] * x + f[7] * y + f[8] for x, y in points]
+    for (x, y), w in zip(points, scales):
+        if abs(w) < INFINITY_TOLERANCE:
+            raise PointAtInfinity(f"point ({x}, {y}) maps to infinity")
+    return [
+        ((f[0] * x + f[1] * y + f[2]) / w, (f[3] * x + f[4] * y + f[5]) / w)
+        for (x, y), w in zip(points, scales)
+    ]
 
 
 def apply_homography(h: Homography, p) -> "ModelPoint2D":

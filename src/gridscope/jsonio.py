@@ -10,17 +10,19 @@ two extra guarantees on the writing side:
 
 Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
-instead of a bare KeyError.
+instead of a bare KeyError; the path is put into words only for an error.
 
 Detections, ground truth and the track are each a :class:`TableFormat`
 of a :class:`Columns` table, which names its row class; Columns derives
 each table's length, ``==``, ``concat`` and the conversion to and from
-rows from their fields.  A row class declares each of its checks once, in
-its ``rules``, which :func:`compile_rules` makes its row check and its
-column check.  A format's file is first offered to :func:`fast_table`,
-which reads every column in one pass of numpy's C reader (``np.loadtxt``)
-and keeps its table only when every row passes the column check.  It
-declines any other file (a quote, a NUL, a CR that does not end a line, a
+rows from their fields.  A str column of few distinct values that its
+table declares :class:`Coded` is held as codes into its names.  A row
+class declares each of its checks once, in its ``rules``, which
+:func:`compile_rules` makes its row check and its column check.  A
+format's file is first offered to :func:`fast_table`, which reads every
+column in one pass of numpy's C reader (``np.loadtxt``) and keeps its
+table only when every row passes the column check.  It declines any
+other file (a quote, a NUL, a CR that does not end a line, a
 row of another width, a real that is not finite, a bad flag, a row a rule
 refuses), and :func:`read_columns` reads that one a row at a time through
 the format's :func:`row_reader`, so every error comes from one place.
@@ -202,26 +204,39 @@ class DocReader:
     raises FormatError naming the full path on any mismatch.  The readers of
     one document note each key asked of each mapping, so
     ``refuse_unread_keys`` can turn away a key that nothing reads.
+
+    A child reader keeps its parent and its key, and builds its ``path``
+    only when an error message asks for it.
     """
+
+    __slots__ = ("value", "_parent", "_key", "_asked")
 
     def __init__(self, value: Any, path: str = "", _asked: dict | None = None):
         self.value = value
-        self.path = path
-        # id of each mapping asked for a key: (its path, the mapping, keys asked)
+        self._parent: DocReader | None = None
+        self._key: str | int = path  # a root's path, else its key in its parent
+        # id of each mapping asked for a key: (its first reader, keys asked)
         self._asked = {} if _asked is None else _asked
+
+    @property
+    def path(self) -> str:
+        parent, key = self._parent, self._key
+        if parent is None:
+            return key
+        if isinstance(key, int):
+            return f"{parent.path}[{key}]"
+        above = parent.path
+        return f"{above}.{key}" if above else key
 
     def _fail(self, expected: str):
         where = self.path or "top level"
         found = type(self.value).__name__ if self.value is not None else "null"
         raise FormatError(f"{where}: expected {expected}, found {found}")
 
-    def _child_path(self, key) -> str:
-        if isinstance(key, int):
-            return f"{self.path}[{key}]"
-        return f"{self.path}.{key}" if self.path else key
-
     def _child(self, key) -> "DocReader":
-        return DocReader(self.value[key], self._child_path(key), self._asked)
+        child = DocReader(self.value[key], key, self._asked)
+        child._parent = self
+        return child
 
     # -- mapping access ------------------------------------------------------
 
@@ -233,19 +248,22 @@ class DocReader:
         return child
 
     def optional_key(self, name: str) -> "DocReader | None":
-        if not isinstance(self.value, dict):
+        value = self.value
+        if not isinstance(value, dict):
             self._fail("a mapping")
-        entry = self._asked.setdefault(id(self.value), (self.path, self.value, set()))
-        entry[2].add(name)
-        return self._child(name) if name in self.value else None
+        entry = self._asked.get(id(value))
+        if entry is None:
+            entry = self._asked[id(value)] = (self, set())
+        entry[1].add(name)
+        return self._child(name) if name in value else None
 
     def refuse_unread_keys(self) -> None:
         """Raise FormatError naming the first key, of any mapping of this
         document asked for a key so far, that none of its readers asked for."""
-        for path, mapping, asked in self._asked.values():
-            for name in mapping:
+        for reader, asked in self._asked.values():
+            for name in reader.value:
                 if name not in asked:
-                    raise FormatError(f"{path or 'top level'}: unknown key {name!r}")
+                    raise FormatError(f"{reader.path or 'top level'}: unknown key {name!r}")
 
     def get(self, name: str, read: Callable[["DocReader"], T], default: T) -> T:
         """``read`` of the value at key ``name``, or ``default`` if it is absent."""
@@ -296,10 +314,14 @@ class DocReader:
     def reals(self, *shape: int) -> list:
         """Nested lists of finite reals of ``shape``: ``reals(3, 3)`` is a 3x3 matrix.
 
-        One walk in document order, with a reader made per row but per number
-        only at a fault, so each error names the path and reason that the
-        ``fixed_list``/``real`` walk gives.
+        ``_reals`` reads a well-formed value with no reader at all.  Any
+        other goes through one walk in document order, with a reader made
+        per row but per number only at a fault, so each error names the
+        path and reason that the ``fixed_list``/``real`` walk gives.
         """
+        fast = _reals(self.value, shape)
+        if fast is not None:
+            return fast
         n, *inner = shape
         if not isinstance(self.value, list) or len(self.value) != n:
             self._fail(f"an array of {n} elements")
@@ -309,6 +331,25 @@ class DocReader:
             float(v) if _finite_real(v) else self._child(i).real()
             for i, v in enumerate(self.value)
         ]
+
+
+_NUMBER_TYPES = (int, float)
+_MAX = sys.float_info.max
+
+
+def _reals(value: Any, shape: tuple[int, ...]) -> list | None:
+    """Nested lists of finite reals of ``shape``, if ``value`` is one whose
+    lists are all of type list and numbers all of type int or float; else
+    None.  A number of those types passes ``_finite_real`` exactly when its
+    magnitude is at most the largest float."""
+    n, *inner = shape
+    if type(value) is not list or len(value) != n:
+        return None
+    if inner:
+        rows = [_reals(row, inner) for row in value]
+        return None if None in rows else rows
+    floats = [float(v) for v in value if type(v) in _NUMBER_TYPES and abs(v) <= _MAX]
+    return floats if len(floats) == n else None
 
 
 def _finite_real(value: Any) -> bool:
@@ -363,9 +404,11 @@ _FIELD_READERS = {"str": _text, "float": real, "bool": flag}
 
 
 def nonempty(text):
-    """Whether ``text`` is not empty; of a str column, a mask of its rows."""
-    if isinstance(text, list):
-        return np.fromiter(map(bool, text), bool, len(text))
+    """Whether ``text`` is not empty; of a coded column, a mask of its rows,
+    found by testing each name once."""
+    if isinstance(text, Coded):
+        names = text.names
+        return np.fromiter(map(bool, names), bool, len(names))[text.codes]
     return bool(text)
 
 
@@ -410,15 +453,103 @@ def csv_field(text: str) -> str:
     return text
 
 
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A str column as codes: row ``i`` holds ``names[codes[i]]``.
+
+    ``codes`` is an intp array; ``names`` holds each distinct value once,
+    and each name is some row's, or the column is refused with a
+    ValueError, so a consumer may look at the names in place of the rows.
+    ``of``, ``concat`` and ``strip`` also put the names in the order of
+    their first rows, so that one column has one coded form.  Iteration,
+    ``tolist`` and ``==`` give and take the str values, as the str list of
+    the same rows does.
+    """
+
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        n = len(self.names)
+        rows = np.bincount(self.codes, minlength=n)  # a negative code raises
+        if len(rows) != n or not rows.all() or len(set(self.names)) != n:
+            raise ValueError(f"each code must name one of {n} distinct names, each used")
+
+    @classmethod
+    def of(cls, strings) -> "Coded":
+        """The coded form of a str list or a one-dimensional object array.
+
+        An array whose every value equals its first is coded by one
+        comparison; any other column through a dict of its names.
+        """
+        n = len(strings)
+        if isinstance(strings, np.ndarray) and n and (strings == strings[0]).all():
+            return cls(np.zeros(n, dtype=np.intp), (strings[0],))
+        values = strings.tolist() if isinstance(strings, np.ndarray) else strings
+        names = tuple(dict.fromkeys(values))
+        index = dict(zip(names, range(len(names))))
+        return cls(np.fromiter(map(index.__getitem__, values), np.intp, n), names)
+
+    @staticmethod
+    def concat(parts: list) -> "Coded":
+        """The rows of ``parts`` in turn; each part's codes are mapped onto
+        the union of their names."""
+        names = tuple(dict.fromkeys(chain.from_iterable(p.names for p in parts)))
+        index = dict(zip(names, range(len(names))))
+        codes = [
+            np.fromiter(map(index.__getitem__, p.names), np.intp, len(p.names))[p.codes]
+            for p in parts
+        ]
+        return Coded(np.concatenate(codes), names)
+
+    def strip(self) -> "Coded":
+        """Each value ``str.strip``-ed; names that strip alike become one."""
+        stripped = Coded.of(list(map(str.strip, self.names)))
+        if stripped.names == self.names:
+            return self
+        return Coded(stripped.codes[self.codes], stripped.names)
+
+    def tolist(self) -> list[str]:
+        return np.array(self.names, dtype=object)[self.codes].tolist()
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Coded):
+            if self.names == other.names:
+                return np.array_equal(self.codes, other.codes)
+            return self.tolist() == other.tolist()
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+
+def column_kinds(table: type) -> tuple[str, ...]:
+    """Each column's kind, in field order: "Coded" where ``table`` declares
+    its field ``Coded``, else the type of its row class's field: "str",
+    "float" or "bool"."""
+    return tuple(
+        "Coded" if column.type == "Coded" else field.type
+        for column, field in zip(fields(table), fields(table.row))
+    )
+
+
 class Columns:
     """A base for frozen dataclass tables whose fields are equal-length columns.
 
     A subclass names its row class ``row``, a dataclass with the same
     fields, whose type is each column's kind: a ``str`` column is a str
-    list, a ``float`` or ``bool`` one a numpy array of that dtype.  A
-    subclass is declared ``@dataclass(frozen=True, eq=False)`` so that it
-    keeps this ``==``, which holds when every column holds equal values, as
-    the rows' tuples compare.
+    list, a ``float`` or ``bool`` one a numpy array of that dtype.  A str
+    column that the table declares ``Coded`` is a :class:`Coded` column
+    instead: a column of few distinct values, such as camera ids, is
+    compared, joined and grouped by its codes.  A subclass is declared
+    ``@dataclass(frozen=True, eq=False)`` so that it keeps this ``==``,
+    which holds when every column holds equal values, as the rows' tuples
+    compare.
     """
 
     def columns(self) -> list:
@@ -431,7 +562,7 @@ class Columns:
         if type(other) is not type(self):
             return NotImplemented
         return len(self) == len(other) and all(
-            a == b if isinstance(a, list) else np.array_equal(a, b)
+            a == b if isinstance(a, (list, Coded)) else np.array_equal(a, b)
             for a, b in zip(self.columns(), other.columns())
         )
 
@@ -440,28 +571,35 @@ class Columns:
         """One table holding the rows of ``tables`` in turn."""
         if len(tables) == 1:
             return tables[0]
-        return cls(
-            *(
-                list(chain.from_iterable(parts))
-                if isinstance(parts[0], list)
-                else np.concatenate(parts)
-                for parts in zip(*(t.columns() for t in tables))
-            )
-        )
+
+        def join(kind: str, parts: tuple) -> list | Coded | np.ndarray:
+            if kind == "str":
+                return list(chain.from_iterable(parts))
+            if kind == "Coded":
+                return Coded.concat(parts)
+            return np.concatenate(parts)
+
+        columns = zip(*(t.columns() for t in tables))
+        return cls(*map(join, column_kinds(cls), columns))
 
     @classmethod
     def of(cls, objects: Iterable):
         """The table of ``objects``; each column holds their attribute of its name."""
         objects = list(objects)
 
-        def column(f: Field) -> list | np.ndarray:
+        def column(f: Field, kind: str) -> list | Coded | np.ndarray:
             values = [getattr(o, f.name) for o in objects]
-            return values if f.type == "str" else np.array(values, dtype=f.type)
+            if kind == "str":
+                return values
+            if kind == "Coded":
+                return Coded.of(values)
+            return np.array(values, dtype=kind)
 
-        return cls(*map(column, fields(cls.row)))
+        return cls(*map(column, fields(cls), column_kinds(cls)))
 
     def rows(self, make: Callable[..., T]) -> list[T]:
-        """``make(*values)`` of each row in turn; array values come as Python scalars."""
+        """``make(*values)`` of each row in turn; array values come as Python
+        scalars, and a coded column's as its str values."""
         columns = [c if isinstance(c, list) else c.tolist() for c in self.columns()]
         return list(map(make, *columns))
 
@@ -630,9 +768,10 @@ def fast_table(path, fmt: TableFormat):
     real column and a Python str per other; with no ``usecols`` it refuses
     a row of another width than the header's.  The str columns are
     stripped as read_columns strips them, unless ``_plain`` found no
-    padding in the file.
+    padding in the file; a coded column is coded first and then has only
+    its names stripped.
     """
-    kinds = [f.type for f in fields(fmt.table.row)]
+    kinds = column_kinds(fmt.table)
     dtype = np.dtype(
         [(h, float if kind == "float" else object) for h, kind in zip(fmt.header, kinds)]
     )
@@ -661,6 +800,10 @@ def fast_table(path, fmt: TableFormat):
     for h, kind in zip(fmt.header, kinds):
         if kind == "float":
             columns.append(next(stacked))
+            continue
+        if kind == "Coded":
+            column = Coded.of(rows[h])
+            columns.append(column.strip() if padded else column)
             continue
         column = rows[h].tolist()
         if padded:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridscope.calibration import (
@@ -35,14 +35,17 @@ from gridscope.calibration import (
     to_model_grid,
 )
 from gridscope.errors import (
+    DegenerateQuad,
     FormatError,
     GridscopeError,
     NonPositiveLength,
     OutsideCalibratedArea,
+    PointAtInfinity,
     VersionMismatch,
 )
 from gridscope.geometry import (
     GridBox,
+    Homography,
     ModelPoint2D,
     PixelPoint,
     Quad,
@@ -51,6 +54,8 @@ from gridscope.geometry import (
     apply_homography,
     apply_scale,
     compute_homography,
+    homography_columns,
+    homography_points,
     point_in_quad,
 )
 from gridscope import jsonio
@@ -909,3 +914,102 @@ def test_each_link_is_checked_for_its_place():
         SideAxes(links["y"], links["x"], links["x"])
     with pytest.raises(FormatError, match="axis must be 'x' or 'y', got 'z'"):
         TopAxes(links["x"], links["z"])
+
+
+# --- the sub-area corner check against homography_columns --------------------
+
+
+@st.composite
+def _corner_quads(draw):
+    """A strictly convex quad: a rectangle's corners, each moved by up to a
+    fifth of its sides."""
+    x0, y0 = draw(st.floats(-2000, 2000)), draw(st.floats(-2000, 2000))
+    w, h = draw(st.floats(1e-3, 3000)), draw(st.floats(1e-3, 3000))
+    shift = st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+    corners = [
+        (x + dx * w, y + dy * h)
+        for (x, y), (dx, dy) in zip(
+            [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)],
+            draw(st.lists(shift, min_size=4, max_size=4)),
+        )
+    ]
+    try:
+        return Quad.from_coords(corners)
+    except DegenerateQuad:
+        assume(False)
+
+
+_ENTRY = st.one_of(st.floats(-10, 10), st.floats(-1e6, 1e6), st.just(0.0))
+
+
+@st.composite
+def _corner_cases(draw):
+    """(quad, canonical width, height, homography): fitted to the quad, any
+    invertible one, or one that sends a corner to infinity."""
+    quad = draw(_corner_quads())
+    w, h = draw(st.floats(1e-3, 1e4)), draw(st.floats(1e-3, 1e4))
+    kind = draw(st.sampled_from(["fitted", "any", "infinity"]))
+    if kind == "fitted":
+        canonical = Quad.from_coords([(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)])
+        try:
+            return quad, w, h, compute_homography(quad, canonical)
+        except DegenerateQuad:
+            assume(False)
+    entries = draw(st.lists(_ENTRY, min_size=9, max_size=9))
+    if kind == "infinity":  # the scale at one corner is zero before normalizing
+        corner = quad.corners[draw(st.integers(0, 3))]
+        entries[8] = -(entries[6] * corner.u + entries[7] * corner.v)
+    try:
+        return quad, w, h, Homography([entries[0:3], entries[3:6], entries[6:9]])
+    except DegenerateQuad:
+        assume(False)
+
+
+def _columns_corner_check(quad, w, h, homography):
+    """The corner check as the sub-area made it with ``homography_columns``."""
+    targets = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
+    got_a, got_b = homography_columns(
+        homography,
+        np.array([c.u for c in quad.corners], dtype=float),
+        np.array([c.v for c in quad.corners], dtype=float),
+    )
+    for corner, (ta, tb), ga, gb in zip(quad.corners, targets, got_a.tolist(), got_b.tolist()):
+        if abs(ga - ta) > 1e-9 or abs(gb - tb) > 1e-9:
+            raise FormatError(
+                f"sub-area 0: corner ({corner.u}, {corner.v}) "
+                f"maps to ({ga}, {gb}), expected ({ta}, {tb})"
+            )
+
+
+def _check_outcome(check, *args) -> tuple[str, str]:
+    try:
+        check(*args)
+    except GridscopeError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_corner_cases())
+def test_the_corner_check_maps_as_homography_columns(case):
+    """The sub-area maps its corners in Python floats: the same doubles as
+    ``homography_columns``, bit for bit, and the same error, naming the
+    same corner, whether it is at infinity or off its target."""
+    quad, w, h, homography = case
+    points = [(c.u, c.v) for c in quad.corners]
+    xs, ys = np.array(points).T
+    try:
+        got_a, got_b = homography_columns(homography, xs, ys)
+    except PointAtInfinity as exc:
+        with pytest.raises(PointAtInfinity) as err:
+            homography_points(homography, points)
+        assert str(err.value) == str(exc)
+    else:
+        expected = [(a.hex(), b.hex()) for a, b in zip(got_a.tolist(), got_b.tolist())]
+        got = homography_points(homography, points)
+        assert [(a.hex(), b.hex()) for a, b in got] == expected
+
+    def build():
+        SubArea(0, quad, w, h, ModelPoint2D(0.0, 0.0), homography, ScaleRatios(1.0, 1.0))
+
+    assert _check_outcome(build) == _check_outcome(_columns_corner_check, quad, w, h, homography)

@@ -4,18 +4,26 @@ Each table is built from row tuples here, column by column, and every
 operation of the base is checked against what the rows say it must give:
 ``concat`` the joined rows, ``of`` and ``rows`` the rows themselves, and
 ``==`` what the rows' tuples give.  Values are compared by ``repr``, so
-the sign of -0.0 counts.
+the sign of -0.0 counts.  A coded column must also be the one coded form
+of its str values, and a detections file must read as the row-at-a-time
+reader of str camera ids reads it.
 """
 
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridscope.detections import DETECTION_FORMAT, Detection, DetectionTable
+from gridscope.detections import (
+    DETECTION_FORMAT,
+    Detection,
+    DetectionTable,
+    read_detection_table,
+)
+from gridscope.errors import CsvError
 from gridscope.fusion import (
     TRACK_FORMAT,
     TRACK_HEADER,
@@ -24,16 +32,20 @@ from gridscope.fusion import (
     read_track,
     write_track,
 )
-from gridscope.jsonio import csv_field
+from gridscope.jsonio import Coded, csv_field
 from gridscope.metrics import GROUND_TRUTH_FORMAT, GroundTruthBox, GroundTruthTable
 
-# each table's column kinds in field order: a str list, float64 or bool
+from oracles import rowwise_parse_detections
+
+# each table's column kinds in field order: a coded str column, a str
+# list, float64 or bool
 KINDS = {
-    DetectionTable: "ssffffff",
+    DetectionTable: "csffffff",
     GroundTruthTable: "sffff",
     TrackTable: "ffffssfb",
 }
 VALUES = {
+    "c": st.text(max_size=4),
     "s": st.text(max_size=4),
     "f": st.floats(width=64) | st.just(-0.0),
     "b": st.booleans(),
@@ -45,23 +57,35 @@ def build(cls, rows: list[tuple]):
     """The table of ``rows``, built column by column."""
     kinds = KINDS[cls]
     columns = list(zip(*rows)) or [()] * len(kinds)
-    return cls(
-        *(
-            list(column) if kind == "s" else np.array(column, dtype=DTYPES[kind])
-            for kind, column in zip(kinds, columns)
-        )
-    )
+    return cls(*(_column(kind, column) for kind, column in zip(kinds, columns)))
+
+
+def _column(kind: str, values):
+    if kind == "c":
+        return Coded.of(list(values))
+    if kind == "s":
+        return list(values)
+    return np.array(values, dtype=DTYPES[kind])
 
 
 def row(*values) -> tuple:
     return values
 
 
+def check_coded(table, rows: list[tuple]) -> None:
+    """Each coded column of ``table`` is the coded form of its rows' values."""
+    for i, kind in enumerate(KINDS[type(table)]):
+        if kind == "c":
+            assert_coded(table.columns()[i], [r[i] for r in rows])
+
+
 def kinds(table) -> str:
     """The kind of each column that ``table`` holds."""
     out = ""
     for column in table.columns():
-        if isinstance(column, list):
+        if isinstance(column, Coded):
+            out += "c"
+        elif isinstance(column, list):
             out += "s"
         else:
             out += {np.dtype(t): k for k, t in DTYPES.items()}[column.dtype]
@@ -86,6 +110,7 @@ def test_concat_joins_the_rows(cls, data):
     assert type(joined) is cls and kinds(joined) == KINDS[cls]
     assert len(joined) == sum(map(len, parts))
     assert repr(joined.rows(row)) == repr([row for rows in parts for row in rows])
+    check_coded(joined, [row for rows in parts for row in rows])
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,6 +123,7 @@ def test_of_and_rows_round_trip(case):
     again = cls.of(objects)
     assert kinds(again) == KINDS[cls]
     assert repr(again.rows(row)) == repr(rows)
+    check_coded(again, rows)
 
 
 def _flip_zero(value):
@@ -212,5 +238,125 @@ def test_a_format_declares_each_column_once(fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_of_takes_each_column_kind_from_the_row_class(fmt):
+    """A column's kind is the type of its row class's field, but for a str
+    field that the table declares ``Coded``: that one is a coded column."""
     kind = {"str": "s", "float": "f", "bool": "b"}
-    assert kinds(fmt.table.of([])) == "".join(kind[f.type] for f in fields(fmt.table.row))
+    pairs = list(zip(fields(fmt.table), fields(fmt.table.row)))
+    expected = "".join("c" if c.type == "Coded" else kind[f.type] for c, f in pairs)
+    assert kinds(fmt.table.of([])) == expected
+    assert all(f.type == "str" for c, f in pairs if c.type == "Coded")
+
+
+# --- the coded camera column against the str column it replaced --------------
+
+# Plain names, two padded spellings of "side0", non-ASCII names, names the
+# csv module must quote, and an empty one that the rules refuse.
+_CAMERA = st.sampled_from(
+    ["side0", " side0", "side0\t", "top", "sïde1", "カメラ", "si,de2", 'si"de3', ""]
+)
+
+
+@st.composite
+def _detection_files(draw):
+    """One to three files of detection rows, each of one camera (read by one
+    comparison) or of several (read through a dict); some rows are refused."""
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(_CAMERA, min_size=1, max_size=1 if draw(st.booleans()) else 4))
+        rows = []
+        for k in range(draw(st.integers(0, 6))):
+            good = draw(st.integers(0, 9)) > 0
+            rows.append(
+                (
+                    draw(st.sampled_from(names)),
+                    str(k),
+                    repr(float(k) if good else -1.0),
+                    "1.0", "2.0", "3.0", "4.0", "0.5",
+                )
+            )
+        files.append(rows)
+    return files
+
+
+def _write_detections(path, rows) -> None:
+    lines = [",".join(DETECTION_FORMAT.header)]
+    lines += [",".join(map(csv_field, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_outcome(read, *args):
+    try:
+        return read(*args)
+    except CsvError as exc:
+        return str(exc)
+
+
+def assert_coded(column, values: list) -> None:
+    """``column`` is the one coded form of the str column ``values``."""
+    assert isinstance(column, Coded) and column.codes.dtype == np.intp
+    assert column.names == tuple(dict.fromkeys(values))
+    assert column.tolist() == list(column) == values and column == values
+    assert all(type(name) is str for name in column.names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=_detection_files(), strict=st.booleans())
+def test_a_coded_camera_column_reads_as_the_str_column(tmp_path_factory, files, strict):
+    """Each file reads as the row-at-a-time reader of str camera ids reads
+    it, strict and lenient alike: the same rows and the same errors, with
+    the camera ids coded.  Joined, the tables are the table of the joined
+    rows, and ``of`` the detections gives it too."""
+    directory = tmp_path_factory.mktemp("coded")
+    tables, expected = [], []
+    for i, rows in enumerate(files):
+        path = directory / f"detections_{i}.csv"
+        _write_detections(path, rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            oracle = _read_outcome(rowwise_parse_detections, fh, strict)
+        got = _read_outcome(read_detection_table, path, strict)
+        if isinstance(oracle, str):
+            assert got == f"{path}: {oracle}"
+            return
+        (detections, errors), (table, table_errors) = oracle, got
+        assert list(map(str, table_errors)) == list(map(str, errors))
+        assert repr(table.rows(row)) == repr([astuple(d) for d in detections])
+        assert_coded(table.camera_id, [d.camera_id for d in detections])
+        tables.append(table)
+        expected += detections
+    joined = DetectionTable.concat(tables)
+    assert_coded(joined.camera_id, [d.camera_id for d in expected])
+    assert joined == DetectionTable.of(expected)
+    assert repr(joined.rows(row)) == repr([astuple(d) for d in expected])
+    assert len({name.strip() for name in joined.camera_id.names}) == len(
+        joined.camera_id.names
+    )  # padded spellings of one name are one code
+
+
+@pytest.mark.parametrize(
+    "cameras",
+    [[], ["side0"] * 3, ["side0", "top", "side0", "sïde1"], ["side0", " side0 ", "side0\t"]],
+)
+def test_coded_of_a_str_list_and_of_an_object_array(cameras):
+    """Both paths of ``Coded.of`` give one form, and ``strip`` merges the
+    names that strip alike into the code of the first."""
+    for values in (cameras, np.array(cameras, dtype=object)):
+        assert_coded(Coded.of(values), list(cameras))
+    stripped = [name.strip() for name in cameras]
+    assert_coded(Coded.of(cameras).strip(), stripped)
+    assert Coded.concat([Coded.of(cameras), Coded.of([])]) == cameras
+
+
+@pytest.mark.parametrize(
+    "codes, names",
+    [
+        ([0, 0], ("a", "b")),  # a name no row holds
+        ([0, 2], ("a", "b")),  # a code past the names
+        ([0, -1], ("a", "b")),
+        ([0, 1], ("a", "a")),  # one name twice
+    ],
+)
+def test_a_coded_column_refuses_codes_its_names_do_not_match(codes, names):
+    """Consumers read a coded column's names in place of its rows, so each
+    name must be distinct and some row's, and each code one of the names."""
+    with pytest.raises(ValueError):
+        Coded(np.array(codes, dtype=np.intp), names)

@@ -22,7 +22,7 @@ from gridscope.detections import (
     write_detections,
 )
 from gridscope.errors import CsvError
-from gridscope.jsonio import FieldError
+from gridscope.jsonio import Coded, FieldError
 
 from oracles import box_area, finite_box_oracle, naive_synchronize, rowwise_parse_detections
 from strategies import DETECTION_ROW
@@ -650,7 +650,7 @@ def _clock_table(clocks: dict) -> DetectionTable:
     cams = [cam for cam, times in clocks.items() for _ in times]
     t = np.concatenate(list(clocks.values()))
     box = np.zeros(len(t)), np.zeros(len(t)), np.full(len(t), 4.0), np.full(len(t), 4.0)
-    return DetectionTable(cams, ["0"] * len(t), t, *box, np.ones(len(t)))
+    return DetectionTable(Coded.of(cams), ["0"] * len(t), t, *box, np.ones(len(t)))
 
 
 def _lagged_clocks(n_frames: int) -> dict:

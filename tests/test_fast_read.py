@@ -111,7 +111,11 @@ def _read_columns(path, fmt):
 def assert_same_table(fast, table):
     assert type(fast) is type(table)
     for a, b in zip(fast.columns(), table.columns()):
-        if isinstance(b, list):
+        if isinstance(b, jsonio.Coded):
+            assert isinstance(a, jsonio.Coded) and a.names == b.names
+            assert all(type(text) is str for text in a.names)
+            assert a.codes.dtype == np.intp and np.array_equal(a.codes, b.codes)
+        elif isinstance(b, list):
             assert isinstance(a, list) and a == b
             assert all(type(text) is str for text in a)
         else:
@@ -522,8 +526,10 @@ def test_the_rules_read_a_row_and_a_column_alike(name, data):
     kinds = [f.type for f in fields(Row)]
     table = fmt.table(
         *(
-            list(column) if kind == "str" else np.array(column, dtype=kind)
-            for kind, column in zip(kinds, zip(*rows))
+            list(column) if kind == "str"
+            else jsonio.Coded.of(list(column)) if kind == "Coded"
+            else np.array(column, dtype=kind)
+            for kind, column in zip(jsonio.column_kinds(fmt.table), zip(*rows))
         )
     )
     with np.errstate(all="ignore"):

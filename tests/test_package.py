@@ -239,6 +239,9 @@ NOT_REACHED = {
         "geometry.Homography.__eq__",
         "geometry.Homography.inverse",
         "geometry.apply_homography",
+        "jsonio.Coded.__eq__",  # through Columns.__eq__
+        "jsonio.Coded.__iter__",
+        "jsonio.Coded.tolist",  # through Columns.rows
         "jsonio.Columns.__eq__",
         "jsonio.Columns.rows",
         "metrics.iou",
@@ -264,6 +267,7 @@ NOT_REACHED = {
         "detections._claimed_slots",  # a contested claim
         "geometry.Homography.__hash__",
         "geometry.Homography.__repr__",
+        "jsonio.Coded.strip",  # a text field with padding
     ),
     # ROADMAP.md item 3 deletes these once perfbench no longer calls them
     "item 3: to delete": (

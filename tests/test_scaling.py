@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +41,15 @@ SEGMENT_MS = 10000.0  # one segment per 200 frames: segments grow with frames
 # some per fusion block added and, for evaluate, some per segment added.
 # Measured at 2k and 8k frames (1 and 2 blocks, 10 and 40 segments):
 # reconstruct +988, evaluate +2,146, detmetrics +124, each export +46.  A
-# loop over track rows would add at least 5,400.
+# loop over track rows would add at least 5,400.  "reconstruct mixed" reads
+# the same rows dealt over files that each hold every camera, so each file's
+# camera column is coded through a dict: +1,048.
 CALLS_FIXED = 300
-CALLS_PER_UNIT = {"reconstruct": ("blocks", 2000), "evaluate": ("segments", 150)}
+CALLS_PER_UNIT = {
+    "reconstruct": ("blocks", 2000),
+    "reconstruct mixed": ("blocks", 2000),  # the same command on other files
+    "evaluate": ("segments", 150),
+}
 
 # The tracemalloc peak at 4N is at most this factor of the peak at N, plus
 # this many bytes; measured factors are 3.3 to 4.0.
@@ -80,16 +87,30 @@ def _scenario_files(directory, n_frames: int) -> dict:
         for frame, *box in rows:
             fh.write(",".join([frame, *(repr(x + 2.0) for x in box)]) + "\n")
     files["segment_count"] = len(segments)
+    # the same rows dealt over as many files, so each file mixes the cameras
+    detections = sorted(k for k in files if k.startswith("detections_"))
+    texts = [Path(files[k]).read_text(encoding="utf-8").splitlines() for k in detections]
+    rows = [line for text in texts for line in text[1:]]
+    for j in range(len(detections)):
+        mixed = directory / f"mixed_{j}.csv"
+        mixed.write_text("\n".join([texts[0][0], *rows[j :: len(detections)]]) + "\n",
+                         encoding="utf-8")
+        files[f"mixed_{j}"] = str(mixed)
     return files
 
 
 def _commands(files, out) -> dict[str, list[str]]:
     detections = [files[k] for k in sorted(files) if k.startswith("detections_")]
+    mixed = [files[k] for k in sorted(files) if k.startswith("mixed_")]
     track, stats = str(out / "track.csv"), str(out / "stats.json")
     commands = {
         "reconstruct": [
             "reconstruct", *detections, "--calibration", files["calibration"],
             "--out", track, "--stats", stats,
+        ],
+        "reconstruct mixed": [
+            "reconstruct", *mixed, "--calibration", files["calibration"],
+            "--out", str(out / "track_mixed.csv"),
         ],
         "evaluate": [
             "evaluate", "--track", track, "--segments", files["segments"],
@@ -156,7 +177,10 @@ def measured(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "command",
-    ["reconstruct", "evaluate", "detmetrics", "export csv", "export ply", "export svg"],
+    [
+        "reconstruct", "reconstruct mixed", "evaluate", "detmetrics",
+        "export csv", "export ply", "export svg",
+    ],
 )
 def test_each_command_scales_linearly(measured, command):
     (calls, peak, units), (calls_4, peak_4, units_4) = measured[command]
