@@ -14,11 +14,20 @@ columns).  A plain ground-truth file whose rows all pass the
 table.  All thresholds share one array of candidate pairs: every
 (prediction, same-frame box) pair, predictions in rank order and boxes in
 row order, whose IoUs ``pair_iou`` computes once in numpy with ``iou``'s
-operations, so the doubles are the same.  At each threshold, a candidate
-at or above it that is the only one of both its prediction and its box
-is a hit by array operations; only the rest, where predictions contest a
-box or a prediction has a choice, go through the greedy claim loop, and
-each threshold keeps its own claimed boxes.
+operations, so the doubles are the same.  Frames are joined by one dict
+from each ground-truth frame id to its last row: the codes only need to
+tell frames apart, since a stable sort keeps each frame's boxes in row
+order, and when every id is distinct each row is its own code.
+
+At each threshold, a candidate at or above it that is the only one of
+both its prediction and its box is a hit by array operations; only the
+rest, where predictions contest a box or a prediction has a choice, go
+through the greedy claim loop, and each threshold keeps its own claimed
+boxes.  A higher threshold's candidates are a subset of a lower one's, so
+a candidate alone at one threshold is alone at every higher one.  A
+threshold at or above one with no contest, then, takes every candidate as
+a hit by one mask, whatever order the thresholds come in, and the loop
+runs only where a threshold has a contest.
 
 Average precision interpolates the precision/recall staircase at the 101
 recall points 0.00, 0.01, ..., 1.00, taking at each point the maximum
@@ -41,6 +50,7 @@ objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -168,19 +178,25 @@ def _candidates(
     within a rank; every pair's IoU is computed once, a block of ranks at a
     time.  A pair of IoU 0 claims at no threshold, so it is dropped.
     """
-    codes = {f: c for c, f in enumerate(dict.fromkeys(ground_truth.frame_id))}
-    box_code = np.fromiter(
-        map(codes.__getitem__, ground_truth.frame_id), np.intp, len(ground_truth)
-    )
-    # a frame without boxes gets the code len(codes), which holds none
+    n_boxes = len(ground_truth)
+    # each frame id names its last row: the codes only tell frames apart, and
+    # the stable sort keeps each frame's boxes in row order
+    codes = dict(zip(ground_truth.frame_id, range(n_boxes)))
+    if len(codes) == n_boxes:  # one box a frame: each row is its own code
+        box_code = np.arange(n_boxes)
+    else:
+        box_code = np.fromiter(
+            map(codes.__getitem__, ground_truth.frame_id), np.intp, n_boxes
+        )
+    # a frame without boxes gets the code n_boxes, which holds none
     pred_code = np.fromiter(
-        map(codes.get, predictions.frame_index, repeat(len(codes))),
+        map(codes.get, predictions.frame_index, repeat(n_boxes)),
         np.intp,
         len(predictions),
     )
     rank_code = pred_code[order]
     by_frame = np.argsort(box_code, kind="stable")
-    per_frame = np.bincount(box_code, minlength=len(codes) + 1)
+    per_frame = np.bincount(box_code, minlength=n_boxes + 1)
     frame_start = np.cumsum(per_frame) - per_frame  # first index into by_frame
     n_pairs = per_frame[rank_code]
     ends = np.cumsum(n_pairs)
@@ -234,23 +250,33 @@ def _match_flags(
     """True-positive flag per ranked prediction, one bool array per threshold.
 
     The candidate pairs and their IoUs are shared by every threshold; each
-    threshold keeps its own record of claimed boxes.
+    threshold keeps its own record of claimed boxes.  A threshold at or
+    above one seen with no contest has none either, so every candidate is
+    a hit there (see the module docstring); this holds in any order.
     """
     predictions, ground_truth = _tables(predictions, ground_truth)
     # stable: equal confidences keep their input order
     order = np.argsort(-predictions.confidence, kind="stable")
     rank, box, overlap = _candidates(predictions, ground_truth, order)
     flags = []
+    settled = math.inf  # the lowest threshold seen with no contest
     for threshold in thresholds:
         above = overlap >= threshold
-        r, b, v = rank[above], box[above], overlap[above]
-        # the only candidate of its prediction and of its box is a hit
-        alone = np.bincount(r, minlength=len(order))[r] == 1
-        alone &= np.bincount(b, minlength=len(ground_truth))[b] == 1
+        r = rank[above]
         hit = np.zeros(len(order), dtype=bool)
-        hit[r[alone]] = True
-        rest = ~alone
-        hit[_claims(r[rest].tolist(), b[rest].tolist(), v[rest].tolist())] = True
+        if threshold < settled:
+            b = box[above]
+            # the only candidate of its prediction and of its box is a hit
+            alone = np.bincount(r, minlength=len(order))[r] == 1
+            alone &= np.bincount(b, minlength=len(ground_truth))[b] == 1
+            if alone.all():
+                settled = threshold
+            else:
+                rest = ~alone
+                v = overlap[above][rest]
+                hit[_claims(r[rest].tolist(), b[rest].tolist(), v.tolist())] = True
+                r = r[alone]
+        hit[r] = True
         flags.append(hit)
     return flags
 

@@ -357,6 +357,36 @@ class TestEvaluateDetections:
         # a block of ranks holds under block + 3 pairs: 3 boxes a frame
         assert max(measured) <= min(block + 2, pairs)
 
+    @pytest.mark.parametrize(
+        "case, calls",
+        [
+            ("one box a frame", 0),
+            ("contested then alone", 5),  # 0.50-0.70: the worse fit's IoU is 0.70
+            ("generated", 8),  # contested up to 0.85
+        ],
+    )
+    def test_the_claim_loop_runs_only_where_a_threshold_has_a_contest(
+        self, monkeypatch, case, calls
+    ):
+        # a threshold whose candidates are each alone, and every threshold
+        # above it, sets its hits without the claim loop
+        preds, boxes = {
+            "one box a frame": _one_box_a_frame(),
+            "contested then alone": _CONTESTED_THEN_ALONE,
+            "generated": _generated_detections(frames=80, per_frame=3, seed=11),
+        }[case]
+        claims, claimed = gridscope.metrics._claims, []
+
+        def counted(ranks, boxes, overlaps):
+            claimed.append(len(ranks))
+            return claims(ranks, boxes, overlaps)
+
+        expected = evaluate_detections(preds, boxes)
+        monkeypatch.setattr(gridscope.metrics, "_claims", counted)
+        assert evaluate_detections(preds, boxes) == expected
+        assert len(claimed) == calls
+        assert all(claimed)  # the loop never runs on no candidates
+
 
 def _generated_detections(frames, per_frame, seed):
     """Noisy, duplicated and missed detections of per_frame boxes a frame."""
@@ -375,6 +405,15 @@ def _generated_detections(frames, per_frame, seed):
                 )
         preds.append(pred(frame, (500.0, 500.0, 520.0, 520.0), rng.randint(1, 99) / 100.0))
     return preds, boxes
+
+
+def _one_box_a_frame():
+    """One box a frame and at most one prediction near it, plus one
+    prediction in a frame without boxes: nothing is ever contested."""
+    boxes = [gt(str(f), (3.0 * f, 0.0, 3.0 * f + 20.0, 20.0)) for f in range(200)]
+    preds = [pred(b.frame_id, (b.u_min + 1.0, 0.0, b.u_max + 1.0, 20.0), 0.5)
+             for b in boxes[::2]]
+    return preds + [pred("no box")], boxes
 
 
 # Integer corners make IoUs exact ratios, so some land exactly on a threshold.
@@ -468,6 +507,59 @@ def test_evaluate_detections_equals_oracles(case):
     map50, map5095 = aps[0], sum(aps) / len(aps)
     assert (report.map50, report.map5095) == (map50, map5095)
     assert report.fitness == fitness(report.precision, report.recall, map50, map5095)
+
+
+@st.composite
+def one_box_frames(draw):
+    """One box a frame over at least 200 frames, whose distinct ids come in
+    no sorted order, and predictions near the boxes, up to two a frame,
+    and in frames without a box."""
+    n = draw(st.integers(200, 240))
+    frames = [str(k) if k % 3 else f"a{k}" for k in draw(st.permutations(range(n)))]
+    boxes = [gt(frame, draw(int_box)) for frame in frames]
+    preds = []
+    for b in boxes:
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+            du, dv, dw, dh = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+            box = (b.u_min + du, b.v_min + dv, b.u_max + 3 + dw, b.v_max + 3 + dh)
+            preds.append(pred(b.frame_id, box, draw(two_decimals)))
+    elsewhere = st.tuples(st.sampled_from(("00", "-1", "z", f"{n}")), int_box)
+    for frame, box in draw(st.lists(elsewhere, min_size=1, max_size=20)):
+        preds.insert(draw(st.integers(0, len(preds))), pred(frame, box, draw(two_decimals)))
+    return preds, boxes
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=one_box_frames())
+def test_distinct_frames_at_size_equal_oracles(case):
+    # every frame id names one box, so each box row is its own frame code
+    preds, boxes = case
+    assert len({b.frame_id for b in boxes}) == len(boxes) >= 200
+    report = evaluate_detections(preds, boxes)
+    _, (tp, fp, fn) = match_oracle(preds, boxes, 0.5)
+    assert (report.precision, report.recall) == (tp / (tp + fp), tp / (tp + fn))
+    aps = [ap_oracle(preds, boxes, t) for t in MAP_THRESHOLDS]
+    assert report.per_threshold == tuple(zip(MAP_THRESHOLDS, aps))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _generated_detections(frames=80, per_frame=3, seed=11),
+        _CONTESTED_THEN_ALONE,
+        _RECLAIMED,
+    ],
+    ids=["generated", "contested then alone", "reclaimed"],
+)
+def test_each_threshold_matches_alone_in_any_order(case):
+    # a threshold's flags do not hang on the thresholds beside it or their order
+    preds, boxes = case
+    shuffled = list(MAP_THRESHOLDS)
+    random.Random(3).shuffle(shuffled)
+    for ts in (MAP_THRESHOLDS, MAP_THRESHOLDS[::-1], tuple(shuffled)):
+        flags = gridscope.metrics._match_flags(preds, boxes, ts)
+        alone = [gridscope.metrics._match_flags(preds, boxes, (t,))[0] for t in ts]
+        assert [f.tolist() for f in flags] == [f.tolist() for f in alone]
 
 
 class TestGroundTruthCsv:

@@ -397,6 +397,8 @@ def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
         test_digests._run_all(tmp_path / mode, mode)
     traced(_failing_runs)(tmp_path / "aligned", capsys)
     traced(_far_track_runs)(tmp_path / "aligned")
+    # the digest scenarios' detmetrics has no contest; this one has
+    traced(test_digests._crowded_detmetrics)(tmp_path)
 
     package = Path(gridscope.__file__).parent
     starts = {
