@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     FormatError,
-    GridscopeError,
     NonPositiveLength,
     OutsideCalibratedArea,
     VersionMismatch,
@@ -524,190 +523,107 @@ class Calibration:
 
 # --- serialization ----------------------------------------------------------
 
+# Each value of a calibration or marker-picks document is declared once, as a
+# jsonio.Doc, for the writer and the reader both.
+_QUAD = jsonio.Doc(
+    lambda q: [[c.u, c.v] for c in q.corners], lambda r: Quad.from_coords(r.reals(4, 2))
+)
+_HOMOGRAPHY = jsonio.Doc(lambda h: h.matrix.tolist(), lambda r: Homography(r.reals(3, 3)))
+_ROLE = jsonio.Doc(CameraRole.label, lambda r: CameraRole.from_label(r.string()))
 
-def _quad_doc(quad: Quad) -> list:
-    return [[c.u, c.v] for c in quad.corners]
+
+def _link(origin: str = "origin_mm", axis: tuple = ("axis", "axis", jsonio.STRING)):
+    """An axis-map link, its origin at key ``origin``."""
+    sign = ("sign", "sign", jsonio.INTEGER)
+    return jsonio.record(AxisComponent, axis, (origin, "origin_mm", jsonio.REAL), sign)
 
 
-def _quad_from(reader: jsonio.DocReader) -> Quad:
-    return Quad.from_coords(reader.reals(4, 2))
-
-
-# A side's links: (field and document key, the axis its entry leaves out,
-# the key of its origin).  A top link is written as a horizontal one.
-_SIDE_LINKS = (
-    ("horizontal", "", "origin_mm"), ("vertical", "z", "origin_mm"),
-    ("depth", "", "face_n_mm"),
+_AXIS_MAP = jsonio.record(
+    AxisMap,
+    ("sides", "sides", jsonio.record(
+        SideAxes,
+        ("horizontal", "horizontal", _link()),
+        ("vertical", "vertical", _link(axis=jsonio.unread("axis", "z"))),  # on z
+        ("depth", "depth", _link("face_n_mm")),
+    ).items(4)),
+    ("top", "top", jsonio.record(TopAxes, ("a", "a", _link()), ("b", "b", _link()))),
+)
+# The main grid, at the world origin.
+GRID_A = jsonio.record(
+    lambda w, d, h: GridBox(WorldPoint3D(0.0, 0.0, 0.0), w, d, h),
+    ("w_mm", "w_mm", jsonio.REAL),
+    ("d_mm", "d_mm", jsonio.REAL),
+    ("h_mm", "h_mm", jsonio.REAL),
 )
 
 
-def _link_doc(link: AxisComponent, axis="", origin="origin_mm") -> dict:
-    head = {} if axis else {"axis": link.axis}
-    return {**head, origin: link.origin_mm, "sign": link.sign}
+def format_version(kind: str, supported=FORMAT_VERSION, error=VersionMismatch) -> tuple:
+    """The ``format_version`` entry of a ``kind`` document: ``supported`` is
+    written, and reading any other version raises ``error``."""
 
-
-def _link_from(r: jsonio.DocReader, axis="", origin="origin_mm") -> AxisComponent:
-    if axis:  # an entry whose place fixes its axis may state one, unread
-        r.optional_key("axis")
-    return AxisComponent(
-        axis or r.key("axis").string(), r.key(origin).real(), r.key("sign").integer()
-    )
-
-
-def _axis_map_doc(axis_map: AxisMap) -> dict:
-    return {
-        "sides": [
-            {key: _link_doc(getattr(side, key), *how) for key, *how in _SIDE_LINKS}
-            for side in axis_map.sides
-        ],
-        "top": {"a": _link_doc(axis_map.top.a), "b": _link_doc(axis_map.top.b)},
-    }
-
-
-def _axis_map_from(reader: jsonio.DocReader) -> AxisMap:
-    sides = tuple(
-        SideAxes(*(_link_from(s.key(key), *how) for key, *how in _SIDE_LINKS))
-        for s in reader.key("sides").fixed_list(4)
-    )
-    top = reader.key("top")
-    return AxisMap(sides, TopAxes(_link_from(top.key("a")), _link_from(top.key("b"))))
-
-
-def _sub_area_doc(sub: SubArea) -> dict:
-    m = sub.homography.matrix
-    return {
-        "index": sub.index,
-        "src_quad": _quad_doc(sub.src),
-        "canonical": [sub.canonical_width, sub.canonical_height],
-        "mg_origin": [sub.mg_origin.a, sub.mg_origin.b],
-        "homography": [[float(m[r, c]) for c in range(3)] for r in range(3)],
-        "scale": [sub.scale.rx, sub.scale.ry],
-    }
-
-
-def _sub_area_from(r: jsonio.DocReader) -> SubArea:
-    matrix = r.key("homography").reals(3, 3)
-    canon = r.key("canonical").real_pair()
-    origin = r.key("mg_origin").real_pair()
-    scale = r.key("scale").real_pair()
-    return SubArea(
-        index=r.key("index").integer(),
-        src=_quad_from(r.key("src_quad")),
-        canonical_width=canon[0],
-        canonical_height=canon[1],
-        mg_origin=ModelPoint2D(*origin),
-        homography=Homography(matrix),
-        scale=ScaleRatios(*scale),
-    )
-
-
-def _header_doc(rig: RigGeometry, axis_map: AxisMap) -> dict:
-    """The leading keys shared by calibration and marker-picks documents."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "grid_a": {
-            "w_mm": rig.grid_a.w_mm,
-            "d_mm": rig.grid_a.d_mm,
-            "h_mm": rig.grid_a.h_mm,
-        },
-        "px_per_mm": rig.px_per_mm,
-        "marker_count": rig.marker_count,
-        "axis_map": _axis_map_doc(axis_map),
-    }
-
-
-def check_format_version(
-    root: jsonio.DocReader,
-    kind: str,
-    supported: int = FORMAT_VERSION,
-    error: type[GridscopeError] = VersionMismatch,
-) -> None:
-    """Raise ``error`` unless the document's format_version is ``supported``."""
-    version = root.key("format_version").integer()
-    if version != supported:
-        raise error(
-            f"{kind} format_version {version} unsupported "
-            f"(this build reads {supported})"
-        )
-
-
-def read_grid_a(root: jsonio.DocReader) -> GridBox:
-    """The main grid from a document's ``grid_a`` key, at the world origin."""
-    grid = root.key("grid_a")
-    return GridBox(
-        WorldPoint3D(0.0, 0.0, 0.0),
-        grid.key("w_mm").real(),
-        grid.key("d_mm").real(),
-        grid.key("h_mm").real(),
-    )
-
-
-def _header_from(root: jsonio.DocReader, kind: str) -> tuple[RigGeometry, AxisMap]:
-    check_format_version(root, kind)
-    grid_a = read_grid_a(root)
-    rig = RigGeometry(
-        grid_a,
-        px_per_mm=root.key("px_per_mm").real(),
-        marker_count=root.get(
-            "marker_count", jsonio.DocReader.integer, DEFAULT_MARKER_COUNT
-        ),
-    )
-    axis_r = root.optional_key("axis_map")  # the default is built only if absent
-    axis_map = default_axis_map(grid_a) if axis_r is None else _axis_map_from(axis_r)
-    root.optional_key("cameras")  # the caller's to read, or to leave unread
-    root.refuse_unread_keys()
-    return rig, axis_map
-
-
-def _camera_doc(cam: "CameraProfile | CameraPicks") -> dict:
-    """The leading keys of one camera entry in either document."""
-    return {
-        "id": cam.camera_id,
-        "role": cam.role.label(),
-        "resolution": [cam.resolution[0], cam.resolution[1]],
-    }
-
-
-def _camera_from(r: jsonio.DocReader) -> tuple[str, CameraRole, tuple[int, int]]:
-    res = r.key("resolution").fixed_list(2)
-    return (
-        r.key("id").string(),
-        CameraRole.from_label(r.key("role").string()),
-        (res[0].integer(), res[1].integer()),
-    )
-
-
-def calibration_doc(cal: Calibration) -> dict:
-    """The document form of a calibration (what save_calibration writes)."""
-    cameras = [
-        {
-            **_camera_doc(cam),
-            "mde_h": cam.mde_h,
-            "mde_v": cam.mde_v,
-            "sub_areas": [_sub_area_doc(s) for s in cam.sub_areas],
-        }
-        for cam in cal.cameras
-    ]
-    return {**_header_doc(cal.rig, cal.axis_map), "cameras": cameras}
-
-
-def calibration_from_doc(doc: dict) -> Calibration:
-    root = jsonio.DocReader(doc)
-    rig, axis_map = _header_from(root, "calibration")
-    cameras = []
-    for cam_r in root.key("cameras").items():
-        cameras.append(
-            CameraProfile(
-                *_camera_from(cam_r),
-                sub_areas=tuple(
-                    _sub_area_from(s) for s in cam_r.key("sub_areas").items()
-                ),
-                mde_h=cam_r.key("mde_h").real(),
-                mde_v=cam_r.key("mde_v").real(),
+    def check(r: jsonio.DocReader) -> int:
+        if r.integer() != supported:
+            raise error(
+                f"{kind} format_version {r.value} unsupported (this build reads {supported})"
             )
-        )
-    root.refuse_unread_keys()
-    return Calibration(rig, tuple(cameras), axis_map)
+        return supported
+
+    return ("format_version", lambda _: supported, jsonio.Doc(jsonio.INTEGER.write, check))
+
+
+def _document(kind: str, make, camera=None, *entries: tuple) -> jsonio.Doc:
+    """A ``kind`` document, read as ``make`` of (rig, axis map, cameras):
+    the rig header, then each camera as ``camera`` of its id, role,
+    resolution and ``entries``.  Without a ``camera`` the cameras are left
+    unread, as None; an absent axis map is the grid's default."""
+    cameras = jsonio.unread("cameras")
+    if camera is not None:
+        cameras = ("cameras", "cameras", jsonio.record(
+            camera,
+            ("id", "camera_id", jsonio.STRING),
+            ("role", "role", _ROLE),
+            ("resolution", "resolution", jsonio.INTEGER.items(2)),
+            *entries,
+        ).items())
+    return jsonio.record(
+        lambda _, grid_a, px_per_mm, marker_count, axis_map, cameras: make(
+            RigGeometry(grid_a, px_per_mm, marker_count),
+            default_axis_map(grid_a) if axis_map is None else axis_map,
+            cameras,
+        ),
+        format_version(kind),
+        ("grid_a", "rig.grid_a", GRID_A),
+        ("px_per_mm", "rig.px_per_mm", jsonio.REAL),
+        ("marker_count", "rig.marker_count", jsonio.INTEGER, DEFAULT_MARKER_COUNT),
+        ("axis_map", "axis_map", _AXIS_MAP, None),
+        cameras,
+    )
+
+
+_CALIBRATION = _document(
+    "calibration",
+    lambda rig, axis_map, cameras: Calibration(rig, cameras, axis_map),
+    lambda cam_id, role, resolution, mde_h, mde_v, sub_areas: CameraProfile(
+        cam_id, role, resolution, sub_areas, mde_h, mde_v
+    ),
+    ("mde_h", "mde_h", jsonio.REAL),
+    ("mde_v", "mde_v", jsonio.REAL),
+    ("sub_areas", "sub_areas", jsonio.record(
+        lambda index, src, canonical, origin, homography, scale: SubArea(
+            index, src, *canonical, ModelPoint2D(*origin), homography, ScaleRatios(*scale)
+        ),
+        ("index", "index", jsonio.INTEGER),
+        ("src_quad", "src", _QUAD),
+        ("canonical", lambda s: (s.canonical_width, s.canonical_height), jsonio.PAIR),
+        ("mg_origin", lambda s: (s.mg_origin.a, s.mg_origin.b), jsonio.PAIR),
+        ("homography", "homography", _HOMOGRAPHY),
+        ("scale", lambda s: (s.scale.rx, s.scale.ry), jsonio.PAIR),
+    ).items()),
+)
+_RIG = _document("calibration", lambda rig, axis_map, cameras: rig)
+# The document form of a calibration (what save_calibration writes), and the
+# calibration of a parsed document.
+calibration_doc, calibration_from_doc = _CALIBRATION.write, _CALIBRATION.load
 
 
 def save_calibration(path, cal: Calibration) -> None:
@@ -718,10 +634,6 @@ def load_calibration(path) -> Calibration:
     return jsonio.load_doc(path, calibration_from_doc)
 
 
-def _rig_from_doc(doc: dict) -> RigGeometry:
-    return _header_from(jsonio.DocReader(doc), "calibration")[0]
-
-
 def load_rig(path) -> RigGeometry:
     """The rig of the calibration in file ``path``, its camera entries unread.
 
@@ -729,7 +641,7 @@ def load_rig(path) -> RigGeometry:
     errors; the camera entries are neither rebuilt nor checked, so a
     marker-picks file gives its rig too.
     """
-    return jsonio.load_doc(path, _rig_from_doc)
+    return jsonio.load_doc(path, _RIG.load)
 
 
 # --- building a calibration from marker picks -------------------------------
@@ -755,6 +667,13 @@ class CameraPicks:
     face_n_quad: Quad | None = None
     face_f_quad: Quad | None = None
 
+    def __post_init__(self):
+        if (self.face_n_quad is None) != (self.face_f_quad is None):
+            raise FormatError(
+                f"camera {self.camera_id}: depth markers need both the near-face "
+                f"and the far-face quad, got one"
+            )
+
 
 @dataclass(frozen=True)
 class MarkerPicks:
@@ -765,70 +684,32 @@ class MarkerPicks:
     cameras: tuple[CameraPicks, ...]
 
 
+_PICKS = _document(
+    "marker picks",
+    MarkerPicks,
+    lambda cam_id, role, resolution, sub_areas, depth_markers: CameraPicks(
+        cam_id, role, resolution, sub_areas, *(depth_markers or (None, None))
+    ),
+    ("sub_areas", "sub_areas", jsonio.record(
+        SubAreaPick,
+        ("index", "index", jsonio.INTEGER),
+        ("src_quad", "src_quad", _QUAD),
+        ("canonical", "canonical", jsonio.PAIR),
+        ("mg_origin", "mg_origin", jsonio.PAIR),
+        ("required", "required", jsonio.PAIR, None),
+    ).items()),
+    # the (near, far) face quads of a camera that has them
+    ("depth_markers", lambda c: None if c.face_n_quad is None else c, jsonio.record(
+        lambda *quads: quads,
+        ("face_n", "face_n_quad", _QUAD),
+        ("face_f", "face_f_quad", _QUAD),
+    ), None),
+)
+marker_picks_doc = _PICKS.write  # the document form of marker picks
+
+
 def load_marker_picks(path) -> MarkerPicks:
-    return jsonio.load_doc(path, _marker_picks_from_doc)
-
-
-def _marker_picks_from_doc(doc: dict) -> MarkerPicks:
-    root = jsonio.DocReader(doc)
-    rig, axis_map = _header_from(root, "marker picks")
-    cameras = []
-    for cam_r in root.key("cameras").items():
-        subs = []
-        for s in cam_r.key("sub_areas").items():
-            subs.append(
-                SubAreaPick(
-                    index=s.key("index").integer(),
-                    src_quad=_quad_from(s.key("src_quad")),
-                    canonical=s.key("canonical").real_pair(),
-                    mg_origin=s.key("mg_origin").real_pair(),
-                    required=s.get("required", jsonio.DocReader.real_pair, None),
-                )
-            )
-        depth_r = cam_r.optional_key("depth_markers")
-        face_n = face_f = None
-        if depth_r is not None:
-            face_n = _quad_from(depth_r.key("face_n"))
-            face_f = _quad_from(depth_r.key("face_f"))
-        cameras.append(
-            CameraPicks(
-                *_camera_from(cam_r),
-                sub_areas=tuple(subs),
-                face_n_quad=face_n,
-                face_f_quad=face_f,
-            )
-        )
-    root.refuse_unread_keys()
-    return MarkerPicks(rig, axis_map, tuple(cameras))
-
-
-def marker_picks_doc(picks: MarkerPicks) -> dict:
-    cameras = []
-    for cam in picks.cameras:
-        entry = {
-            **_camera_doc(cam),
-            "sub_areas": [
-                {
-                    "index": s.index,
-                    "src_quad": _quad_doc(s.src_quad),
-                    "canonical": [s.canonical[0], s.canonical[1]],
-                    "mg_origin": [s.mg_origin[0], s.mg_origin[1]],
-                    **(
-                        {"required": [s.required[0], s.required[1]]}
-                        if s.required
-                        else {}
-                    ),
-                }
-                for s in cam.sub_areas
-            ],
-        }
-        if cam.face_n_quad is not None and cam.face_f_quad is not None:
-            entry["depth_markers"] = {
-                "face_n": _quad_doc(cam.face_n_quad),
-                "face_f": _quad_doc(cam.face_f_quad),
-            }
-        cameras.append(entry)
-    return {**_header_doc(picks.rig, picks.axis_map), "cameras": cameras}
+    return jsonio.load_doc(path, _PICKS.load)
 
 
 def build_calibration(picks: MarkerPicks, mde_aggregate: str = "max") -> Calibration:

@@ -101,15 +101,17 @@ class RunConfig:
             )
 
 
-# How a config file value is read for each RunConfig field, by annotation.
+# The kind of a config file value for each RunConfig field, by annotation.
 _READ_AS = {
-    "float": jsonio.DocReader.real,
-    "bool": jsonio.DocReader.boolean,
-    "str": jsonio.DocReader.string,
+    "float": jsonio.REAL,
+    "bool": jsonio.BOOLEAN,
+    "str": jsonio.STRING,
     # null states the default, None
-    "str | None": lambda r: None if r.value is None else r.string(),
+    "str | None": jsonio.Doc(
+        jsonio.STRING.write, lambda r: None if r.value is None else r.string()
+    ),
 }
-_CONFIG_READERS = {f.name: _READ_AS[f.type] for f in fields(RunConfig)}
+_CONFIG_READERS = {f.name: _READ_AS[f.type].read for f in fields(RunConfig)}
 
 
 def load_run_config(path) -> RunConfig:

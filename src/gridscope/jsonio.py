@@ -11,6 +11,10 @@ two extra guarantees on the writing side:
 Reading goes through :class:`DocReader`, which tracks the key path so that
 schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError; the path is put into words only for an error.
+Each kind of value is declared once, as a :class:`Doc` that pairs its
+writer and its reader; :func:`record` makes a mapping kind of keyed
+entries, written and read in the one declared order.  A repeated key is
+refused as the text is parsed.
 
 Detections, ground truth and the track are each a :class:`TableFormat`
 of a :class:`Columns` table, which names its row class; Columns derives
@@ -42,9 +46,11 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -146,9 +152,19 @@ def write_doc(path, doc: dict) -> None:
         fh.write(text)
 
 
+def _mapping(pairs: list[tuple[str, Any]]) -> dict:
+    """The mapping of ``pairs``, refusing a key that comes twice (``json``
+    alone keeps its last value)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise FormatError(f"repeated key {next(k for k, n in counts.items() if n > 1)!r}")
+    return doc
+
+
 def loads_doc(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_mapping)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
@@ -359,6 +375,88 @@ def _finite_real(value: Any) -> bool:
         and isinstance(value, (int, float))
         and abs(value) <= sys.float_info.max
     )
+
+
+# --- declared documents ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Doc:
+    """One kind of document value, declared once for both directions:
+    ``write`` gives a value's document form, and ``read`` the value that a
+    :class:`DocReader` over that form holds."""
+
+    write: Callable[[Any], Any]
+    read: Callable[[DocReader], Any]
+
+    def items(self, n: int | None = None) -> "Doc":
+        """A tuple of this kind, as an array of ``n`` elements or of any length."""
+        write, read = self.write, self.read
+        each = DocReader.items if n is None else lambda r: r.fixed_list(n)
+        return Doc(lambda vs: [write(v) for v in vs], lambda r: tuple(map(read, each(r))))
+
+    def by_key(self, expected: str) -> "Doc":
+        """A dict of this kind, as a mapping; another value is not ``expected``."""
+
+        def read(r: DocReader) -> dict:
+            if not isinstance(r.value, dict):
+                r._fail(expected)
+            return {name: self.read(r.key(name)) for name in r.value}
+
+        return Doc(lambda d: {k: self.write(v) for k, v in d.items()}, read)
+
+    def load(self, doc: dict) -> Any:
+        """The value of the parsed document ``doc``, refusing a key nothing reads."""
+        root = DocReader(doc)
+        value = self.read(root)
+        root.refuse_unread_keys()
+        return value
+
+
+# The scalar kinds, each written as it is, and a tuple of two reals.
+REAL, INTEGER, STRING, BOOLEAN = (
+    Doc(lambda value: value, read)
+    for read in (DocReader.real, DocReader.integer, DocReader.string, DocReader.boolean)
+)
+PAIR = Doc(list, DocReader.real_pair)
+
+
+def record(make: Callable[..., T], *entries: tuple) -> Doc:
+    """A mapping whose value is ``make`` of its entries' values in turn.
+
+    An entry is (key, attribute name or getter, Doc[, default]).  The writer
+    puts the keys in the declared order, leaving out an entry with a default
+    whose value is None.  The reader asks for them in that order, so of two
+    faults the first declared is named; an absent key reads as its default,
+    and one with no default is refused.
+    """
+    plan = [
+        (key, attrgetter(get) if isinstance(get, str) else get, doc, default)
+        for key, get, doc, *default in entries
+    ]
+
+    def write(value) -> dict:
+        out = {}
+        for key, get, doc, default in plan:
+            item = get(value)
+            if item is not None or not default:
+                out[key] = doc.write(item)
+        return out
+
+    def read(r: DocReader) -> T:
+        values = []
+        for key, _, doc, default in plan:
+            child = r.optional_key(key) if default else r.key(key)
+            values.append(default[0] if child is None else doc.read(child))
+        return make(*values)
+
+    return Doc(write, read)
+
+
+def unread(key: str, value: Any = None) -> tuple:
+    """A record entry for a key that may be present but is not read: it
+    reads as ``value`` either way, and is not written."""
+    return (key, lambda _: None, Doc(lambda v: v, lambda r: value), value)
 
 
 # --- CSV tables --------------------------------------------------------------

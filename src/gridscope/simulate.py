@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import (
+    GRID_A,
     AxisComponent,
     AxisMap,
     CameraPicks,
@@ -50,10 +51,9 @@ from .calibration import (
     MarkerPicks,
     RigGeometry,
     SubAreaPick,
-    check_format_version,
     default_axis_map,
+    format_version,
     marker_picks_doc,
-    read_grid_a,
 )
 from .detections import Detection, write_detections
 from .errors import BehindCamera, ConfigError
@@ -533,16 +533,52 @@ def read_truth(path) -> list[TruthSample]:
 # --- scenario files ---------------------------------------------------------
 
 
+# A scenario's leading keys, before its camera block.
+_RIG = jsonio.record(
+    lambda _, grid_a, px_per_mm: RigGeometry(grid_a, px_per_mm=px_per_mm),
+    format_version("scenario", SCENARIO_FORMAT_VERSION, ConfigError),
+    ("grid_a", "grid_a", GRID_A),
+    ("px_per_mm", "px_per_mm", jsonio.REAL, 1.0),
+)
+_POINT = jsonio.Doc(lambda p: [p.x, p.y, p.z], lambda r: WorldPoint3D(*r.reals(3)))
+_RESOLUTION = jsonio.INTEGER.items(2)
+# The keys after a scenario's camera block, read as SimScenario's fields
+# after its cameras, in turn.
+_SCENARIO = jsonio.record(
+    lambda *values: values,
+    ("grid_b", "grid_b", jsonio.record(
+        lambda origin, size: GridBox(origin, *size),
+        ("origin", "origin", _POINT),
+        ("size", lambda g: (g.w_mm, g.d_mm, g.h_mm), jsonio.REAL.items(3)),
+    )),
+    ("path", "path", jsonio.record(
+        PathSpec,
+        ("face", "face", jsonio.STRING),
+        ("waypoints", "waypoints", _POINT.items()),
+        ("speed_mm_s", "speed_mm_s", jsonio.REAL),
+        ("loop", "loop", jsonio.BOOLEAN, False),
+    )),
+    ("n_frames", "n_frames", jsonio.INTEGER),
+    ("frame_rate_fps", "frame_rate_fps", jsonio.REAL, DEFAULT_FRAME_RATE_FPS),
+    ("noise_sigma_px", "noise_sigma_px", jsonio.REAL, 0.0),
+    ("dropout", "dropout", jsonio.REAL.by_key("a mapping of camera id to probability"),
+     None),
+    ("bbox_half_px", "bbox_half_px", jsonio.REAL, DEFAULT_BBOX_HALF_PX),
+    ("confidence_jitter", "confidence_jitter", jsonio.REAL, DEFAULT_CONFIDENCE_JITTER),
+    ("sub_area_layout", "sub_area_layout", jsonio.STRING, "five"),
+    ("pinwheel_inner", "inner", jsonio.PAIR, (0.25, 0.75)),
+    ("seed", "seed", jsonio.INTEGER),
+)
+
+
 def scenario_from_doc(doc: dict) -> SimScenario:
     root = jsonio.DocReader(doc)
     real = jsonio.DocReader.real
-    check_format_version(root, "scenario", SCENARIO_FORMAT_VERSION, ConfigError)
-    grid_a = read_grid_a(root)
-    rig = RigGeometry(grid_a, px_per_mm=root.get("px_per_mm", real, 1.0))
+    rig = _RIG.read(root)
+    grid_a = rig.grid_a
     cams = root.key("cameras")
     mode = cams.key("mode").string()
-    res_r = cams.key("resolution").fixed_list(2)
-    resolution = (res_r[0].integer(), res_r[1].integer())
+    resolution = _RESOLUTION.read(cams.key("resolution"))
     if mode == "pinhole" and cams.optional_key("side_distance_mm") is None:
         raise ConfigError(
             "pinhole scenarios must state cameras.side_distance_mm explicitly"
@@ -559,43 +595,7 @@ def scenario_from_doc(doc: dict) -> SimScenario:
         cams.get("ortho_px_per_mm", real, 1.0),
         top_mode=cams.get("top_mode", jsonio.DocReader.string, None),
     )
-    gb = root.key("grid_b")
-    grid_b = GridBox(WorldPoint3D(*gb.key("origin").reals(3)), *gb.key("size").reals(3))
-    path_r = root.key("path")
-    waypoints = tuple(
-        WorldPoint3D(*wp.reals(3)) for wp in path_r.key("waypoints").items()
-    )
-    path = PathSpec(
-        face=path_r.key("face").string(),
-        waypoints=waypoints,
-        speed_mm_s=path_r.key("speed_mm_s").real(),
-        loop=path_r.get("loop", jsonio.DocReader.boolean, False),
-    )
-    dropout_r = root.optional_key("dropout")
-    dropout = None
-    if dropout_r is not None:
-        dropout = {}
-        if not isinstance(dropout_r.value, dict):
-            dropout_r._fail("a mapping of camera id to probability")
-        for cam_id in dropout_r.value:
-            dropout[cam_id] = dropout_r.key(cam_id).real()
-    scenario = SimScenario(
-        rig=rig,
-        cameras=cameras,
-        grid_b=grid_b,
-        path=path,
-        n_frames=root.key("n_frames").integer(),
-        frame_rate_fps=root.get("frame_rate_fps", real, DEFAULT_FRAME_RATE_FPS),
-        noise_sigma_px=root.get("noise_sigma_px", real, 0.0),
-        dropout=dropout,
-        bbox_half_px=root.get("bbox_half_px", real, DEFAULT_BBOX_HALF_PX),
-        confidence_jitter=root.get(
-            "confidence_jitter", real, DEFAULT_CONFIDENCE_JITTER
-        ),
-        sub_area_layout=root.get("sub_area_layout", jsonio.DocReader.string, "five"),
-        inner=root.get("pinwheel_inner", jsonio.DocReader.real_pair, (0.25, 0.75)),
-        seed=root.key("seed").integer(),
-    )
+    scenario = SimScenario(rig, cameras, *_SCENARIO.read(root))
     root.refuse_unread_keys()
     return scenario
 

@@ -1013,3 +1013,89 @@ def test_the_corner_check_maps_as_homography_columns(case):
         SubArea(0, quad, w, h, ModelPoint2D(0.0, 0.0), homography, ScaleRatios(1.0, 1.0))
 
     assert _check_outcome(build) == _check_outcome(_columns_corner_check, quad, w, h, homography)
+
+
+# --- declared documents: optional entries and read order ------------------------
+
+
+def test_marker_picks_with_required_sizes_round_trip_byte_for_byte(tmp_path):
+    """The simulator never sets ``required``: here two sub-areas have one."""
+    picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
+    cameras = list(picks.cameras)
+    for i, j, size in ((0, 1, (30.0, 40.5)), (4, 0, (12.25, 7.0))):
+        subs = list(cameras[i].sub_areas)
+        subs[j] = replace(subs[j], required=size)
+        cameras[i] = replace(cameras[i], sub_areas=tuple(subs))
+    picks = replace(picks, cameras=tuple(cameras))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    jsonio.write_doc(first, marker_picks_doc(picks))
+    loaded = load_marker_picks(first)
+    assert loaded == picks
+    jsonio.write_doc(second, marker_picks_doc(loaded))
+    assert second.read_bytes() == first.read_bytes()
+    doc = json.loads(first.read_text())
+    required = {
+        (i, j): s["required"]
+        for i, cam in enumerate(doc["cameras"])
+        for j, s in enumerate(cam["sub_areas"])
+        if "required" in s
+    }
+    assert required == {(0, 1): [30.0, 40.5], (4, 0): [12.25, 7.0]}
+    assert list(doc["cameras"][0]["sub_areas"][1]) == [
+        "index", "src_quad", "canonical", "mg_origin", "required"
+    ]
+
+
+@pytest.mark.parametrize("missing", ["face_n_quad", "face_f_quad"])
+def test_camera_picks_refuse_one_depth_marker_quad(missing):
+    """A side camera with one quad would write neither and get MDE (0, 0)."""
+    picks = marker_picks_for(make_scenario("pinhole", n_frames=1))
+    side = picks.cameras[2]
+    with pytest.raises(FormatError) as err:
+        replace(side, **{missing: None})
+    assert str(err.value) == (
+        "camera side2: depth markers need both the near-face and the far-face "
+        "quad, got one"
+    )
+    replace(side, face_n_quad=None, face_f_quad=None)  # a camera may have neither
+
+
+# Two faults in one mapping: the reader asks for the keys in the order the
+# document declares them, so the first declared key is named.  (kind, the
+# mapping's path, {key: value}, the message after the file's path.)
+TWO_FAULTS = [
+    ("calibration", ("cameras", 1, "sub_areas", 2), {"homography": "h", "index": "i"},
+     "cameras[1].sub_areas[2].index: expected an integer, found str"),
+    ("calibration", ("cameras", 1, "sub_areas", 2), {"scale": 1, "src_quad": 1},
+     "cameras[1].sub_areas[2].src_quad: expected an array of 4 elements, found int"),
+    ("calibration", ("cameras", 3), {"resolution": 1, "id": 2},
+     "cameras[3].id: expected a string, found int"),
+    ("calibration", ("cameras", 3), {"sub_areas": 1, "mde_h": "m"},
+     "cameras[3].mde_h: expected a real number, found str"),
+    ("marker picks", ("cameras", 0), {"sub_areas": 1, "role": 2},
+     "cameras[0].role: expected a string, found int"),
+    ("marker picks", ("cameras", 0), {"depth_markers": 1, "resolution": [1]},
+     "cameras[0].resolution: expected an array of 2 elements, found list"),
+    # the cameras are read before any key is refused as unknown
+    ("calibration", (), {"colour": "red", "cameras": 1},
+     "cameras: expected an array, found int"),
+]
+
+
+@pytest.mark.parametrize("kind, where, faults, message", TWO_FAULTS)
+def test_of_two_faults_the_first_declared_key_is_named(
+    aligned_calibration, tmp_path, kind, where, faults, message
+):
+    if kind == "calibration":
+        doc, load = _calibration_json(aligned_calibration), load_calibration
+    else:
+        doc, load = _picks_json(), load_marker_picks
+    node = doc
+    for name in where:
+        node = node[name]
+    node.update(faults)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GridscopeError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"

@@ -977,6 +977,63 @@ class TestErrorsNameTheFile:
         assert main(args) == 2
         assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
 
+    # Each loader's document with a key given twice (json.loads alone keeps
+    # the last value): (the document's text, the command that reads it from
+    # file BAD, its exit code, the key).  The calibration's is deep in a
+    # sub-area and repeats its value; a repeat is refused all the same.
+    REPEATED = {
+        "scenario": (
+            lambda p: '{"seed": 1, ' + json.dumps(SCENARIO_DOC)[1:],
+            lambda p, t: ["simulate", "BAD", "--out", str(t / "sim")],
+            1, "seed",
+        ),
+        "marker picks": (
+            lambda p: '{"px_per_mm": 2.0, ' + (p / "sim" / "picks.json").read_text()[1:],
+            lambda p, t: ["calibrate", "BAD", "--out", str(t / "cal.json")],
+            1, "px_per_mm",
+        ),
+        "calibration": (
+            lambda p: (p / "calibration.json").read_text().replace(
+                '"index": 0,', '"index": 0, "index": 0,', 1
+            ),
+            lambda p, t: [
+                "reconstruct", str(p / "sim" / "detections_top.csv"),
+                "--calibration", "BAD", "--out", str(t / "track.csv"),
+            ],
+            1, "index",
+        ),
+        "run config": (
+            lambda p: '{"z_reject_mm": 10, "z_reject_mm": 500}',
+            lambda p, t: [
+                "reconstruct", str(p / "sim" / "detections_top.csv"),
+                "--calibration", str(p / "calibration.json"),
+                "--out", str(t / "track.csv"), "--config", "BAD",
+            ],
+            2, "z_reject_mm",
+        ),
+        "stats": (
+            lambda p: '{"total": 0, ' + (p / "stats.json").read_text()[1:],
+            lambda p, t: [
+                "evaluate", "--track", str(p / "track.csv"),
+                "--segments", str(p / "segments.csv"),
+                "--calibration", str(p / "calibration.json"), "--stats", "BAD",
+            ],
+            1, "total",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(REPEATED))
+    def test_a_repeated_key_is_refused(self, pipeline, tmp_path, capsys, kind):
+        text, command, code, key = self.REPEATED[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text(pipeline), encoding="utf-8")
+        args = [str(bad) if a == "BAD" else a for a in command(pipeline, tmp_path)]
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        prefix = "config error" if code == 2 else "error"
+        assert err == f"{prefix}: {bad}: repeated key {key!r}\n"
+        assert out == ""
+
 
 class TestUnreadableInput:
     """Bytes that are not UTF-8, oversized fields and bad stats end in exit 1/2."""

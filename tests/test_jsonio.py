@@ -307,6 +307,76 @@ def test_reals_returns_floats():
     assert all(type(v) is float for row in got for v in row)
 
 
+# A record of three entries: a required real pair, an optional count that
+# is left out when None, and an optional list of names with a default.
+_SPOT = jsonio.record(
+    lambda where, count, names: (where, count, names),
+    ("where", lambda v: v[0], jsonio.PAIR),
+    ("count", lambda v: v[1], jsonio.INTEGER, None),
+    ("names", lambda v: v[2], jsonio.STRING.items(), ("a",)),
+)
+
+
+class TestRecord:
+    def test_the_writer_keeps_the_declared_order_and_leaves_out_none(self):
+        assert _SPOT.write(((1.0, 2.0), None, ("b", "c"))) == {
+            "where": [1.0, 2.0], "names": ["b", "c"]
+        }
+        assert list(_SPOT.write(((1.0, 2.0), 3, ()))) == ["where", "count", "names"]
+
+    def test_the_reader_gives_each_default_and_reads_back_what_was_written(self):
+        assert _SPOT.read(jsonio.DocReader({"where": [1, 2]})) == ((1.0, 2.0), None, ("a",))
+        value = ((0.5, 2.0), 7, ("x", "y"))
+        assert _SPOT.read(jsonio.DocReader(_SPOT.write(value))) == value
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({}, "top level: missing required key 'where'"),
+            ({"names": 1, "count": "2"}, "top level: missing required key 'where'"),
+            ({"where": [1, 2], "names": 1, "count": "2"},
+             "count: expected an integer, found str"),
+            ({"where": [1, 2], "names": ["a", 3]}, "names[1]: expected a string, found int"),
+            ([], "top level: expected a mapping, found list"),
+        ],
+    )
+    def test_the_reader_names_the_first_declared_fault(self, doc, message):
+        with pytest.raises(FormatError) as err:
+            _SPOT.read(jsonio.DocReader(doc))
+        assert str(err.value) == message
+
+    def test_every_declared_key_counts_as_read(self):
+        root = jsonio.DocReader({"where": [1, 2], "count": 1, "colour": "red"})
+        _SPOT.read(root)
+        with pytest.raises(FormatError, match=r"^top level: unknown key 'colour'$"):
+            root.refuse_unread_keys()
+
+    def test_items_of_n_and_by_key(self):
+        pair = jsonio.INTEGER.items(2)
+        assert pair.read(jsonio.DocReader([3, 4])) == (3, 4)
+        with pytest.raises(FormatError, match=r"^top level: expected an array of 2 elements"):
+            pair.read(jsonio.DocReader([3]))
+        odds = jsonio.REAL.by_key("a mapping of name to odds")
+        assert odds.read(jsonio.DocReader({"a": 1, "b": 0.5})) == {"a": 1.0, "b": 0.5}
+        with pytest.raises(FormatError) as err:
+            odds.read(jsonio.DocReader({"p": [0.5]}).key("p"))
+        assert str(err.value) == "p: expected a mapping of name to odds, found list"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"a": 1, "a": 1}', "a"),
+        ('{"a": {"b": [], "c": 0, "b": 2}}', "b"),
+        ('{"a": [{"x": 1}, {"x": 1, "y": 2, "x": 3}]}', "x"),
+    ],
+)
+def test_loads_doc_refuses_a_repeated_key_at_any_depth(text, key):
+    with pytest.raises(FormatError) as err:
+        jsonio.loads_doc(text)
+    assert str(err.value) == f"repeated key {key!r}"
+
+
 HEADER = ("name", "value")
 
 

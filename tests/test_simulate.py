@@ -638,6 +638,26 @@ class TestScenarioDocs:
             "side0, side1, side2, side3, top (or default)"
         )
 
+    @pytest.mark.parametrize(
+        "where, faults, message",
+        [
+            (("path",), {"waypoints": 1, "face": 2}, "path.face: expected a string, found int"),
+            ((), {"dropout": [0.5], "n_frames": "4"},
+             "n_frames: expected an integer, found str"),
+            ((), {"dropout": [0.5], "bbox_half_px": "4"},
+             "dropout: expected a mapping of camera id to probability, found list"),
+        ],
+    )
+    def test_of_two_faults_the_first_declared_key_is_named(self, where, faults, message):
+        doc = self.minimal_doc()
+        node = doc
+        for name in where:
+            node = node[name]
+        node.update(faults)
+        with pytest.raises(FormatError) as err:
+            scenario_from_doc(doc)
+        assert str(err.value) == message
+
     def test_load_scenario_file(self, tmp_path):
         from gridscope import jsonio
 
