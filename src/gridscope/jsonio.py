@@ -13,8 +13,8 @@ schema violations surface as ``FormatError("cameras[0].sub_areas[1].…")``
 instead of a bare KeyError; the path is put into words only for an error.
 Each kind of value is declared once, as a :class:`Doc` that pairs its
 writer and its reader; :func:`record` makes a mapping kind of keyed
-entries, written and read in the one declared order.  A repeated key is
-refused as the text is parsed.
+entries, written and read in the one declared order, that refuses any
+other key.  A repeated key is refused as the text is parsed.
 
 Detections, ground truth and the track are each a :class:`TableFormat`
 of a :class:`Columns` table, which names its row class; Columns derives
@@ -217,22 +217,18 @@ class DocReader:
     """Schema-checking accessor over a parsed document.
 
     Each accessor narrows a value at ``path`` to the requested shape and
-    raises FormatError naming the full path on any mismatch.  The readers of
-    one document note each key asked of each mapping, so
-    ``refuse_unread_keys`` can turn away a key that nothing reads.
+    raises FormatError naming the full path on any mismatch.
 
     A child reader keeps its parent and its key, and builds its ``path``
     only when an error message asks for it.
     """
 
-    __slots__ = ("value", "_parent", "_key", "_asked")
+    __slots__ = ("value", "_parent", "_key")
 
-    def __init__(self, value: Any, path: str = "", _asked: dict | None = None):
+    def __init__(self, value: Any, path: str = "", _parent: "DocReader | None" = None):
         self.value = value
-        self._parent: DocReader | None = None
+        self._parent = _parent
         self._key: str | int = path  # a root's path, else its key in its parent
-        # id of each mapping asked for a key: (its first reader, keys asked)
-        self._asked = {} if _asked is None else _asked
 
     @property
     def path(self) -> str:
@@ -249,11 +245,6 @@ class DocReader:
         found = type(self.value).__name__ if self.value is not None else "null"
         raise FormatError(f"{where}: expected {expected}, found {found}")
 
-    def _child(self, key) -> "DocReader":
-        child = DocReader(self.value[key], key, self._asked)
-        child._parent = self
-        return child
-
     # -- mapping access ------------------------------------------------------
 
     def key(self, name: str) -> "DocReader":
@@ -264,35 +255,17 @@ class DocReader:
         return child
 
     def optional_key(self, name: str) -> "DocReader | None":
-        value = self.value
-        if not isinstance(value, dict):
+        if not isinstance(self.value, dict):
             self._fail("a mapping")
-        entry = self._asked.get(id(value))
-        if entry is None:
-            entry = self._asked[id(value)] = (self, set())
-        entry[1].add(name)
-        return self._child(name) if name in value else None
-
-    def refuse_unread_keys(self) -> None:
-        """Raise FormatError naming the first key, of any mapping of this
-        document asked for a key so far, that none of its readers asked for."""
-        for reader, asked in self._asked.values():
-            for name in reader.value:
-                if name not in asked:
-                    raise FormatError(f"{reader.path or 'top level'}: unknown key {name!r}")
-
-    def get(self, name: str, read: Callable[["DocReader"], T], default: T) -> T:
-        """``read`` of the value at key ``name``, or ``default`` if it is absent."""
-        r = self.optional_key(name)
-        return default if r is None else read(r)
+        return DocReader(self.value[name], name, self) if name in self.value else None
 
     # -- sequence access -----------------------------------------------------
 
     def items(self) -> Iterator["DocReader"]:
         if not isinstance(self.value, list):
             self._fail("an array")
-        for i in range(len(self.value)):
-            yield self._child(i)
+        for i, item in enumerate(self.value):
+            yield DocReader(item, i, self)
 
     def fixed_list(self, n: int) -> list["DocReader"]:
         if not isinstance(self.value, list) or len(self.value) != n:
@@ -323,10 +296,6 @@ class DocReader:
             self._fail("a boolean")
         return self.value
 
-    def real_pair(self) -> tuple[float, float]:
-        a, b = self.reals(2)
-        return a, b
-
     def reals(self, *shape: int) -> list:
         """Nested lists of finite reals of ``shape``: ``reals(3, 3)`` is a 3x3 matrix.
 
@@ -342,9 +311,9 @@ class DocReader:
         if not isinstance(self.value, list) or len(self.value) != n:
             self._fail(f"an array of {n} elements")
         if inner:
-            return [self._child(i).reals(*inner) for i in range(n)]
+            return [DocReader(row, i, self).reals(*inner) for i, row in enumerate(self.value)]
         return [
-            float(v) if _finite_real(v) else self._child(i).real()
+            float(v) if _finite_real(v) else DocReader(v, i, self).real()
             for i, v in enumerate(self.value)
         ]
 
@@ -406,11 +375,8 @@ class Doc:
         return Doc(lambda d: {k: self.write(v) for k, v in d.items()}, read)
 
     def load(self, doc: dict) -> Any:
-        """The value of the parsed document ``doc``, refusing a key nothing reads."""
-        root = DocReader(doc)
-        value = self.read(root)
-        root.refuse_unread_keys()
-        return value
+        """The value of the parsed document ``doc``."""
+        return self.read(DocReader(doc))
 
 
 # The scalar kinds, each written as it is, and a tuple of two reals.
@@ -418,7 +384,7 @@ REAL, INTEGER, STRING, BOOLEAN = (
     Doc(lambda value: value, read)
     for read in (DocReader.real, DocReader.integer, DocReader.string, DocReader.boolean)
 )
-PAIR = Doc(list, DocReader.real_pair)
+PAIR = Doc(list, lambda r: tuple(r.reals(2)))
 
 
 def record(make: Callable[..., T], *entries: tuple) -> Doc:
@@ -426,14 +392,16 @@ def record(make: Callable[..., T], *entries: tuple) -> Doc:
 
     An entry is (key, attribute name or getter, Doc[, default]).  The writer
     puts the keys in the declared order, leaving out an entry with a default
-    whose value is None.  The reader asks for them in that order, so of two
+    whose value is None.  The reader reads them in that order, so of two
     faults the first declared is named; an absent key reads as its default,
-    and one with no default is refused.
+    and one with no default is refused.  After ``make``, the reader refuses
+    the mapping's first key, in document order, that no entry declares.
     """
     plan = [
         (key, attrgetter(get) if isinstance(get, str) else get, doc, default)
         for key, get, doc, *default in entries
     ]
+    declared = frozenset(key for key, *_ in plan)
 
     def write(value) -> dict:
         out = {}
@@ -448,7 +416,11 @@ def record(make: Callable[..., T], *entries: tuple) -> Doc:
         for key, _, doc, default in plan:
             child = r.optional_key(key) if default else r.key(key)
             values.append(default[0] if child is None else doc.read(child))
-        return make(*values)
+        value = make(*values)
+        if not declared.issuperset(r.value):
+            name = next(name for name in r.value if name not in declared)
+            raise FormatError(f"{r.path or 'top level'}: unknown key {name!r}")
+        return value
 
     return Doc(write, read)
 

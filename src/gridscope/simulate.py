@@ -470,12 +470,12 @@ def generate_scenario(scenario: SimScenario) -> GeneratedData:
     half = scenario.bbox_half_px
     sigma = scenario.noise_sigma_px
     jitter = scenario.confidence_jitter
+    dropouts = [(cam, scenario.dropout_for(cam.camera_id)) for cam in scenario.cameras]
     for k, pos in enumerate(positions):
         t = k * frame_ms
         truth.append(TruthSample(t, pos))
-        for cam in scenario.cameras:
-            miss = rng.random()
-            if miss < scenario.dropout_for(cam.camera_id):
+        for cam, dropout in dropouts:
+            if rng.random() < dropout:
                 continue
             pix = project(cam, pos)
             u, v = pix.u, pix.v
@@ -533,19 +533,49 @@ def read_truth(path) -> list[TruthSample]:
 # --- scenario files ---------------------------------------------------------
 
 
-# A scenario's leading keys, before its camera block.
-_RIG = jsonio.record(
-    lambda _, grid_a, px_per_mm: RigGeometry(grid_a, px_per_mm=px_per_mm),
-    format_version("scenario", SCENARIO_FORMAT_VERSION, ConfigError),
-    ("grid_a", "grid_a", GRID_A),
-    ("px_per_mm", "px_per_mm", jsonio.REAL, 1.0),
-)
+def _camera_block(mode: str, resolution, side_distance_mm: float | None, *rest) -> tuple:
+    """A scenario's camera block; a pinhole one must state its side distance."""
+    if mode == "pinhole" and side_distance_mm is None:
+        raise ConfigError(
+            "pinhole scenarios must state cameras.side_distance_mm explicitly"
+        )
+    return (mode, resolution, side_distance_mm, *rest)
+
+
+def _scenario(_, grid_a: GridBox, px_per_mm: float, cameras: tuple, *rest) -> SimScenario:
+    """The scenario of a document's values; an absent side distance is 245 mm,
+    a side height half the grid's, and the top's height 2.5 m over the grid."""
+    rig = RigGeometry(grid_a, px_per_mm=px_per_mm)
+    mode, resolution, side_distance, side_height, top_height, *optics = cameras
+    cameras = standard_cameras(
+        grid_a, mode, resolution,
+        DEFAULT_SIDE_DISTANCE_MM if side_distance is None else side_distance,
+        grid_a.h_mm / 2.0 if side_height is None else side_height,
+        grid_a.h_mm + 2500.0 if top_height is None else top_height,
+        *optics,  # focal_px, top_focal_px, ortho_px_per_mm and top_mode
+    )
+    return SimScenario(rig, cameras, *rest)
+
+
 _POINT = jsonio.Doc(lambda p: [p.x, p.y, p.z], lambda r: WorldPoint3D(*r.reals(3)))
-_RESOLUTION = jsonio.INTEGER.items(2)
-# The keys after a scenario's camera block, read as SimScenario's fields
-# after its cameras, in turn.
+# A scenario file, read but never written: a SimScenario keeps no camera block.
 _SCENARIO = jsonio.record(
-    lambda *values: values,
+    _scenario,
+    format_version("scenario", SCENARIO_FORMAT_VERSION, ConfigError),
+    ("grid_a", "rig.grid_a", GRID_A),
+    ("px_per_mm", "rig.px_per_mm", jsonio.REAL, 1.0),
+    ("cameras", "cameras", jsonio.record(
+        _camera_block,
+        ("mode", "mode", jsonio.STRING),
+        ("resolution", "resolution", jsonio.INTEGER.items(2)),
+        ("side_distance_mm", "side_distance_mm", jsonio.REAL, None),
+        ("side_height_mm", "side_height_mm", jsonio.REAL, None),
+        ("top_height_mm", "top_height_mm", jsonio.REAL, None),
+        ("focal_px", "focal_px", jsonio.REAL, 200.0),
+        ("top_focal_px", "top_focal_px", jsonio.REAL, 2000.0),
+        ("ortho_px_per_mm", "ortho_px_per_mm", jsonio.REAL, 1.0),
+        ("top_mode", "top_mode", jsonio.STRING, None),
+    )),
     ("grid_b", "grid_b", jsonio.record(
         lambda origin, size: GridBox(origin, *size),
         ("origin", "origin", _POINT),
@@ -569,35 +599,7 @@ _SCENARIO = jsonio.record(
     ("pinwheel_inner", "inner", jsonio.PAIR, (0.25, 0.75)),
     ("seed", "seed", jsonio.INTEGER),
 )
-
-
-def scenario_from_doc(doc: dict) -> SimScenario:
-    root = jsonio.DocReader(doc)
-    real = jsonio.DocReader.real
-    rig = _RIG.read(root)
-    grid_a = rig.grid_a
-    cams = root.key("cameras")
-    mode = cams.key("mode").string()
-    resolution = _RESOLUTION.read(cams.key("resolution"))
-    if mode == "pinhole" and cams.optional_key("side_distance_mm") is None:
-        raise ConfigError(
-            "pinhole scenarios must state cameras.side_distance_mm explicitly"
-        )
-    cameras = standard_cameras(
-        grid_a,
-        mode,
-        resolution,
-        cams.get("side_distance_mm", real, DEFAULT_SIDE_DISTANCE_MM),
-        cams.get("side_height_mm", real, grid_a.h_mm / 2.0),
-        cams.get("top_height_mm", real, grid_a.h_mm + 2500.0),
-        cams.get("focal_px", real, 200.0),
-        cams.get("top_focal_px", real, 2000.0),
-        cams.get("ortho_px_per_mm", real, 1.0),
-        top_mode=cams.get("top_mode", jsonio.DocReader.string, None),
-    )
-    scenario = SimScenario(rig, cameras, *_SCENARIO.read(root))
-    root.refuse_unread_keys()
-    return scenario
+scenario_from_doc = _SCENARIO.load  # the scenario of a parsed document
 
 
 def load_scenario(path) -> SimScenario:

@@ -1,10 +1,12 @@
 """The paths that document errors name, pinned to their exact texts.
 
-``jsonio.DocReader`` builds a reader's path only when an error message or
-``refuse_unread_keys`` asks for it.  Each case below puts one fault deep
-in a calibration, marker-picks or run-config document, loads the file the
-way the commands do, and checks the whole message against the text that
-the reader gave when it built every path as it went down.
+``jsonio.DocReader`` builds a reader's path only when an error message
+asks for it, an unknown key's included.  Each case below puts one fault
+deep in a calibration, marker-picks or run-config document, loads the
+file the way the commands do, and checks the whole message against the
+text that the reader gave when it built every path as it went down.
+Last, one unknown key is added to each mapping of a calibration, a
+marker-picks document and the README's scenario in turn.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from gridscope.calibration import (
     marker_picks_doc,
 )
 from gridscope.cli import load_run_config
-from gridscope.errors import GridscopeError
-from gridscope.simulate import marker_picks_for
+from gridscope.errors import ConfigError, GridscopeError
+from gridscope.fusion import FusionStats
+from gridscope.simulate import load_scenario, marker_picks_for
 
 from conftest import make_scenario
+from quickstart import write_quick_start
 
 RUN_CONFIG = {
     "sync_tolerance_ms": 20.0,
@@ -215,3 +219,85 @@ def test_the_unchanged_documents_load(kind, tmp_path):
     file = tmp_path / "doc.json"
     file.write_text(json.dumps(_documents()[kind]), encoding="utf-8")
     LOADERS[kind](file)
+
+
+# --- an unknown key in each mapping ------------------------------------------
+
+
+def _mappings(value, path: tuple = ()):
+    """The path of each mapping in ``value``, in document order."""
+    if isinstance(value, dict):
+        yield path
+        for key, item in value.items():
+            yield from _mappings(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _mappings(item, (*path, i))
+
+
+def _words(path: tuple) -> str:
+    """``path`` as an error message names it."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text or "top level"
+
+
+def _walked(kind: str, directory):
+    """The ``kind`` document to walk, and its loader: the written calibration
+    and marker picks above, or the README's quick-start scenario."""
+    if kind == "scenario":
+        write_quick_start(directory)
+        scenario = json.loads((directory / "scenario.json").read_text(encoding="utf-8"))
+        return scenario, load_scenario
+    return _documents()[kind], LOADERS[kind]
+
+
+def _load_error(load, doc: dict, directory) -> str:
+    """The text of the error that loading ``doc`` raises, after its file's path."""
+    file = directory / "walked.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(GridscopeError) as err:
+        load(file)
+    assert str(err.value).startswith(f"{file}: "), str(err.value)
+    return f"{type(err.value).__name__}: {str(err.value)[len(f'{file}: '):]}"
+
+
+@pytest.mark.parametrize("kind", ["calibration", "marker picks", "scenario"])
+def test_an_unknown_key_in_each_mapping_is_named_with_its_path(kind, tmp_path):
+    doc, load = _walked(kind, tmp_path)
+    paths = list(_mappings(doc))
+    assert len(paths) > (5 if kind == "scenario" else 40)
+    got, expected = {}, {}
+    for path in paths:
+        got[path] = _load_error(load, _changed(doc, path, ("add", "colour", 0.5)), tmp_path)
+        expected[path] = f"FormatError: {_words(path)}: unknown key 'colour'"
+    if kind == "scenario":  # dropout's keys are camera ids, checked as such
+        expected[("dropout",)] = (
+            "ConfigError: dropout names camera 'colour', which is not one of "
+            "side0, side1, side2, side3, top (or default)"
+        )
+    assert got == expected
+
+
+@pytest.mark.parametrize("kind", ["calibration", "marker picks"])
+def test_a_vertical_link_may_state_its_axis(kind, tmp_path):
+    doc, load = _walked(kind, tmp_path)
+    stated = copy.deepcopy(doc)
+    for side in stated["axis_map"]["sides"]:
+        assert "axis" not in side["vertical"]  # it is not written
+        side["vertical"]["axis"] = "z"
+    files = tmp_path / "doc.json", tmp_path / "stated.json"
+    for file, value in zip(files, (doc, stated)):
+        file.write_text(json.dumps(value), encoding="utf-8")
+    assert load(files[1]) == load(files[0])
+
+
+def test_stats_and_the_run_config_keep_their_own_rules(tmp_path):
+    stats = {**FusionStats(total=3).as_doc(), "colour": 0.5}
+    assert FusionStats.from_doc(stats) == FusionStats(total=3)  # ignored
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({**RUN_CONFIG, "colour": 0.5, "blue": 1}), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(file)
+    assert str(err.value) == f"{file}: unknown config keys ['blue', 'colour']"

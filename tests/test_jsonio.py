@@ -152,7 +152,7 @@ class TestDocReader:
         assert r.key("x").real() == 1.5
         assert r.key("name").string() == "rig"
         assert r.key("flag").boolean() is False
-        assert r.key("pair").real_pair() == (1.0, 2.5)
+        assert jsonio.PAIR.read(r.key("pair")) == (1.0, 2.5)
 
     def test_real_accepts_int(self):
         assert jsonio.DocReader({"x": 2}).key("x").real() == 2.0
@@ -276,7 +276,7 @@ def test_reals_equals_the_element_wise_walk(data, shape):
     fast = _outcome(lambda: jsonio.DocReader(value, path).reals(*shape))
     assert fast == _outcome(lambda: _walk(jsonio.DocReader(value, path), shape))
     if shape == (2,):
-        pair = _outcome(lambda: list(jsonio.DocReader(value, path).real_pair()))
+        pair = _outcome(lambda: list(jsonio.PAIR.read(jsonio.DocReader(value, path))))
         assert pair == fast
 
 
@@ -347,9 +347,29 @@ class TestRecord:
 
     def test_every_declared_key_counts_as_read(self):
         root = jsonio.DocReader({"where": [1, 2], "count": 1, "colour": "red"})
-        _SPOT.read(root)
         with pytest.raises(FormatError, match=r"^top level: unknown key 'colour'$"):
-            root.refuse_unread_keys()
+            _SPOT.read(root)
+
+    def test_the_first_unknown_key_in_document_order_is_named(self):
+        root = jsonio.DocReader({"beta": 1, "where": [1, 2], "zeta": 2, "alpha": 3})
+        with pytest.raises(FormatError, match=r"^top level: unknown key 'beta'$"):
+            _SPOT.read(root)
+
+    def test_an_unknown_key_is_named_once_its_own_mapping_is_read(self):
+        pair = jsonio.record(
+            lambda spot, n: (spot, n),
+            ("spot", lambda v: v[0], _SPOT),
+            ("n", lambda v: v[1], jsonio.INTEGER),
+        )
+        doc = {"spot": {"where": [1, 2], "colour": 1}, "n": "x", "extra": 1}
+        with pytest.raises(FormatError, match=r"^spot: unknown key 'colour'$"):
+            pair.read(jsonio.DocReader(doc))
+        doc["spot"].pop("colour")
+        with pytest.raises(FormatError, match=r"^n: expected an integer, found str$"):
+            pair.read(jsonio.DocReader(doc))
+        doc["n"] = 1
+        with pytest.raises(FormatError, match=r"^top level: unknown key 'extra'$"):
+            pair.read(jsonio.DocReader(doc))
 
     def test_items_of_n_and_by_key(self):
         pair = jsonio.INTEGER.items(2)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscope.calibration import CameraRole, default_axis_map
+from gridscope.cli import main
 from gridscope.errors import BehindCamera, ConfigError, CsvError, FormatError
 from gridscope.geometry import GridBox, WorldPoint3D
 from gridscope.simulate import (
@@ -565,6 +567,22 @@ class TestScenarioDocs:
         assert "side_distance_mm" in str(err.value)
         doc["cameras"]["side_distance_mm"] = 245.0
         assert scenario_from_doc(doc).cameras[0].mode == "pinhole"
+
+    def test_a_pinhole_scenario_that_misspells_its_side_distance_lacks_it(
+        self, tmp_path, capsys
+    ):
+        """The camera block's rule runs before its unknown key is named."""
+        doc = self.minimal_doc()
+        doc["cameras"].update(mode="pinhole", side_distanse_mm=245.0)
+        message = "pinhole scenarios must state cameras.side_distance_mm explicitly"
+        with pytest.raises(ConfigError) as err:
+            scenario_from_doc(doc)
+        assert str(err.value) == message
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert not (tmp_path / "sim").exists()
 
     def test_dropout_and_options(self):
         doc = self.minimal_doc()
