@@ -8,10 +8,10 @@ point that the scale takes past the largest float is refused, and no file is
 written.
 
 Every writer takes only a ``TrackTable`` (``TrackTable.of`` makes one of
-points).  The CSV writer and the SVG polylines format their columns with
-``fusion.format_rows``, whose fixed-point kernel writes the bytes of
-``"{:.6f}".format`` for every value at once; the PLY writer formats one
-row at a time with ``"{:.17g}"``.
+points).  Each writes its columns through ``fusion.format_rows``: the CSV
+writer and the SVG polylines by its fixed-point kernel, which writes the
+bytes of ``"{:.6f}".format`` for every value at once, and the PLY writer by
+``fusion._g17``, which writes those of ``"{:.17g}".format``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, EmptyTrack, FormatError
-from .fusion import TrackTable, format_rows, write_track
+from .fusion import _CHUNK_BUNDLES, TrackTable, _g17, format_rows, write_track
 from .geometry import GridBox
 from .jsonio import format_real
 from .options import EXPORT_FORMATS
@@ -57,12 +57,14 @@ def export_ply(path, track: TrackTable) -> None:
         "property double z",
         "end_header",
     ]
-    # format_real of a finite real; adding 0.0 turns -0.0 into 0.0, as
-    # format_real writes it
-    x, y, z = ((column + 0.0).tolist() for column in (track.x, track.y, track.z))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.writelines(map("{:.17g} {:.17g} {:.17g}\n".format, x, y, z))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for start in range(0, len(track), _CHUNK_BUNDLES):
+            rows = slice(start, start + _CHUNK_BUNDLES)
+            # format_real of a finite real; adding 0.0 turns -0.0 into 0.0,
+            # as format_real writes it
+            x, y, z = (_g17(c[rows] + 0.0) for c in (track.x, track.y, track.z))
+            fh.write(format_rows([x, b" ", y, b" ", z, b"\n"]))
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:

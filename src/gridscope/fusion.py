@@ -592,6 +592,14 @@ _DIGIT_PAIRS = np.frombuffer(
 _FLAGS = np.array([list(b"false"), [*b"true", _PAD]], dtype=np.uint8)
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: high + low == a exactly, each with at most 26
+    significant bits, so the product of two halves is exact."""
+    high = a * 134217729.0  # 2**27 + 1
+    high -= high - a
+    return high, a - high
+
+
 def _fixed6(column: np.ndarray) -> np.ndarray:
     """What "{:.6f}".format writes for each value of a finite real column:
     one row of bytes each, padded with _PAD.
@@ -612,10 +620,9 @@ def _fixed6(column: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         p = magnitude * 1e6
     if not (p < 2.0**52).all():
-        return _str_formatted(column)
-    high = magnitude * 134217729.0  # 2**27 + 1
-    high -= high - magnitude
-    err = (high * 1e6 - p) + (magnitude - high) * 1e6
+        return _str_formatted(column, "{:.6f}".format)
+    high, low = _split(magnitude)
+    err = (high * 1e6 - p) + low * 1e6
     rounded = np.rint(p)
     half = p - rounded
     rounded += (half == 0.5) & (err > 0)
@@ -638,9 +645,101 @@ def _fixed6(column: np.ndarray) -> np.ndarray:
     return fields
 
 
-def _str_formatted(column: np.ndarray) -> np.ndarray:
-    """``_fixed6`` of a column past its kernel's range, by str.format."""
-    text = np.array(list(map("{:.6f}".format, column.tolist())), dtype="S")
+# 10**k for k = 0 to 21, exact, and Veltkamp's split of each: _g17 scales by
+# 10**(16 - E) for a decimal exponent E from -5 to 16.
+_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _positional_layout() -> np.ndarray:
+    """The bytes of "{:.17g}" in positional form, by decimal exponent E
+    (-4 to 15) and the index of the last digit that is not 0, one row of 39
+    for 17 * (E + 4) + that index: a sign slot; "0." and -E - 1 zeros when
+    E < 0; then 17 digit slots, 0 up to the last digit written and _PAD
+    after it, with a slot after each of the first 16 that holds "." after
+    digit E when a digit not 0 follows.
+    """
+    exponent = np.arange(-4, 16)[:, None, None]
+    last = np.arange(17)[:, None]
+    layout = np.full((20, 17, 39), _PAD, np.uint8)
+    lead = np.frombuffer(b"0.000", np.uint8)
+    layout[..., 1:6] = np.where(exponent < [0, 0, -1, -2, -3], lead, _PAD)
+    written = np.arange(17) <= np.maximum(last, exponent)
+    layout[..., 6::2] = np.where(written, 0, _PAD)
+    point = (np.arange(16) == exponent) & (last > exponent)
+    layout[..., 7::2] = np.where(point, ord("."), _PAD)
+    return layout.reshape(20 * 17, 39)
+
+
+_LAYOUT = _positional_layout()
+
+
+def _g17_digits(
+    magnitude: np.ndarray, exponent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, E) for each positive real m, with m rounded half to even to 17
+    significant digits equal to N * 10**(E - 16) and 10**16 <= N < 10**17.
+
+    ``exponent`` is a guess of E, right or one off either way.
+    m * 10**(16 - E) is p + err exactly, by Dekker's product, and the guess
+    moves until that exact product lies in [10**16, 10**17).  p is then an
+    even integer, past 2**53, so N = p + rint(err).  N never rounds up to
+    10**17 for 1e-4 <= m < 1e16: the largest double below each power of ten
+    from 1e-3 to 1e16 is more than 8e-17 of it away, and half a unit in the
+    17th digit is 5e-18 of it.
+    """
+    high, low = _split(magnitude)
+    while True:
+        k = 16 - exponent
+        scale_high, scale_low = _POW10_HIGH[k], _POW10_LOW[k]
+        p = magnitude * _POW10[k]
+        err = low * scale_low - (
+            ((p - high * scale_high) - low * scale_high) - high * scale_low
+        )
+        below = (p < 1e16) | ((p == 1e16) & (err < 0))
+        above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+        if not (below.any() or above.any()):
+            break
+        exponent = exponent + above - below
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), exponent
+
+
+def _g17(column: np.ndarray) -> np.ndarray:
+    """What "{:.17g}".format writes for each value of a finite real column:
+    one row of bytes each, padded with _PAD.
+
+    Each value with 1e-4 <= |x| < 1e16 is written in positional form:
+    ``_g17_digits`` gives its 17 digits and decimal exponent E, from a
+    guess by np.log10 whose last bit never reaches a digit.  The digits come
+    from _DIGIT_PAIRS; a "." follows digit E, and "0." and -E - 1 zeros lead
+    when E < 0.  Zeros after the point that end the digits are dropped, and
+    so is a "." that nothing follows.  A column with any other value, zero
+    included, is formatted by str.format.
+    """
+    column = np.asarray(column, dtype=float)
+    magnitude = np.abs(column)
+    if not ((magnitude >= 1e-4) & (magnitude < 1e16)).all():
+        return _str_formatted(column, "{:.17g}".format)
+    guess = np.floor(np.log10(magnitude)).astype(np.int64)
+    n, exponent = _g17_digits(magnitude, guess)
+    # nine pairs of an 18-digit number whose first digit is 0
+    pairs = np.empty((len(column), 9), np.intp)
+    for k in range(8, -1, -1):
+        above = n // 100
+        pairs[:, k] = n - 100 * above
+        n = above
+    digits = _DIGIT_PAIRS[pairs].view(np.uint8)[:, 1:]
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    fields = _LAYOUT[17 * (exponent + 4) + last]
+    fields[:, 0] = np.where(column < 0, ord("-"), _PAD)
+    fields[:, 6::2] |= digits
+    return fields
+
+
+def _str_formatted(column: np.ndarray, spec) -> np.ndarray:
+    """A kernel's column past its range: ``spec`` of each value, as bytes
+    padded with _PAD."""
+    text = np.array(list(map(spec, column.tolist())), dtype="S")
     fields = text.view(np.uint8).reshape(len(column), text.itemsize)
     return np.where(fields == 0, _PAD, fields)
 
@@ -649,8 +748,9 @@ def format_rows(fields: list) -> bytes:
     """Rows of text, each made of its entry of every field in turn.
 
     A field is a column of reals, each written as "{:.6f}".format writes
-    it; a 2-D uint8 array, one row of bytes per row, padded with _PAD; or
-    bytes, written in every row.
+    it; a 2-D uint8 array, one row of bytes per row, padded with _PAD, such
+    as ``_g17`` makes of a column for "{:.17g}"; or bytes, written in every
+    row.
     """
     parts = [
         np.frombuffer(f, np.uint8)[None] if isinstance(f, bytes)

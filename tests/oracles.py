@@ -22,9 +22,11 @@ and ground-truth checks, to pin the row rules and row readers to them.
 
 ``write_track_oracle`` and ``polyline_points`` write six-decimal reals one
 ``str.format`` per row, the reference for the fixed-point kernel behind
-``write_track`` and the SVG polylines.  ``python tests/oracles.py TRACK
-CALIBRATION CSV_OUT SVG_OUT`` writes a track file again by them, as a
-track CSV and as the export's SVG figure.
+``write_track`` and the SVG polylines; ``ply_oracle`` writes the PLY export
+one ``"{:.17g}"`` row at a time, the reference for the kernel behind
+``export_ply``.  ``python tests/oracles.py TRACK CALIBRATION CSV_OUT SVG_OUT
+PLY_OUT`` writes a track file again by them, as a track CSV, as the export's
+SVG figure and as its PLY point cloud.
 """
 
 from __future__ import annotations
@@ -722,11 +724,23 @@ def polyline_points(xs, ys) -> str:
     return " ".join(map("{:.6f},{:.6f}".format, xs.tolist(), ys.tolist()))
 
 
-def rewrite_with_oracles(track_csv, calibration, csv_out, svg_out) -> None:
+def ply_oracle(path, track) -> None:
+    """The PLY point cloud written one ``str.format`` per row;
+    ``export.export_ply`` must write its bytes.  Adding 0.0 writes -0.0 as
+    0, as ``format_real`` does."""
+    x, y, z = ((column + 0.0).tolist() for column in (track.x, track.y, track.z))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"ply\nformat ascii 1.0\nelement vertex {len(x)}\n"
+                 "property double x\nproperty double y\nproperty double z\n"
+                 "end_header\n")
+        fh.writelines(map("{:.17g} {:.17g} {:.17g}\n".format, x, y, z))
+
+
+def rewrite_with_oracles(track_csv, calibration, csv_out, svg_out, ply_out) -> None:
     """Read the track file ``track_csv`` and write it again by the
-    ``str.format`` writers: as a track CSV to ``csv_out``, and as
-    ``export --format svg`` draws it, with the rig of ``calibration``, to
-    ``svg_out``."""
+    ``str.format`` writers: as a track CSV to ``csv_out``; as ``export
+    --format svg`` draws it, with the rig of ``calibration``, to
+    ``svg_out``; and as ``export --format ply`` writes it to ``ply_out``."""
     from unittest import mock
 
     from gridscope import export
@@ -737,10 +751,11 @@ def rewrite_with_oracles(track_csv, calibration, csv_out, svg_out) -> None:
     write_track_oracle(csv_out, track)
     with mock.patch.object(export, "_polyline", polyline_points):
         export.export_svg(svg_out, track, load_rig(calibration).grid_a)
+    ply_oracle(ply_out, track)
 
 
 if __name__ == "__main__":
-    # python tests/oracles.py TRACK CALIBRATION CSV_OUT SVG_OUT
+    # python tests/oracles.py TRACK CALIBRATION CSV_OUT SVG_OUT PLY_OUT
     import sys
 
     rewrite_with_oracles(*sys.argv[1:])

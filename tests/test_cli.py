@@ -35,7 +35,7 @@ from gridscope.fusion import TRACK_HEADER, build_track, read_track, write_track
 
 from gridscope.metrics import GT_HEADER
 
-from oracles import bundle_table
+from oracles import bundle_table, ply_oracle
 from strategies import (
     DETECTION_ROW,
     GT_ROW,
@@ -206,6 +206,36 @@ class TestPipeline:
             assert out.stat().st_size > 0
         csv_out = (tmp_path / "track.csv").read_bytes()
         assert csv_out == (pipeline / "track.csv").read_bytes()
+
+    def test_ply_export_of_values_the_kernel_leaves_to_str_format(self, pipeline, tmp_path):
+        """x holds zeros, a value below 1e-4, 1e16 and a subnormal, which the
+        {:.17g} kernel leaves to str.format: the PLY is still ply_oracle's,
+        and -0.0 writes 0."""
+        header, *rows = (pipeline / "track.csv").read_text(encoding="utf-8").splitlines()
+        xs = ["0.0", "-0.0", "3e-5", "1e16", "5e-324"]
+        for i, x in enumerate(xs):
+            fields = rows[i].split(",")
+            rows[i] = ",".join([fields[0], x, *fields[2:]])
+        track = tmp_path / "track.csv"
+        track.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "track.ply"
+        code = main(
+            [
+                "export",
+                "--track", str(track),
+                "--calibration", str(pipeline / "calibration.json"),
+                "--format", "ply",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        ply_oracle(tmp_path / "oracle.ply", read_track(track))
+        assert out.read_bytes() == (tmp_path / "oracle.ply").read_bytes()
+        written = [line.split(" ")[0] for line in out.read_text().splitlines()[7:12]]
+        assert written == [
+            "0", "0", "3.0000000000000001e-05", "10000000000000000",
+            "4.9406564584124654e-324",
+        ]
 
 
 class TestDetMetrics:

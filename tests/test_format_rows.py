@@ -1,9 +1,11 @@
-"""The fixed-point writers against ``str.format``, byte for byte.
+"""The column writers against ``str.format``, byte for byte.
 
 ``fusion.format_rows`` writes each real of a column as ``"{:.6f}".format``
 does, by an exact float64 kernel; ``write_track`` and the SVG polylines
-use it.  The references are ``oracles.write_track_oracle`` and
-``oracles.polyline_points``, which format one value at a time.
+use it.  ``fusion._g17`` writes a column as ``"{:.17g}".format`` does, by
+another, for ``export_ply``.  The references are
+``oracles.write_track_oracle``, ``oracles.polyline_points`` and
+``oracles.ply_oracle``, which format one value at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 
 from gridscope import export, fusion
 from gridscope.calibration import save_calibration
-from gridscope.export import export_svg
+from gridscope.export import export_ply, export_svg
 from gridscope.fusion import TrackTable, format_rows, read_track, write_track
 
-from oracles import polyline_points, rewrite_with_oracles, write_track_oracle
+from oracles import ply_oracle, polyline_points, rewrite_with_oracles, write_track_oracle
 
 # |x| * 10**6 from here on is past the kernel's exact range
 BOUND = 2.0**52 / 1e6
@@ -158,11 +160,140 @@ def test_the_oracle_rewrite_reproduces_the_written_files(tmp_path, aligned_calib
     grid = aligned_calibration.rig.grid_a
     save_calibration(tmp_path / "calibration.json", aligned_calibration)
     write_track(tmp_path / "track.csv", _random_track(300, seed=9))
-    export_svg(tmp_path / "track.svg", read_track(tmp_path / "track.csv"), grid)
+    track = read_track(tmp_path / "track.csv")
+    export_svg(tmp_path / "track.svg", track, grid)
+    export_ply(tmp_path / "track.ply", track)
     rewrite_with_oracles(
         tmp_path / "track.csv", tmp_path / "calibration.json",
-        tmp_path / "oracle.csv", tmp_path / "oracle.svg",
+        tmp_path / "oracle.csv", tmp_path / "oracle.svg", tmp_path / "oracle.ply",
     )
-    for name in ("csv", "svg"):
+    for name in ("csv", "svg", "ply"):
         written = (tmp_path / f"track.{name}").read_bytes()
         assert written == (tmp_path / f"oracle.{name}").read_bytes()
+
+
+# --- the {:.17g} kernel ---------------------------------------------------------
+
+# the magnitudes _g17 writes itself; a column with any other goes to str.format
+LOW, HIGH = 1e-4, 1e16
+
+
+def _g17_lines(values) -> list[str]:
+    """What _g17 writes for a column, one line per value.  A list, so that
+    a failure names the first line that differs without diffing them all."""
+    text = format_rows([fusion._g17(np.array(values, dtype=float)), b"\n"]).decode()
+    return text.split("\n")[:-1]
+
+
+def _g17_expected(values) -> list[str]:
+    return [f"{v:.17g}" for v in values]
+
+
+def _in_kernel(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values[(np.abs(values) >= LOW) & (np.abs(values) < HIGH)]
+
+
+def _powers_of_ten(ulps: int) -> np.ndarray:
+    """Every power of ten from 1e-4 to 1e15 and its neighbours up to ``ulps``
+    steps away on either side."""
+    powers = np.array([float(f"1e{k}") for k in range(-4, 16)])
+    values = [powers]
+    below, above = powers, powers
+    for _ in range(ulps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        values += [below, above]
+    return np.concatenate(values)
+
+
+def _g17_sample() -> np.ndarray:
+    """Values of every kind the kernel must write as str.format does."""
+    rng = np.random.default_rng(35)
+    log_uniform = np.exp(rng.uniform(np.log(LOW), np.log(HIGH), 50_000))
+    integers = np.concatenate([np.arange(1.0, 2000.0), rng.integers(1, 10**15, 5000)])
+    thousandths = np.round(rng.uniform(-1000.0, 1000.0, 20_000), 3)
+    dyadic = np.ldexp(rng.integers(1, 2**20, (61, 100)), -np.arange(61)[:, None]).ravel()
+    # exact ties at the 17th digit: k + 0.25 with 16-digit k, the 17th digit
+    # being the first after the point, and k + 0.125 or + 0.375 with 15-digit k
+    k16 = rng.integers(10**15, 2**51, 2000).astype(float)
+    k15 = rng.integers(10**14, 10**15, 2000).astype(float)
+    ties = [k16 + 0.25, k16 + 0.75, k15 + 0.125, k15 + 0.375]
+    for tie, k, half in zip(ties, [k16, k16, k15, k15], [0.25, 0.75, 0.125, 0.375]):
+        assert (tie - k == half).all()  # each tie is exact
+    values = np.concatenate(
+        [log_uniform, integers, thousandths, dyadic, _powers_of_ten(3), *ties]
+    )
+    values = _in_kernel(np.concatenate([values, -values]))
+    assert len(values) >= 10**5
+    return values
+
+
+def test_g17_writes_what_str_format_writes():
+    values = _g17_sample()
+    with mock.patch.object(fusion, "_str_formatted", wraps=fusion._str_formatted) as spy:
+        assert _g17_lines(values) == _g17_expected(values.tolist())
+    assert spy.call_count == 0  # all of it by the kernel
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_the_exponent_guess_never_reaches_the_bytes(shift):
+    """_g17_digits started one decade off either way writes the same bytes,
+    so np.log10's last bit, which differs between machines, never decides a
+    digit."""
+    values = np.concatenate([_powers_of_ten(3), _g17_sample()[::10]])
+    values = _in_kernel(values)
+    digits = fusion._g17_digits
+
+    def off_by_one(magnitude, exponent):
+        return digits(magnitude, exponent + shift)
+
+    with mock.patch.object(fusion, "_g17_digits", off_by_one):
+        assert _g17_lines(values) == _g17_expected(values.tolist())
+    right = np.floor(np.log10(np.abs(values))).astype(np.int64)
+    n, exponent = digits(np.abs(values), right + shift)
+    assert ((10**16 <= n) & (n < 10**17)).all()  # never rounded up to 10**17
+    for found, expected in zip((n, exponent), digits(np.abs(values), right)):
+        assert (found == expected).all()
+
+
+_KERNEL_REALS = st.floats(LOW, HIGH, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_REALS | _KERNEL_REALS | _KERNEL_REALS.map(lambda x: -x),
+                       min_size=1, max_size=12))
+@example(values=[0.0, -0.0, 5e-324, 1e16, 1e-4, np.nextafter(1e-4, 0.0)])
+@example(values=[9999999999999998.0, 0.00099999999999999991, 1.7976931348623157e308])
+def test_g17_writes_what_str_format_writes_on_any_finite_real(values):
+    assert _g17_lines(values) == _g17_expected(values)
+    # each value alone, so that one out of range does not send the others
+    # to str.format
+    for value in values:
+        assert _g17_lines([value]) == _g17_expected([value])
+
+
+def test_a_column_out_of_the_g17_range_takes_str_format():
+    inside = [1.5, LOW, np.nextafter(HIGH, 0.0)]
+    with mock.patch.object(fusion, "_str_formatted", wraps=fusion._str_formatted) as spy:
+        for outside in (0.0, np.nextafter(LOW, 0.0), HIGH):
+            assert _g17_lines(inside) == _g17_expected(inside)
+            assert spy.call_count == 0
+            assert _g17_lines([*inside, outside]) == _g17_expected([*inside, outside])
+            assert spy.call_count == 1
+            spy.reset_mock()
+
+
+@pytest.mark.parametrize(
+    "rows", [1, fusion._CHUNK_BUNDLES, fusion._CHUNK_BUNDLES + 1]
+)
+@pytest.mark.parametrize("in_range", [False, True])
+def test_export_ply_writes_the_reference_bytes(tmp_path, rows, in_range):
+    track = _random_track(rows, seed=rows)
+    if in_range:  # each coordinate at least 1 away from zero: all by the kernel
+        for column in (track.x, track.y, track.z):
+            column += np.copysign(1.0, column)
+    with mock.patch.object(fusion, "_str_formatted", wraps=fusion._str_formatted) as spy:
+        export_ply(tmp_path / "kernel.ply", track)
+    assert spy.call_count == 0 or not in_range
+    ply_oracle(tmp_path / "reference.ply", track)
+    assert (tmp_path / "kernel.ply").read_bytes() == (tmp_path / "reference.ply").read_bytes()

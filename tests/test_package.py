@@ -261,10 +261,11 @@ NOT_REACHED = {
         "simulate.read_truth",
     ),
     # the traced runs start after the package is imported
-    "runs at import, as each row class and each document kind is defined": (
+    "runs at import, as each row class, each document kind and each table is defined": (
         "calibration._document",
         "calibration._link",
         "calibration.format_version",
+        "fusion._positional_layout",
         "jsonio.Doc.by_key",
         "jsonio.Doc.items",
         "jsonio.compile_rules",
@@ -430,7 +431,8 @@ def test_every_function_in_src_runs_or_is_listed(tmp_path, monkeypatch, capsys):
 
 def test_the_readme_quick_start_runs_as_written(tmp_path):
     named = write_quick_start(tmp_path)
-    assert {"sim/", "calibration.json", "track.csv", "report.json", "track.svg"} <= set(named)
+    assert {"sim/", "calibration.json", "track.csv", "report.json", "track.svg",
+            "track.ply"} <= set(named)
     src = str(Path(gridscope.__file__).resolve().parents[1])
     define = f'gridscope() {{ {shlex.quote(sys.executable)} -m gridscope.cli "$@"; }}\n'
     script = define + (tmp_path / "quickstart.sh").read_text(encoding="utf-8")
